@@ -22,6 +22,7 @@ var poolOwnSpec = &ownSpec{
 		sp + "NewPooledBatch":    0,
 		sp + "ViewWithSel":       0,
 		sp + "GatherPooled":      0,
+		sp + "ScatterPooled":     0,
 		sp + "GetRelation":       0,
 		sp + "Batch.DetachSel":   0,
 		sp + "Batch.Materialize": 0,
@@ -86,6 +87,12 @@ var poolBorrows = map[string]bool{
 	sp + "ValueAt":                    true,
 	"sommelier/internal/index.KeyAt":  true,
 	"sommelier/internal/expr.EvalSel": true,
+	// The key resolver and the join probe's column builders read the
+	// probe batch; its columns that pass through into the join output
+	// are kept by the caller's PutBatchExcept.
+	"sommelier/internal/physical.keyIndex.resolve":    true,
+	"sommelier/internal/physical.HashJoin.viewCols":   true,
+	"sommelier/internal/physical.HashJoin.gatherCols": true,
 	// Interface-method reads (funcKey cannot name the dynamic type, so
 	// these match by bare method name): expression evaluation borrows
 	// the batch it reads.

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"sommelier/internal/opt"
 	"sommelier/internal/registrar"
+	"sommelier/internal/storage"
 )
 
 // optDiffQueries spans the taxonomy (T1/T2/T4/T5) plus projection
@@ -83,4 +85,76 @@ func runQuerySuite(t *testing.T, dir string, app registrar.Approach, optDisable 
 		res.Release()
 	}
 	return out
+}
+
+// pruneBag is every query list the engine suites keep, plus the shapes
+// join-output pruning treats specially: a grouped COUNT(*) (nothing read
+// from the join but the group column), a bare COUNT(*) (the join keeps
+// one probe column for the row count), build-side-only and mixed
+// projections, ORDER BY + LIMIT over a join, and a row export.
+func pruneBag() []string {
+	bag := append(append(optDiffQueries(), stressQueries()...), chaosBag()...)
+	return append(bag,
+		`SELECT F.station, AVG(D.sample_value), STDDEV(D.sample_value), COUNT(*) FROM dataview
+		   WHERE D.sample_time < '2010-01-02T00:00:00.000' GROUP BY F.station ORDER BY F.station`,
+		`SELECT F.station, COUNT(*) FROM dataview GROUP BY F.station ORDER BY F.station`,
+		`SELECT COUNT(*) FROM dataview WHERE D.sample_time >= '2010-01-01T12:00:00.000'`,
+		`SELECT F.station, F.channel FROM dataview
+		   WHERE D.sample_value > 0 AND D.sample_time < '2010-01-01T00:30:00.000'`,
+		`SELECT S.segment_id, F.station, D.sample_value / 2 FROM dataview
+		   WHERE F.station = 'AQU' AND D.sample_time < '2010-01-01T03:00:00.000'`,
+		`SELECT D.sample_value FROM dataview WHERE F.station = 'FIAM'
+		   ORDER BY D.sample_value DESC LIMIT 10`,
+		`SELECT D.sample_time, D.sample_value FROM dataview WHERE F.station = 'CERA'`,
+		`SELECT H.window_start_ts, H.window_max_val FROM windowdataview_md
+		   WHERE F.station = 'FIAM' AND H.window_start_ts < '2010-01-01T12:00:00.000'`,
+	)
+}
+
+// TestPruneColsBitwise holds the whole bag bit for bit — floats at full
+// precision, rows in order — between plans whose joins emit only what
+// their parents read and plans whose joins emit every column, on all
+// five loading approaches; and checks the rule is what flips it.
+func TestPruneColsBitwise(t *testing.T) {
+	dir := genRepo(t, 2)
+	run := func(app registrar.Approach, disable string) ([]string, string) {
+		db, err := Open(dir, Config{Approach: app, OptDisable: disable})
+		if err != nil {
+			t.Fatalf("open %s (disable %s): %v", app, disable, err)
+		}
+		defer db.Close()
+		if err := addMetadataView(db); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for qi, sql := range pruneBag() {
+			res, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("%s (disable %s) query %d: %v", app, disable, qi, err)
+			}
+			out = append(out, renderBits(res))
+			res.Release()
+		}
+		plan, err := db.Explain(tQueries()[4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, plan
+	}
+	for _, app := range []registrar.Approach{
+		registrar.Lazy, registrar.EagerCSV, registrar.EagerPlain,
+		registrar.EagerIndex, registrar.EagerDMd,
+	} {
+		on, planOn := run(app, "none")
+		off, planOff := run(app, opt.RulePruneCols)
+		for qi := range on {
+			if on[qi] != off[qi] {
+				t.Errorf("%s query %d diverges with prunecols off:\ngot:\n%s\nwant:\n%s", app, qi, off[qi], on[qi])
+			}
+		}
+		if !strings.Contains(planOn, " out=") || strings.Contains(planOff, " out=") {
+			t.Errorf("%s: join output pruning should follow the prunecols rule:\non:\n%s\noff:\n%s", app, planOn, planOff)
+		}
+	}
+	storage.RequireNoLeaks(t)
 }

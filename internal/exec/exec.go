@@ -977,7 +977,7 @@ func (ex *executor) buildInner(n plan.Node, inStage1 bool) (physical.Operator, e
 			lk = append(lk, li)
 			rk = append(rk, ri)
 		}
-		return physical.NewHashJoin(l, r, lk, rk)
+		return physical.NewHashJoinCols(l, r, lk, rk, n.Out)
 	case *plan.Select:
 		in, err := ex.build(n.In, inStage1)
 		if err != nil {

@@ -240,6 +240,7 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 
 	// prunecols: narrow every scan to the referenced columns.
 	var prune map[string][]int
+	var pruneNotes []string
 	if !opts.Disabled(RulePruneCols) {
 		prune = pruneColumns(cat, p, pushdown, residual)
 		var notes []string
@@ -249,10 +250,7 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 				notes = append(notes, fmt.Sprintf("%s %d→%d", tn, t.Schema.Width(), len(idxs)))
 			}
 		}
-		if len(notes) == 0 {
-			notes = append(notes, "nothing to prune")
-		}
-		log = append(log, fmt.Sprintf("%s: %s", RulePruneCols, strings.Join(notes, ", ")))
+		pruneNotes = notes
 	}
 
 	pd := make(map[string]expr.Expr, len(pushdown))
@@ -265,6 +263,16 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 		return nil, err
 	}
 	p.Root = root
+
+	// prunecols, continued on the assembled tree: every join emits only
+	// the columns the operators above it read.
+	if !opts.Disabled(RulePruneCols) {
+		pruneJoinOutputs(cat, p, p.Root, nil, &pruneNotes)
+		if len(pruneNotes) == 0 {
+			pruneNotes = append(pruneNotes, "nothing to prune")
+		}
+		log = append(log, fmt.Sprintf("%s: %s", RulePruneCols, strings.Join(pruneNotes, ", ")))
+	}
 
 	// indexkey: annotate metadata scans whose filter pins all columns
 	// of an available hash index.
@@ -439,6 +447,98 @@ func pruneColumns(cat *table.Catalog, p *plan.Plan, pushdown map[string][]expr.E
 		prune[tn] = kept
 	}
 	return prune
+}
+
+// pruneJoinOutputs narrows every equi-join under n to the columns the
+// operators above it read: need names them (nil: all of them), each
+// operator on the way down adding what it reads itself — a join its
+// keys, the Qf root the chunk-key columns stage one selects chunks by.
+// A join nothing reads from (COUNT(*)) keeps its first probe-side
+// column, which passes through the physical join untouched, so the row
+// count survives.
+func pruneJoinOutputs(cat *table.Catalog, p *plan.Plan, n plan.Node, need map[string]bool, notes *[]string) {
+	var reads []string // what n itself reads from below
+	if n == p.Qf {
+		for _, tn := range p.ADTables {
+			if t, ok := cat.Table(tn); ok && t.ChunkKey != "" {
+				for _, name := range n.Names() {
+					if strings.HasSuffix(name, "."+t.ChunkKey) {
+						reads = append(reads, name)
+					}
+				}
+			}
+		}
+	}
+	switch n := n.(type) {
+	case *plan.Project:
+		need = map[string]bool{}
+		for _, c := range n.Cols {
+			reads = append(reads, expr.Columns(c.Expr)...)
+		}
+	case *plan.Aggregate:
+		need = map[string]bool{}
+		reads = append(reads, n.GroupBy...)
+		for _, a := range n.Aggs {
+			if a.Arg != nil {
+				reads = append(reads, expr.Columns(a.Arg)...)
+			}
+		}
+	case *plan.Select:
+		reads = append(reads, expr.Columns(n.Pred)...)
+	case *plan.Sort:
+		for _, k := range n.Keys {
+			reads = append(reads, k.Col)
+		}
+	}
+	need = withCols(need, reads...)
+	if n, ok := n.(*plan.Join); ok {
+		below := need
+		for _, jp := range n.Preds {
+			below = withCols(below, jp.Left, jp.Right)
+		}
+		pruneJoinOutputs(cat, p, n.L, below, notes)
+		pruneJoinOutputs(cat, p, n.R, below, notes)
+		// The children narrowed first: positions are over their new schemas.
+		full := append(append([]string{}, n.L.Names()...), n.R.Names()...)
+		var out []int
+		if need != nil && len(n.Preds) > 0 {
+			for i, name := range full {
+				if need[name] {
+					out = append(out, i)
+				}
+			}
+			if len(out) == 0 {
+				out = []int{len(n.L.Names())}
+			}
+			if len(out) == len(full) {
+				out = nil
+			}
+		}
+		n.SetOut(out)
+		if out != nil {
+			*notes = append(*notes, fmt.Sprintf("join %d→%d", len(full), len(out)))
+		}
+		return
+	}
+	for _, c := range n.Children() {
+		pruneJoinOutputs(cat, p, c, need, notes)
+	}
+}
+
+// withCols returns need extended by cols, leaving need itself (shared
+// with sibling subtrees) untouched; a nil need — every column — stays nil.
+func withCols(need map[string]bool, cols ...string) map[string]bool {
+	if need == nil || len(cols) == 0 {
+		return need
+	}
+	ext := make(map[string]bool, len(need)+len(cols))
+	for c := range need {
+		ext[c] = true
+	}
+	for _, c := range cols {
+		ext[c] = true
+	}
+	return ext
 }
 
 // annotateIndexKeys walks the assembled tree and attaches an IndexHint

@@ -190,6 +190,8 @@ func TestGoldenPlansPerRule(t *testing.T) {
 				"scan(S cols=4/6",                   // prunecols narrowed S
 				"S.end_time > '2010-01-12T22:15:00", // rangeinfer derived the segment bound
 				"scan(D cols=4/5",                   // prunecols dropped D.window_ts
+				"S.segment_id=D.segment_id out=1/7", // …and the data join emits only D.sample_value
+				"join(F.file_id=S.file_id out=3/7",  // Qf keeps the chunk keys and the upstream join key
 			},
 		},
 		{
@@ -217,14 +219,14 @@ func TestGoldenPlansPerRule(t *testing.T) {
 			name:    "no-prunecols",
 			opts:    opt.Disable(opt.RulePruneCols),
 			want:    []string{"[Qf]", "S.end_time >"},
-			wantNot: []string{"cols="},
+			wantNot: []string{"cols=", "out="},
 		},
 		{
 			name: "all-disabled",
 			opts: opt.Disable("all"),
 			want: []string{"select(", "join("},
 			wantNot: []string{
-				"[Qf]", "cols=", "S.end_time >",
+				"[Qf]", "cols=", "out=", "S.end_time >",
 			},
 		},
 	}
@@ -422,6 +424,53 @@ func TestPruneKeepsChunkKeyColumns(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("S scan lost the chunk key: %v", s.Names())
+	}
+}
+
+// TestPruneNarrowsJoinOutputs pins what each join keeps: the columns its
+// ancestors read, plus — at the Qf root — the chunk keys stage one
+// selects chunks by and the keys of the join above; a parent that reads
+// nothing (COUNT(*)) still gets one probe-side column, for the rows.
+func TestPruneNarrowsJoinOutputs(t *testing.T) {
+	joinNames := func(q *plan.Query) (data, qf []string) {
+		p := compile(t, q, opt.Default())
+		var rec func(n plan.Node)
+		rec = func(n plan.Node) {
+			if j, ok := n.(*plan.Join); ok && data == nil {
+				data = j.Names()
+			}
+			for _, c := range n.Children() {
+				rec(c)
+			}
+		}
+		rec(p.Root)
+		return data, p.Qf.Names()
+	}
+	data, qf := joinNames(query1())
+	if got := strings.Join(data, ","); got != "D.sample_value" {
+		t.Errorf("AVG(D.sample_value): data join emits %s", got)
+	}
+	if got := strings.Join(qf, ","); got != "F.file_id,S.file_id,S.segment_id" {
+		t.Errorf("AVG(D.sample_value): Qf emits %s", got)
+	}
+	count := query1()
+	count.Select = []plan.SelectItem{{Agg: plan.AggCount, Alias: "n"}}
+	if data, _ = joinNames(count); len(data) != 1 || !strings.HasPrefix(data[0], "D.") {
+		t.Errorf("COUNT(*): data join emits %v, want one probe-side column", data)
+	}
+	grouped := query1()
+	grouped.Select = append(grouped.Select, plan.SelectItem{Expr: expr.Col("F.station")})
+	grouped.GroupBy = []string{"F.station"}
+	data, qf = joinNames(grouped)
+	if got := strings.Join(data, ","); got != "F.station,D.sample_value" {
+		t.Errorf("GROUP BY F.station: data join emits %s", got)
+	}
+	if got := strings.Join(qf, ","); got != "F.file_id,F.station,S.file_id,S.segment_id" {
+		t.Errorf("GROUP BY F.station: Qf emits %s", got)
+	}
+	// The rule log names the joins it narrowed.
+	if log := strings.Join(compile(t, query1(), opt.Default()).RuleLog, "\n"); !strings.Contains(log, "join 7→3, join 7→1") {
+		t.Errorf("rule log lacks the join note:\n%s", log)
 	}
 }
 

@@ -1,8 +1,10 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -111,12 +113,14 @@ func (s *aggState) merge(o aggState) {
 // HashAggregate groups its input and computes aggregates per group; a
 // single global group when groupCols is empty.
 //
-// Grouping by one int64/time column — the dominant shape in the
-// workload (GROUP BY file_id, GROUP BY window_start) — runs a
-// specialized path keyed by the raw int64 value: no composite index.Key
-// construction, no per-row interface dispatch for the group
-// representative, and probing composes with a deferred selection on the
-// input batch. Composite groupings keep the general index.Key path.
+// Rows resolve to dense group ids through a keyIndex, run by run — the
+// group of a run of equal adjacent keys is looked up once — and every
+// aggregate then folds its argument column in one typed loop over the
+// batch, each row into its group's state, through the batch's deferred
+// selection. GROUP BY F.station over clustered actual data therefore
+// hashes a few keys per batch, and a global aggregate none. Grouping by
+// int64/time columns resolves on the raw values; other shapes go
+// through the composite index.Key.
 //
 // Under a degree of parallelism (SetParallel), and when the input can
 // Split, the input's morsel ranges are claimed by a worker pool, each
@@ -133,7 +137,7 @@ type HashAggregate struct {
 	inNames   []string
 	inKinds   []storage.Kind
 	argKinds  []storage.Kind
-	// fastKey marks the specialized single-int64/time grouping;
+	// fastKey marks grouping by int64-backed columns only (or none);
 	// differential tests clear it to force the composite path.
 	fastKey bool
 	// exprArgs marks that some aggregate argument is a computed
@@ -198,7 +202,10 @@ func NewHashAggregate(in Operator, groupCols []int, aggs []AggColumn) (*HashAggr
 			}
 		}
 	}
-	h.fastKey = len(groupCols) == 1 && isIntKeyKind(inKinds[groupCols[0]])
+	h.fastKey = len(groupCols) <= len(intKey{})
+	for _, gc := range groupCols {
+		h.fastKey = h.fastKey && isIntKeyKind(inKinds[gc])
+	}
 	if !h.exprArgs {
 		// Every argument is a bare (stateless) column reference: all
 		// accumulators can share the bound expressions without cloning.
@@ -232,84 +239,73 @@ func (h *HashAggregate) Names() []string { return h.names }
 // Kinds implements Operator.
 func (h *HashAggregate) Kinds() []storage.Kind { return h.kinds }
 
-// group accumulates one output row of a HashAggregate.
-type group struct {
-	repr   []any // group column values (generic path only)
-	states []aggState
-}
-
-// updateStates folds row r of the evaluated argument columns into a
-// group's aggregate states.
-func updateStates(states []aggState, argCols []storage.Column, r int) {
-	for i := range states {
-		st := &states[i]
-		if argCols[i] == nil {
-			st.n++ // COUNT(*)
-			continue
+// foldArg folds one aggregate's argument column over a batch's n rows —
+// positions in sel when the batch carries a selection — into slot i of
+// each row's group states: one typed loop, the group of position p
+// being ids[p] (nil: the single global group). Each state sees its rows
+// in batch order, whatever order the aggregates are folded in.
+func foldArg(states []aggState, nagg, i int, arg storage.Column, ids, sel []int32, n int) {
+	at := func(p int) (row int, st *aggState) {
+		row, st = p, &states[i]
+		if sel != nil {
+			row = int(sel[p])
 		}
-		switch c := argCols[i].(type) {
-		case *storage.Float64Column:
-			st.addF(c.Value(r))
-		case *storage.Int64Column:
-			st.addI(c.Value(r))
-		case *storage.TimeColumn:
-			st.addI(c.Value(r))
+		if ids != nil {
+			st = &states[int(ids[p])*nagg+i]
+		}
+		return row, st
+	}
+	switch c := arg.(type) {
+	case nil: // COUNT(*)
+		if ids == nil {
+			states[i].n += int64(n)
+			return
+		}
+		for _, id := range ids {
+			states[int(id)*nagg+i].n++
+		}
+	case *storage.Float64Column:
+		vals := storage.Float64s(c)
+		for p := 0; p < n; p++ {
+			r, st := at(p)
+			st.addF(vals[r])
+		}
+	default:
+		vals := storage.Int64s(c)
+		for p := 0; p < n; p++ {
+			r, st := at(p)
+			st.addI(vals[r])
 		}
 	}
 }
 
-// update folds row r of the evaluated argument columns into the group.
-func (g *group) update(argCols []storage.Column, r int) {
-	updateStates(g.states, argCols, r)
-}
-
-// intGroups is the dense fast-key group table: a key→index map over
-// flat, insertion-ordered key and state arrays (nagg states per group)
-// instead of one heap-allocated *group per key. Tables are pooled and
-// reset — never reallocated — between the ranges of a partitioned
-// aggregation and between queries, which is what erases the per-range
-// accumulator churn of deterministic partial aggregation.
-type intGroups struct {
-	idx    map[int64]int32
-	keys   []int64
+// groupTable is the dense group table of one accumulator: nagg states
+// per key id of x, in first-seen order. Tables are pooled and reset —
+// never reallocated — between the ranges of a partitioned aggregation
+// and between queries, which is what erases the per-range accumulator
+// churn of deterministic partial aggregation.
+type groupTable struct {
+	x      keyIndex
 	states []aggState
 }
 
-var intGroupsPool sync.Pool
+var groupTablePool sync.Pool
 
-func getIntGroups() *intGroups {
-	g, _ := intGroupsPool.Get().(*intGroups)
+func getGroupTable() *groupTable {
+	g, _ := groupTablePool.Get().(*groupTable)
 	if g == nil {
-		return &intGroups{idx: make(map[int64]int32, 64)}
+		g = &groupTable{}
 	}
+	g.states = g.states[:0]
 	return g
 }
 
-// putIntGroups resets the table (keeping its backing capacity) and
-// returns it to the pool.
-func putIntGroups(g *intGroups) {
-	if g == nil {
-		return
+// grow adds zeroed states for the groups x gained since the last call
+// (so a reset table behaves exactly like a fresh one).
+func (g *groupTable) grow(nagg int) {
+	for len(g.states) < g.x.len()*nagg {
+		g.states = append(g.states, aggState{})
 	}
-	clear(g.idx)
-	g.keys = g.keys[:0]
-	g.states = g.states[:0]
-	intGroupsPool.Put(g)
-}
-
-// slot returns the dense state slice of key k, creating a zeroed group
-// on first sight (so a reset table behaves exactly like a fresh one).
-func (g *intGroups) slot(k int64, nagg int) []aggState {
-	gi, ok := g.idx[k]
-	if !ok {
-		gi = int32(len(g.keys))
-		g.idx[k] = gi
-		g.keys = append(g.keys, k)
-		for i := 0; i < nagg; i++ {
-			g.states = append(g.states, aggState{})
-		}
-	}
-	return g.states[int(gi)*nagg : (int(gi)+1)*nagg]
 }
 
 // aggSplitMax asks the input for as many range parts as its grain
@@ -420,20 +416,16 @@ func (h *HashAggregate) foldParts(parts []Operator) (*storage.Batch, error) {
 	return out, nil
 }
 
-// aggAcc accumulates (partial) groups for one input partition. An
-// accumulator with computed arguments owns clones of the argument
-// expressions — expression memoization is per-goroutine state — while
-// bare column references are shared unbound of state. The fast-key path
-// accumulates into a pooled dense group table; the composite path keeps
-// the general per-group map.
+// aggAcc accumulates (partial) groups for one input partition, into a
+// pooled group table. An accumulator with computed arguments owns
+// clones of the argument expressions — expression memoization is
+// per-goroutine state — while bare column references are shared unbound
+// of state.
 type aggAcc struct {
 	h       *HashAggregate
 	args    []expr.Expr
 	argCols []storage.Column // per-batch scratch, reused
-
-	groups map[index.Key]*group // composite path
-	order  []index.Key
-	ig     *intGroups // fastKey path
+	g       *groupTable
 }
 
 func (h *HashAggregate) newAcc() (*aggAcc, error) {
@@ -454,10 +446,15 @@ func (h *HashAggregate) newAcc() (*aggAcc, error) {
 		}
 	}
 	a.argCols = make([]storage.Column, len(h.aggs))
-	if h.fastKey {
-		a.ig = getIntGroups()
-	} else {
-		a.groups = make(map[index.Key]*group)
+	a.g = getGroupTable()
+	// The global group is the empty int key, whatever fastKey says (the
+	// differential tests clear it).
+	a.g.x.reset(h.fastKey || len(h.groupCols) == 0, len(h.groupCols))
+	if len(h.groupCols) == 0 {
+		// It exists before any row (and without one: an aggregate over
+		// empty input renders one all-default row).
+		a.g.x.intID(intKey{}, true)
+		a.g.grow(len(h.aggs))
 	}
 	return a, nil
 }
@@ -465,9 +462,9 @@ func (h *HashAggregate) newAcc() (*aggAcc, error) {
 // release returns the accumulator's pooled group table. The accumulator
 // must not be used afterwards.
 func (a *aggAcc) release() {
-	if a.ig != nil {
-		putIntGroups(a.ig)
-		a.ig = nil
+	if a.g != nil {
+		groupTablePool.Put(a.g)
+		a.g = nil
 	}
 }
 
@@ -509,53 +506,33 @@ func (a *aggAcc) evalArgs(b *storage.Batch) []storage.Column {
 // rows are folded (the accumulator is the batch's single consumer).
 func (a *aggAcc) fold(b *storage.Batch) error {
 	h := a.h
-	if !h.fastKey {
-		b = b.Materialize()
-		argCols := a.evalArgs(b)
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			k, err := index.KeyAt(b, h.groupCols, r)
-			if err != nil {
-				storage.PutBatch(b)
-				return err
-			}
-			g, ok := a.groups[k]
-			if !ok {
-				g = &group{states: make([]aggState, len(h.aggs))}
-				for _, gc := range h.groupCols {
-					g.repr = append(g.repr, storage.ValueAt(b.Cols[gc], r))
-				}
-				a.groups[k] = g
-				a.order = append(a.order, k)
-			}
-			g.update(argCols, r)
-		}
-		storage.PutBatch(b)
-		return nil
-	}
-	// The specialized single-int64/time-key accumulation: the group key
-	// is read straight from the column's backing slice and hashed as a
-	// plain int64.
 	if h.exprArgs {
 		// Computed arguments evaluate over every base row; with a
-		// sparse selection it is cheaper to gather the survivors
-		// first, as the composite path does.
+		// sparse selection it is cheaper to gather the survivors first.
 		b = b.Materialize()
 	}
 	base, sel := b.DetachSel()
 	argCols := a.evalArgs(base)
-	keys := storage.Int64s(base.Cols[h.groupCols[0]])
 	nagg := len(h.aggs)
+	n := base.Len()
 	if sel != nil {
-		for _, r := range sel {
-			updateStates(a.ig.slot(keys[r], nagg), argCols, int(r))
-		}
-		storage.PutSel(sel)
-	} else {
-		for r := range keys {
-			updateStates(a.ig.slot(keys[r], nagg), argCols, r)
-		}
+		n = len(sel)
 	}
+	var ids []int32
+	if len(h.groupCols) > 0 {
+		var err error
+		if ids, err = a.g.x.resolve(base, h.groupCols, sel, true, false); err != nil {
+			storage.PutSel(sel)
+			storage.PutBatch(base)
+			return err
+		}
+		a.g.grow(nagg)
+	}
+	for i, arg := range argCols {
+		foldArg(a.g.states, nagg, i, arg, ids, sel, n)
+	}
+	storage.PutSel(ids)
+	storage.PutSel(sel)
 	storage.PutBatch(base)
 	return nil
 }
@@ -564,81 +541,73 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 // are adopted by value; shared groups merge state-wise. Callers merge
 // partials in range order, so the result is deterministic.
 func (a *aggAcc) merge(o *aggAcc) {
-	if a.h.fastKey {
-		nagg := len(a.h.aggs)
-		for oi, k := range o.ig.keys {
-			os := o.ig.states[oi*nagg : (oi+1)*nagg]
-			if gi, ok := a.ig.idx[k]; ok {
-				as := a.ig.states[int(gi)*nagg : (int(gi)+1)*nagg]
-				for i := range as {
-					as[i].merge(os[i])
-				}
-			} else {
-				a.ig.idx[k] = int32(len(a.ig.keys))
-				a.ig.keys = append(a.ig.keys, k)
-				a.ig.states = append(a.ig.states, os...)
-			}
+	nagg := len(a.h.aggs)
+	for oid := 0; oid < o.g.x.len(); oid++ {
+		os := o.g.states[oid*nagg : (oid+1)*nagg]
+		known := a.g.x.len()
+		id := int(a.g.x.adopt(&o.g.x, oid))
+		if id == known {
+			a.g.states = append(a.g.states, os...)
+			continue
 		}
-		return
-	}
-	for _, k := range o.order {
-		og := o.groups[k]
-		if g, ok := a.groups[k]; ok {
-			for i := range g.states {
-				g.states[i].merge(og.states[i])
-			}
-		} else {
-			a.groups[k] = og
-			a.order = append(a.order, k)
+		as := a.g.states[id*nagg : (id+1)*nagg]
+		for i := range as {
+			as[i].merge(os[i])
 		}
 	}
 }
 
 // render emits the accumulated groups as one batch, in ascending key
-// order on both paths (the fast key occupies composite slot I0, so the
-// orders coincide).
+// order: integer slots first, then strings, on both key shapes.
 func (a *aggAcc) render() *storage.Batch {
-	h := a.h
-	if h.fastKey {
-		nagg := len(h.aggs)
-		n := len(a.ig.keys)
-		// The permutation shares the selection-vector pool only when it
-		// is batch-sized; a huge group count must not pin an oversized
-		// array under the pool's uniformly small vectors.
-		var perm []int32
-		fromPool := n <= storage.BatchSize
-		if fromPool {
-			perm = storage.GetSel(n)[:n]
+	h, x := a.h, &a.g.x
+	nagg := len(h.aggs)
+	n := x.len()
+	// The permutation shares the selection-vector pool only when it
+	// is batch-sized; a huge group count must not pin an oversized
+	// array under the pool's uniformly small vectors.
+	var perm []int32
+	fromPool := n <= storage.BatchSize
+	if fromPool {
+		perm = storage.GetSel(n)[:n]
+	} else {
+		perm = make([]int32, n)
+	}
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(i, j int) bool {
+		if x.ints {
+			return slices.Compare(x.ikeys[perm[i]][:], x.ikeys[perm[j]][:]) < 0
+		}
+		return keyLess(x.skeys[perm[i]], x.skeys[perm[j]])
+	})
+	builders := h.newBuilders(n)
+	for _, gi := range perm {
+		// Group values come back out of the key slots in column order:
+		// strings from the S slots, everything else from the I slots.
+		var iv intKey
+		var sv [2]string
+		if x.ints {
+			iv = x.ikeys[gi]
 		} else {
-			perm = make([]int32, n)
+			k := x.skeys[gi]
+			iv, sv = intKey{k.I0, k.I1, k.I2}, [2]string{k.S0, k.S1}
 		}
-		for i := range perm {
-			perm[i] = int32(i)
+		ii, si := 0, 0
+		for c := range h.groupCols {
+			if sb, ok := builders[c].(*storage.StringBuilder); ok {
+				sb.Append(sv[si])
+				si++
+			} else {
+				appendNum(builders[c], iv[ii], 0)
+				ii++
+			}
 		}
-		sort.Slice(perm, func(i, j int) bool { return a.ig.keys[perm[i]] < a.ig.keys[perm[j]] })
-		builders := h.newBuilders(n)
-		for _, gi := range perm {
-			builders[0].AppendAny(a.ig.keys[gi])
-			h.appendAggs(builders, a.ig.states[int(gi)*nagg:(int(gi)+1)*nagg])
-		}
-		if fromPool {
-			storage.PutSel(perm)
-		}
-		return finishBuilders(builders)
+		h.appendAggs(builders, a.g.states[int(gi)*nagg:(int(gi)+1)*nagg])
 	}
-	if len(h.groupCols) == 0 && len(a.groups) == 0 {
-		// Global aggregate over empty input: one all-default row.
-		a.groups[index.Key{}] = &group{states: make([]aggState, len(h.aggs))}
-		a.order = append(a.order, index.Key{})
-	}
-	sort.Slice(a.order, func(i, j int) bool { return keyLess(a.order[i], a.order[j]) })
-	builders := h.newBuilders(len(a.groups))
-	for _, k := range a.order {
-		g := a.groups[k]
-		for i := range h.groupCols {
-			builders[i].AppendAny(g.repr[i])
-		}
-		h.appendAggs(builders, g.states)
+	if fromPool {
+		storage.PutSel(perm)
 	}
 	return finishBuilders(builders)
 }
@@ -663,56 +632,44 @@ func finishBuilders(builders []storage.Builder) *storage.Batch {
 func (h *HashAggregate) appendAggs(builders []storage.Builder, states []aggState) {
 	for i, a := range h.aggs {
 		st := states[i]
-		bi := len(h.groupCols) + i
+		var iv int64
+		var fv float64
 		switch a.Func {
 		case AggCount:
-			builders[bi].AppendAny(st.n)
+			iv = st.n
 		case AggSum:
-			if h.kinds[bi] == storage.KindInt64 {
-				builders[bi].AppendAny(st.iSum)
-			} else {
-				builders[bi].AppendAny(st.sum)
-			}
+			iv, fv = st.iSum, st.sum
 		case AggAvg:
-			if st.n == 0 {
-				builders[bi].AppendAny(math.NaN())
-			} else {
-				builders[bi].AppendAny(st.mean)
+			if fv = st.mean; st.n == 0 {
+				fv = math.NaN()
 			}
 		case AggStddev:
-			if st.n < 2 {
-				builders[bi].AppendAny(0.0)
-			} else {
-				builders[bi].AppendAny(math.Sqrt(st.m2 / float64(st.n-1)))
+			if st.n >= 2 {
+				fv = math.Sqrt(st.m2 / float64(st.n-1))
 			}
-		case AggMin, AggMax:
-			v := st.min
-			iv := st.iMin
-			if a.Func == AggMax {
-				v, iv = st.max, st.iMax
-			}
-			switch h.kinds[bi] {
-			case storage.KindInt64, storage.KindTime:
-				builders[bi].AppendAny(iv)
-			default:
-				builders[bi].AppendAny(v)
-			}
+		case AggMin:
+			iv, fv = st.iMin, st.min
+		case AggMax:
+			iv, fv = st.iMax, st.max
 		}
+		appendNum(builders[len(h.groupCols)+i], iv, fv)
+	}
+}
+
+// appendNum appends iv to an int64-backed builder, fv to a float one:
+// typed, where AppendAny would box (and allocate) a value per group.
+func appendNum(b storage.Builder, iv int64, fv float64) {
+	switch b := b.(type) {
+	case *storage.Int64Builder:
+		b.Append(iv)
+	case *storage.TimeBuilder:
+		b.Append(iv)
+	case *storage.Float64Builder:
+		b.Append(fv)
 	}
 }
 
 func keyLess(a, b index.Key) bool {
-	if a.I0 != b.I0 {
-		return a.I0 < b.I0
-	}
-	if a.I1 != b.I1 {
-		return a.I1 < b.I1
-	}
-	if a.I2 != b.I2 {
-		return a.I2 < b.I2
-	}
-	if a.S0 != b.S0 {
-		return a.S0 < b.S0
-	}
-	return a.S1 < b.S1
+	return cmp.Or(cmp.Compare(a.I0, b.I0), cmp.Compare(a.I1, b.I1), cmp.Compare(a.I2, b.I2),
+		cmp.Compare(a.S0, b.S0), cmp.Compare(a.S1, b.S1)) < 0
 }

@@ -10,15 +10,17 @@ import (
 // Alloc-budget regression tests: testing.AllocsPerRun ceilings on the
 // hot filter/join/group-by paths, asserted in CI so the pooling
 // discipline cannot silently rot. The ceilings carry ~60% headroom over
-// the measured steady state (17 / 42 / 185 allocs per op at the time of
-// writing) and sit far below the pre-pooling numbers (99 / 308 / 812);
-// a regression that reintroduces per-batch or per-group allocation
-// blows through them immediately.
+// the measured steady state (16 / 26 / 50 allocs per op at the time of
+// writing: the join lays its output into the pooled batch header, the
+// aggregate renders through typed appends instead of boxing a value per
+// group) and sit far below the pre-pooling numbers (99 / 308 / 812); a
+// regression that reintroduces per-batch or per-group allocation blows
+// through them immediately.
 
 const (
 	filterAllocBudget  = 35
-	joinAllocBudget    = 75
-	groupByAllocBudget = 280
+	joinAllocBudget    = 42
+	groupByAllocBudget = 80
 )
 
 func allocRel(rows int) (*storage.Relation, []string, []storage.Kind) {

@@ -205,3 +205,102 @@ func BenchmarkGroupedAggregateParallel(b *testing.B) {
 		out.Release()
 	}
 }
+
+// keyedRel is the fact side of the key-run benchmarks: 64 k rows over
+// (file, seg, station, val), clustered the way actual data arrives —
+// 16 k rows per file in segments of 3 300, one station per file — or the
+// same rows shuffled, where every row starts a new key run and the memo
+// only ever misses.
+func keyedRel(shuffled bool) (*storage.Relation, []string, []storage.Kind) {
+	const rows = 1 << 16
+	rng := rand.New(rand.NewSource(5))
+	order := rng.Perm(rows)
+	stations := []string{"FIAM", "ISK", "AQU", "CERA"}
+	rel := storage.NewRelation()
+	for lo := 0; lo < rows; lo += storage.BatchSize {
+		file, seg := make([]int64, storage.BatchSize), make([]int64, storage.BatchSize)
+		st, val := make([]string, storage.BatchSize), make([]float64, storage.BatchSize)
+		for i := range file {
+			r := lo + i
+			if shuffled {
+				r = order[r]
+			}
+			file[i], seg[i] = int64(r>>14), int64(r&(1<<14-1)/3300)
+			st[i], val[i] = stations[r>>14], rng.NormFloat64()*1000
+		}
+		rel.Append(storage.NewBatch(storage.NewInt64Column(file), storage.NewInt64Column(seg),
+			storage.NewStringColumn(st), storage.NewFloat64Column(val)))
+	}
+	return rel, []string{"D.file_id", "D.segment_id", "D.station", "D.val"},
+		[]storage.Kind{storage.KindInt64, storage.KindInt64, storage.KindString, storage.KindFloat64}
+}
+
+// BenchmarkHashJoinProbeKeys probes a unique (file[, seg]) build side
+// with clustered and with shuffled keys: the hit and the miss cost of
+// the probe's key-run memo.
+func BenchmarkHashJoinProbeKeys(b *testing.B) {
+	var dfile, dseg []int64
+	for f := int64(0); f < 4; f++ {
+		for s := int64(0); s < 5; s++ {
+			dfile, dseg = append(dfile, f), append(dseg, s)
+		}
+	}
+	dims := map[int]*storage.Relation{1: storage.NewRelation(), 2: storage.NewRelation()}
+	dims[1].Append(storage.NewBatch(storage.NewInt64Column([]int64{0, 1, 2, 3}), storage.NewInt64Column([]int64{0, 0, 0, 0})))
+	dims[2].Append(storage.NewBatch(storage.NewInt64Column(dfile), storage.NewInt64Column(dseg)))
+	dnames, dkinds := []string{"S.file_id", "S.segment_id"}, []storage.Kind{storage.KindInt64, storage.KindInt64}
+	for _, shuffled := range []bool{false, true} {
+		fact, fnames, fkinds := keyedRel(shuffled)
+		for _, nk := range []int{1, 2} {
+			name := map[bool]string{false: "clustered", true: "shuffled"}[shuffled] + map[int]string{1: "/1col", 2: "/2col"}[nk]
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(fact.Rows()) * 8 * int64(nk))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ds, _ := NewRelScan(dims[nk], dnames, dkinds, nil)
+					fs, _ := NewRelScan(fact, fnames, fkinds, nil)
+					j, err := NewHashJoin(ds, fs, []int{0, 1}[:nk], []int{0, 1}[:nk])
+					if err != nil {
+						b.Fatal(err)
+					}
+					out, err := RunPooled(j)
+					if err != nil {
+						b.Fatal(err)
+					}
+					out.Release()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkGroupedAggregateKeys groups by an int and by a string column
+// with clustered and with shuffled keys: the hit and the miss cost of
+// the fold's last-group memo.
+func BenchmarkGroupedAggregateKeys(b *testing.B) {
+	for _, shuffled := range []bool{false, true} {
+		rel, names, kinds := keyedRel(shuffled)
+		for _, gc := range []int{0, 2} {
+			name := map[bool]string{false: "clustered", true: "shuffled"}[shuffled] + map[int]string{0: "/int", 2: "/string"}[gc]
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(rel.Rows()) * 16)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, _ := NewRelScan(rel, names, kinds, nil)
+					agg, err := NewHashAggregate(s, []int{gc}, []AggColumn{
+						{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"},
+						{Func: AggCount, Name: "n"},
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					out, err := RunPooled(agg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					out.Release()
+				}
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ package physical
 // all-pass and all-fail predicates, and duplicate keys.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,7 +75,14 @@ func sameRelation(t *testing.T, got, want *storage.Relation, label string) {
 	}
 	for c := 0; c < w.Width(); c++ {
 		for r := 0; r < w.Len(); r++ {
-			if storage.ValueAt(g.Cols[c], r) != storage.ValueAt(w.Cols[c], r) {
+			gv, wv := storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r)
+			if f, ok := gv.(float64); ok { // bitwise, so NaN equals NaN
+				gv = math.Float64bits(f)
+			}
+			if f, ok := wv.(float64); ok {
+				wv = math.Float64bits(f)
+			}
+			if gv != wv {
 				t.Fatalf("%s: cell (%d,%d) = %v, want %v", label,
 					r, c, storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r))
 			}
@@ -268,7 +276,11 @@ func runAgg(t *testing.T, rel *storage.Relation, names []string, kinds []storage
 			gi = i
 		}
 	}
-	agg, err := NewHashAggregate(s, []int{gi}, []AggColumn{
+	groupCols := []int{gi}
+	if groupCol == "" { // global aggregate
+		groupCols = nil
+	}
+	agg, err := NewHashAggregate(s, groupCols, []AggColumn{
 		{Func: AggCount, Name: "n"},
 		{Func: AggSum, Arg: expr.Col("D.val"), Name: "sum"},
 		{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"},
@@ -295,7 +307,9 @@ func runAgg(t *testing.T, rel *storage.Relation, names []string, kinds []storage
 func TestDifferentialAggregateFastKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rel, names, kinds := diffRel(rng, 4, 128)
-	for _, groupCol := range []string{"D.id", "D.ts"} {
+	// "" is the global aggregate: its one group is keyed the same way
+	// with the hook set.
+	for _, groupCol := range []string{"D.id", "D.ts", ""} {
 		for _, pred := range []expr.Expr{
 			nil,
 			expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0)),

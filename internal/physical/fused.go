@@ -32,6 +32,7 @@ type FusedPipeline struct {
 	pred    expr.Expr
 	morsels []scanMorsel
 	bounds  []zoneBound
+	exact   bool // pred is nothing but bounds (see RelScan)
 	pos     int
 	srcCols []int
 	skipped *atomic.Int64
@@ -86,7 +87,7 @@ func NewFusedPipeline(rels []*storage.Relation, inNames []string, inKinds []stor
 			return nil, fmt.Errorf("physical: fused predicate is %v, not boolean", k)
 		}
 		s.pred = pred
-		s.bounds = zoneBounds(pred, inKinds)
+		s.bounds, s.exact = zoneBounds(pred, inKinds)
 	}
 	s.passthrough = true
 	for _, e := range outExprs {
@@ -197,6 +198,7 @@ func (s *FusedPipeline) Split(n int) ([]Operator, error) {
 			inKinds: s.inKinds,
 			morsels: rest[r[0]:r[1]],
 			bounds:  s.bounds,
+			exact:   s.exact,
 			srcCols: s.srcCols,
 			skipped: s.skipped,
 			colIdx:  append([]int(nil), s.colIdx...),
@@ -268,7 +270,7 @@ func (s *FusedPipeline) Next() (*storage.Batch, error) {
 			b = storage.NewBatch(cols...)
 		}
 		var sel []int32
-		if s.pred != nil {
+		if s.pred != nil && !(s.exact && morselInside(m, s.bounds, s.srcCols)) {
 			sel = expr.EvalSel(s.pred, b, nil)
 			if len(sel) == 0 {
 				storage.PutSel(sel)

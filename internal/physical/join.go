@@ -2,10 +2,10 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"sommelier/internal/index"
 	"sommelier/internal/storage"
 )
 
@@ -14,29 +14,34 @@ import (
 // always the (small) metadata composite, while the right side streams
 // the (large) actual data, so build-left is the right default.
 //
-// The dominant single-int64 (or timestamp) key case runs a specialized
-// path: the build table is a map[int64][]int32 fed straight from the
-// key column's backing slice, and the probe reads the key slice
-// directly — no composite index.Key construction, no per-row KeyAt
-// dispatch. Probing also composes with a deferred selection on the
-// probe batch, so a filter below the join never gathers. Composite keys
-// keep the general index.Key path.
+// Build and probe resolve keys through one keyIndex, so the probe is
+// run-aware: it hashes the first row of every run of equal adjacent
+// keys (actual data arrives clustered by chunk and segment) and reuses
+// the match for the rest, composing with a deferred selection on the
+// probe batch. When no build key repeats — the foreign-key→primary-key
+// shape of every dataview query — each probe row matches at most one
+// build row, and the probe batch passes through as a selection view
+// with the needed build-side columns scattered under it (no hashing, no
+// copy of the probe side); duplicate build keys fall back to gathering
+// both sides. Either way only the columns the parent reads (out) are
+// emitted.
 //
-// Under a degree of parallelism (SetParallel), a large fast-path build
-// is partitioned: the key column is sharded by hash across per-worker
-// maps built concurrently, and probes address the owning shard — no
-// merge step, no write sharing. The probe side parallelizes through
-// Split: each returned operator probes its own share of the right
-// input's morsels against the shared read-only table.
+// The probe side parallelizes through Split: each returned operator
+// probes its own share of the right input's morsels against the shared
+// read-only table.
 type HashJoin struct {
 	left, right   Operator
 	leftK, rightK []int
-	names         []string
-	kinds         []storage.Kind
-	// fastKey marks the specialized single-int64/time key path;
-	// differential tests clear it to force the composite path.
+	// out lists the emitted columns as positions in the concatenated
+	// left++right schema.
+	out   []int
+	names []string
+	kinds []storage.Kind
+	// fastKey marks keys over int64-backed columns only, resolved
+	// without composite index.Key construction; differential tests clear
+	// it to force the composite path.
 	fastKey bool
-	// dop is the parallelism granted by the executor for the build.
+	// dop is the parallelism granted by the executor for the build drain.
 	dop int
 	// quota meters the materialized build side against the per-query
 	// memory ceiling.
@@ -47,107 +52,60 @@ type HashJoin struct {
 
 	built     bool
 	buildData *storage.Batch
-	table     map[index.Key][]int32
-	intTable  *intJoinTable
-	// shards replace intTable after a partitioned parallel build:
-	// shard i holds the keys whose hash lands in partition i.
-	shards    []map[int64][]int32
-	shardMask uint64
+	table     *joinTable
 	// probesLeft counts the probe streams still running; the last one to
-	// exhaust recycles the fast-path build scratch.
+	// exhaust recycles the pooled build table.
 	probesLeft atomic.Int32
 }
 
-// intJoinTable is the fast-path build table: per-key [start, start+n)
-// spans into one shared row-index arena, instead of one heap slice per
-// key. The map and the arena are pooled, so a steady-state join build
-// allocates nothing. Row indexes within a span are in build-row order,
-// exactly as the per-key append layout produced.
-type intJoinTable struct {
-	spans map[int64]intSpan
-	rows  []int32 // pooled arena (selection-vector pool shape)
+// joinTable is the build table: head[id] is the first build row of key
+// id and next[r] the build row after r with the same key (-1 ends the
+// chain), so a key's rows chain in build-row order. Tables are pooled
+// with their slices, so a steady-state join build allocates nothing.
+type joinTable struct {
+	x          keyIndex
+	head, next []int32
+	// unique reports that no key has two build rows; key ids, assigned
+	// in build-row order, then ARE the build-row indexes.
+	unique bool
 }
-
-type intSpan struct{ start, n int32 }
 
 var joinTablePool sync.Pool
 
-// arenaPool recycles the build-row arenas separately from the
-// selection-vector pool: arenas are sized by the build side (possibly
-// far beyond BatchSize), and mixing them into the uniformly
-// batch-sized selection pool would pin large arrays under small
-// vectors.
-var arenaPool sync.Pool // *[]int32
-
-func getArena(n int) []int32 {
-	if v := arenaPool.Get(); v != nil {
-		a := (*v.(*[]int32))[:0]
-		if cap(a) >= n {
-			return a[:n]
-		}
-	}
-	return make([]int32, n)
-}
-
-func putArena(a []int32) {
-	if cap(a) == 0 {
-		return
-	}
-	a = a[:0]
-	arenaPool.Put(&a)
-}
-
-// newIntJoinTable builds the span table over keys in three passes:
-// count per key, assign span starts, fill the arena with a per-key
-// cursor (temporarily reusing n).
-func newIntJoinTable(keys []int64) *intJoinTable {
-	t, _ := joinTablePool.Get().(*intJoinTable)
+// newJoinTable indexes the key columns of the flattened build side.
+func newJoinTable(ints bool, data *storage.Batch, cols []int) (*joinTable, error) {
+	t, _ := joinTablePool.Get().(*joinTable)
 	if t == nil {
-		t = &intJoinTable{spans: make(map[int64]intSpan, 64)}
-	} else {
-		clear(t.spans)
+		t = &joinTable{}
 	}
-	t.rows = getArena(len(keys))
-	for _, k := range keys {
-		sp := t.spans[k]
-		sp.n++
-		t.spans[k] = sp
+	t.x.reset(ints, len(cols))
+	ids, err := t.x.resolve(data, cols, nil, true, false)
+	if err != nil {
+		joinTablePool.Put(t)
+		return nil, err
 	}
-	var start int32
-	for k, sp := range t.spans {
-		count := sp.n
-		sp.start, sp.n = start, 0
-		start += count
-		t.spans[k] = sp
+	t.head = slices.Grow(t.head[:0], t.x.len())[:t.x.len()]
+	for i := range t.head {
+		t.head[i] = -1
 	}
-	for r, k := range keys {
-		sp := t.spans[k]
-		t.rows[sp.start+sp.n] = int32(r)
-		sp.n++
-		t.spans[k] = sp
+	t.next = slices.Grow(t.next[:0], len(ids))[:len(ids)]
+	t.unique = true
+	for r := len(ids) - 1; r >= 0; r-- {
+		id := ids[r]
+		t.next[r] = t.head[id]
+		t.unique = t.unique && t.head[id] < 0
+		t.head[id] = int32(r)
 	}
-	return t
+	// A build side larger than a batch must not pin its oversized id
+	// vector under the selection pool's batch-sized users.
+	if len(ids) <= storage.BatchSize {
+		storage.PutSel(ids)
+	}
+	return t, nil
 }
 
-func (t *intJoinTable) lookup(k int64) []int32 {
-	sp, ok := t.spans[k]
-	if !ok {
-		return nil
-	}
-	return t.rows[sp.start : sp.start+sp.n]
-}
-
-func putIntJoinTable(t *intJoinTable) {
-	if t == nil {
-		return
-	}
-	putArena(t.rows)
-	t.rows = nil
-	joinTablePool.Put(t)
-}
-
-// SetParallel implements ParallelHinter: it grants the build phase up
-// to dop workers. It must be called before the first Next or Split.
+// SetParallel implements ParallelHinter: it grants the build-side drain
+// up to dop workers. It must be called before the first Next or Split.
 func (j *HashJoin) SetParallel(dop int) { j.dop = dop }
 
 // SetQuota implements QuotaHinter: the materialized build side is
@@ -158,25 +116,53 @@ func (j *HashJoin) SetQuota(q *storage.Quota) { j.quota = q }
 func (j *HashJoin) SetCheck(check func() error) { j.check = check }
 
 // NewHashJoin joins left and right on pairwise-equal key columns given
-// as column positions.
+// as column positions, emitting every column of both sides.
 func NewHashJoin(left, right Operator, leftKeys, rightKeys []int) (*HashJoin, error) {
+	return NewHashJoinCols(left, right, leftKeys, rightKeys, nil)
+}
+
+// NewHashJoinCols is NewHashJoin emitting only the columns at out,
+// positions in the concatenated left++right schema (nil emits all): the
+// optimizer's projection pruning carried through the join.
+func NewHashJoinCols(left, right Operator, leftKeys, rightKeys, out []int) (*HashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("physical: join needs matching, non-empty key lists")
 	}
 	lk, rk := left.Kinds(), right.Kinds()
+	fast := len(leftKeys) <= len(intKey{})
 	for i := range leftKeys {
 		a, b := lk[leftKeys[i]], rk[rightKeys[i]]
 		if !joinComparable(a, b) {
 			return nil, fmt.Errorf("physical: join key %d kinds %v vs %v", i, a, b)
 		}
+		fast = fast && isIntKeyKind(a) && isIntKeyKind(b)
 	}
-	return &HashJoin{
+	allNames := append(append([]string{}, left.Names()...), right.Names()...)
+	allKinds := append(append([]storage.Kind{}, lk...), rk...)
+	j := &HashJoin{
 		left: left, right: right,
 		leftK: leftKeys, rightK: rightKeys,
-		fastKey: len(leftKeys) == 1 && isIntKeyKind(lk[leftKeys[0]]) && isIntKeyKind(rk[rightKeys[0]]),
-		names:   append(append([]string{}, left.Names()...), right.Names()...),
-		kinds:   append(append([]storage.Kind{}, left.Kinds()...), right.Kinds()...),
-	}, nil
+		out: out, names: allNames, kinds: allKinds,
+		fastKey: fast,
+	}
+	if out == nil {
+		j.out = make([]int, len(allNames))
+		for i := range j.out {
+			j.out[i] = i
+		}
+		return j, nil
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("physical: join must emit a column to carry its row count")
+	}
+	j.names, j.kinds = make([]string, len(out)), make([]storage.Kind, len(out))
+	for i, o := range out {
+		if o < 0 || o >= len(allNames) {
+			return nil, fmt.Errorf("physical: join output column %d out of range", o)
+		}
+		j.names[i], j.kinds[i] = allNames[o], allKinds[o]
+	}
+	return j, nil
 }
 
 func joinComparable(a, b storage.Kind) bool {
@@ -196,10 +182,6 @@ func (j *HashJoin) Names() []string { return j.names }
 // Kinds implements Operator.
 func (j *HashJoin) Kinds() []storage.Kind { return j.kinds }
 
-// parallelBuildMin is the build cardinality below which a partitioned
-// build is not worth its per-shard scan of the key column.
-const parallelBuildMin = 1 << 13
-
 func (j *HashJoin) build() error {
 	rel, err := DrainWith(j.left, DrainOpts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
 	if err != nil {
@@ -214,99 +196,22 @@ func (j *HashJoin) build() error {
 	} else {
 		rel.Disown()
 	}
-	n := j.buildData.Len()
 	j.probesLeft.Store(1)
-	if j.fastKey {
-		if n > 0 && j.dop > 1 && n >= parallelBuildMin {
-			j.buildPartitioned(storage.Int64s(j.buildData.Cols[j.leftK[0]]))
-		} else if n > 0 {
-			j.intTable = newIntJoinTable(storage.Int64s(j.buildData.Cols[j.leftK[0]]))
-		}
-		j.built = true
-		return nil
-	}
-	j.table = make(map[index.Key][]int32, n)
-	for r := 0; r < n; r++ {
-		k, err := index.KeyAt(j.buildData, j.leftK, r)
-		if err != nil {
+	if j.buildData.Len() > 0 {
+		if j.table, err = newJoinTable(j.fastKey, j.buildData, j.leftK); err != nil {
 			return err
 		}
-		j.table[k] = append(j.table[k], int32(r))
 	}
 	j.built = true
 	return nil
 }
 
-// buildPartitioned builds the fast-path table as hash-partitioned
-// shards: each shard's builder scans the full key slice but inserts
-// only its own partition, so no lock and no merge is needed, and
-// probes stay one shard lookup away. Workers are capped at the granted
-// DOP (each handling shards w, w+dop, …), so the build never
-// oversubscribes the adaptive per-query budget; total scan work is
-// shards×n with shards < 2×DOP — about two passes per core, the price
-// of skipping a partition-then-merge phase on a build side that is
-// small relative to the probe side.
-func (j *HashJoin) buildPartitioned(keys []int64) {
-	shards := 1
-	for shards < j.dop {
-		shards <<= 1
-	}
-	j.shards = make([]map[int64][]int32, shards)
-	j.shardMask = uint64(shards - 1)
-	workers := j.dop
-	if workers > shards {
-		workers = shards
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := w; s < shards; s += workers {
-				m := make(map[int64][]int32, len(keys)/shards+1)
-				for r, v := range keys {
-					if hash64(v)&j.shardMask == uint64(s) {
-						m[v] = append(m[v], int32(r))
-					}
-				}
-				j.shards[s] = m
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// lookupInt resolves a fast-path key against whichever table layout the
-// build produced.
-func (j *HashJoin) lookupInt(k int64) []int32 {
-	if j.shards != nil {
-		return j.shards[hash64(k)&j.shardMask][k]
-	}
-	return j.intTable.lookup(k)
-}
-
-func (j *HashJoin) tableEmpty() bool {
-	if j.fastKey {
-		if j.shards != nil {
-			for _, m := range j.shards {
-				if len(m) > 0 {
-					return false
-				}
-			}
-			return true
-		}
-		return j.intTable == nil || len(j.intTable.spans) == 0
-	}
-	return len(j.table) == 0
-}
-
 // probeDone marks one probe stream exhausted; the last one recycles the
-// pooled fast-path build scratch (the arena and span map).
+// pooled build table.
 func (j *HashJoin) probeDone() {
-	if j.probesLeft.Add(-1) == 0 && j.intTable != nil {
-		t := j.intTable
-		j.intTable = nil
-		putIntJoinTable(t)
+	if j.probesLeft.Add(-1) == 0 && j.table != nil {
+		joinTablePool.Put(j.table)
+		j.table = nil
 	}
 }
 
@@ -317,16 +222,12 @@ func (j *HashJoin) Next() (*storage.Batch, error) {
 			return nil, err
 		}
 	}
-	if j.tableEmpty() {
-		return nil, nil
-	}
 	return j.probeFrom(j.right)
 }
 
 // Split implements Splitter: when the probe side can partition its
-// morsels, the build runs once (partitioned across the granted workers
-// when large) and each returned operator probes one share of the right
-// input against the shared read-only table.
+// morsels, the build runs once and each returned operator probes one
+// share of the right input against the shared read-only table.
 func (j *HashJoin) Split(n int) ([]Operator, error) {
 	sp, ok := j.right.(Splitter)
 	if !ok {
@@ -349,10 +250,20 @@ func (j *HashJoin) Split(n int) ([]Operator, error) {
 	return out, nil
 }
 
+// constHinter is implemented by scans that can tell from their zone
+// maps that the batch they last returned holds a single value in each
+// of the given columns.
+type constHinter interface {
+	lastConst(cols []int) bool
+}
+
 // probeFrom probes batches pulled from right against the build table.
 // It reads only immutable post-build state, so any number of probes may
 // run concurrently over disjoint right streams.
 func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
+	if j.table == nil { // empty build side
+		return nil, nil
+	}
 	for {
 		rb, err := right.Next()
 		if err != nil {
@@ -362,67 +273,113 @@ func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
 			j.probeDone()
 			return nil, nil
 		}
-		leftIdx := storage.GetSel(rb.Len())
-		rightIdx := storage.GetSel(rb.Len())
-		var base *storage.Batch
-		if j.fastKey {
-			var sel []int32
-			base, sel = rb.DetachSel()
-			keys := storage.Int64s(base.Cols[j.rightK[0]])
-			if sel != nil {
-				for _, r := range sel {
-					for _, lr := range j.lookupInt(keys[r]) {
-						leftIdx = append(leftIdx, lr)
-						rightIdx = append(rightIdx, r)
-					}
-				}
-				storage.PutSel(sel)
-			} else {
-				for r, k := range keys {
-					for _, lr := range j.lookupInt(k) {
-						leftIdx = append(leftIdx, lr)
-						rightIdx = append(rightIdx, int32(r))
-					}
-				}
-			}
-		} else {
-			base = rb.Materialize()
-			n := base.Len()
-			for r := 0; r < n; r++ {
-				k, err := index.KeyAt(base, j.rightK, r)
-				if err != nil {
-					storage.PutSel(leftIdx)
-					storage.PutSel(rightIdx)
-					storage.PutBatch(base)
-					return nil, err
-				}
-				for _, lr := range j.table[k] {
-					leftIdx = append(leftIdx, lr)
-					rightIdx = append(rightIdx, int32(r))
-				}
-			}
-		}
-		if len(leftIdx) == 0 {
-			storage.PutSel(leftIdx)
-			storage.PutSel(rightIdx)
+		base, sel := rb.DetachSel()
+		ch, ok := right.(constHinter)
+		constant := ok && j.fastKey && ch.lastConst(j.rightK)
+		ids, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
+		if err != nil {
+			storage.PutSel(sel)
 			storage.PutBatch(base)
+			return nil, err
+		}
+		// The output columns are laid straight into a pooled header.
+		out := storage.NewPooledBatch()
+		if j.table.unique {
+			out.Cols, sel = j.viewCols(out.Cols, base, sel, ids)
+		} else {
+			out.Cols, sel = j.gatherCols(out.Cols, base, sel, ids)
+		}
+		storage.PutSel(ids)
+		// Probe columns passed through live on in out; whatever else the
+		// probe batch owned dies here.
+		storage.PutBatchExcept(base, out.Cols)
+		if len(out.Cols) == 0 {
+			storage.PutBatch(out)
 			continue
 		}
-		// Gather both sides into pooled output columns: the join's
-		// per-batch gather scratch is the hottest allocation site of the
-		// probe. The probe input is fully copied out and recycled.
-		cols := make([]storage.Column, 0, len(j.buildData.Cols)+len(base.Cols))
-		for _, c := range j.buildData.Cols {
-			cols = append(cols, storage.GatherPooled(c, leftIdx))
+		if sel != nil {
+			out = storage.ViewWithSel(out, sel)
 		}
-		for _, c := range base.Cols {
-			cols = append(cols, storage.GatherPooled(c, rightIdx))
-		}
-		storage.PutSel(leftIdx)
-		storage.PutSel(rightIdx)
-		storage.PutBatch(base)
-		return storage.NewPooledBatch(cols...), nil
+		return out, nil
 	}
+}
+
+// viewCols builds the output of a probe batch against a table without
+// duplicate keys, where ids are the matched build rows themselves: the
+// probe columns pass through under a selection of the matched rows (the
+// input's own, nil included, when every row matched), and each needed
+// build column is scattered to the probe batch's base positions.
+// Appends the columns to cols and consumes sel; no columns when nothing
+// matched.
+func (j *HashJoin) viewCols(cols []storage.Column, base *storage.Batch, sel, ids []int32) ([]storage.Column, []int32) {
+	matched := 0
+	for _, id := range ids {
+		if id >= 0 {
+			matched++
+		}
+	}
+	if matched == 0 {
+		storage.PutSel(sel)
+		return cols, nil
+	}
+	nl := len(j.buildData.Cols)
+	for _, o := range j.out {
+		if o < nl {
+			cols = append(cols, storage.ScatterPooled(j.buildData.Cols[o], base.Len(), sel, ids))
+		} else {
+			cols = append(cols, base.Cols[o-nl])
+		}
+	}
+	if matched == len(ids) {
+		return cols, sel
+	}
+	outSel := storage.GetSel(matched)
+	for i, id := range ids {
+		switch {
+		case id < 0:
+		case sel != nil:
+			outSel = append(outSel, sel[i])
+		default:
+			outSel = append(outSel, int32(i))
+		}
+	}
+	storage.PutSel(sel)
+	return cols, outSel
+}
+
+// gatherCols builds the output of a probe batch against a table with
+// duplicate keys: every (probe row, build row) pair, both sides
+// gathered into pooled columns, which need no selection. Appends the
+// columns to cols and consumes sel; no columns when nothing matched.
+func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids []int32) ([]storage.Column, []int32) {
+	leftIdx, rightIdx := storage.GetSel(len(ids)), storage.GetSel(len(ids))
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		r := int32(i)
+		if sel != nil {
+			r = sel[i]
+		}
+		for lr := j.table.head[id]; lr >= 0; lr = j.table.next[lr] {
+			leftIdx = append(leftIdx, lr)
+			rightIdx = append(rightIdx, r)
+		}
+	}
+	storage.PutSel(sel)
+	if len(leftIdx) > 0 {
+		nl := len(j.buildData.Cols)
+		for _, o := range j.out {
+			if o < nl {
+				cols = append(cols, storage.GatherPooled(j.buildData.Cols[o], leftIdx))
+			} else {
+				cols = append(cols, storage.GatherPooled(base.Cols[o-nl], rightIdx))
+			}
+		}
+	}
+	storage.PutSel(leftIdx)
+	storage.PutSel(rightIdx)
+	return cols, nil
 }
 
 // hashJoinProbe is one partition of a split hash join: it probes its
@@ -440,9 +397,6 @@ func (p *hashJoinProbe) Kinds() []storage.Kind { return p.j.kinds }
 
 // Next implements Operator.
 func (p *hashJoinProbe) Next() (*storage.Batch, error) {
-	if p.j.tableEmpty() {
-		return nil, nil
-	}
 	return p.j.probeFrom(p.right)
 }
 

@@ -164,7 +164,10 @@ type RelScan struct {
 	pred    expr.Expr
 	morsels []scanMorsel
 	bounds  []zoneBound
-	pos     int
+	// exact reports that pred is nothing but bounds: a batch whose zones
+	// lie inside every bound qualifies whole, without evaluation.
+	exact bool
+	pos   int
 	// srcCols maps output columns to source-relation columns (the
 	// optimizer's projection pruning); nil is the identity. Emitted
 	// batches share the selected column vectors — no copying.
@@ -221,7 +224,7 @@ func NewMultiRelScanCols(rels []*storage.Relation, names []string, kinds []stora
 			return nil, fmt.Errorf("physical: scan predicate is %v, not boolean", k)
 		}
 		s.pred = pred
-		s.bounds = zoneBounds(pred, kinds)
+		s.bounds, s.exact = zoneBounds(pred, kinds)
 	}
 	return s, nil
 }
@@ -229,10 +232,11 @@ func NewMultiRelScanCols(rels []*storage.Relation, names []string, kinds []stora
 // zoneBounds extracts per-column range bounds from the top-level
 // conjuncts of a bound predicate. Only col-op-const conjuncts over
 // int64/time columns contribute; every other conjunct is simply not
-// represented (the bounds are necessary, not sufficient, conditions).
-func zoneBounds(pred expr.Expr, kinds []storage.Kind) []zoneBound {
-	var bounds []zoneBound
-	for _, conj := range expr.Conjuncts(pred) {
+// represented (the bounds are necessary conditions), and exact reports
+// that none was left out (they are then sufficient too).
+func zoneBounds(pred expr.Expr, kinds []storage.Kind) (bounds []zoneBound, exact bool) {
+	conjs := expr.Conjuncts(pred)
+	for _, conj := range conjs {
 		cmp, ok := conj.(*expr.Cmp)
 		if !ok {
 			continue
@@ -285,7 +289,7 @@ func zoneBounds(pred expr.Expr, kinds []storage.Kind) []zoneBound {
 		}
 		bounds = append(bounds, b)
 	}
-	return bounds
+	return bounds, len(bounds) == len(conjs)
 }
 
 // Names implements Operator.
@@ -317,6 +321,7 @@ func (s *RelScan) Split(n int) ([]Operator, error) {
 			kinds:   s.kinds,
 			morsels: rest[r[0]:r[1]],
 			bounds:  s.bounds,
+			exact:   s.exact,
 			srcCols: s.srcCols,
 			skipped: s.skipped,
 		}
@@ -331,6 +336,18 @@ func (s *RelScan) Split(n int) ([]Operator, error) {
 	}
 	s.pos = len(s.morsels)
 	return out, nil
+}
+
+// lastConst implements constHinter over the zone maps of the batch the
+// last Next returned.
+func (s *RelScan) lastConst(cols []int) bool {
+	m := s.morsels[s.pos-1]
+	for _, col := range cols {
+		if z := m.zone(col, s.srcCols); !z.Ok || z.Min != z.Max {
+			return false
+		}
+	}
+	return true
 }
 
 // Next implements Operator.
@@ -352,7 +369,7 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 			}
 			b = storage.NewBatch(cols...)
 		}
-		if s.pred == nil {
+		if s.pred == nil || s.exact && morselInside(m, s.bounds, s.srcCols) {
 			return b, nil
 		}
 		sel := expr.EvalSel(s.pred, b, nil)
@@ -377,19 +394,35 @@ func (s *RelScan) pruneByZone(m scanMorsel) bool {
 	return pruneMorsel(m, s.bounds, s.srcCols)
 }
 
+// zone returns the morsel's bound on an output column, consulting the
+// source relation's zone maps through the (possibly nil) column mapping.
+func (m scanMorsel) zone(col int, srcCols []int) storage.Zone {
+	if srcCols != nil {
+		col = srcCols[col]
+	}
+	return m.rel.Zone(m.idx, col)
+}
+
 // pruneMorsel is the zone-pruning test shared by RelScan and the fused
 // pipeline.
 func pruneMorsel(m scanMorsel, bounds []zoneBound, srcCols []int) bool {
 	for _, zb := range bounds {
-		col := zb.col
-		if srcCols != nil {
-			col = srcCols[col]
-		}
-		if m.rel.Zone(m.idx, col).Disjoint(zb.lo, zb.hi) {
+		if m.zone(zb.col, srcCols).Disjoint(zb.lo, zb.hi) {
 			return true
 		}
 	}
 	return false
+}
+
+// morselInside reports that the morsel's zones lie within every bound:
+// each row satisfies all of them.
+func morselInside(m scanMorsel, bounds []zoneBound, srcCols []int) bool {
+	for _, zb := range bounds {
+		if z := m.zone(zb.col, srcCols); !z.Ok || z.Min < zb.lo || z.Max > zb.hi {
+			return false
+		}
+	}
+	return true
 }
 
 // Filter applies a residual predicate to its input, composing with any

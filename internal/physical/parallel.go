@@ -16,8 +16,8 @@ import (
 // parallel result holds exactly the serial result's rows in the serial
 // order (only batch boundaries may differ). Operators that materialize
 // their input internally — hash-join build, aggregation, sort — run
-// their own parallelism instead (partitioned build, partial aggregates,
-// parallel input drain) and stay single-stream to their consumer.
+// their own parallelism instead (partial aggregates, parallel input
+// drain) and stay single-stream to their consumer.
 
 // morselFanout is how many splits ParallelDrain requests per worker:
 // more ranges than workers lets the pool balance skew (zone-map skips,
@@ -286,14 +286,4 @@ func splitRanges(length, n, minPer int) [][2]int {
 		lo = hi
 	}
 	return ranges
-}
-
-// hash64 is the shared 64-bit finalizer used to shard join keys across
-// partitioned build tables.
-func hash64(v int64) uint64 {
-	x := uint64(v) * 0x9e3779b97f4a7c15
-	x ^= x >> 29
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 32
-	return x
 }

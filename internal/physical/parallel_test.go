@@ -155,13 +155,13 @@ func TestParallelJoin(t *testing.T) {
 	storage.RequireNoLeaks(t)
 }
 
-// TestParallelPartitionedBuild pushes the build side over the
-// partitioned-build threshold and checks sharded probing end to end.
-func TestParallelPartitionedBuild(t *testing.T) {
+// TestParallelLargeBuild probes a 16k-row build side with duplicate
+// keys (parallel build-side drain, multi-match gather) at every DOP.
+func TestParallelLargeBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	dim := storage.NewRelation()
 	for bi := 0; bi < 4; bi++ {
-		n := parallelBuildMin / 2
+		n := 1 << 12
 		ids := make([]int64, n)
 		tags := make([]float64, n)
 		for i := range ids {
@@ -202,15 +202,11 @@ func TestParallelPartitionedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dop := range testDOPs {
-		j := build(dop)
-		got, err := ParallelDrain(j, dop, nil)
+		got, err := ParallelDrain(build(dop), dop, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dop > 1 && j.shards == nil {
-			t.Fatalf("dop %d: expected a partitioned build", dop)
-		}
-		sameRelation(t, got, want, "partitioned build")
+		sameRelation(t, got, want, "large build")
 		got.Release()
 	}
 	want.Release()

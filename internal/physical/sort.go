@@ -2,7 +2,7 @@ package physical
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sommelier/internal/storage"
 )
@@ -75,24 +75,7 @@ func (s *Sort) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	flat := rel.Flatten()
-	idx := make([]int32, flat.Len())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, k := range s.keys {
-			c := cmpAt(flat.Cols[k.Col], int(idx[a]), int(idx[b]))
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	out := flat.Gather(idx)
+	out := flat.Gather(stableOrder(flat, s.keys))
 	// The ordered copy replaces the drained input; recycle any pooled
 	// batches the input operators emitted (flat shares rel's only batch
 	// in the single-batch case, but the gather above already copied).
@@ -100,19 +83,48 @@ func (s *Sort) Next() (*storage.Batch, error) {
 	return out, nil
 }
 
-func cmpAt(c storage.Column, a, b int) int {
-	switch c := c.(type) {
-	case *storage.Int64Column:
-		return cmpOrd(c.Value(a), c.Value(b))
-	case *storage.TimeColumn:
-		return cmpOrd(c.Value(a), c.Value(b))
-	case *storage.Float64Column:
-		return cmpOrd(c.Value(a), c.Value(b))
-	case *storage.StringColumn:
-		return cmpOrd(c.Value(a), c.Value(b))
-	default:
-		panic(fmt.Sprintf("physical: cmpAt on %T", c))
+// stableOrder returns the row numbers of b ordered by the keys, rows
+// with equal keys in input order. It sorts the permutation itself
+// through typed comparators resolved once per key — no reflective
+// swapper, no type switch per comparison.
+func stableOrder(b *storage.Batch, keys []SortKey) []int32 {
+	idx := make([]int32, b.Len())
+	for i := range idx {
+		idx[i] = int32(i)
 	}
+	cmps := make([]func(x, y int32) int, len(keys))
+	for i, k := range keys {
+		cmps[i] = colCmp(b.Cols[k.Col], k.Desc)
+	}
+	slices.SortStableFunc(idx, func(x, y int32) int {
+		for _, cmp := range cmps {
+			if c := cmp(x, y); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	return idx
+}
+
+// colCmp returns a three-way comparison of two rows of c by row number,
+// reversed for a descending key.
+func colCmp(c storage.Column, desc bool) func(x, y int32) int {
+	var cmp func(x, y int32) int
+	switch c := c.(type) {
+	case *storage.Float64Column:
+		vals := storage.Float64s(c)
+		cmp = func(x, y int32) int { return cmpOrd(vals[x], vals[y]) }
+	case *storage.StringColumn:
+		cmp = func(x, y int32) int { return cmpOrd(c.Value(int(x)), c.Value(int(y))) }
+	default:
+		vals := storage.Int64s(c)
+		cmp = func(x, y int32) int { return cmpOrd(vals[x], vals[y]) }
+	}
+	if desc {
+		return func(x, y int32) int { return cmp(y, x) }
+	}
+	return cmp
 }
 
 func cmpOrd[T int64 | float64 | string](a, b T) int {

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"sort"
 
 	"sommelier/internal/storage"
 )
@@ -14,9 +13,13 @@ import (
 // ~2n rows per morsel range: each incoming batch is filtered against
 // the current n-th best row, survivors are copied into the buffer, and
 // the buffer is compacted back to n rows by a stable partial sort
-// whenever it doubles. The result is row-for-row identical — including
-// the order of key ties — to Sort followed by Limit, at O(n) memory
-// instead of O(input).
+// whenever it doubles. A single numeric key with a small n — ORDER BY
+// D.sample_value DESC LIMIT 10 — skips the sorts: rows are compared on
+// the raw key slice and inserted into an ordered array of n entries
+// (numTop), so the threshold tightens row by row and only the few rows
+// that ever rank get copied. The result is row-for-row identical —
+// including the order of key ties — to Sort followed by Limit, at O(n)
+// memory instead of O(input).
 type TopK struct {
 	in    Operator
 	keys  []SortKey
@@ -85,9 +88,10 @@ func (t *TopK) Next() (*storage.Batch, error) {
 	if len(parts) == 0 {
 		parts = []Operator{t.in}
 	}
+	kinds := t.in.Kinds()
 	accs := make([]*topkAcc, len(parts))
 	err := runParts(len(parts), t.dop, t.check, func(i int) error {
-		acc := newTopkAcc(t.keys, t.n)
+		acc := newTopkAcc(t.keys, kinds, t.n)
 		if err := acc.feed(parts[i], t.check); err != nil {
 			return err
 		}
@@ -98,13 +102,13 @@ func (t *TopK) Next() (*storage.Batch, error) {
 		return nil, err
 	}
 	// Merge the per-range winners in range order: ranges partition the
-	// input in serial order, and the stable compaction sort keeps
-	// earlier rows first among key ties, so the merged result carries
-	// exactly the ties Sort+Limit would keep, in the same order.
-	merged := newTopkAcc(t.keys, t.n)
+	// input in serial order, and earlier arrivals stay first among key
+	// ties, so the merged result carries exactly the ties Sort+Limit
+	// would keep, in the same order.
+	merged := newTopkAcc(t.keys, kinds, t.n)
 	for _, acc := range accs {
 		if b := acc.result(); b != nil {
-			merged.appendCandidates(b)
+			merged.add(b)
 		}
 	}
 	merged.compact()
@@ -123,6 +127,11 @@ type topkAcc struct {
 	keys []SortKey
 	k    int
 	buf  *storage.Relation
+	// ints / floats is the ordered-insertion state of the single
+	// numeric key, small k path (at most one is set); every other shape
+	// filters against thresh and sorts at compaction.
+	ints   *numTop[int64]
+	floats *numTop[float64]
 	// thresh is the current k-th best row — row threshRow of the last
 	// compacted batch — once at least k candidates have been seen. A
 	// later row can only displace it with strictly smaller keys (any
@@ -134,8 +143,81 @@ type topkAcc struct {
 	scratch []int32
 }
 
-func newTopkAcc(keys []SortKey, k int) *topkAcc {
-	return &topkAcc{keys: keys, k: k, buf: storage.NewRelation()}
+// topkInsertMax bounds the k served by ordered insertion, whose cost
+// per ranking row is linear in k.
+const topkInsertMax = 256
+
+func newTopkAcc(keys []SortKey, kinds []storage.Kind, k int) *topkAcc {
+	a := &topkAcc{keys: keys, k: k, buf: storage.NewRelation()}
+	if len(keys) == 1 && k <= topkInsertMax {
+		switch kinds[keys[0].Col] {
+		case storage.KindInt64, storage.KindTime:
+			a.ints = &numTop[int64]{desc: keys[0].Desc, k: k}
+		case storage.KindFloat64:
+			a.floats = &numTop[float64]{desc: keys[0].Desc, k: k}
+		}
+	}
+	return a
+}
+
+// numTop is the ranking of the single-numeric-key path: at most k
+// entries, best first, equal keys in arrival order, each naming its row
+// in the candidate buffer.
+type numTop[T int64 | float64] struct {
+	desc bool
+	k    int
+	ents []numEnt[T]
+}
+
+type numEnt[T int64 | float64] struct {
+	v   T
+	row int32
+}
+
+func (t *numTop[T]) before(a, b T) bool {
+	if t.desc {
+		return a > b
+	}
+	return a < b
+}
+
+// offer ranks the n rows of a key column (through sel, when set),
+// appending to idx the rows that enter the ranking; the caller copies
+// exactly those into the candidate buffer, which holds stored rows
+// already. A row tying with the k-th entry loses to it: the earlier
+// arrival wins.
+func (t *numTop[T]) offer(vals []T, sel []int32, n, stored int, idx []int32) []int32 {
+	for p := 0; p < n; p++ {
+		r := p
+		if sel != nil {
+			r = int(sel[p])
+		}
+		v := vals[r]
+		full := len(t.ents) == t.k
+		if full && !t.before(v, t.ents[t.k-1].v) {
+			continue
+		}
+		if !full {
+			t.ents = append(t.ents, numEnt[T]{})
+		}
+		i := len(t.ents) - 1
+		for ; i > 0 && t.before(v, t.ents[i-1].v); i-- {
+			t.ents[i] = t.ents[i-1]
+		}
+		t.ents[i] = numEnt[T]{v, int32(stored + len(idx))}
+		idx = append(idx, int32(r))
+	}
+	return idx
+}
+
+// order returns the candidate-buffer rows of the ranking, best first,
+// and renumbers the entries for a buffer holding just those, in order.
+func (t *numTop[T]) order() []int32 {
+	idx := make([]int32, len(t.ents))
+	for i := range t.ents {
+		idx[i], t.ents[i].row = t.ents[i].row, int32(i)
+	}
+	return idx
 }
 
 // compactAt is the buffer size that triggers compaction, relative to
@@ -169,7 +251,7 @@ func (a *topkAcc) feed(op Operator, check func() error) error {
 	}
 }
 
-// add filters one input batch against the threshold, copies the
+// add filters one input batch against the ranking so far, copies the
 // surviving rows into the buffer, and recycles the input.
 func (a *topkAcc) add(b *storage.Batch) {
 	base, sel := b.DetachSel()
@@ -178,15 +260,22 @@ func (a *topkAcc) add(b *storage.Batch) {
 		n = len(sel)
 	}
 	idx := a.scratch[:0]
-	for i := 0; i < n; i++ {
-		r := i
-		if sel != nil {
-			r = int(sel[i])
+	switch {
+	case a.ints != nil:
+		idx = a.ints.offer(storage.Int64s(base.Cols[a.keys[0].Col]), sel, n, a.buf.Rows(), idx)
+	case a.floats != nil:
+		idx = a.floats.offer(storage.Float64s(base.Cols[a.keys[0].Col]), sel, n, a.buf.Rows(), idx)
+	default:
+		for i := 0; i < n; i++ {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
+			}
+			if a.thresh != nil && a.cmpRows(base, r, a.thresh, a.threshRow) >= 0 {
+				continue
+			}
+			idx = append(idx, int32(r))
 		}
-		if a.thresh != nil && a.cmpRows(base, r, a.thresh, a.threshRow) >= 0 {
-			continue
-		}
-		idx = append(idx, int32(r))
 	}
 	a.scratch = idx[:0]
 	if len(idx) > 0 {
@@ -199,42 +288,29 @@ func (a *topkAcc) add(b *storage.Batch) {
 	}
 }
 
-// appendCandidates adds already-copied rows (a finished accumulator's
-// result) without filtering; the merge path.
-func (a *topkAcc) appendCandidates(b *storage.Batch) {
-	a.buf.Append(b)
-}
-
-// compact sorts the buffer stably by the keys and keeps the first k
-// rows. Stability carries the arrival order of key ties through every
-// compaction: the buffer is always a key-sorted sequence whose ties
-// are in arrival order, and newly appended rows arrive later than
-// everything already buffered, so repeated stable sorts preserve the
-// global first-k-ties-win semantics of Sort+Limit.
+// compact shrinks the buffer to the first k rows under the keys, in
+// order: read off the ranking on the ordered-insertion path, by a
+// stable sort of a row permutation otherwise. Stability carries the
+// arrival order of key ties through every compaction: the buffer is
+// always a key-sorted sequence whose ties are in arrival order, and
+// newly appended rows arrive later than everything already buffered, so
+// repeated stable sorts preserve the global first-k-ties-win semantics
+// of Sort+Limit.
 func (a *topkAcc) compact() {
 	if a.buf.Rows() == 0 {
 		return
 	}
 	flat := a.buf.Flatten()
-	idx := make([]int32, flat.Len())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		for _, k := range a.keys {
-			c := cmpAt(flat.Cols[k.Col], int(idx[x]), int(idx[y]))
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
+	var idx []int32
+	switch {
+	case a.ints != nil:
+		idx = a.ints.order()
+	case a.floats != nil:
+		idx = a.floats.order()
+	default:
+		if idx = stableOrder(flat, a.keys); len(idx) > a.k {
+			idx = idx[:a.k]
 		}
-		return false
-	})
-	if len(idx) > a.k {
-		idx = idx[:a.k]
 	}
 	top := flat.Gather(idx)
 	a.buf = storage.NewRelation()

@@ -168,16 +168,33 @@ func (s *Scan) String() string {
 type Join struct {
 	L, R  Node
 	Preds []table.JoinPred
+	// Out, when non-nil, restricts the join's output to these positions
+	// of the concatenated L++R schema (the optimizer's projection pruning
+	// carried through the join); names/kinds are narrowed accordingly.
+	Out   []int
 	names []string
 	kinds []storage.Kind
 }
 
-// NewJoin builds a join node.
+// NewJoin builds a join node emitting every column of both inputs.
 func NewJoin(l, r Node, preds []table.JoinPred) *Join {
-	return &Join{
-		L: l, R: r, Preds: preds,
-		names: append(append([]string{}, l.Names()...), r.Names()...),
-		kinds: append(append([]storage.Kind{}, l.Kinds()...), r.Kinds()...),
+	j := &Join{L: l, R: r, Preds: preds}
+	j.SetOut(nil)
+	return j
+}
+
+// SetOut narrows the join's output to the given positions of L++R (nil
+// restores the full schema).
+func (j *Join) SetOut(out []int) {
+	names := append(append([]string{}, j.L.Names()...), j.R.Names()...)
+	kinds := append(append([]storage.Kind{}, j.L.Kinds()...), j.R.Kinds()...)
+	j.Out, j.names, j.kinds = out, names, kinds
+	if out == nil {
+		return
+	}
+	j.names, j.kinds = make([]string, len(out)), make([]storage.Kind, len(out))
+	for i, o := range out {
+		j.names[i], j.kinds[i] = names[o], kinds[o]
 	}
 }
 
@@ -199,7 +216,11 @@ func (j *Join) String() string {
 	for i, p := range j.Preds {
 		parts[i] = p.Left + "=" + p.Right
 	}
-	return "join(" + strings.Join(parts, ",") + ")"
+	s := "join(" + strings.Join(parts, ",")
+	if j.Out != nil {
+		s += fmt.Sprintf(" out=%d/%d", len(j.Out), len(j.L.Names())+len(j.R.Names()))
+	}
+	return s + ")"
 }
 
 // Select filters rows by a residual predicate that could not be pushed

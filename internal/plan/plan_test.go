@@ -256,3 +256,30 @@ func TestEdgeColors(t *testing.T) {
 		t.Fatal("color names")
 	}
 }
+
+// TestJoinSetOut: a narrowed join reports the narrowed schema, renders
+// as out=k/n over its inputs' current schemas, and widens back on nil.
+func TestJoinSetOut(t *testing.T) {
+	cat := seismic.NewCatalog()
+	f, _ := cat.Table(seismic.TableF)
+	s, _ := cat.Table(seismic.TableS)
+	j := NewJoin(NewScanCols(f, nil, []int{0, 1}), NewScan(s, nil),
+		[]table.JoinPred{{Left: "F.file_id", Right: "S.file_id"}})
+	full := len(j.Names())
+	if j.String() != "join(F.file_id=S.file_id)" || full != 2+s.Schema.Width() {
+		t.Fatalf("full join: %s, %d columns", j, full)
+	}
+	j.SetOut([]int{3, 0})
+	if got := j.Names(); len(got) != 2 || got[0] != j.R.Names()[1] || got[1] != j.L.Names()[0] {
+		t.Fatalf("narrowed names = %v", got)
+	}
+	if len(j.Kinds()) != 2 || j.Kinds()[1] != j.L.Kinds()[0] {
+		t.Fatalf("narrowed kinds = %v", j.Kinds())
+	}
+	if want := "join(F.file_id=S.file_id out=2/8)"; j.String() != want {
+		t.Fatalf("rendered %s, want %s", j, want)
+	}
+	if j.SetOut(nil); len(j.Names()) != full {
+		t.Fatalf("SetOut(nil) left %d of %d columns", len(j.Names()), full)
+	}
+}

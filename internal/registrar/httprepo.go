@@ -290,7 +290,11 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 		if err := ctx.Err(); err != nil {
 			return nil, attempts, err
 		}
-		if ok, wait := br.allow(time.Now()); !ok {
+		ok, probe, wait := br.allow(ctx)
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return nil, attempts, err
+			}
 			r.rejects.Add(1)
 			return nil, attempts, &CircuitOpenError{Host: r.host, RetryIn: wait}
 		}
@@ -298,24 +302,25 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 		r.fetches.Add(1)
 		resp, retryAfter, err := r.attempt(ctx, u)
 		if err == nil {
-			br.success()
+			br.success(probe)
 			return resp, attempts, nil
 		}
 		lastErr = err
 		r.fetchErrors.Add(1)
 		if ctx.Err() != nil {
 			// Caller cancellation: not the host's fault, and not worth
-			// another attempt. Leave the breaker untouched.
+			// another attempt. No verdict for the breaker.
+			br.abandon(probe)
 			return nil, attempts, ctx.Err()
 		}
 		var se *statusError
 		if errors.As(err, &se) && !retryableStatus(se.code) {
 			// A permanent status is a live host answering: reset the
 			// breaker's failure streak, fail the request for good.
-			br.success()
+			br.success(probe)
 			return nil, attempts, err
 		}
-		br.failure(time.Now())
+		br.failure(probe, time.Now())
 		if attempt == pol.MaxAttempts-1 {
 			break
 		}

@@ -441,11 +441,13 @@ func toResponse(res *engine.Result, elapsed, timeout time.Duration, capped bool)
 		}
 		rows[ri] = row
 	}
+	// A single-batch result flattens to that very batch, which Release
+	// recycles: nothing may read flat past this point.
 	res.Release()
 	return QueryResponse{
 		Columns:  res.Names,
 		Rows:     rows,
-		RowCount: flat.Len(),
+		RowCount: len(rows),
 		Stats:    toStats(res, elapsed, timeout, capped),
 		Warnings: res.Warnings,
 	}

@@ -17,6 +17,8 @@ import (
 	"sommelier/internal/engine"
 	"sommelier/internal/registrar"
 	"sommelier/internal/seisgen"
+	"sommelier/internal/seismic"
+	"sommelier/internal/table"
 )
 
 func testDB(t testing.TB) *engine.DB {
@@ -414,6 +416,48 @@ func TestExplainOverHTTP(t *testing.T) {
 	for _, want := range []string{"[Qf]", "rule joinorder"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("EXPLAIN output lacks %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRowCountMatchesRows: row_count must be taken before the result's
+// pooled batches are released — a result of one pooled batch (a T3 join,
+// a one-batch D export) flattens to the very batch Release recycles.
+func TestRowCountMatchesRows(t *testing.T) {
+	db := testDB(t)
+	err := db.Catalog().AddView(&table.View{
+		Name:   "windowdataview_md",
+		Tables: []string{seismic.TableF, seismic.TableH},
+		Joins: []table.JoinPred{
+			{Left: "F.station", Right: "H.window_station"},
+			{Left: "F.channel", Right: "H.window_channel"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name, sql := range map[string]string{
+		"T3": `SELECT H.window_start_ts, H.window_max_val FROM windowdataview_md
+		       WHERE F.station = 'FIAM' AND H.window_start_ts >= '2010-01-01T00:00:00.000'
+		         AND H.window_start_ts < '2010-01-01T12:00:00.000'`,
+		"D export": `SELECT D.sample_time, D.sample_value FROM dataview
+		       WHERE F.station = 'FIAM' AND D.sample_time >= '2010-01-01T00:00:00.000'
+		         AND D.sample_time < '2010-01-02T00:00:00.000'`,
+	} {
+		resp, data := post(t, ts.URL, QueryRequest{SQL: sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, data)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if len(qr.Rows) < 2 || qr.RowCount != len(qr.Rows) {
+			t.Fatalf("%s: row_count %d with %d rows, want equal and > 1", name, qr.RowCount, len(qr.Rows))
 		}
 	}
 }

@@ -73,7 +73,11 @@ func (c *Coalescer) Add(out *Relation, b *Batch) {
 			if c.pooled {
 				c.builders[i] = NewPooledBuilder(k, BatchSize)
 			} else {
-				c.builders[i] = NewBuilder(k, BatchSize)
+				// A fresh heap array is zeroed on allocation: the first
+				// fill starts at the size of what arrived and grows, so a
+				// stage-one drain of a few dozen rows does not pay for
+				// BatchSize of them per column.
+				c.builders[i] = NewBuilder(k, len(sel))
 			}
 		}
 	} else if !c.armed {

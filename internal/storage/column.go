@@ -273,6 +273,10 @@ func (c *StringColumn) Value(i int) string { return c.dict[c.codes[i]] }
 // comparable between columns sharing a dictionary.
 func (c *StringColumn) Code(i int) int32 { return c.codes[i] }
 
+// Codes returns the backing slice of dictionary codes, one per row.
+// Callers must not modify it.
+func (c *StringColumn) Codes() []int32 { return c.codes }
+
 // Dict returns the dictionary. Callers must not modify it.
 func (c *StringColumn) Dict() []string { return c.dict }
 

@@ -24,6 +24,7 @@ package storage
 // around complete query lifecycles.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -353,6 +354,51 @@ func GatherPooled(c Column, idx []int32) Column {
 	default:
 		return c.Gather(idx)
 	}
+}
+
+// ScatterPooled returns a column of n rows, owned by the caller like a
+// GatherPooled result, holding src's row idx[i] at row pos[i] — at row
+// i when pos is nil — for every i with idx[i] >= 0. The other rows hold
+// an unspecified but readable value — a string column's hold dictionary
+// code 0, so src must not be empty: a consumer may evaluate an
+// expression over the whole base batch before applying the selection
+// that hides them. The join probe uses it to lay build-side values
+// under a passed-through probe batch at that batch's base positions.
+func ScatterPooled(src Column, n int, pos, idx []int32) Column {
+	var out Column
+	switch c := src.(type) {
+	case *Int64Column:
+		out = pooledInt64Col(scatter(int64Slices.get(n)[:n], c.vals, pos, idx), false)
+	case *TimeColumn:
+		out = pooledInt64Col(scatter(int64Slices.get(n)[:n], c.vals, pos, idx), true)
+	case *Float64Column:
+		out = pooledFloat64Col(scatter(float64Slices.get(n)[:n], c.vals, pos, idx))
+	case *BoolColumn:
+		out = pooledBoolCol(scatter(boolSlices.get(n)[:n], c.vals, pos, idx))
+	case *StringColumn:
+		codes := GetSel(n)[:n]
+		clear(codes) // a recycled vector holds row indexes, or -1
+		out = pooledStringCol(c.dict, scatter(codes, c.codes, pos, idx))
+	default:
+		panic(fmt.Sprintf("storage: ScatterPooled on %T", src))
+	}
+	if !pooling.Load() {
+		disownColumn(out)
+	}
+	return out
+}
+
+func scatter[T int64 | float64 | bool | int32](out, src []T, pos, idx []int32) []T {
+	for i, j := range idx {
+		switch {
+		case j < 0:
+		case pos == nil:
+			out[i] = src[j]
+		default:
+			out[pos[i]] = src[j]
+		}
+	}
+	return out
 }
 
 // GetRelation returns an empty relation pre-sized for nBatches, drawn

@@ -240,3 +240,35 @@ func TestZoneInheritance(t *testing.T) {
 		t.Fatalf("parent recomputed %d bounds after child append, want 0", got)
 	}
 }
+
+// TestScatterPooled: rows land at pos (or in place), negative indexes
+// are skipped, strings share the dictionary and are readable at every
+// row whatever the recycled vector held, and the column is owned by the
+// caller whether or not pooling is on.
+func TestScatterPooled(t *testing.T) {
+	defer SetPooling(true)
+	src := NewFloat64Column([]float64{10, 20, 30})
+	tags := NewStringColumn([]string{"a", "b", "c"})
+	for _, pooling := range []bool{true, false} {
+		SetPooling(pooling)
+		c := ScatterPooled(src, 3, nil, []int32{2, -1, 0})
+		if got := Float64s(c); got[0] != 30 || got[2] != 10 {
+			t.Fatalf("in place: %v", got)
+		}
+		PutColumn(c)
+		stale := GetSel(6)[:6]
+		for i := range stale {
+			stale[i] = -1
+		}
+		PutSel(stale)
+		c = ScatterPooled(tags, 6, []int32{1, 4, 5}, []int32{2, -1, 1})
+		if sc := c.(*StringColumn); c.Len() != 6 || sc.Value(1) != "c" || sc.Value(5) != "b" {
+			t.Fatalf("scattered strings: %q %q", sc.Value(1), sc.Value(5))
+		}
+		for r := 0; r < c.Len(); r++ {
+			_ = ValueAt(c, r) // unfilled rows must not index the dictionary out of range
+		}
+		PutColumn(c)
+		RequireNoLeaks(t)
+	}
+}
