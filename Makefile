@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-extra test build bench bench-json bench-micro
+.PHONY: ci fmt vet lint lint-extra test build loc bench bench-json bench-micro
 
 ## ci is the documented pre-merge check: formatting, vet, the
 ## ownership-protocol lint, and the full test suite under the race
@@ -38,6 +38,13 @@ test:
 
 build:
 	$(GO) build ./...
+
+## loc prints the non-test, non-testdata Go lines of every internal/*
+## package and their total: the size ROADMAP tracks per PR.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)" "$$d"; \
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 ## bench regenerates the paper's evaluation tables plus the
 ## concurrent-load sweep (slow; see also cmd/benchrunner).

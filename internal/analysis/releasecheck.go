@@ -24,11 +24,7 @@ var releaseSpec = &ownSpec{
 	directive: "ownership-transferred",
 	noun:      "query result",
 	producers: map[string]int{
-		execPath + "Execute":             0,
-		execPath + "ExecuteContext":      0,
-		execPath + "ExecuteParams":       0,
-		execPath + "ExecuteTraced":       0,
-		execPath + "ExecuteTracedParams": 0,
+		execPath + "Execute": 0,
 
 		enginePath + "DB.Query":            0,
 		enginePath + "DB.QueryContext":     0,
@@ -39,12 +35,7 @@ var releaseSpec = &ownSpec{
 		enginePath + "Stmt.Query":          0,
 		enginePath + "Stmt.QueryContext":   0,
 
-		physicalPath + "Run":                 0,
-		physicalPath + "RunPooled":           0,
-		physicalPath + "Drain":               0,
-		physicalPath + "DrainPooled":         0,
-		physicalPath + "ParallelDrain":       0,
-		physicalPath + "ParallelDrainPooled": 0,
+		physicalPath + "Collect": 0,
 	},
 	consumers: map[string]consumeKind{
 		// res.Release() resolves here for engine.Result too (it embeds

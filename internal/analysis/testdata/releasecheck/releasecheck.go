@@ -4,6 +4,8 @@
 package releasecheck
 
 import (
+	"context"
+
 	"sommelier/internal/engine"
 	"sommelier/internal/exec"
 	"sommelier/internal/physical"
@@ -12,7 +14,7 @@ import (
 
 // leakOnStats reads the result but never releases it.
 func leakOnStats(env *exec.Env, p *plan.Plan) (int, error) {
-	res, err := exec.Execute(env, p) // want "query result \"res\" from Execute is not released on every path"
+	res, err := exec.Execute(context.Background(), env, p, exec.Options{}) // want "query result \"res\" from Execute is not released on every path"
 	if err != nil {
 		return 0, err
 	}
@@ -21,12 +23,12 @@ func leakOnStats(env *exec.Env, p *plan.Plan) (int, error) {
 
 // discardedRun throws the result away entirely.
 func discardedRun(env *exec.Env, p *plan.Plan) {
-	exec.Execute(env, p) // want "result of Execute is discarded"
+	exec.Execute(context.Background(), env, p, exec.Options{}) // want "result of Execute is discarded"
 }
 
 // doubleRelease releases twice.
 func doubleRelease(env *exec.Env, p *plan.Plan) error {
-	res, err := exec.Execute(env, p)
+	res, err := exec.Execute(context.Background(), env, p, exec.Options{})
 	if err != nil {
 		return err
 	}
@@ -37,7 +39,7 @@ func doubleRelease(env *exec.Env, p *plan.Plan) error {
 
 // drainLeak forgets the empty-relation early return.
 func drainLeak(op physical.Operator) error {
-	rel, err := physical.DrainPooled(op, nil) // want "query result \"rel\" from DrainPooled is not released on every path"
+	rel, err := physical.Collect(op, physical.DrainOpts{Pooled: true}) // want "query result \"rel\" from Collect is not released on every path"
 	if err != nil {
 		return err
 	}
@@ -59,7 +61,7 @@ func engineLeak(db *engine.DB) (int, error) {
 
 // clean releases after the last read.
 func clean(env *exec.Env, p *plan.Plan) (int, error) {
-	res, err := exec.Execute(env, p)
+	res, err := exec.Execute(context.Background(), env, p, exec.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +72,7 @@ func clean(env *exec.Env, p *plan.Plan) (int, error) {
 
 // cleanDefer releases via defer, the idiomatic shape.
 func cleanDefer(env *exec.Env, p *plan.Plan) (int, error) {
-	res, err := exec.Execute(env, p)
+	res, err := exec.Execute(context.Background(), env, p, exec.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -80,12 +82,12 @@ func cleanDefer(env *exec.Env, p *plan.Plan) (int, error) {
 
 // cleanHandoff returns the result; the caller owns it now.
 func cleanHandoff(env *exec.Env, p *plan.Plan) (*exec.Result, error) {
-	return exec.Execute(env, p)
+	return exec.Execute(context.Background(), env, p, exec.Options{})
 }
 
 // suppressedLeak documents a result another component releases.
 func suppressedLeak(env *exec.Env, p *plan.Plan) {
 	//sommelier:ownership-transferred the response writer releases after rendering
-	res, _ := exec.Execute(env, p)
+	res, _ := exec.Execute(context.Background(), env, p, exec.Options{})
 	_ = res
 }

@@ -135,11 +135,6 @@ type DB struct {
 	optRules opt.Options
 	plans    *planCache
 
-	// forceStream (SOMMELIER_FORCE_STREAMING) routes every materialized
-	// Query through the streaming executor into a collecting sink, so
-	// the full test suite exercises the streaming path.
-	forceStream bool
-
 	// seriesPlan is the derived-metadata fetcher's parameterized series
 	// query, compiled on first use and replayed per derivation.
 	seriesOnce sync.Once
@@ -343,9 +338,6 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 	if fc, ok := repo.(registrar.FaultConfigurable); ok {
 		fc.SetFaults(db.env.Faults)
 	}
-	if v := strings.TrimSpace(os.Getenv(EnvForceStreaming)); v != "" && v != "0" {
-		db.forceStream = true
-	}
 
 	db.dmd = dmd.NewManager(db.cat, fetcherFunc(db.fetchSeries))
 	if cfg.Approach == registrar.EagerDMd {
@@ -398,7 +390,7 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 		return nil, nil, db.seriesErr
 	}
 	args := []*expr.Const{expr.Str(station), expr.Str(channel), expr.Time(from), expr.Time(to)}
-	res, err := exec.ExecuteParams(context.Background(), db.env, db.seriesPlan, args)
+	res, err := exec.Execute(context.Background(), db.env, db.seriesPlan, exec.Options{Params: args})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -546,42 +538,15 @@ func (db *DB) prepareDMd(c *compiled, args []*expr.Const) (dmd.Stats, error) {
 
 // execCompiled runs a compiled statement: Algorithm 1 (derived-metadata
 // preparation) against the argument-substituted predicates, then the
-// two-stage executor.
-func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const) (*Result, error) {
+// two-stage executor. With a sink the result batches reach it
+// incrementally and the returned Result carries an empty relation
+// (schema, stats and provenance only).
+func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink) (*Result, error) {
 	dst, err := db.prepareDMd(c, args)
 	if err != nil {
 		return nil, err
 	}
-	if db.forceStream {
-		// Forced streaming (tests, CI): run the streaming executor into
-		// a collecting sink, reproducing the materialized result through
-		// the streaming path.
-		sink := &physical.CollectSink{}
-		res, err := exec.ExecuteStreamParams(ctx, db.env, c.plan, args, sink)
-		if err != nil {
-			return nil, err
-		}
-		if sink.Rel != nil {
-			res.Rel = sink.Rel
-		}
-		return &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan}, nil
-	}
-	res, err := exec.ExecuteParams(ctx, db.env, c.plan, args)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan}, nil
-}
-
-// execCompiledStream is execCompiled with streaming delivery: result
-// batches reach sink incrementally and the returned Result carries an
-// empty relation (schema, stats and provenance only).
-func (db *DB) execCompiledStream(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink) (*Result, error) {
-	dst, err := db.prepareDMd(c, args)
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.ExecuteStreamParams(ctx, db.env, c.plan, args, sink)
+	res, err := exec.Execute(ctx, db.env, c.plan, exec.Options{Params: args, Sink: sink})
 	if err != nil {
 		return nil, err
 	}
@@ -613,6 +578,12 @@ func (db *DB) QueryArgs(sql string, args ...any) (*Result, error) {
 // internally); an EXPLAIN statement returns the optimized plan and the
 // applied-rule log as rows instead of executing.
 func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*Result, error) {
+	return db.query(ctx, sql, nil, args)
+}
+
+// query is the one parse → bind → compile → execute path; a nil sink
+// materializes the result.
+func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any) (*Result, error) {
 	t0 := time.Now()
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
@@ -627,7 +598,7 @@ func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*R
 		}
 		res := explainResult(c.plan)
 		res.Compile, res.PlanCacheHit = time.Since(t0), hit
-		return res, nil
+		return res, streamOut(res, sink)
 	}
 	vals, err := statementArgs(st, args)
 	if err != nil {
@@ -638,7 +609,7 @@ func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*R
 		return nil, err
 	}
 	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, c, vals)
+	res, err := db.execCompiled(ctx, c, vals, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -663,11 +634,6 @@ type SchemaSink = physical.SchemaSink
 // success.
 var ErrStopStream = physical.ErrStopStream
 
-// EnvForceStreaming, when set (any value but "0"), routes every
-// materialized Query through the streaming executor into a collecting
-// sink: the CI lever that runs the whole suite on the streaming path.
-const EnvForceStreaming = "SOMMELIER_FORCE_STREAMING"
-
 // QueryStream parses, prepares and executes one SQL statement with
 // streaming result delivery: batches reach sink as they are produced,
 // only pipeline breakers (sort, aggregation, join build) materialize,
@@ -676,41 +642,17 @@ const EnvForceStreaming = "SOMMELIER_FORCE_STREAMING"
 // with an empty relation. An EXPLAIN statement streams its plan rows
 // through the sink like any other result.
 func (db *DB) QueryStream(ctx context.Context, sql string, sink StreamSink, args ...any) (*Result, error) {
-	t0 := time.Now()
-	st, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil, err
-	}
-	if st.Explain {
-		c, hit, err := db.compileStatement(st)
-		if err != nil {
-			return nil, err
-		}
-		res := explainResult(c.plan)
-		res.Compile, res.PlanCacheHit = time.Since(t0), hit
-		return res, streamOut(res, sink)
-	}
-	vals, err := statementArgs(st, args)
-	if err != nil {
-		return nil, err
-	}
-	c, hit, err := db.compileStatement(st)
-	if err != nil {
-		return nil, err
-	}
-	compile := time.Since(t0)
-	res, err := db.execCompiledStream(ctx, c, vals, sink)
-	if err != nil {
-		return nil, err
-	}
-	res.Compile, res.PlanCacheHit = compile, hit
-	return res, nil
+	return db.query(ctx, sql, sink, args)
 }
 
 // streamOut pushes an already-materialized result's batches through a
 // sink (the EXPLAIN path, whose rows exist before streaming starts)
-// and leaves the result empty. A sink stop simply drops the remainder.
+// and leaves the result empty; a nil sink leaves the result as it is.
+// A sink stop simply drops the remainder.
 func streamOut(res *Result, sink StreamSink) error {
+	if sink == nil {
+		return nil
+	}
 	if ss, ok := sink.(physical.SchemaSink); ok {
 		ss.SetSchema(res.Names, res.Kinds)
 	}
@@ -822,23 +764,7 @@ func (s *Stmt) Query(args ...any) (*Result, error) {
 
 // QueryContext is Query with cancellation.
 func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
-	if s.explain {
-		return explainResult(s.c.plan), nil
-	}
-	var vals []*expr.Const
-	if len(args) == 0 && s.defaults != nil {
-		vals = s.defaults
-	} else {
-		if len(args) != s.nParams {
-			return nil, fmt.Errorf("engine: prepared statement needs %d argument(s), got %d", s.nParams, len(args))
-		}
-		var err error
-		vals, err = convertArgs(args)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s.db.execCompiled(ctx, s.c, vals)
+	return s.query(ctx, nil, args)
 }
 
 // QueryStream executes the prepared statement with streaming result
@@ -846,6 +772,12 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...any) (*Result, error) {
 // property of prepared statements holds: streaming reuses the cached
 // plan untouched.
 func (s *Stmt) QueryStream(ctx context.Context, sink StreamSink, args ...any) (*Result, error) {
+	return s.query(ctx, sink, args)
+}
+
+// query binds the arguments and executes the compiled statement; a nil
+// sink materializes the result.
+func (s *Stmt) query(ctx context.Context, sink StreamSink, args []any) (*Result, error) {
 	if s.explain {
 		res := explainResult(s.c.plan)
 		return res, streamOut(res, sink)
@@ -863,7 +795,7 @@ func (s *Stmt) QueryStream(ctx context.Context, sink StreamSink, args ...any) (*
 			return nil, err
 		}
 	}
-	return s.db.execCompiledStream(ctx, s.c, vals, sink)
+	return s.db.execCompiled(ctx, s.c, vals, sink)
 }
 
 // Run executes a programmatically constructed query specification
@@ -881,7 +813,7 @@ func (db *DB) RunContext(ctx context.Context, q *plan.Query) (*Result, error) {
 		return nil, err
 	}
 	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, &compiled{query: q, plan: p}, nil)
+	res, err := db.execCompiled(ctx, &compiled{query: q, plan: p}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -956,7 +888,8 @@ func (db *DB) ExplainAnalyze(sql string, args ...any) (string, error) {
 		return "", err
 	}
 	p := c.plan
-	res, trace, err := exec.ExecuteTracedParams(context.Background(), db.env, p, vals)
+	trace := &exec.Trace{}
+	res, err := exec.Execute(context.Background(), db.env, p, exec.Options{Params: vals, Trace: trace})
 	if err != nil {
 		return "", err
 	}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -80,7 +79,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				}
 				want := renderRel(res.Rel)
 				res.Release()
-				sink := &physical.CollectSink{}
+				sink := &physical.CollectSink{Rel: storage.NewRelation()}
 				sres, err := db.QueryStream(context.Background(), sql, sink)
 				if err != nil {
 					t.Fatalf("par %d pooled %v query %d (stream): %v", par, pooled, qi, err)
@@ -89,9 +88,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 					t.Errorf("par %d pooled %v query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s",
 						par, pooled, qi, got, want)
 				}
-				if sink.Rel != nil {
-					sink.Rel.Release()
-				}
+				sink.Rel.Release()
 				sres.Release()
 			}
 			storage.RequireNoLeaks(t)
@@ -207,26 +204,22 @@ func TestStreamingDisconnectStress(t *testing.T) {
 // succeeds — stage one's small metadata result still has to fit (it
 // always materializes), but the streamed stage-two rows never count.
 func TestStreamingQuota(t *testing.T) {
-	if v := os.Getenv(EnvForceStreaming); v != "" && v != "0" {
-		// Forced streaming routes Query through the streaming drain, so
-		// the materialized side of this differential cannot trip the
-		// ceiling — the contract under test doesn't exist in this mode.
-		t.Skipf("%s set: no materialized path to meter", EnvForceStreaming)
-	}
 	dir := genRepo(t, 1)
 	const ceiling = 16 << 10 // far below the result size, far above stage one's
-	db, err := Open(dir, Config{Approach: registrar.Lazy, MaxQueryBytes: ceiling})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const q = `SELECT D.sample_time, D.sample_value FROM dataview
 	             WHERE D.sample_time < '2010-01-02T00:00:00.000'`
-	_, err = db.Query(q)
-	var qe *storage.QuotaError
-	if !errors.As(err, &qe) {
-		t.Fatalf("materialized query under %d-byte ceiling: err = %v, want *storage.QuotaError", ceiling, err)
+	for _, par := range []int{1, 4} {
+		db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: par, MaxQueryBytes: ceiling})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = db.Query(q)
+		var qe *storage.QuotaError
+		if !errors.As(err, &qe) {
+			t.Fatalf("materialized query at DOP %d under %d-byte ceiling: err = %v, want *storage.QuotaError", par, ceiling, err)
+		}
+		storage.RequireNoLeaks(t)
 	}
-	storage.RequireNoLeaks(t)
 
 	// The streaming path buffers only the bounded run-ahead window; a
 	// serial stream (DOP 1) buffers nothing chargeable in stage two.

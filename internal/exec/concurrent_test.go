@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func runConcurrent(t *testing.T, env *Env, q *plan.Query, n int) []Stats {
 				errs <- err
 				return
 			}
-			res, err := Execute(env, p)
+			res, err := Execute(context.Background(), env, p, Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -122,7 +123,7 @@ func TestConcurrentTransientQueriesAgree(t *testing.T) {
 				errs <- err
 				return
 			}
-			res, err := Execute(env, p)
+			res, err := Execute(context.Background(), env, p, Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -174,7 +175,7 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := Execute(env, p)
+				res, err := Execute(context.Background(), env, p, Options{})
 				if err != nil {
 					t.Error(err)
 					return

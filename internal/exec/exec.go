@@ -72,7 +72,7 @@ type MetaIndex struct {
 }
 
 // Env is the execution environment of one database instance. One Env
-// may serve any number of concurrent ExecuteContext calls: the chunk
+// may serve any number of concurrent Execute calls: the chunk
 // residency protocol (pin before scan, reference-counted release) and
 // the flight group (one load per missing chunk, however many queries
 // select it) make the lazy ingestion path race-free. An Env must not be
@@ -281,61 +281,40 @@ func (t *Trace) counter(n plan.Node, inStage1 bool) *int64 {
 	return &c[1]
 }
 
-// Execute runs a compiled plan in the environment.
-func Execute(env *Env, p *plan.Plan) (*Result, error) {
-	return ExecuteContext(context.Background(), env, p)
+// Options carries the per-execution inputs of Execute; the zero value
+// runs a parameterless plan into a materialized result.
+type Options struct {
+	// Params are the statement arguments bound to the plan's parameter
+	// placeholders. The plan is not modified: parameters are substituted
+	// into per-execution expression clones, so one cached plan serves any
+	// number of concurrent executions with different arguments.
+	Params []*expr.Const
+	// Sink, when non-nil, receives the result rows incrementally instead
+	// of the Result materializing them: only pipeline breakers (sort,
+	// aggregation, the join build side) buffer rows, so the query's
+	// memory footprint is independent of its result size and the first
+	// batch reaches the sink as soon as it is produced. The returned
+	// Result then carries the schema and stats with an empty relation.
+	//
+	// Ownership and lifetime follow physical.StreamSink: each pushed
+	// batch is the sink's to recycle, and the chunk data a batch may
+	// alias is pinned only until Execute returns — sinks that keep rows
+	// longer must copy or serialize them inside Push. A sink returning
+	// physical.ErrStopStream ends the query early without error; the
+	// cancellation propagates down to the morsel cursor, so LIMIT-style
+	// consumers stop the scan instead of discarding it.
+	Sink physical.StreamSink
+	// Trace, when non-nil, is filled with the per-operator row counts
+	// (and makes the execution serial, see Trace).
+	Trace *Trace
 }
 
-// ExecuteTraced runs a compiled plan and additionally returns the
-// per-operator row counts.
-func ExecuteTraced(ctx context.Context, env *Env, p *plan.Plan) (*Result, *Trace, error) {
-	return ExecuteTracedParams(ctx, env, p, nil)
-}
-
-// ExecuteTracedParams is ExecuteTraced with statement arguments.
-func ExecuteTracedParams(ctx context.Context, env *Env, p *plan.Plan, params []*expr.Const) (*Result, *Trace, error) {
-	ex := &executor{ctx: ctx, env: env, plan: p, params: params, trace: &Trace{}}
-	res, err := ex.run()
-	return res, ex.trace, err
-}
-
-// ExecuteContext runs a compiled plan, honouring cancellation: the
-// executor checks the context between batches and before every chunk
-// ingestion, so long-running lazy loads abort promptly.
-func ExecuteContext(ctx context.Context, env *Env, p *plan.Plan) (*Result, error) {
-	return ExecuteParams(ctx, env, p, nil)
-}
-
-// ExecuteParams runs a compiled plan with statement arguments bound to
-// its parameter placeholders. The plan is not modified: parameters are
-// substituted into per-execution expression clones, so one cached plan
-// serves any number of concurrent executions with different arguments.
-func ExecuteParams(ctx context.Context, env *Env, p *plan.Plan, params []*expr.Const) (*Result, error) {
-	ex := &executor{ctx: ctx, env: env, plan: p, params: params}
-	return ex.run()
-}
-
-// ExecuteStream runs a compiled plan, delivering the result rows
-// incrementally to sink instead of materializing them: only pipeline
-// breakers (sort, aggregation, the join build side) buffer rows, so
-// the query's memory footprint is independent of its result size and
-// the first batch reaches the sink as soon as it is produced. The
-// returned Result carries the schema and stats with an empty relation.
-//
-// Ownership and lifetime follow physical.StreamSink: each pushed batch
-// is the sink's to recycle, and the chunk data a batch may alias is
-// pinned only until ExecuteStream returns — sinks that keep rows
-// longer must copy or serialize them inside Push. A sink returning
-// physical.ErrStopStream ends the query early without error; the
-// cancellation propagates down to the morsel cursor, so LIMIT-style
-// consumers stop the scan instead of discarding it.
-func ExecuteStream(ctx context.Context, env *Env, p *plan.Plan, sink physical.StreamSink) (*Result, error) {
-	return ExecuteStreamParams(ctx, env, p, nil, sink)
-}
-
-// ExecuteStreamParams is ExecuteStream with statement arguments.
-func ExecuteStreamParams(ctx context.Context, env *Env, p *plan.Plan, params []*expr.Const, sink physical.StreamSink) (*Result, error) {
-	ex := &executor{ctx: ctx, env: env, plan: p, params: params, sink: sink}
+// Execute runs a compiled plan in the environment, honouring
+// cancellation: the executor checks the context between batches and
+// before every chunk ingestion, so long-running lazy loads abort
+// promptly.
+func Execute(ctx context.Context, env *Env, p *plan.Plan, o Options) (*Result, error) {
+	ex := &executor{ctx: ctx, env: env, plan: p, params: o.Params, sink: o.Sink, trace: o.Trace}
 	return ex.run()
 }
 
@@ -345,8 +324,8 @@ type executor struct {
 	plan   *plan.Plan
 	params []*expr.Const
 	trace  *Trace
-	// sink, when set, switches the stage-two drain to streaming
-	// delivery (ExecuteStream).
+	// sink, when set, receives the stage-two rows in place of the
+	// Result's relation.
 	sink physical.StreamSink
 	// quota is the per-query memory ceiling (nil = unlimited unless
 	// the Env carries a global Governor), instantiated from
@@ -412,9 +391,6 @@ func (ex *executor) run() (*Result, error) {
 }
 
 func (ex *executor) exec() (*Result, error) {
-	if ex.ctx == nil {
-		ex.ctx = context.Background()
-	}
 	if n := ex.plan.NumParams; n > len(ex.params) {
 		return nil, fmt.Errorf("exec: plan needs %d argument(s), got %d", n, len(ex.params))
 	}
@@ -455,7 +431,7 @@ func (ex *executor) exec() (*Result, error) {
 		// rather than recycled: qfRel's batches may pass through the
 		// stage-two result-scan into the final result, which outlives
 		// the query.
-		rel, err := ex.drain(op)
+		rel, err := physical.Collect(op, ex.drainOpts(false))
 		if err != nil {
 			return nil, fmt.Errorf("exec: stage one: %w", err)
 		}
@@ -499,31 +475,21 @@ func (ex *executor) exec() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex.sink != nil {
-		// Streaming delivery: batches flow to the sink as they are
-		// produced; nothing is materialized here. The chunk pins drop
-		// when this function returns (ex.release), which is why sinks
-		// must consume pushed rows before Push returns.
+	// Without a sink the rows collect into the Result, whose owner
+	// Releases them. With one they flow to it as they are produced and
+	// nothing is materialized here; the chunk pins drop when this
+	// function returns (ex.release), which is why sinks must consume
+	// pushed rows before Push returns.
+	var rel *storage.Relation
+	if ex.sink == nil {
+		rel, err = physical.Collect(op, ex.drainOpts(true))
+	} else {
 		if ss, ok := ex.sink.(physical.SchemaSink); ok {
 			ss.SetSchema(ex.plan.Root.Names(), ex.plan.Root.Kinds())
 		}
-		err := physical.StreamWith(op, ex.sink, physical.StreamOpts{
-			DOP: ex.par, Check: ex.ctx.Err, Pooled: true, Quota: ex.quota,
-			Morsel: ex.morselHook(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exec: stage two: %w", err)
-		}
-		ex.stats.Stage2 = time.Since(t2)
-		return &Result{
-			Names:    ex.plan.Root.Names(),
-			Kinds:    ex.plan.Root.Kinds(),
-			Rel:      storage.NewRelation(),
-			Stats:    ex.stats,
-			Warnings: ex.warnings,
-		}, nil
+		rel = storage.NewRelation()
+		err = physical.Drain(op, ex.sink, ex.drainOpts(true))
 	}
-	rel, err := ex.drainPooled(op)
 	if err != nil {
 		return nil, fmt.Errorf("exec: stage two: %w", err)
 	}
@@ -537,20 +503,12 @@ func (ex *executor) exec() (*Result, error) {
 	}, nil
 }
 
-// drain pulls an operator to completion through the shared coalescing
-// drain, checking for cancellation between batches. With a degree of
-// parallelism above one the drain splits the operator's morsels across
-// a worker pool (physical.ParallelDrain), each worker coalescing into
-// its own output relation; the reassembled result holds the serial
-// result's rows in the serial order.
-func (ex *executor) drain(op physical.Operator) (*storage.Relation, error) {
-	return physical.DrainWith(op, physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Quota: ex.quota, Morsel: ex.morselHook()})
-}
-
-// drainPooled is drain through the pooled coalescer: the stage-two
-// (root) drain, whose relation the result owner Releases.
-func (ex *executor) drainPooled(op physical.Operator) (*storage.Relation, error) {
-	return physical.DrainWith(op, physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Pooled: true, Quota: ex.quota, Morsel: ex.morselHook()})
+// drainOpts configures a drain of this query: cancellation between
+// batches, the watchdog at every morsel claim, the query's memory
+// ceiling, and — above a degree of parallelism of one — the operator's
+// morsels split across a worker pool.
+func (ex *executor) drainOpts(pooled bool) physical.DrainOpts {
+	return physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota, Pooled: pooled}
 }
 
 // selectChunks extracts, per actual-data table, the distinct chunk IDs

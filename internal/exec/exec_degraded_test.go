@@ -65,7 +65,7 @@ func TestDegradedSkipsUnavailableChunk(t *testing.T) {
 	}
 	env := lazyEnv(cat, loader, nil)
 	env.Degraded = true
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestStrictModeFailsOnUnavailableChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(lazyEnv(cat, loader, nil), p)
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
 	if err == nil {
 		res.Release()
 		t.Fatal("strict query over an unavailable chunk succeeded")
@@ -122,7 +122,7 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 
 	// Strict env, degraded request: proceeds.
 	env := lazyEnv(cat, loader, nil)
-	res, err := ExecuteContext(WithDegraded(context.Background(), true), env, p)
+	res, err := Execute(WithDegraded(context.Background(), true), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded request on strict env failed: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 	// Degraded env, strict request: fails.
 	env2 := lazyEnv(cat, loader, nil)
 	env2.Degraded = true
-	res, err = ExecuteContext(WithDegraded(context.Background(), false), env2, p)
+	res, err = Execute(WithDegraded(context.Background(), false), env2, p, Options{})
 	if err == nil {
 		res.Release()
 		t.Fatal("strict request on degraded env succeeded over an unavailable chunk")
@@ -154,7 +154,7 @@ func TestDegradedNonDegradableStillFatal(t *testing.T) {
 	}
 	env := lazyEnv(cat, loader, nil)
 	env.Degraded = true
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err == nil {
 		res.Release()
 		t.Fatal("degraded mode forgave a non-degradable error")
@@ -174,7 +174,7 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 	env := lazyEnv(cat, loader, nil)
 	env.Degraded = true
 	env.Faults = fault.MustNew("exec.flight=error:1", 1)
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded query under total fault injection failed: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 	// Strict mode under the same schedule fails.
 	env2 := lazyEnv(cat, loader, nil)
 	env2.Faults = fault.MustNew("exec.flight=error:1", 1)
-	if res, err := Execute(env2, p); err == nil {
+	if res, err := Execute(context.Background(), env2, p, Options{}); err == nil {
 		res.Release()
 		t.Fatal("strict query under total fault injection succeeded")
 	}
@@ -207,7 +207,7 @@ func TestDegradedCacheFillFaultCarriesVolume(t *testing.T) {
 	env := lazyEnv(cat, loader, nil)
 	env.Degraded = true
 	env.Faults = fault.MustNew("cache.fill=error:1", 1)
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestDegradedStreaming(t *testing.T) {
 	env := lazyEnv(cat, loader, nil)
 	env.Degraded = true
 	sink := &countSink{}
-	res, err := ExecuteStream(context.Background(), env, p, sink)
+	res, err := Execute(context.Background(), env, p, Options{Sink: sink})
 	if err != nil {
 		t.Fatalf("degraded stream failed: %v", err)
 	}

@@ -150,7 +150,7 @@ func TestLazyLoadsOnlySelectedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(lazyEnv(cat, loader, nil), p)
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestLazyCacheHitsOnSecondRun(t *testing.T) {
 	rec := cache.New(1<<30, cache.LRU, func(id int64) { d.DropChunk(id) })
 	env := lazyEnv(cat, loader, rec)
 	p, _ := compile(cat, t4Query("ISK"))
-	res1, err := Execute(env, p)
+	res1, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLazyCacheHitsOnSecondRun(t *testing.T) {
 		t.Fatalf("first run stats = %+v", res1.Stats)
 	}
 	p2, _ := compile(cat, t4Query("ISK"))
-	res2, err := Execute(env, p2)
+	res2, err := Execute(context.Background(), env, p2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +226,12 @@ func TestCacheEvictionReloads(t *testing.T) {
 	rec := cache.New(chunkSize*2+1, cache.LRU, func(id int64) { d.DropChunk(id) })
 	env := lazyEnv(cat, loader, rec)
 	p, _ := compile(cat, t4Query("ISK"))
-	if _, err := Execute(env, p); err != nil {
+	if _, err := Execute(context.Background(), env, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Only 2 of 5 chunks fit; a second run must reload the evicted 3.
 	p2, _ := compile(cat, t4Query("ISK"))
-	res, err := Execute(env, p2)
+	res, err := Execute(context.Background(), env, p2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestEagerFullScansEverything(t *testing.T) {
 	loader.loads = nil
 	env := &Env{Catalog: cat, Mode: ModeEagerFull}
 	p, _ := compile(cat, t4Query("FIAM"))
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestEagerIndexedPrunesChunks(t *testing.T) {
 	}
 	env := &Env{Catalog: cat, Mode: ModeEagerIndexed}
 	p, _ := compile(cat, t4Query("FIAM"))
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	for _, station := range []string{"ISK", "FIAM"} {
 		catL, loaderL := setupCatalog(t, 8)
 		pL, _ := compile(catL, t4Query(station))
-		resL, err := Execute(lazyEnv(catL, loaderL, nil), pL)
+		resL, err := Execute(context.Background(), lazyEnv(catL, loaderL, nil), pL, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 		}
 		dE.AppendChunk(-1, all)
 		pE, _ := compile(catE, t4Query(station))
-		resE, err := Execute(&Env{Catalog: catE, Mode: ModeEagerFull}, pE)
+		resE, err := Execute(context.Background(), &Env{Catalog: catE, Mode: ModeEagerFull}, pE, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestMetadataOnlyQueryLoadsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(lazyEnv(cat, loader, nil), p)
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestChunkLoadFailureSurfaces(t *testing.T) {
 	cat, loader := setupCatalog(t, 4)
 	loader.fail[2] = true
 	p, _ := compile(cat, t4Query("ISK"))
-	if _, err := Execute(lazyEnv(cat, loader, nil), p); err == nil {
+	if _, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{}); err == nil {
 		t.Fatal("failed chunk load not surfaced")
 	}
 }
@@ -374,7 +374,7 @@ func TestSerialVsParallelLoadSameResult(t *testing.T) {
 	loaderP.delay = time.Millisecond
 	envP := lazyEnv(catP, loaderP, nil)
 	pP, _ := compile(catP, t4Query("ISK"))
-	resP, err := Execute(envP, pP)
+	resP, err := Execute(context.Background(), envP, pP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestSerialVsParallelLoadSameResult(t *testing.T) {
 	envS := lazyEnv(catS, loaderS, nil)
 	envS.MaxParallel = 1
 	pS, _ := compile(catS, t4Query("ISK"))
-	resS, err := Execute(envS, pS)
+	resS, err := Execute(context.Background(), envS, pS, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSerialVsParallelLoadSameResult(t *testing.T) {
 func TestSelectedChunksAreSorted(t *testing.T) {
 	cat, loader := setupCatalog(t, 9)
 	p, _ := compile(cat, t4Query("ISK"))
-	ex := &executor{env: lazyEnv(cat, loader, nil), plan: p}
+	ex := &executor{ctx: context.Background(), env: lazyEnv(cat, loader, nil), plan: p}
 	res, err := ex.run()
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +417,7 @@ func TestStatsTiming(t *testing.T) {
 	cat, loader := setupCatalog(t, 4)
 	loader.delay = 2 * time.Millisecond
 	p, _ := compile(cat, t4Query("ISK"))
-	res, err := Execute(lazyEnv(cat, loader, nil), p)
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before execution
 	p, _ := compile(cat, t4Query("ISK"))
-	if _, err := ExecuteContext(ctx, lazyEnv(cat, loader, nil), p); err == nil {
+	if _, err := Execute(ctx, lazyEnv(cat, loader, nil), p, Options{}); err == nil {
 		t.Fatal("cancelled context not honoured")
 	}
 	// A timeout mid-load aborts ingestion.
@@ -446,7 +446,7 @@ func TestContextCancellation(t *testing.T) {
 	env := lazyEnv(cat2, loader2, nil)
 	env.MaxParallel = 1
 	p2, _ := compile(cat2, t4Query("ISK"))
-	if _, err := ExecuteContext(ctx2, env, p2); err == nil {
+	if _, err := Execute(ctx2, env, p2, Options{}); err == nil {
 		t.Fatal("timeout not honoured during chunk ingestion")
 	}
 }

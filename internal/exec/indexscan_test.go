@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"sommelier/internal/expr"
@@ -76,7 +77,7 @@ func TestIndexScanUsedForPinnedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestIndexScanUsedForPinnedColumns(t *testing.T) {
 	// Compare against a full-scan execution.
 	envNoIx := &Env{Catalog: cat, Mode: ModeEagerIndexed}
 	p2, _ := plan.Build(cat, q)
-	res2, err := Execute(envNoIx, p2)
+	res2, err := Execute(context.Background(), envNoIx, p2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestIndexScanResidualPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestIndexScanNotUsedForPartialKey(t *testing.T) {
 		Where:  expr.NewCmp(expr.EQ, expr.Col("station"), expr.Str("ISK")),
 	}
 	p, _ := compileIx(env, cat, q)
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestIndexScanAbsentKeyReturnsEmpty(t *testing.T) {
 		}),
 	}
 	p, _ := compileIx(env, cat, q)
-	res, err := Execute(env, p)
+	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

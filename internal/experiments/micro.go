@@ -67,7 +67,7 @@ func FilterMicro() MicroResult {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := physical.RunPooled(s)
+			out, err := physical.Collect(s, physical.DrainOpts{Pooled: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func JoinMicroAt(dop int) MicroResult {
 				b.Fatal(err)
 			}
 			j.SetParallel(dop)
-			out, err := physical.ParallelDrainPooled(j, dop, nil)
+			out, err := physical.Collect(j, physical.DrainOpts{DOP: dop, Pooled: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func GroupByMicroAt(dop int) MicroResult {
 				b.Fatal(err)
 			}
 			agg.SetParallel(dop)
-			out, err := physical.RunPooled(agg)
+			out, err := physical.Collect(agg, physical.DrainOpts{Pooled: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -60,7 +60,7 @@ func TestFilterAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(s)
+		out, err := Collect(s, DrainOpts{Pooled: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestJoinAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(j)
+		out, err := Collect(j, DrainOpts{Pooled: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestGroupByAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunPooled(agg)
+		out, err := Collect(agg, DrainOpts{Pooled: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func BenchmarkFilterScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := RunPooled(s)
+		out, err := Collect(s, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkFilterChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := RunPooled(f)
+		out, err := Collect(f, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkZoneSkipScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := RunPooled(s)
+		out, err := Collect(s, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := RunPooled(j)
+		out, err := Collect(j, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := RunPooled(agg)
+		out, err := Collect(agg, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func BenchmarkHashJoinProbeParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		j.SetParallel(dop)
-		out, err := ParallelDrainPooled(j, dop, nil)
+		out, err := Collect(j, DrainOpts{DOP: dop, Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func BenchmarkGroupedAggregateParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		agg.SetParallel(dop)
-		out, err := RunPooled(agg)
+		out, err := Collect(agg, DrainOpts{Pooled: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func BenchmarkHashJoinProbeKeys(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := RunPooled(j)
+					out, err := Collect(j, DrainOpts{Pooled: true})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -294,7 +294,7 @@ func BenchmarkGroupedAggregateKeys(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := RunPooled(agg)
+					out, err := Collect(agg, DrainOpts{Pooled: true})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -120,7 +120,7 @@ func TestDifferentialRelScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(s)
+			got, err := Collect(s, DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestDifferentialFilterChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(f2)
+	got, err := Collect(f2, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestZoneMapSkipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(s)
+	got, err := Collect(s, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func runJoin(t *testing.T, dim, fact *storage.Relation, forceComposite bool, pro
 	if forceComposite {
 		j.fastKey = false
 	}
-	out, err := Run(j)
+	out, err := Collect(j, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func runAgg(t *testing.T, rel *storage.Relation, names []string, kinds []storage
 	if forceComposite {
 		agg.fastKey = false
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func unfusedChain(t *testing.T, rel *storage.Relation, names []string, kinds []s
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(p)
+	out, err := Collect(p, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func runFused(t *testing.T, rel *storage.Relation, names []string, kinds []stora
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParallelDrainPooled(fp, dop, nil)
+	out, err := Collect(fp, DrainOpts{DOP: dop, Pooled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFusedPipelineZoneSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunPooled(fp)
+	out, err := Collect(fp, DrainOpts{Pooled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLimitDisownsPooledTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunPooled(NewLimit(fp, 5))
+	out, err := Collect(NewLimit(fp, 5), DrainOpts{Pooled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFusedPipelineNarrowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPooled(fp)
+	got, err := Collect(fp, DrainOpts{Pooled: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestFusedPipelineNarrowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(p)
+	want, err := Collect(p, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func (j *HashJoin) Names() []string { return j.names }
 func (j *HashJoin) Kinds() []storage.Kind { return j.kinds }
 
 func (j *HashJoin) build() error {
-	rel, err := DrainWith(j.left, DrainOpts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
+	rel, err := Collect(j.left, DrainOpts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
 	if err != nil {
 		return err
 	}
@@ -433,7 +433,7 @@ func (c *CrossJoin) Kinds() []storage.Kind { return c.kinds }
 // Next implements Operator.
 func (c *CrossJoin) Next() (*storage.Batch, error) {
 	if !c.built {
-		lrel, err := Run(c.left)
+		lrel, err := Collect(c.left, DrainOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +441,7 @@ func (c *CrossJoin) Next() (*storage.Batch, error) {
 		// Both sides outlive the drain (the right batches are re-emitted
 		// in the product): take them out of pool accounting.
 		lrel.Disown()
-		c.rightRel, err = Run(c.right)
+		c.rightRel, err = Collect(c.right, DrainOpts{})
 		if err != nil {
 			return nil, err
 		}

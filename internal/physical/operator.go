@@ -42,109 +42,6 @@ type BatchHinter interface {
 	BatchHint() int
 }
 
-// Run drains an operator into a relation; see Drain.
-func Run(op Operator) (*storage.Relation, error) {
-	return Drain(op, nil)
-}
-
-// RunPooled is Run through the pooled coalescer: the returned relation
-// owns pooled batches and must be Released by the caller when the rows
-// are no longer referenced.
-func RunPooled(op Operator) (*storage.Relation, error) {
-	return DrainPooled(op, nil)
-}
-
-// Drain pulls an operator to completion into a relation pre-sized from
-// the operator's batch-count hint. Selection-carrying batches over
-// fixed-width schemas are coalesced into full batches instead of
-// gathered one by one; contiguous batches pass through untouched
-// (flushing first, to preserve row order). A non-nil check runs before
-// each pull and aborts the drain when it errors — the executor passes
-// its context's Err for cancellation between batches.
-func Drain(op Operator, check func() error) (*storage.Relation, error) {
-	return drainInto(op, check, NewOutputRelation(op), false, nil)
-}
-
-// DrainPooled is Drain with the coalesced output drawn from the
-// batch-memory pool; the caller owns the relation and Releases it.
-func DrainPooled(op Operator, check func() error) (*storage.Relation, error) {
-	return drainInto(op, check, NewOutputRelation(op), true, nil)
-}
-
-func drainInto(op Operator, check func() error, out *storage.Relation, pooled bool, quota *storage.Quota) (*storage.Relation, error) {
-	var coal *storage.Coalescer
-	if pooled {
-		coal = storage.NewPooledCoalescer(op.Kinds())
-	} else {
-		coal = storage.NewCoalescer(op.Kinds())
-	}
-	// Every batch that lands in out is charged against the per-query
-	// memory ceiling as it arrives; charged tracks the prefix already
-	// counted, so coalescer flushes are charged exactly once.
-	charged := 0
-	chargeNew := func() error {
-		if quota == nil {
-			return nil
-		}
-		bs := out.Batches()
-		for ; charged < len(bs); charged++ {
-			if err := quota.Charge(bs[charged].MemSize()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for {
-		if check != nil {
-			if err := check(); err != nil {
-				if pooled {
-					out.Release()
-				}
-				return nil, err
-			}
-		}
-		b, err := op.Next()
-		if err != nil {
-			// Batches already drained into out are this function's to
-			// recycle: the caller never sees the partial relation.
-			if pooled {
-				out.Release()
-			}
-			return nil, err
-		}
-		if b == nil {
-			coal.Flush(out)
-			if err := chargeNew(); err != nil {
-				if pooled {
-					out.Release()
-				}
-				return nil, err
-			}
-			return out, nil
-		}
-		if coal.Eligible(b) {
-			coal.Add(out, b)
-		} else {
-			coal.Flush(out)
-			out.Append(b)
-		}
-		if err := chargeNew(); err != nil {
-			if pooled {
-				out.Release()
-			}
-			return nil, err
-		}
-	}
-}
-
-// NewOutputRelation returns an empty relation sized for op's output.
-func NewOutputRelation(op Operator) *storage.Relation {
-	if h, ok := op.(BatchHinter); ok {
-		return storage.NewRelationWithCap(h.BatchHint())
-	}
-	return storage.NewRelation()
-}
-
 // RelScan streams one or more materialized relations, optionally
 // filtering them. It implements the scan, result-scan and cache-scan
 // access paths; a scan over several relations is the union of

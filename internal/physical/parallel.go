@@ -19,7 +19,7 @@ import (
 // their own parallelism instead (partial aggregates, parallel input
 // drain) and stay single-stream to their consumer.
 
-// morselFanout is how many splits ParallelDrain requests per worker:
+// morselFanout is how many splits Drain requests per worker:
 // more ranges than workers lets the pool balance skew (zone-map skips,
 // selective predicates) without giving up deterministic reassembly.
 const morselFanout = 4
@@ -68,79 +68,6 @@ type QuotaHinter interface {
 // uncancellable.
 type CheckHinter interface {
 	SetCheck(check func() error)
-}
-
-// ParallelDrain drains op to completion with up to dop workers when the
-// operator can split its work, falling back to the serial Drain
-// otherwise. The result holds the same rows in the same order as the
-// serial drain. check (may be nil) is consulted between batches on
-// every worker, as in Drain.
-func ParallelDrain(op Operator, dop int, check func() error) (*storage.Relation, error) {
-	return DrainWith(op, DrainOpts{DOP: dop, Check: check})
-}
-
-// ParallelDrainPooled is ParallelDrain with pooled coalescer output and
-// pooled per-range relation headers; the caller owns (and Releases) the
-// returned relation.
-func ParallelDrainPooled(op Operator, dop int, check func() error) (*storage.Relation, error) {
-	return DrainWith(op, DrainOpts{DOP: dop, Check: check, Pooled: true})
-}
-
-// DrainOpts configures DrainWith; the zero value is a serial,
-// unpooled, unchecked, unmetered drain.
-type DrainOpts struct {
-	// DOP grants the drain up to this many workers when the operator
-	// can split its work.
-	DOP int
-	// Check runs before every pull and aborts the drain when it errors.
-	Check func() error
-	// Pooled draws coalesced output (and per-range relation headers)
-	// from the batch pool; the caller owns and Releases the result.
-	Pooled bool
-	// Quota, when non-nil, is charged for every batch materialized into
-	// the output — the per-query memory ceiling.
-	Quota *storage.Quota
-	// Morsel, when non-nil, runs once per morsel-range claim (and once
-	// up front on the serial path) and aborts the drain when it errors.
-	// The executor uses it for the runaway-query watchdog and the
-	// exec.morsel fault point: Check bounds how long a worker runs
-	// between pulls, Morsel bounds it between range claims and is the
-	// one place injected stalls land.
-	Morsel func() error
-}
-
-// DrainWith drains op to completion into a relation under the given
-// options; the general form behind Drain/DrainPooled/ParallelDrain.
-func DrainWith(op Operator, o DrainOpts) (*storage.Relation, error) {
-	if o.DOP > 1 {
-		if sp, ok := op.(Splitter); ok {
-			parts, err := sp.Split(o.DOP * morselFanout)
-			if err != nil {
-				return nil, err
-			}
-			if len(parts) > 1 {
-				return drainParts(parts, o)
-			}
-			if len(parts) == 1 {
-				if err := claimCheck(o.Morsel); err != nil {
-					return nil, err
-				}
-				return drainInto(parts[0], o.Check, NewOutputRelation(parts[0]), o.Pooled, o.Quota)
-			}
-		}
-	}
-	if err := claimCheck(o.Morsel); err != nil {
-		return nil, err
-	}
-	return drainInto(op, o.Check, NewOutputRelation(op), o.Pooled, o.Quota)
-}
-
-// claimCheck runs a morsel-claim hook, treating nil as pass.
-func claimCheck(morsel func() error) error {
-	if morsel == nil {
-		return nil
-	}
-	return morsel()
 }
 
 // runParts invokes run for every part index in [0, n), claimed off a
@@ -196,66 +123,6 @@ func runParts(n, dop int, claim func() error, run func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// drainParts runs the part operators on a pool of dop workers, each
-// part drained through its own Coalescer into its own relation, and
-// reassembles the per-part relations in part order. Under pooling the
-// per-range relation headers come from (and return to) the relation
-// pool; their batches transfer wholesale to the reassembled output,
-// which alone owns them afterwards.
-func drainParts(parts []Operator, o DrainOpts) (*storage.Relation, error) {
-	pooled, quota := o.Pooled, o.Quota
-	outs := make([]*storage.Relation, len(parts))
-	err := runParts(len(parts), o.DOP, o.Morsel, func(i int) error {
-		var rel *storage.Relation
-		if pooled {
-			rel = storage.GetRelation(batchHint(parts[i]))
-		} else {
-			rel = NewOutputRelation(parts[i])
-		}
-		rel, err := drainInto(parts[i], o.Check, rel, pooled, quota)
-		if err == nil {
-			outs[i] = rel
-		}
-		return err
-	})
-	if err != nil {
-		// Parts that finished before the failing one drained into
-		// pooled relations nobody will merge: recycle their batches and
-		// hand the headers back.
-		if pooled {
-			for _, rel := range outs {
-				if rel != nil {
-					rel.Release()
-					storage.PutRelation(rel)
-				}
-			}
-		}
-		return nil, err
-	}
-	nb := 0
-	for _, rel := range outs {
-		nb += len(rel.Batches())
-	}
-	out := storage.NewRelationWithCap(nb)
-	for _, rel := range outs {
-		for _, b := range rel.Batches() {
-			out.Append(b)
-		}
-		if pooled {
-			storage.PutRelation(rel)
-		}
-	}
-	return out, nil
-}
-
-// batchHint reports the operator's batch-count hint, zero if none.
-func batchHint(op Operator) int {
-	if h, ok := op.(BatchHinter); ok {
-		return h.BatchHint()
-	}
-	return 0
 }
 
 // splitRanges cuts length items into at most n contiguous ranges of at

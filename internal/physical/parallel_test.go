@@ -1,10 +1,10 @@
 package physical
 
 // Differential tests for morsel-driven parallel execution: at every
-// degree of parallelism, scans, filter chains, projections, join probes
-// and grouped aggregation must produce exactly the serial result — the
-// same rows in the same order (ParallelDrain reassembles morsel ranges
-// in order; aggregates partition at a DOP-independent grain and merge
+// degree of parallelism, join probes and grouped aggregation must
+// produce exactly the serial result — the same rows in the same order
+// (Drain delivers morsel ranges in order, see drain_test.go for the
+// scan chains; aggregates partition at a DOP-independent grain and merge
 // partials in range order, so even the floating-point aggregates are
 // bitwise identical). Against a whole-input reference fold, float
 // aggregates are compared with a tolerance (merge rounding differs).
@@ -56,48 +56,6 @@ func sameRelationTol(t *testing.T, got, want *storage.Relation, tol float64, lab
 	}
 }
 
-// TestParallelScanFilterProject runs scan → filter → project chains
-// serially and at several DOPs and requires identical rows in identical
-// order.
-func TestParallelScanFilterProject(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	rel, names, kinds := bigRel(rng, 24)
-	empty := storage.NewRelation()
-	for _, r := range []*storage.Relation{rel, empty} {
-		for _, pred := range diffPreds(rng) {
-			build := func() Operator {
-				s, err := NewRelScan(r, names, kinds, pred)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := NewFilter(s, expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				p, err := NewProject(f, []string{"id2", "v"}, []expr.Expr{
-					expr.NewArith(expr.Add, expr.Col("D.id"), expr.Int(1)),
-					expr.Col("D.val"),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}
-			want, err := Run(build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, dop := range testDOPs {
-				got, err := ParallelDrain(build(), dop, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRelation(t, got, want, pred.String()+" (parallel scan chain)")
-			}
-		}
-	}
-}
-
 // TestParallelJoin splits the probe side across workers — fast int64
 // path and forced composite path — and requires the serial row order.
 func TestParallelJoin(t *testing.T) {
@@ -137,12 +95,12 @@ func TestParallelJoin(t *testing.T) {
 				j.SetParallel(dop)
 				return j
 			}
-			want, err := Run(build(1))
+			want, err := Collect(build(1), DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, dop := range testDOPs {
-				got, err := ParallelDrain(build(dop), dop, nil)
+				got, err := Collect(build(dop), DrainOpts{DOP: dop})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,12 +155,12 @@ func TestParallelLargeBuild(t *testing.T) {
 		j.SetParallel(dop)
 		return j
 	}
-	want, err := Run(build(1))
+	want, err := Collect(build(1), DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range testDOPs {
-		got, err := ParallelDrain(build(dop), dop, nil)
+		got, err := Collect(build(dop), DrainOpts{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,12 +217,12 @@ func TestParallelAggregate(t *testing.T) {
 				return s
 			}
 			pred := expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(-50))
-			want, err := Run(build(1, scan(pred)))
+			want, err := Collect(build(1, scan(pred)), DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, dop := range testDOPs {
-				got, err := Run(build(dop, scan(pred)))
+				got, err := Collect(build(dop, scan(pred)), DrainOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -274,7 +232,7 @@ func TestParallelAggregate(t *testing.T) {
 			// A non-splittable input folds the whole stream into one
 			// accumulator; its float results may differ in rounding.
 			var rows int64
-			ref, err := Run(build(1, NewCounted(scan(pred), &rows)))
+			ref, err := Collect(build(1, NewCounted(scan(pred), &rows)), DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +266,7 @@ func TestParallelAggregateGlobal(t *testing.T) {
 			agg.SetParallel(dop)
 			return agg
 		}
-		want, err := Run(build(1))
+		want, err := Collect(build(1), DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +274,7 @@ func TestParallelAggregateGlobal(t *testing.T) {
 			t.Fatalf("global aggregate emitted %d rows", want.Rows())
 		}
 		for _, dop := range testDOPs {
-			got, err := Run(build(dop))
+			got, err := Collect(build(dop), DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,12 +301,12 @@ func TestParallelSort(t *testing.T) {
 		srt.SetParallel(dop)
 		return srt
 	}
-	want, err := Run(build(1))
+	want, err := Collect(build(1), DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dop := range testDOPs {
-		got, err := Run(build(dop))
+		got, err := Collect(build(dop), DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +336,7 @@ func TestSplitTransfersWork(t *testing.T) {
 	}
 	got := storage.NewRelation()
 	for _, p := range parts {
-		rel, err := Run(p)
+		rel, err := Collect(p, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +344,7 @@ func TestSplitTransfersWork(t *testing.T) {
 			got.Append(b)
 		}
 	}
-	want, err := Run(mustScan(t, rel, names, kinds))
+	want, err := Collect(mustScan(t, rel, names, kinds), DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

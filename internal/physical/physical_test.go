@@ -44,7 +44,7 @@ func TestRelScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRelScanWithPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(f)
+	out, err := Collect(f, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestProject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(p)
+	out, err := Collect(p, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(j)
+	out, err := Collect(j, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestHashJoinEmptyBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(j)
+	out, err := Collect(j, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCrossJoin(t *testing.T) {
 	ms, _ := NewRelScan(mrel, mnames, mkinds, nil)
 	ds, _ := NewRelScan(drel, dnames, dkinds, nil)
 	c := NewCrossJoin(ms, ds)
-	out, err := Run(c)
+	out, err := Collect(c, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMultiRelScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(s)
+	out, err := Collect(s, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestMultiRelScan(t *testing.T) {
 
 func TestEmpty(t *testing.T) {
 	e := NewEmpty([]string{"a"}, []storage.Kind{storage.KindInt64})
-	out, err := Run(e)
+	out, err := Collect(e, DrainOpts{})
 	if err != nil || out.Rows() != 0 {
 		t.Fatalf("empty: %v %d", err, out.Rows())
 	}
@@ -229,7 +229,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewIndexScan(ix, flat, names, kinds, index.Key{S0: "ISK"})
-	out, err := Run(s)
+	out, err := Collect(s, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestIndexScan(t *testing.T) {
 		t.Fatalf("rows = %d", out.Rows())
 	}
 	s2 := NewIndexScan(ix, flat, names, kinds, index.Key{S0: "absent"})
-	out2, _ := Run(s2)
+	out2, _ := Collect(s2, DrainOpts{})
 	if out2.Rows() != 0 {
 		t.Fatal("phantom rows")
 	}
@@ -257,7 +257,7 @@ func TestGlobalAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestGroupedAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(agg)
+	out, err := Collect(agg, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 	// Grouped aggregate over empty input emits nothing.
 	e2 := NewEmpty([]string{"g", "v"}, []storage.Kind{storage.KindInt64, storage.KindFloat64})
 	agg2, _ := NewHashAggregate(e2, []int{0}, []AggColumn{{Func: AggCount, Name: "n"}})
-	out2, _ := Run(agg2)
+	out2, _ := Collect(agg2, DrainOpts{})
 	if out2.Rows() != 0 {
 		t.Fatal("grouped aggregate over empty input must emit no rows")
 	}
@@ -375,7 +375,7 @@ func TestSortAndLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	lim := NewLimit(srt, 2)
-	out, err := Run(lim)
+	out, err := Collect(lim, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestSortMultiKeyStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _ := Run(srt)
+	out, _ := Collect(srt, DrainOpts{})
 	flat := out.Flatten()
 	ss := flat.Cols[0].(*storage.StringColumn)
 	is := storage.Int64s(flat.Cols[1])
@@ -443,7 +443,7 @@ func TestQuickHashJoinOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Run(j)
+		out, err := Collect(j, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func TestQuickStddevOracle(t *testing.T) {
 		s, _ := NewRelScan(relOf(storage.NewBatch(storage.NewFloat64Column(vals))),
 			[]string{"v"}, []storage.Kind{storage.KindFloat64}, nil)
 		agg, _ := NewHashAggregate(s, nil, []AggColumn{{Func: AggStddev, Arg: expr.Col("v"), Name: "sd"}})
-		out, err := Run(agg)
+		out, err := Collect(agg, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,7 +207,7 @@ func TestRunAwareJoinMatchesPerRowHash(t *testing.T) {
 								t.Fatal(err)
 							}
 							j.SetParallel(dop)
-							got, err := ParallelDrainPooled(j, dop, nil)
+							got, err := Collect(j, DrainOpts{DOP: dop, Pooled: true})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -311,7 +311,7 @@ func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunPooled(f)
+		got, err := Collect(f, DrainOpts{Pooled: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +484,7 @@ func TestRunAwareAggregateMatchesPerRowHash(t *testing.T) {
 							t.Fatal(err)
 						}
 						agg.SetParallel(dop)
-						got, err := RunPooled(agg)
+						got, err := Collect(agg, DrainOpts{Pooled: true})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -66,7 +66,7 @@ func (s *Sort) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	s.done = true
-	rel, err := DrainWith(s.in, DrainOpts{DOP: s.dop, Quota: s.quota, Check: s.check, Morsel: s.check})
+	rel, err := Collect(s.in, DrainOpts{DOP: s.dop, Quota: s.quota, Check: s.check, Morsel: s.check})
 	if err != nil {
 		return nil, err
 	}

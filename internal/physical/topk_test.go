@@ -35,7 +35,7 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := Run(NewLimit(srt, n))
+				want, err := Collect(NewLimit(srt, n), DrainOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,7 +45,7 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 						t.Fatal(err)
 					}
 					tk.SetParallel(dop)
-					got, err := Run(tk)
+					got, err := Collect(tk, DrainOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +90,7 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(NewLimit(srt, 25))
+	want, err := Collect(NewLimit(srt, 25), DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		tk.SetParallel(dop)
-		got, err := Run(tk)
+		got, err := Collect(tk, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

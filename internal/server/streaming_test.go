@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -221,11 +220,6 @@ func TestStreamingDisconnectReleasesMemory(t *testing.T) {
 // materializing query over the ceiling must fail crisply with 413 and
 // the typed error message, and a streaming query must still succeed.
 func TestQuotaExceededIs413(t *testing.T) {
-	if v := os.Getenv(engine.EnvForceStreaming); v != "" && v != "0" {
-		// Forced streaming makes every query stream, so the materialized
-		// request this test meters never exceeds the ceiling.
-		t.Skipf("%s set: no materialized path to meter", engine.EnvForceStreaming)
-	}
 	dir := t.TempDir()
 	cfg := seisgen.DefaultConfig(1)
 	cfg.SamplesPerFile = 600

@@ -322,8 +322,8 @@ func (r *Relation) Batches() []*Batch { return r.batches }
 // TakeBatches removes and returns the relation's batches without
 // releasing them: ownership of every batch moves to the caller and the
 // relation is left empty (reusable or recyclable via PutRelation). The
-// streaming drain uses it to move coalesced batches out of its scratch
-// buffers and into the sink.
+// drain uses it to move coalesced batches out of its scratch buffers
+// and into the sink.
 func (r *Relation) TakeBatches() []*Batch {
 	bs := r.batches
 	r.batches = nil

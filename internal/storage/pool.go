@@ -402,9 +402,9 @@ func scatter[T int64 | float64 | bool | int32](out, src []T, pos, idx []int32) [
 }
 
 // GetRelation returns an empty relation pre-sized for nBatches, drawn
-// from the relation-header pool; PutRelation returns it. ParallelDrain
-// uses the pair for its per-range relations, whose batches transfer to
-// the reassembled output while the headers recycle.
+// from the relation-header pool; PutRelation returns it. The drain uses
+// the pair for its scratch and per-range buffers, whose batches move on
+// to the sink while the headers recycle.
 func GetRelation(nBatches int) *Relation {
 	if !pooling.Load() {
 		return NewRelationWithCap(nBatches)

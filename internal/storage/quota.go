@@ -10,7 +10,7 @@ import (
 // Quota is a per-query ceiling on the bytes a query may materialize
 // into its own buffers: drained result relations, pipeline-breaker
 // builds (sort input, hash-join build side) and the bounded run-ahead
-// of the parallel streaming drain all charge against it. The global
+// of the parallel drain all charge against it. The global
 // batch pools carry no query identity, so the ceiling is enforced at
 // the boundary where batches accumulate into per-query state rather
 // than inside the pool itself; transient per-batch working memory
@@ -71,9 +71,9 @@ func NewGovernedQuota(ctx context.Context, limit int64, g *Governor) *Quota {
 // materialization must exist in full at some point, and the engine
 // loses sight of result relations once handed to the caller), so for
 // materialize-heavy plans the ceiling bounds cumulative
-// materialization — a slight over-count of the true peak. The
-// streaming drain refunds its run-ahead buffers as they are delivered,
-// so a streamed scan's charge stays bounded regardless of result size.
+// materialization — a slight over-count of the true peak. The drain
+// refunds its run-ahead buffers as they are delivered, so a streamed
+// scan's charge stays bounded regardless of result size.
 //
 // On a governed quota the same n is reserved from the global pool
 // before Charge succeeds; the reservation may briefly wait for other
