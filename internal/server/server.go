@@ -21,7 +21,8 @@
 // produces them (newline-delimited JSON by default, or the binary
 // columnar format with "format": "columnar"), so the first row
 // reaches the client while the scan is still running and the server
-// never holds the full result. See stream.go and wire.go.
+// never holds the full result. See stream.go and wire.go; every format
+// is rendered by the append-based core in render.go.
 //
 // Admission (internal/admission) replaced the fixed worker pool: the
 // dispatch gate is an AIMD concurrency limiter adapting to observed
@@ -208,7 +209,8 @@ type QueryStats struct {
 	ChunksSkipped int  `json:"chunks_skipped,omitempty"`
 }
 
-// QueryResponse is the POST /query success body.
+// QueryResponse is the POST /query success body as a client decodes it;
+// the server renders it from column batches (renderer.appendResponse).
 type QueryResponse struct {
 	Columns  []string   `json:"columns"`
 	Rows     [][]any    `json:"rows"`
@@ -238,14 +240,23 @@ func errorBody(err error) errorResponse {
 	return body
 }
 
+// maxRequestBytes caps a POST /query body: a statement and its
+// parameters, read in full before admission sees the request.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	if req.SQL == "" {
@@ -344,7 +355,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if len(res.Warnings) > 0 {
 		s.degraded.Add(1)
 	}
-	writeJSON(w, http.StatusOK, toResponse(res, time.Since(t0), timeout, capped))
+	s.writeResult(w, res, toStats(res, time.Since(t0), timeout, capped))
+}
+
+// writeResult renders a materialized result as the QueryResponse JSON
+// body straight from its column batches, releases the result's pooled
+// memory, and writes the body once with its Content-Length.
+func (s *Server) writeResult(w http.ResponseWriter, res *engine.Result, stats QueryStats) {
+	r := getRenderer()
+	defer putRenderer(r)
+	err := r.appendResponse(res, stats)
+	res.Release()
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(r.buf)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(r.buf) // a failed write is a client that left
 }
 
 // noteError maintains the overload counters for a failed query: a
@@ -429,30 +458,6 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// toResponse converts an engine result to the wire shape, releasing the
-// result's pooled batch memory once the rows are rendered.
-func toResponse(res *engine.Result, elapsed, timeout time.Duration, capped bool) QueryResponse {
-	flat := res.Rel.Flatten()
-	rows := make([][]any, flat.Len())
-	for ri := 0; ri < flat.Len(); ri++ {
-		row := make([]any, flat.Width())
-		for ci := 0; ci < flat.Width(); ci++ {
-			row[ci] = jsonValue(flat.Cols[ci], ri)
-		}
-		rows[ri] = row
-	}
-	// A single-batch result flattens to that very batch, which Release
-	// recycles: nothing may read flat past this point.
-	res.Release()
-	return QueryResponse{
-		Columns:  res.Names,
-		Rows:     rows,
-		RowCount: len(rows),
-		Stats:    toStats(res, elapsed, timeout, capped),
-		Warnings: res.Warnings,
-	}
-}
-
 // toStats converts the engine's per-query statistics to the wire
 // shape; shared by the materialized response and the streaming footer.
 func toStats(res *engine.Result, elapsed, timeout time.Duration, capped bool) QueryStats {
@@ -476,22 +481,6 @@ func toStats(res *engine.Result, elapsed, timeout time.Duration, capped bool) Qu
 		Degraded:       len(res.Warnings) > 0,
 		ChunksSkipped:  st.ChunksSkipped,
 	}
-}
-
-// timeLayout renders time columns in both wire formats.
-const timeLayout = "2006-01-02T15:04:05.000"
-
-func jsonValue(c storage.Column, r int) any {
-	if tc, ok := c.(*storage.TimeColumn); ok {
-		return time.Unix(0, tc.Value(r)).UTC().Format(timeLayout)
-	}
-	v := storage.ValueAt(c, r)
-	// JSON has no NaN/Inf (an AVG over zero rows is NaN); encode null
-	// instead of failing the response mid-write.
-	if f, ok := v.(float64); ok && (math.IsNaN(f) || math.IsInf(f, 0)) {
-		return nil
-	}
-	return v
 }
 
 // GovernorStats is the /stats snapshot of the global memory governor.

@@ -65,6 +65,34 @@ func TestNegativeTimeoutRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: a request body over the cap answers 413
+// with the error envelope before the request is counted or admitted; a
+// body just under the cap is still served.
+func TestOversizedBodyRejected(t *testing.T) {
+	s := New(testDB(t), Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sql := `SELECT COUNT(*) AS n FROM F`
+	resp, data := post(t, ts.URL, QueryRequest{SQL: sql + strings.Repeat(" ", 2*maxRequestBytes)})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d body %.200s", resp.StatusCode, data)
+	}
+	var eb errorResponse
+	if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
+		t.Fatalf("oversized body: not an error envelope (%v): %.200s", err, data)
+	}
+	if got, ad := s.received.Load(), s.ctrl.Snapshot(); got != 0 || ad.Admitted != 0 {
+		t.Fatalf("oversized body was counted: received %d, admitted %d", got, ad.Admitted)
+	}
+
+	resp, data = post(t, ts.URL, QueryRequest{SQL: sql + strings.Repeat(" ", maxRequestBytes-1024)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("body under the cap: status %d body %.200s", resp.StatusCode, data)
+	}
+}
+
 // TestEffectiveTimeoutInStats: the response reports the deadline the
 // request actually ran under, and flags a capped request.
 func TestEffectiveTimeoutInStats(t *testing.T) {
@@ -177,7 +205,7 @@ func TestDegradedNDJSONFooter(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var footer ndjsonFooter
+	var footer resultFooter
 	if err := json.Unmarshal([]byte(lastLine), &footer); err != nil {
 		t.Fatalf("footer %q: %v", lastLine, err)
 	}

@@ -12,7 +12,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -31,16 +30,17 @@ const (
 	FormatColumnar = "columnar"
 )
 
-// streamEncoder is what the streaming path needs from a wire format:
-// an engine sink plus the server-side framing calls.
-type streamEncoder interface {
-	engine.SchemaSink
-	// started reports whether response bytes are on the wire; before
-	// that, errors can still use the ordinary JSON error envelope.
-	started() bool
-	rowCount() int
-	finish(stats QueryStats, warnings []engine.Warning)
-	fail(err error)
+// wireFormat frames a result stream for one wire format. Every method
+// appends to a buffer the sink writes and flushes once per batch.
+type wireFormat interface {
+	contentType() string
+	appendHeader(dst []byte, names []string, kinds []storage.Kind) ([]byte, error)
+	// appendBatch appends one contiguous batch to r.buf.
+	appendBatch(r *renderer, b *storage.Batch) error
+	appendFooter(dst []byte, f resultFooter) ([]byte, error)
+	// appendError appends the in-band failure record: the 200 status is
+	// already on the wire when it is needed.
+	appendError(dst []byte, msg string) []byte
 }
 
 // streamQuery executes one streaming request on the handler
@@ -48,21 +48,21 @@ type streamEncoder interface {
 // error (nil on success) so the admission ticket can be released with
 // the right dropped/served classification.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req QueryRequest, timeout time.Duration, capped bool) error {
-	var enc streamEncoder
+	var format wireFormat = ndjsonFormat{}
 	if req.Format == FormatColumnar {
-		enc = newColumnarSink(w)
-	} else {
-		enc = newNDJSONSink(w)
+		format = somwFormat{}
 	}
+	sink := newStreamSink(w, format)
+	defer putRenderer(sink.r)
 	t0 := time.Now()
-	res, err := s.db.QueryStream(ctx, req.SQL, enc, req.Params...)
+	res, err := s.db.QueryStream(ctx, req.SQL, sink, req.Params...)
 	if err != nil {
 		s.failed.Add(1)
-		if enc.started() {
+		if sink.begun {
 			// The 200 is already on the wire: note the error's counters
-			// and append the in-band error line.
+			// and append the in-band error record.
 			s.noteError(err)
-			enc.fail(err)
+			sink.fail(err)
 		} else {
 			s.writeError(w, err)
 		}
@@ -72,104 +72,128 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req Que
 	if len(res.Warnings) > 0 {
 		s.degraded.Add(1)
 	}
-	enc.finish(toStats(res, time.Since(t0), timeout, capped), res.Warnings)
+	sink.finish(toStats(res, time.Since(t0), timeout, capped), res.Warnings)
 	res.Release()
 	return nil
 }
 
-// ndjsonSink encodes a query stream as newline-delimited JSON; see
-// FormatNDJSON for the line shapes.
-type ndjsonSink struct {
-	hw    http.ResponseWriter
-	fl    http.Flusher
-	enc   *json.Encoder
-	names []string
+// streamSink is the engine sink of a streaming response in either
+// format. The header goes out with the first output, so a failure
+// before that keeps the plain JSON error path and a zero-row result
+// still carries its column list. Each pushed batch is one Write and one
+// Flush; the flush is the backpressure point.
+type streamSink struct {
+	hw     http.ResponseWriter
+	fl     http.Flusher
+	format wireFormat
+	r      *renderer
+	names  []string
+	kinds  []storage.Kind
+	// begun reports that response bytes are on the wire.
 	begun bool
 	rows  int
 }
 
-func newNDJSONSink(w http.ResponseWriter) *ndjsonSink {
-	s := &ndjsonSink{hw: w}
+// newStreamSink draws the sink's renderer from the pool; the caller
+// returns it with putRenderer once the response is finished.
+func newStreamSink(w http.ResponseWriter, format wireFormat) *streamSink {
+	s := &streamSink{hw: w, format: format, r: getRenderer()}
 	s.fl, _ = w.(http.Flusher)
-	s.enc = json.NewEncoder(w)
-	s.enc.SetEscapeHTML(false)
 	return s
 }
 
 // SetSchema implements engine.SchemaSink.
-func (s *ndjsonSink) SetSchema(names []string, kinds []storage.Kind) { s.names = names }
-
-func (s *ndjsonSink) started() bool { return s.begun }
-func (s *ndjsonSink) rowCount() int { return s.rows }
-
-type ndjsonHeader struct {
-	Columns []string `json:"columns"`
+func (s *streamSink) SetSchema(names []string, kinds []storage.Kind) {
+	s.names, s.kinds = names, kinds
 }
 
-type ndjsonRows struct {
-	Rows [][]any `json:"rows"`
-}
-
-type ndjsonFooter struct {
-	RowCount int              `json:"row_count"`
-	Stats    QueryStats       `json:"stats"`
-	Warnings []engine.Warning `json:"warnings,omitempty"`
-}
-
-// begin commits the 200 status and writes the header line on first
-// output, so pre-execution failures keep the plain JSON error path.
-func (s *ndjsonSink) begin() error {
+// begin commits the 200 status and buffers the format's header.
+func (s *streamSink) begin() error {
 	if s.begun {
 		return nil
 	}
 	s.begun = true
-	s.hw.Header().Set("Content-Type", "application/x-ndjson")
+	s.hw.Header().Set("Content-Type", s.format.contentType())
 	s.hw.WriteHeader(http.StatusOK)
-	cols := s.names
-	if cols == nil {
-		cols = []string{}
-	}
-	return s.enc.Encode(ndjsonHeader{Columns: cols})
+	var err error
+	s.r.buf, err = s.format.appendHeader(s.r.buf, s.names, s.kinds)
+	return err
 }
 
-// Push implements engine.StreamSink: one rows line per batch, flushed.
-func (s *ndjsonSink) Push(b *storage.Batch) error {
+// Push implements engine.StreamSink: one record per batch, flushed.
+func (s *streamSink) Push(b *storage.Batch) error {
 	flat := b.Materialize()
 	defer storage.PutBatch(flat)
 	if err := s.begin(); err != nil {
 		return err
 	}
-	rows := make([][]any, flat.Len())
-	for ri := 0; ri < flat.Len(); ri++ {
-		row := make([]any, flat.Width())
-		for ci := 0; ci < flat.Width(); ci++ {
-			row[ci] = jsonValue(flat.Cols[ci], ri)
-		}
-		rows[ri] = row
-	}
 	s.rows += flat.Len()
-	if err := s.enc.Encode(ndjsonRows{Rows: rows}); err != nil {
+	if err := s.format.appendBatch(s.r, flat); err != nil {
 		return err
 	}
-	s.flush()
-	return nil
+	return s.flush()
 }
 
-func (s *ndjsonSink) flush() {
+func (s *streamSink) flush() error {
+	_, err := s.hw.Write(s.r.buf)
+	s.r.buf = s.r.buf[:0]
+	if err != nil {
+		return err
+	}
 	if s.fl != nil {
 		s.fl.Flush()
 	}
+	return nil
 }
 
-func (s *ndjsonSink) finish(stats QueryStats, warnings []engine.Warning) {
+// finish writes the terminal footer record.
+func (s *streamSink) finish(stats QueryStats, warnings []engine.Warning) {
 	if err := s.begin(); err != nil {
 		return
 	}
-	_ = s.enc.Encode(ndjsonFooter{RowCount: s.rows, Stats: stats, Warnings: warnings})
-	s.flush()
+	var err error
+	s.r.buf, err = s.format.appendFooter(s.r.buf, resultFooter{RowCount: s.rows, Stats: stats, Warnings: warnings})
+	if err != nil {
+		return
+	}
+	_ = s.flush() // the client is gone; there is no one left to tell
 }
 
-func (s *ndjsonSink) fail(err error) {
-	_ = s.enc.Encode(errorResponse{Error: err.Error()})
-	s.flush()
+// fail writes the terminal in-band error record.
+func (s *streamSink) fail(err error) {
+	s.r.buf = s.format.appendError(s.r.buf, err.Error())
+	_ = s.flush()
+}
+
+// ndjsonFormat is newline-delimited JSON; see FormatNDJSON for the line
+// shapes.
+type ndjsonFormat struct{}
+
+func (ndjsonFormat) contentType() string { return "application/x-ndjson" }
+
+func (ndjsonFormat) appendHeader(dst []byte, names []string, _ []storage.Kind) ([]byte, error) {
+	if names == nil {
+		names = []string{}
+	}
+	dst, err := appendJSON(dst, columnsHeader{Columns: names})
+	return append(dst, '\n'), err
+}
+
+func (ndjsonFormat) appendBatch(r *renderer, b *storage.Batch) error {
+	r.buf = append(r.buf, `{"rows":[`...)
+	if err := r.appendRows(b); err != nil {
+		return err
+	}
+	r.buf = append(r.buf, "]}\n"...)
+	return nil
+}
+
+func (ndjsonFormat) appendFooter(dst []byte, f resultFooter) ([]byte, error) {
+	dst, err := appendJSON(dst, f)
+	return append(dst, '\n'), err
+}
+
+func (ndjsonFormat) appendError(dst []byte, msg string) []byte {
+	dst, _ = appendJSON(dst, errorResponse{Error: msg}) // a string field cannot fail to encode
+	return append(dst, '\n')
 }

@@ -84,7 +84,7 @@ func decodeNDJSON(t *testing.T, data []byte) QueryResponse {
 			}
 			out.Rows = append(out.Rows, rows...)
 		case probe["row_count"] != nil:
-			var f ndjsonFooter
+			var f resultFooter
 			if err := json.Unmarshal(raw, &f); err != nil {
 				t.Fatal(err)
 			}

@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
-	"time"
 
 	"sommelier/internal/engine"
 	"sommelier/internal/storage"
@@ -86,168 +84,84 @@ func fromWireKind(b byte) (storage.Kind, error) {
 	return storage.KindInvalid, fmt.Errorf("server: unknown wire kind byte %d", b)
 }
 
-// columnarSink encodes a query stream into the binary columnar format.
-// It is a physical.SchemaSink: the header is written from SetSchema's
-// schema on the first output, so zero-row results still carry their
-// column list. Writes are buffered and flushed once per pushed batch —
-// the flush is the backpressure point: a slow client blocks the flush,
-// which blocks Push, which suspends the morsel cursor upstream.
-type columnarSink struct {
-	hw      http.ResponseWriter // nil when wrapping a plain io.Writer
-	fl      http.Flusher
-	bw      *bufio.Writer
-	names   []string
-	kinds   []storage.Kind
-	begun   bool
-	rows    int
-	scratch [binary.MaxVarintLen64]byte
-}
+// somwFormat is the binary columnar format laid out at the top of this
+// file.
+type somwFormat struct{}
 
-func newColumnarSink(w http.ResponseWriter) *columnarSink {
-	s := &columnarSink{hw: w, bw: bufio.NewWriter(w)}
-	s.fl, _ = w.(http.Flusher)
-	return s
-}
+func (somwFormat) contentType() string { return "application/x-sommelier-columnar" }
 
-// SetSchema implements physical.SchemaSink.
-func (s *columnarSink) SetSchema(names []string, kinds []storage.Kind) {
-	s.names, s.kinds = names, kinds
-}
-
-func (s *columnarSink) started() bool { return s.begun }
-func (s *columnarSink) rowCount() int { return s.rows }
-
-// begin writes the HTTP status and the stream header on first output.
-func (s *columnarSink) begin() error {
-	if s.begun {
-		return nil
-	}
-	s.begun = true
-	if s.hw != nil {
-		s.hw.Header().Set("Content-Type", "application/x-sommelier-columnar")
-		s.hw.WriteHeader(http.StatusOK)
-	}
-	if _, err := s.bw.Write(wireMagic[:]); err != nil {
-		return err
-	}
-	if err := s.bw.WriteByte(wireVersion); err != nil {
-		return err
-	}
-	s.putUvarint(uint64(len(s.names)))
-	for i, n := range s.names {
-		s.putUvarint(uint64(len(n)))
-		if _, err := s.bw.WriteString(n); err != nil {
-			return err
-		}
-		wk, err := toWireKind(s.kinds[i])
+func (somwFormat) appendHeader(dst []byte, names []string, kinds []storage.Kind) ([]byte, error) {
+	dst = append(dst, wireMagic[:]...)
+	dst = append(dst, wireVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for i, n := range names {
+		dst = appendWireString(dst, n)
+		wk, err := toWireKind(kinds[i])
 		if err != nil {
-			return err
+			return dst, err
 		}
-		if err := s.bw.WriteByte(wk); err != nil {
-			return err
-		}
+		dst = append(dst, wk)
 	}
-	return nil
+	return dst, nil
 }
 
-func (s *columnarSink) putUvarint(v uint64) {
-	n := binary.PutUvarint(s.scratch[:], v)
-	s.bw.Write(s.scratch[:n])
+func appendWireString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-func (s *columnarSink) putVarint(v int64) {
-	n := binary.PutVarint(s.scratch[:], v)
-	s.bw.Write(s.scratch[:n])
-}
-
-// Push implements engine.StreamSink: encode one 'B' record and flush.
-func (s *columnarSink) Push(b *storage.Batch) error {
-	flat := b.Materialize()
-	defer storage.PutBatch(flat)
-	if err := s.begin(); err != nil {
-		return err
-	}
-	n := flat.Len()
-	s.rows += n
-	s.bw.WriteByte('B')
-	s.putUvarint(uint64(n))
-	for _, c := range flat.Cols {
-		switch tc := c.(type) {
-		case *storage.Int64Column:
-			for i := 0; i < n; i++ {
-				s.putVarint(tc.Value(i))
-			}
-		case *storage.TimeColumn:
-			for i := 0; i < n; i++ {
-				s.putVarint(tc.Value(i))
+// appendBatch appends one 'B' record, column-major over the typed
+// slices.
+func (somwFormat) appendBatch(r *renderer, b *storage.Batch) error {
+	dst := append(r.buf, 'B')
+	dst = binary.AppendUvarint(dst, uint64(b.Len()))
+	for _, c := range b.Cols {
+		switch c := c.(type) {
+		case *storage.Int64Column, *storage.TimeColumn:
+			for _, v := range storage.Int64s(c) {
+				dst = binary.AppendVarint(dst, v)
 			}
 		case *storage.Float64Column:
-			var buf [8]byte
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(tc.Value(i)))
-				s.bw.Write(buf[:])
+			for _, v := range storage.Float64s(c) {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 			}
 		case *storage.BoolColumn:
-			for i := 0; i < n; i++ {
-				v := byte(0)
-				if tc.Value(i) {
-					v = 1
+			for _, v := range storage.Bools(c) {
+				if v {
+					dst = append(dst, 1)
+				} else {
+					dst = append(dst, 0)
 				}
-				s.bw.WriteByte(v)
 			}
 		case *storage.StringColumn:
-			for i := 0; i < n; i++ {
-				v := tc.Value(i)
-				s.putUvarint(uint64(len(v)))
-				s.bw.WriteString(v)
+			dict := c.Dict()
+			for _, code := range c.Codes() {
+				dst = appendWireString(dst, dict[code])
 			}
 		default:
 			return fmt.Errorf("server: no wire encoding for %T", c)
 		}
 	}
-	return s.flush()
-}
-
-func (s *columnarSink) flush() error {
-	if err := s.bw.Flush(); err != nil {
-		return err
-	}
-	if s.fl != nil {
-		s.fl.Flush()
-	}
+	r.buf = dst
 	return nil
 }
 
-// columnarFooter is the 'F' record payload.
-type columnarFooter struct {
-	RowCount int              `json:"row_count"`
-	Stats    QueryStats       `json:"stats"`
-	Warnings []engine.Warning `json:"warnings,omitempty"`
-}
-
-// finish writes the terminal 'F' record.
-func (s *columnarSink) finish(stats QueryStats, warnings []engine.Warning) {
-	if err := s.begin(); err != nil {
-		return
-	}
-	payload, err := json.Marshal(columnarFooter{RowCount: s.rows, Stats: stats, Warnings: warnings})
+// appendFooter appends the terminal 'F' record. Its payload is
+// json.Marshal's, HTML escaping included: that is what version 1
+// clients have always been sent.
+func (somwFormat) appendFooter(dst []byte, f resultFooter) ([]byte, error) {
+	payload, err := json.Marshal(f)
 	if err != nil {
-		return
+		return dst, err
 	}
-	s.bw.WriteByte('F')
-	s.putUvarint(uint64(len(payload)))
-	s.bw.Write(payload)
-	_ = s.flush()
+	dst = append(dst, 'F')
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...), nil
 }
 
-// fail writes the terminal 'E' record: the error arrived after the
-// header went out, so the failure travels in-band.
-func (s *columnarSink) fail(err error) {
-	msg := err.Error()
-	s.bw.WriteByte('E')
-	s.putUvarint(uint64(len(msg)))
-	s.bw.WriteString(msg)
-	_ = s.flush()
+// appendError appends the terminal 'E' record.
+func (somwFormat) appendError(dst []byte, msg string) []byte {
+	return appendWireString(append(dst, 'E'), msg)
 }
 
 // ColumnarResult is a decoded columnar stream; see DecodeColumnar.
@@ -321,7 +235,7 @@ func DecodeColumnar(r io.Reader) (*ColumnarResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			var f columnarFooter
+			var f resultFooter
 			if err := json.Unmarshal([]byte(payload), &f); err != nil {
 				return nil, fmt.Errorf("server: columnar footer: %w", err)
 			}
@@ -409,8 +323,10 @@ func readWireString(br *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// WireTime formats a columnar time value (epoch nanoseconds) the way
-// the JSON responses do, so clients of both formats agree.
+// WireTime formats a columnar time value (epoch nanoseconds) with the
+// function the JSON formats render time cells with, so clients of all
+// three agree.
 func WireTime(ns int64) string {
-	return time.Unix(0, ns).UTC().Format(timeLayout)
+	var buf [len(timeLayout)]byte
+	return string(appendWireTime(buf[:0], ns))
 }
