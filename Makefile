@@ -40,11 +40,15 @@ build:
 	$(GO) build ./...
 
 ## loc prints the non-test, non-testdata Go lines of every internal/*
-## package and their total: the size ROADMAP tracks per PR.
+## package and their total: the size ROADMAP tracks per PR. The last
+## line counts the lines of physical and expr that name a concrete
+## storage column or builder type (`x.(*storage.T)`, `case *storage.T`):
+## the number ROADMAP says column shapes must not grow.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)" "$$d"; \
 	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
+	@printf 'typeswitches physical+expr %d\n' "$$(find internal/physical internal/expr -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c -E '\.\(\*storage\.[A-Za-z0-9]+\)|case \*storage\.')"
 
 ## bench regenerates the paper's evaluation tables plus the
 ## concurrent-load sweep (slow; see also cmd/benchrunner).

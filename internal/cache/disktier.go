@@ -51,7 +51,7 @@ const (
 	segMagic       = "SOMS"
 	segFooterMagic = "SOMF"
 	segTrailMagic  = "SOME"
-	segVersion     = 1
+	segVersion     = 2 // 2: bodies may hold run-shaped columns (storage segRun)
 
 	segHeaderLen  = 5  // magic + version
 	blockHdrLen   = 16 // chunkID + bodyLen + CRC

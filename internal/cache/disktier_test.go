@@ -293,3 +293,60 @@ func TestDiskTierSpillAfterCloseRefused(t *testing.T) {
 		t.Fatal("spill accepted after close")
 	}
 }
+
+// TestDiskTierOlderSegmentVersionDiscarded: a segment file written by
+// the previous format version (plain columns only, version byte 1) is
+// set aside whole at open, never decoded — the tier comes up empty with
+// no block counted corrupt, every promote is a miss (the executor's
+// next step is the archive), and the tier spills and serves afresh.
+func TestDiskTierOlderSegmentVersionDiscarded(t *testing.T) {
+	defer storage.RequireNoLeaks(t)
+	dir := t.TempDir()
+	dt, err := OpenDiskTier(dir, "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt.SpillSync(42, tierRel(300, 7))
+	dt.WaitIdle()
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// What differs between a version-1 file and this one is the header
+	// byte: the framing and the plain-column bodies are the same.
+	path := filepath.Join(dir, "D.seg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != segVersion {
+		t.Fatalf("header version byte = %d, want %d", data[4], segVersion)
+	}
+	data[4] = 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dt2, err := OpenDiskTier(dir, "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt2.Close()
+	if dt2.Contains(42) || dt2.Promote(42) != nil {
+		t.Fatal("a block of the older version was served")
+	}
+	if s := dt2.Stats(); s.Blocks != 0 || s.CorruptBlocks != 0 || s.Misses != 1 || s.CorruptSegments != 1 {
+		t.Fatalf("stats = %+v, want an empty tier, one miss, no corrupt block", s)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("the older file was not set aside: %v", err)
+	}
+	want := tierRel(100, 9)
+	dt2.SpillSync(42, want)
+	dt2.WaitIdle()
+	got := dt2.Promote(42)
+	if got == nil {
+		t.Fatal("the fresh segment does not serve")
+	}
+	requireSameRows(t, want, got)
+	got.Release()
+}

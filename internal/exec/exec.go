@@ -645,18 +645,28 @@ func (ex *executor) ingestSelected() error {
 			par = len(missing)
 		}
 		results := make([]chunkResult, len(missing))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for i, id := range missing {
-			wg.Add(1)
-			go func(i int, id int64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
+		if par == 1 {
+			// A fan-out of one — a point query's single missing chunk,
+			// a serial query — loads on the query's own goroutine: a
+			// hand-off to another thread buys no parallelism and costs
+			// a wake-up on a busy box.
+			for i, id := range missing {
 				results[i] = ex.acquireChunk(t, tn, id)
-			}(i, id)
+			}
+		} else {
+			var wg sync.WaitGroup
+			sem := make(chan struct{}, par)
+			for i, id := range missing {
+				wg.Add(1)
+				go func(i int, id int64) {
+					defer wg.Done()
+					sem <- struct{}{}
+					defer func() { <-sem }()
+					results[i] = ex.acquireChunk(t, tn, id)
+				}(i, id)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		// Record every pin the workers took before failing the query,
 		// so the deferred release sees them all. In degraded mode an
 		// unavailable chunk (a Degradable error: exhausted retries,

@@ -44,17 +44,15 @@ func keyAt(b *storage.Batch, cols []int, r int) (Key, error) {
 	var k Key
 	iSlot, sSlot := 0, 0
 	for _, ci := range cols {
-		switch c := b.Cols[ci].(type) {
-		case *storage.Int64Column:
-			if err := k.setInt(&iSlot, c.Value(r)); err != nil {
+		c := b.Cols[ci]
+		switch c.Kind() {
+		case storage.KindInt64, storage.KindTime:
+			// Whatever the column's shape.
+			if err := k.setInt(&iSlot, storage.Int64At(c, r)); err != nil {
 				return k, err
 			}
-		case *storage.TimeColumn:
-			if err := k.setInt(&iSlot, c.Value(r)); err != nil {
-				return k, err
-			}
-		case *storage.StringColumn:
-			if err := k.setStr(&sSlot, c.Value(r)); err != nil {
+		case storage.KindString:
+			if err := k.setStr(&sSlot, c.(*storage.StringColumn).Value(r)); err != nil {
 				return k, err
 			}
 		default:

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"time"
 )
@@ -112,18 +111,6 @@ func writeString(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := r.ReadByte()
-	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
 func writeU32(w *bufio.Writer, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
@@ -131,27 +118,11 @@ func writeU32(w *bufio.Writer, v uint32) error {
 	return err
 }
 
-func readU32(r *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
 func writeU64(w *bufio.Writer, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	_, err := w.Write(b[:])
 	return err
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // EncodeSamples compresses samples with the given encoding.
@@ -199,11 +170,20 @@ func DecodeSamplesInto(enc Encoding, payload []byte, out []int32) error {
 		var prev int64
 		pos := 0
 		for i := 0; i < count; i++ {
-			u, n := binary.Uvarint(payload[pos:])
-			if n <= 0 {
-				return fmt.Errorf("mseed: truncated sample payload at sample %d", i)
+			var u uint64
+			if pos < len(payload) && payload[pos] < 0x80 {
+				// Waveform deltas are small: nearly every one is a
+				// single byte, its own value.
+				u = uint64(payload[pos])
+				pos++
+			} else {
+				var n int
+				u, n = binary.Uvarint(payload[pos:])
+				if n <= 0 {
+					return fmt.Errorf("mseed: truncated sample payload at sample %d", i)
+				}
+				pos += n
 			}
-			pos += n
 			prev += unzigzag(u)
 			if prev > math.MaxInt32 || prev < math.MinInt32 {
 				return fmt.Errorf("mseed: sample %d out of int32 range", i)

@@ -2,11 +2,11 @@ package mseed
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 )
 
@@ -46,20 +46,31 @@ func ReadMetadata(r io.Reader) (FileHeader, []SegmentHeader, error) {
 // arena, the segment slice — instead of two per segment, and payloads
 // are checksummed in place without ever being copied.
 func Read(r io.Reader) (*File, error) {
-	var data []byte
-	if l, ok := r.(interface{ Len() int }); ok {
-		// In-memory readers (bytes.Reader, bytes.Buffer) report their
-		// remaining length: buffer in one exactly-sized allocation.
-		data = make([]byte, l.Len())
-		if _, err := io.ReadFull(r, data); err != nil {
-			return nil, err
+	// In-memory readers (bytes.Reader, bytes.Buffer) report their
+	// remaining length and files their size: buffer those in one
+	// exactly-sized allocation instead of growing through io.ReadAll,
+	// which for a chunk file is a dozen reads and as many copies.
+	size := 0
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
 		}
-	} else {
-		var err error
-		data, err = io.ReadAll(r)
+	}
+	data := make([]byte, size)
+	n, err := io.ReadFull(r, data)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	if data = data[:n]; n == size {
+		// No hint, or a stream longer than it.
+		rest, err := io.ReadAll(r)
 		if err != nil {
 			return nil, err
 		}
+		data = append(data, rest...)
 	}
 	return ReadBytes(data)
 }
@@ -69,16 +80,10 @@ func Read(r io.Reader) (*File, error) {
 // segment headers; retaining any one of them retains the whole chunk's
 // samples (callers transform them into columns anyway).
 func ReadBytes(data []byte) (*File, error) {
-	// The variable-width file header has exactly one decoder, the
-	// streaming one; the consumed prefix length is recovered from the
-	// readers' positions.
-	under := bytes.NewReader(data)
-	br := bufio.NewReader(under)
-	hdr, nseg, err := readFileHeader(br)
+	hdr, nseg, pos, err := parseFileHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	pos := len(data) - under.Len() - br.Buffered()
 	// Every segment occupies at least a header's worth of bytes, so a
 	// corrupt count cannot demand more header slots than the file holds.
 	if nseg < 0 || nseg > (len(data)-pos)/segmentHeaderLen {
@@ -151,39 +156,61 @@ func parseSegmentHeader(data []byte) (SegmentHeader, int, error) {
 	return sh, segmentHeaderLen, nil
 }
 
-func readFileHeader(br *bufio.Reader) (FileHeader, int, error) {
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return FileHeader{}, 0, fmt.Errorf("mseed: reading magic: %w", err)
+// maxFileHeaderLen bounds the variable-width file header: magic,
+// version, six length-prefixed strings, encoding, segment count.
+const maxFileHeaderLen = len(Magic) + 1 + 6*(1+maxStringLen) + 1 + 4
+
+// parseFileHeader decodes the file header at the start of data,
+// returning the segment count and the header's encoded length. It is
+// the single decoder of the file-header wire format: the streaming
+// readFileHeader feeds it too.
+func parseFileHeader(data []byte) (hdr FileHeader, nseg, n int, err error) {
+	if len(data) < len(Magic) {
+		return FileHeader{}, 0, 0, fmt.Errorf("mseed: reading magic: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic) != Magic {
-		return FileHeader{}, 0, fmt.Errorf("mseed: bad magic %q", magic)
+	if string(data[:len(Magic)]) != Magic {
+		return FileHeader{}, 0, 0, fmt.Errorf("mseed: bad magic %q", data[:len(Magic)])
 	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return FileHeader{}, 0, err
+	n = len(Magic)
+	if n >= len(data) {
+		return FileHeader{}, 0, 0, io.ErrUnexpectedEOF
 	}
-	if ver != Version {
-		return FileHeader{}, 0, fmt.Errorf("mseed: unsupported version %d", ver)
+	if ver := data[n]; ver != Version {
+		return FileHeader{}, 0, 0, fmt.Errorf("mseed: unsupported version %d", ver)
 	}
-	var hdr FileHeader
+	n++
 	for _, dst := range []*string{&hdr.Network, &hdr.Station, &hdr.Location, &hdr.Channel, &hdr.Quality, &hdr.ByteOrder} {
-		s, err := readString(br)
-		if err != nil {
-			return FileHeader{}, 0, fmt.Errorf("mseed: reading header strings: %w", err)
+		if n >= len(data) || n+1+int(data[n]) > len(data) {
+			return FileHeader{}, 0, 0, fmt.Errorf("mseed: reading header strings: %w", io.ErrUnexpectedEOF)
 		}
-		*dst = s
+		*dst = string(data[n+1 : n+1+int(data[n])])
+		n += 1 + int(data[n])
 	}
-	encB, err := br.ReadByte()
+	if n+1+4 > len(data) {
+		return FileHeader{}, 0, 0, io.ErrUnexpectedEOF
+	}
+	hdr.Encoding = Encoding(data[n])
+	nseg = int(binary.LittleEndian.Uint32(data[n+1:]))
+	return hdr, nseg, n + 1 + 4, nil
+}
+
+// readFileHeader is parseFileHeader over a stream: the header is
+// shorter than the reader's buffer, so it is parsed out of a Peek (a
+// file ending before maxFileHeaderLen peeks short, which is fine as
+// long as the header itself is whole) and then consumed.
+func readFileHeader(br *bufio.Reader) (FileHeader, int, error) {
+	buf, peekErr := br.Peek(maxFileHeaderLen)
+	hdr, nseg, n, err := parseFileHeader(buf)
 	if err != nil {
+		if peekErr != nil && peekErr != io.EOF {
+			err = peekErr // the stream failed; the header is not at fault
+		}
 		return FileHeader{}, 0, err
 	}
-	hdr.Encoding = Encoding(encB)
-	nseg, err := readU32(br)
-	if err != nil {
+	if _, err := br.Discard(n); err != nil {
 		return FileHeader{}, 0, err
 	}
-	return hdr, int(nseg), nil
+	return hdr, nseg, nil
 }
 
 func readSegmentHeader(br *bufio.Reader) (SegmentHeader, error) {

@@ -1,6 +1,8 @@
 package physical
 
 import (
+	"math"
+
 	"sommelier/internal/index"
 	"sommelier/internal/storage"
 )
@@ -18,9 +20,10 @@ type intKey [3]int64
 //
 // resolve is run-aware: the actual-data side of a metadata⋈data join
 // arrives clustered by chunk and segment, so a batch is a handful of
-// runs of equal keys, and only the first row of a run is hashed. On
-// unclustered input every row is its own run, for the price of one
-// comparison with the previous row.
+// runs of equal keys, and only the first row of a run is hashed. A
+// run-shaped key column states its runs; on any other, unclustered
+// input makes every row its own run, for the price of one comparison
+// with the previous row.
 type keyIndex struct {
 	ints  bool
 	nk    int
@@ -110,14 +113,30 @@ func (x *keyIndex) adopt(o *keyIndex, oid int) int32 {
 	return x.keyID(o.skeys[oid], true)
 }
 
-// rawKeys are the backing slices of one batch's key columns: values of
-// int64-backed columns, dictionary codes of string columns. Two rows
-// with equal raw values have equal keys, which is all run detection
-// needs; codes never leave the batch.
+// rawKeys are one batch's key columns as run detection reads them.
+// Plain columns are compared row against row on their backing slices:
+// values of int64-backed columns, dictionary codes of string columns
+// (two rows with equal raw values have equal keys, which is all run
+// detection needs; codes never leave the batch). Run-shaped columns
+// state their runs, so their boundaries are read, not rediscovered.
 type rawKeys struct {
 	i64      [3][]int64
 	i32      [2][]int32
 	n64, n32 int
+	runs     [3]keyRuns
+	nrun     int
+	// slot64[j] is the intKey slot of i64[j]: its rank among the
+	// int64-backed key columns, run-shaped ones included.
+	slot64 [3]int
+}
+
+// keyRuns is one run-shaped key column (storage.Runs): its intKey slot
+// and the run of the row last seeked to.
+type keyRuns struct {
+	vals []int64
+	ends []int32
+	slot int
+	at   int
 }
 
 func (rk *rawKeys) same(r, p int) bool {
@@ -132,6 +151,21 @@ func (rk *rawKeys) same(r, p int) bool {
 		}
 	}
 	return true
+}
+
+// seek moves the run-shaped columns on to row r (rows only ascend) and
+// returns the first row past the runs r lies in: up to there those
+// columns cannot change.
+func (rk *rawKeys) seek(r int) int {
+	limit := math.MaxInt
+	for i := range rk.runs[:rk.nrun] {
+		c := &rk.runs[i]
+		for int(c.ends[c.at]) <= r {
+			c.at++
+		}
+		limit = min(limit, int(c.ends[c.at]))
+	}
+	return limit
 }
 
 // resolve returns, in a pooled vector the caller PutSels, the key id of
@@ -165,19 +199,27 @@ func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, co
 	}
 	var rk rawKeys
 	for _, ci := range cols {
-		if sc, ok := b.Cols[ci].(*storage.StringColumn); ok {
+		c := b.Cols[ci]
+		if sc, ok := c.(*storage.StringColumn); ok {
 			rk.i32[rk.n32] = sc.Codes()
 			rk.n32++
+		} else if vals, ends, ok := storage.Runs(c); ok {
+			rk.runs[rk.nrun] = keyRuns{vals: vals, ends: ends, slot: rk.n64 + rk.nrun}
+			rk.nrun++
 		} else {
-			rk.i64[rk.n64] = storage.Int64s(b.Cols[ci])
+			rk.i64[rk.n64], rk.slot64[rk.n64] = storage.Int64s(c), rk.n64+rk.nrun
 			rk.n64++
 		}
 	}
+	// idAt looks up the key of row r, which seek has reached.
 	idAt := func(r int) int32 {
 		if x.ints {
 			var k intKey
-			for c := 0; c < rk.n64; c++ {
-				k[c] = rk.i64[c][r]
+			for j := 0; j < rk.n64; j++ {
+				k[rk.slot64[j]] = rk.i64[j][r]
+			}
+			for j := 0; j < rk.nrun; j++ {
+				k[rk.runs[j].slot] = rk.runs[j].vals[rk.runs[j].at]
 			}
 			return x.intID(k, insert)
 		}
@@ -185,9 +227,13 @@ func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, co
 		return x.keyID(k, insert)
 	}
 	first := row(0)
+	limit := rk.seek(first)
 	id := idAt(first)
 	for i := range ids {
-		if r := row(i); !constant && !rk.same(r, first) {
+		if r := row(i); !constant && (r >= limit || !rk.same(r, first)) {
+			if r >= limit {
+				limit = rk.seek(r)
+			}
 			first, id = r, idAt(r)
 		}
 		ids[i] = id

@@ -556,3 +556,151 @@ func TestKeyIndexResetDropsLargeMaps(t *testing.T) {
 		t.Fatal("a map grown past maxPooledKeys should be dropped, not cleared")
 	}
 }
+
+// runShaped rebuilds rel the way chunk access shapes D: every int64 and
+// timestamp column run-length encoded (a shuffled relation degenerates
+// to about a run a row, which is still a valid shape), zone maps seeded.
+func runShaped(rel *storage.Relation) *storage.Relation {
+	var batches []*storage.Batch
+	var zones [][]storage.Zone
+	for _, b := range rel.Batches() {
+		cols := make([]storage.Column, len(b.Cols))
+		zs := make([]storage.Zone, len(b.Cols))
+		for ci, c := range b.Cols {
+			cols[ci], zs[ci] = c, storage.ColumnZone(c)
+			if !isIntKeyKind(c.Kind()) {
+				continue
+			}
+			var vals []int64
+			var ends []int32
+			for i, v := range storage.Int64s(c) {
+				if i == 0 || v != vals[len(vals)-1] {
+					vals, ends = append(vals, v), append(ends, 0)
+				}
+				ends[len(ends)-1] = int32(i + 1)
+			}
+			cols[ci] = storage.NewRunColumn(c.Kind(), vals, ends)
+		}
+		batches = append(batches, storage.NewBatch(cols...))
+		zones = append(zones, zs)
+	}
+	return storage.NewChunkRelation(batches, zones)
+}
+
+// TestRunShapedKeysMatchPlain is the shape differential of stage 2: the
+// join probe and the grouped fold over run-shaped key columns — run
+// boundaries read off the shape, the constant hint off seeded zones,
+// the composite key through the per-row lookup — return, row for row
+// and bit for bit, what they return over the plain twins, and what they
+// return never carries a shape.
+func TestRunShapedKeysMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	collect := func(op Operator, dop int) [][]any {
+		t.Helper()
+		if ph, ok := op.(ParallelHinter); ok {
+			ph.SetParallel(dop)
+		}
+		rel, err := Collect(op, DrainOpts{DOP: dop, Pooled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rel.Release()
+		for _, b := range rel.Batches() {
+			for ci, c := range b.Cols {
+				if _, _, shaped := storage.Runs(c); shaped {
+					t.Fatalf("result column %d left the engine run-shaped", ci)
+				}
+			}
+		}
+		return rowsOf(rel)
+	}
+	scan := func(rel *storage.Relation, pred expr.Expr) Operator {
+		t.Helper()
+		s, err := NewRelScan(rel, runFactNames, runFactKinds, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	preds := []expr.Expr{
+		nil,
+		expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0)),
+		// On a run-shaped column: the mask path, by expansion.
+		expr.NewCmp(expr.GE, expr.Col("D.seg"), expr.Int(1)),
+	}
+	joins := []struct {
+		name     string
+		lk, rk   []int
+		uniqueOn int
+		out      []int
+	}{
+		{"file", []int{0}, []int{0}, 1, []int{9}},
+		{"file,seg", []int{0, 1}, []int{0, 1}, 2, []int{9, 5, 6, 7}},
+		{"file,seg dup", []int{0, 1}, []int{0, 1}, 0, []int{4, 7, 9}},
+		{"file,seg,win", []int{0, 1, 2}, []int{0, 1, 2}, 0, nil},
+		{"file,station", []int{0, 3}, []int{0, 3}, 1, []int{7, 8, 9}},
+	}
+	aggs := []AggColumn{
+		{Func: AggCount, Name: "n"},
+		{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"},
+		{Func: AggMin, Arg: expr.Col("D.ts"), Name: "t0"},
+		{Func: AggSum, Arg: expr.Col("D.seg"), Name: "segs"},
+	}
+	groupings := [][]int{{}, {0}, {0, 1}, {0, 1, 2}, {3, 1}}
+	for _, shuffled := range []bool{false, true} {
+		plain := runFact(rng, shuffled)
+		shaped := runShaped(plain)
+		for pi, pred := range preds {
+			for _, dop := range []int{1, 2, 4} {
+				for _, jc := range joins {
+					join := func(fact *storage.Relation) Operator {
+						ds, err := NewRelScan(runDim(jc.uniqueOn), runDimNames, runDimKinds, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j, err := NewHashJoinCols(ds, scan(fact, pred), jc.lk, jc.rk, jc.out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return j
+					}
+					sameRows(t, collect(join(shaped), dop), collect(join(plain), dop),
+						fmt.Sprintf("join %s shuffled=%v pred#%d dop=%d", jc.name, shuffled, pi, dop))
+				}
+				for gi, groupCols := range groupings {
+					agg := func(fact *storage.Relation) Operator {
+						a, err := NewHashAggregate(scan(fact, pred), groupCols, aggs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return a
+					}
+					sameRows(t, collect(agg(shaped), dop), collect(agg(plain), dop),
+						fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d dop=%d", gi, shuffled, pi, dop))
+				}
+				// Top-k and sort over run-shaped order keys, and a bare
+				// scan: the drain itself hands shapes to no sink.
+				keys := []SortKey{{Col: 0, Desc: true}, {Col: 2}, {Col: 4}}
+				topk := func(fact *storage.Relation) Operator {
+					k, err := NewTopK(scan(fact, pred), keys, 37)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return k
+				}
+				label := fmt.Sprintf("shuffled=%v pred#%d dop=%d", shuffled, pi, dop)
+				sameRows(t, collect(topk(shaped), dop), collect(topk(plain), dop), "topk "+label)
+				sorted := func(fact *storage.Relation) Operator {
+					s, err := NewSort(scan(fact, pred), keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				sameRows(t, collect(sorted(shaped), dop), collect(sorted(plain), dop), "sort "+label)
+				sameRows(t, collect(scan(shaped, pred), dop), collect(scan(plain, pred), dop), "scan "+label)
+			}
+		}
+		storage.RequireNoLeaks(t)
+	}
+}

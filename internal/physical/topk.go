@@ -349,15 +349,13 @@ func (a *topkAcc) cmpRows(ba *storage.Batch, ra int, bb *storage.Batch, rb int) 
 // column b; the two columns hold the same kind (same output schema).
 func cmpColsAt(a storage.Column, ai int, b storage.Column, bi int) int {
 	switch ac := a.(type) {
-	case *storage.Int64Column:
-		return cmpOrd(ac.Value(ai), b.(*storage.Int64Column).Value(bi))
-	case *storage.TimeColumn:
-		return cmpOrd(ac.Value(ai), b.(*storage.TimeColumn).Value(bi))
 	case *storage.Float64Column:
 		return cmpOrd(ac.Value(ai), b.(*storage.Float64Column).Value(bi))
 	case *storage.StringColumn:
 		return cmpOrd(ac.Value(ai), b.(*storage.StringColumn).Value(bi))
 	default:
-		panic(fmt.Sprintf("physical: cmpColsAt on %T", a))
+		// int64 or timestamp; an input batch's column may be run-shaped
+		// where the candidate buffer's is plain.
+		return cmpOrd(storage.Int64At(a, ai), storage.Int64At(b, bi))
 	}
 }

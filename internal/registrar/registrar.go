@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -327,36 +328,77 @@ func LoadChunkFromSourceContext(ctx context.Context, src Source, tableName strin
 	return ChunkToRelation(chunkID, f), nil
 }
 
-// ChunkToRelation converts a decoded chunk into the D table layout.
+// ChunkToRelation converts a decoded chunk into the D table layout,
+// batch by batch within each segment. Only what the files alone hold is
+// written per row: sample_value and sample_time, into one arena each
+// per chunk. What the segment headers already state becomes run-shaped
+// columns — file_id and segment_id one run per batch, window_ts a run
+// per window the batch's samples cross — and the relation's zone maps
+// are seeded from the same pass, so a freshly loaded chunk is scanned
+// without a single bounds computation.
 func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
-	rel := storage.NewRelation()
+	nBatches := 0
+	for _, seg := range f.Segments {
+		nBatches += (len(seg.Samples) + storage.BatchSize - 1) / storage.BatchSize
+	}
+	var (
+		total   = f.SampleCount()
+		tsAll   = make([]int64, total)
+		valAll  = make([]float64, total)
+		runVals = make([]int64, 0, 4*nBatches) // per batch: file, segment, 2 windows
+		runEnds = make([]int32, 0, 4*nBatches)
+		batches = make([]*storage.Batch, 0, nBatches)
+		zones   = make([][]storage.Zone, 0, nBatches)
+	)
+	// run cuts the last n appended runs off the arenas as one column.
+	run := func(kind storage.Kind, n int) *storage.RunColumn {
+		at := len(runVals) - n
+		return storage.NewRunColumn(kind, runVals[at:], runEnds[at:])
+	}
+	const window = uint64(seismic.WindowDuration)
 	for _, seg := range f.Segments {
 		n := len(seg.Samples)
-		ids := make([]int64, n)
-		segs := make([]int64, n)
-		ts := make([]int64, n)
-		vals := make([]float64, n)
-		wins := make([]int64, n)
+		ts, vals := tsAll[:n:n], valAll[:n:n]
+		tsAll, valAll = tsAll[n:], valAll[n:]
 		period := float64(time.Second) / seg.Header.SampleRate
-		for i, v := range seg.Samples {
-			ids[i] = chunkID
-			segs[i] = int64(seg.Header.ID)
-			ts[i] = seg.Header.StartTime + int64(float64(i)*period)
-			vals[i] = float64(v)
-			wins[i] = seismic.WindowStart(ts[i])
-		}
 		for lo := 0; lo < n; lo += storage.BatchSize {
 			hi := min(lo+storage.BatchSize, n)
-			rel.Append(storage.NewBatch(
-				storage.NewInt64Column(ids[lo:hi]),
-				storage.NewInt64Column(segs[lo:hi]),
+			rows := int32(hi - lo)
+			runVals, runEnds = append(runVals, chunkID), append(runEnds, rows)
+			fileID := run(storage.KindInt64, 1)
+			runVals, runEnds = append(runVals, int64(seg.Header.ID)), append(runEnds, rows)
+			segID := run(storage.KindInt64, 1)
+
+			tz := storage.Zone{Min: math.MaxInt64, Max: math.MinInt64, Ok: true}
+			win, wins := int64(0), 0
+			for i := lo; i < hi; i++ {
+				t := seg.Header.StartTime + int64(float64(i)*period)
+				ts[i], vals[i] = t, float64(seg.Samples[i])
+				tz.Min, tz.Max = min(tz.Min, t), max(tz.Max, t)
+				// One unsigned compare holds a row inside the current
+				// window; only a crossing pays for WindowStart.
+				if wins == 0 || uint64(t-win) >= window {
+					if wins > 0 {
+						runEnds[len(runEnds)-1] = int32(i - lo)
+					}
+					win = seismic.WindowStart(t)
+					runVals, runEnds = append(runVals, win), append(runEnds, rows)
+					wins++
+				}
+			}
+			winTS := run(storage.KindTime, wins)
+			batches = append(batches, storage.NewBatch(
+				fileID, segID,
 				storage.NewTimeColumn(ts[lo:hi]),
 				storage.NewFloat64Column(vals[lo:hi]),
-				storage.NewTimeColumn(wins[lo:hi]),
+				winTS,
 			))
+			zones = append(zones, []storage.Zone{
+				storage.ColumnZone(fileID), storage.ColumnZone(segID), tz, {}, storage.ColumnZone(winTS),
+			})
 		}
 	}
-	return rel
+	return storage.NewChunkRelation(batches, zones)
 }
 
 // RegisterMetadata is the Registrar module: it extracts the given

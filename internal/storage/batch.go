@@ -80,34 +80,43 @@ func (b *Batch) DetachSel() (*Batch, []int32) {
 	return &Batch{Cols: b.Cols}, sel
 }
 
-// Materialize resolves a deferred selection by gathering the selected
-// rows, recycling the selection vector (and clearing b's reference to
-// it, so a stray second use of b cannot reach pooled memory).
-// Contiguous batches are returned unchanged. Because selections are
-// ascending subsets, a selection as long as the base is the identity
-// and resolves without copying.
+// Materialize returns the batch in plain contiguous form: a deferred
+// selection is resolved by gathering the selected rows, recycling the
+// selection vector (and clearing b's reference to it, so a stray second
+// use of b cannot reach pooled memory), and run-shaped columns are
+// expanded to their plain twins, so nothing downstream of a Materialize
+// — a Relation built by Append, a sink — ever sees a column shape.
+// Contiguous plain batches are returned unchanged. Because selections
+// are ascending subsets, a selection as long as the base is the
+// identity and resolves without gathering.
 func (b *Batch) Materialize() *Batch {
-	if b.sel == nil {
-		return b
-	}
-	sel := b.sel
-	b.sel = nil
-	if len(sel) == b.baseLen() {
-		PutSel(sel)
-		if b.pooled {
-			return b
+	if sel := b.sel; sel != nil {
+		b.sel = nil
+		if len(sel) != b.baseLen() {
+			cols := make([]Column, len(b.Cols))
+			for i, c := range b.Cols {
+				cols[i] = c.Gather(sel)
+			}
+			PutSel(sel)
+			// The gathered copy replaces the base: recycle the (now dead)
+			// pooled base columns and header, if any.
+			PutBatch(b)
+			return &Batch{Cols: cols}
 		}
-		return &Batch{Cols: b.Cols}
+		PutSel(sel)
+		if !b.pooled {
+			b = &Batch{Cols: b.Cols}
+		}
 	}
-	cols := make([]Column, len(b.Cols))
-	for i, c := range b.Cols {
-		cols[i] = c.Gather(sel)
+	if cols, expanded := plainCols(b.Cols); expanded {
+		if !b.pooled {
+			return &Batch{Cols: cols}
+		}
+		// The pooled header, and its column slice, stay with their
+		// single owner.
+		copy(b.Cols, cols)
 	}
-	PutSel(sel)
-	// The gathered copy replaces the base: recycle the (now dead)
-	// pooled base columns and header, if any.
-	PutBatch(b)
-	return &Batch{Cols: cols}
+	return b
 }
 
 // baseLen is the row count of the base columns, ignoring any selection.
@@ -171,8 +180,9 @@ func (b *Batch) MemSize() int64 {
 
 // Relation is a fully materialized sequence of batches with a fixed
 // width; the in-memory representation of a table column set or an
-// operator result. Batches stored in a relation are always contiguous:
-// Append materializes any deferred selection.
+// operator result. Batches stored in a relation are always contiguous,
+// and those Append stored are plain (it materializes); only a chunk
+// relation (NewChunkRelation, DecodeRelation) keeps column shapes.
 type Relation struct {
 	batches []*Batch
 	rows    int
@@ -210,8 +220,8 @@ func NewRelationWithCap(nBatches int) *Relation {
 	return &Relation{batches: make([]*Batch, 0, nBatches)}
 }
 
-// Append adds a batch, materializing any deferred selection; empty
-// batches are ignored.
+// Append adds a batch, materialized (selection resolved, column shapes
+// expanded); empty batches are ignored.
 func (r *Relation) Append(b *Batch) {
 	if b.Len() == 0 {
 		return
@@ -222,6 +232,25 @@ func (r *Relation) Append(b *Batch) {
 	}
 	r.batches = append(r.batches, b)
 	r.rows += b.Len()
+}
+
+// NewChunkRelation builds a relation from the batches of one decoded
+// chunk as they are — contiguous, column shapes kept — with its zone
+// maps (one bound per column per batch) already known, so the first
+// scan of a fresh chunk computes none.
+func NewChunkRelation(batches []*Batch, zones [][]Zone) *Relation {
+	if len(zones) != len(batches) {
+		panic(fmt.Sprintf("storage: chunk relation with %d batches, %d zone rows", len(batches), len(zones)))
+	}
+	r := &Relation{batches: batches}
+	for _, b := range batches {
+		if b.sel != nil || b.Len() == 0 || b.Width() != batches[0].Width() {
+			panic("storage: chunk relation batches must be contiguous, non-empty and equally wide")
+		}
+		r.rows += b.Len()
+	}
+	r.zones.Store(&zones)
+	return r
 }
 
 // Zone returns the cached min/max bound of column col over batch i,
@@ -266,17 +295,21 @@ var zoneComputed atomic.Int64
 // run process-wide. Intended for tests.
 func ZoneComputations() int64 { return zoneComputed.Load() }
 
-// ColumnZone computes the min/max bound of an int64/time column; other
-// kinds (and empty columns) report Ok=false. It is the single bounds
-// routine behind both the relation's batch-level zone maps and the
-// index package's chunk-level zone maps.
+// ColumnZone computes the min/max bound of an int64/time column — over
+// its runs when it is run-shaped, over its rows otherwise; other kinds
+// (and empty columns) report Ok=false. It is the single bounds routine
+// behind both the relation's batch-level zone maps and the index
+// package's chunk-level zone maps.
 func ColumnZone(c Column) Zone {
 	switch c.Kind() {
 	case KindInt64, KindTime:
 	default:
 		return Zone{}
 	}
-	vals := Int64s(c)
+	vals, _, ok := Runs(c)
+	if !ok {
+		vals = Int64s(c)
+	}
 	if len(vals) == 0 {
 		return Zone{}
 	}
@@ -344,30 +377,27 @@ func (r *Relation) MemSize() int64 {
 	return n
 }
 
-// Flatten concatenates all batches into one. It is used where an
-// operator (hash join build, sort) needs random access to a whole input.
+// Flatten concatenates all batches into one plain batch (a chunk
+// relation's column shapes are expanded). It is used where an operator
+// (hash join build, sort) needs random access to a whole input.
 func (r *Relation) Flatten() *Batch {
 	if len(r.batches) == 0 {
 		return &Batch{}
 	}
 	if len(r.batches) == 1 {
+		// The relation keeps its batch: expand into a new header.
+		if cols, expanded := plainCols(r.batches[0].Cols); expanded {
+			return &Batch{Cols: cols}
+		}
 		return r.batches[0]
 	}
 	width := r.batches[0].Width()
-	builders := make([]Builder, width)
-	for i := 0; i < width; i++ {
-		builders[i] = NewBuilder(r.batches[0].Cols[i].Kind(), r.rows)
-	}
-	for _, b := range r.batches {
-		for ci, c := range b.Cols {
-			n := c.Len()
-			for ri := 0; ri < n; ri++ {
-				builders[ci].AppendFrom(c, ri)
-			}
-		}
-	}
 	cols := make([]Column, width)
-	for i, bl := range builders {
+	for i := range cols {
+		bl := NewBuilder(r.batches[0].Cols[i].Kind(), r.rows)
+		for _, b := range r.batches {
+			bl.AppendAll(b.Cols[i])
+		}
 		cols[i] = bl.Finish()
 	}
 	return NewBatch(cols...)

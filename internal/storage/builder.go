@@ -12,7 +12,8 @@ type Builder interface {
 	// type mismatch. Typed builders expose faster Append methods.
 	AppendAny(v any)
 	// AppendFrom appends the i-th value of col, which must have the
-	// builder's kind.
+	// builder's kind. Here and below an int64 or timestamp col may be
+	// run-shaped; what is built is always plain.
 	AppendFrom(col Column, i int)
 	// AppendSel appends the rows of col named by the selection vector,
 	// in order. col must have the builder's kind. Typed builders
@@ -107,16 +108,28 @@ func (b *Int64Builder) AppendAny(v any) { b.vals = append(b.vals, v.(int64)) }
 
 // AppendFrom implements Builder.
 func (b *Int64Builder) AppendFrom(col Column, i int) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = append(b.vals, rc.Value(i))
+		return
+	}
 	b.vals = append(b.vals, col.(*Int64Column).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *Int64Builder) AppendSel(col Column, sel []int32) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = rc.appendSel(b.vals, sel)
+		return
+	}
 	b.vals = appendSel(b.vals, col.(*Int64Column).vals, sel)
 }
 
 // AppendAll implements Builder.
 func (b *Int64Builder) AppendAll(col Column) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = rc.appendAll(b.vals)
+		return
+	}
 	b.vals = append(b.vals, col.(*Int64Column).vals...)
 }
 
@@ -166,16 +179,28 @@ func (b *TimeBuilder) AppendAny(v any) { b.vals = append(b.vals, v.(int64)) }
 
 // AppendFrom implements Builder.
 func (b *TimeBuilder) AppendFrom(col Column, i int) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = append(b.vals, rc.Value(i))
+		return
+	}
 	b.vals = append(b.vals, col.(*TimeColumn).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *TimeBuilder) AppendSel(col Column, sel []int32) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = rc.appendSel(b.vals, sel)
+		return
+	}
 	b.vals = appendSel(b.vals, col.(*TimeColumn).vals, sel)
 }
 
 // AppendAll implements Builder.
 func (b *TimeBuilder) AppendAll(col Column) {
+	if rc, ok := col.(*RunColumn); ok {
+		b.vals = rc.appendAll(b.vals)
+		return
+	}
 	b.vals = append(b.vals, col.(*TimeColumn).vals...)
 }
 

@@ -44,7 +44,8 @@ func (k Kind) String() string {
 // Column is an immutable, typed vector of values. Columns are created by
 // builders (or the convenience constructors) and then treated as
 // read-only by the execution engine; Slice and Gather return new columns
-// that may share underlying storage.
+// that may share underlying storage. Besides the five plain types there
+// is one shaped implementation, RunColumn (runcolumn.go).
 type Column interface {
 	// Kind reports the physical type of the column.
 	Kind() Kind
@@ -60,14 +61,18 @@ type Column interface {
 	Gather(idx []int32) Column
 }
 
-// Int64s extracts the backing slice of an int64 or timestamp column.
-// It panics if the column has a different physical representation.
+// Int64s returns the values of an int64 or timestamp column, one per
+// row: the backing slice of a plain column, a fresh expansion of a
+// run-shaped one (kernels that care read Runs instead). It panics if
+// the column has a different physical representation.
 func Int64s(c Column) []int64 {
 	switch c := c.(type) {
 	case *Int64Column:
 		return c.vals
 	case *TimeColumn:
 		return c.vals
+	case *RunColumn:
+		return c.expand()
 	default:
 		panic(fmt.Sprintf("storage: Int64s on %T", c))
 	}
@@ -305,6 +310,8 @@ func ValueAt(c Column, i int) any {
 	case *BoolColumn:
 		return c.Value(i)
 	case *StringColumn:
+		return c.Value(i)
+	case *RunColumn:
 		return c.Value(i)
 	default:
 		panic(fmt.Sprintf("storage: ValueAt on %T", c))

@@ -12,7 +12,7 @@ package storage
 //	  uvarint  nRows
 //	  uvarint  nCols
 //	  per column:
-//	    byte    kind            (segInt64..segTime, decoupled from Kind)
+//	    byte    kind            (segInt64..segRun, decoupled from Kind)
 //	    byte    zone.Ok         (1 followed by varint min, varint max)
 //	    values  kind-specific   (see below)
 //
@@ -26,9 +26,12 @@ package storage
 // varint parse — this is what makes a disk promote decode cheaper than
 // a miniSEED re-ingest. float64 is 8-byte little-endian IEEE-754,
 // bool is one byte, strings are a dictionary (uvarint count, then
-// uvarint length + bytes each) followed by uvarint codes. Framing,
-// CRCs and the footer index are the disk tier's concern — the codec
-// sees only body bytes.
+// uvarint length + bytes each) followed by uvarint codes. A run-shaped
+// column (segRun) is its value kind byte (segInt64 or segTime), a
+// uvarint run count, one varint per run value and one uvarint per run
+// length, and decodes back into a RunColumn: a few bytes where a plain
+// column walks every row. Framing, CRCs and the footer index are the
+// disk tier's concern — the codec sees only body bytes.
 //
 // The per-column zone bounds are written at encode time (from the
 // relation's lazily built zone cache) and seeded back into the decoded
@@ -50,6 +53,7 @@ const (
 	segBool
 	segString
 	segTime
+	segRun
 )
 
 func toSegKind(k Kind) (byte, error) {
@@ -100,7 +104,12 @@ func EncodeRelation(buf []byte, rel *Relation) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			buf = append(buf, sk)
+			runVals, runEnds, isRun := Runs(c)
+			if isRun {
+				buf = append(buf, segRun)
+			} else {
+				buf = append(buf, sk)
+			}
 			z := rel.Zone(bi, ci)
 			if z.Ok {
 				buf = append(buf, 1)
@@ -108,6 +117,19 @@ func EncodeRelation(buf []byte, rel *Relation) ([]byte, error) {
 				putVarint(z.Max)
 			} else {
 				buf = append(buf, 0)
+			}
+			if isRun {
+				buf = append(buf, sk)
+				putUvarint(uint64(len(runVals)))
+				for _, v := range runVals {
+					putVarint(v)
+				}
+				prev := int32(0)
+				for _, e := range runEnds {
+					putUvarint(uint64(e - prev))
+					prev = e
+				}
+				continue
 			}
 			switch sk {
 			case segInt64, segTime:
@@ -281,7 +303,9 @@ func DecodeRelation(data []byte) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nBatches > maxDecodeRows {
+	// A batch takes at least two bytes and a column two more, so corrupt
+	// counts cannot pre-allocate more slots than the body has bytes.
+	if nBatches > uint64(len(data))/2 {
 		return nil, ErrSegCorrupt
 	}
 	rel := NewRelationWithCap(int(nBatches))
@@ -299,7 +323,7 @@ func DecodeRelation(data []byte) (*Relation, error) {
 			return fail(nil)
 		}
 		nCols, err := r.uvarint()
-		if err != nil || nCols > 1<<16 {
+		if err != nil || nCols > 1<<16 || nCols > uint64(len(data)-r.off)/2 {
 			return fail(nil)
 		}
 		cols := make([]Column, 0, nCols)
@@ -320,7 +344,9 @@ func DecodeRelation(data []byte) (*Relation, error) {
 			PutBatch(b)
 			continue
 		}
-		rel.Append(b)
+		// Not Append: a chunk relation keeps its column shapes.
+		rel.batches = append(rel.batches, b)
+		rel.rows += b.Len()
 		zones = append(zones, zs)
 	}
 	if r.off != len(data) {
@@ -352,6 +378,9 @@ func decodeColumn(r *segReader, nRows int) (Column, Zone, error) {
 		return nil, Zone{}, ErrSegCorrupt
 	}
 	switch sk {
+	case segRun:
+		c, err := decodeRuns(r, nRows)
+		return c, z, err
 	case segInt64, segTime:
 		vals := decInt64s(nRows)
 		// Hand-rolled cursor: the generic r.varint() slice-and-call per
@@ -463,4 +492,44 @@ func decodeColumn(r *segReader, nRows int) (Column, Zone, error) {
 		return decStringCol(dict, codes), z, nil
 	}
 	return nil, Zone{}, ErrSegCorrupt
+}
+
+// decodeRuns decodes the body of a segRun column of nRows rows. Run
+// columns are never pooled, so a failure leaves nothing checked out.
+func decodeRuns(r *segReader, nRows int) (Column, error) {
+	kind := KindInt64
+	switch sk, err := r.byte(); {
+	case err != nil:
+		return nil, err
+	case sk == segTime:
+		kind = KindTime
+	case sk != segInt64:
+		return nil, ErrSegCorrupt
+	}
+	// A run covers at least one row and takes at least two bytes, so a
+	// corrupt count can demand neither more runs than rows nor more
+	// memory than the body is long.
+	nRuns, err := r.uvarint()
+	if err != nil || nRuns > uint64(nRows) || nRuns > uint64(len(r.data)-r.off)/2 {
+		return nil, ErrSegCorrupt
+	}
+	vals, ends := make([]int64, nRuns), make([]int32, nRuns)
+	for i := range vals {
+		if vals[i], err = r.varint(); err != nil {
+			return nil, err
+		}
+	}
+	end := uint64(0)
+	for i := range ends {
+		n, err := r.uvarint()
+		if err != nil || n == 0 || n > uint64(nRows)-end {
+			return nil, ErrSegCorrupt
+		}
+		end += n
+		ends[i] = int32(end)
+	}
+	if end != uint64(nRows) {
+		return nil, ErrSegCorrupt
+	}
+	return &RunColumn{kind: kind, vals: vals, ends: ends}, nil
 }
