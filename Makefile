@@ -90,10 +90,11 @@ bench-json:
 	$(GO) run ./cmd/benchrunner -sf 3 -basedays 2 -samples 60000 -coldstart-json BENCH_coldstart.json
 	@cat BENCH_coldstart.json
 
-## bench-micro runs the operator, storage and wire-render
-## microbenchmarks with allocation counts; compare against a baseline
+## bench-micro runs the operator, storage, wire-render and disk-tier
+## promote microbenchmarks with allocation counts; compare against a baseline
 ## with benchstat.
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkFilter|BenchmarkZoneSkip|BenchmarkHashJoin|BenchmarkGroupedAggregate' -benchmem ./internal/physical/
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/storage/
 	$(GO) test -run='^$$' -bench='BenchmarkRender' -benchmem ./internal/server/
+	$(GO) test -run='^$$' -bench='BenchmarkPromote' -benchmem ./internal/cache/

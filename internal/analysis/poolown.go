@@ -26,9 +26,6 @@ var poolOwnSpec = &ownSpec{
 		sp + "GetRelation":       0,
 		sp + "Batch.DetachSel":   0,
 		sp + "Batch.Materialize": 0,
-		// The segment-codec decoder hands back a relation of pooled
-		// batches (the disk tier's promote path); the caller owns it.
-		sp + "DecodeRelation": 0,
 	},
 	recvConsumed: map[string]bool{
 		sp + "Batch.DetachSel":   true,

@@ -145,39 +145,17 @@ func sinkUseAfterPush(s sink) int {
 	return b.Len() // want "use of pooled value \"b\" after it may have been released"
 }
 
-// decodeLeak mirrors the disk tier's promote path gone wrong: the
-// decoded relation of pooled batches is dropped on an error branch.
-func decodeLeak(body []byte, fail bool) error {
-	rel, err := storage.DecodeRelation(body) // want "pooled value \"rel\" from DecodeRelation is not released on every path"
+// decodeDropped drops a decoded relation on an error branch: not a
+// leak, since the segment decoder produces no pooled memory (a chunk's
+// memory belongs to its chunk store).
+func decodeDropped(body []byte, fail bool) error {
+	rel, err := storage.DecodeRelation(body)
 	if err != nil {
 		return err
 	}
 	if fail {
 		return errBoom
 	}
-	rel.Release()
+	_ = rel.Rows()
 	return nil
-}
-
-// cleanDecode releases the decoded relation on every live path; the
-// decoder itself guarantees nothing is checked out on the error path.
-func cleanDecode(body []byte) (int, error) {
-	rel, err := storage.DecodeRelation(body)
-	if err != nil {
-		return 0, err
-	}
-	n := rel.Rows()
-	rel.Release()
-	return n, nil
-}
-
-// cleanDecodeDisown installs the decoded relation somewhere long-lived
-// by dissolving pool ownership first.
-func cleanDecodeDisown(body []byte) *storage.Relation {
-	rel, err := storage.DecodeRelation(body)
-	if err != nil {
-		return nil
-	}
-	rel.Disown()
-	return rel
 }

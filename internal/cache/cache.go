@@ -25,7 +25,8 @@ const (
 	CostAware
 )
 
-// Stats aggregates cache activity.
+// Stats aggregates cache activity; Hits and Misses are counted by the
+// cache's owner (internal/chunkstore).
 type Stats struct {
 	Hits      int64
 	Misses    int64
@@ -43,26 +44,23 @@ type entry struct {
 
 	// Intrusive LRU list linkage, guarded by the recycler write lock.
 	// stamp records lastUsed as of the entry's most recent reposition:
-	// lastUsed > stamp means the entry was touched (lock-free, by
-	// Contains) since it was placed, and deserves a second chance
-	// before eviction.
+	// lastUsed > stamp means the entry was touched (lock-free, by Touch)
+	// since it was placed, and deserves a second chance before eviction.
 	prev, next *entry
 	stamp      int64
 }
 
-// Recycler is a byte-capacity bounded cache of chunk IDs. The chunk
-// payloads themselves live in the actual-data tables; the recycler
-// decides residency and invokes the eviction callback so the owner can
-// drop the column data.
+// Recycler is a byte-capacity bounded cache of chunk IDs: the
+// replacement policy of a chunk store (internal/chunkstore), which it
+// tells what to drop through the eviction callback.
 //
-// The residency check (Contains) is the per-chunk hot path of every
-// lazy query, so it never takes the exclusive lock: the entry map is
-// read under an RWMutex read lock, and hit/miss counters plus recency
-// (a logical clock stamped onto the entry) are plain atomics. Only
-// structural changes — admission, eviction, drops — serialize on the
-// write lock.
+// Touch is the per-chunk hot path of every lazy query, so it never
+// takes the exclusive lock: the entry map is read under an RWMutex read
+// lock, and recency (a logical clock stamped onto the entry) is a plain
+// atomic. Only structural changes — admission, eviction, drops —
+// serialize on the write lock.
 //
-// Recency is two-level: Contains stamps a logical clock onto the entry
+// Recency is two-level: Touch stamps a logical clock onto the entry
 // with plain atomics (an exclusive-locked move-to-front would
 // serialize the hot path), while an intrusive doubly-linked list —
 // maintained only under the write lock, where structural changes
@@ -85,8 +83,6 @@ type Recycler struct {
 	lruHead, lruTail *entry
 
 	clock     atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
 	evictions atomic.Int64
 }
 
@@ -102,19 +98,15 @@ func New(capacity int64, policy Policy, onEvict func(int64)) *Recycler {
 	}
 }
 
-// Contains reports residency and counts a hit or miss, refreshing
-// recency on hit. It is the cache-scan vs chunk-access decision point.
-func (r *Recycler) Contains(chunkID int64) bool {
+// Touch refreshes a resident chunk's recency and reuse count: the
+// recycler's view of a cache hit. An absent chunk is ignored.
+func (r *Recycler) Touch(chunkID int64) {
 	r.mu.RLock()
 	e, ok := r.entries[chunkID]
 	r.mu.RUnlock()
-	if !ok {
-		r.misses.Add(1)
-		return false
+	if ok {
+		r.touch(e)
 	}
-	r.hits.Add(1)
-	r.touch(e)
-	return true
 }
 
 // Peek reports residency without touching statistics or recency.
@@ -295,22 +287,18 @@ func (r *Recycler) Clear() {
 	}
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters (Hits and Misses zero).
 func (r *Recycler) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return Stats{
-		Hits:      r.hits.Load(),
-		Misses:    r.misses.Load(),
 		Evictions: r.evictions.Load(),
 		BytesUsed: r.used,
 		Chunks:    len(r.entries),
 	}
 }
 
-// ResetStats zeroes the hit/miss/eviction counters.
+// ResetStats zeroes the eviction counter.
 func (r *Recycler) ResetStats() {
-	r.hits.Store(0)
-	r.misses.Store(0)
 	r.evictions.Store(0)
 }

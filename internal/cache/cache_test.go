@@ -8,17 +8,18 @@ import (
 
 func TestAdmitContains(t *testing.T) {
 	r := New(100, LRU, nil)
-	if r.Contains(1) {
+	if r.Peek(1) {
 		t.Fatal("empty cache contains chunk")
 	}
+	r.Touch(1) // touching an absent chunk is a no-op
 	if !r.Admit(1, 40, time.Millisecond) {
 		t.Fatal("admit refused")
 	}
-	if !r.Contains(1) {
+	if !r.Peek(1) {
 		t.Fatal("admitted chunk missing")
 	}
 	s := r.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Chunks != 1 || s.BytesUsed != 40 {
+	if s.Chunks != 1 || s.BytesUsed != 40 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -28,7 +29,7 @@ func TestLRUEviction(t *testing.T) {
 	r := New(100, LRU, func(id int64) { evicted = append(evicted, id) })
 	r.Admit(1, 40, time.Millisecond)
 	r.Admit(2, 40, time.Millisecond)
-	r.Contains(1) // 1 is now more recent than 2
+	r.Touch(1) // 1 is now more recent than 2
 	r.Admit(3, 40, time.Millisecond)
 	if len(evicted) != 1 || evicted[0] != 2 {
 		t.Fatalf("evicted = %v", evicted)
@@ -116,13 +117,15 @@ func TestDropAndClear(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	r := New(100, LRU, nil)
+	r := New(10, LRU, nil)
 	r.Admit(1, 10, 0)
-	r.Contains(1)
-	r.Contains(99)
+	r.Admit(2, 10, 0) // evicts 1
+	if r.Stats().Evictions != 1 {
+		t.Fatalf("stats = %+v", r.Stats())
+	}
 	r.ResetStats()
 	s := r.Stats()
-	if s.Hits != 0 || s.Misses != 0 {
+	if s.Evictions != 0 {
 		t.Fatalf("stats not reset: %+v", s)
 	}
 	if s.Chunks != 1 {
@@ -139,7 +142,9 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := int64((g*200 + i) % 50)
-				if !r.Contains(id) {
+				if r.Peek(id) {
+					r.Touch(id)
+				} else {
 					r.Admit(id, 10, time.Millisecond)
 				}
 			}

@@ -29,11 +29,13 @@ package cache
 // dropped from the index the same way, at block granularity.
 //
 // Spills are asynchronous: the recycler's eviction callback runs under
-// the recycler lock, so Spill only enqueues (relation references stay
-// valid — chunk relations are immutable) and a single background
-// writer goroutine encodes and appends. The queue is bounded and
-// lossy: a full queue refuses the spill rather than stalling eviction,
-// which is always safe — a refused block just stays archive-only.
+// the recycler lock, so Spill only enqueues and a single background
+// writer goroutine encodes and appends. The spilled relation is
+// immutable, and its owner keeps its memory from being reused until
+// the writer reports it encoded (Spill's done). The queue is bounded
+// and lossy: a full queue refuses the spill rather than stalling
+// eviction, which is always safe — a refused block just stays
+// archive-only.
 
 import (
 	"encoding/binary"
@@ -83,8 +85,9 @@ type blockMeta struct {
 }
 
 type spillReq struct {
-	id  int64
-	rel *storage.Relation
+	id   int64
+	rel  *storage.Relation
+	done func() // nil, or called once the tier no longer reads rel
 }
 
 // DiskTier is one table's segment file plus its in-memory block index.
@@ -104,6 +107,8 @@ type DiskTier struct {
 
 	queue   chan spillReq
 	pending sync.WaitGroup
+	// wbuf is the writer goroutine's block buffer, reused across spills.
+	wbuf []byte
 
 	hits, misses, spills, spillRefused   atomic.Int64
 	promotes, corruptBlocks, corruptSegs atomic.Int64
@@ -286,30 +291,12 @@ func (dt *DiskTier) Contains(chunkID int64) bool {
 // Spill enqueues a chunk relation for the background writer. It never
 // blocks and never does I/O: it is safe to call from the recycler's
 // eviction callback, which runs under the recycler's write lock. The
-// relation must be immutable (table chunk relations are); the tier
-// holds a reference until the write completes.
-func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation) {
-	if dt == nil || rel == nil {
-		return
-	}
-	dt.mu.Lock()
-	if !dt.accepting || dt.inflight[chunkID] {
-		dt.mu.Unlock()
-		return
-	}
-	if _, ok := dt.index[chunkID]; ok {
-		dt.mu.Unlock()
-		return // chunks are immutable per ID: already spilled
-	}
-	dt.inflight[chunkID] = true
-	dt.pending.Add(1)
-	dt.mu.Unlock()
-	select {
-	case dt.queue <- spillReq{id: chunkID, rel: rel}:
-	default:
-		dt.unqueue(chunkID)
-		dt.spillRefused.Add(1)
-	}
+// relation must be immutable; done (if non-nil) is called exactly once,
+// as soon as the tier no longer reads it — when the writer has encoded
+// it, or at once when the spill is refused or redundant — so the owner
+// can reuse its memory.
+func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation, done func()) {
+	dt.enqueue(spillReq{id: chunkID, rel: rel, done: done}, false)
 }
 
 // SpillSync is the lossless variant of Spill: it blocks until the
@@ -318,22 +305,45 @@ func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation) {
 // block means the next start pays the archive for hot data. It must
 // not be called from the recycler's eviction callback.
 func (dt *DiskTier) SpillSync(chunkID int64, rel *storage.Relation) {
-	if dt == nil || rel == nil {
+	dt.enqueue(spillReq{id: chunkID, rel: rel}, true)
+}
+
+// enqueue queues req for the writer — waiting for room when wait is
+// set, refusing it on a full queue otherwise — unless the tier is
+// closing or already holds (or is writing) the chunk: chunks are
+// immutable per ID.
+func (dt *DiskTier) enqueue(req spillReq, wait bool) {
+	if dt == nil || req.rel == nil {
+		req.release()
 		return
 	}
 	dt.mu.Lock()
-	if !dt.accepting || dt.inflight[chunkID] {
+	_, spilled := dt.index[req.id]
+	if !dt.accepting || dt.inflight[req.id] || spilled {
 		dt.mu.Unlock()
+		req.release()
 		return
 	}
-	if _, ok := dt.index[chunkID]; ok {
-		dt.mu.Unlock()
-		return
-	}
-	dt.inflight[chunkID] = true
+	dt.inflight[req.id] = true
 	dt.pending.Add(1)
 	dt.mu.Unlock()
-	dt.queue <- spillReq{id: chunkID, rel: rel}
+	if wait {
+		dt.queue <- req
+		return
+	}
+	select {
+	case dt.queue <- req:
+	default:
+		dt.unqueue(req.id)
+		dt.spillRefused.Add(1)
+		req.release()
+	}
+}
+
+func (req spillReq) release() {
+	if req.done != nil {
+		req.done()
+	}
 }
 
 func (dt *DiskTier) unqueue(chunkID int64) {
@@ -351,17 +361,23 @@ func (dt *DiskTier) writer() {
 	}
 }
 
+// writeBlock encodes req's relation straight after a reserved block
+// header in the writer's reused buffer, then fills the header in and
+// appends header and body with one write.
 func (dt *DiskTier) writeBlock(req spillReq) {
-	body, err := storage.EncodeRelation(nil, req.rel)
+	var hdr [blockHdrLen]byte
+	blk, err := storage.EncodeRelation(append(dt.wbuf[:0], hdr[:]...), req.rel)
+	req.release()
 	if err != nil {
 		dt.spillRefused.Add(1)
 		return
 	}
-	blk := make([]byte, blockHdrLen+len(body))
+	dt.wbuf = blk
+	body := blk[blockHdrLen:]
+	crc := crc32.ChecksumIEEE(body)
 	binary.LittleEndian.PutUint64(blk[0:], uint64(req.id))
 	binary.LittleEndian.PutUint32(blk[8:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(blk[12:], crc32.ChecksumIEEE(body))
-	copy(blk[blockHdrLen:], body)
+	binary.LittleEndian.PutUint32(blk[12:], crc)
 
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
@@ -376,21 +392,25 @@ func (dt *DiskTier) writeBlock(req spillReq) {
 		dt.spillRefused.Add(1)
 		return
 	}
-	dt.index[req.id] = blockMeta{
-		off:    dt.writeOff + blockHdrLen,
-		length: int64(len(body)),
-		crc:    crc32.ChecksumIEEE(body),
-	}
+	dt.index[req.id] = blockMeta{off: dt.writeOff + blockHdrLen, length: int64(len(body)), crc: crc}
 	dt.writeOff += int64(len(blk))
 	dt.spills.Add(1)
 }
 
-// Promote reads, verifies and decodes one block back into a pooled
-// relation owned by the caller (nil on miss). A CRC or decode failure
-// drops the block from the index and reports a miss — the caller falls
-// through to the archive loader, so a rotten block degrades to a cache
-// miss, never to wrong data.
+// Promote reads, verifies and decodes one block back into fresh
+// memory: PromoteInto without a ChunkMem.
 func (dt *DiskTier) Promote(chunkID int64) *storage.Relation {
+	return dt.PromoteInto(chunkID, nil)
+}
+
+// PromoteInto reads, verifies and decodes one block back into a
+// relation (nil on miss): the body is read into mem's scratch and the
+// chunk decoded into an arena taken from it (storage.DecodeRelationInto);
+// a nil mem allocates. A CRC or decode failure drops the block from the
+// index and reports a miss — the caller falls through to the archive
+// loader, so a rotten block degrades to a cache miss, never to wrong
+// data.
+func (dt *DiskTier) PromoteInto(chunkID int64, mem *storage.ChunkMem) *storage.Relation {
 	if dt == nil {
 		return nil
 	}
@@ -402,7 +422,7 @@ func (dt *DiskTier) Promote(chunkID int64) *storage.Relation {
 		dt.misses.Add(1)
 		return nil
 	}
-	body := make([]byte, bm.length)
+	body := mem.Bytes(int(bm.length))
 	if _, err := f.ReadAt(body, bm.off); err != nil {
 		// A read error (e.g. file closed under a racing shutdown) is a
 		// plain miss; only checksum/decode failures mark corruption.
@@ -413,7 +433,7 @@ func (dt *DiskTier) Promote(chunkID int64) *storage.Relation {
 		dt.dropBlock(chunkID)
 		return nil
 	}
-	rel, err := storage.DecodeRelation(body)
+	rel, err := storage.DecodeRelationInto(body, mem)
 	if err != nil {
 		dt.dropBlock(chunkID)
 		return nil

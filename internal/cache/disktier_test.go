@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"sommelier/internal/storage"
@@ -52,7 +56,7 @@ func TestDiskTierSpillPromoteRoundtrip(t *testing.T) {
 	rels := map[int64]*storage.Relation{}
 	for id := int64(1); id <= 5; id++ {
 		rels[id] = tierRel(200, id*1000)
-		dt.Spill(id, rels[id])
+		dt.Spill(id, rels[id], nil)
 	}
 	dt.WaitIdle()
 	for id, want := range rels {
@@ -270,7 +274,7 @@ func TestDiskTierDuplicateSpillIgnored(t *testing.T) {
 	rel := tierRel(50, 1)
 	dt.SpillSync(1, rel)
 	dt.WaitIdle()
-	dt.Spill(1, rel)
+	dt.Spill(1, rel, nil)
 	dt.SpillSync(1, rel)
 	dt.WaitIdle()
 	if s := dt.Stats(); s.Spills != 1 {
@@ -288,7 +292,7 @@ func TestDiskTierSpillAfterCloseRefused(t *testing.T) {
 	if err := dt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dt.Spill(1, tierRel(10, 1)) // must not panic or enqueue
+	dt.Spill(1, tierRel(10, 1), nil) // must not panic or enqueue
 	if dt.Contains(1) {
 		t.Fatal("spill accepted after close")
 	}
@@ -349,4 +353,149 @@ func TestDiskTierOlderSegmentVersionDiscarded(t *testing.T) {
 	}
 	requireSameRows(t, want, got)
 	got.Release()
+}
+
+// TestDiskTierSpillDone: a spill reports that the tier no longer reads
+// its relation exactly once on every path — encoded, redundant (already
+// on disk), refused by a full queue, and after close — so its owner can
+// reuse the memory.
+func TestDiskTierSpillDone(t *testing.T) {
+	defer storage.RequireNoLeaks(t)
+	dt, err := OpenDiskTier(t.TempDir(), "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[int64]int{}
+	var mu sync.Mutex
+	spill := func(id int64) {
+		dt.Spill(id, tierRel(50, id), func() {
+			mu.Lock()
+			done[id]++
+			mu.Unlock()
+		})
+	}
+	spill(1)
+	dt.WaitIdle()
+	spill(1) // already on disk
+	for id := int64(2); id < 2+2*spillQueueLen; id++ {
+		spill(id) // some refused by the full queue
+	}
+	dt.WaitIdle()
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spill(9999) // after close
+	mu.Lock()
+	defer mu.Unlock()
+	if done[1] != 2 || done[9999] != 1 {
+		t.Fatalf("done calls: chunk 1 %d, after close %d", done[1], done[9999])
+	}
+	for id := int64(2); id < 2+2*spillQueueLen; id++ {
+		if done[id] != 1 {
+			t.Fatalf("chunk %d: done called %d times", id, done[id])
+		}
+	}
+}
+
+// TestDiskTierBlockLayout pins the segment format the writer appends: a
+// 16-byte header (chunk ID, body length, CRC32 of the body) followed by
+// the storage.EncodeRelation body, back to back after the file header.
+func TestDiskTierBlockLayout(t *testing.T) {
+	defer storage.RequireNoLeaks(t)
+	dir := t.TempDir()
+	dt, err := OpenDiskTier(dir, "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for id := int64(1); id <= 3; id++ {
+		rel := tierRel(100*int(id), id)
+		body, err := storage.EncodeRelation(nil, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = binary.LittleEndian.AppendUint64(want, uint64(id))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(body)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
+		want = append(want, body...)
+		dt.SpillSync(id, rel)
+		dt.WaitIdle()
+	}
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "D.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := data[segHeaderLen:]; len(got) < len(want) || !bytes.Equal(got[:len(want)], want) {
+		t.Fatal("blocks differ from header + EncodeRelation body")
+	}
+}
+
+// chunkRel is a chunk-shaped relation of rows rows — file_id,
+// segment_id and window_ts runs, sample_time, sample_value — in
+// batches of storage.BatchSize, like one loaded seismic chunk.
+func chunkRel(rows int) *storage.Relation {
+	var (
+		batches []*storage.Batch
+		zones   [][]storage.Zone
+	)
+	for lo := 0; lo < rows; lo += storage.BatchSize {
+		n := min(storage.BatchSize, rows-lo)
+		ts, vs := make([]int64, n), make([]float64, n)
+		for i := range ts {
+			ts[i] = int64(lo+i) * 10_000_000
+			vs[i] = float64((lo+i)*7919%2001 - 1000)
+		}
+		run := func(kind storage.Kind, v int64) storage.Column {
+			return storage.NewRunColumn(kind, []int64{v}, []int32{int32(n)})
+		}
+		cols := []storage.Column{
+			run(storage.KindInt64, 5), run(storage.KindInt64, int64(lo/storage.BatchSize)),
+			storage.NewTimeColumn(ts), storage.NewFloat64Column(vs), run(storage.KindTime, ts[0]),
+		}
+		zs := make([]storage.Zone, len(cols))
+		for i, c := range cols {
+			zs[i] = storage.ColumnZone(c)
+		}
+		batches, zones = append(batches, storage.NewBatch(cols...)), append(zones, zs)
+	}
+	return storage.NewChunkRelation(batches, zones)
+}
+
+// BenchmarkPromote is one disk-tier promote of a 40 000-row chunk into
+// fresh memory — what every promote paid before chunk memory was
+// recycled — against one into a recycled arena and read buffer.
+func BenchmarkPromote(b *testing.B) {
+	dt, err := OpenDiskTier(b.TempDir(), "D", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dt.Close()
+	dt.SpillSync(1, chunkRel(40_000))
+	dt.WaitIdle()
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if dt.Promote(1) == nil {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("recycled", func(b *testing.B) {
+		var arena storage.Arena
+		mem := &storage.ChunkMem{NewArena: func(ints, floats int) storage.Arena {
+			if cap(arena.Ints) < ints || cap(arena.Floats) < floats {
+				arena = storage.Arena{Ints: make([]int64, ints), Floats: make([]float64, floats)}
+			}
+			return storage.Arena{Ints: arena.Ints[:ints], Floats: arena.Floats[:floats]}
+		}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if dt.PromoteInto(1, mem) == nil {
+				b.Fatal("miss")
+			}
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sommelier/internal/cache"
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/dmd"
 	"sommelier/internal/exec"
 	"sommelier/internal/expr"
@@ -107,19 +108,19 @@ const DefaultCacheBytes = 4 << 30
 // DB is an open database over one registered repository.
 //
 // A DB is safe for concurrent use: any number of goroutines may call
-// Query/QueryContext/Run simultaneously. The executor deduplicates
-// concurrent loads of the same missing chunk, pins every chunk a query
-// scans so another query's cache eviction cannot yank it mid-scan, and
-// serializes derived-metadata maintenance (Algorithm 1) behind the DMd
-// manager's lock. Two concurrent queries therefore return exactly what
-// they would have returned when run serially.
+// Query/QueryContext/Run simultaneously. The chunk store deduplicates
+// concurrent loads of the same missing chunk and holds the memory of
+// every chunk a query scans, so another query's eviction cannot yank it
+// mid-scan; derived-metadata maintenance (Algorithm 1) serializes behind
+// the DMd manager's lock. Two concurrent queries therefore return
+// exactly what they would have returned when run serially.
 type DB struct {
-	cat      *table.Catalog
-	repo     registrar.ChunkSource
-	env      *exec.Env
-	recycler *cache.Recycler
-	dmd      *dmd.Manager
-	indexes  *registrar.Indexes
+	cat     *table.Catalog
+	repo    registrar.ChunkSource
+	env     *exec.Env
+	chunks  *chunkstore.Store // the D table's chunk store
+	dmd     *dmd.Manager
+	indexes *registrar.Indexes
 
 	// disk is the persistent cache tier (nil without Config.CacheDir);
 	// cacheDir/fingerprint/warmStart carry the warm-restart state (see
@@ -173,6 +174,8 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		csvDir = d
 	}
 	db := &DB{cat: seismic.NewCatalog(), repo: repo}
+	d, _ := db.cat.Table(seismic.TableD)
+	db.chunks = d.Chunks()
 	db.report.Approach = cfg.Approach
 	db.report.Files = len(repo.URIs())
 
@@ -219,38 +222,7 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 			}
 			db.disk = dt
 		}
-		capacity := cfg.CacheBytes
-		if capacity == 0 {
-			capacity = DefaultCacheBytes
-		}
-		if capacity > 0 {
-			d, _ := db.cat.Table(seismic.TableD)
-			dt := db.disk
-			db.recycler = cache.New(capacity, cfg.CachePolicy, func(id int64) {
-				if dt != nil {
-					// Grab the relation before dropping: the reference keeps
-					// the (immutable) chunk alive while the spill is queued.
-					if rel, ok := d.Chunk(id); ok {
-						dt.Spill(id, rel)
-					}
-				}
-				d.DropChunk(id)
-			})
-		}
-		db.env = &exec.Env{
-			Catalog:     db.cat,
-			Mode:        exec.ModeLazy,
-			Loader:      repo,
-			MaxParallel: cfg.MaxParallel,
-			Recyclers:   map[string]*cache.Recycler{},
-			DiskTiers:   map[string]*cache.DiskTier{},
-		}
-		if db.recycler != nil {
-			db.env.Recyclers[seismic.TableD] = db.recycler
-		}
-		if db.disk != nil {
-			db.env.DiskTiers[seismic.TableD] = db.disk
-		}
+		db.env = &exec.Env{Catalog: db.cat, Mode: exec.ModeLazy, MaxParallel: cfg.MaxParallel}
 	case registrar.EagerCSV:
 		rows, csvBytes, toCSV, toDB, err := registrar.LoadAllCSV(db.cat, repo, csvDir)
 		if err != nil {
@@ -338,6 +310,19 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 	if fc, ok := repo.(registrar.FaultConfigurable); ok {
 		fc.SetFaults(db.env.Faults)
 	}
+	if cfg.Approach == registrar.Lazy {
+		capacity := cfg.CacheBytes
+		if capacity == 0 {
+			capacity = DefaultCacheBytes
+		}
+		db.chunks.Configure(chunkstore.Config{
+			Loader:     repo,
+			CacheBytes: capacity,
+			Policy:     cfg.CachePolicy,
+			Disk:       db.disk,
+			Faults:     db.env.Faults,
+		})
+	}
 
 	db.dmd = dmd.NewManager(db.cat, fetcherFunc(db.fetchSeries))
 	if cfg.Approach == registrar.EagerDMd {
@@ -404,8 +389,9 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 		// Flatten copied the rows out; the drained batches can recycle.
 		res.Release()
 	} else {
-		// flat IS the single pooled batch and the returned slices alias
-		// its backing: hand the memory to the GC instead of the pool.
+		// flat IS the single batch and the returned slices alias pooled
+		// memory or a chunk's arena: leave both to the GC (the handles
+		// stay unreleased).
 		res.Rel.Disown()
 	}
 	return times, vals, nil
@@ -835,21 +821,17 @@ func (db *DB) Report() registrar.Report {
 // Approach returns the loading approach the database was opened with.
 func (db *DB) Approach() registrar.Approach { return db.report.Approach }
 
-// CacheStats reports recycler activity (zero value when uncached).
-func (db *DB) CacheStats() cache.Stats {
-	if db.recycler == nil {
-		return cache.Stats{}
-	}
-	return db.recycler.Stats()
-}
+// CacheStats reports recycler activity (zero evictions, bytes and
+// chunks when uncached).
+func (db *DB) CacheStats() cache.Stats { return db.chunks.CacheStats() }
+
+// ChunkStats reports the chunk store's gauges: residency and the reuse
+// of chunk memory.
+func (db *DB) ChunkStats() chunkstore.Stats { return db.chunks.Stats() }
 
 // ClearCache evicts all cached chunks: a cold start, as after a server
 // restart. It is a no-op for eager approaches.
-func (db *DB) ClearCache() {
-	if db.recycler != nil {
-		db.recycler.Clear()
-	}
-}
+func (db *DB) ClearCache() { db.chunks.Clear() }
 
 // MaterializedWindows reports how many DMd windows are materialized.
 func (db *DB) MaterializedWindows() int { return db.dmd.MaterializedCount() }

@@ -178,10 +178,9 @@ func (db *DB) loadMetaSnapshot(path, fingerprint string) (nSegs int, ok bool) {
 			return 0, false
 		}
 		rd = rd[bodyLen:]
-		// The rows become the long-lived metadata tables: dissolve pool
-		// ownership, then append batch by batch (schema and PK checks
-		// included — a snapshot that lies fails the restore).
-		rel.Disown()
+		// The rows become the long-lived metadata tables, appended batch
+		// by batch (schema and PK checks included — a snapshot that lies
+		// fails the restore).
 		t, _ := db.cat.Table(tn)
 		for _, b := range rel.Batches() {
 			if err := t.Append(b); err != nil {
@@ -254,18 +253,10 @@ func (db *DB) Close() error {
 			firstErr = err
 		}
 	}
-	if db.disk != nil {
-		// Chunks still resident in RAM were never evicted, so they never
-		// spilled: flush them now, or the next start pays the archive
-		// for exactly the hottest data.
-		if d, ok := db.cat.Table(seismic.TableD); ok {
-			for _, id := range d.ChunkIDs() {
-				if rel, ok := d.Chunk(id); ok {
-					db.disk.SpillSync(id, rel)
-				}
-			}
-		}
-	}
+	// Chunks still resident in RAM were never evicted, so they never
+	// spilled: flush them now, or the next start pays the archive for
+	// exactly the hottest data.
+	db.chunks.Flush()
 	keep(db.saveMetaSnapshot(filepath.Join(db.cacheDir, metaSnapFile), db.fingerprint))
 	keep(db.SaveDerived(filepath.Join(db.cacheDir, dmdSnapFile)))
 	keep(db.savePlans(filepath.Join(db.cacheDir, plansFile)))

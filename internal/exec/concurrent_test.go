@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sommelier/internal/cache"
 	"sommelier/internal/plan"
 	"sommelier/internal/seismic"
 	"sommelier/internal/storage"
@@ -71,9 +70,7 @@ func TestConcurrentQueriesLoadEachChunkOnce(t *testing.T) {
 	const nFiles, nQueries = 8, 6
 	cat, loader := setupCatalog(t, nFiles)
 	loader.delay = 2 * time.Millisecond // widen the overlap window
-	d, _ := cat.Table(seismic.TableD)
-	rec := cache.New(1<<30, cache.LRU, func(id int64) { d.DropChunk(id) })
-	env := lazyEnv(cat, loader, rec)
+	env := lazyEnv(cat, loader, 1<<30)
 
 	stats := runConcurrent(t, env, t4Query("ISK"), nQueries)
 
@@ -109,7 +106,7 @@ func TestConcurrentTransientQueriesAgree(t *testing.T) {
 	const nFiles, nQueries = 10, 8
 	cat, loader := setupCatalog(t, nFiles)
 	loader.delay = time.Millisecond
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnv(cat, loader, 0)
 	want := sumISK(nFiles)
 
 	var wg sync.WaitGroup
@@ -146,7 +143,7 @@ func TestConcurrentTransientQueriesAgree(t *testing.T) {
 
 // TestConcurrentQueriesUnderEvictionChurn hammers a recycler that holds
 // only two chunks with concurrent five-chunk queries: admissions evict
-// chunks other queries are scanning, which the pin protocol must make
+// chunks other queries are scanning, which their handles must make
 // harmless. Every query must still see the exact serial answer.
 func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 	const nFiles, nQueries, rounds = 10, 4, 5
@@ -154,14 +151,13 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 	d, _ := cat.Table(seismic.TableD)
 	var chunkSize int64
 	{
-		rel, _ := loader.LoadChunk(seismic.TableD, 0)
+		rel, _ := loader.LoadChunkInto(seismic.TableD, 0, nil)
 		chunkSize = rel.MemSize()
 		loader.mu.Lock()
 		loader.loads = nil
 		loader.mu.Unlock()
 	}
-	rec := cache.New(chunkSize*2+1, cache.LRU, func(id int64) { d.DropChunk(id) })
-	env := lazyEnv(cat, loader, rec)
+	env := lazyEnv(cat, loader, chunkSize*2+1)
 	want := sumISK(nFiles)
 
 	var wg sync.WaitGroup
@@ -180,7 +176,9 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := storage.Float64s(res.Rel.Flatten().Cols[0])[0]; got != want {
+				got := storage.Float64s(res.Rel.Flatten().Cols[0])[0]
+				res.Release()
+				if got != want {
 					t.Errorf("sum = %v, want %v", got, want)
 					return
 				}
@@ -188,14 +186,12 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// After the dust settles no chunk may stay pinned and the cache may
-	// hold at most its two-chunk capacity.
-	for id := int64(0); id < nFiles; id += 2 {
-		if n := d.Pinned(id); n != 0 {
-			t.Fatalf("chunk %d still pinned %d times", id, n)
-		}
+	// After the dust settles — every result released — no chunk may stay
+	// pinned and the cache may hold at most its two-chunk capacity.
+	if st := d.Chunks().Stats(); st.Pinned != 0 {
+		t.Fatalf("chunks still pinned: %+v", st)
 	}
-	if st := rec.Stats(); st.BytesUsed > chunkSize*2+1 {
+	if st := d.Chunks().CacheStats(); st.BytesUsed > chunkSize*2+1 {
 		t.Fatalf("recycler over capacity: %d bytes", st.BytesUsed)
 	}
 }

@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sommelier/internal/cache"
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/expr"
 	"sommelier/internal/fault"
 	"sommelier/internal/index"
@@ -50,17 +50,6 @@ const (
 	ModeEagerIndexed
 )
 
-// ChunkLoader ingests one chunk of an actual-data table from the
-// external repository.
-type ChunkLoader interface {
-	// LoadChunk extracts, transforms and returns the chunk's rows in
-	// the table's schema.
-	LoadChunk(tableName string, chunkID int64) (*storage.Relation, error)
-	// AllChunkIDs enumerates every chunk known for the table; the
-	// fallback when no metadata constrains an actual-data scan.
-	AllChunkIDs(tableName string) []int64
-}
-
 // MetaIndex is a hash index over some columns of a metadata table,
 // together with the flattened snapshot it indexes. The executor uses it
 // as the index-scan access path when a scan's filter pins every indexed
@@ -72,26 +61,14 @@ type MetaIndex struct {
 }
 
 // Env is the execution environment of one database instance. One Env
-// may serve any number of concurrent Execute calls: the chunk
-// residency protocol (pin before scan, reference-counted release) and
-// the flight group (one load per missing chunk, however many queries
-// select it) make the lazy ingestion path race-free. An Env must not be
-// copied after first use.
+// may serve any number of concurrent Execute calls: a query scans each
+// chunk through a handle from its table's chunk store
+// (table.Table.Chunks), which shares one load per missing chunk among
+// the queries selecting it. ModeLazy needs the stores configured with
+// a loader. An Env must not be copied after first use.
 type Env struct {
 	Catalog *table.Catalog
 	Mode    Mode
-	// Loader is required in ModeLazy.
-	Loader ChunkLoader
-	// Recyclers holds the chunk cache per actual-data table; nil (or
-	// a missing entry) disables caching for that table, making every
-	// lazily loaded chunk transient.
-	Recyclers map[string]*cache.Recycler
-	// DiskTiers holds the persistent second cache tier per actual-data
-	// table; nil (or a missing entry) makes every cache miss go to the
-	// archive loader. A present tier is consulted inside the chunk
-	// flight, so promotes share the singleflight dedup and the
-	// cache.fill fault point with archive loads.
-	DiskTiers map[string]*cache.DiskTier
 	// MetaIndexes holds the index-scan accelerators per metadata
 	// table, built by the eager_index investment.
 	MetaIndexes map[string][]MetaIndex
@@ -122,16 +99,12 @@ type Env struct {
 	// per skipped chunk, instead of failing outright. Per-query
 	// override: WithDegraded.
 	Degraded bool
-	// Faults is the fault-injection schedule for the ingestion path
-	// (points exec.flight and cache.fill); nil injects nothing unless
-	// the process environment (SOMMELIER_FAULTS) arms a schedule via
-	// the engine.
+	// Faults is the fault-injection schedule of stage two (point
+	// exec.morsel); nil injects nothing unless the process environment
+	// (SOMMELIER_FAULTS) arms a schedule via the engine. The ingestion
+	// points belong to the chunk stores' configuration.
 	Faults *fault.Injector
 
-	// flights deduplicates concurrent ingestions of the same missing
-	// chunk across every query executing in this environment, keyed by
-	// (table, chunkID).
-	flights flightGroup
 	// inflight counts queries currently executing, for the adaptive
 	// degree-of-parallelism split.
 	inflight atomic.Int32
@@ -194,6 +167,8 @@ type Result struct {
 	// chunk the query proceeded without. Aggregates and row sets are
 	// correct over the surviving chunk set.
 	Warnings []Warning
+	// chunks holds the scanned chunks until Release: Rel may alias them.
+	chunks []chunkstore.Handle
 }
 
 // Warning records one chunk a degraded-mode query skipped.
@@ -236,15 +211,21 @@ func degradable(err error) bool {
 func (r *Result) Rows() int { return r.Rel.Rows() }
 
 // Release recycles the result's pooled batch memory back into the
-// storage pools. Call it when the rows are no longer referenced (after
-// rendering, copying out, or comparing); the hot-query steady state
-// then reuses the same memory every execution. Releasing is optional —
-// an unreleased result is simply garbage collected — and a no-op on
-// results whose batches are shared (unpooled) storage.
+// storage pools and lets the chunk store reuse the memory of the chunks
+// its rows may alias. Call it when the rows are no longer referenced
+// (after rendering, copying out, or comparing); the steady state then
+// reuses the same memory every execution. Releasing is optional — an
+// unreleased result is simply garbage collected, the chunk memory it
+// aliases with it — and never keeps a chunk resident.
 func (r *Result) Release() {
-	if r != nil && r.Rel != nil {
+	if r == nil {
+		return
+	}
+	if r.Rel != nil {
 		r.Rel.Release()
 	}
+	chunkstore.ReleaseAll(r.chunks)
+	r.chunks = nil
 }
 
 // Trace records, per logical plan node, the number of rows its
@@ -298,7 +279,7 @@ type Options struct {
 	//
 	// Ownership and lifetime follow physical.StreamSink: each pushed
 	// batch is the sink's to recycle, and the chunk data a batch may
-	// alias is pinned only until Execute returns — sinks that keep rows
+	// alias is held only until Execute returns — sinks that keep rows
 	// longer must copy or serialize them inside Push. A sink returning
 	// physical.ErrStopStream ends the query early without error; the
 	// cancellation propagates down to the morsel cursor, so LIMIT-style
@@ -341,13 +322,11 @@ type executor struct {
 
 	// selected chunk IDs per actual-data table, from stage one.
 	selected map[string][]int64
-	// pinned holds every chunk this query holds a table pin on — cache
-	// hits and fresh loads alike — released after stage two.
-	pinned []pinnedChunk
-	// loaded chunks were ingested by this query (it led their flight)
-	// and are offered to the recycler only after stage two, so that an
-	// admission cannot evict a chunk the in-flight query still needs.
-	loaded []loadedChunk
+	// chunks holds a handle on every chunk stage two scans, and rels
+	// their relations per table in chunk order; the handles go when
+	// Execute returns, or move into a collected Result.
+	chunks []chunkstore.Handle
+	rels   map[string][]*storage.Relation
 
 	// par is the query's effective degree of parallelism, fixed at the
 	// start of run from the environment's adaptive split.
@@ -364,18 +343,6 @@ type executor struct {
 	// accumulates one entry per chunk skipped under it.
 	degraded bool
 	warnings []Warning
-}
-
-type loadedChunk struct {
-	tableName string
-	id        int64
-	bytes     int64
-	cost      time.Duration
-}
-
-type pinnedChunk struct {
-	tableName string
-	id        int64
 }
 
 // run executes the compiled plan, normalizing any deadline-caused
@@ -414,10 +381,9 @@ func (ex *executor) exec() (*Result, error) {
 		// runs in final rounding.
 		ex.par = 1
 	}
-	// However the query ends, offer its loads to the recyclers and
-	// release every pin (the deferred release also covers error paths,
-	// which must not leak pins).
-	defer ex.release()
+	// However the query ends, its chunk handles are released — unless
+	// a collected Result took them over.
+	defer func() { chunkstore.ReleaseAll(ex.chunks) }()
 	ex.stats.SampleFraction = 1
 	needStage1 := ex.plan.Qf != nil && ex.plan.TwoStage && ex.env.Mode != ModeEagerFull
 	if needStage1 {
@@ -444,31 +410,15 @@ func (ex *executor) exec() (*Result, error) {
 			return nil, err
 		}
 		ex.applySampling()
-		if ex.env.Mode == ModeLazy {
-			t1 := time.Now()
-			if err := ex.ingestSelected(); err != nil {
-				return nil, err
-			}
-			ex.stats.Load = time.Since(t1)
-		}
 	}
-	if ex.plan.TwoStage && ex.env.Mode == ModeLazy && ex.selected == nil {
-		// A query on actual data with no metadata branch at all: the
-		// worst case the rule set tries to avoid — every chunk is
-		// required (the paper's "no alternative to loading all AD").
-		if ex.env.Loader == nil {
-			return nil, fmt.Errorf("exec: lazy mode requires a chunk loader")
-		}
-		ex.selected = make(map[string][]int64)
-		for _, tn := range ex.plan.ADTables {
-			ex.selected[tn] = ex.env.Loader.AllChunkIDs(tn)
-			ex.stats.ChunksSelected += len(ex.selected[tn])
-		}
+	if ex.plan.TwoStage {
 		t1 := time.Now()
-		if err := ex.ingestSelected(); err != nil {
+		if err := ex.acquireChunks(); err != nil {
 			return nil, err
 		}
-		ex.stats.Load = time.Since(t1)
+		if ex.env.Mode == ModeLazy {
+			ex.stats.Load = time.Since(t1)
+		}
 	}
 	t2 := time.Now()
 	op, err := ex.build(ex.plan.Root, false)
@@ -476,9 +426,10 @@ func (ex *executor) exec() (*Result, error) {
 		return nil, err
 	}
 	// Without a sink the rows collect into the Result, whose owner
-	// Releases them. With one they flow to it as they are produced and
-	// nothing is materialized here; the chunk pins drop when this
-	// function returns (ex.release), which is why sinks must consume
+	// Releases them — and with them the chunk handles, since collected
+	// rows may alias chunk columns. With a sink they flow to it as they
+	// are produced and nothing is materialized here; the chunk handles
+	// drop when this function returns, which is why sinks must consume
 	// pushed rows before Push returns.
 	var rel *storage.Relation
 	if ex.sink == nil {
@@ -494,13 +445,17 @@ func (ex *executor) exec() (*Result, error) {
 		return nil, fmt.Errorf("exec: stage two: %w", err)
 	}
 	ex.stats.Stage2 = time.Since(t2)
-	return &Result{
+	res := &Result{
 		Names:    ex.plan.Root.Names(),
 		Kinds:    ex.plan.Root.Kinds(),
 		Rel:      rel,
 		Stats:    ex.stats,
 		Warnings: ex.warnings,
-	}, nil
+	}
+	if ex.sink == nil {
+		res.chunks, ex.chunks = ex.chunks, nil
+	}
+	return res, nil
 }
 
 // drainOpts configures a drain of this query: cancellation between
@@ -532,11 +487,7 @@ func (ex *executor) selectChunks() error {
 		if col < 0 {
 			// No metadata column constrains this table: worst case,
 			// all chunks are required.
-			if ex.env.Loader != nil {
-				ex.selected[tn] = ex.env.Loader.AllChunkIDs(tn)
-			} else {
-				ex.selected[tn] = t.ChunkIDs()
-			}
+			ex.selected[tn] = t.Chunks().AllIDs()
 			ex.stats.ChunksSelected += len(ex.selected[tn])
 			continue
 		}
@@ -601,271 +552,120 @@ func chunkHash(id int64) uint64 {
 	return x
 }
 
-// ingestSelected makes every selected chunk resident and pinned for
-// this query. Resident chunks are pinned on the spot; missing chunks
-// are loaded in parallel (the paper's static parallelization: the
-// degree of parallelism is the number of selected chunks, bounded by
-// the query's effective DOP), with concurrent queries selecting the
-// same chunk sharing one load through the environment's flight group.
-func (ex *executor) ingestSelected() error {
-	if ex.env.Loader == nil {
-		return fmt.Errorf("exec: lazy mode requires a chunk loader")
-	}
+// acquireChunks takes a handle on every chunk stage two scans, per
+// actual-data table and in chunk order: the stage-one selection, or
+// every chunk when there is none — in lazy mode the worst case the rule
+// set tries to avoid (the paper's "no alternative to loading all AD").
+func (ex *executor) acquireChunks() error {
+	ex.rels = make(map[string][]*storage.Relation, len(ex.plan.ADTables))
 	for _, tn := range ex.plan.ADTables {
-		t, _ := ex.env.Catalog.Table(tn)
-		rec := ex.env.Recyclers[tn]
-		var missing []int64
-		for _, id := range ex.selected[tn] {
-			// The pin is the authoritative residency test: a recycler
-			// Contains answer can go stale before stage two, a pin
-			// holds the chunk down. The recycler is still consulted for
-			// its hit/miss accounting and LRU recency.
-			resident := t.Pin(id)
-			if rec != nil {
-				rec.Contains(id)
-			}
-			if resident {
-				ex.pinned = append(ex.pinned, pinnedChunk{tableName: tn, id: id})
-				ex.stats.CacheHits++
-			} else {
-				missing = append(missing, id)
+		t, ok := ex.env.Catalog.Table(tn)
+		if !ok {
+			return fmt.Errorf("exec: unknown actual-data table %q", tn)
+		}
+		ids := ex.selected[tn]
+		if ex.selected == nil {
+			if ids = t.Chunks().AllIDs(); ex.env.Mode == ModeLazy {
+				ex.stats.ChunksSelected += len(ids)
 			}
 		}
-		if len(missing) == 0 {
-			continue
-		}
-		// The ingestion fan-out is the query's effective DOP — the same
-		// adaptive split as stage-2 execution, so a 16-client cold burst
-		// does not spawn 16×GOMAXPROCS decode goroutines.
-		par := ex.par
-		if par < 1 {
-			par = 1
-		}
-		if par > len(missing) {
-			par = len(missing)
-		}
-		results := make([]chunkResult, len(missing))
-		if par == 1 {
-			// A fan-out of one — a point query's single missing chunk,
-			// a serial query — loads on the query's own goroutine: a
-			// hand-off to another thread buys no parallelism and costs
-			// a wake-up on a busy box.
-			for i, id := range missing {
-				results[i] = ex.acquireChunk(t, tn, id)
-			}
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for i, id := range missing {
-				wg.Add(1)
-				go func(i int, id int64) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					results[i] = ex.acquireChunk(t, tn, id)
-				}(i, id)
-			}
-			wg.Wait()
-		}
-		// Record every pin the workers took before failing the query,
-		// so the deferred release sees them all. In degraded mode an
-		// unavailable chunk (a Degradable error: exhausted retries,
-		// quarantine, open breaker, injected fault) is skipped with a
-		// warning instead of failing the query; non-degradable errors
-		// and caller cancellation stay fatal either way.
-		var firstErr error
-		var skipped map[int64]bool
-		for _, r := range results {
-			if r.err != nil {
-				if ex.degraded && ex.ctx.Err() == nil && degradable(r.err) {
-					if skipped == nil {
-						skipped = make(map[int64]bool)
-					}
-					skipped[r.id] = true
-					ex.stats.ChunksSkipped++
-					ex.warnings = append(ex.warnings, Warning{
-						Table: tn, Chunk: r.id, Rows: r.rows, Bytes: r.bytes,
-						Reason: r.err.Error(),
-					})
-					continue
-				}
-				if firstErr == nil {
-					firstErr = fmt.Errorf("exec: chunk-access(%s, %d): %w", tn, r.id, r.err)
-				}
-				continue
-			}
-			ex.pinned = append(ex.pinned, pinnedChunk{tableName: tn, id: r.id})
-			if r.loadedByMe {
-				ex.stats.ChunksLoaded++
-				if r.promoted {
-					ex.stats.ChunksPromoted++
-				}
-				ex.stats.RowsLoaded += r.rows
-				ex.loaded = append(ex.loaded, loadedChunk{
-					tableName: tn, id: r.id, bytes: r.bytes, cost: r.cost,
-				})
-			} else {
-				// Another query's flight delivered the chunk: count a
-				// cache hit here so that, across concurrent queries,
-				// ChunksLoaded/RowsLoaded sum to the true ingestion
-				// volume — each chunk is loaded and counted exactly
-				// once, by its flight leader.
-				ex.stats.CacheHits++
-			}
-		}
-		if firstErr != nil {
-			return firstErr
-		}
-		if len(skipped) > 0 {
-			// Stage two must scan only the surviving chunks: drop the
-			// skipped IDs from the selection (adScanRels walks it).
-			kept := make([]int64, 0, len(ex.selected[tn])-len(skipped))
-			for _, id := range ex.selected[tn] {
-				if !skipped[id] {
-					kept = append(kept, id)
-				}
-			}
-			ex.selected[tn] = kept
+		if err := ex.ingest(tn, t.Chunks(), ids); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// chunkResult is the outcome of acquireChunk for one missing chunk. On
-// success the chunk is resident and pinned for this query; loadedByMe
-// marks that this query led the flight that ingested it.
-type chunkResult struct {
-	id         int64
-	loadedByMe bool
-	promoted   bool
-	rows       int64
-	bytes      int64
-	cost       time.Duration
-	err        error
-}
-
-// acquireChunk makes one chunk resident and pinned, deduplicating the
-// load with concurrent queries. The flight leader pins inside the
-// flight (atomically with the append, before any other query can
-// admit-and-evict it); waiters re-try the pin when they wake, falling
-// back to a fresh flight in the rare case the leader's query already
-// released a transient (refused-by-the-recycler) chunk.
-func (ex *executor) acquireChunk(t *table.Table, tn string, id int64) chunkResult {
-	for {
-		if err := ex.ctx.Err(); err != nil {
-			return chunkResult{id: id, err: err}
-		}
-		if t.Pin(id) {
-			return chunkResult{id: id}
-		}
-		res, leader, err := ex.env.flights.do(ex.ctx, flightKey{table: tn, id: id}, func() (flightResult, error) {
-			// The chunk may have become resident between our failed
-			// pin and this flight opening (another query's flight just
-			// closed): re-check under the flight so we never re-load —
-			// and never AppendChunk-replace — a live chunk.
-			if t.Pin(id) {
-				return flightResult{hit: true}, nil
-			}
-			// exec.flight fault point: covers the whole ingestion of
-			// one chunk. An injected error fails this flight only —
-			// flight errors are never cached, so a later query retries.
-			if act := ex.env.Faults.Check(fault.PointFlight); act.Err != nil || act.Delay > 0 {
-				if err := act.Wait(ex.ctx); err != nil {
-					return flightResult{}, err
-				}
-				if act.Err != nil {
-					return flightResult{}, act.Err
-				}
-			}
-			t0 := time.Now()
-			// Disk tier first: a spilled block decodes straight into
-			// pooled batches, far cheaper than re-fetching and
-			// re-decoding raw miniSEED from the archive. A miss (or a
-			// corrupt block, dropped by the tier) falls through to the
-			// archive loader.
-			var rel *storage.Relation
-			promoted := false
-			if dt := ex.env.DiskTiers[tn]; dt != nil {
-				if pr := dt.Promote(id); pr != nil {
-					rel, promoted = pr, true
-				}
-			}
-			if rel == nil {
-				var err error
-				rel, err = ex.env.Loader.LoadChunk(tn, id)
-				if err != nil {
-					return flightResult{}, err
-				}
-			}
-			// cache.fill fault point: the chunk arrived and decoded —
-			// from either tier — but fails to become resident. An
-			// archive-loaded relation is unpooled (loader-owned)
-			// storage, so dropping it leaks nothing; a promoted one is
-			// pooled and must go back to the pools on every error
-			// branch.
-			if act := ex.env.Faults.Check(fault.PointCacheFill); act.Err != nil || act.Delay > 0 {
-				if err := act.Wait(ex.ctx); err != nil {
-					if promoted {
-						rel.Release()
-					}
-					return flightResult{}, err
-				}
-				if act.Err != nil {
-					rows, bytes := int64(rel.Rows()), rel.MemSize()
-					if promoted {
-						rel.Release()
-					}
-					return flightResult{rows: rows, bytes: bytes}, act.Err
-				}
-			}
-			if promoted {
-				// The relation becomes long-lived table data whose
-				// lifetime the pool cannot track: dissolve ownership
-				// before installing it.
-				rel.Disown()
-			}
-			if err := t.AppendChunk(id, rel); err != nil {
-				return flightResult{}, err
-			}
-			if !t.Pin(id) {
-				return flightResult{}, fmt.Errorf("exec: chunk %d of %s vanished after load", id, tn)
-			}
-			return flightResult{rows: int64(rel.Rows()), bytes: rel.MemSize(), cost: time.Since(t0), promoted: promoted}, nil
-		})
-		if err != nil {
-			return chunkResult{id: id, err: err, rows: res.rows, bytes: res.bytes}
-		}
-		if leader {
-			if res.hit {
-				return chunkResult{id: id}
-			}
-			return chunkResult{id: id, loadedByMe: true, promoted: res.promoted, rows: res.rows, bytes: res.bytes, cost: res.cost}
-		}
-		// Waiter: loop back to take our own pin on the now-resident
-		// chunk (or reload if it vanished in the meantime).
-	}
-}
-
-// release offers the chunks this query ingested to the recyclers and
-// drops every pin. A chunk the recycler refuses (transient load) is
-// dropped through the table's reference-counted DropChunk: if another
-// in-flight query still pins it, the data survives until that query's
-// own release. Admission may evict other chunks via the recycler's
-// callback — those drops are reference counted the same way.
-func (ex *executor) release() {
-	for _, lc := range ex.loaded {
-		t, _ := ex.env.Catalog.Table(lc.tableName)
-		rec := ex.env.Recyclers[lc.tableName]
-		if rec == nil || !rec.Admit(lc.id, lc.bytes, lc.cost) {
-			t.DropChunk(lc.id)
+// ingest acquires one table's chunks. Resident chunks are taken on the
+// spot. In lazy mode the missing ones are loaded in parallel (the
+// paper's static parallelization: the degree of parallelism is the
+// number of selected chunks, bounded by the query's effective DOP),
+// concurrent queries selecting the same chunk sharing one load through
+// the store; eager data is all resident, so there a missing chunk is
+// one the clustered index pruned.
+func (ex *executor) ingest(tn string, store *chunkstore.Store, ids []int64) error {
+	lazy := ex.env.Mode == ModeLazy
+	hs := make([]chunkstore.Handle, len(ids))
+	errs := make([]error, len(ids))
+	var missing []int
+	for i, id := range ids {
+		var ok bool
+		if hs[i], ok = store.TryAcquire(id); !ok && lazy {
+			missing = append(missing, i)
 		}
 	}
-	ex.loaded = nil
-	for _, pc := range ex.pinned {
-		t, _ := ex.env.Catalog.Table(pc.tableName)
-		t.Unpin(pc.id)
+	load := func(i int) { hs[i], errs[i] = store.Acquire(ex.ctx, ids[i]) }
+	// The ingestion fan-out is the query's effective DOP — the same
+	// adaptive split as stage-2 execution, so a 16-client cold burst
+	// does not spawn 16×GOMAXPROCS decode goroutines. A fan-out of one —
+	// a point query's single missing chunk, a serial query — loads on
+	// the query's own goroutine: a hand-off to another thread buys no
+	// parallelism and costs a wake-up on a busy box.
+	if par := min(ex.par, len(missing)); par <= 1 {
+		for _, i := range missing {
+			load(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, par)
+		for _, i := range missing {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				load(i)
+			}(i)
+		}
+		wg.Wait()
 	}
-	ex.pinned = nil
+	// Keep every handle the loads took before failing the query, so the
+	// deferred release sees them all. In degraded mode an unavailable
+	// chunk (a Degradable error: exhausted retries, quarantine, open
+	// breaker, injected fault) is skipped with a warning instead of
+	// failing the query; non-degradable errors and caller cancellation
+	// stay fatal either way.
+	rels := make([]*storage.Relation, 0, len(ids))
+	var firstErr error
+	for i, id := range ids {
+		if err := errs[i]; err != nil {
+			if ex.degraded && ex.ctx.Err() == nil && degradable(err) {
+				w := Warning{Table: tn, Chunk: id, Reason: err.Error()}
+				var fe *chunkstore.FillError
+				if errors.As(err, &fe) {
+					w.Rows, w.Bytes = fe.Rows, fe.Bytes
+				}
+				ex.stats.ChunksSkipped++
+				ex.warnings = append(ex.warnings, w)
+			} else if firstErr == nil {
+				firstErr = fmt.Errorf("exec: chunk-access(%s, %d): %w", tn, id, err)
+			}
+			continue
+		}
+		h := hs[i]
+		if h == (chunkstore.Handle{}) {
+			continue
+		}
+		ex.chunks = append(ex.chunks, h)
+		rels = append(rels, h.Rel())
+		switch {
+		case !lazy:
+		case h.Loaded:
+			ex.stats.ChunksLoaded++
+			if h.Promoted {
+				ex.stats.ChunksPromoted++
+			}
+			ex.stats.RowsLoaded += int64(h.Rel().Rows())
+		default:
+			// Resident, or delivered by another query's load: a cache hit
+			// either way, so that across concurrent queries ChunksLoaded
+			// and RowsLoaded sum to the true ingestion volume — each
+			// chunk is loaded and counted exactly once, by its leader.
+			ex.stats.CacheHits++
+		}
+	}
+	ex.rels[tn] = rels
+	return firstErr
 }
 
 // rexpr prepares a plan expression for this execution: an expression
@@ -1056,11 +856,8 @@ func (ex *executor) buildScan(n *plan.Scan) (physical.Operator, error) {
 		}
 		return physical.NewMultiRelScanCols([]*storage.Relation{t.Data()}, names, kinds, filter, n.Cols)
 	}
-	rels, err := ex.adScanRels(n.Table, t)
-	if err != nil {
-		return nil, err
-	}
-	if rels == nil {
+	rels := ex.rels[n.Table]
+	if len(rels) == 0 {
 		return physical.NewEmpty(names, kinds), nil
 	}
 	// The union of cache-scans and chunk-accesses over the selected
@@ -1068,46 +865,6 @@ func (ex *executor) buildScan(n *plan.Scan) (physical.Operator, error) {
 	// morsel list of parallel execution; the selection is pushed down
 	// (NewMultiRelScanCols clones and binds the predicate).
 	return physical.NewMultiRelScanCols(rels, names, kinds, filter, n.Cols)
-}
-
-// adScanRels resolves the chunk relations an actual-data scan covers
-// under the current mode; nil (without error) means zero chunks.
-func (ex *executor) adScanRels(tableName string, t *table.Table) ([]*storage.Relation, error) {
-	var ids []int64
-	switch ex.env.Mode {
-	case ModeEagerFull:
-		ids = t.ChunkIDs()
-	case ModeEagerIndexed:
-		if ex.selected != nil {
-			// Intersect selection with residency: the clustered
-			// index prunes chunks, but eager data is fully resident.
-			for _, id := range ex.selected[tableName] {
-				if _, resident := t.Chunk(id); resident {
-					ids = append(ids, id)
-				}
-			}
-		} else {
-			ids = t.ChunkIDs()
-		}
-	default: // ModeLazy: everything selected was ingested above.
-		if ex.selected != nil {
-			ids = ex.selected[tableName]
-		} else {
-			ids = t.ChunkIDs()
-		}
-	}
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	rels := make([]*storage.Relation, 0, len(ids))
-	for _, id := range ids {
-		rel, resident := t.Chunk(id)
-		if !resident {
-			return nil, fmt.Errorf("exec: chunk %d of %s not resident at stage two", id, tableName)
-		}
-		rels = append(rels, rel)
-	}
-	return rels, nil
 }
 
 // buildFused realizes a fused Project → Filter → Scan chain as one
@@ -1138,15 +895,9 @@ func (ex *executor) buildFused(n *plan.Fused) (physical.Operator, error) {
 		}
 		outExprs[i] = e
 	}
-	var rels []*storage.Relation
-	if t.Class != table.ActualData {
-		rels = []*storage.Relation{t.Data()}
-	} else {
-		rels, err = ex.adScanRels(sc.Table, t)
-		if err != nil {
-			return nil, err
-		}
-		if rels == nil {
+	rels := []*storage.Relation{t.Data()}
+	if t.Class == table.ActualData {
+		if rels = ex.rels[sc.Table]; len(rels) == 0 {
 			return physical.NewEmpty(outNames, n.Kinds()), nil
 		}
 	}

@@ -26,11 +26,11 @@ type flakyLoader struct {
 	unavailable map[int64]bool
 }
 
-func (l *flakyLoader) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
+func (l *flakyLoader) LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
 	if l.unavailable[chunkID] {
 		return nil, &degradableChunkErr{id: chunkID}
 	}
-	return l.fakeLoader.LoadChunk(tableName, chunkID)
+	return l.fakeLoader.LoadChunkInto(tableName, chunkID, mem)
 }
 
 // countSink recycles every pushed batch, counting rows.
@@ -63,7 +63,7 @@ func TestDegradedSkipsUnavailableChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnv(cat, loader, 0)
 	env.Degraded = true
 	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestStrictModeFailsOnUnavailableChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err == nil {
 		res.Release()
 		t.Fatal("strict query over an unavailable chunk succeeded")
@@ -121,7 +121,7 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 	}
 
 	// Strict env, degraded request: proceeds.
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnv(cat, loader, 0)
 	res, err := Execute(WithDegraded(context.Background(), true), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded request on strict env failed: %v", err)
@@ -132,7 +132,7 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 	res.Release()
 
 	// Degraded env, strict request: fails.
-	env2 := lazyEnv(cat, loader, nil)
+	env2 := lazyEnv(cat, loader, 0)
 	env2.Degraded = true
 	res, err = Execute(WithDegraded(context.Background(), false), env2, p, Options{})
 	if err == nil {
@@ -152,7 +152,7 @@ func TestDegradedNonDegradableStillFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnv(cat, loader, 0)
 	env.Degraded = true
 	res, err := Execute(context.Background(), env, p, Options{})
 	if err == nil {
@@ -171,9 +171,8 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnvFaults(cat, loader, 0, fault.MustNew("exec.flight=error:1", 1))
 	env.Degraded = true
-	env.Faults = fault.MustNew("exec.flight=error:1", 1)
 	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded query under total fault injection failed: %v", err)
@@ -186,8 +185,7 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 		t.Fatalf("flight-point faults fired after the load: %d loads", loader.loadCount())
 	}
 	// Strict mode under the same schedule fails.
-	env2 := lazyEnv(cat, loader, nil)
-	env2.Faults = fault.MustNew("exec.flight=error:1", 1)
+	env2 := lazyEnvFaults(cat, loader, 0, fault.MustNew("exec.flight=error:1", 1))
 	if res, err := Execute(context.Background(), env2, p, Options{}); err == nil {
 		res.Release()
 		t.Fatal("strict query under total fault injection succeeded")
@@ -204,9 +202,8 @@ func TestDegradedCacheFillFaultCarriesVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnvFaults(cat, loader, 0, fault.MustNew("cache.fill=error:1", 1))
 	env.Degraded = true
-	env.Faults = fault.MustNew("cache.fill=error:1", 1)
 	res, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
@@ -231,7 +228,7 @@ func TestDegradedStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := lazyEnv(cat, loader, nil)
+	env := lazyEnv(cat, loader, 0)
 	env.Degraded = true
 	sink := &countSink{}
 	res, err := Execute(context.Background(), env, p, Options{Sink: sink})

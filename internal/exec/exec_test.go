@@ -8,8 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"sommelier/internal/cache"
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/expr"
+	"sommelier/internal/fault"
 	"sommelier/internal/opt"
 	"sommelier/internal/plan"
 	"sommelier/internal/seismic"
@@ -38,7 +39,7 @@ type fakeLoader struct {
 	delay  time.Duration
 }
 
-func (l *fakeLoader) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
+func (l *fakeLoader) LoadChunkInto(tableName string, chunkID int64, _ *storage.ChunkMem) (*storage.Relation, error) {
 	l.mu.Lock()
 	l.loads = append(l.loads, chunkID)
 	fail := l.fail[chunkID]
@@ -136,12 +137,18 @@ func t4Query(station string) *plan.Query {
 	}
 }
 
-func lazyEnv(cat *table.Catalog, loader ChunkLoader, rec *cache.Recycler) *Env {
-	recs := map[string]*cache.Recycler{}
-	if rec != nil {
-		recs[seismic.TableD] = rec
-	}
-	return &Env{Catalog: cat, Mode: ModeLazy, Loader: loader, Recyclers: recs}
+// lazyEnv configures the D store to load through loader, caching up to
+// cacheBytes (0: every load transient).
+func lazyEnv(cat *table.Catalog, loader chunkstore.Loader, cacheBytes int64) *Env {
+	return lazyEnvFaults(cat, loader, cacheBytes, nil)
+}
+
+// lazyEnvFaults is lazyEnv with a fault schedule armed on the loads and
+// stage two alike.
+func lazyEnvFaults(cat *table.Catalog, loader chunkstore.Loader, cacheBytes int64, inj *fault.Injector) *Env {
+	d, _ := cat.Table(seismic.TableD)
+	d.Chunks().Configure(chunkstore.Config{Loader: loader, CacheBytes: cacheBytes, Faults: inj})
+	return &Env{Catalog: cat, Mode: ModeLazy, Faults: inj}
 }
 
 func TestLazyLoadsOnlySelectedChunks(t *testing.T) {
@@ -150,7 +157,7 @@ func TestLazyLoadsOnlySelectedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +190,7 @@ func TestLazyLoadsOnlySelectedChunks(t *testing.T) {
 
 func TestLazyCacheHitsOnSecondRun(t *testing.T) {
 	cat, loader := setupCatalog(t, 10)
-	d, _ := cat.Table(seismic.TableD)
-	rec := cache.New(1<<30, cache.LRU, func(id int64) { d.DropChunk(id) })
-	env := lazyEnv(cat, loader, rec)
+	env := lazyEnv(cat, loader, 1<<30)
 	p, _ := compile(cat, t4Query("ISK"))
 	res1, err := Execute(context.Background(), env, p, Options{})
 	if err != nil {
@@ -215,16 +220,14 @@ func TestLazyCacheHitsOnSecondRun(t *testing.T) {
 
 func TestCacheEvictionReloads(t *testing.T) {
 	cat, loader := setupCatalog(t, 10)
-	d, _ := cat.Table(seismic.TableD)
 	// Capacity for roughly two chunks only.
 	var chunkSize int64
 	{
-		rel, _ := loader.LoadChunk(seismic.TableD, 0)
+		rel, _ := loader.LoadChunkInto(seismic.TableD, 0, nil)
 		chunkSize = rel.MemSize()
 		loader.loads = nil
 	}
-	rec := cache.New(chunkSize*2+1, cache.LRU, func(id int64) { d.DropChunk(id) })
-	env := lazyEnv(cat, loader, rec)
+	env := lazyEnv(cat, loader, chunkSize*2+1)
 	p, _ := compile(cat, t4Query("ISK"))
 	if _, err := Execute(context.Background(), env, p, Options{}); err != nil {
 		t.Fatal(err)
@@ -246,14 +249,12 @@ func TestEagerFullScansEverything(t *testing.T) {
 	// Eager plain: one monolithic chunk holding all data.
 	all := storage.NewRelation()
 	for _, id := range loader.chunks {
-		rel, _ := loader.LoadChunk(seismic.TableD, id)
+		rel, _ := loader.LoadChunkInto(seismic.TableD, id, nil)
 		for _, b := range rel.Batches() {
 			all.Append(b)
 		}
 	}
-	if err := d.AppendChunk(-1, all); err != nil {
-		t.Fatal(err)
-	}
+	d.Chunks().Install(-1, all)
 	loader.loads = nil
 	env := &Env{Catalog: cat, Mode: ModeEagerFull}
 	p, _ := compile(cat, t4Query("FIAM"))
@@ -279,10 +280,8 @@ func TestEagerIndexedPrunesChunks(t *testing.T) {
 	cat, loader := setupCatalog(t, 6)
 	d, _ := cat.Table(seismic.TableD)
 	for _, id := range loader.chunks {
-		rel, _ := loader.LoadChunk(seismic.TableD, id)
-		if err := d.AppendChunk(id, rel); err != nil {
-			t.Fatal(err)
-		}
+		rel, _ := loader.LoadChunkInto(seismic.TableD, id, nil)
+		d.Chunks().Install(id, rel)
 	}
 	env := &Env{Catalog: cat, Mode: ModeEagerIndexed}
 	p, _ := compile(cat, t4Query("FIAM"))
@@ -310,7 +309,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	for _, station := range []string{"ISK", "FIAM"} {
 		catL, loaderL := setupCatalog(t, 8)
 		pL, _ := compile(catL, t4Query(station))
-		resL, err := Execute(context.Background(), lazyEnv(catL, loaderL, nil), pL, Options{})
+		resL, err := Execute(context.Background(), lazyEnv(catL, loaderL, 0), pL, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,12 +317,12 @@ func TestLazyEagerEquivalence(t *testing.T) {
 		dE, _ := catE.Table(seismic.TableD)
 		all := storage.NewRelation()
 		for _, id := range loaderE.chunks {
-			rel, _ := loaderE.LoadChunk(seismic.TableD, id)
+			rel, _ := loaderE.LoadChunkInto(seismic.TableD, id, nil)
 			for _, b := range rel.Batches() {
 				all.Append(b)
 			}
 		}
-		dE.AppendChunk(-1, all)
+		dE.Chunks().Install(-1, all)
 		pE, _ := compile(catE, t4Query(station))
 		resE, err := Execute(context.Background(), &Env{Catalog: catE, Mode: ModeEagerFull}, pE, Options{})
 		if err != nil {
@@ -348,7 +347,7 @@ func TestMetadataOnlyQueryLoadsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +363,7 @@ func TestChunkLoadFailureSurfaces(t *testing.T) {
 	cat, loader := setupCatalog(t, 4)
 	loader.fail[2] = true
 	p, _ := compile(cat, t4Query("ISK"))
-	if _, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{}); err == nil {
+	if _, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{}); err == nil {
 		t.Fatal("failed chunk load not surfaced")
 	}
 }
@@ -372,7 +371,7 @@ func TestChunkLoadFailureSurfaces(t *testing.T) {
 func TestSerialVsParallelLoadSameResult(t *testing.T) {
 	catP, loaderP := setupCatalog(t, 12)
 	loaderP.delay = time.Millisecond
-	envP := lazyEnv(catP, loaderP, nil)
+	envP := lazyEnv(catP, loaderP, 0)
 	pP, _ := compile(catP, t4Query("ISK"))
 	resP, err := Execute(context.Background(), envP, pP, Options{})
 	if err != nil {
@@ -380,7 +379,7 @@ func TestSerialVsParallelLoadSameResult(t *testing.T) {
 	}
 	catS, loaderS := setupCatalog(t, 12)
 	loaderS.delay = time.Millisecond
-	envS := lazyEnv(catS, loaderS, nil)
+	envS := lazyEnv(catS, loaderS, 0)
 	envS.MaxParallel = 1
 	pS, _ := compile(catS, t4Query("ISK"))
 	resS, err := Execute(context.Background(), envS, pS, Options{})
@@ -401,7 +400,7 @@ func TestSerialVsParallelLoadSameResult(t *testing.T) {
 func TestSelectedChunksAreSorted(t *testing.T) {
 	cat, loader := setupCatalog(t, 9)
 	p, _ := compile(cat, t4Query("ISK"))
-	ex := &executor{ctx: context.Background(), env: lazyEnv(cat, loader, nil), plan: p}
+	ex := &executor{ctx: context.Background(), env: lazyEnv(cat, loader, 0), plan: p}
 	res, err := ex.run()
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +416,7 @@ func TestStatsTiming(t *testing.T) {
 	cat, loader := setupCatalog(t, 4)
 	loader.delay = 2 * time.Millisecond
 	p, _ := compile(cat, t4Query("ISK"))
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +434,7 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before execution
 	p, _ := compile(cat, t4Query("ISK"))
-	if _, err := Execute(ctx, lazyEnv(cat, loader, nil), p, Options{}); err == nil {
+	if _, err := Execute(ctx, lazyEnv(cat, loader, 0), p, Options{}); err == nil {
 		t.Fatal("cancelled context not honoured")
 	}
 	// A timeout mid-load aborts ingestion.
@@ -443,7 +442,7 @@ func TestContextCancellation(t *testing.T) {
 	loader2.delay = 20 * time.Millisecond
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel2()
-	env := lazyEnv(cat2, loader2, nil)
+	env := lazyEnv(cat2, loader2, 0)
 	env.MaxParallel = 1
 	p2, _ := compile(cat2, t4Query("ISK"))
 	if _, err := Execute(ctx2, env, p2, Options{}); err == nil {

@@ -7,48 +7,78 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sommelier/internal/chunkstore"
+	"sommelier/internal/seismic"
+	"sommelier/internal/storage"
 )
 
+// The single flight lazy ingestion relies on: concurrent Acquires of
+// one missing chunk share one load of its table's chunk store.
+
+// gatedLoader runs load for every chunk load, numbering the calls.
+type gatedLoader struct {
+	calls atomic.Int32
+	load  func(call int32) (*storage.Relation, error)
+}
+
+func (l *gatedLoader) LoadChunkInto(string, int64, *storage.ChunkMem) (*storage.Relation, error) {
+	return l.load(l.calls.Add(1))
+}
+
+func (l *gatedLoader) AllChunkIDs(string) []int64 { return nil }
+
+// flightStore is an uncached store loading through l: every load is
+// transient, so a flight's chunk is gone once its handles are.
+func flightStore(l chunkstore.Loader) *chunkstore.Store {
+	s := chunkstore.New(seismic.TableD)
+	s.Configure(chunkstore.Config{Loader: l})
+	return s
+}
+
+func oneRow(v float64) *storage.Relation {
+	r := storage.NewRelation()
+	r.Append(storage.NewBatch(storage.NewFloat64Column([]float64{v})))
+	return r
+}
+
 // TestFlightSharesLeaderResult: waiters joining an open flight get the
-// leader's result without running fn themselves.
+// leader's chunk without loading it themselves.
 func TestFlightSharesLeaderResult(t *testing.T) {
-	var g flightGroup
-	key := flightKey{table: "D", id: 7}
-	var calls atomic.Int32
-	release := make(chan struct{})
-	entered := make(chan struct{})
+	release, entered := make(chan struct{}), make(chan struct{})
+	want := oneRow(42)
+	l := &gatedLoader{load: func(call int32) (*storage.Relation, error) {
+		if call > 1 {
+			return nil, errors.New("waiter must not load")
+		}
+		close(entered)
+		<-release
+		return want, nil
+	}}
+	s := flightStore(l)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, leader, err := g.do(context.Background(), key, func() (flightResult, error) {
-			calls.Add(1)
-			close(entered)
-			<-release
-			return flightResult{rows: 42, bytes: 4096}, nil
-		})
-		if err != nil || !leader {
-			t.Errorf("leader: res=%+v leader=%v err=%v", res, leader, err)
+		h, err := s.Acquire(context.Background(), 7)
+		if err != nil || !h.Loaded || h.Rel() != want {
+			t.Errorf("leader: %+v %v", h, err)
 		}
+		h.Release()
 	}()
 	<-entered
 
 	const waiters = 4
-	results := make([]flightResult, waiters)
-	leaders := make([]bool, waiters)
-	for i := 0; i < waiters; i++ {
+	hs := make([]chunkstore.Handle, waiters)
+	for i := range hs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, leader, err := g.do(context.Background(), key, func() (flightResult, error) {
-				calls.Add(1)
-				return flightResult{}, errors.New("waiter must not run fn")
-			})
-			if err != nil {
+			var err error
+			if hs[i], err = s.Acquire(context.Background(), 7); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
-			results[i], leaders[i] = res, leader
 		}(i)
 	}
 	// Give the waiters a moment to join the open flight, then land it.
@@ -56,35 +86,38 @@ func TestFlightSharesLeaderResult(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
+	if n := l.calls.Load(); n != 1 {
+		t.Fatalf("loaded %d times, want 1", n)
 	}
-	for i := range results {
-		if leaders[i] {
-			t.Errorf("waiter %d claims leadership", i)
+	for i, h := range hs {
+		if h.Loaded {
+			t.Errorf("waiter %d claims the load", i)
 		}
-		if results[i].rows != 42 || results[i].bytes != 4096 {
-			t.Errorf("waiter %d result %+v, want leader's", i, results[i])
+		if h.Rel() != want {
+			t.Errorf("waiter %d got another chunk", i)
 		}
+		h.Release()
 	}
 }
 
 // TestFlightWaiterCancelled: a waiter whose context expires mid-flight
-// returns its context error immediately, and the shared flight result
-// is not poisoned — the leader and later callers still succeed.
+// returns its context error at once, and the flight is not poisoned —
+// the leader and later callers still succeed.
 func TestFlightWaiterCancelled(t *testing.T) {
-	var g flightGroup
-	key := flightKey{table: "D", id: 3}
-	release := make(chan struct{})
-	entered := make(chan struct{})
+	release, entered := make(chan struct{}), make(chan struct{})
+	l := &gatedLoader{load: func(call int32) (*storage.Relation, error) {
+		if call == 1 {
+			close(entered)
+			<-release
+		}
+		return oneRow(float64(call)), nil
+	}}
+	s := flightStore(l)
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(context.Background(), key, func() (flightResult, error) {
-			close(entered)
-			<-release
-			return flightResult{rows: 7}, nil
-		})
+		h, err := s.Acquire(context.Background(), 3)
+		h.Release()
 		leaderDone <- err
 	}()
 	<-entered
@@ -92,10 +125,8 @@ func TestFlightWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := g.do(ctx, key, func() (flightResult, error) {
-			t.Error("cancelled waiter ran fn")
-			return flightResult{}, nil
-		})
+		h, err := s.Acquire(ctx, 3)
+		h.Release()
 		waiterDone <- err
 	}()
 	// Let the waiter park on the flight, then cancel only the waiter.
@@ -116,65 +147,60 @@ func TestFlightWaiterCancelled(t *testing.T) {
 		t.Fatalf("leader failed after waiter cancellation: %v", err)
 	}
 	// And the key is clear: a fresh caller becomes a fresh leader.
-	res, leader, err := g.do(context.Background(), key, func() (flightResult, error) {
-		return flightResult{rows: 9}, nil
-	})
-	if err != nil || !leader || res.rows != 9 {
-		t.Fatalf("fresh flight after cancellation: res=%+v leader=%v err=%v", res, leader, err)
+	h, err := s.Acquire(context.Background(), 3)
+	if err != nil || !h.Loaded || l.calls.Load() != 2 {
+		t.Fatalf("fresh flight after cancellation: %+v %v, %d loads", h, err, l.calls.Load())
 	}
+	h.Release()
 }
 
-// TestFlightErrorNotCached: a failed flight's error is shared with its
-// waiters but not cached — the next caller retries with a fresh fn
-// run. This is what lets the registrar's quarantine/retry policy own
-// failure memory instead of the flight table.
+// TestFlightErrorNotCached: a failed flight's error is not remembered —
+// the next caller loads afresh and can succeed. This is what lets the
+// registrar's quarantine/retry policy own failure memory instead of the
+// store.
 func TestFlightErrorNotCached(t *testing.T) {
-	var g flightGroup
-	key := flightKey{table: "D", id: 11}
 	injected := errors.New("injected: chunk fetch failed")
-	var calls atomic.Int32
+	l := &gatedLoader{load: func(call int32) (*storage.Relation, error) {
+		if call == 1 {
+			return nil, injected
+		}
+		return oneRow(5), nil
+	}}
+	s := flightStore(l)
 
-	_, leader, err := g.do(context.Background(), key, func() (flightResult, error) {
-		calls.Add(1)
-		return flightResult{}, injected
-	})
-	if !leader || !errors.Is(err, injected) {
-		t.Fatalf("first call: leader=%v err=%v", leader, err)
+	if _, err := s.Acquire(context.Background(), 11); !errors.Is(err, injected) {
+		t.Fatalf("first call: %v", err)
 	}
-
-	// The failure must not be remembered: the next caller runs fn again
-	// and can succeed.
-	res, leader, err := g.do(context.Background(), key, func() (flightResult, error) {
-		calls.Add(1)
-		return flightResult{rows: 5}, nil
-	})
-	if err != nil || !leader || res.rows != 5 {
-		t.Fatalf("retry after failure: res=%+v leader=%v err=%v", res, leader, err)
+	h, err := s.Acquire(context.Background(), 11)
+	if err != nil || !h.Loaded {
+		t.Fatalf("retry after failure: %+v %v", h, err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("fn ran %d times, want 2 (errors are not cached)", n)
+	h.Release()
+	if n := l.calls.Load(); n != 2 {
+		t.Fatalf("loaded %d times, want 2 (errors are not cached)", n)
 	}
 }
 
 // TestFlightErrorSharedWithWaiters: waiters of a failing flight all see
 // the leader's error.
 func TestFlightErrorSharedWithWaiters(t *testing.T) {
-	var g flightGroup
-	key := flightKey{table: "D", id: 13}
 	injected := errors.New("injected")
-	release := make(chan struct{})
-	entered := make(chan struct{})
+	release, entered := make(chan struct{}), make(chan struct{})
+	l := &gatedLoader{load: func(call int32) (*storage.Relation, error) {
+		if call > 1 {
+			return nil, errors.New("waiter must not load")
+		}
+		close(entered)
+		<-release
+		return nil, injected
+	}}
+	s := flightStore(l)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := g.do(context.Background(), key, func() (flightResult, error) {
-			close(entered)
-			<-release
-			return flightResult{}, injected
-		})
-		if !errors.Is(err, injected) {
+		if _, err := s.Acquire(context.Background(), 13); !errors.Is(err, injected) {
 			t.Errorf("leader err = %v", err)
 		}
 	}()
@@ -185,10 +211,7 @@ func TestFlightErrorSharedWithWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = g.do(context.Background(), key, func() (flightResult, error) {
-				t.Error("waiter ran fn")
-				return flightResult{}, nil
-			})
+			_, errs[i] = s.Acquire(context.Background(), 13)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)

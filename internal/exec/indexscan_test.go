@@ -36,13 +36,11 @@ func indexedEnv(t *testing.T, nFiles int) (*Env, *table.Catalog) {
 	cat, loader := setupCatalog(t, nFiles)
 	d, _ := cat.Table(seismic.TableD)
 	for _, id := range loader.chunks {
-		rel, err := loader.LoadChunk(seismic.TableD, id)
+		rel, err := loader.LoadChunkInto(seismic.TableD, id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.AppendChunk(id, rel); err != nil {
-			t.Fatal(err)
-		}
+		d.Chunks().Install(id, rel)
 	}
 	f, _ := cat.Table(seismic.TableF)
 	fFlat := f.Data().Flatten()

@@ -25,7 +25,7 @@ func TestSamplingReducesChunks(t *testing.T) {
 	if p.SamplePct != 40 {
 		t.Fatalf("plan sample pct = %v", p.SamplePct)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func TestSamplingReducesChunks(t *testing.T) {
 func TestSamplingDeterministic(t *testing.T) {
 	catA, loaderA := setupCatalog(t, 20)
 	pA, _ := compile(catA, sampledT4("ISK", 30))
-	resA, err := Execute(context.Background(), lazyEnv(catA, loaderA, nil), pA, Options{})
+	resA, err := Execute(context.Background(), lazyEnv(catA, loaderA, 0), pA, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	catB, loaderB := setupCatalog(t, 20)
 	pB, _ := compile(catB, sampledT4("ISK", 30))
-	resB, err := Execute(context.Background(), lazyEnv(catB, loaderB, nil), pB, Options{})
+	resB, err := Execute(context.Background(), lazyEnv(catB, loaderB, 0), pB, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSamplingDeterministic(t *testing.T) {
 func TestSamplingExactAnswerWithoutSample(t *testing.T) {
 	cat, loader := setupCatalog(t, 10)
 	p, _ := compile(cat, t4Query("ISK"))
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSamplingExactAnswerWithoutSample(t *testing.T) {
 func TestSamplingAtLeastOneChunk(t *testing.T) {
 	cat, loader := setupCatalog(t, 4) // 2 ISK chunks
 	p, _ := compile(cat, sampledT4("ISK", 1))
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSamplingSkipsMetadataOnlyQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, nil), p, Options{})
+	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

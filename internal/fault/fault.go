@@ -43,7 +43,7 @@ const (
 	// PointCacheFill fires after a chunk is loaded, before it becomes
 	// resident (error = ingestion failure past the transport).
 	PointCacheFill = "cache.fill"
-	// PointFlight fires at the head of the exec singleflight leader's
+	// PointFlight fires at the head of a chunk store flight leader's
 	// load, covering the whole ingestion of one chunk.
 	PointFlight = "exec.flight"
 	// PointAdmit fires in the server's admission gate, before a request

@@ -45,11 +45,30 @@ func ReadMetadata(r io.Reader) (FileHeader, []SegmentHeader, error) {
 // perform a constant number of allocations — the file buffer, the
 // arena, the segment slice — instead of two per segment, and payloads
 // are checksummed in place without ever being copied.
-func Read(r io.Reader) (*File, error) {
-	// In-memory readers (bytes.Reader, bytes.Buffer) report their
-	// remaining length and files their size: buffer those in one
-	// exactly-sized allocation instead of growing through io.ReadAll,
-	// which for a chunk file is a dozen reads and as many copies.
+func Read(r io.Reader) (*File, error) { return ReadInto(r, new(Scratch)) }
+
+// Scratch is memory chunk decodes reuse: the file buffer and the sample
+// arena, each grown in place when too small. A decoded File's samples
+// alias Samples, so it must be done with before the next decode.
+type Scratch struct {
+	Buf     []byte
+	Samples []int32
+}
+
+// ReadInto is Read buffering the file and decoding its samples in s.
+func ReadInto(r io.Reader, s *Scratch) (*File, error) {
+	var err error
+	if s.Buf, err = readAll(r, s.Buf); err != nil {
+		return nil, err
+	}
+	return decode(s.Buf, s)
+}
+
+// readAll reads r to its end into buf, growing it when too small. Given
+// the size in-memory readers and files report, a buffer one byte longer
+// (for the read reporting EOF) takes the stream in one read, not a
+// dozen reads and as many copies.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
 	size := 0
 	switch s := r.(type) {
 	case interface{ Len() int }:
@@ -59,27 +78,31 @@ func Read(r io.Reader) (*File, error) {
 			size = int(fi.Size())
 		}
 	}
-	data := make([]byte, size)
-	n, err := io.ReadFull(r, data)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, err
+	if want := max(size+1, 512); cap(buf) < want {
+		buf = make([]byte, 0, want)
 	}
-	if data = data[:n]; n == size {
-		// No hint, or a stream longer than it.
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, err
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
-		data = append(data, rest...)
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		if buf = buf[:len(buf)+n]; err == io.EOF {
+			return buf, nil
+		} else if err != nil {
+			return buf, err
+		}
 	}
-	return ReadBytes(data)
 }
 
 // ReadBytes decodes a chunk already resident in memory. The returned
 // segments' sample slices share one backing arena sized from the
 // segment headers; retaining any one of them retains the whole chunk's
 // samples (callers transform them into columns anyway).
-func ReadBytes(data []byte) (*File, error) {
+func ReadBytes(data []byte) (*File, error) { return decode(data, new(Scratch)) }
+
+// decode is ReadBytes decoding the samples into s.Samples.
+func decode(data []byte, s *Scratch) (*File, error) {
 	hdr, nseg, pos, err := parseFileHeader(data)
 	if err != nil {
 		return nil, err
@@ -116,7 +139,10 @@ func ReadBytes(data []byte) (*File, error) {
 		total += int(sh.SampleCount)
 	}
 	// Pass two: verify and decode each payload into its arena slice.
-	arena := make([]int32, total)
+	if cap(s.Samples) < total {
+		s.Samples = make([]int32, total)
+	}
+	arena := s.Samples
 	f := &File{Header: hdr, Segments: make([]Segment, nseg)}
 	p, off := pos, 0
 	for i, sh := range heads {
@@ -126,12 +152,12 @@ func ReadBytes(data []byte) (*File, error) {
 		if got := crc32.Checksum(payload, crcTable); got != sh.crc {
 			return nil, fmt.Errorf("mseed: segment %d: checksum mismatch (corrupt chunk)", i)
 		}
-		samples := arena[off : off+int(sh.SampleCount) : off+int(sh.SampleCount)]
+		out := arena[off : off+int(sh.SampleCount) : off+int(sh.SampleCount)]
 		off += int(sh.SampleCount)
-		if err := DecodeSamplesInto(hdr.Encoding, payload, samples); err != nil {
+		if err := DecodeSamplesInto(hdr.Encoding, payload, out); err != nil {
 			return nil, fmt.Errorf("mseed: segment %d: %w", i, err)
 		}
-		f.Segments[i] = Segment{Header: sh, Samples: samples}
+		f.Segments[i] = Segment{Header: sh, Samples: out}
 	}
 	return f, nil
 }

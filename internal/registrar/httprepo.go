@@ -455,27 +455,34 @@ func escapePath(p string) string {
 	return strings.Join(parts, "/")
 }
 
-// AllChunkIDs implements exec.ChunkLoader.
+// AllChunkIDs implements chunkstore.Loader.
 func (r *HTTPRepository) AllChunkIDs(tableName string) []int64 { return allChunkIDs(r) }
 
-// LoadChunk implements exec.ChunkLoader: chunk-access over HTTP (see
+// LoadChunk is chunk-access over HTTP into fresh memory (see
 // LoadChunkContext).
 func (r *HTTPRepository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	return r.LoadChunkContext(context.Background(), tableName, chunkID)
+	return r.LoadChunkInto(tableName, chunkID, nil)
+}
+
+// LoadChunkInto implements chunkstore.Loader: chunk-access over HTTP
+// (see LoadChunkContext).
+func (r *HTTPRepository) LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+	return r.LoadChunkContext(context.Background(), tableName, chunkID, mem)
 }
 
 // LoadChunkContext is the chunk-access operator over the hardened
-// fetch path. A chunk whose fetch exhausts its retries — or whose
-// payload fails to decode — is quarantined for QuarantineTTL; while
-// quarantined, requests for it fail immediately without touching the
-// archive. All failures except caller cancellation are reported as a
-// *ChunkError, which is Degradable.
-func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string, chunkID int64) (*storage.Relation, error) {
+// fetch path, landing the chunk in mem (see LoadChunkFromSource). A
+// chunk whose fetch exhausts its retries — or whose payload fails to
+// decode — is quarantined for QuarantineTTL; while quarantined,
+// requests for it fail immediately without touching the archive. All
+// failures except caller cancellation are reported as a *ChunkError,
+// which is Degradable.
+func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
 	r.init()
 	if reason, ok := r.quar.check(chunkID, time.Now()); ok {
 		return nil, &ChunkError{Table: tableName, Chunk: chunkID, Quarantined: true, Err: errors.New(reason)}
 	}
-	rel, err := LoadChunkFromSourceContext(ctx, r, tableName, chunkID)
+	rel, err := LoadChunkFromSource(ctx, r, tableName, chunkID, mem)
 	if err == nil {
 		return rel, nil
 	}

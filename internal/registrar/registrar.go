@@ -147,7 +147,7 @@ type Source interface {
 // ContextSource is the optional context-aware extension of Source:
 // sources that can honor deadlines and cancellation mid-fetch (the
 // HTTP repository's retry/backoff ladder) implement it, and
-// LoadChunkFromSourceContext prefers it over plain Open.
+// LoadChunkFromSource prefers it over plain Open.
 type ContextSource interface {
 	OpenContext(ctx context.Context, chunkID int64) (io.ReadCloser, error)
 }
@@ -173,11 +173,11 @@ func injectorFor(src Source) *fault.Injector {
 }
 
 // ChunkSource is the full contract the engine needs from a repository:
-// enumeration and streaming (Source) plus the chunk-access operator of
-// the executor (exec.ChunkLoader's method set).
+// enumeration and streaming (Source) plus the chunk-access operator the
+// chunk store loads through (chunkstore.Loader's method set).
 type ChunkSource interface {
 	Source
-	LoadChunk(tableName string, chunkID int64) (*storage.Relation, error)
+	LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error)
 	AllChunkIDs(tableName string) []int64
 }
 
@@ -265,14 +265,20 @@ func (r *Repository) TotalBytes() int64 {
 	return n
 }
 
-// AllChunkIDs implements exec.ChunkLoader.
+// AllChunkIDs implements chunkstore.Loader.
 func (r *Repository) AllChunkIDs(tableName string) []int64 {
 	return allChunkIDs(r)
 }
 
-// LoadChunk implements exec.ChunkLoader: the chunk-access operator.
+// LoadChunk is the chunk-access operator into fresh memory:
+// LoadChunkInto without a ChunkMem.
 func (r *Repository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	return LoadChunkFromSource(r, tableName, chunkID)
+	return r.LoadChunkInto(tableName, chunkID, nil)
+}
+
+// LoadChunkInto implements chunkstore.Loader: the chunk-access operator.
+func (r *Repository) LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+	return LoadChunkFromSource(context.Background(), r, tableName, chunkID, mem)
 }
 
 func allChunkIDs(src Source) []int64 {
@@ -285,16 +291,12 @@ func allChunkIDs(src Source) []int64 {
 
 // LoadChunkFromSource is the chunk-access operator over any source: it
 // fully decodes one chunk through the domain codec and transforms it
-// into the D schema, materializing per-sample timestamps.
-func LoadChunkFromSource(src Source, tableName string, chunkID int64) (*storage.Relation, error) {
-	return LoadChunkFromSourceContext(context.Background(), src, tableName, chunkID)
-}
-
-// LoadChunkFromSourceContext is LoadChunkFromSource honoring a
-// context: sources implementing ContextSource get it for the byte
-// fetch, and the mseed.decode fault point can corrupt or fail the
-// payload before decoding.
-func LoadChunkFromSourceContext(ctx context.Context, src Source, tableName string, chunkID int64) (*storage.Relation, error) {
+// into the D schema, materializing per-sample timestamps. The file is
+// buffered in mem's scratch and the chunk lands in an arena taken from
+// it (ChunkToRelationInto); a nil mem allocates. Sources implementing
+// ContextSource get ctx for the byte fetch, and the mseed.decode fault
+// point can corrupt or fail the payload before decoding.
+func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
 	if tableName != seismic.TableD {
 		return nil, fmt.Errorf("registrar: unknown actual-data table %q", tableName)
 	}
@@ -321,11 +323,16 @@ func LoadChunkFromSourceContext(ctx context.Context, src Source, tableName strin
 			body = fault.CorruptReader(body, act.CorruptSeed)
 		}
 	}
-	f, err := mseed.Read(body)
+	var sc mseed.Scratch
+	if mem != nil {
+		sc = mseed.Scratch{Buf: mem.Buf, Samples: mem.Samples}
+		defer func() { mem.Buf, mem.Samples = sc.Buf, sc.Samples }()
+	}
+	f, err := mseed.ReadInto(body, &sc)
 	if err != nil {
 		return nil, fmt.Errorf("registrar: chunk-access %d: %w", chunkID, err)
 	}
-	return ChunkToRelation(chunkID, f), nil
+	return ChunkToRelationInto(chunkID, f, mem), nil
 }
 
 // ChunkToRelation converts a decoded chunk into the D table layout,
@@ -337,14 +344,21 @@ func LoadChunkFromSourceContext(ctx context.Context, src Source, tableName strin
 // are seeded from the same pass, so a freshly loaded chunk is scanned
 // without a single bounds computation.
 func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
+	return ChunkToRelationInto(chunkID, f, nil)
+}
+
+// ChunkToRelationInto is ChunkToRelation writing sample_time and
+// sample_value into an arena taken from mem; a nil mem allocates.
+func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *storage.Relation {
 	nBatches := 0
 	for _, seg := range f.Segments {
 		nBatches += (len(seg.Samples) + storage.BatchSize - 1) / storage.BatchSize
 	}
 	var (
 		total   = f.SampleCount()
-		tsAll   = make([]int64, total)
-		valAll  = make([]float64, total)
+		arena   = mem.TakeArena(total, total)
+		tsAll   = arena.Ints
+		valAll  = arena.Floats
 		runVals = make([]int64, 0, 4*nBatches) // per batch: file, segment, 2 windows
 		runEnds = make([]int32, 0, 4*nBatches)
 		batches = make([]*storage.Batch, 0, nBatches)
@@ -352,8 +366,8 @@ func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
 	)
 	// run cuts the last n appended runs off the arenas as one column.
 	run := func(kind storage.Kind, n int) *storage.RunColumn {
-		at := len(runVals) - n
-		return storage.NewRunColumn(kind, runVals[at:], runEnds[at:])
+		at, end := len(runVals)-n, len(runVals)
+		return storage.NewRunColumn(kind, runVals[at:end:end], runEnds[at:end:end])
 	}
 	const window = uint64(seismic.WindowDuration)
 	for _, seg := range f.Segments {
@@ -548,9 +562,7 @@ func LoadAllPlain(cat *table.Catalog, repo Source) (int64, time.Duration, error)
 		rows += int64(rel.Rows())
 	}
 	d, _ := cat.Table(seismic.TableD)
-	if err := d.AppendChunk(MonolithChunkID, mono); err != nil {
-		return 0, 0, err
-	}
+	d.Chunks().Install(MonolithChunkID, mono)
 	return rows, time.Since(start), nil
 }
 
@@ -565,9 +577,7 @@ func LoadAllClustered(cat *table.Catalog, repo Source) (int64, time.Duration, er
 	d, _ := cat.Table(seismic.TableD)
 	var rows int64
 	for id, rel := range rels {
-		if err := d.AppendChunk(int64(id), rel); err != nil {
-			return 0, 0, err
-		}
+		d.Chunks().Install(int64(id), rel)
 		rows += int64(rel.Rows())
 	}
 	return rows, time.Since(start), nil
@@ -586,7 +596,7 @@ func loadAll(repo Source) ([]*storage.Relation, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rels[i], errs[i] = LoadChunkFromSource(repo, seismic.TableD, int64(i))
+			rels[i], errs[i] = LoadChunkFromSource(context.Background(), repo, seismic.TableD, int64(i), nil)
 		}(i)
 	}
 	wg.Wait()
@@ -661,9 +671,7 @@ func LoadAllCSV(cat *table.Catalog, repo Source, csvDir string) (rows, csvBytes 
 		rows += int64(rel.Rows())
 	}
 	d, _ := cat.Table(seismic.TableD)
-	if err = d.AppendChunk(MonolithChunkID, mono); err != nil {
-		return
-	}
+	d.Chunks().Install(MonolithChunkID, mono)
 	toDB = time.Since(t1)
 	return
 }
@@ -710,12 +718,16 @@ func BuildIndexes(cat *table.Catalog) (*Indexes, time.Duration, error) {
 		}
 	}
 	tsCol := dT.Schema.IndexOf("sample_time")
-	for _, id := range dT.ChunkIDs() {
-		rel, _ := dT.Chunk(id)
-		flat := rel.Flatten()
-		if flat.Len() > 0 {
+	chunks := dT.Chunks()
+	for _, id := range chunks.IDs() {
+		h, ok := chunks.TryAcquire(id)
+		if !ok {
+			continue
+		}
+		if flat := h.Rel().Flatten(); flat.Len() > 0 {
 			ix.ZoneMaps[id] = index.BuildZoneMap(flat.Cols[tsCol])
 		}
+		h.Release()
 	}
 	return ix, time.Since(start), nil
 }

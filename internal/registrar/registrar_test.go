@@ -121,7 +121,7 @@ func TestLoadAllPlainVsClustered(t *testing.T) {
 		t.Fatal(err)
 	}
 	dP, _ := catP.Table(seismic.TableD)
-	if ids := dP.ChunkIDs(); len(ids) != 1 || ids[0] != MonolithChunkID {
+	if ids := dP.Chunks().IDs(); len(ids) != 1 || ids[0] != MonolithChunkID {
 		t.Fatalf("plain layout chunks = %v", ids)
 	}
 
@@ -131,7 +131,7 @@ func TestLoadAllPlainVsClustered(t *testing.T) {
 		t.Fatal(err)
 	}
 	dC, _ := catC.Table(seismic.TableD)
-	if got := len(dC.ChunkIDs()); got != len(repo.Uris) {
+	if got := len(dC.Chunks().IDs()); got != len(repo.Uris) {
 		t.Fatalf("clustered layout chunks = %d", got)
 	}
 	if rowsP != rowsC || rowsP != man.TotalSamples() {

@@ -53,6 +53,7 @@ import (
 
 	"sommelier/internal/admission"
 	"sommelier/internal/cache"
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/engine"
 	"sommelier/internal/exec"
 	"sommelier/internal/fault"
@@ -533,6 +534,8 @@ type StatsResponse struct {
 	// DiskCache is the persistent cache tier's counters; absent when
 	// the server runs without -cache-dir (RAM-only cache).
 	DiskCache *cache.DiskTierStats `json:"disk_cache,omitempty"`
+	// Chunks is the engine's chunk store: residency and memory reuse.
+	Chunks    chunkstore.Stats `json:"chunks"`
 	PlanCache struct {
 		Hits     int64 `json:"hits"`
 		Misses   int64 `json:"misses"`
@@ -584,6 +587,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ds := s.db.DiskCacheStats()
 		resp.DiskCache = &ds
 	}
+	resp.Chunks = s.db.ChunkStats()
 	ps := s.db.PlanCacheStats()
 	resp.PlanCache.Hits = ps.Hits
 	resp.PlanCache.Misses = ps.Misses

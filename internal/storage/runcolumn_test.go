@@ -293,8 +293,8 @@ func TestSegCodecRunColumnsRoundtrip(t *testing.T) {
 		if ZoneComputations() != before {
 			t.Fatal("decoded zones were recomputed, not seeded")
 		}
-		// A promoted relation is pooled, its run columns are not: both
-		// the release and the disown path must leave the pools balanced.
+		// A decoded relation holds no pooled memory: releasing and
+		// disowning it must both leave the pools balanced.
 		if iter%2 == 0 {
 			got.Release()
 		} else {

@@ -229,148 +229,133 @@ func (r *segReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Pooled-or-not allocation helpers: the decoder lands values directly
-// in pooled backing when pooling is on (the tentpole's "spilled blocks
-// land directly in pooled batches") and falls back to plain
-// allocations when it is off, mirroring NewPooledBatch.
-
-func decInt64s(n int) []int64 {
-	if pooling.Load() {
-		return int64Slices.get(n)[:n]
-	}
-	return make([]int64, n)
-}
-
-func decFloat64s(n int) []float64 {
-	if pooling.Load() {
-		return float64Slices.get(n)[:n]
-	}
-	return make([]float64, n)
-}
-
-func decBools(n int) []bool {
-	if pooling.Load() {
-		return boolSlices.get(n)[:n]
-	}
-	return make([]bool, n)
-}
-
-func decIntCol(vals []int64, asTime bool) Column {
-	if pooling.Load() {
-		return pooledInt64Col(vals, asTime)
-	}
-	if asTime {
-		return NewTimeColumn(vals)
-	}
-	return NewInt64Column(vals)
-}
-
-func decFloatCol(vals []float64) Column {
-	if pooling.Load() {
-		return pooledFloat64Col(vals)
-	}
-	return NewFloat64Column(vals)
-}
-
-func decBoolCol(vals []bool) Column {
-	if pooling.Load() {
-		return pooledBoolCol(vals)
-	}
-	return NewBoolColumn(vals)
-}
-
-func decStringCol(dict []string, codes []int32) Column {
-	if pooling.Load() {
-		return pooledStringCol(dict, codes)
-	}
-	return &StringColumn{dict: dict, codes: codes}
-}
-
-// maxDecodeRows caps the per-batch row count a body may claim, so a
-// corrupt length prefix cannot drive a giant allocation before the
-// bounds checks catch it.
+// maxDecodeRows caps the row count one batch may claim and the plain
+// values one body may hold, so a corrupt length prefix cannot drive a
+// giant allocation before the bounds checks catch it.
 const maxDecodeRows = 1 << 24
 
-// DecodeRelation decodes one block body produced by EncodeRelation.
-// The returned relation is built of pooled batches owned by the caller
-// (release with Relation.Release, or Disown before installing it
-// somewhere long-lived); its zone cache is pre-seeded from the encoded
-// bounds. Any malformed input returns an error wrapping ErrSegCorrupt
-// with nothing left checked out of the pools.
+// DecodeRelation decodes one block body produced by EncodeRelation into
+// fresh memory: DecodeRelationInto without a ChunkMem.
 func DecodeRelation(data []byte) (*Relation, error) {
-	r := &segReader{data: data}
-	nBatches, err := r.uvarint()
-	if err != nil {
+	return DecodeRelationInto(data, nil)
+}
+
+// DecodeRelationInto decodes one block body produced by EncodeRelation.
+// Its plain int64/time and float64 columns land in one arena taken from
+// mem, sized exactly by a first walk over the body, and its run columns
+// in one slab of runs; nothing is pooled, so the relation needs no
+// release. Its zone cache is pre-seeded from the encoded bounds. Any
+// malformed input returns an error wrapping ErrSegCorrupt; the arena
+// mem took (if any) is then the caller's to reuse.
+func DecodeRelationInto(data []byte, mem *ChunkMem) (*Relation, error) {
+	size := segDecoder{segReader: segReader{data: data}, sizing: true}
+	if _, err := size.relation(); err != nil {
 		return nil, err
 	}
+	if size.nInts > maxDecodeRows || size.nFloats > maxDecodeRows {
+		return nil, ErrSegCorrupt
+	}
+	a := mem.TakeArena(size.nInts, size.nFloats)
+	d := segDecoder{
+		segReader: segReader{data: data},
+		ints:      a.Ints,
+		floats:    a.Floats,
+		runVals:   make([]int64, size.nRuns),
+		runEnds:   make([]int32, size.nRuns),
+	}
+	return d.relation()
+}
+
+// segDecoder walks a block body twice. Sizing only counts the plain and
+// run values the body holds and checks its framing; decoding then cuts
+// every column off an arena and a run slab of exactly those sizes.
+type segDecoder struct {
+	segReader
+	sizing                bool
+	nInts, nFloats, nRuns int
+	ints, runVals         []int64
+	floats                []float64
+	runEnds               []int32
+}
+
+func (d *segDecoder) relation() (*Relation, error) {
+	nBatches, err := d.uvarint()
 	// A batch takes at least two bytes and a column two more, so corrupt
 	// counts cannot pre-allocate more slots than the body has bytes.
-	if nBatches > uint64(len(data))/2 {
+	if err != nil || nBatches > uint64(len(d.data))/2 {
 		return nil, ErrSegCorrupt
 	}
-	rel := NewRelationWithCap(int(nBatches))
-	zones := make([][]Zone, 0, nBatches)
-	fail := func(cols []Column) (*Relation, error) {
-		for _, c := range cols {
-			PutColumn(c)
-		}
-		rel.Release()
-		return nil, ErrSegCorrupt
+	var (
+		batches []*Batch
+		zones   [][]Zone
+	)
+	if !d.sizing {
+		batches, zones = make([]*Batch, 0, nBatches), make([][]Zone, 0, nBatches)
 	}
 	for bi := uint64(0); bi < nBatches; bi++ {
-		nRows, err := r.uvarint()
+		nRows, err := d.uvarint()
 		if err != nil || nRows > maxDecodeRows {
-			return fail(nil)
+			return nil, ErrSegCorrupt
 		}
-		nCols, err := r.uvarint()
-		if err != nil || nCols > 1<<16 || nCols > uint64(len(data)-r.off)/2 {
-			return fail(nil)
+		nCols, err := d.uvarint()
+		if err != nil || nCols > 1<<16 || nCols > uint64(len(d.data)-d.off)/2 {
+			return nil, ErrSegCorrupt
 		}
-		cols := make([]Column, 0, nCols)
-		zs := make([]Zone, 0, nCols)
+		var (
+			cols []Column
+			zs   []Zone
+		)
+		if !d.sizing {
+			cols, zs = make([]Column, 0, nCols), make([]Zone, 0, nCols)
+		}
 		for ci := uint64(0); ci < nCols; ci++ {
-			c, z, err := decodeColumn(r, int(nRows))
+			c, z, err := d.column(int(nRows))
 			if err != nil {
-				return fail(cols)
+				return nil, ErrSegCorrupt
 			}
-			cols = append(cols, c)
-			zs = append(zs, z)
+			if !d.sizing {
+				cols, zs = append(cols, c), append(zs, z)
+			}
 		}
-		b := NewPooledBatch(cols...)
-		if b.Len() == 0 {
-			// Relation.Append ignores empty batches; recycle the header
-			// so nothing leaks, and skip the zone entry to keep the seeded
-			// cache aligned with the batches actually appended.
-			PutBatch(b)
+		if d.sizing || nRows == 0 || nCols == 0 {
+			// An empty batch is dropped (Relation.Append would ignore it
+			// too), zone entry and all, keeping the seeded cache aligned.
 			continue
 		}
 		// Not Append: a chunk relation keeps its column shapes.
-		rel.batches = append(rel.batches, b)
-		rel.rows += b.Len()
-		zones = append(zones, zs)
+		batches, zones = append(batches, NewBatch(cols...)), append(zones, zs)
 	}
-	if r.off != len(data) {
-		return fail(nil)
+	if d.off != len(d.data) {
+		return nil, ErrSegCorrupt
+	}
+	if d.sizing {
+		return nil, nil
+	}
+	rel := &Relation{batches: batches}
+	for _, b := range batches {
+		rel.rows += b.Len()
 	}
 	rel.zones.Store(&zones)
 	return rel, nil
 }
 
-func decodeColumn(r *segReader, nRows int) (Column, Zone, error) {
-	sk, err := r.byte()
+// column reads one column of nRows rows: its kind, zone and values. A
+// sizing walk returns a nil column.
+func (d *segDecoder) column(nRows int) (Column, Zone, error) {
+	sk, err := d.byte()
 	if err != nil {
 		return nil, Zone{}, err
 	}
 	var z Zone
-	zok, err := r.byte()
+	zok, err := d.byte()
 	if err != nil {
 		return nil, Zone{}, err
 	}
 	if zok == 1 {
-		if z.Min, err = r.varint(); err != nil {
+		if z.Min, err = d.varint(); err != nil {
 			return nil, Zone{}, err
 		}
-		if z.Max, err = r.varint(); err != nil {
+		if z.Max, err = d.varint(); err != nil {
 			return nil, Zone{}, err
 		}
 		z.Ok = true
@@ -379,126 +364,155 @@ func decodeColumn(r *segReader, nRows int) (Column, Zone, error) {
 	}
 	switch sk {
 	case segRun:
-		c, err := decodeRuns(r, nRows)
+		c, err := d.runs(nRows)
 		return c, z, err
 	case segInt64, segTime:
-		vals := decInt64s(nRows)
-		// Hand-rolled cursor: the generic r.varint() slice-and-call per
-		// value would dominate a block decode. A 0x00 token (zigzag
-		// zero) is a run of zero second differences — the column
-		// continues its current arithmetic progression — so the common
-		// case is one run-length read and a tight fill loop instead of
-		// a per-value varint parse.
-		data, off := r.data, r.off
-		corrupt := func() (Column, Zone, error) {
-			int64Slices.put(vals)
-			return nil, Zone{}, ErrSegCorrupt
+		var vals []int64
+		if d.sizing {
+			d.nInts += nRows
+		} else {
+			vals = carve(&d.ints, nRows)
 		}
-		prev, prevDelta := int64(0), int64(0)
-		for i := 0; i < len(vals); {
-			if off >= len(data) {
-				return corrupt()
-			}
-			if b := data[off]; b == 0 {
-				off++
-				runLen, n := binary.Uvarint(data[off:])
-				if n <= 0 || runLen == 0 || runLen > uint64(len(vals)-i) {
-					return corrupt()
-				}
-				off += n
-				// Fill by multiplication rather than a running sum: the
-				// iterations are independent, so the loop is not stuck
-				// behind a serial add chain.
-				base := prev
-				for k := int64(1); k <= int64(runLen); k++ {
-					vals[i] = base + prevDelta*k
-					i++
-				}
-				prev = base + prevDelta*int64(runLen)
-				continue
-			} else if b < 0x80 {
-				off++
-				u := uint64(b)
-				prevDelta += int64(u>>1) ^ -int64(u&1)
-			} else {
-				d2, n := binary.Varint(data[off:])
-				if n <= 0 {
-					return corrupt()
-				}
-				off += n
-				prevDelta += d2
-			}
-			prev += prevDelta
-			vals[i] = prev
-			i++
+		if err := d.deltas(vals, nRows); err != nil || d.sizing {
+			return nil, z, err
 		}
-		r.off = off
-		return decIntCol(vals, sk == segTime), z, nil
+		if sk == segTime {
+			return NewTimeColumn(vals), z, nil
+		}
+		return NewInt64Column(vals), z, nil
 	case segFloat64:
-		raw, err := r.bytes(nRows * 8)
-		if err != nil {
-			return nil, Zone{}, err
+		raw, err := d.bytes(nRows * 8)
+		if err != nil || d.sizing {
+			d.nFloats += nRows
+			return nil, z, err
 		}
-		vals := decFloat64s(nRows)
+		vals := carve(&d.floats, nRows)
 		for i := range vals {
 			// Advancing the slice instead of indexing raw[i*8:] lets the
 			// compiler drop the per-iteration multiply and bounds check.
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
 			raw = raw[8:]
 		}
-		return decFloatCol(vals), z, nil
+		return NewFloat64Column(vals), z, nil
 	case segBool:
-		vals := decBools(nRows)
-		for i := range vals {
-			b, err := r.byte()
-			if err != nil || b > 1 {
-				boolSlices.put(vals)
+		raw, err := d.bytes(nRows)
+		if err != nil || d.sizing {
+			return nil, z, err
+		}
+		vals := make([]bool, nRows)
+		for i, b := range raw {
+			if b > 1 {
 				return nil, Zone{}, ErrSegCorrupt
 			}
 			vals[i] = b == 1
 		}
-		return decBoolCol(vals), z, nil
+		return NewBoolColumn(vals), z, nil
 	case segString:
-		nDict, err := r.uvarint()
-		if err != nil || nDict > maxDecodeRows {
+		nDict, err := d.uvarint()
+		if err != nil || nDict > maxDecodeRows || nDict > uint64(len(d.data)-d.off) {
 			return nil, Zone{}, ErrSegCorrupt
 		}
-		dict := make([]string, nDict)
-		for i := range dict {
-			sl, err := r.uvarint()
+		var dict []string
+		if !d.sizing {
+			dict = make([]string, nDict)
+		}
+		for i := uint64(0); i < nDict; i++ {
+			sl, err := d.uvarint()
 			if err != nil || sl > 1<<20 {
 				return nil, Zone{}, ErrSegCorrupt
 			}
-			sb, err := r.bytes(int(sl))
+			sb, err := d.bytes(int(sl))
 			if err != nil {
 				return nil, Zone{}, err
 			}
-			dict[i] = string(sb)
+			if !d.sizing {
+				dict[i] = string(sb)
+			}
+		}
+		if nRows > len(d.data)-d.off {
+			return nil, Zone{}, ErrSegCorrupt // a code takes at least a byte
 		}
 		var codes []int32
-		if pooling.Load() {
-			codes = GetSel(nRows)[:nRows]
-		} else {
+		if !d.sizing {
 			codes = make([]int32, nRows)
 		}
-		for i := range codes {
-			cv, err := r.uvarint()
+		for i := 0; i < nRows; i++ {
+			cv, err := d.uvarint()
 			if err != nil || cv >= nDict {
-				PutSel(codes)
 				return nil, Zone{}, ErrSegCorrupt
 			}
-			codes[i] = int32(cv)
+			if !d.sizing {
+				codes[i] = int32(cv)
+			}
 		}
-		return decStringCol(dict, codes), z, nil
+		if d.sizing {
+			return nil, z, nil
+		}
+		return &StringColumn{dict: dict, codes: codes}, z, nil
 	}
 	return nil, Zone{}, ErrSegCorrupt
 }
 
-// decodeRuns decodes the body of a segRun column of nRows rows. Run
-// columns are never pooled, so a failure leaves nothing checked out.
-func decodeRuns(r *segReader, nRows int) (Column, error) {
+// deltas decodes nRows delta-of-delta values into vals — or, with vals
+// nil, only finds where they end. A hand-rolled cursor: the generic
+// r.varint() slice-and-call per value would dominate a block decode. A
+// 0x00 token (zigzag zero) is a run of zero second differences — the
+// column continues its current arithmetic progression — so the common
+// case is one run-length read and a tight fill loop instead of a
+// per-value varint parse.
+func (d *segDecoder) deltas(vals []int64, nRows int) error {
+	data, off := d.data, d.off
+	prev, prevDelta := int64(0), int64(0)
+	for i := 0; i < nRows; {
+		if off >= len(data) {
+			return ErrSegCorrupt
+		}
+		if b := data[off]; b == 0 {
+			off++
+			runLen, n := binary.Uvarint(data[off:])
+			if n <= 0 || runLen == 0 || runLen > uint64(nRows-i) {
+				return ErrSegCorrupt
+			}
+			off += n
+			if vals != nil {
+				// Fill by multiplication rather than a running sum: the
+				// iterations are independent, so the loop is not stuck
+				// behind a serial add chain.
+				run := vals[i : i+int(runLen)]
+				for k := range run {
+					run[k] = prev + prevDelta*int64(k+1)
+				}
+			}
+			i += int(runLen)
+			prev += prevDelta * int64(runLen)
+			continue
+		} else if b < 0x80 {
+			off++
+			u := uint64(b)
+			prevDelta += int64(u>>1) ^ -int64(u&1)
+		} else {
+			d2, n := binary.Varint(data[off:])
+			if n <= 0 {
+				return ErrSegCorrupt
+			}
+			off += n
+			prevDelta += d2
+		}
+		prev += prevDelta
+		if vals != nil {
+			vals[i] = prev
+		}
+		i++
+	}
+	d.off = off
+	return nil
+}
+
+// runs reads the body of a segRun column of nRows rows, cutting its
+// values and ends off the decoder's run slab.
+func (d *segDecoder) runs(nRows int) (Column, error) {
 	kind := KindInt64
-	switch sk, err := r.byte(); {
+	switch sk, err := d.byte(); {
 	case err != nil:
 		return nil, err
 	case sk == segTime:
@@ -509,19 +523,29 @@ func decodeRuns(r *segReader, nRows int) (Column, error) {
 	// A run covers at least one row and takes at least two bytes, so a
 	// corrupt count can demand neither more runs than rows nor more
 	// memory than the body is long.
-	nRuns, err := r.uvarint()
-	if err != nil || nRuns > uint64(nRows) || nRuns > uint64(len(r.data)-r.off)/2 {
+	nRuns, err := d.uvarint()
+	if err != nil || nRuns > uint64(nRows) || nRuns > uint64(len(d.data)-d.off)/2 {
 		return nil, ErrSegCorrupt
 	}
-	vals, ends := make([]int64, nRuns), make([]int32, nRuns)
+	if d.sizing {
+		d.nRuns += int(nRuns)
+		// A varint is framed like a uvarint: skip values and lengths.
+		for i := uint64(0); i < 2*nRuns; i++ {
+			if _, err := d.uvarint(); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	vals, ends := carve(&d.runVals, int(nRuns)), carve(&d.runEnds, int(nRuns))
 	for i := range vals {
-		if vals[i], err = r.varint(); err != nil {
+		if vals[i], err = d.varint(); err != nil {
 			return nil, err
 		}
 	}
 	end := uint64(0)
 	for i := range ends {
-		n, err := r.uvarint()
+		n, err := d.uvarint()
 		if err != nil || n == 0 || n > uint64(nRows)-end {
 			return nil, ErrSegCorrupt
 		}

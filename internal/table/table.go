@@ -2,9 +2,9 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/storage"
 )
 
@@ -42,12 +42,10 @@ func (c Class) IsMetadata() bool { return c == GivenMetadata || c == DerivedMeta
 // relation; actual-data tables hold one relation per ingested chunk,
 // keyed by chunk ID, so chunks can be ingested, processed in parallel
 // and evicted independently (the paper's "separate table per file").
+// An actual-data table's chunks — resident, loading, evicted — belong
+// to its chunk store (Chunks).
 //
-// Tables are safe for concurrent use. Chunks of actual-data tables are
-// reference counted: an executor pins every chunk it will scan, and an
-// eviction (DropChunk) of a pinned chunk is deferred until the last pin
-// is released, so one query's cache admission can never yank a chunk
-// another in-flight query is still reading.
+// Tables are safe for concurrent use.
 type Table struct {
 	Name       string
 	Class      Class
@@ -61,12 +59,7 @@ type Table struct {
 	mu     sync.RWMutex
 	data   *storage.Relation
 	pkSeen map[string]bool
-	chunks map[int64]*storage.Relation
-	// pins counts in-flight queries holding each chunk; doomed marks
-	// chunks whose drop was requested while pinned and is deferred to
-	// the release of the last pin.
-	pins   map[int64]int
-	doomed map[int64]bool
+	chunks *chunkstore.Store
 }
 
 // New creates an empty table. For ActualData tables chunkKey must name
@@ -91,11 +84,10 @@ func New(name string, class Class, schema Schema, primaryKey []string, chunkKey 
 		PrimaryKey: primaryKey,
 		ChunkKey:   chunkKey,
 		data:       storage.NewRelation(),
-		chunks:     make(map[int64]*storage.Relation),
-		pins:       make(map[int64]int),
-		doomed:     make(map[int64]bool),
 	}
-	if len(primaryKey) > 0 && class != ActualData {
+	if class == ActualData {
+		t.chunks = chunkstore.New(name)
+	} else if len(primaryKey) > 0 {
 		t.pkSeen = make(map[string]bool)
 	}
 	return t, nil
@@ -118,7 +110,7 @@ func MustNew(name string, class Class, schema Schema, primaryKey []string, chunk
 // metadata materialized by another query's Algorithm 1 run).
 func (t *Table) Append(b *storage.Batch) error {
 	if t.Class == ActualData {
-		return fmt.Errorf("table %s: use AppendChunk for actual-data tables", t.Name)
+		return fmt.Errorf("table %s: actual-data chunks belong to its chunk store", t.Name)
 	}
 	if b.Width() != t.Schema.Width() {
 		return fmt.Errorf("table %s: batch width %d, schema width %d", t.Name, b.Width(), t.Schema.Width())
@@ -164,153 +156,21 @@ func (t *Table) Data() *storage.Relation {
 	return t.data
 }
 
+// Chunks is an actual-data table's chunk store (nil for metadata).
+func (t *Table) Chunks() *chunkstore.Store { return t.chunks }
+
 // Rows reports the number of resident rows (all chunks for AD tables).
 func (t *Table) Rows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.Class == ActualData {
-		n := 0
-		for _, r := range t.chunks {
-			n += r.Rows()
-		}
-		return n
+		return t.chunks.Rows()
 	}
-	return t.data.Rows()
+	return t.Data().Rows()
 }
 
 // MemSize estimates resident bytes.
 func (t *Table) MemSize() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if t.Class == ActualData {
-		var n int64
-		for _, r := range t.chunks {
-			n += r.MemSize()
-		}
-		return n
+		return t.chunks.Stats().ResidentBytes
 	}
-	return t.data.MemSize()
-}
-
-// AppendChunk installs (or replaces) the relation of one chunk of an
-// actual-data table. Installing a fresh relation clears any deferred
-// drop: the new data starts a new lifetime.
-func (t *Table) AppendChunk(chunkID int64, rel *storage.Relation) error {
-	if t.Class != ActualData {
-		return fmt.Errorf("table %s: AppendChunk on %v table", t.Name, t.Class)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.chunks[chunkID] = rel
-	delete(t.doomed, chunkID)
-	return nil
-}
-
-// Pin takes a reference on a resident chunk, reporting false when the
-// chunk is not resident. While pinned, the chunk survives DropChunk:
-// the drop is deferred until the last pin is released. Pin succeeding
-// is the authoritative residency test under concurrency — a recycler
-// Contains check can go stale between the check and the scan, a pin
-// cannot.
-func (t *Table) Pin(chunkID int64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.chunks[chunkID]; !ok {
-		return false
-	}
-	t.pins[chunkID]++
-	return true
-}
-
-// Unpin releases one reference taken by Pin. If the chunk was doomed by
-// a DropChunk while pinned and this was the last pin, the data is
-// dropped now.
-func (t *Table) Unpin(chunkID int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.pins[chunkID]
-	if n <= 1 {
-		delete(t.pins, chunkID)
-		if t.doomed[chunkID] {
-			delete(t.doomed, chunkID)
-			delete(t.chunks, chunkID)
-		}
-		return
-	}
-	t.pins[chunkID] = n - 1
-}
-
-// Pinned reports the current pin count of a chunk (for tests and
-// introspection).
-func (t *Table) Pinned(chunkID int64) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pins[chunkID]
-}
-
-// Chunk returns the relation of one chunk and whether it is resident.
-func (t *Table) Chunk(chunkID int64) (*storage.Relation, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.chunks[chunkID]
-	return r, ok
-}
-
-// DropChunk evicts one chunk's data, returning the bytes freed (or
-// scheduled to be freed). When the chunk is pinned by in-flight
-// queries, the drop is deferred: the chunk is marked doomed and the
-// data released when the last pin goes away, so eviction can never
-// corrupt a concurrent scan.
-func (t *Table) DropChunk(chunkID int64) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.chunks[chunkID]
-	if !ok {
-		return 0
-	}
-	if t.pins[chunkID] > 0 {
-		t.doomed[chunkID] = true
-		return r.MemSize()
-	}
-	delete(t.chunks, chunkID)
-	delete(t.doomed, chunkID)
-	return r.MemSize()
-}
-
-// ChunkIDs returns the resident chunk IDs in ascending order.
-func (t *Table) ChunkIDs() []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]int64, 0, len(t.chunks))
-	for id := range t.chunks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// AllChunks returns every resident chunk relation in chunk-ID order.
-func (t *Table) AllChunks() []*storage.Relation {
-	ids := t.ChunkIDs()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]*storage.Relation, len(ids))
-	for i, id := range ids {
-		out[i] = t.chunks[id]
-	}
-	return out
-}
-
-// Truncate discards all resident data (used by the loaders between
-// experiments).
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.data = storage.NewRelation()
-	t.chunks = make(map[int64]*storage.Relation)
-	t.pins = make(map[int64]int)
-	t.doomed = make(map[int64]bool)
-	if t.pkSeen != nil {
-		t.pkSeen = make(map[string]bool)
-	}
+	return t.Data().MemSize()
 }

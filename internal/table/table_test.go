@@ -1,9 +1,11 @@
 package table
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/storage"
 )
 
@@ -99,61 +101,115 @@ func TestAppendAndPKEnforcement(t *testing.T) {
 	}
 }
 
+// mkChunk builds an n-row relation of chunk fid.
+func mkChunk(fid int64, n int) *storage.Relation {
+	r := storage.NewRelation()
+	ids := make([]int64, n)
+	ts := make([]int64, n)
+	vs := make([]float64, n)
+	for i := range ids {
+		ids[i] = fid
+		ts[i] = int64(i)
+		vs[i] = float64(i)
+	}
+	r.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewTimeColumn(ts), storage.NewFloat64Column(vs)))
+	return r
+}
+
 func TestChunkLifecycle(t *testing.T) {
 	d := MustNew("D", ActualData, dataSchema(), nil, "file_id")
 	if err := d.Append(&storage.Batch{}); err == nil {
 		t.Fatal("Append on AD table should fail")
 	}
-	mk := func(fid int64, n int) *storage.Relation {
-		r := storage.NewRelation()
-		ids := make([]int64, n)
-		ts := make([]int64, n)
-		vs := make([]float64, n)
-		for i := range ids {
-			ids[i] = fid
-			ts[i] = int64(i)
-			vs[i] = float64(i)
-		}
-		r.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewTimeColumn(ts), storage.NewFloat64Column(vs)))
-		return r
+	if MustNew("F", GivenMetadata, fileSchema(), nil, "").Chunks() != nil {
+		t.Fatal("metadata table with a chunk store")
 	}
-	if err := d.AppendChunk(7, mk(7, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.AppendChunk(3, mk(3, 5)); err != nil {
-		t.Fatal(err)
-	}
+	chunks := d.Chunks()
+	chunks.Install(7, mkChunk(7, 10))
+	chunks.Install(3, mkChunk(3, 5))
 	if d.Rows() != 15 {
 		t.Fatalf("rows = %d", d.Rows())
 	}
-	if ids := d.ChunkIDs(); len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
+	if ids := chunks.IDs(); len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
 		t.Fatalf("chunk ids = %v", ids)
 	}
-	if _, ok := d.Chunk(3); !ok {
+	h, ok := chunks.TryAcquire(3)
+	if !ok || h.Rel().Rows() != 5 {
 		t.Fatal("chunk 3 missing")
 	}
-	if _, ok := d.Chunk(99); ok {
+	h.Release()
+	if _, ok := chunks.TryAcquire(99); ok {
 		t.Fatal("phantom chunk")
 	}
-	if len(d.AllChunks()) != 2 {
-		t.Fatal("AllChunks wrong")
-	}
-	freed := d.DropChunk(3)
-	if freed <= 0 {
-		t.Fatalf("freed = %d", freed)
-	}
-	if d.DropChunk(3) != 0 {
-		t.Fatal("double drop freed bytes")
-	}
-	if d.Rows() != 10 {
-		t.Fatalf("rows after drop = %d", d.Rows())
+	// Installing over a resident chunk replaces it.
+	chunks.Install(3, mkChunk(3, 2))
+	if d.Rows() != 12 {
+		t.Fatalf("rows after replace = %d", d.Rows())
 	}
 	if d.MemSize() <= 0 {
 		t.Fatal("memsize should be positive")
 	}
-	d.Truncate()
-	if d.Rows() != 0 {
-		t.Fatal("truncate left rows")
+}
+
+// arenaLoader serves n-row chunks whose times and values it writes into
+// the arena the store hands it: chunk id holds the value id.
+type arenaLoader struct{ n int }
+
+func (l arenaLoader) LoadChunkInto(_ string, id int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+	a := mem.TakeArena(l.n, l.n)
+	ids := make([]int64, l.n)
+	for i := range ids {
+		ids[i], a.Ints[i], a.Floats[i] = id, int64(i), float64(id)
+	}
+	r := storage.NewRelation()
+	r.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewTimeColumn(a.Ints), storage.NewFloat64Column(a.Floats)))
+	return r, nil
+}
+
+func (arenaLoader) AllChunkIDs(string) []int64 { return nil }
+
+// TestPinDefersDrop: a handle holds a chunk's memory, not its residency.
+// Evicting a chunk takes effect at once, but its arena goes to the next
+// load only when the last handle is released.
+func TestPinDefersDrop(t *testing.T) {
+	d := MustNew("D", ActualData, dataSchema(), nil, "file_id")
+	chunks := d.Chunks()
+	chunks.Configure(chunkstore.Config{Loader: arenaLoader{n: 4}, CacheBytes: 1 << 20})
+	ctx := context.Background()
+	value := func(h chunkstore.Handle) float64 {
+		return storage.Float64s(h.Rel().Batches()[0].Cols[2])[0]
+	}
+	h1, err := chunks.Acquire(ctx, 5)
+	if err != nil || !h1.Loaded {
+		t.Fatalf("acquire: %+v %v", h1, err)
+	}
+	h2, ok := chunks.TryAcquire(5)
+	if !ok {
+		t.Fatal("loaded chunk not resident")
+	}
+	chunks.Clear()
+	if ids := chunks.IDs(); len(ids) != 0 {
+		t.Fatalf("evicted chunk still resident: %v", ids)
+	}
+	if st := chunks.Stats(); st.FreeArenas != 0 || value(h1) != 5 {
+		t.Fatalf("arena reused under live handles: %+v, value %v", st, value(h1))
+	}
+	h1.Release()
+	if st := chunks.Stats(); st.FreeArenas != 0 {
+		t.Fatalf("arena freed before the last handle: %+v", st)
+	}
+	h2.Release()
+	if st := chunks.Stats(); st.FreeArenas != 1 {
+		t.Fatalf("arena not returned after the last handle: %+v", st)
+	}
+	// The next load writes into it.
+	h3, err := chunks.Acquire(ctx, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Release()
+	if st := chunks.Stats(); st.ArenasReused != 1 || st.ArenasAllocated != 1 || value(h3) != 6 {
+		t.Fatalf("stats = %+v, value %v", st, value(h3))
 	}
 }
 
@@ -251,63 +307,6 @@ func TestClassPredicates(t *testing.T) {
 	}
 	if GivenMetadata.String() != "GMd" || DerivedMetadata.String() != "DMd" || ActualData.String() != "AD" {
 		t.Fatal("class names wrong")
-	}
-}
-
-func TestPinDefersDrop(t *testing.T) {
-	d := MustNew("D", ActualData, dataSchema(), nil, "file_id")
-	mk := func(fid int64, n int) *storage.Relation {
-		r := storage.NewRelation()
-		ids := make([]int64, n)
-		ts := make([]int64, n)
-		vs := make([]float64, n)
-		for i := range ids {
-			ids[i] = fid
-			ts[i] = int64(i)
-			vs[i] = float64(i)
-		}
-		r.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewTimeColumn(ts), storage.NewFloat64Column(vs)))
-		return r
-	}
-	if d.Pin(5) {
-		t.Fatal("pinned a non-resident chunk")
-	}
-	if err := d.AppendChunk(5, mk(5, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Pin(5) || !d.Pin(5) {
-		t.Fatal("pin of resident chunk failed")
-	}
-	if d.Pinned(5) != 2 {
-		t.Fatalf("pin count = %d", d.Pinned(5))
-	}
-	// Dropping a pinned chunk defers: data stays readable.
-	if freed := d.DropChunk(5); freed <= 0 {
-		t.Fatalf("deferred drop reported %d bytes", freed)
-	}
-	if _, ok := d.Chunk(5); !ok {
-		t.Fatal("doomed chunk vanished while pinned")
-	}
-	d.Unpin(5)
-	if _, ok := d.Chunk(5); !ok {
-		t.Fatal("doomed chunk vanished before last unpin")
-	}
-	d.Unpin(5)
-	if _, ok := d.Chunk(5); ok {
-		t.Fatal("doomed chunk survived last unpin")
-	}
-	if d.Pinned(5) != 0 {
-		t.Fatalf("pin count after release = %d", d.Pinned(5))
-	}
-	// Unpinned drop stays immediate; re-append restarts the lifetime.
-	if err := d.AppendChunk(5, mk(5, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if d.DropChunk(5) <= 0 {
-		t.Fatal("unpinned drop freed nothing")
-	}
-	if _, ok := d.Chunk(5); ok {
-		t.Fatal("unpinned drop deferred")
 	}
 }
 
