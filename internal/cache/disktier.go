@@ -251,7 +251,9 @@ func verifySegment(path string) (map[int64]blockMeta, int64, error) {
 		}
 		crc := binary.LittleEndian.Uint32(rd)
 		rd = rd[4:]
-		if int64(off)+int64(length) > footOff {
+		// Bounded in uint64 before the conversion: a CRC-valid footer can
+		// still carry lengths that go negative as int64.
+		if off < segHeaderLen || length > uint64(footOff) || off > uint64(footOff)-length {
 			return nil, 0, fmt.Errorf("block beyond footer")
 		}
 		index[id] = blockMeta{off: int64(off), length: int64(length), crc: crc}

@@ -230,6 +230,47 @@ func TestDiskTierMissingFooterQuarantined(t *testing.T) {
 	requireQuarantined(t, dir, path, "missing footer")
 }
 
+// TestDiskTierHugeFooterLengthQuarantined: a footer whose CRC is valid
+// but whose block length is at least 2^63 is quarantined at open, not
+// read as a negative slice bound.
+func TestDiskTierHugeFooterLengthQuarantined(t *testing.T) {
+	defer storage.RequireNoLeaks(t)
+	dir := t.TempDir()
+	path := corruptTier(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footOff := binary.LittleEndian.Uint64(data[len(data)-segTrailerLen:])
+	foot := append([]byte(segFooterMagic), 1) // one entry
+	foot = binary.AppendVarint(foot, 1)
+	foot = binary.AppendUvarint(foot, segHeaderLen)
+	foot = binary.AppendUvarint(foot, 1<<63+2)
+	foot = binary.LittleEndian.AppendUint32(foot, 0)
+	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
+	foot = binary.LittleEndian.AppendUint64(foot, footOff)
+	foot = append(foot, segTrailMagic...)
+	if err := os.WriteFile(path, append(data[:footOff:footOff], foot...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireQuarantined(t, dir, path, "huge footer length")
+
+	dt, err := OpenDiskTier(dir, "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	want := tierRel(100, 9)
+	dt.SpillSync(7, want)
+	dt.WaitIdle()
+	got := dt.Promote(7)
+	if got == nil {
+		t.Fatal("the fresh segment does not serve")
+	}
+	requireSameRows(t, want, got)
+	got.Release()
+}
+
 func TestDiskTierBitRotAfterOpenDegradesToMiss(t *testing.T) {
 	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()

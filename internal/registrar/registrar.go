@@ -349,16 +349,29 @@ func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
 
 // ChunkToRelationInto is ChunkToRelation writing sample_time and
 // sample_value into an arena taken from mem; a nil mem allocates.
+//
+// A segment whose timestamps never decrease and never wrap costs per
+// batch, past the fill, only its ends, for the sample_time zone, and one
+// search per window it crosses. Any other segment — only a hostile
+// header makes one — takes its zone and windows row by row.
 func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *storage.Relation {
+	total := f.SampleCount()
+	arena := mem.TakeArena(total, total)
+	// The fill is a pass of its own: with none of the batch loop's state
+	// live yet, the row loop stays in registers.
 	nBatches := 0
-	for _, seg := range f.Segments {
-		nBatches += (len(seg.Samples) + storage.BatchSize - 1) / storage.BatchSize
+	for off, si := 0, 0; si < len(f.Segments); si++ {
+		seg := &f.Segments[si]
+		n := len(seg.Samples)
+		ts, vals := arena.Ints[off:off+n:off+n], arena.Floats[off:off+n:off+n]
+		start, period := seg.Header.StartTime, float64(time.Second)/seg.Header.SampleRate
+		for i, v := range seg.Samples {
+			ts[i], vals[i] = start+int64(float64(i)*period), float64(v)
+		}
+		off += n
+		nBatches += (n + storage.BatchSize - 1) / storage.BatchSize
 	}
 	var (
-		total   = f.SampleCount()
-		arena   = mem.TakeArena(total, total)
-		tsAll   = arena.Ints
-		valAll  = arena.Floats
 		runVals = make([]int64, 0, 4*nBatches) // per batch: file, segment, 2 windows
 		runEnds = make([]int32, 0, 4*nBatches)
 		batches = make([]*storage.Batch, 0, nBatches)
@@ -369,12 +382,19 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 		at, end := len(runVals)-n, len(runVals)
 		return storage.NewRunColumn(kind, runVals[at:end:end], runEnds[at:end:end])
 	}
-	const window = uint64(seismic.WindowDuration)
+	const window = int64(seismic.WindowDuration)
+	tsAll, valAll := arena.Ints, arena.Floats
 	for _, seg := range f.Segments {
 		n := len(seg.Samples)
 		ts, vals := tsAll[:n:n], valAll[:n:n]
 		tsAll, valAll = tsAll[n:], valAll[n:]
-		period := float64(time.Second) / seg.Header.SampleRate
+		start, period := seg.Header.StartTime, float64(time.Second)/seg.Header.SampleRate
+		// Sorted: a positive rate makes the offsets non-decreasing; the
+		// last, below 2^63 (defined conversion, no NaN), keeps every row
+		// and its window's end below MaxInt64. Near MinInt64 WindowStart
+		// may wrap, but adding a window wraps back onto the next boundary.
+		span := float64(n-1) * period
+		sorted := seg.Header.SampleRate > 0 && span < 1<<63 && start <= math.MaxInt64-window-int64(span)
 		for lo := 0; lo < n; lo += storage.BatchSize {
 			hi := min(lo+storage.BatchSize, n)
 			rows := int32(hi - lo)
@@ -383,27 +403,30 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 			runVals, runEnds = append(runVals, int64(seg.Header.ID)), append(runEnds, rows)
 			segID := run(storage.KindInt64, 1)
 
-			tz := storage.Zone{Min: math.MaxInt64, Max: math.MinInt64, Ok: true}
-			win, wins := int64(0), 0
-			for i := lo; i < hi; i++ {
-				t := seg.Header.StartTime + int64(float64(i)*period)
-				ts[i], vals[i] = t, float64(seg.Samples[i])
-				tz.Min, tz.Max = min(tz.Min, t), max(tz.Max, t)
-				// One unsigned compare holds a row inside the current
-				// window; only a crossing pays for WindowStart.
-				if wins == 0 || uint64(t-win) >= window {
-					if wins > 0 {
-						runEnds[len(runEnds)-1] = int32(i - lo)
+			tsCol := storage.NewTimeColumn(ts[lo:hi])
+			tz := storage.Zone{Min: ts[lo], Max: ts[hi-1], Ok: true}
+			if !sorted {
+				tz = storage.ColumnZone(tsCol)
+			}
+			// A window's run ends at the first row of another window: found
+			// by search in a sorted segment, row by row otherwise.
+			wins := 0
+			for i := lo; i < hi; wins++ {
+				win, j := seismic.WindowStart(ts[i]), i+1
+				if sorted {
+					next := win + window
+					j += sort.Search(hi-j, func(k int) bool { return ts[j+k] >= next })
+				} else {
+					for j < hi && seismic.WindowStart(ts[j]) == win {
+						j++
 					}
-					win = seismic.WindowStart(t)
-					runVals, runEnds = append(runVals, win), append(runEnds, rows)
-					wins++
 				}
+				runVals, runEnds = append(runVals, win), append(runEnds, int32(j-lo))
+				i = j
 			}
 			winTS := run(storage.KindTime, wins)
 			batches = append(batches, storage.NewBatch(
-				fileID, segID,
-				storage.NewTimeColumn(ts[lo:hi]),
+				fileID, segID, tsCol,
 				storage.NewFloat64Column(vals[lo:hi]),
 				winTS,
 			))
