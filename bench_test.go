@@ -9,7 +9,8 @@ package sommelier
 // reproduces the full evaluation at laptop scale. The absolute numbers
 // differ from the paper (synthetic repository, in-memory engine); the
 // shapes — who wins, by roughly what factor, where crossovers fall —
-// are the reproduction target. See EXPERIMENTS.md.
+// are the reproduction target. cmd/benchrunner runs the same
+// experiments at a configurable scale.
 
 import (
 	"fmt"
@@ -189,36 +190,6 @@ func BenchmarkFig9Workload(b *testing.B) {
 		}
 		if lazy20 > 0 {
 			b.ReportMetric(float64(eager20)/float64(lazy20), "eager/lazy-20pct")
-		}
-	}
-}
-
-// BenchmarkConcurrentClients measures service throughput (queries/sec)
-// of one shared DB at 1, 4 and 16 concurrent clients across all five
-// loading approaches: the concurrent-query subsystem's headline number.
-func BenchmarkConcurrentClients(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ConcurrentLoad(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("concurrency", experiments.RenderConcurrency(rows))
-		var lazy1, lazy16 float64
-		for _, r := range rows {
-			if r.Approach == "lazy" {
-				switch r.Clients {
-				case 1:
-					lazy1 = r.QPS
-				case 16:
-					lazy16 = r.QPS
-				}
-			}
-		}
-		b.ReportMetric(lazy1, "lazy-qps-1client")
-		b.ReportMetric(lazy16, "lazy-qps-16clients")
-		if lazy1 > 0 {
-			b.ReportMetric(lazy16/lazy1, "lazy-scaling-16/1")
 		}
 	}
 }

@@ -4,21 +4,11 @@
 // Usage:
 //
 //	benchrunner -exp all -work /tmp/sommelier-exp
-//	benchrunner -exp fig7 -basedays 8 -samples 4000
-//	benchrunner -sf 1 -json BENCH_parallel.json
+//	benchrunner -exp fig7 -basedays 8 -samples 4000 -sf 1,3
 //
 // Experiments: tableII, tableIII, fig6, fig7, fig8, fig9, ablations,
-// concurrency, all.
-//
-// With -json the runner instead collects the headline metrics (lazy T4
-// hot query time, lazy QPS at 1/4/16 clients with scaling ratios,
-// allocs/op of the filter/join/group-by microbenchmarks, and the
-// parallel section: GOMAXPROCS plus the join/group-by speedup at
-// DOP = GOMAXPROCS) and writes them to the given path as
-// machine-readable JSON. `make bench-json` maintains the checked-in
-// BENCH_parallel.json this way; BENCH_selection.json is the frozen
-// pre-parallelism baseline, kept so the perf trajectory accumulates
-// instead of being overwritten.
+// all. Flags: -exp, -work, -basedays, -samples, -sf. The service
+// benchmark (sommelierd over HTTP, five workloads) is bench/run.sh.
 package main
 
 import (
@@ -36,13 +26,6 @@ func main() {
 	baseDays := flag.Int("basedays", 4, "days per station at sf-1")
 	samples := flag.Int("samples", 8000, "samples per chunk")
 	sfs := flag.String("sf", "1,3,9,27", "scale factors")
-	jsonPath := flag.String("json", "", "write headline metrics as JSON to this path and exit")
-	planCachePath := flag.String("plancache-json", "", "write plan-cache metrics (compile_us, hit rate, prepared vs direct QPS) as JSON to this path and exit")
-	memoryPath := flag.String("memory-json", "", "write memory metrics (micro allocs/op, heap+GC over the 48-query bag, hot-query p50/p99 at 1/16 clients) as JSON to this path and exit")
-	streamingPath := flag.String("streaming-json", "", "write streaming metrics (time-to-first-row and peak heap streaming vs materialized, LIMIT-10 scan speedup, top-k pushdown) as JSON to this path and exit")
-	robustnessPath := flag.String("robustness-json", "", "write robustness metrics (mixed-bag p50/p99 clean vs fault-armed vs 1% faults, degraded-result rate, chunks skipped) as JSON to this path and exit")
-	coldstartPath := flag.String("coldstart-json", "", "write cold-start metrics (open + 48-query bag cold vs warm restart over the same cache dir, archive fetch counts, speedup) as JSON to this path and exit")
-	overloadPath := flag.String("overload-json", "", "write overload metrics (goodput and admitted p50/p99 at 1x/2x/4x offered load vs capacity, shed and error counts) as JSON to this path and exit non-zero if the acceptance checks fail")
 	flag.Parse()
 
 	dir := *work
@@ -63,56 +46,6 @@ func main() {
 			fatal(fmt.Errorf("bad scale factor %q", s))
 		}
 		cfg.ScaleFactors = append(cfg.ScaleFactors, n)
-	}
-
-	if *overloadPath != "" {
-		if err := experiments.WriteOverloadJSON(cfg, *overloadPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *overloadPath)
-		return
-	}
-	if *coldstartPath != "" {
-		if err := experiments.WriteColdstartJSON(cfg, *coldstartPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *coldstartPath)
-		return
-	}
-	if *robustnessPath != "" {
-		if err := experiments.WriteRobustnessJSON(cfg, *robustnessPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *robustnessPath)
-		return
-	}
-	if *streamingPath != "" {
-		if err := experiments.WriteStreamingJSON(cfg, *streamingPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *streamingPath)
-		return
-	}
-	if *memoryPath != "" {
-		if err := experiments.WriteMemoryJSON(cfg, *memoryPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *memoryPath)
-		return
-	}
-	if *planCachePath != "" {
-		if err := experiments.WritePlanCacheJSON(cfg, *planCachePath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *planCachePath)
-		return
-	}
-	if *jsonPath != "" {
-		if err := experiments.WriteHeadlineJSON(cfg, *jsonPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-		return
 	}
 
 	run := func(name string, fn func() error) {
@@ -171,14 +104,6 @@ func main() {
 			return err
 		}
 		fmt.Println(experiments.RenderFig9(rows))
-		return nil
-	})
-	run("concurrency", func() error {
-		rows, err := experiments.ConcurrentLoad(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderConcurrency(rows))
 		return nil
 	})
 	run("ablations", func() error {

@@ -59,9 +59,18 @@ type Manager struct {
 	materialized map[PK]bool
 }
 
-// NewManager creates the manager for the catalog's H table.
+// NewManager creates the manager for the catalog's H table; rows H
+// already holds (restored by a warm restart) start out in PSm.
 func NewManager(cat *table.Catalog, fetcher Fetcher) *Manager {
-	return &Manager{cat: cat, fetcher: fetcher, materialized: make(map[PK]bool)}
+	m := &Manager{cat: cat, fetcher: fetcher, materialized: make(map[PK]bool)}
+	hT, _ := cat.Table(seismic.TableH)
+	if h := hT.Data().Flatten(); h.Len() > 0 {
+		sta, ch := h.Cols[0].(*storage.StringColumn), h.Cols[1].(*storage.StringColumn)
+		for i, ws := range storage.Int64s(h.Cols[2]) {
+			m.materialized[PK{Station: sta.Value(i), Channel: ch.Value(i), WindowStart: ws}] = true
+		}
+	}
+	return m
 }
 
 // MaterializedCount reports |PSm|.
@@ -464,13 +473,4 @@ func maxI(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// MarkMaterialized records externally restored DMd rows (e.g. from a
-// persisted snapshot) in the coverage set, so Algorithm 1 treats them
-// as already derived.
-func (m *Manager) MarkMaterialized(station, channel string, windowStart int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.materialized[PK{Station: station, Channel: channel, WindowStart: windowStart}] = true
 }

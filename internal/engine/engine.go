@@ -173,9 +173,7 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		}
 		csvDir = d
 	}
-	db := &DB{cat: seismic.NewCatalog(), repo: repo}
-	d, _ := db.cat.Table(seismic.TableD)
-	db.chunks = d.Chunks()
+	db := &DB{repo: repo}
 	db.report.Approach = cfg.Approach
 	db.report.Files = len(repo.URIs())
 
@@ -196,13 +194,14 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 			return nil, err
 		}
 		t0 := time.Now()
-		if nSegs, ok := db.loadMetaSnapshot(filepath.Join(db.cacheDir, metaSnapFile), db.fingerprint); ok {
-			db.warmStart = true
+		if cat, nSegs := loadMetaSnapshot(filepath.Join(db.cacheDir, metaSnapFile), db.fingerprint); cat != nil {
+			db.cat, db.warmStart = cat, true
 			db.report.Segments = nSegs
 			db.report.MetadataTime = time.Since(t0)
 		}
 	}
 	if !db.warmStart {
+		db.cat = seismic.NewCatalog()
 		// All approaches start with the Registrar: eager loading of the
 		// given metadata.
 		nSegs, mdTime, err := registrar.RegisterMetadata(db.cat, repo)
@@ -212,6 +211,8 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		db.report.Segments = nSegs
 		db.report.MetadataTime = mdTime
 	}
+	d, _ := db.cat.Table(seismic.TableD)
+	db.chunks = d.Chunks()
 
 	switch cfg.Approach {
 	case registrar.Lazy:
@@ -333,10 +334,8 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		}
 	}
 	if db.warmStart {
-		// Best-effort warm loads: the derived-metadata view (so queries
-		// skip re-derivation) and the hot statement set (so the first
-		// requests skip compilation). Failures just mean a colder start.
-		_ = db.LoadDerived(filepath.Join(db.cacheDir, dmdSnapFile))
+		// Best-effort: the hot statement set, so the first requests skip
+		// compilation. A failure just means a colder start.
 		db.precompilePlans(filepath.Join(db.cacheDir, plansFile))
 	}
 	db.fillSizes()

@@ -5,9 +5,9 @@ package engine
 //
 //	D.seg      the disk cache tier's segment file (spilled chunks plus
 //	           a Close-time flush of the RAM-resident working set)
-//	meta.snap  the F/S metadata tables in the segment codec, keyed by
-//	           a fingerprint of the archive's URI list
-//	dmd.snap   the derived-metadata view (SaveDerived format)
+//	meta.snap  the F/S metadata tables and the derived-metadata view H
+//	           in the segment codec, keyed by a fingerprint of the
+//	           archive's URI list
 //	plans.txt  the plan cache's normalized-SQL keys, hot-first
 //
 // — and the next Open re-opens segments, rebuilds the metadata view
@@ -32,16 +32,17 @@ import (
 	"sommelier/internal/cache"
 	"sommelier/internal/seismic"
 	"sommelier/internal/storage"
+	"sommelier/internal/table"
 )
 
 const (
 	metaSnapFile    = "meta.snap"
-	dmdSnapFile     = "dmd.snap"
+	dmdSnapFile     = "dmd.snap" // H's own file before meta.snap v2 carried it
 	plansFile       = "plans.txt"
 	fingerprintFile = "fingerprint"
 
 	metaSnapMagic   = "SOMM"
-	metaSnapVersion = 1
+	metaSnapVersion = 2
 	plansHeader     = "sommelier-plans-v1"
 )
 
@@ -69,6 +70,11 @@ func snapshotFingerprint(uris []string) string {
 func ensureCacheFingerprint(dir, fingerprint string) error {
 	path := filepath.Join(dir, fingerprintFile)
 	if prev, err := os.ReadFile(path); err == nil && string(prev) == fingerprint {
+		// Same archive: only a leftover dmd.snap is stale (H lives in
+		// meta.snap now, and nothing reads the old file).
+		if err := os.Remove(filepath.Join(dir, dmdSnapFile)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 		return nil
 	}
 	stale := []string{
@@ -91,13 +97,14 @@ func ensureCacheFingerprint(dir, fingerprint string) error {
 	return os.Rename(tmp, path)
 }
 
-// saveMetaSnapshot writes the F and S tables plus the segment count in
-// one CRC-guarded file (via a temp-file rename, so a crash mid-write
-// leaves no half-snapshot behind).
-func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
-	fT, _ := db.cat.Table(seismic.TableF)
-	sT, _ := db.cat.Table(seismic.TableS)
+// snapTables are the tables meta.snap carries, in file order: the
+// given metadata F and S, and the derived-metadata view H.
+var snapTables = []string{seismic.TableF, seismic.TableS, seismic.TableH}
 
+// saveMetaSnapshot writes F, S, H plus the segment count in one
+// CRC-guarded file (via a temp-file rename, so a crash mid-write leaves
+// no half-snapshot behind).
+func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
 	var scratch [binary.MaxVarintLen64]byte
 	buf := append([]byte(metaSnapMagic), metaSnapVersion)
 	putUvarint := func(v uint64) {
@@ -110,8 +117,9 @@ func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
 	nSegs := db.report.Segments
 	db.reportMu.Unlock()
 	putUvarint(uint64(nSegs))
-	for _, t := range []*storage.Relation{fT.Data(), sT.Data()} {
-		body, err := storage.EncodeRelation(nil, t)
+	for _, tn := range snapTables {
+		t, _ := db.cat.Table(tn)
+		body, err := storage.EncodeRelation(nil, t.Data())
 		if err != nil {
 			return err
 		}
@@ -129,23 +137,24 @@ func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
 	return os.Rename(tmp, path)
 }
 
-// loadMetaSnapshot restores F and S from a snapshot if (and only if)
-// it verifies against the current archive fingerprint. It reports the
-// restored segment count; ok=false means "cold start, please".
-func (db *DB) loadMetaSnapshot(path, fingerprint string) (nSegs int, ok bool) {
+// loadMetaSnapshot restores F, S and H into a fresh catalog if (and
+// only if) the snapshot verifies against the current archive
+// fingerprint. It reports the restored segment count; a nil catalog
+// means "cold start, please", and nothing read from the file is kept.
+func loadMetaSnapshot(path, fingerprint string) (cat *table.Catalog, nSegs int) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return 0, false
+		return nil, 0
 	}
 	if len(buf) < len(metaSnapMagic)+1+4 {
-		return 0, false
+		return nil, 0
 	}
 	payload, crcb := buf[:len(buf)-4], buf[len(buf)-4:]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb) {
-		return 0, false
+		return nil, 0
 	}
 	if string(payload[:4]) != metaSnapMagic || payload[4] != metaSnapVersion {
-		return 0, false
+		return nil, 0
 	}
 	rd := payload[5:]
 	next := func() (uint64, bool) {
@@ -158,40 +167,41 @@ func (db *DB) loadMetaSnapshot(path, fingerprint string) (nSegs int, ok bool) {
 	}
 	fpLen, k := next()
 	if !k || uint64(len(rd)) < fpLen {
-		return 0, false
+		return nil, 0
 	}
 	if string(rd[:fpLen]) != fingerprint {
-		return 0, false // different archive: snapshot is for someone else
+		return nil, 0 // different archive: snapshot is for someone else
 	}
 	rd = rd[fpLen:]
 	segs, k := next()
 	if !k {
-		return 0, false
+		return nil, 0
 	}
-	for _, tn := range []string{seismic.TableF, seismic.TableS} {
+	cat = seismic.NewCatalog()
+	for _, tn := range snapTables {
 		bodyLen, k := next()
 		if !k || uint64(len(rd)) < bodyLen {
-			return 0, false
+			return nil, 0
 		}
 		rel, err := storage.DecodeRelation(rd[:bodyLen])
 		if err != nil {
-			return 0, false
+			return nil, 0
 		}
 		rd = rd[bodyLen:]
 		// The rows become the long-lived metadata tables, appended batch
 		// by batch (schema and PK checks included — a snapshot that lies
 		// fails the restore).
-		t, _ := db.cat.Table(tn)
+		t, _ := cat.Table(tn)
 		for _, b := range rel.Batches() {
 			if err := t.Append(b); err != nil {
-				return 0, false
+				return nil, 0
 			}
 		}
 	}
 	if len(rd) != 0 {
-		return 0, false
+		return nil, 0
 	}
-	return int(segs), true
+	return cat, int(segs)
 }
 
 // savePlans persists the plan cache's normalized-SQL keys (hot-first,
@@ -238,8 +248,8 @@ func (db *DB) precompilePlans(path string) {
 }
 
 // Close flushes the warm-restart state — the RAM-resident working set
-// into the disk tier, the metadata snapshot, the derived-metadata
-// snapshot, the plan keys — and closes the segment file (writing its
+// into the disk tier, the metadata snapshot (H included), the plan
+// keys — and closes the segment file (writing its
 // footer index; only a cleanly closed segment passes the next Open's
 // verification). Without a CacheDir it is a cheap no-op. Queries must
 // have drained; Close does not fence against concurrent use.
@@ -258,7 +268,6 @@ func (db *DB) Close() error {
 	// exactly the hottest data.
 	db.chunks.Flush()
 	keep(db.saveMetaSnapshot(filepath.Join(db.cacheDir, metaSnapFile), db.fingerprint))
-	keep(db.SaveDerived(filepath.Join(db.cacheDir, dmdSnapFile)))
 	keep(db.savePlans(filepath.Join(db.cacheDir, plansFile)))
 	if db.disk != nil {
 		keep(db.disk.Close())

@@ -3,8 +3,8 @@
 // characteristics), Table III (dataset sizes), Figure 6 (loading cost
 // breakdown), Figure 7 (single-query performance, cold and hot),
 // Figure 8 (data-to-insight time vs. query selectivity) and Figure 9
-// (workload performance vs. workload selectivity), plus the ablations
-// DESIGN.md calls out.
+// (workload performance vs. workload selectivity), plus three
+// ablations: serial vs parallel loading, recycler policy, join rules.
 //
 // Scale factors keep the paper's 1:3:9:27 shape; absolute sizes are
 // configurable so the full suite runs in seconds on a laptop while the

@@ -242,64 +242,3 @@ func TestQueryOfTypePanicsOnUnknown(t *testing.T) {
 	}()
 	queryOfType(9, "FIAM", 0, 1)
 }
-
-func TestConcurrentLoad(t *testing.T) {
-	cfg := tiny(t)
-	rows, err := ConcurrentLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := len(registrar.Approaches()) * len(ConcurrencyClientCounts)
-	if len(rows) != wantRows {
-		t.Fatalf("rows = %d, want %d", len(rows), wantRows)
-	}
-	for _, r := range rows {
-		if r.QPS <= 0 || r.Queries == 0 {
-			t.Fatalf("degenerate row: %+v", r)
-		}
-	}
-	out := RenderConcurrency(rows)
-	if !strings.Contains(out, "lazy") || !strings.Contains(out, "16") {
-		t.Fatalf("render missing content:\n%s", out)
-	}
-}
-
-func TestOverloadChecks(t *testing.T) {
-	rep := &OverloadReport{
-		UnloadedQPS:   100,
-		UnloadedP99US: 1000,
-		Phases: []OverloadPhase{
-			{Name: "load_0.5x", Multiplier: 0.5, GoodputQPS: 100, AdmittedP99US: 1000},
-			{Name: "load_4x", Multiplier: 4, GoodputQPS: 150, AdmittedP99US: 1800},
-		},
-	}
-	for _, ck := range overloadChecks(rep) {
-		if !ck.Pass {
-			t.Fatalf("healthy report failed check %+v", ck)
-		}
-	}
-
-	collapsed := &OverloadReport{
-		UnloadedQPS:   100,
-		UnloadedP99US: 1000,
-		Phases: []OverloadPhase{
-			{Name: "load_0.5x", Multiplier: 0.5, GoodputQPS: 100, AdmittedP99US: 1000},
-			{Name: "load_4x", Multiplier: 4, GoodputQPS: 40, AdmittedP99US: 5000, Errors: 2},
-		},
-	}
-	var failed int
-	for _, ck := range overloadChecks(collapsed) {
-		if !ck.Pass {
-			failed++
-		}
-	}
-	if failed != 3 {
-		t.Fatalf("collapsed report failed %d of 3 checks", failed)
-	}
-
-	collapsed.Checks = overloadChecks(collapsed)
-	out := RenderOverload(collapsed)
-	if !strings.Contains(out, "FAIL") || !strings.Contains(out, "load_4x") {
-		t.Fatalf("render missing verdicts:\n%s", out)
-	}
-}
