@@ -34,10 +34,12 @@ func optDiffQueries() []string {
 		     AND D.sample_time < '2010-01-01T06:00:00.000'
 		   ORDER BY D.sample_time DESC LIMIT 7`,
 		`SELECT COUNT(*) AS n FROM F WHERE 1 + 1 = 2 AND station = 'ISK'`,
-		// Single-table computed projection: the fused pipeline's
-		// expression path (and its absence when the fuse rule is off).
+		// Single-table computed projection over a filtered scan.
 		`SELECT window_max_val * 2 + 1 AS v, window_start_ts FROM H
 		   WHERE window_station = 'AQU' AND window_std_dev >= 0`,
+		`SELECT window_start_ts, window_max_val - window_min_val AS spread, window_std_dev FROM H
+		   WHERE window_station = 'ISK' AND window_max_val > window_min_val
+		   ORDER BY window_start_ts`,
 	}
 }
 

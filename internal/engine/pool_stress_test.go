@@ -8,14 +8,14 @@ import (
 	"sommelier/internal/storage"
 )
 
-// poolStressQueries covers every pooled producer: the fused pipeline
-// (single-table projection), the coalescing filter drain, the join
-// probe gather (plain projection over the data view), and the pooled
-// group-by accumulators — without LIMIT, whose early stop legitimately
-// strands in-flight pooled batches.
+// poolStressQueries covers every pooled producer: the predicated scan's
+// selection views and the coalescing drain (single-table projection),
+// the join probe gather (plain projection over the data view), and the
+// pooled group-by accumulators — without LIMIT, whose early stop
+// legitimately strands in-flight pooled batches.
 func poolStressQueries() []string {
 	return []string{
-		// Fused scan→filter→project over derived metadata.
+		// Scan → filter → project over derived metadata.
 		`SELECT window_start_ts, window_max_val FROM H
 		   WHERE window_station = 'FIAM'
 		     AND window_start_ts >= '2010-01-01T00:00:00.000'

@@ -717,8 +717,6 @@ func (ex *executor) buildInner(n plan.Node, inStage1 bool) (physical.Operator, e
 	switch n := n.(type) {
 	case *plan.Scan:
 		return ex.buildScan(n)
-	case *plan.Fused:
-		return ex.buildFused(n)
 	case *plan.Join:
 		l, err := ex.build(n.L, inStage1)
 		if err != nil {
@@ -865,43 +863,6 @@ func (ex *executor) buildScan(n *plan.Scan) (physical.Operator, error) {
 	// morsel list of parallel execution; the selection is pushed down
 	// (NewMultiRelScanCols clones and binds the predicate).
 	return physical.NewMultiRelScanCols(rels, names, kinds, filter, n.Cols)
-}
-
-// buildFused realizes a fused Project → Filter → Scan chain as one
-// physical pipeline over the scan's resolved relations, with the scan
-// predicate and residual filter conjoined and every expression prepared
-// for this execution (parameter substitution on clones).
-func (ex *executor) buildFused(n *plan.Fused) (physical.Operator, error) {
-	sc := n.Scan
-	t, ok := ex.env.Catalog.Table(sc.Table)
-	if !ok {
-		return nil, fmt.Errorf("exec: unknown table %q", sc.Table)
-	}
-	filter, err := ex.rexpr(sc.Filter)
-	if err != nil {
-		return nil, err
-	}
-	residual, err := ex.rexpr(n.Residual)
-	if err != nil {
-		return nil, err
-	}
-	pred := expr.Conjoin([]expr.Expr{filter, residual})
-	outNames := n.Names()
-	outExprs := make([]expr.Expr, len(n.Cols))
-	for i, c := range n.Cols {
-		e, err := ex.rexpr(c.Expr)
-		if err != nil {
-			return nil, err
-		}
-		outExprs[i] = e
-	}
-	rels := []*storage.Relation{t.Data()}
-	if t.Class == table.ActualData {
-		if rels = ex.rels[sc.Table]; len(rels) == 0 {
-			return physical.NewEmpty(outNames, n.Kinds()), nil
-		}
-	}
-	return physical.NewFusedPipeline(rels, sc.Names(), sc.Kinds(), pred, sc.Cols, outNames, outExprs)
 }
 
 // tryIndexScan serves a metadata scan through a hash index when the

@@ -17,6 +17,7 @@
 //	            (chunk scans then only carry referenced columns)
 //	indexkey    recognize filters that pin all columns of a hash
 //	            index and annotate the scan with the key
+//	topk        fold ORDER BY + LIMIT into a bounded top-k selection
 //
 // Optimize never changes what a query returns — only how it executes;
 // the engine's differential tests assert this per rule across every
@@ -45,13 +46,12 @@ const (
 	RuleJoinOrder  = "joinorder"
 	RulePruneCols  = "prunecols"
 	RuleIndexKey   = "indexkey"
-	RuleFuse       = "fuse"
 	RuleTopK       = "topk"
 )
 
 // Rules lists every rule in pipeline order.
 func Rules() []string {
-	return []string{RuleConstFold, RulePushdown, RuleRangeInfer, RuleJoinOrder, RulePruneCols, RuleIndexKey, RuleFuse, RuleTopK}
+	return []string{RuleConstFold, RulePushdown, RuleRangeInfer, RuleJoinOrder, RulePruneCols, RuleIndexKey, RuleTopK}
 }
 
 // EnvDisable is the environment variable listing rules to disable
@@ -279,15 +279,6 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 	if !opts.Disabled(RuleIndexKey) {
 		hits := annotateIndexKeys(ctx, p.Root)
 		log = append(log, fmt.Sprintf("%s: %d scan(s) annotated", RuleIndexKey, hits))
-	}
-
-	// fuse: collapse Project → (Select →) Scan chains into single fused
-	// pipeline nodes (after indexkey, so annotated scans keep their
-	// access path).
-	if !opts.Disabled(RuleFuse) {
-		newRoot, fused := fusePipelines(p, p.Root)
-		p.Root = newRoot
-		log = append(log, fmt.Sprintf("%s: %d chain(s) fused", RuleFuse, fused))
 	}
 
 	// topk: fold ORDER BY + LIMIT (a Limit directly over a Sort) into a

@@ -7,8 +7,10 @@ package physical
 // all-pass and all-fail predicates, and duplicate keys.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sommelier/internal/expr"
@@ -157,6 +159,165 @@ func TestDifferentialFilterChain(t *testing.T) {
 	}
 	want := naiveFilter(t, rel, names, kinds, expr.NewAnd(expr.NewAnd(p1, p2), p3))
 	sameRelation(t, got, want, "filter chain")
+}
+
+// scanFilterProject builds the chain every SELECT … FROM t WHERE …
+// compiles to: a RelScan over rel narrowed to srcCols and carrying pred,
+// an optional residual Filter, and a Project of outs. It returns the
+// scan too, so callers can read its zone-skip count.
+func scanFilterProject(t *testing.T, rel *storage.Relation, names []string, kinds []storage.Kind,
+	srcCols []int, pred, residual expr.Expr, outs []expr.Expr) (Operator, *RelScan) {
+	t.Helper()
+	nNames := make([]string, len(srcCols))
+	nKinds := make([]storage.Kind, len(srcCols))
+	for i, c := range srcCols {
+		nNames[i], nKinds[i] = names[c], kinds[c]
+	}
+	s, err := NewMultiRelScanCols([]*storage.Relation{rel}, nNames, nKinds, pred, srcCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var op Operator = s
+	if residual != nil {
+		if op, err = NewFilter(op, residual); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewProject(op, make([]string, len(outs)), outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, s
+}
+
+// TestDifferentialFusedPipeline runs the scan → filter → project chain
+// (the shape the deleted fused operator used to replace, whose name the
+// test keeps) — a predicated, column-narrowed RelScan, a residual
+// Filter, and a Project of references, duplicates and arithmetic —
+// against the naive mask-and-gather filter followed by per-batch
+// expression evaluation: serial and morsel-parallel, pooled and
+// unpooled, bitwise.
+func TestDifferentialFusedPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rel, names, kinds := diffRel(rng, 16, 96)
+	// The scan reads (ts, val, id): station is pruned away, and the
+	// mapping is not a prefix, so every range must apply it.
+	srcCols := []int{1, 2, 0}
+	projections := [][]expr.Expr{
+		{expr.Col("D.val"), expr.Col("D.id")},
+		{expr.Col("D.ts"), expr.Col("D.val"), expr.Col("D.id")},
+		{expr.Col("D.val"), expr.Col("D.val")},
+		{expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(2)), expr.Col("D.id")},
+		{expr.NewArith(expr.Sub, expr.Col("D.val"), expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(0.3)))},
+		{expr.NewArith(expr.Add, expr.Col("D.id"), expr.Int(10))},
+	}
+	residuals := []expr.Expr{nil, expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120))}
+	chain := func(pred, residual expr.Expr, outs []expr.Expr) Operator {
+		op, _ := scanFilterProject(t, rel, names, kinds, srcCols, pred, residual, outs)
+		return op
+	}
+	for _, pred := range append(diffPreds(rng), nil) {
+		if pred != nil && slices.Contains(expr.Columns(pred), "D.station") {
+			continue
+		}
+		for ri, residual := range residuals {
+			all := expr.Conjoin([]expr.Expr{pred, residual})
+			kept := rel
+			if all != nil {
+				kept = naiveFilter(t, rel, names, kinds, all)
+			}
+			for oi, outs := range projections {
+				want := naiveProject(t, kept, names, kinds, outs)
+				label := fmt.Sprintf("pred %v residual %d projection %d", pred, ri, oi)
+				for _, dop := range []int{1, 2, 4, 8} {
+					got, err := Collect(chain(pred, residual, outs), DrainOpts{DOP: dop, Pooled: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRelation(t, got, want, fmt.Sprintf("%s dop %d", label, dop))
+					got.Release()
+					storage.RequireNoLeaks(t)
+				}
+				storage.SetPooling(false)
+				got, err := Collect(chain(pred, residual, outs), DrainOpts{})
+				storage.SetPooling(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRelation(t, got, want, label+" unpooled")
+			}
+		}
+	}
+}
+
+// TestFusedPipelineNarrowed runs a computed projection over a scan
+// narrowed to (ts, val), with a predicate on both columns, serial and
+// morsel-parallel: the scan reads source columns 1 and 2 through its
+// mapping, and the Project binds against the narrowed schema.
+func TestFusedPipelineNarrowed(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	rel, names, kinds := diffRel(rng, 8, 80)
+	pred := expr.NewAnd(
+		expr.NewCmp(expr.GE, expr.Col("D.ts"), expr.Time(200)),
+		expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0)))
+	outs := []expr.Expr{expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(3)), expr.Col("D.ts")}
+	want := naiveProject(t, naiveFilter(t, rel, names, kinds, pred), names, kinds, outs)
+	for _, dop := range []int{1, 4} {
+		op, _ := scanFilterProject(t, rel, names, kinds, []int{1, 2}, pred, nil, outs)
+		got, err := Collect(op, DrainOpts{DOP: dop, Pooled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRelation(t, got, want, fmt.Sprintf("narrowed dop %d", dop))
+		got.Release()
+	}
+}
+
+// TestFusedPipelineZoneSkip asserts zone pruning still consults the
+// source relation through a narrowed scan's column mapping under a
+// Filter and a Project: a one-batch time window over disjoint per-batch
+// ranges skips every other batch, and the rows match the reference.
+func TestFusedPipelineZoneSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rel, names, kinds := diffRel(rng, 16, 64)
+	window := expr.NewAnd(
+		expr.NewCmp(expr.GE, expr.Col("D.ts"), expr.Time(300)),
+		expr.NewCmp(expr.LT, expr.Col("D.ts"), expr.Time(400)))
+	residual := expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120))
+	outs := []expr.Expr{expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(2)), expr.Col("D.id")}
+	op, s := scanFilterProject(t, rel, names, kinds, []int{1, 2, 0}, window, residual, outs)
+	got, err := Collect(op, DrainOpts{Pooled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Release()
+	kept := naiveFilter(t, rel, names, kinds, expr.NewAnd(window, residual))
+	sameRelation(t, got, naiveProject(t, kept, names, kinds, outs), "zone skip under project")
+	if s.Skipped() < 15 {
+		t.Fatalf("narrowed scan skipped %d of 16 batches over disjoint time ranges, want 15", s.Skipped())
+	}
+}
+
+// naiveProject is the reference projection: every expression evaluated
+// over each (contiguous) batch of rel.
+func naiveProject(t *testing.T, rel *storage.Relation, names []string, kinds []storage.Kind, outs []expr.Expr) *storage.Relation {
+	t.Helper()
+	bound := make([]expr.Expr, len(outs))
+	for i, e := range outs {
+		bound[i] = expr.Clone(e)
+		if _, err := bound[i].Bind(names, kinds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := storage.NewRelation()
+	for _, b := range rel.Batches() {
+		cols := make([]storage.Column, len(bound))
+		for i, e := range bound {
+			cols[i] = e.Eval(b)
+		}
+		out.Append(storage.NewBatch(cols...))
+	}
+	return out
 }
 
 // TestZoneMapSkipping asserts wholly-out-of-range batches are pruned

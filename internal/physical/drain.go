@@ -13,10 +13,10 @@ import (
 // are produced; a materialized result is the same drain into a
 // CollectSink. Only pipeline breakers (sort, aggregation, the join
 // build side) buffer rows of their own; everything above them — scans,
-// filters, projections, fused pipelines, the join probe side — flows
-// through, so with a consuming sink a query's resident footprint is
-// independent of its result cardinality and the first row reaches the
-// sink long before the last one is computed.
+// filters, projections, the join probe side — flows through, so with a
+// consuming sink a query's resident footprint is independent of its
+// result cardinality and the first row reaches the sink long before the
+// last one is computed.
 
 // StreamSink receives the batches of a drain, in result order. Push
 // takes ownership of the batch — even when it returns an error — and

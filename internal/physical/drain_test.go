@@ -227,6 +227,23 @@ func (o *twoBatchOp) Split(n int) ([]Operator, error) {
 	return []Operator{&twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}}, nil
 }
 
+// TestLimitDisownsPooledTruncation pins Limit's ownership behaviour:
+// truncating a pooled batch (twoBatchOp's second, 8 rows past a limit
+// of 5 with 2 already seen) takes it out of pool accounting — the
+// sliced views share its storage — so the outstanding gauge returns to
+// baseline once the result is dropped.
+func TestLimitDisownsPooledTruncation(t *testing.T) {
+	out, err := Collect(NewLimit(&twoBatchOp{}, 5), DrainOpts{Pooled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Rows() != 5 {
+		t.Fatalf("limit emitted %d rows, want 5", out.Rows())
+	}
+	out.Release()
+	storage.RequireNoLeaks(t)
+}
+
 // firstPushSink recycles the first batch it is pushed and returns err.
 type firstPushSink struct{ err error }
 

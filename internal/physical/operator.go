@@ -288,7 +288,12 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 // schema; the source relation's zone maps are consulted through the
 // column mapping.
 func (s *RelScan) pruneByZone(m scanMorsel) bool {
-	return pruneMorsel(m, s.bounds, s.srcCols)
+	for _, zb := range s.bounds {
+		if m.zone(zb.col, s.srcCols).Disjoint(zb.lo, zb.hi) {
+			return true
+		}
+	}
+	return false
 }
 
 // zone returns the morsel's bound on an output column, consulting the
@@ -298,17 +303,6 @@ func (m scanMorsel) zone(col int, srcCols []int) storage.Zone {
 		col = srcCols[col]
 	}
 	return m.rel.Zone(m.idx, col)
-}
-
-// pruneMorsel is the zone-pruning test shared by RelScan and the fused
-// pipeline.
-func pruneMorsel(m scanMorsel, bounds []zoneBound, srcCols []int) bool {
-	for _, zb := range bounds {
-		if m.zone(zb.col, srcCols).Disjoint(zb.lo, zb.hi) {
-			return true
-		}
-	}
-	return false
 }
 
 // morselInside reports that the morsel's zones lie within every bound:

@@ -69,24 +69,23 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// TestTopKRecyclesPooledInput feeds TopK from a fused pipeline (a
-// pooled-batch producer): the candidate filter must recycle every
-// input batch, leaving the pool gauge at baseline — TopK's output is
-// plain copied storage.
+// TestTopKRecyclesPooledInput feeds TopK from a predicated scan (a
+// pooled-batch producer: its selection views are pooled headers over
+// pooled selections): the candidate filter must recycle every input
+// batch, leaving the pool gauge at baseline — TopK's output is plain
+// copied storage.
 func TestTopKRecyclesPooledInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	rel, names, kinds := diffRel(rng, 16, 256)
 	pred := expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(-50))
-	outs := []expr.Expr{expr.Col("D.val"), expr.Col("D.ts")}
 	build := func() Operator {
-		fp, err := NewFusedPipeline([]*storage.Relation{rel}, names, kinds, pred, nil,
-			[]string{"v", "ts"}, outs)
+		s, err := NewRelScan(rel, names, kinds, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fp
+		return s
 	}
-	srt, err := NewSort(build(), []SortKey{{Col: 0, Desc: true}})
+	srt, err := NewSort(build(), []SortKey{{Col: 2, Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dop := range []int{1, 4} {
-		tk, err := NewTopK(build(), []SortKey{{Col: 0, Desc: true}}, 25)
+		tk, err := NewTopK(build(), []SortKey{{Col: 2, Desc: true}}, 25)
 		if err != nil {
 			t.Fatal(err)
 		}

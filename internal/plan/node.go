@@ -295,49 +295,6 @@ func (p *Project) Children() []Node { return []Node{p.In} }
 // String implements Node.
 func (p *Project) String() string { return fmt.Sprintf("project(%d cols)", len(p.Cols)) }
 
-// Fused is the optimizer's pipeline-fusion annotation: a
-// Project → (Select →) Scan chain collapsed into one node the executor
-// realizes as a single fused physical operator (scan predicate,
-// residual filter and projection evaluated in one pass per batch, with
-// pooled output memory). Scan keeps the pushed-down filter; Residual is
-// the conjunction of any Select predicates that sat between the
-// projection and the scan. Only chains whose projection kinds are all
-// fixed-width are fused.
-type Fused struct {
-	Scan     *Scan
-	Residual expr.Expr
-	Cols     []OutputCol
-}
-
-// Names implements Node.
-func (f *Fused) Names() []string {
-	out := make([]string, len(f.Cols))
-	for i, c := range f.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// Kinds implements Node.
-func (f *Fused) Kinds() []storage.Kind {
-	out := make([]storage.Kind, len(f.Cols))
-	for i, c := range f.Cols {
-		out[i] = c.Kind
-	}
-	return out
-}
-
-// Children implements Node.
-func (f *Fused) Children() []Node { return []Node{f.Scan} }
-
-// String implements Node.
-func (f *Fused) String() string {
-	if f.Residual != nil {
-		return fmt.Sprintf("fuse(project %d cols | %s)", len(f.Cols), f.Residual)
-	}
-	return fmt.Sprintf("fuse(project %d cols)", len(f.Cols))
-}
-
 // AggSpec is one aggregate output.
 type AggSpec struct {
 	Func AggFunc

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,6 +15,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,7 +219,7 @@ var testWarnings = []engine.Warning{{Table: "D", Chunk: 7, Reason: `fetch "a&b" 
 
 // streamBody runs batches through a streamSink of the format and
 // returns what reached the client.
-func streamBody(t *testing.T, format wireFormat, c renderCase, warnings []engine.Warning) []byte {
+func streamBody(t testing.TB, format wireFormat, c renderCase, warnings []engine.Warning) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	sink := newStreamSink(rec, format)
@@ -370,6 +373,71 @@ func FuzzAppendJSONString(f *testing.F) {
 		oracleEncode(t, &want, s)
 		if got := appendJSONString(nil, s); !bytes.Equal(got, bytes.TrimSuffix(want.Bytes(), []byte("\n"))) {
 			t.Fatalf("appendJSONString(%q) = %s, want %s", s, got, want.Bytes())
+		}
+	})
+}
+
+// hostileColumnar are SOMW streams whose counts claim far more than
+// their bytes hold: over one int64 column "x", a 'B' record of 2^63
+// rows (no int holds it), an 'E' message of 2^62 bytes, and a 'B'
+// record of 2^28 rows in 15 bytes.
+func hostileColumnar(t testing.TB) [][]byte {
+	kind, err := toWireKind(storage.KindInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := append(wireMagic[:], wireVersion, 1, 1, 'x', kind)
+	stream := func(rec byte, count uint64) []byte {
+		return binary.AppendUvarint(append(slices.Clone(header), rec), count)
+	}
+	return [][]byte{stream('B', 1<<63), stream('E', 1<<62), stream('B', 1<<28)}
+}
+
+// decodeAlloc decodes body, returning the error and the bytes the
+// decode allocated.
+func decodeAlloc(body []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeColumnar(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// decodeAllocLimit bounds what decoding n bytes may allocate: the
+// reader's buffer and one chunk allocated ahead of its bytes, then a
+// constant per input byte.
+func decodeAllocLimit(n int) uint64 { return 1<<20 + 512*uint64(n) }
+
+// TestDecodeColumnarBoundsCounts: a count the stream's bytes cannot
+// back fails the decode as soon as the bytes run out, having allocated
+// in proportion to the bytes, not the count.
+func TestDecodeColumnarBoundsCounts(t *testing.T) {
+	for i, body := range hostileColumnar(t) {
+		grew, err := decodeAlloc(body)
+		if err == nil {
+			t.Errorf("stream %d (%d bytes) decoded", i, len(body))
+		}
+		if grew > decodeAllocLimit(len(body)) {
+			t.Errorf("stream %d (%d bytes) allocated %d bytes", i, len(body), grew)
+		}
+	}
+}
+
+// FuzzDecodeColumnar: DecodeColumnar reads bytes off the network.
+// Whatever they are, it returns a result or an error — it never panics
+// — and allocates in proportion to the bytes it was given.
+func FuzzDecodeColumnar(f *testing.F) {
+	for _, c := range renderCases() {
+		for _, warnings := range [][]engine.Warning{nil, testWarnings} {
+			f.Add(streamBody(f, somwFormat{}, c, warnings))
+		}
+	}
+	for _, body := range hostileColumnar(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if grew, _ := decodeAlloc(body); grew > decodeAllocLimit(len(body)) {
+			t.Fatalf("%d input bytes allocated %d", len(body), grew)
 		}
 	})
 }

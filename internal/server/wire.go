@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sommelier/internal/engine"
 	"sommelier/internal/storage"
@@ -199,12 +200,12 @@ func DecodeColumnar(r io.Reader) (*ColumnarResult, error) {
 	if ver != wireVersion {
 		return nil, fmt.Errorf("server: columnar version %d, want %d", ver, wireVersion)
 	}
-	ncols, err := binary.ReadUvarint(br)
+	ncols, err := readWireCount(br)
 	if err != nil {
 		return nil, err
 	}
 	out := &ColumnarResult{}
-	for c := uint64(0); c < ncols; c++ {
+	for range ncols {
 		name, err := readWireString(br)
 		if err != nil {
 			return nil, err
@@ -254,52 +255,28 @@ func DecodeColumnar(r io.Reader) (*ColumnarResult, error) {
 	}
 }
 
+// wireChunk caps what the decoder allocates ahead of the bytes backing
+// it: a hostile count costs at most one chunk before the stream ends.
+const wireChunk = storage.BatchSize
+
 func decodeColumnarBatch(br *bufio.Reader, out *ColumnarResult) error {
-	n64, err := binary.ReadUvarint(br)
+	n, err := readWireCount(br)
 	if err != nil {
 		return err
 	}
-	n := int(n64)
+	if n > 0 && len(out.Kinds) == 0 {
+		return fmt.Errorf("server: %d rows in a zero-column batch", n)
+	}
 	cols := make([][]any, len(out.Kinds))
 	for ci, k := range out.Kinds {
-		vals := make([]any, n)
-		switch k {
-		case storage.KindInt64, storage.KindTime:
-			for i := 0; i < n; i++ {
-				v, err := binary.ReadVarint(br)
-				if err != nil {
-					return err
-				}
-				vals[i] = v
+		cols[ci] = make([]any, 0, min(n, wireChunk))
+		for range n {
+			v, err := readWireValue(br, k)
+			if err != nil {
+				return err
 			}
-		case storage.KindFloat64:
-			var buf [8]byte
-			for i := 0; i < n; i++ {
-				if _, err := io.ReadFull(br, buf[:]); err != nil {
-					return err
-				}
-				vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-			}
-		case storage.KindBool:
-			for i := 0; i < n; i++ {
-				b, err := br.ReadByte()
-				if err != nil {
-					return err
-				}
-				vals[i] = b != 0
-			}
-		case storage.KindString:
-			for i := 0; i < n; i++ {
-				s, err := readWireString(br)
-				if err != nil {
-					return err
-				}
-				vals[i] = s
-			}
-		default:
-			return fmt.Errorf("server: cannot decode kind %v", k)
+			cols[ci] = append(cols[ci], v)
 		}
-		cols[ci] = vals
 	}
 	for i := 0; i < n; i++ {
 		row := make([]any, len(cols))
@@ -311,14 +288,54 @@ func decodeColumnarBatch(br *bufio.Reader, out *ColumnarResult) error {
 	return nil
 }
 
-func readWireString(br *bufio.Reader) (string, error) {
+// readWireValue reads one cell of a column of kind k.
+func readWireValue(br *bufio.Reader, k storage.Kind) (any, error) {
+	switch k {
+	case storage.KindInt64, storage.KindTime:
+		return binary.ReadVarint(br)
+	case storage.KindFloat64:
+		p, err := br.Peek(8)
+		if err != nil {
+			return nil, err
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(p))
+		_, err = br.Discard(8)
+		return v, err
+	case storage.KindBool:
+		b, err := br.ReadByte()
+		return b != 0, err
+	case storage.KindString:
+		return readWireString(br)
+	}
+	return nil, fmt.Errorf("server: cannot decode kind %v", k)
+}
+
+// readWireCount reads a column, row or byte count, refusing one past
+// math.MaxInt32: no server writes it, and it need not fit an int.
+func readWireCount(br *bufio.Reader) (int, error) {
 	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, err
+	}
+	if n > math.MaxInt32 {
+		return 0, fmt.Errorf("server: columnar count %d out of range", n)
+	}
+	return int(n), nil
+}
+
+func readWireString(br *bufio.Reader) (string, error) {
+	n, err := readWireCount(br)
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
+	buf := make([]byte, 0, min(n, wireChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), wireChunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(br, buf[len(buf):len(buf)+k]); err != nil {
+			return "", err
+		}
+		buf = buf[:len(buf)+k]
 	}
 	return string(buf), nil
 }

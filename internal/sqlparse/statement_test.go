@@ -167,3 +167,33 @@ func TestExplicitMarkersDisableAutoParameterization(t *testing.T) {
 		t.Fatalf("literal parameterized alongside explicit marker: %q", st.Normalized)
 	}
 }
+
+// FuzzParseStatement: POST /query hands the parser arbitrary text. It
+// never panics, and a statement that parses normalizes to a text that
+// parses again to the same normalized text — the plan-cache key is a
+// fixed point.
+func FuzzParseStatement(f *testing.F) {
+	for _, sql := range []string{
+		`SELECT AVG(D.sample_value) FROM dataview WHERE F.station = 'FIAM' AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-01T01:00:00.000'`,
+		`SELECT station, COUNT(*) AS n FROM F WHERE station = 'ISK' GROUP BY station`,
+		`SELECT window_start_ts, window_max_val, window_std_dev FROM H WHERE window_station = 'AQU' AND window_start_ts >= '2010-01-01T00:00:00.000' AND window_start_ts < '2010-01-02T00:00:00.000'`,
+		`SELECT D.sample_value FROM dataview WHERE F.station = 'CERA' AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-01T00:10:00.000' ORDER BY D.sample_value DESC LIMIT 10`,
+		`SELECT D.sample_time, D.sample_value FROM dataview WHERE F.station = 'FIAM' AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-01T00:01:00.000'`,
+		`EXPLAIN SELECT x FROM F WHERE NOT (a = ? OR b <> -2.5) SAMPLE 10;`,
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		st, err := ParseStatement(sql)
+		if err != nil {
+			return
+		}
+		again, err := ParseStatement(st.Normalized)
+		if err != nil {
+			t.Fatalf("normalized %q of %q does not parse: %v", st.Normalized, sql, err)
+		}
+		if again.Normalized != st.Normalized {
+			t.Fatalf("%q normalizes to %q, which normalizes to %q", sql, st.Normalized, again.Normalized)
+		}
+	})
+}

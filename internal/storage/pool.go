@@ -10,7 +10,7 @@ package storage
 //
 //  1. A pooled column (or batch of pooled columns) has exactly one
 //     owner at a time. Producers — pooled builders, GatherPooled, the
-//     fused pipeline, the join probe — create it owned by their
+//     drain's coalescer, the join probe — create it owned by their
 //     consumer.
 //  2. The owner either consumes it (fold/probe → PutBatch), hands it
 //     off (emit downstream, store into a Relation — the relation then
@@ -59,12 +59,12 @@ type slicePool[T any] struct {
 }
 
 func (p *slicePool[T]) get(capacity int) []T {
-	if capacity < BatchSize {
-		capacity = BatchSize
-	}
 	if !pooling.Load() {
 		return make([]T, 0, capacity)
 	}
+	// Pooled arrays are at least a batch long, so a recycled one serves
+	// any request up to a batch.
+	capacity = max(capacity, BatchSize)
 	v := p.slices.Get()
 	if v == nil {
 		return make([]T, 0, capacity)
@@ -221,9 +221,8 @@ func NewPooledBatch(cols ...Column) *Batch {
 		}
 	}
 	if !pooling.Load() {
-		// Copy like the pooled path does: callers (the coalescer, the
-		// fused flush) pass a reused scratch slice that the next flush
-		// overwrites.
+		// Copy like the pooled path does: callers (the coalescer) pass a
+		// reused scratch slice that the next flush overwrites.
 		return &Batch{Cols: append([]Column(nil), cols...)}
 	}
 	b, _ := batches.Get().(*Batch)
