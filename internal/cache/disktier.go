@@ -10,7 +10,9 @@ package cache
 //	header   "SOMS" + version byte
 //	blocks   [8B chunkID][4B bodyLen][4B CRC32(body)][body]...
 //	footer   "SOMF" + uvarint nBlocks
-//	         + per block: varint chunkID, uvarint off, uvarint len, 4B CRC
+//	         + per block: varint chunkID, uvarint off, uvarint len, 4B CRC,
+//	           uvarint n + n varint segment IDs (its coverage; n = 0:
+//	           the whole chunk, stored as n = 1 + the ID count otherwise)
 //	         + 4B CRC32(footer payload)
 //	trailer  [8B footer offset]["SOME"]
 //
@@ -27,6 +29,12 @@ package cache
 // tier, so corruption can cost performance but never correctness. A
 // block whose CRC fails at promote time (bit rot after open) is
 // dropped from the index the same way, at block granularity.
+//
+// A block holds the segments of its chunk that its coverage names (see
+// Covers), and serves only promotes it covers. A chunk's block is
+// superseded — re-indexed to a newer block, the old bytes left dead in
+// the file until it is recreated, still counting toward the capacity —
+// only by a spill that covers strictly more.
 //
 // Spills are asynchronous: the recycler's eviction callback runs under
 // the recycler lock, so Spill only enqueues and a single background
@@ -53,7 +61,9 @@ const (
 	segMagic       = "SOMS"
 	segFooterMagic = "SOMF"
 	segTrailMagic  = "SOME"
-	segVersion     = 2 // 2: bodies may hold run-shaped columns (storage segRun)
+	// 2: bodies may hold run-shaped columns (storage segRun); 3: footer
+	// entries carry the block's coverage.
+	segVersion = 3
 
 	segHeaderLen  = 5  // magic + version
 	blockHdrLen   = 16 // chunkID + bodyLen + CRC
@@ -82,12 +92,14 @@ type blockMeta struct {
 	off    int64
 	length int64
 	crc    uint32
+	segs   []int64 // coverage
 }
 
 type spillReq struct {
 	id   int64
 	rel  *storage.Relation
-	done func() // nil, or called once the tier no longer reads rel
+	segs []int64 // rel's coverage
+	done func()  // nil, or called once the tier no longer reads rel
 }
 
 // DiskTier is one table's segment file plus its in-memory block index.
@@ -99,7 +111,7 @@ type DiskTier struct {
 
 	mu        sync.Mutex // guards index, writeOff, f (writes), flags
 	index     map[int64]blockMeta
-	inflight  map[int64]bool // queued but not yet written
+	inflight  map[int64]int // spills queued but not yet written, per chunk
 	writeOff  int64
 	f         *os.File
 	accepting bool // false once Close begins: new spills are refused
@@ -128,7 +140,7 @@ func OpenDiskTier(dir, table string, capBytes int64) (*DiskTier, error) {
 		path:      filepath.Join(dir, table+".seg"),
 		capacity:  capBytes,
 		index:     map[int64]blockMeta{},
-		inflight:  map[int64]bool{},
+		inflight:  map[int64]int{},
 		queue:     make(chan spillReq, spillQueueLen),
 		accepting: true,
 	}
@@ -256,7 +268,23 @@ func verifySegment(path string) (map[int64]blockMeta, int64, error) {
 		if off < segHeaderLen || length > uint64(footOff) || off > uint64(footOff)-length {
 			return nil, 0, fmt.Errorf("block beyond footer")
 		}
-		index[id] = blockMeta{off: int64(off), length: int64(length), crc: crc}
+		nsegs, s4 := binary.Uvarint(rd)
+		if s4 <= 0 || nsegs > uint64(len(rd)) {
+			return nil, 0, fmt.Errorf("bad footer entry")
+		}
+		rd = rd[s4:]
+		var segs []int64
+		if nsegs > 0 {
+			segs = make([]int64, nsegs-1)
+			for j := range segs {
+				v, s5 := binary.Varint(rd)
+				if s5 <= 0 || j > 0 && v <= segs[j-1] {
+					return nil, 0, fmt.Errorf("bad footer coverage")
+				}
+				segs[j], rd = v, rd[s5:]
+			}
+		}
+		index[id] = blockMeta{off: int64(off), length: int64(length), crc: crc, segs: segs}
 	}
 	if len(rd) != 0 {
 		return nil, 0, fmt.Errorf("trailing bytes in footer")
@@ -287,46 +315,46 @@ func (dt *DiskTier) Contains(chunkID int64) bool {
 	dt.mu.Lock()
 	defer dt.mu.Unlock()
 	_, ok := dt.index[chunkID]
-	return ok || dt.inflight[chunkID]
+	return ok || dt.inflight[chunkID] > 0
 }
 
-// Spill enqueues a chunk relation for the background writer. It never
-// blocks and never does I/O: it is safe to call from the recycler's
-// eviction callback, which runs under the recycler's write lock. The
-// relation must be immutable; done (if non-nil) is called exactly once,
-// as soon as the tier no longer reads it — when the writer has encoded
-// it, or at once when the spill is refused or redundant — so the owner
-// can reuse its memory.
-func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation, done func()) {
-	dt.enqueue(spillReq{id: chunkID, rel: rel, done: done}, false)
+// Spill enqueues a chunk relation holding the segments segs covers for
+// the background writer. It never blocks and never does I/O: it is
+// safe to call from the recycler's eviction callback, which runs under
+// the recycler's write lock. The relation must be immutable; done (if
+// non-nil) is called exactly once, as soon as the tier no longer reads
+// it — when the writer has encoded it, or at once when the spill is
+// refused or redundant — so the owner can reuse its memory.
+func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation, segs []int64, done func()) {
+	dt.enqueue(spillReq{id: chunkID, rel: rel, segs: segs, done: done}, false)
 }
 
-// SpillSync is the lossless variant of Spill: it blocks until the
+// SpillSync is the lossless variant of Spill — segs, when given, is
+// the relation's coverage; none: the whole chunk. It blocks until the
 // block is queued (never dropping it on a full queue) and is meant for
 // the Close-time flush of the RAM-resident working set, where losing a
 // block means the next start pays the archive for hot data. It must
 // not be called from the recycler's eviction callback.
-func (dt *DiskTier) SpillSync(chunkID int64, rel *storage.Relation) {
-	dt.enqueue(spillReq{id: chunkID, rel: rel}, true)
+func (dt *DiskTier) SpillSync(chunkID int64, rel *storage.Relation, segs ...int64) {
+	dt.enqueue(spillReq{id: chunkID, rel: rel, segs: segs}, true)
 }
 
 // enqueue queues req for the writer — waiting for room when wait is
 // set, refusing it on a full queue otherwise — unless the tier is
-// closing or already holds (or is writing) the chunk: chunks are
-// immutable per ID.
+// closing or already holds a block covering it.
 func (dt *DiskTier) enqueue(req spillReq, wait bool) {
 	if dt == nil || req.rel == nil {
 		req.release()
 		return
 	}
 	dt.mu.Lock()
-	_, spilled := dt.index[req.id]
-	if !dt.accepting || dt.inflight[req.id] || spilled {
+	held, spilled := dt.index[req.id]
+	if !dt.accepting || spilled && Covers(held.segs, req.segs) {
 		dt.mu.Unlock()
 		req.release()
 		return
 	}
-	dt.inflight[req.id] = true
+	dt.inflight[req.id]++
 	dt.pending.Add(1)
 	dt.mu.Unlock()
 	if wait {
@@ -350,7 +378,9 @@ func (req spillReq) release() {
 
 func (dt *DiskTier) unqueue(chunkID int64) {
 	dt.mu.Lock()
-	delete(dt.inflight, chunkID)
+	if dt.inflight[chunkID]--; dt.inflight[chunkID] == 0 {
+		delete(dt.inflight, chunkID)
+	}
 	dt.mu.Unlock()
 	dt.pending.Done()
 }
@@ -365,8 +395,21 @@ func (dt *DiskTier) writer() {
 
 // writeBlock encodes req's relation straight after a reserved block
 // header in the writer's reused buffer, then fills the header in and
-// appends header and body with one write.
+// appends header and body with one write — unless the chunk's block
+// (only this goroutine adds one) already covers as much: a spill
+// supersedes a block only by covering strictly more, and one covering
+// other segments is refused.
 func (dt *DiskTier) writeBlock(req spillReq) {
+	dt.mu.Lock()
+	held, spilled := dt.index[req.id]
+	dt.mu.Unlock()
+	if spilled && (Covers(held.segs, req.segs) || !Covers(req.segs, held.segs)) {
+		if !Covers(held.segs, req.segs) {
+			dt.spillRefused.Add(1)
+		}
+		req.release()
+		return
+	}
 	var hdr [blockHdrLen]byte
 	blk, err := storage.EncodeRelation(append(dt.wbuf[:0], hdr[:]...), req.rel)
 	req.release()
@@ -394,27 +437,31 @@ func (dt *DiskTier) writeBlock(req spillReq) {
 		dt.spillRefused.Add(1)
 		return
 	}
-	dt.index[req.id] = blockMeta{off: dt.writeOff + blockHdrLen, length: int64(len(body)), crc: crc}
+	dt.index[req.id] = blockMeta{off: dt.writeOff + blockHdrLen, length: int64(len(body)), crc: crc, segs: req.segs}
 	dt.writeOff += int64(len(blk))
 	dt.spills.Add(1)
 }
 
-// Promote reads, verifies and decodes one block back into fresh
-// memory: PromoteInto without a ChunkMem.
+// Promote reads, verifies and decodes a whole chunk's block back into
+// fresh memory: PromoteInto of every segment, without a ChunkMem.
 func (dt *DiskTier) Promote(chunkID int64) *storage.Relation {
-	return dt.PromoteInto(chunkID, nil)
+	rel, _ := dt.PromoteInto(chunkID, nil, nil)
+	return rel
 }
 
-// PromoteInto reads, verifies and decodes one block back into a
-// relation (nil on miss): the body is read into mem's scratch and the
-// chunk decoded into an arena taken from it (storage.DecodeRelationInto);
-// a nil mem allocates. A CRC or decode failure drops the block from the
-// index and reports a miss — the caller falls through to the archive
-// loader, so a rotten block degrades to a cache miss, never to wrong
-// data.
-func (dt *DiskTier) PromoteInto(chunkID int64, mem *storage.ChunkMem) *storage.Relation {
+// PromoteInto reads, verifies and decodes the chunk's block back into a
+// relation holding at least the segments segs covers, and returns it
+// with the block's coverage. The body is read into mem's scratch and
+// the chunk decoded into an arena taken from it
+// (storage.DecodeRelationInto); a nil mem allocates. A miss returns
+// nil — with the block's coverage when there is a block, but not one
+// covering segs, so the caller can load the union. A CRC or decode
+// failure drops the block from the index and reports a miss — the
+// caller falls through to the archive loader, so a rotten block
+// degrades to a cache miss, never to wrong data.
+func (dt *DiskTier) PromoteInto(chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64) {
 	if dt == nil {
-		return nil
+		return nil, nil
 	}
 	dt.mu.Lock()
 	bm, ok := dt.index[chunkID]
@@ -422,27 +469,31 @@ func (dt *DiskTier) PromoteInto(chunkID int64, mem *storage.ChunkMem) *storage.R
 	dt.mu.Unlock()
 	if !ok || closed {
 		dt.misses.Add(1)
-		return nil
+		return nil, nil
+	}
+	if !Covers(bm.segs, segs) {
+		dt.misses.Add(1)
+		return nil, bm.segs
 	}
 	body := mem.Bytes(int(bm.length))
 	if _, err := f.ReadAt(body, bm.off); err != nil {
 		// A read error (e.g. file closed under a racing shutdown) is a
 		// plain miss; only checksum/decode failures mark corruption.
 		dt.misses.Add(1)
-		return nil
+		return nil, nil
 	}
 	if crc32.ChecksumIEEE(body) != bm.crc {
 		dt.dropBlock(chunkID)
-		return nil
+		return nil, nil
 	}
 	rel, err := storage.DecodeRelationInto(body, mem)
 	if err != nil {
 		dt.dropBlock(chunkID)
-		return nil
+		return nil, nil
 	}
 	dt.hits.Add(1)
 	dt.promotes.Add(1)
-	return rel
+	return rel, bm.segs
 }
 
 func (dt *DiskTier) dropBlock(chunkID int64) {
@@ -519,6 +570,14 @@ func (dt *DiskTier) Close() error {
 		var crcb [4]byte
 		binary.LittleEndian.PutUint32(crcb[:], bm.crc)
 		foot = append(foot, crcb[:]...)
+		n = 0
+		if bm.segs != nil {
+			n = len(bm.segs) + 1
+		}
+		foot = binary.AppendUvarint(foot, uint64(n))
+		for _, seg := range bm.segs {
+			foot = binary.AppendVarint(foot, seg)
+		}
 	}
 	var crcb [4]byte
 	binary.LittleEndian.PutUint32(crcb[:], crc32.ChecksumIEEE(foot))

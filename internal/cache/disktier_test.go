@@ -56,7 +56,7 @@ func TestDiskTierSpillPromoteRoundtrip(t *testing.T) {
 	rels := map[int64]*storage.Relation{}
 	for id := int64(1); id <= 5; id++ {
 		rels[id] = tierRel(200, id*1000)
-		dt.Spill(id, rels[id], nil)
+		dt.Spill(id, rels[id], nil, nil)
 	}
 	dt.WaitIdle()
 	for id, want := range rels {
@@ -315,7 +315,7 @@ func TestDiskTierDuplicateSpillIgnored(t *testing.T) {
 	rel := tierRel(50, 1)
 	dt.SpillSync(1, rel)
 	dt.WaitIdle()
-	dt.Spill(1, rel, nil)
+	dt.Spill(1, rel, nil, nil)
 	dt.SpillSync(1, rel)
 	dt.WaitIdle()
 	if s := dt.Stats(); s.Spills != 1 {
@@ -333,7 +333,7 @@ func TestDiskTierSpillAfterCloseRefused(t *testing.T) {
 	if err := dt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	dt.Spill(1, tierRel(10, 1), nil) // must not panic or enqueue
+	dt.Spill(1, tierRel(10, 1), nil, nil) // must not panic or enqueue
 	if dt.Contains(1) {
 		t.Fatal("spill accepted after close")
 	}
@@ -409,7 +409,7 @@ func TestDiskTierSpillDone(t *testing.T) {
 	done := map[int64]int{}
 	var mu sync.Mutex
 	spill := func(id int64) {
-		dt.Spill(id, tierRel(50, id), func() {
+		dt.Spill(id, tierRel(50, id), nil, func() {
 			mu.Lock()
 			done[id]++
 			mu.Unlock()
@@ -534,7 +534,7 @@ func BenchmarkPromote(b *testing.B) {
 		}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if dt.PromoteInto(1, mem) == nil {
+			if rel, _ := dt.PromoteInto(1, nil, mem); rel == nil {
 				b.Fatal("miss")
 			}
 		}

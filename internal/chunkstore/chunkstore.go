@@ -12,6 +12,12 @@
 // each hold one. A reference never released leaves the arena to the
 // garbage collector. The eager approaches install their chunks as
 // permanently resident entries (Install): one chunk map per table.
+//
+// A chunk is loaded as far as its queries need it: each request names
+// the segments it reads (nil: all), and each entry records the segments
+// it holds, its coverage (see cache.Covers). A request its entry does
+// not cover loads the union of the two, which replaces the entry:
+// coverage only grows.
 package chunkstore
 
 import (
@@ -30,9 +36,11 @@ import (
 
 // Loader is the chunk-access operator of the lazy approach.
 type Loader interface {
-	// LoadChunkInto extracts one chunk in the table's schema, its plain
-	// columns in an arena taken from mem, reading through mem's scratch.
-	LoadChunkInto(table string, id int64, mem *storage.ChunkMem) (*storage.Relation, error)
+	// LoadChunkInto extracts the segments segs names (sorted; nil: all)
+	// of one chunk in the table's schema, its plain columns in an arena
+	// taken from mem, reading through mem's scratch. It returns the
+	// relation's coverage: nil when it holds every segment.
+	LoadChunkInto(table string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
 	// AllChunkIDs enumerates every chunk known for the table.
 	AllChunkIDs(table string) []int64
 }
@@ -68,7 +76,7 @@ type Store struct {
 	mems    []*storage.ChunkMem
 	maxFree int
 
-	hits, misses, reused, allocated atomic.Int64
+	hits, misses, reused, allocated, topups atomic.Int64
 }
 
 // New returns an empty store for the named table, lazy only once
@@ -94,12 +102,13 @@ func (s *Store) Configure(cfg Config) {
 	}
 }
 
-// chunk is one loaded or installed relation and the references to its
-// memory. bytes is its charge: its columns plus any arena capacity
-// beyond them.
+// chunk is one loaded or installed relation, its coverage and the
+// references to its memory. bytes is its charge: its columns plus any
+// arena capacity beyond them.
 type chunk struct {
 	s     *Store
 	rel   *storage.Relation
+	segs  []int64
 	arena storage.Arena
 	bytes int64
 	refs  atomic.Int64
@@ -150,13 +159,16 @@ func (s *Store) Install(id int64, rel *storage.Relation) {
 	s.mu.Unlock()
 }
 
-// TryAcquire returns a handle on a resident chunk — a cache hit — and
-// false, counting nothing, when the chunk is not resident.
-func (s *Store) TryAcquire(id int64) (Handle, bool) {
+// TryAcquire returns a handle on a resident chunk covering segs (nil:
+// every segment) — a cache hit — and false, counting nothing, when
+// there is none.
+func (s *Store) TryAcquire(id int64, segs []int64) (Handle, bool) {
 	s.mu.RLock()
 	c := s.resident[id]
-	if c != nil {
+	if c != nil && cache.Covers(c.segs, segs) {
 		c.refs.Add(1)
+	} else {
+		c = nil
 	}
 	s.mu.RUnlock()
 	if c != nil && s.rec != nil {
@@ -174,40 +186,64 @@ type flight struct {
 	done    chan struct{}
 	c       *chunk
 	err     error
-	waiters int // guarded by Store.mu: references to grant on success
+	segs    []int64 // the segments it loads
+	waiters int     // guarded by Store.mu: references to grant on success
+	// more, guarded by Store.mu, collects what the waiters need beyond
+	// segs: once it lands, the next flight loads all of it, so that
+	// narrow and wide requests arriving together cost two loads at most.
+	more []int64
 }
 
-// Acquire returns a handle on the chunk, loading it when it is not
-// resident. Concurrent Acquires of a missing chunk share one load (a
-// waiter whose ctx ends stops waiting; the load goes on for the
-// others). A loaded chunk is offered to the recycler at once: handles
-// keep its memory valid even if it is evicted before they are done.
-func (s *Store) Acquire(ctx context.Context, id int64) (Handle, error) {
-	if h, ok := s.TryAcquire(id); ok {
+// Acquire returns a handle on the chunk holding at least the segments
+// segs names (nil: every segment), loading it when no resident entry
+// covers them — the union of the entry's coverage and segs, so the
+// load replaces the entry. Concurrent Acquires of a chunk share one
+// load (a waiter whose ctx ends stops waiting; the load goes on for the
+// others; a waiter the landed chunk does not cover acquires again). A
+// loaded chunk is offered to the recycler at once: handles keep its
+// memory valid even if it is evicted before they are done.
+func (s *Store) Acquire(ctx context.Context, id int64, segs []int64) (Handle, error) {
+	if h, ok := s.TryAcquire(id, segs); ok {
 		return h, nil
 	}
 	if s.rec != nil {
 		s.misses.Add(1)
 	}
-	if err := ctx.Err(); err != nil {
-		return Handle{}, err
-	}
-	s.mu.Lock()
-	if c := s.resident[id]; c != nil {
-		// Another flight just landed it.
-		c.refs.Add(1)
+	want := segs
+	for {
+		if err := ctx.Err(); err != nil {
+			return Handle{}, err
+		}
+		s.mu.Lock()
+		c := s.resident[id]
+		if c != nil && cache.Covers(c.segs, segs) {
+			// Another flight just landed it.
+			c.refs.Add(1)
+			s.mu.Unlock()
+			return Handle{c: c}, nil
+		}
+		if f := s.flights[id]; f != nil {
+			if !cache.Covers(f.segs, segs) {
+				f.more = cache.Union(f.more, segs)
+			}
+			f.waiters++
+			s.mu.Unlock()
+			h, err := s.wait(ctx, f)
+			if err != nil || cache.Covers(h.c.segs, segs) {
+				return h, err
+			}
+			h.Release()
+			want = cache.Union(want, f.more)
+			continue
+		}
+		if c != nil {
+			want = cache.Union(c.segs, want)
+		}
+		f := &flight{done: make(chan struct{}), segs: want, more: []int64{}}
+		s.flights[id] = f
 		s.mu.Unlock()
-		return Handle{c: c}, nil
+		return s.lead(ctx, id, f)
 	}
-	if f := s.flights[id]; f != nil {
-		f.waiters++
-		s.mu.Unlock()
-		return s.wait(ctx, f)
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[id] = f
-	s.mu.Unlock()
-	return s.lead(ctx, id, f)
 }
 
 // wait is a waiter's side of a flight: the leader grants it a reference
@@ -232,10 +268,12 @@ func (s *Store) wait(ctx context.Context, f *flight) (Handle, error) {
 }
 
 // lead runs a flight's load, publishes it to the waiters and makes the
-// chunk resident as far as the recycler admits it.
+// chunk resident — in place of any entry it widens — as far as the
+// recycler admits it.
 func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	t0 := time.Now()
-	c, promoted, err := s.load(ctx, id)
+	c, promoted, err := s.load(ctx, id, f.segs)
+	var old *chunk
 	s.mu.Lock()
 	delete(s.flights, id)
 	if err == nil {
@@ -245,6 +283,7 @@ func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 		c.refs.Store(int64(1 + f.waiters))
 		if s.rec != nil {
 			c.refs.Add(1)
+			old = s.resident[id]
 			s.resident[id] = c
 		}
 	}
@@ -254,8 +293,14 @@ func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
+	if old != nil {
+		s.topups.Add(1)
+		old.unref()
+	}
+	// A widened entry is re-admitted at its new size.
 	if s.rec != nil && !s.rec.Admit(id, c.bytes, time.Since(t0)) {
 		// Larger than the whole cache: transient after all.
+		s.rec.Drop(id)
 		s.mu.Lock()
 		if s.resident[id] == c {
 			delete(s.resident, id)
@@ -277,19 +322,23 @@ type FillError struct {
 func (e *FillError) Error() string { return e.Err.Error() }
 func (e *FillError) Unwrap() error { return e.Err }
 
-// load ingests one chunk — a disk-tier promote when the tier holds it,
-// the loader otherwise — into recycled memory. The scratch and any
-// arena the chunk does not claim go back to the free lists.
-func (s *Store) load(ctx context.Context, id int64) (*chunk, bool, error) {
+// load ingests the segments segs names of one chunk — a disk-tier
+// promote when the tier holds a block covering them, the loader
+// otherwise, for the union with the block's coverage — into recycled
+// memory. The scratch and any arena the chunk does not claim go back to
+// the free lists.
+func (s *Store) load(ctx context.Context, id int64, segs []int64) (*chunk, bool, error) {
 	// exec.flight fault point: covers the whole ingestion of one chunk.
 	if err := checkFault(ctx, s.cfg.Faults, fault.PointFlight); err != nil {
 		return nil, false, err
 	}
 	mem := s.getMem()
 	defer s.putMem(mem)
-	rel := s.cfg.Disk.PromoteInto(id, mem)
+	rel, held := s.cfg.Disk.PromoteInto(id, segs, mem)
 	promoted := rel != nil
-	if !promoted {
+	if promoted {
+		segs = held
+	} else {
 		// A miss — or a corrupt block, dropped by the tier, whose arena
 		// the archive load may write again.
 		s.putArena(mem.Arena)
@@ -297,8 +346,11 @@ func (s *Store) load(ctx context.Context, id int64) (*chunk, bool, error) {
 		if s.cfg.Loader == nil {
 			return nil, false, fmt.Errorf("chunkstore: %s has no loader for chunk %d", s.table, id)
 		}
+		if held != nil {
+			segs = cache.Union(held, segs)
+		}
 		var err error
-		if rel, err = s.cfg.Loader.LoadChunkInto(s.table, id, mem); err != nil {
+		if rel, segs, err = s.cfg.Loader.LoadChunkInto(s.table, id, segs, mem); err != nil {
 			return nil, false, err
 		}
 	}
@@ -313,7 +365,7 @@ func (s *Store) load(ctx context.Context, id int64) (*chunk, bool, error) {
 	a := mem.Arena
 	mem.Arena = storage.Arena{}
 	slack := 8 * int64(cap(a.Ints)-len(a.Ints)+cap(a.Floats)-len(a.Floats))
-	return &chunk{s: s, rel: rel, arena: a, bytes: rel.MemSize() + slack}, promoted, nil
+	return &chunk{s: s, rel: rel, segs: segs, arena: a, bytes: rel.MemSize() + slack}, promoted, nil
 }
 
 // checkFault applies an injector's decision at point: its delay (cut
@@ -339,7 +391,7 @@ func (s *Store) evicted(id int64) {
 	}
 	if s.cfg.Disk != nil {
 		c.refs.Add(1)
-		s.cfg.Disk.Spill(id, c.rel, c.unref)
+		s.cfg.Disk.Spill(id, c.rel, c.segs, c.unref)
 	}
 	c.unref()
 }
@@ -430,16 +482,19 @@ func (s *Store) Rows() int {
 
 // Stats is the store's gauge block (GET /stats "chunks"): resident
 // chunks, those a handle references (a running query, an unreleased
-// result — which never keeps a chunk resident), their charged bytes;
-// free arenas, and loads that wrote into a released chunk's arena or
-// needed a fresh one.
+// result — which never keeps a chunk resident), those holding a strict
+// subset of their segments, their charged bytes; free arenas, loads
+// that wrote into a released chunk's arena or needed a fresh one, and
+// loads that widened a resident chunk.
 type Stats struct {
 	Resident        int   `json:"resident"`
 	Pinned          int   `json:"pinned"`
+	Partial         int   `json:"partial"`
 	ResidentBytes   int64 `json:"resident_bytes"`
 	FreeArenas      int   `json:"free_arenas"`
 	ArenasReused    int64 `json:"arenas_reused"`
 	ArenasAllocated int64 `json:"arenas_allocated"`
+	Topups          int64 `json:"topups"`
 }
 
 // Stats snapshots the gauges.
@@ -452,12 +507,16 @@ func (s *Store) Stats() Stats {
 		if c.refs.Load() > 1 {
 			st.Pinned++
 		}
+		if c.segs != nil {
+			st.Partial++
+		}
 	}
 	s.mu.RUnlock()
 	s.freeMu.Lock()
 	st.FreeArenas = len(s.arenas)
 	s.freeMu.Unlock()
 	st.ArenasReused, st.ArenasAllocated = s.reused.Load(), s.allocated.Load()
+	st.Topups = s.topups.Load()
 	return st
 }
 
@@ -488,9 +547,10 @@ func (s *Store) Flush() {
 	}
 	var hs []Handle
 	for _, id := range s.IDs() {
-		if h, ok := s.TryAcquire(id); ok {
+		// A request for no segment is covered by whatever a chunk holds.
+		if h, ok := s.TryAcquire(id, []int64{}); ok {
 			hs = append(hs, h)
-			s.cfg.Disk.SpillSync(id, h.Rel())
+			s.cfg.Disk.SpillSync(id, h.Rel(), h.c.segs...)
 		}
 	}
 	s.cfg.Disk.WaitIdle()

@@ -19,10 +19,10 @@ type arenaLoader struct {
 	fail map[int64]error
 }
 
-func (l arenaLoader) LoadChunkInto(_ string, id int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+func (l arenaLoader) LoadChunkInto(_ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	a := mem.TakeArena(l.n, l.n)
 	if err := l.fail[id]; err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for i := range a.Ints {
 		a.Ints[i], a.Floats[i] = int64(i), float64(id)
@@ -30,7 +30,7 @@ func (l arenaLoader) LoadChunkInto(_ string, id int64, mem *storage.ChunkMem) (*
 	run := storage.NewRunColumn(storage.KindInt64, []int64{id}, []int32{int32(l.n)})
 	b := storage.NewBatch(run, storage.NewTimeColumn(a.Ints), storage.NewFloat64Column(a.Floats))
 	zs := []storage.Zone{storage.ColumnZone(run), storage.ColumnZone(b.Cols[1]), {}}
-	return storage.NewChunkRelation([]*storage.Batch{b}, [][]storage.Zone{zs}), nil
+	return storage.NewChunkRelation([]*storage.Batch{b}, [][]storage.Zone{zs}), nil, nil
 }
 
 func (arenaLoader) AllChunkIDs(string) []int64 { return []int64{0, 1, 2, 3} }
@@ -46,7 +46,7 @@ func newStore(cfg Config) *Store {
 
 func mustAcquire(t *testing.T, s *Store, id int64) Handle {
 	t.Helper()
-	h, err := s.Acquire(context.Background(), id)
+	h, err := s.Acquire(context.Background(), id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEvictedArenaServesNextLoad(t *testing.T) {
 
 // chunkBytes is what one of l's chunks is charged.
 func chunkBytes(t *testing.T, l arenaLoader) int64 {
-	rel, err := l.LoadChunkInto("D", 0, nil)
+	rel, _, err := l.LoadChunkInto("D", 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFailedLoadsReturnArena(t *testing.T) {
 				cfg.Faults = fault.MustNew(tc.faults, 1)
 			}
 			s := newStore(cfg)
-			_, err := s.Acquire(context.Background(), 1)
+			_, err := s.Acquire(context.Background(), 1, nil)
 			var fe *FillError
 			switch {
 			case err == nil:
@@ -259,7 +259,7 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 			}()
 			for i := 0; i < 200; i++ {
 				id := int64((g + i) % 5)
-				h, err := s.Acquire(context.Background(), id)
+				h, err := s.Acquire(context.Background(), id, nil)
 				if err != nil {
 					t.Error(err)
 					return

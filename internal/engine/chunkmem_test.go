@@ -23,14 +23,15 @@ func dayScan(station string, day int) string {
 }
 
 // residentValues returns the sample_value backing of every batch of the
-// resident chunks, for alias checks.
+// resident chunks, for alias checks: a request for no segment is
+// covered by whatever a resident chunk holds.
 func residentValues(t *testing.T, db *DB) [][]float64 {
 	t.Helper()
 	d, _ := db.cat.Table(seismic.TableD)
 	col := d.Schema.IndexOf("sample_value")
 	var out [][]float64
 	for _, id := range db.chunks.IDs() {
-		h, ok := db.chunks.TryAcquire(id)
+		h, ok := db.chunks.TryAcquire(id, []int64{})
 		if !ok {
 			continue
 		}
@@ -188,7 +189,7 @@ func TestChunkChargeMatchesBacking(t *testing.T) {
 		if len(ids) != 1 {
 			t.Fatalf("resident %v", ids)
 		}
-		h, _ := db.chunks.TryAcquire(ids[0])
+		h, _ := db.chunks.TryAcquire(ids[0], nil)
 		defer h.Release()
 		charged, backed := db.CacheStats().BytesUsed, backing(h.Rel())
 		if d := charged - backed; d*100 > charged || -d*100 > charged {

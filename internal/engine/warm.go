@@ -139,8 +139,9 @@ func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
 
 // loadMetaSnapshot restores F, S and H into a fresh catalog if (and
 // only if) the snapshot verifies against the current archive
-// fingerprint. It reports the restored segment count; a nil catalog
-// means "cold start, please", and nothing read from the file is kept.
+// fingerprint and its S holds the segment count it records. It reports
+// that count; a nil catalog means "cold start, please", and nothing
+// read from the file is kept.
 func loadMetaSnapshot(path, fingerprint string) (cat *table.Catalog, nSegs int) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -198,7 +199,7 @@ func loadMetaSnapshot(path, fingerprint string) (cat *table.Catalog, nSegs int) 
 			}
 		}
 	}
-	if len(rd) != 0 {
+	if s, _ := cat.Table(seismic.TableS); len(rd) != 0 || uint64(s.Data().Rows()) != segs {
 		return nil, 0
 	}
 	return cat, int(segs)

@@ -320,8 +320,10 @@ type executor struct {
 	qfNames []string
 	qfKinds []storage.Kind
 
-	// selected chunk IDs per actual-data table, from stage one.
+	// selected chunk IDs per actual-data table, from stage one, and the
+	// segments of each that stage two reads (see segmentCols).
 	selected map[string][]int64
+	segs     map[string]map[int64][]int64
 	// chunks holds a handle on every chunk stage two scans, and rels
 	// their relations per table in chunk order; the handles go when
 	// Execute returns, or move into a collected Result.
@@ -467,21 +469,21 @@ func (ex *executor) drainOpts(pooled bool) physical.DrainOpts {
 }
 
 // selectChunks extracts, per actual-data table, the distinct chunk IDs
-// from the stage-one result: result-scan(Qf) as a set of files.
+// from the stage-one result — result-scan(Qf) as a set of files — and,
+// where segmentCols finds the columns, the segments of each it names.
 func (ex *executor) selectChunks() error {
 	ex.selected = make(map[string][]int64)
+	ex.segs = make(map[string]map[int64][]int64)
 	flat := ex.qfRel.Flatten()
 	for _, tn := range ex.plan.ADTables {
 		t, ok := ex.env.Catalog.Table(tn)
 		if !ok {
 			return fmt.Errorf("exec: unknown actual-data table %q", tn)
 		}
-		col := -1
-		suffix := "." + t.ChunkKey
+		col, segCol := ex.segmentCols(t)
 		for i, n := range ex.qfNames {
-			if strings.HasSuffix(n, suffix) {
+			if col < 0 && strings.HasSuffix(n, "."+t.ChunkKey) {
 				col = i
-				break
 			}
 		}
 		if col < 0 {
@@ -491,21 +493,103 @@ func (ex *executor) selectChunks() error {
 			ex.stats.ChunksSelected += len(ex.selected[tn])
 			continue
 		}
-		seen := make(map[int64]bool)
-		var ids []int64
+		// One lookup per Qf row, as for the chunk IDs alone: the distinct
+		// (chunk, segment) pairs, segment 0 throughout without a segment
+		// column.
+		type pair struct{ chunk, seg int64 }
+		seen := make(map[pair]bool)
+		segs := make(map[int64][]int64)
+		var ids, segIDs []int64
 		if flat.Len() > 0 {
-			for _, v := range storage.Int64s(flat.Cols[col]) {
-				if !seen[v] {
-					seen[v] = true
+			if segCol >= 0 {
+				segIDs = storage.Int64s(flat.Cols[segCol])
+			}
+			for i, v := range storage.Int64s(flat.Cols[col]) {
+				p := pair{chunk: v}
+				if segIDs != nil {
+					p.seg = segIDs[i]
+				}
+				if seen[p] {
+					continue
+				}
+				seen[p] = true
+				if _, ok := segs[v]; !ok {
 					ids = append(ids, v)
 				}
+				segs[v] = append(segs[v], p.seg)
 			}
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		ex.selected[tn] = ids
+		if segCol >= 0 {
+			for _, ss := range segs {
+				slices.Sort(ss)
+			}
+			ex.segs[tn] = segs
+		}
 		ex.stats.ChunksSelected += len(ids)
 	}
 	return nil
+}
+
+// segmentCols returns the Qf columns that the stage-two join consuming
+// t's one scan equates with t's chunk and segment keys — the
+// (S.file_id, S.segment_id) pairs of the paper's metadata branch, as the
+// dataview and windowdataview joins match them — so that rows of other
+// segments can never reach the result. Otherwise it returns -1, -1:
+// every chunk loads whole.
+func (ex *executor) segmentCols(t *table.Table) (fileCol, segCol int) {
+	if t.SegmentKey == "" {
+		return -1, -1
+	}
+	chunkKey, segKey := t.Name+"."+t.ChunkKey, t.Name+"."+t.SegmentKey
+	fileCol, segCol = -1, -1
+	scans := 0
+	var walk func(n plan.Node)
+	walk = func(n plan.Node) {
+		if n == ex.plan.Qf {
+			return
+		}
+		switch n := n.(type) {
+		case *plan.Scan:
+			if n.Table == t.Name {
+				scans++
+			}
+		case *plan.Join:
+			other := n.R
+			if n.R == ex.plan.Qf {
+				other = n.L
+			} else if n.L != ex.plan.Qf {
+				break
+			}
+			if sc, ok := other.(*plan.Scan); !ok || sc.Table != t.Name {
+				break
+			}
+			for _, p := range n.Preds {
+				key, i := p.Left, indexOf(ex.qfNames, p.Right)
+				if i < 0 {
+					key, i = p.Right, indexOf(ex.qfNames, p.Left)
+				}
+				if i < 0 || ex.qfKinds[i] != storage.KindInt64 {
+					continue
+				}
+				switch key {
+				case chunkKey:
+					fileCol = i
+				case segKey:
+					segCol = i
+				}
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(ex.plan.Root)
+	if scans != 1 || fileCol < 0 || segCol < 0 {
+		return -1, -1
+	}
+	return fileCol, segCol
 }
 
 // applySampling implements the paper's §VIII approximative query
@@ -569,32 +653,33 @@ func (ex *executor) acquireChunks() error {
 				ex.stats.ChunksSelected += len(ids)
 			}
 		}
-		if err := ex.ingest(tn, t.Chunks(), ids); err != nil {
+		if err := ex.ingest(tn, t.Chunks(), ids, ex.segs[tn]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ingest acquires one table's chunks. Resident chunks are taken on the
-// spot. In lazy mode the missing ones are loaded in parallel (the
-// paper's static parallelization: the degree of parallelism is the
-// number of selected chunks, bounded by the query's effective DOP),
-// concurrent queries selecting the same chunk sharing one load through
-// the store; eager data is all resident, so there a missing chunk is
-// one the clustered index pruned.
-func (ex *executor) ingest(tn string, store *chunkstore.Store, ids []int64) error {
+// ingest acquires one table's chunks, each holding at least its
+// selected segments (segs; absent: every one). Resident chunks holding
+// them are taken on the spot. In lazy mode the others are loaded in
+// parallel (the paper's static parallelization: the degree of
+// parallelism is the number of selected chunks, bounded by the query's
+// effective DOP), concurrent queries selecting the same chunk sharing
+// one load through the store; eager data is all resident, so there a
+// missing chunk is one the clustered index pruned.
+func (ex *executor) ingest(tn string, store *chunkstore.Store, ids []int64, segs map[int64][]int64) error {
 	lazy := ex.env.Mode == ModeLazy
 	hs := make([]chunkstore.Handle, len(ids))
 	errs := make([]error, len(ids))
 	var missing []int
 	for i, id := range ids {
 		var ok bool
-		if hs[i], ok = store.TryAcquire(id); !ok && lazy {
+		if hs[i], ok = store.TryAcquire(id, segs[id]); !ok && lazy {
 			missing = append(missing, i)
 		}
 	}
-	load := func(i int) { hs[i], errs[i] = store.Acquire(ex.ctx, ids[i]) }
+	load := func(i int) { hs[i], errs[i] = store.Acquire(ex.ctx, ids[i], segs[ids[i]]) }
 	// The ingestion fan-out is the query's effective DOP — the same
 	// adaptive split as stage-2 execution, so a 16-client cold burst
 	// does not spawn 16×GOMAXPROCS decode goroutines. A fan-out of one —

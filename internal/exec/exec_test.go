@@ -39,13 +39,13 @@ type fakeLoader struct {
 	delay  time.Duration
 }
 
-func (l *fakeLoader) LoadChunkInto(tableName string, chunkID int64, _ *storage.ChunkMem) (*storage.Relation, error) {
+func (l *fakeLoader) LoadChunkInto(tableName string, chunkID int64, _ []int64, _ *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	l.mu.Lock()
 	l.loads = append(l.loads, chunkID)
 	fail := l.fail[chunkID]
 	l.mu.Unlock()
 	if fail {
-		return nil, fmt.Errorf("fake: chunk %d unavailable", chunkID)
+		return nil, nil, fmt.Errorf("fake: chunk %d unavailable", chunkID)
 	}
 	if l.delay > 0 {
 		time.Sleep(l.delay)
@@ -71,7 +71,7 @@ func (l *fakeLoader) LoadChunkInto(tableName string, chunkID int64, _ *storage.C
 		storage.NewFloat64Column(vs),
 		storage.NewTimeColumn(wins),
 	))
-	return rel, nil
+	return rel, nil, nil
 }
 
 func (l *fakeLoader) AllChunkIDs(tableName string) []int64 {
@@ -223,7 +223,7 @@ func TestCacheEvictionReloads(t *testing.T) {
 	// Capacity for roughly two chunks only.
 	var chunkSize int64
 	{
-		rel, _ := loader.LoadChunkInto(seismic.TableD, 0, nil)
+		rel, _, _ := loader.LoadChunkInto(seismic.TableD, 0, nil, nil)
 		chunkSize = rel.MemSize()
 		loader.loads = nil
 	}
@@ -249,7 +249,7 @@ func TestEagerFullScansEverything(t *testing.T) {
 	// Eager plain: one monolithic chunk holding all data.
 	all := storage.NewRelation()
 	for _, id := range loader.chunks {
-		rel, _ := loader.LoadChunkInto(seismic.TableD, id, nil)
+		rel, _, _ := loader.LoadChunkInto(seismic.TableD, id, nil, nil)
 		for _, b := range rel.Batches() {
 			all.Append(b)
 		}
@@ -280,7 +280,7 @@ func TestEagerIndexedPrunesChunks(t *testing.T) {
 	cat, loader := setupCatalog(t, 6)
 	d, _ := cat.Table(seismic.TableD)
 	for _, id := range loader.chunks {
-		rel, _ := loader.LoadChunkInto(seismic.TableD, id, nil)
+		rel, _, _ := loader.LoadChunkInto(seismic.TableD, id, nil, nil)
 		d.Chunks().Install(id, rel)
 	}
 	env := &Env{Catalog: cat, Mode: ModeEagerIndexed}
@@ -317,7 +317,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 		dE, _ := catE.Table(seismic.TableD)
 		all := storage.NewRelation()
 		for _, id := range loaderE.chunks {
-			rel, _ := loaderE.LoadChunkInto(seismic.TableD, id, nil)
+			rel, _, _ := loaderE.LoadChunkInto(seismic.TableD, id, nil, nil)
 			for _, b := range rel.Batches() {
 				all.Append(b)
 			}

@@ -22,8 +22,9 @@ type gatedLoader struct {
 	load  func(call int32) (*storage.Relation, error)
 }
 
-func (l *gatedLoader) LoadChunkInto(string, int64, *storage.ChunkMem) (*storage.Relation, error) {
-	return l.load(l.calls.Add(1))
+func (l *gatedLoader) LoadChunkInto(string, int64, []int64, *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	rel, err := l.load(l.calls.Add(1))
+	return rel, nil, err
 }
 
 func (l *gatedLoader) AllChunkIDs(string) []int64 { return nil }
@@ -61,7 +62,7 @@ func TestFlightSharesLeaderResult(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h, err := s.Acquire(context.Background(), 7)
+		h, err := s.Acquire(context.Background(), 7, nil)
 		if err != nil || !h.Loaded || h.Rel() != want {
 			t.Errorf("leader: %+v %v", h, err)
 		}
@@ -76,7 +77,7 @@ func TestFlightSharesLeaderResult(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var err error
-			if hs[i], err = s.Acquire(context.Background(), 7); err != nil {
+			if hs[i], err = s.Acquire(context.Background(), 7, nil); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
 		}(i)
@@ -116,7 +117,7 @@ func TestFlightWaiterCancelled(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		h, err := s.Acquire(context.Background(), 3)
+		h, err := s.Acquire(context.Background(), 3, nil)
 		h.Release()
 		leaderDone <- err
 	}()
@@ -125,7 +126,7 @@ func TestFlightWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		h, err := s.Acquire(ctx, 3)
+		h, err := s.Acquire(ctx, 3, nil)
 		h.Release()
 		waiterDone <- err
 	}()
@@ -147,7 +148,7 @@ func TestFlightWaiterCancelled(t *testing.T) {
 		t.Fatalf("leader failed after waiter cancellation: %v", err)
 	}
 	// And the key is clear: a fresh caller becomes a fresh leader.
-	h, err := s.Acquire(context.Background(), 3)
+	h, err := s.Acquire(context.Background(), 3, nil)
 	if err != nil || !h.Loaded || l.calls.Load() != 2 {
 		t.Fatalf("fresh flight after cancellation: %+v %v, %d loads", h, err, l.calls.Load())
 	}
@@ -168,10 +169,10 @@ func TestFlightErrorNotCached(t *testing.T) {
 	}}
 	s := flightStore(l)
 
-	if _, err := s.Acquire(context.Background(), 11); !errors.Is(err, injected) {
+	if _, err := s.Acquire(context.Background(), 11, nil); !errors.Is(err, injected) {
 		t.Fatalf("first call: %v", err)
 	}
-	h, err := s.Acquire(context.Background(), 11)
+	h, err := s.Acquire(context.Background(), 11, nil)
 	if err != nil || !h.Loaded {
 		t.Fatalf("retry after failure: %+v %v", h, err)
 	}
@@ -200,7 +201,7 @@ func TestFlightErrorSharedWithWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.Acquire(context.Background(), 13); !errors.Is(err, injected) {
+		if _, err := s.Acquire(context.Background(), 13, nil); !errors.Is(err, injected) {
 			t.Errorf("leader err = %v", err)
 		}
 	}()
@@ -211,7 +212,7 @@ func TestFlightErrorSharedWithWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Acquire(context.Background(), 13)
+			_, errs[i] = s.Acquire(context.Background(), 13, nil)
 		}(i)
 	}
 	time.Sleep(10 * time.Millisecond)

@@ -3,6 +3,7 @@ package mseed
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -37,23 +38,60 @@ func TestReadBytesCorruptionSafety(t *testing.T) {
 // FuzzReadBytes: chunk files come from an archive the process does not
 // control. Whatever the bytes, ReadBytes fails with an error or returns
 // a file that writes and reads back to the same segments — it never
-// panics. Seeded with the byte-flip corpus of the test above.
+// panics. And a read filtered by a segment mask is the full read's
+// selected segments, headers and samples bit for bit, the others
+// skipped; it fails whenever the full read fails a checksum. Seeded
+// with the byte-flip corpus of the test above and a file of several
+// segments under a few masks.
 func FuzzReadBytes(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Write(&buf, benchFile(500)); err != nil {
 		f.Fatal(err)
 	}
 	data := buf.Bytes()
-	f.Add(data)
+	f.Add(data, uint32(1))
 	for off := 0; off < len(data); off += 7 {
 		c := append([]byte(nil), data...)
 		c[off] ^= 0x80
-		f.Add(c)
+		f.Add(c, uint32(off)|1)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	buf.Reset()
+	if err := Write(&buf, segmentedFile(5, 300)); err != nil {
+		f.Fatal(err)
+	}
+	for _, mask := range []uint32{0, 1, 0b10110, 0b11111} {
+		f.Add(buf.Bytes(), mask)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mask uint32) {
+		segs := []int64{} // the segment IDs below 32 that mask sets
+		for id := int64(0); id < 32; id++ {
+			if mask>>id&1 != 0 {
+				segs = append(segs, id)
+			}
+		}
 		file, err := ReadBytes(data)
+		part, perr := ReadInto(bytes.NewReader(data), new(Scratch), segs)
 		if err != nil {
+			if strings.Contains(err.Error(), "checksum mismatch") && perr == nil {
+				t.Fatalf("the full read fails a checksum (%v), the filtered one does not", err)
+			}
 			return
+		}
+		if perr != nil {
+			t.Fatalf("the full read succeeds, the filtered one fails: %v", perr)
+		}
+		if len(part.Segments) != len(file.Segments) {
+			t.Fatalf("filtered read: %d segments, want %d", len(part.Segments), len(file.Segments))
+		}
+		for i, seg := range file.Segments {
+			got := part.Segments[i]
+			_, selected := slices.BinarySearch(segs, int64(seg.Header.ID))
+			if got.Header != seg.Header || got.Skipped == selected {
+				t.Fatalf("segment %d: header %+v skipped %v, want %+v selected %v", i, got.Header, got.Skipped, seg.Header, selected)
+			}
+			if selected && !slices.Equal(got.Samples, seg.Samples) || !selected && got.Samples != nil {
+				t.Fatalf("segment %d: filtered samples differ from the full read", i)
+			}
 		}
 		var out bytes.Buffer
 		if err := Write(&out, file); err != nil {
@@ -74,4 +112,19 @@ func FuzzReadBytes(f *testing.F) {
 			}
 		}
 	})
+}
+
+// segmentedFile is a file of nseg segments of n samples each, segment i
+// with ID i.
+func segmentedFile(nseg, n int) *File {
+	f := benchFile(nseg * n)
+	all := f.Segments[0].Samples
+	f.Segments = nil
+	for i := 0; i < nseg; i++ {
+		f.Segments = append(f.Segments, Segment{
+			Header:  SegmentHeader{ID: int32(i), StartTime: int64(i) * 1e12, SampleRate: 20, SampleCount: int32(n)},
+			Samples: all[i*n : (i+1)*n],
+		})
+	}
+	return f
 }

@@ -79,12 +79,25 @@ func (h SegmentHeader) EndTime() int64 {
 type Segment struct {
 	Header  SegmentHeader
 	Samples []int32
+	// Skipped marks a segment a filtered read (ReadInto) did not
+	// select: its header only, its Samples nil.
+	Skipped bool
 }
 
-// File is a fully decoded chunk.
+// File is a decoded chunk.
 type File struct {
 	Header   FileHeader
 	Segments []Segment
+}
+
+// Partial reports whether a filtered read skipped any segment.
+func (f *File) Partial() bool {
+	for _, s := range f.Segments {
+		if s.Skipped {
+			return true
+		}
+	}
+	return false
 }
 
 // SampleCount returns the total number of samples across segments.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 )
 
 // ReadMetadata extracts the given metadata of a chunk — file header and
@@ -45,7 +46,7 @@ func ReadMetadata(r io.Reader) (FileHeader, []SegmentHeader, error) {
 // perform a constant number of allocations — the file buffer, the
 // arena, the segment slice — instead of two per segment, and payloads
 // are checksummed in place without ever being copied.
-func Read(r io.Reader) (*File, error) { return ReadInto(r, new(Scratch)) }
+func Read(r io.Reader) (*File, error) { return ReadInto(r, new(Scratch), nil) }
 
 // Scratch is memory chunk decodes reuse: the file buffer and the sample
 // arena, each grown in place when too small. A decoded File's samples
@@ -55,13 +56,17 @@ type Scratch struct {
 	Samples []int32
 }
 
-// ReadInto is Read buffering the file and decoding its samples in s.
-func ReadInto(r io.Reader, s *Scratch) (*File, error) {
+// ReadInto is Read buffering the file in s and decoding into s the
+// samples of the segments whose IDs segs holds (sorted; nil: every
+// segment). The other segments keep their headers in the File but are
+// Skipped: their payloads are checksummed, not decoded, so a file fails
+// a filtered read whenever it fails a whole one on a checksum.
+func ReadInto(r io.Reader, s *Scratch, segs []int64) (*File, error) {
 	var err error
 	if s.Buf, err = readAll(r, s.Buf); err != nil {
 		return nil, err
 	}
-	return decode(s.Buf, s)
+	return decode(s.Buf, s, segs)
 }
 
 // readAll reads r to its end into buf, growing it when too small. Given
@@ -99,10 +104,11 @@ func readAll(r io.Reader, buf []byte) ([]byte, error) {
 // segments' sample slices share one backing arena sized from the
 // segment headers; retaining any one of them retains the whole chunk's
 // samples (callers transform them into columns anyway).
-func ReadBytes(data []byte) (*File, error) { return decode(data, new(Scratch)) }
+func ReadBytes(data []byte) (*File, error) { return decode(data, new(Scratch), nil) }
 
-// decode is ReadBytes decoding the samples into s.Samples.
-func decode(data []byte, s *Scratch) (*File, error) {
+// decode is ReadBytes decoding the samples of the segments segs selects
+// (see ReadInto) into s.Samples.
+func decode(data []byte, s *Scratch, segs []int64) (*File, error) {
 	hdr, nseg, pos, err := parseFileHeader(data)
 	if err != nil {
 		return nil, err
@@ -111,6 +117,10 @@ func decode(data []byte, s *Scratch) (*File, error) {
 	// corrupt count cannot demand more header slots than the file holds.
 	if nseg < 0 || nseg > (len(data)-pos)/segmentHeaderLen {
 		return nil, fmt.Errorf("mseed: %d segments in %d bytes (corrupt chunk)", nseg, len(data))
+	}
+	selected := func(sh SegmentHeader) bool {
+		_, ok := slices.BinarySearch(segs, int64(sh.ID))
+		return segs == nil || ok
 	}
 	// Pass one: segment headers only, to size the sample arena.
 	heads := make([]SegmentHeader, nseg)
@@ -136,7 +146,9 @@ func decode(data []byte, s *Scratch) (*File, error) {
 		}
 		p += int(sh.payloadLen)
 		heads[i] = sh
-		total += int(sh.SampleCount)
+		if selected(sh) {
+			total += int(sh.SampleCount)
+		}
 	}
 	// Pass two: verify and decode each payload into its arena slice.
 	if cap(s.Samples) < total {
@@ -151,6 +163,10 @@ func decode(data []byte, s *Scratch) (*File, error) {
 		p += int(sh.payloadLen)
 		if got := crc32.Checksum(payload, crcTable); got != sh.crc {
 			return nil, fmt.Errorf("mseed: segment %d: checksum mismatch (corrupt chunk)", i)
+		}
+		if !selected(sh) {
+			f.Segments[i] = Segment{Header: sh, Skipped: true}
+			continue
 		}
 		out := arena[off : off+int(sh.SampleCount) : off+int(sh.SampleCount)]
 		off += int(sh.SampleCount)

@@ -259,6 +259,9 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 			continue
 		}
 		b := m.rel.Batches()[m.idx]
+		if b.Len() == 0 {
+			continue // a skipped segment's place in a chunk
+		}
 		if s.srcCols != nil {
 			cols := make([]storage.Column, len(s.srcCols))
 			for i, sc := range s.srcCols {

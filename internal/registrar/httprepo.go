@@ -458,36 +458,38 @@ func escapePath(p string) string {
 // AllChunkIDs implements chunkstore.Loader.
 func (r *HTTPRepository) AllChunkIDs(tableName string) []int64 { return allChunkIDs(r) }
 
-// LoadChunk is chunk-access over HTTP into fresh memory (see
-// LoadChunkContext).
+// LoadChunk is chunk-access of a whole chunk over HTTP into fresh
+// memory (see LoadChunkContext).
 func (r *HTTPRepository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	return r.LoadChunkInto(tableName, chunkID, nil)
+	rel, _, err := r.LoadChunkInto(tableName, chunkID, nil, nil)
+	return rel, err
 }
 
 // LoadChunkInto implements chunkstore.Loader: chunk-access over HTTP
 // (see LoadChunkContext).
-func (r *HTTPRepository) LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
-	return r.LoadChunkContext(context.Background(), tableName, chunkID, mem)
+func (r *HTTPRepository) LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	return r.LoadChunkContext(context.Background(), tableName, chunkID, segs, mem)
 }
 
 // LoadChunkContext is the chunk-access operator over the hardened
-// fetch path, landing the chunk in mem (see LoadChunkFromSource). A
+// fetch path, landing the segments segs selects in mem (see
+// LoadChunkFromSource). A
 // chunk whose fetch exhausts its retries — or whose payload fails to
 // decode — is quarantined for QuarantineTTL; while quarantined,
 // requests for it fail immediately without touching the archive. All
 // failures except caller cancellation are reported as a *ChunkError,
 // which is Degradable.
-func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	r.init()
 	if reason, ok := r.quar.check(chunkID, time.Now()); ok {
-		return nil, &ChunkError{Table: tableName, Chunk: chunkID, Quarantined: true, Err: errors.New(reason)}
+		return nil, nil, &ChunkError{Table: tableName, Chunk: chunkID, Quarantined: true, Err: errors.New(reason)}
 	}
-	rel, err := LoadChunkFromSource(ctx, r, tableName, chunkID, mem)
+	rel, cov, err := LoadChunkFromSource(ctx, r, tableName, chunkID, segs, mem)
 	if err == nil {
-		return rel, nil
+		return rel, cov, nil
 	}
 	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		return nil, err
+		return nil, nil, err
 	}
 	ce := &ChunkError{Table: tableName, Chunk: chunkID, Err: err}
 	var ff *fetchFailure
@@ -503,7 +505,7 @@ func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string,
 		// quarantined.
 		r.quar.add(chunkID, ce.Err.Error(), time.Now())
 	}
-	return nil, ce
+	return nil, nil, ce
 }
 
 // Health is the reliability snapshot surfaced on sommelierd's /stats.

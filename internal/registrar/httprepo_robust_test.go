@@ -276,7 +276,7 @@ func TestBackoffSleepHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := repo.LoadChunkContext(ctx, seismic.TableD, 0, nil)
+		_, _, err := repo.LoadChunkContext(ctx, seismic.TableD, 0, nil, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the first attempt fail and the backoff start

@@ -177,7 +177,7 @@ func injectorFor(src Source) *fault.Injector {
 // chunk store loads through (chunkstore.Loader's method set).
 type ChunkSource interface {
 	Source
-	LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error)
+	LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
 	AllChunkIDs(tableName string) []int64
 }
 
@@ -270,15 +270,16 @@ func (r *Repository) AllChunkIDs(tableName string) []int64 {
 	return allChunkIDs(r)
 }
 
-// LoadChunk is the chunk-access operator into fresh memory:
-// LoadChunkInto without a ChunkMem.
+// LoadChunk is the chunk-access operator of a whole chunk into fresh
+// memory: LoadChunkInto of every segment, without a ChunkMem.
 func (r *Repository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	return r.LoadChunkInto(tableName, chunkID, nil)
+	rel, _, err := r.LoadChunkInto(tableName, chunkID, nil, nil)
+	return rel, err
 }
 
 // LoadChunkInto implements chunkstore.Loader: the chunk-access operator.
-func (r *Repository) LoadChunkInto(tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
-	return LoadChunkFromSource(context.Background(), r, tableName, chunkID, mem)
+func (r *Repository) LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	return LoadChunkFromSource(context.Background(), r, tableName, chunkID, segs, mem)
 }
 
 func allChunkIDs(src Source) []int64 {
@@ -290,15 +291,19 @@ func allChunkIDs(src Source) []int64 {
 }
 
 // LoadChunkFromSource is the chunk-access operator over any source: it
-// fully decodes one chunk through the domain codec and transforms it
-// into the D schema, materializing per-sample timestamps. The file is
+// decodes the segments of one chunk whose IDs segs holds (sorted; nil:
+// every one) through the domain codec and transforms them into the D
+// schema, materializing per-sample timestamps. It returns the relation
+// with its coverage: segs, or nil when segs names every segment of the
+// file. Every payload is checksummed, selected or not. The file is
 // buffered in mem's scratch and the chunk lands in an arena taken from
-// it (ChunkToRelationInto); a nil mem allocates. Sources implementing
-// ContextSource get ctx for the byte fetch, and the mseed.decode fault
-// point can corrupt or fail the payload before decoding.
-func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chunkID int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+// it (ChunkToRelationInto) sized for the selected segments; a nil mem
+// allocates. Sources implementing ContextSource get ctx for the byte
+// fetch, and the mseed.decode fault point can corrupt or fail the
+// payload before decoding.
+func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	if tableName != seismic.TableD {
-		return nil, fmt.Errorf("registrar: unknown actual-data table %q", tableName)
+		return nil, nil, fmt.Errorf("registrar: unknown actual-data table %q", tableName)
 	}
 	var rc io.ReadCloser
 	var err error
@@ -308,16 +313,16 @@ func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chun
 		rc, err = src.Open(chunkID)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer rc.Close()
 	var body io.Reader = rc
 	if act := injectorFor(src).Check(fault.PointDecode); act.Err != nil || act.Delay > 0 || act.Corrupt {
 		if err := act.Wait(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if act.Err != nil {
-			return nil, fmt.Errorf("registrar: chunk-access %d: %w", chunkID, act.Err)
+			return nil, nil, fmt.Errorf("registrar: chunk-access %d: %w", chunkID, act.Err)
 		}
 		if act.Corrupt {
 			body = fault.CorruptReader(body, act.CorruptSeed)
@@ -328,11 +333,14 @@ func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chun
 		sc = mseed.Scratch{Buf: mem.Buf, Samples: mem.Samples}
 		defer func() { mem.Buf, mem.Samples = sc.Buf, sc.Samples }()
 	}
-	f, err := mseed.ReadInto(body, &sc)
+	f, err := mseed.ReadInto(body, &sc, segs)
 	if err != nil {
-		return nil, fmt.Errorf("registrar: chunk-access %d: %w", chunkID, err)
+		return nil, nil, fmt.Errorf("registrar: chunk-access %d: %w", chunkID, err)
 	}
-	return ChunkToRelationInto(chunkID, f, mem), nil
+	if !f.Partial() {
+		segs = nil
+	}
+	return ChunkToRelationInto(chunkID, f, mem), segs, nil
 }
 
 // ChunkToRelation converts a decoded chunk into the D table layout,
@@ -349,6 +357,12 @@ func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
 
 // ChunkToRelationInto is ChunkToRelation writing sample_time and
 // sample_value into an arena taken from mem; a nil mem allocates.
+//
+// A segment a filtered read skipped keeps its place as empty batches,
+// as many as its rows would fill: every load of a chunk, whatever its
+// segments, has the whole chunk's batch layout, so stage two cuts the
+// same morsel ranges over it and range-partitioned float aggregates
+// round the same way.
 //
 // A segment whose timestamps never decrease and never wrap costs per
 // batch, past the fill, only its ends, for the sample_time zone, and one
@@ -369,6 +383,9 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 			ts[i], vals[i] = start+int64(float64(i)*period), float64(v)
 		}
 		off += n
+		if seg.Skipped {
+			n = int(seg.Header.SampleCount)
+		}
 		nBatches += (n + storage.BatchSize - 1) / storage.BatchSize
 	}
 	var (
@@ -384,7 +401,18 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 	}
 	const window = int64(seismic.WindowDuration)
 	tsAll, valAll := arena.Ints, arena.Floats
+	var hollow *storage.Batch
 	for _, seg := range f.Segments {
+		if seg.Skipped {
+			if hollow == nil {
+				hollow = storage.NewBatch(storage.NewInt64Column(nil), storage.NewInt64Column(nil),
+					storage.NewTimeColumn(nil), storage.NewFloat64Column(nil), storage.NewTimeColumn(nil))
+			}
+			for lo := 0; lo < int(seg.Header.SampleCount); lo += storage.BatchSize {
+				batches, zones = append(batches, hollow), append(zones, nil)
+			}
+			continue
+		}
 		n := len(seg.Samples)
 		ts, vals := tsAll[:n:n], valAll[:n:n]
 		tsAll, valAll = tsAll[n:], valAll[n:]
@@ -619,7 +647,7 @@ func loadAll(repo Source) ([]*storage.Relation, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rels[i], errs[i] = LoadChunkFromSource(context.Background(), repo, seismic.TableD, int64(i), nil)
+			rels[i], _, errs[i] = LoadChunkFromSource(context.Background(), repo, seismic.TableD, int64(i), nil, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -743,7 +771,7 @@ func BuildIndexes(cat *table.Catalog) (*Indexes, time.Duration, error) {
 	tsCol := dT.Schema.IndexOf("sample_time")
 	chunks := dT.Chunks()
 	for _, id := range chunks.IDs() {
-		h, ok := chunks.TryAcquire(id)
+		h, ok := chunks.TryAcquire(id, nil)
 		if !ok {
 			continue
 		}

@@ -63,6 +63,7 @@ func NewCatalog() *table.Catalog {
 		table.ColumnDef{Name: "sample_value", Kind: storage.KindFloat64},
 		table.ColumnDef{Name: "window_ts", Kind: storage.KindTime},
 	), nil, "file_id")
+	d.SegmentKey = "segment_id"
 
 	h := table.MustNew(TableH, table.DerivedMetadata, table.MustSchema(
 		table.ColumnDef{Name: "window_station", Kind: storage.KindString},

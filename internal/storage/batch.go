@@ -244,8 +244,8 @@ func NewChunkRelation(batches []*Batch, zones [][]Zone) *Relation {
 	}
 	r := &Relation{batches: batches}
 	for _, b := range batches {
-		if b.sel != nil || b.Len() == 0 || b.Width() != batches[0].Width() {
-			panic("storage: chunk relation batches must be contiguous, non-empty and equally wide")
+		if b.sel != nil || b.Width() != batches[0].Width() {
+			panic("storage: chunk relation batches must be contiguous and equally wide")
 		}
 		r.rows += b.Len()
 	}

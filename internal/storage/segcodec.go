@@ -317,9 +317,10 @@ func (d *segDecoder) relation() (*Relation, error) {
 				cols, zs = append(cols, c), append(zs, z)
 			}
 		}
-		if d.sizing || nRows == 0 || nCols == 0 {
-			// An empty batch is dropped (Relation.Append would ignore it
-			// too), zone entry and all, keeping the seeded cache aligned.
+		if d.sizing || nCols == 0 {
+			// A batch without columns is dropped, zone entry and all,
+			// keeping the seeded cache aligned. An empty one is kept: it
+			// holds the place of a segment a chunk load skipped.
 			continue
 		}
 		// Not Append: a chunk relation keeps its column shapes.

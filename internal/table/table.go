@@ -55,6 +55,11 @@ type Table struct {
 	// the owning chunk's ID (e.g. "file_id" in D). Empty for
 	// metadata tables.
 	ChunkKey string
+	// SegmentKey names the column of an actual-data table that carries
+	// the segment of its chunk a row belongs to (e.g. "segment_id" in
+	// D): the unit the loader can load a chunk by. Empty: chunks load
+	// whole.
+	SegmentKey string
 
 	mu     sync.RWMutex
 	data   *storage.Relation

@@ -133,12 +133,12 @@ func TestChunkLifecycle(t *testing.T) {
 	if ids := chunks.IDs(); len(ids) != 2 || ids[0] != 3 || ids[1] != 7 {
 		t.Fatalf("chunk ids = %v", ids)
 	}
-	h, ok := chunks.TryAcquire(3)
+	h, ok := chunks.TryAcquire(3, nil)
 	if !ok || h.Rel().Rows() != 5 {
 		t.Fatal("chunk 3 missing")
 	}
 	h.Release()
-	if _, ok := chunks.TryAcquire(99); ok {
+	if _, ok := chunks.TryAcquire(99, nil); ok {
 		t.Fatal("phantom chunk")
 	}
 	// Installing over a resident chunk replaces it.
@@ -155,7 +155,7 @@ func TestChunkLifecycle(t *testing.T) {
 // the arena the store hands it: chunk id holds the value id.
 type arenaLoader struct{ n int }
 
-func (l arenaLoader) LoadChunkInto(_ string, id int64, mem *storage.ChunkMem) (*storage.Relation, error) {
+func (l arenaLoader) LoadChunkInto(_ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	a := mem.TakeArena(l.n, l.n)
 	ids := make([]int64, l.n)
 	for i := range ids {
@@ -163,7 +163,7 @@ func (l arenaLoader) LoadChunkInto(_ string, id int64, mem *storage.ChunkMem) (*
 	}
 	r := storage.NewRelation()
 	r.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewTimeColumn(a.Ints), storage.NewFloat64Column(a.Floats)))
-	return r, nil
+	return r, nil, nil
 }
 
 func (arenaLoader) AllChunkIDs(string) []int64 { return nil }
@@ -179,11 +179,11 @@ func TestPinDefersDrop(t *testing.T) {
 	value := func(h chunkstore.Handle) float64 {
 		return storage.Float64s(h.Rel().Batches()[0].Cols[2])[0]
 	}
-	h1, err := chunks.Acquire(ctx, 5)
+	h1, err := chunks.Acquire(ctx, 5, nil)
 	if err != nil || !h1.Loaded {
 		t.Fatalf("acquire: %+v %v", h1, err)
 	}
-	h2, ok := chunks.TryAcquire(5)
+	h2, ok := chunks.TryAcquire(5, nil)
 	if !ok {
 		t.Fatal("loaded chunk not resident")
 	}
@@ -203,7 +203,7 @@ func TestPinDefersDrop(t *testing.T) {
 		t.Fatalf("arena not returned after the last handle: %+v", st)
 	}
 	// The next load writes into it.
-	h3, err := chunks.Acquire(ctx, 6)
+	h3, err := chunks.Acquire(ctx, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
