@@ -101,3 +101,52 @@ func TestDiskTierCoverage(t *testing.T) {
 		t.Fatal("a clean segment with coverage was set aside")
 	}
 }
+
+// TestDiskTierReclaimsDeadBytes: a chunk widened block by block leaves
+// its superseded blocks dead in the file, counted in BytesUsed, until
+// the next open rewrites the file with only the live blocks.
+func TestDiskTierReclaimsDeadBytes(t *testing.T) {
+	defer storage.RequireNoLeaks(t)
+	dir := t.TempDir()
+	dt, err := OpenDiskTier(dir, "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, whole := tierRel(100, 2), tierRel(100, 1)
+	dt.SpillSync(2, other)
+	dt.WaitIdle()
+	base := dt.Stats().BytesUsed
+	for i, segs := range [][]int64{{0}, {0, 1}, {0, 1, 2}, nil} {
+		dt.SpillSync(1, tierRel(25*(i+1), 1), segs...)
+		dt.WaitIdle()
+	}
+	grown := dt.Stats().BytesUsed
+	if err := dt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := 0; reopen < 2; reopen++ {
+		dt, err = OpenDiskTier(dir, "D", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := dt.Stats()
+		live := 2*(base-segHeaderLen) + segHeaderLen // both blocks hold 100 rows of one shape
+		if s.Blocks != 2 || s.BytesUsed != live || s.BytesUsed >= grown {
+			t.Fatalf("reopen %d: %+v; want 2 blocks in %d bytes (%d before)", reopen, s, live, grown)
+		}
+		for id, want := range map[int64]*storage.Relation{1: whole, 2: other} {
+			rel := dt.Promote(id)
+			if rel == nil {
+				t.Fatalf("reopen %d: chunk %d lost", reopen, id)
+			}
+			requireSameRows(t, want, rel)
+			rel.Release()
+		}
+		if err := dt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ms, _ := filepath.Glob(filepath.Join(dir, "D.seg.*")); len(ms) != 0 {
+		t.Fatalf("left behind: %v", ms)
+	}
+}

@@ -33,8 +33,8 @@ package cache
 // A block holds the segments of its chunk that its coverage names (see
 // Covers), and serves only promotes it covers. A chunk's block is
 // superseded — re-indexed to a newer block, the old bytes left dead in
-// the file until it is recreated, still counting toward the capacity —
-// only by a spill that covers strictly more.
+// the file, still counting toward the capacity until the next open
+// reclaims them — only by a spill that covers strictly more.
 //
 // Spills are asynchronous: the recycler's eviction callback runs under
 // the recycler lock, so Spill only enqueues and a single background
@@ -46,11 +46,14 @@ package cache
 // archive-only.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,6 +166,15 @@ func (dt *DiskTier) openFile() error {
 				return fmt.Errorf("cache: quarantining %s: %w", dt.path, err)
 			}
 		} else {
+			live := int64(0)
+			for _, bm := range index {
+				live += blockHdrLen + bm.length
+			}
+			// Dead bytes — superseded blocks' — are reclaimed once they
+			// make up a quarter of the blocks region.
+			if dead := dataEnd - segHeaderLen - live; dead > 0 && 4*dead >= dataEnd-segHeaderLen {
+				return dt.compact(index)
+			}
 			f, err := os.OpenFile(dt.path, os.O_RDWR, 0o644)
 			if err != nil {
 				return err
@@ -185,6 +197,55 @@ func (dt *DiskTier) openFile() error {
 		return err
 	}
 	dt.f, dt.writeOff = f, segHeaderLen
+	return nil
+}
+
+// compact rewrites the verified segment without its dead bytes: the
+// blocks index names, in file order, each under a header rebuilt from
+// its entry. The copy is renamed over the segment only once complete,
+// so a failure leaves the old file, which verified.
+func (dt *DiskTier) compact(index map[int64]blockMeta) error {
+	src, err := os.Open(dt.path)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	tmp := dt.path + ".compact"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if _, err := f.WriteAt(append([]byte(segMagic), segVersion), 0); err != nil {
+		return fail(err)
+	}
+	off := int64(segHeaderLen)
+	moved := make(map[int64]blockMeta, len(index))
+	var blk []byte
+	for _, id := range slices.SortedFunc(maps.Keys(index), func(a, b int64) int { return cmp.Compare(index[a].off, index[b].off) }) {
+		bm := index[id]
+		blk = slices.Grow(blk[:0], blockHdrLen+int(bm.length))[:blockHdrLen+bm.length]
+		binary.LittleEndian.PutUint64(blk[0:], uint64(id))
+		binary.LittleEndian.PutUint32(blk[8:], uint32(bm.length))
+		binary.LittleEndian.PutUint32(blk[12:], bm.crc)
+		if _, err := src.ReadAt(blk[blockHdrLen:], bm.off); err != nil {
+			return fail(err)
+		}
+		if _, err := f.WriteAt(blk, off); err != nil {
+			return fail(err)
+		}
+		bm.off = off + blockHdrLen
+		moved[id] = bm
+		off += int64(len(blk))
+	}
+	if err := os.Rename(tmp, dt.path); err != nil {
+		return fail(err)
+	}
+	dt.f, dt.index, dt.writeOff = f, moved, off
 	return nil
 }
 
@@ -237,7 +298,9 @@ func verifySegment(path string) (map[int64]blockMeta, int64, error) {
 	// Parse footer entries.
 	rd := payload[4:]
 	n, sz := binary.Uvarint(rd)
-	if sz <= 0 {
+	// An entry takes at least 8 bytes: a count past that is garbage, and
+	// would size the index map.
+	if sz <= 0 || n > uint64(len(rd)) {
 		return nil, 0, fmt.Errorf("bad footer count")
 	}
 	rd = rd[sz:]

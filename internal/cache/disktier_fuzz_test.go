@@ -87,6 +87,12 @@ func FuzzOpenDiskTier(f *testing.F) {
 			}
 			return
 		}
+		// Open may have rewritten the file without its dead bytes: the
+		// index refers to the file as it is now.
+		data, err = os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dt.mu.Lock()
 		index := make(map[int64]blockMeta, len(dt.index))
 		for id, bm := range dt.index {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -232,28 +233,40 @@ func TestDiskTierMissingFooterQuarantined(t *testing.T) {
 
 // TestDiskTierHugeFooterLengthQuarantined: a footer whose CRC is valid
 // but whose block length is at least 2^63 is quarantined at open, not
-// read as a negative slice bound.
+// read as a negative slice bound; so is one claiming far more entries
+// than its bytes hold, before that count sizes anything.
 func TestDiskTierHugeFooterLengthQuarantined(t *testing.T) {
 	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
-	path := corruptTier(t, dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		what          string
+		count, length uint64
+	}{{"huge footer length", 1, 1<<63 + 2}, {"huge footer count", 1 << 20, 8}} {
+		path := corruptTier(t, dir)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		footOff := binary.LittleEndian.Uint64(data[len(data)-segTrailerLen:])
+		foot := binary.AppendUvarint([]byte(segFooterMagic), c.count)
+		foot = binary.AppendVarint(foot, 1)
+		foot = binary.AppendUvarint(foot, segHeaderLen)
+		foot = binary.AppendUvarint(foot, c.length)
+		foot = binary.LittleEndian.AppendUint32(foot, 0)
+		foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
+		foot = binary.LittleEndian.AppendUint64(foot, footOff)
+		foot = append(foot, segTrailMagic...)
+		if err := os.WriteFile(path, append(data[:footOff:footOff], foot...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		requireQuarantined(t, dir, path, c.what)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: open allocated %d bytes", c.what, grew)
+		}
 	}
-	footOff := binary.LittleEndian.Uint64(data[len(data)-segTrailerLen:])
-	foot := append([]byte(segFooterMagic), 1) // one entry
-	foot = binary.AppendVarint(foot, 1)
-	foot = binary.AppendUvarint(foot, segHeaderLen)
-	foot = binary.AppendUvarint(foot, 1<<63+2)
-	foot = binary.LittleEndian.AppendUint32(foot, 0)
-	foot = binary.LittleEndian.AppendUint32(foot, crc32.ChecksumIEEE(foot))
-	foot = binary.LittleEndian.AppendUint64(foot, footOff)
-	foot = append(foot, segTrailMagic...)
-	if err := os.WriteFile(path, append(data[:footOff:footOff], foot...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	requireQuarantined(t, dir, path, "huge footer length")
 
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {

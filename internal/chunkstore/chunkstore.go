@@ -68,6 +68,11 @@ type Store struct {
 	mu       sync.RWMutex
 	resident map[int64]*chunk
 	flights  map[int64]*flight
+	// admitMu serializes every path that can evict — admission and
+	// Clear — with the replacement of a resident entry, so the old
+	// entry's recycler slot cannot evict its replacement before the
+	// replacement is admitted. Order: admitMu, the recycler's lock, mu.
+	admitMu sync.Mutex
 
 	// Free lists, each at most maxFree long: arenas of released chunks,
 	// scratch of finished loads.
@@ -273,6 +278,11 @@ func (s *Store) wait(ctx context.Context, f *flight) (Handle, error) {
 func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	t0 := time.Now()
 	c, promoted, err := s.load(ctx, id, f.segs)
+	resident := err == nil && s.rec != nil
+	if resident {
+		s.admitMu.Lock()
+		defer s.admitMu.Unlock()
+	}
 	var old *chunk
 	s.mu.Lock()
 	delete(s.flights, id)
@@ -281,7 +291,7 @@ func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 		// residency's — installed before admission, so an eviction
 		// callback can never miss it.
 		c.refs.Store(int64(1 + f.waiters))
-		if s.rec != nil {
+		if resident {
 			c.refs.Add(1)
 			old = s.resident[id]
 			s.resident[id] = c
@@ -293,23 +303,35 @@ func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
+	if resident && testHookInstalled != nil {
+		testHookInstalled(id)
+	}
 	if old != nil {
 		s.topups.Add(1)
 		old.unref()
 	}
-	// A widened entry is re-admitted at its new size.
-	if s.rec != nil && !s.rec.Admit(id, c.bytes, time.Since(t0)) {
+	// A widened entry is re-admitted at its new size. Under admitMu
+	// nothing evicts between the replacement and this admission, so c
+	// is still the resident entry.
+	if resident && !s.rec.Admit(id, c.bytes, time.Since(t0)) {
 		// Larger than the whole cache: transient after all.
 		s.rec.Drop(id)
 		s.mu.Lock()
-		if s.resident[id] == c {
+		mine := s.resident[id] == c
+		if mine {
 			delete(s.resident, id)
 		}
 		s.mu.Unlock()
-		c.unref()
+		if mine {
+			c.unref()
+		}
 	}
 	return Handle{c: c, Loaded: true, Promoted: promoted}, nil
 }
+
+// testHookInstalled, when set by a test, runs between a load's
+// installation as the resident entry and its admission.
+var testHookInstalled func(id int64)
 
 // FillError is a load that decoded its chunk but failed to make it
 // resident (the cache.fill fault point): it carries the volume the
@@ -535,7 +557,9 @@ func (s *Store) CacheStats() cache.Stats {
 // as after a restart without one.
 func (s *Store) Clear() {
 	if s.rec != nil {
+		s.admitMu.Lock()
 		s.rec.Clear()
+		s.admitMu.Unlock()
 	}
 }
 

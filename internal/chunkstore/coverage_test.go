@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sommelier/internal/cache"
 	"sommelier/internal/storage"
@@ -212,4 +213,111 @@ func TestPromoteCoverage(t *testing.T) {
 		t.Fatalf("uncovered request: %+v loaded %v, holds %v", h, l.last, segsOf(h))
 	}
 	h.Release()
+}
+
+// arenaSegLoader is segLoader writing into the store's arenas: each row
+// of segment seg of chunk id holds id*10+seg, so a handle whose arena
+// went to another load while it still reads shows the wrong values.
+type arenaSegLoader struct{}
+
+func (arenaSegLoader) LoadChunkInto(_ string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	var held []int64
+	for _, seg := range allSegs {
+		if cache.Covers(segs, []int64{seg}) {
+			held = append(held, seg)
+		}
+	}
+	a := mem.TakeArena(0, 10*len(held))
+	batches := make([]*storage.Batch, len(held))
+	for i, seg := range held {
+		vals := a.Floats[10*i : 10*i+10]
+		for j := range vals {
+			vals[j] = float64(id*10 + seg)
+		}
+		batches[i] = storage.NewBatch(storage.NewFloat64Column(vals))
+	}
+	if len(held) == len(allSegs) {
+		held = nil
+	}
+	return storage.NewChunkRelation(batches, make([][]storage.Zone, len(batches))), held, nil
+}
+
+func (arenaSegLoader) AllChunkIDs(string) []int64 { return []int64{0, 1, 2, 3} }
+
+// sizeOf is the charge of chunk 0 holding the segments segs names.
+func sizeOf(t *testing.T, segs []int64) int64 {
+	h := mustAcquireSegs(t, newStore(Config{Loader: arenaSegLoader{}, CacheBytes: 1 << 20}), 0, segs)
+	defer h.Release()
+	return h.c.bytes
+}
+
+func mustAcquireSegs(t *testing.T, s *Store, id int64, segs []int64) Handle {
+	t.Helper()
+	h, err := s.Acquire(context.Background(), id, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestTopUpUnderEviction: an admission that evicts a chunk's old entry
+// while a top-up of it has replaced the entry but not yet been admitted
+// waits for that admission. Here the top-up (the whole chunk) is
+// larger than the cache, so it must end transient: its memory stays
+// valid until its handle is released, and the store and its recycler
+// still agree on what is resident.
+func TestTopUpUnderEviction(t *testing.T) {
+	p1, p2, whole := sizeOf(t, []int64{0}), sizeOf(t, []int64{0, 1}), sizeOf(t, nil)
+	// Room for chunk 2's two segments, not for them and chunk 1's one,
+	// and never for a whole chunk.
+	capacity := p2 + p1/2
+	if whole <= capacity {
+		t.Fatalf("sizes %d/%d/%d leave no room for the race", p1, p2, whole)
+	}
+	s := newStore(Config{Loader: arenaSegLoader{}, CacheBytes: capacity})
+	mustAcquireSegs(t, s, 1, []int64{0}).Release()
+
+	evicting := make(chan struct{})
+	var once sync.Once
+	testHookInstalled = func(id int64) {
+		if id != 1 {
+			return
+		}
+		once.Do(func() {
+			go func() {
+				defer close(evicting)
+				if h, err := s.Acquire(context.Background(), 2, []int64{0, 1}); err == nil {
+					h.Release()
+				}
+			}()
+			// Give the evicting admission every chance to run now.
+			select {
+			case <-evicting:
+			case <-time.After(100 * time.Millisecond):
+			}
+		})
+	}
+	defer func() { testHookInstalled = nil }()
+	h := mustAcquireSegs(t, s, 1, nil)
+	<-evicting
+	// A whole load of another chunk takes the free arena of a whole
+	// chunk's size, if h's went there.
+	mustAcquireSegs(t, s, 3, nil).Release()
+	for _, b := range h.Rel().Batches() {
+		if v := storage.Float64s(b.Cols[0])[0]; v < 10 || v > 13 {
+			t.Fatalf("the top-up's handle reads %v: its arena was reused", v)
+		}
+	}
+	h.Release()
+	st, rst := s.Stats(), s.rec.Stats()
+	if st.Resident != rst.Chunks || st.ResidentBytes != rst.BytesUsed {
+		t.Errorf("store holds %d entries of %d bytes, the recycler charges %d of %d", st.Resident, st.ResidentBytes, rst.Chunks, rst.BytesUsed)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for id, c := range s.resident {
+		if n := c.refs.Load(); n != 1 {
+			t.Errorf("idle resident chunk %d holds %d references", id, n)
+		}
+	}
 }
