@@ -56,11 +56,12 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-## bench-micro runs the operator, storage, wire-render and disk-tier
-## promote microbenchmarks with allocation counts; compare against a baseline
-## with benchstat.
+## bench-micro runs the operator, storage, wire-render, disk-tier
+## promote and chunk-store hit microbenchmarks with allocation counts;
+## compare against a baseline with benchstat.
 bench-micro:
 	$(GO) test -run='^$$' -bench='BenchmarkFilter|BenchmarkZoneSkip|BenchmarkHashJoin|BenchmarkGroupedAggregate' -benchmem ./internal/physical/
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/storage/
 	$(GO) test -run='^$$' -bench='BenchmarkRender' -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkPromote' -benchmem ./internal/cache/
+	$(GO) test -run='^$$' -bench='BenchmarkAcquireHit' -benchmem ./internal/chunkstore/

@@ -4,10 +4,14 @@
 // additionally offers the cost-aware replacement policy the paper lists
 // as future work ("Smarter Caching"), where eviction weighs loading
 // cost against recency.
+//
+// The recycler is a policy, not a map: the chunk store owns the
+// resident entries and their one lock (chunkstore.Store's mu), which
+// guards the recycler's charges and LRU list along with its own map.
+// The package's other half, the disk tier, has locks of its own.
 package cache
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -35,147 +39,113 @@ type Stats struct {
 	Chunks    int
 }
 
-type entry struct {
+// Entry is one resident chunk's replacement state: its charge, load
+// cost, reuse count, recency and LRU links. The chunk store keeps one
+// in each of its chunks; the store's lock guards it, as it guards the
+// Recycler.
+type Entry struct {
 	id       int64
 	bytes    int64
 	loadCost time.Duration
 	hits     atomic.Int64
 	lastUsed atomic.Int64 // logical clock
 
-	// Intrusive LRU list linkage, guarded by the recycler write lock.
-	// stamp records lastUsed as of the entry's most recent reposition:
-	// lastUsed > stamp means the entry was touched (lock-free, by Touch)
-	// since it was placed, and deserves a second chance before eviction.
-	prev, next *entry
+	// Intrusive LRU list linkage, changed only under the owner's
+	// exclusive lock. stamp records lastUsed as of the entry's most
+	// recent reposition: lastUsed > stamp means the entry was touched
+	// (lock-free, by Touch) since it was placed, and deserves a second
+	// chance before eviction.
+	prev, next *Entry
 	stamp      int64
 }
 
-// Recycler is a byte-capacity bounded cache of chunk IDs: the
-// replacement policy of a chunk store (internal/chunkstore), which it
-// tells what to drop through the eviction callback.
+// Recycler is the replacement policy of a chunk store
+// (internal/chunkstore): it charges the entries the store admits
+// against a byte capacity and picks the victims that make room. It
+// holds no entries of its own and no lock: the store calls it under
+// its own lock — exclusive for Admit and Clear, shared (at least) for
+// Touch and Stats.
 //
-// Touch is the per-chunk hot path of every lazy query, so it never
-// takes the exclusive lock: the entry map is read under an RWMutex read
-// lock, and recency (a logical clock stamped onto the entry) is a plain
-// atomic. Only structural changes — admission, eviction, drops —
-// serialize on the write lock.
+// Touch is the per-chunk hot path of every lazy query, so it is plain
+// atomics: recency is a logical clock stamped onto the entry.
 //
-// Recency is two-level: Touch stamps a logical clock onto the entry
-// with plain atomics (an exclusive-locked move-to-front would
-// serialize the hot path), while an intrusive doubly-linked list —
-// maintained only under the write lock, where structural changes
-// already serialize — keeps entries in approximate recency order. LRU
-// victim selection pops the list tail and lazily repositions entries
-// whose atomic stamp outran their list position (a second chance),
-// giving amortized O(1) eviction; before the list, every eviction
-// scanned all entries for the minimum timestamp, a cost that grew with
-// cache size exactly when the disk tier raises eviction churn.
+// Recency is two-level: Touch stamps the clock onto the entry (an
+// exclusive move-to-front would serialize the hot path), while an
+// intrusive doubly-linked list — maintained only under the exclusive
+// lock, where structural changes already serialize — keeps entries in
+// approximate recency order. LRU victim selection pops the list tail
+// and lazily repositions entries whose atomic stamp outran their list
+// position (a second chance), giving amortized O(1) eviction; before
+// the list, every eviction scanned all entries for the minimum
+// timestamp, a cost that grew with cache size exactly when the disk
+// tier raises eviction churn.
 type Recycler struct {
-	mu       sync.RWMutex
-	capacity int64
-	used     int64 // guarded by mu (write lock)
-	policy   Policy
-	entries  map[int64]*entry
-	onEvict  func(chunkID int64)
+	capacity  int64
+	policy    Policy
+	used      int64
+	n         int // admitted entries
+	evictions int64
 
 	// LRU list: head is most recently positioned, tail the eviction
-	// candidate. Guarded by mu (write lock).
-	lruHead, lruTail *entry
+	// candidate; it links every admitted entry.
+	lruHead, lruTail *Entry
 
-	clock     atomic.Int64
-	evictions atomic.Int64
+	clock atomic.Int64
 }
 
-// New creates a recycler with the given byte capacity and policy.
-// onEvict (may be nil) is called with the chunk ID after eviction.
-// A capacity of zero disables caching entirely: every Admit is refused.
-func New(capacity int64, policy Policy, onEvict func(int64)) *Recycler {
-	return &Recycler{
-		capacity: capacity,
-		policy:   policy,
-		entries:  make(map[int64]*entry),
-		onEvict:  onEvict,
-	}
+// New creates a recycler with the given byte capacity and policy. A
+// capacity of zero disables caching entirely: every Admit is refused.
+func New(capacity int64, policy Policy) *Recycler {
+	return &Recycler{capacity: capacity, policy: policy}
 }
 
-// Touch refreshes a resident chunk's recency and reuse count: the
-// recycler's view of a cache hit. An absent chunk is ignored.
-func (r *Recycler) Touch(chunkID int64) {
-	r.mu.RLock()
-	e, ok := r.entries[chunkID]
-	r.mu.RUnlock()
-	if ok {
-		r.touch(e)
-	}
-}
-
-// Peek reports residency without touching statistics or recency.
-func (r *Recycler) Peek(chunkID int64) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.entries[chunkID]
-	return ok
-}
-
-func (r *Recycler) touch(e *entry) {
+// Touch refreshes an admitted entry's recency and reuse count: the
+// recycler's view of a cache hit.
+func (r *Recycler) Touch(e *Entry) {
 	e.lastUsed.Store(r.clock.Add(1))
 	e.hits.Add(1)
 }
 
-// Admit registers a freshly loaded chunk, evicting as needed. It
-// returns false — and evicts nothing — if the chunk can never fit
-// (larger than capacity); the caller then treats the chunk as
-// uncacheable and drops it after the query.
-func (r *Recycler) Admit(chunkID int64, bytes int64, loadCost time.Duration) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// Admit charges e, the chunk id's new entry, bytes, in place of old
+// (nil: none), and evicts until the charges fit the capacity, never e.
+// It returns the IDs of the evicted entries, which the caller stops
+// holding resident. It returns false — changing nothing, old included —
+// if the chunk can never fit (larger than capacity); the caller then
+// treats it as uncacheable and drops it after the query.
+func (r *Recycler) Admit(id int64, e *Entry, bytes int64, loadCost time.Duration, old *Entry) ([]int64, bool) {
 	if bytes > r.capacity {
-		return false
+		return nil, false
 	}
-	if e, ok := r.entries[chunkID]; ok {
-		// Re-admission updates size accounting.
-		r.used += bytes - e.bytes
-		e.bytes = bytes
-		e.loadCost = loadCost
-		r.touch(e)
-		r.unlinkLocked(e)
-		r.pushFrontLocked(e)
-		r.evictOverflowLocked(chunkID)
-		return true
+	if old != nil {
+		// A replacement keeps the entry's reuse and counts as one more.
+		r.remove(old)
+		e.hits.Store(old.hits.Load() + 1)
 	}
-	e := &entry{id: chunkID, bytes: bytes, loadCost: loadCost}
+	e.id, e.bytes, e.loadCost = id, bytes, loadCost
 	e.lastUsed.Store(r.clock.Add(1))
-	r.entries[chunkID] = e
-	r.pushFrontLocked(e)
+	r.pushFront(e)
 	r.used += bytes
-	r.evictOverflowLocked(chunkID)
-	_, stillThere := r.entries[chunkID]
-	return stillThere
-}
-
-// evictOverflowLocked evicts until used ≤ capacity, never evicting the
-// pinned chunk (the one just admitted).
-func (r *Recycler) evictOverflowLocked(pinned int64) {
+	r.n++
+	var evicted []int64
 	for r.used > r.capacity {
-		victim := r.victimLocked(pinned)
+		victim := r.victim(e)
 		if victim == nil {
-			return
+			break
 		}
-		r.removeLocked(victim)
-		r.evictions.Add(1)
-		if r.onEvict != nil {
-			r.onEvict(victim.id)
-		}
+		r.remove(victim)
+		r.evictions++
+		evicted = append(evicted, victim.id)
 	}
+	return evicted, true
 }
 
-func (r *Recycler) victimLocked(pinned int64) *entry {
+func (r *Recycler) victim(pinned *Entry) *Entry {
 	switch r.policy {
 	case CostAware:
-		var worst *entry
+		var worst *Entry
 		var worstScore float64
-		for _, e := range r.entries {
-			if e.id == pinned {
+		for e := r.lruHead; e != nil; e = e.next {
+			if e == pinned {
 				continue
 			}
 			// Benefit of keeping: reload cost × observed reuse,
@@ -195,21 +165,21 @@ func (r *Recycler) victimLocked(pinned int64) *entry {
 		// their list position. Amortized O(1): each reposition pays for
 		// itself by recording the stamp it honored. The iteration bound
 		// only guards against the pathological case of every entry being
-		// touched continuously while we hold the write lock.
-		for i, limit := 0, 2*len(r.entries)+2; i < limit; i++ {
+		// touched continuously while the exclusive lock is held.
+		for i, limit := 0, 2*r.n+2; i < limit; i++ {
 			e := r.lruTail
 			if e == nil {
 				return nil
 			}
-			if e.id == pinned || e.lastUsed.Load() > e.stamp {
-				r.unlinkLocked(e)
-				r.pushFrontLocked(e)
+			if e == pinned || e.lastUsed.Load() > e.stamp {
+				r.unlink(e)
+				r.pushFront(e)
 				continue
 			}
 			return e
 		}
 		for e := r.lruTail; e != nil; e = e.prev {
-			if e.id != pinned {
+			if e != pinned {
 				return e
 			}
 		}
@@ -217,10 +187,9 @@ func (r *Recycler) victimLocked(pinned int64) *entry {
 	}
 }
 
-// pushFrontLocked links e at the list head and records the recency
-// stamp the position reflects. Caller holds the write lock; e must not
-// be linked.
-func (r *Recycler) pushFrontLocked(e *entry) {
+// pushFront links e at the list head and records the recency stamp
+// the position reflects; e must not be linked.
+func (r *Recycler) pushFront(e *Entry) {
 	e.prev = nil
 	e.next = r.lruHead
 	if r.lruHead != nil {
@@ -232,9 +201,8 @@ func (r *Recycler) pushFrontLocked(e *entry) {
 	e.stamp = e.lastUsed.Load()
 }
 
-// unlinkLocked removes e from the list. Caller holds the write lock;
-// e must be linked.
-func (r *Recycler) unlinkLocked(e *entry) {
+// unlink removes e from the list; e must be linked.
+func (r *Recycler) unlink(e *Entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -248,57 +216,24 @@ func (r *Recycler) unlinkLocked(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-func (r *Recycler) removeLocked(e *entry) {
-	r.unlinkLocked(e)
-	delete(r.entries, e.id)
+func (r *Recycler) remove(e *Entry) {
+	r.unlink(e)
 	r.used -= e.bytes
+	r.n--
 }
 
-// Drop removes a chunk without counting an eviction (used when the
-// owner invalidates data). Reports whether it was resident.
-func (r *Recycler) Drop(chunkID int64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[chunkID]
-	if !ok {
-		return false
+// Clear drops every entry without counting evictions, returning their
+// IDs: a restart for "cold" runs.
+func (r *Recycler) Clear() []int64 {
+	ids := make([]int64, 0, r.n)
+	for e := r.lruHead; e != nil; e = e.next {
+		ids = append(ids, e.id)
 	}
-	r.removeLocked(e)
-	return true
-}
-
-// Clear empties the cache, invoking the eviction callback for every
-// resident chunk. It models a server restart for "cold" runs.
-func (r *Recycler) Clear() {
-	r.mu.Lock()
-	ids := make([]int64, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		r.removeLocked(r.entries[id])
-	}
-	cb := r.onEvict
-	r.mu.Unlock()
-	if cb != nil {
-		for _, id := range ids {
-			cb(id)
-		}
-	}
+	r.lruHead, r.lruTail, r.used, r.n = nil, nil, 0, 0
+	return ids
 }
 
 // Stats returns a snapshot of the counters (Hits and Misses zero).
 func (r *Recycler) Stats() Stats {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return Stats{
-		Evictions: r.evictions.Load(),
-		BytesUsed: r.used,
-		Chunks:    len(r.entries),
-	}
-}
-
-// ResetStats zeroes the eviction counter.
-func (r *Recycler) ResetStats() {
-	r.evictions.Store(0)
+	return Stats{Evictions: r.evictions, BytesUsed: r.used, Chunks: r.n}
 }

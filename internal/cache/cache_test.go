@@ -1,22 +1,44 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
+// order lists the admitted entries' IDs from the LRU list's head (most
+// recently positioned) to its tail.
+func order(r *Recycler) []int64 {
+	var ids []int64
+	for e := r.lruHead; e != nil; e = e.next {
+		ids = append(ids, e.id)
+	}
+	return ids
+}
+
+// admit admits a fresh entry for id, failing the test on a refusal, and
+// returns the entry with the IDs evicted to make room.
+func admit(t *testing.T, r *Recycler, id, bytes int64, cost time.Duration) (*Entry, []int64) {
+	t.Helper()
+	e := new(Entry)
+	evicted, ok := r.Admit(id, e, bytes, cost, nil)
+	if !ok {
+		t.Fatalf("admit of chunk %d (%d B) refused", id, bytes)
+	}
+	return e, evicted
+}
+
 func TestAdmitContains(t *testing.T) {
-	r := New(100, LRU, nil)
-	if r.Peek(1) {
+	r := New(100, LRU)
+	if len(order(r)) != 0 {
 		t.Fatal("empty cache contains chunk")
 	}
-	r.Touch(1) // touching an absent chunk is a no-op
-	if !r.Admit(1, 40, time.Millisecond) {
-		t.Fatal("admit refused")
+	if _, evicted := admit(t, r, 1, 40, time.Millisecond); len(evicted) != 0 {
+		t.Fatalf("evicted = %v", evicted)
 	}
-	if !r.Peek(1) {
-		t.Fatal("admitted chunk missing")
+	if !slices.Equal(order(r), []int64{1}) {
+		t.Fatalf("admitted chunk missing: %v", order(r))
 	}
 	s := r.Stats()
 	if s.Chunks != 1 || s.BytesUsed != 40 {
@@ -24,50 +46,60 @@ func TestAdmitContains(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: the victim is the least recently used entry, and an
+// entry touched since it was placed gets a second chance.
 func TestLRUEviction(t *testing.T) {
-	var evicted []int64
-	r := New(100, LRU, func(id int64) { evicted = append(evicted, id) })
-	r.Admit(1, 40, time.Millisecond)
-	r.Admit(2, 40, time.Millisecond)
-	r.Touch(1) // 1 is now more recent than 2
-	r.Admit(3, 40, time.Millisecond)
-	if len(evicted) != 1 || evicted[0] != 2 {
+	r := New(100, LRU)
+	e1, _ := admit(t, r, 1, 40, time.Millisecond)
+	admit(t, r, 2, 40, time.Millisecond)
+	if !slices.Equal(order(r), []int64{2, 1}) {
+		t.Fatalf("order = %v", order(r))
+	}
+	r.Touch(e1) // 1 is now more recent than 2, though still at the tail
+	_, evicted := admit(t, r, 3, 40, time.Millisecond)
+	if !slices.Equal(evicted, []int64{2}) {
 		t.Fatalf("evicted = %v", evicted)
 	}
-	if !r.Peek(1) || !r.Peek(3) || r.Peek(2) {
-		t.Fatal("wrong residency after eviction")
+	// The second chance repositioned 1 at the head.
+	if !slices.Equal(order(r), []int64{1, 3}) {
+		t.Fatalf("wrong residency after eviction: %v", order(r))
 	}
 	if r.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d", r.Stats().Evictions)
 	}
 }
 
+// TestOversizedChunkRefused: a chunk larger than the capacity is
+// refused without evicting anything — nor the entry it would replace.
 func TestOversizedChunkRefused(t *testing.T) {
-	var evicted []int64
-	r := New(50, LRU, func(id int64) { evicted = append(evicted, id) })
-	r.Admit(1, 30, time.Millisecond)
-	if r.Admit(2, 60, time.Millisecond) {
+	r := New(50, LRU)
+	e1, _ := admit(t, r, 1, 30, time.Millisecond)
+	if _, ok := r.Admit(2, new(Entry), 60, time.Millisecond, nil); ok {
 		t.Fatal("oversized chunk admitted")
 	}
-	if len(evicted) != 0 {
-		t.Fatal("oversized admit evicted residents")
+	if _, ok := r.Admit(1, new(Entry), 60, time.Millisecond, e1); ok {
+		t.Fatal("oversized replacement admitted")
 	}
-	if !r.Peek(1) {
-		t.Fatal("resident lost")
+	if !slices.Equal(order(r), []int64{1}) || r.Stats().BytesUsed != 30 || r.Stats().Evictions != 0 {
+		t.Fatalf("resident lost: %v, %+v", order(r), r.Stats())
 	}
 }
 
 func TestZeroCapacityDisablesCache(t *testing.T) {
-	r := New(0, LRU, nil)
-	if r.Admit(1, 1, 0) {
+	r := New(0, LRU)
+	if _, ok := r.Admit(1, new(Entry), 1, 0, nil); ok {
 		t.Fatal("zero-capacity cache admitted a chunk")
 	}
 }
 
+// TestReAdmitUpdatesSize: an entry admitted in place of its chunk's old
+// one is charged its own size, once.
 func TestReAdmitUpdatesSize(t *testing.T) {
-	r := New(100, LRU, nil)
-	r.Admit(1, 40, time.Millisecond)
-	r.Admit(1, 70, time.Millisecond)
+	r := New(100, LRU)
+	e1, _ := admit(t, r, 1, 40, time.Millisecond)
+	if evicted, ok := r.Admit(1, new(Entry), 70, time.Millisecond, e1); !ok || len(evicted) != 0 {
+		t.Fatalf("re-admission: %v, evicted %v", ok, evicted)
+	}
 	if got := r.Stats().BytesUsed; got != 70 {
 		t.Fatalf("bytes = %d", got)
 	}
@@ -77,64 +109,48 @@ func TestReAdmitUpdatesSize(t *testing.T) {
 }
 
 func TestCostAwareKeepsExpensiveChunks(t *testing.T) {
-	var evicted []int64
-	r := New(100, CostAware, func(id int64) { evicted = append(evicted, id) })
-	r.Admit(1, 40, time.Second)      // expensive to reload
-	r.Admit(2, 40, time.Microsecond) // cheap to reload
+	r := New(100, CostAware)
+	admit(t, r, 1, 40, time.Second)      // expensive to reload
+	admit(t, r, 2, 40, time.Microsecond) // cheap to reload
 	// Under LRU, chunk 1 (older) would be the victim; cost-aware must
 	// instead evict the cheap chunk 2.
-	r.Admit(3, 40, time.Millisecond)
-	if len(evicted) != 1 || evicted[0] != 2 {
+	_, evicted := admit(t, r, 3, 40, time.Millisecond)
+	if !slices.Equal(evicted, []int64{2}) {
 		t.Fatalf("evicted = %v, want [2]", evicted)
 	}
-	if !r.Peek(1) {
+	if !slices.Contains(order(r), 1) {
 		t.Fatal("expensive chunk evicted")
 	}
 }
 
-func TestDropAndClear(t *testing.T) {
-	var evicted []int64
-	r := New(100, LRU, func(id int64) { evicted = append(evicted, id) })
-	r.Admit(1, 10, 0)
-	r.Admit(2, 10, 0)
-	if !r.Drop(1) {
-		t.Fatal("drop failed")
-	}
-	if r.Drop(1) {
-		t.Fatal("double drop succeeded")
-	}
-	if len(evicted) != 0 {
-		t.Fatal("drop fired eviction callback")
-	}
-	r.Clear()
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("clear evictions = %v", evicted)
+// TestClear: Clear returns every entry and empties the charges without
+// counting evictions.
+func TestClear(t *testing.T) {
+	r := New(100, LRU)
+	admit(t, r, 1, 10, 0)
+	admit(t, r, 2, 10, 0)
+	ids := r.Clear()
+	slices.Sort(ids)
+	if !slices.Equal(ids, []int64{1, 2}) {
+		t.Fatalf("clear returned %v", ids)
 	}
 	s := r.Stats()
-	if s.Chunks != 0 || s.BytesUsed != 0 {
-		t.Fatalf("stats after clear = %+v", s)
+	if s.Chunks != 0 || s.BytesUsed != 0 || s.Evictions != 0 || len(order(r)) != 0 {
+		t.Fatalf("stats after clear = %+v, order %v", s, order(r))
+	}
+	admit(t, r, 3, 10, 0)
+	if !slices.Equal(order(r), []int64{3}) {
+		t.Fatalf("admission after clear: %v", order(r))
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	r := New(10, LRU, nil)
-	r.Admit(1, 10, 0)
-	r.Admit(2, 10, 0) // evicts 1
-	if r.Stats().Evictions != 1 {
-		t.Fatalf("stats = %+v", r.Stats())
-	}
-	r.ResetStats()
-	s := r.Stats()
-	if s.Evictions != 0 {
-		t.Fatalf("stats not reset: %+v", s)
-	}
-	if s.Chunks != 1 {
-		t.Fatal("reset dropped residency")
-	}
-}
-
+// TestConcurrentAccess drives the recycler as its owner does: hits
+// Touch under a shared lock while admissions and evictions hold it
+// exclusively.
 func TestConcurrentAccess(t *testing.T) {
-	r := New(1000, LRU, nil)
+	r := New(1000, LRU)
+	var mu sync.RWMutex
+	resident := make(map[int64]*Entry)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -142,17 +158,31 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := int64((g*200 + i) % 50)
-				if r.Peek(id) {
-					r.Touch(id)
-				} else {
-					r.Admit(id, 10, time.Millisecond)
+				mu.RLock()
+				e := resident[id]
+				if e != nil {
+					r.Touch(e)
 				}
+				mu.RUnlock()
+				if e != nil {
+					continue
+				}
+				mu.Lock()
+				if resident[id] == nil {
+					e := new(Entry)
+					evicted, _ := r.Admit(id, e, 10, time.Millisecond, nil)
+					resident[id] = e
+					for _, v := range evicted {
+						delete(resident, v)
+					}
+				}
+				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
 	s := r.Stats()
-	if s.BytesUsed > 1000 {
-		t.Fatalf("capacity exceeded: %+v", s)
+	if s.BytesUsed > 1000 || s.Chunks != len(resident) {
+		t.Fatalf("capacity exceeded or residency lost: %+v, %d resident", s, len(resident))
 	}
 }

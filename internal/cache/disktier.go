@@ -36,8 +36,8 @@ package cache
 // the file, still counting toward the capacity until the next open
 // reclaims them — only by a spill that covers strictly more.
 //
-// Spills are asynchronous: the recycler's eviction callback runs under
-// the recycler lock, so Spill only enqueues and a single background
+// Spills are asynchronous: an eviction happens on the path of the query
+// whose load made it, so Spill only enqueues and a single background
 // writer goroutine encodes and appends. The spilled relation is
 // immutable, and its owner keeps its memory from being reused until
 // the writer reports it encoded (Spill's done). The queue is bounded
@@ -73,7 +73,7 @@ const (
 	segTrailerLen = 12 // footer offset + trailer magic
 
 	// spillQueueLen bounds the eviction→writer queue; overflow refuses
-	// the spill (counted) instead of blocking the recycler lock.
+	// the spill (counted) instead of stalling the evicting query.
 	spillQueueLen = 256
 )
 
@@ -382,12 +382,12 @@ func (dt *DiskTier) Contains(chunkID int64) bool {
 }
 
 // Spill enqueues a chunk relation holding the segments segs covers for
-// the background writer. It never blocks and never does I/O: it is
-// safe to call from the recycler's eviction callback, which runs under
-// the recycler's write lock. The relation must be immutable; done (if
-// non-nil) is called exactly once, as soon as the tier no longer reads
-// it — when the writer has encoded it, or at once when the spill is
-// refused or redundant — so the owner can reuse its memory.
+// the background writer. It never blocks and never does I/O, so an
+// eviction costs the evicting query nothing. The relation must be
+// immutable; done (if non-nil) is called exactly once, as soon as the
+// tier no longer reads it — when the writer has encoded it, or at once
+// when the spill is refused or redundant — so the owner can reuse its
+// memory.
 func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation, segs []int64, done func()) {
 	dt.enqueue(spillReq{id: chunkID, rel: rel, segs: segs, done: done}, false)
 }
@@ -396,8 +396,8 @@ func (dt *DiskTier) Spill(chunkID int64, rel *storage.Relation, segs []int64, do
 // the relation's coverage; none: the whole chunk. It blocks until the
 // block is queued (never dropping it on a full queue) and is meant for
 // the Close-time flush of the RAM-resident working set, where losing a
-// block means the next start pays the archive for hot data. It must
-// not be called from the recycler's eviction callback.
+// block means the next start pays the archive for hot data. Eviction
+// uses Spill.
 func (dt *DiskTier) SpillSync(chunkID int64, rel *storage.Relation, segs ...int64) {
 	dt.enqueue(spillReq{id: chunkID, rel: rel, segs: segs}, true)
 }

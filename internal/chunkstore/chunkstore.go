@@ -5,6 +5,14 @@
 // recycler, the spill of an evicted chunk and the reuse of its memory
 // all happen here; the executor sees only Acquire and Handle.Release.
 //
+// One lock, Store.mu, guards residency: the map of resident chunks, the
+// flights, and the replacement state of every entry (cache.Entry) with
+// the recycler's charges — so admission, the replacement of an entry a
+// top-up widens, eviction and Clear are each one critical section. A
+// hit takes it shared, once. Evicted chunks spill to the disk tier
+// after it is released. A second lock, freeMu, guards only the free
+// lists of memory.
+//
 // A Handle references a chunk's memory, not its residency: eviction
 // never waits for handles. The memory — an arena holding the chunk's
 // plain columns (storage.Arena) — goes to the next load when the last
@@ -22,6 +30,7 @@ package chunkstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -39,8 +48,9 @@ type Loader interface {
 	// LoadChunkInto extracts the segments segs names (sorted; nil: all)
 	// of one chunk in the table's schema, its plain columns in an arena
 	// taken from mem, reading through mem's scratch. It returns the
-	// relation's coverage: nil when it holds every segment.
-	LoadChunkInto(table string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
+	// relation's coverage: nil when it holds every segment. It gives up
+	// when ctx ends.
+	LoadChunkInto(ctx context.Context, table string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
 	// AllChunkIDs enumerates every chunk known for the table.
 	AllChunkIDs(table string) []int64
 }
@@ -65,14 +75,11 @@ type Store struct {
 	cfg   Config
 	rec   *cache.Recycler
 
+	// mu guards resident, flights, the recycler and the replacement
+	// state of every resident entry.
 	mu       sync.RWMutex
 	resident map[int64]*chunk
 	flights  map[int64]*flight
-	// admitMu serializes every path that can evict — admission and
-	// Clear — with the replacement of a resident entry, so the old
-	// entry's recycler slot cannot evict its replacement before the
-	// replacement is admitted. Order: admitMu, the recycler's lock, mu.
-	admitMu sync.Mutex
 
 	// Free lists, each at most maxFree long: arenas of released chunks,
 	// scratch of finished loads.
@@ -103,15 +110,18 @@ func (s *Store) Configure(cfg Config) {
 	s.cfg = cfg
 	s.rec = nil
 	if cfg.CacheBytes > 0 {
-		s.rec = cache.New(cfg.CacheBytes, cfg.Policy, s.evicted)
+		s.rec = cache.New(cfg.CacheBytes, cfg.Policy)
 	}
 }
 
 // chunk is one loaded or installed relation, its coverage and the
 // references to its memory. bytes is its charge: its columns plus any
-// arena capacity beyond them.
+// arena capacity beyond them; ent, its replacement state while the
+// recycler holds it resident.
 type chunk struct {
+	ent   cache.Entry
 	s     *Store
+	id    int64
 	rel   *storage.Relation
 	segs  []int64
 	arena storage.Arena
@@ -157,7 +167,7 @@ func ReleaseAll(hs []Handle) {
 // approaches' data: never admitted to the recycler, never evicted, its
 // memory never reused. Installing over a resident chunk replaces it.
 func (s *Store) Install(id int64, rel *storage.Relation) {
-	c := &chunk{s: s, rel: rel, bytes: rel.MemSize()}
+	c := &chunk{s: s, id: id, rel: rel, bytes: rel.MemSize()}
 	c.refs.Store(1)
 	s.mu.Lock()
 	s.resident[id] = c
@@ -170,17 +180,19 @@ func (s *Store) Install(id int64, rel *storage.Relation) {
 func (s *Store) TryAcquire(id int64, segs []int64) (Handle, bool) {
 	s.mu.RLock()
 	c := s.resident[id]
-	if c != nil && cache.Covers(c.segs, segs) {
+	hit := c != nil && cache.Covers(c.segs, segs)
+	if hit {
 		c.refs.Add(1)
-	} else {
-		c = nil
+		if s.rec != nil {
+			s.hits.Add(1)
+			s.rec.Touch(&c.ent)
+		}
 	}
 	s.mu.RUnlock()
-	if c != nil && s.rec != nil {
-		s.hits.Add(1)
-		s.rec.Touch(id)
+	if !hit {
+		return Handle{}, false
 	}
-	return Handle{c: c}, c != nil
+	return Handle{c: c}, true
 }
 
 // flight is one chunk load shared by the Acquires arriving while it
@@ -204,7 +216,8 @@ type flight struct {
 // covers them — the union of the entry's coverage and segs, so the
 // load replaces the entry. Concurrent Acquires of a chunk share one
 // load (a waiter whose ctx ends stops waiting; the load goes on for the
-// others; a waiter the landed chunk does not cover acquires again). A
+// others; a waiter the landed chunk does not cover, or whose leader's
+// ctx ended the load, acquires again). A
 // loaded chunk is offered to the recycler at once: handles keep its
 // memory valid even if it is evicted before they are done.
 func (s *Store) Acquire(ctx context.Context, id int64, segs []int64) (Handle, error) {
@@ -234,8 +247,14 @@ func (s *Store) Acquire(ctx context.Context, id int64, segs []int64) (Handle, er
 			f.waiters++
 			s.mu.Unlock()
 			h, err := s.wait(ctx, f)
-			if err != nil || cache.Covers(h.c.segs, segs) {
+			if err != nil {
+				if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+					continue // the leader gave up, not us: lead afresh
+				}
 				return h, err
+			}
+			if cache.Covers(h.c.segs, segs) {
+				return h, nil
 			}
 			h.Release()
 			want = cache.Union(want, f.more)
@@ -278,60 +297,62 @@ func (s *Store) wait(ctx context.Context, f *flight) (Handle, error) {
 func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	t0 := time.Now()
 	c, promoted, err := s.load(ctx, id, f.segs)
-	resident := err == nil && s.rec != nil
-	if resident {
-		s.admitMu.Lock()
-		defer s.admitMu.Unlock()
-	}
 	var old *chunk
+	var evicted []*chunk
 	s.mu.Lock()
 	delete(s.flights, id)
 	if err == nil {
-		// One reference for this handle and one per waiter, plus the
-		// residency's — installed before admission, so an eviction
-		// callback can never miss it.
+		// One reference for this handle and one per waiter.
 		c.refs.Store(int64(1 + f.waiters))
-		if resident {
-			c.refs.Add(1)
-			old = s.resident[id]
-			s.resident[id] = c
-		}
+		old, evicted = s.admit(c, time.Since(t0))
 	}
 	f.c, f.err = c, err
 	close(f.done)
 	s.mu.Unlock()
-	if err != nil {
-		return Handle{}, err
-	}
-	if resident && testHookInstalled != nil {
-		testHookInstalled(id)
-	}
 	if old != nil {
 		s.topups.Add(1)
 		old.unref()
 	}
-	// A widened entry is re-admitted at its new size. Under admitMu
-	// nothing evicts between the replacement and this admission, so c
-	// is still the resident entry.
-	if resident && !s.rec.Admit(id, c.bytes, time.Since(t0)) {
-		// Larger than the whole cache: transient after all.
-		s.rec.Drop(id)
-		s.mu.Lock()
-		mine := s.resident[id] == c
-		if mine {
-			delete(s.resident, id)
-		}
-		s.mu.Unlock()
-		if mine {
-			c.unref()
-		}
+	s.spill(evicted)
+	if err != nil {
+		return Handle{}, err
 	}
 	return Handle{c: c, Loaded: true, Promoted: promoted}, nil
 }
 
-// testHookInstalled, when set by a test, runs between a load's
-// installation as the resident entry and its admission.
-var testHookInstalled func(id int64)
+// admit makes c resident, in place of the entry it widens (old), as far
+// as the recycler admits it: a chunk larger than the whole cache stays
+// transient and leaves the entry in place. It returns old and the
+// chunks evicted to make room, whose residency references the caller
+// drops. The caller holds mu.
+func (s *Store) admit(c *chunk, cost time.Duration) (old *chunk, evicted []*chunk) {
+	if s.rec == nil {
+		return nil, nil
+	}
+	old = s.resident[c.id]
+	var oldEnt *cache.Entry
+	if old != nil {
+		oldEnt = &old.ent
+	}
+	ids, ok := s.rec.Admit(c.id, &c.ent, c.bytes, cost, oldEnt)
+	if !ok {
+		return nil, nil
+	}
+	c.refs.Add(1)
+	s.resident[c.id] = c
+	return old, s.evict(ids)
+}
+
+// evict removes the chunks ids names from the resident map, returning
+// them. The caller holds mu.
+func (s *Store) evict(ids []int64) []*chunk {
+	cs := make([]*chunk, len(ids))
+	for i, id := range ids {
+		cs[i] = s.resident[id]
+		delete(s.resident, id)
+	}
+	return cs
+}
 
 // FillError is a load that decoded its chunk but failed to make it
 // resident (the cache.fill fault point): it carries the volume the
@@ -372,7 +393,7 @@ func (s *Store) load(ctx context.Context, id int64, segs []int64) (*chunk, bool,
 			segs = cache.Union(held, segs)
 		}
 		var err error
-		if rel, segs, err = s.cfg.Loader.LoadChunkInto(s.table, id, segs, mem); err != nil {
+		if rel, segs, err = s.cfg.Loader.LoadChunkInto(ctx, s.table, id, segs, mem); err != nil {
 			return nil, false, err
 		}
 	}
@@ -387,7 +408,7 @@ func (s *Store) load(ctx context.Context, id int64, segs []int64) (*chunk, bool,
 	a := mem.Arena
 	mem.Arena = storage.Arena{}
 	slack := 8 * int64(cap(a.Ints)-len(a.Ints)+cap(a.Floats)-len(a.Floats))
-	return &chunk{s: s, rel: rel, segs: segs, arena: a, bytes: rel.MemSize() + slack}, promoted, nil
+	return &chunk{s: s, id: id, rel: rel, segs: segs, arena: a, bytes: rel.MemSize() + slack}, promoted, nil
 }
 
 // checkFault applies an injector's decision at point: its delay (cut
@@ -400,22 +421,17 @@ func checkFault(ctx context.Context, inj *fault.Injector, point string) error {
 	return act.Err
 }
 
-// evicted is the recycler's eviction callback, run under its lock: the
-// chunk stops being resident at once and spills to the disk tier, the
-// spill holding a reference until the tier has encoded it.
-func (s *Store) evicted(id int64) {
-	s.mu.Lock()
-	c := s.resident[id]
-	delete(s.resident, id)
-	s.mu.Unlock()
-	if c == nil {
-		return
+// spill hands chunks that stopped being resident to the disk tier —
+// the spill holding a reference until the tier has encoded it — and
+// drops their residency references. It runs after mu is released.
+func (s *Store) spill(cs []*chunk) {
+	for _, c := range cs {
+		if s.cfg.Disk != nil {
+			c.refs.Add(1)
+			s.cfg.Disk.Spill(c.id, c.rel, c.segs, c.unref)
+		}
+		c.unref()
 	}
-	if s.cfg.Disk != nil {
-		c.refs.Add(1)
-		s.cfg.Disk.Spill(id, c.rel, c.segs, c.unref)
-	}
-	c.unref()
 }
 
 // newArena is the store's storage.ChunkMem.NewArena: a free arena with
@@ -547,7 +563,9 @@ func (s *Store) Stats() Stats {
 func (s *Store) CacheStats() cache.Stats {
 	var st cache.Stats
 	if s.rec != nil {
+		s.mu.RLock()
 		st = s.rec.Stats()
+		s.mu.RUnlock()
 	}
 	st.Hits, st.Misses = s.hits.Load(), s.misses.Load()
 	return st
@@ -556,11 +574,13 @@ func (s *Store) CacheStats() cache.Stats {
 // Clear evicts every cached chunk — spilling them to the disk tier —
 // as after a restart without one.
 func (s *Store) Clear() {
-	if s.rec != nil {
-		s.admitMu.Lock()
-		s.rec.Clear()
-		s.admitMu.Unlock()
+	if s.rec == nil {
+		return
 	}
+	s.mu.Lock()
+	cs := s.evict(s.rec.Clear())
+	s.mu.Unlock()
+	s.spill(cs)
 }
 
 // Flush writes every resident chunk to the disk tier and waits until

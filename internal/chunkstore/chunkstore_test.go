@@ -3,8 +3,12 @@ package chunkstore
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"sommelier/internal/cache"
 	"sommelier/internal/fault"
@@ -13,13 +17,16 @@ import (
 
 // arenaLoader serves n-row chunks whose times and values it writes into
 // the arena the store hands it — chunk id holds the value id — and
-// fails the chunks in fail after taking their arena.
+// fails the chunks in fail after taking their arena, and takes the
+// time in slow to load those chunks.
 type arenaLoader struct {
 	n    int
 	fail map[int64]error
+	slow map[int64]time.Duration
 }
 
-func (l arenaLoader) LoadChunkInto(_ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l arenaLoader) LoadChunkInto(_ context.Context, _ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	time.Sleep(l.slow[id])
 	a := mem.TakeArena(l.n, l.n)
 	if err := l.fail[id]; err != nil {
 		return nil, nil, err
@@ -76,9 +83,62 @@ func TestEvictedArenaServesNextLoad(t *testing.T) {
 	}
 }
 
+// TestReplacement: the store evicts what its recycler picks — the
+// least recently used chunk, after a second chance for one hit since it
+// was placed, or under CostAware the cheapest to reload — refuses a
+// chunk larger than the cache without evicting anything, and Clear
+// spills every chunk without counting evictions.
+func TestReplacement(t *testing.T) {
+	l := arenaLoader{n: 100, slow: map[int64]time.Duration{1: 20 * time.Millisecond}}
+	two := 2 * chunkBytes(t, l)
+	for _, tc := range []struct {
+		name   string
+		policy cache.Policy
+		hit    bool
+		want   []int64
+	}{
+		{"lru", cache.LRU, false, []int64{2, 3}},
+		{"second chance", cache.LRU, true, []int64{1, 3}},
+		{"cost-aware", cache.CostAware, false, []int64{1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStore(Config{Loader: l, CacheBytes: two, Policy: tc.policy})
+			mustAcquire(t, s, 1).Release()
+			mustAcquire(t, s, 2).Release()
+			if tc.hit {
+				h, _ := s.TryAcquire(1, nil)
+				h.Release()
+			}
+			mustAcquire(t, s, 3).Release()
+			if got := s.IDs(); !slices.Equal(got, tc.want) || s.CacheStats().Evictions != 1 {
+				t.Fatalf("resident %v, want %v: %+v", got, tc.want, s.CacheStats())
+			}
+		})
+	}
+
+	dt, err := cache.OpenDiskTier(t.TempDir(), "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	s := newStore(Config{Loader: l, CacheBytes: two, Disk: dt})
+	mustAcquire(t, s, 1).Release()
+	s.cfg.Loader = arenaLoader{n: 300}
+	h := mustAcquire(t, s, 2) // three times the cache's room for one
+	h.Release()
+	if got := s.IDs(); !slices.Equal(got, []int64{1}) || s.CacheStats().Evictions != 0 {
+		t.Fatalf("an oversized chunk evicted: resident %v, %+v", got, s.CacheStats())
+	}
+	s.Clear()
+	dt.WaitIdle()
+	if st, cst := s.Stats(), s.CacheStats(); st.Resident != 0 || cst.Chunks != 0 || cst.BytesUsed != 0 || cst.Evictions != 0 || dt.Stats().Blocks != 1 {
+		t.Fatalf("after Clear: %+v, %+v, %+v", st, cst, dt.Stats())
+	}
+}
+
 // chunkBytes is what one of l's chunks is charged.
 func chunkBytes(t *testing.T, l arenaLoader) int64 {
-	rel, _, err := l.LoadChunkInto("D", 0, nil, nil)
+	rel, _, err := l.LoadChunkInto(context.Background(), "D", 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,4 +343,73 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 	if st := s.Stats(); st.Pinned != 0 || st.Resident > 2 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// TestWaiterOutlivesLeaderCancel: a waiter whose own ctx is live does
+// not fail with its flight leader's cancellation; it leads a fresh
+// flight.
+func TestWaiterOutlivesLeaderCancel(t *testing.T) {
+	s := newStore(Config{Loader: arenaLoader{n: 10}, Faults: fault.MustNew("exec.flight=latency:1:200ms", 1)})
+	joined := func(waiters int) {
+		for {
+			s.mu.Lock()
+			f := s.flights[1]
+			ok := f != nil && f.waiters == waiters
+			s.mu.Unlock()
+			if ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		h, err := s.Acquire(ctx, 1, nil)
+		h.Release()
+		leader <- err
+	}()
+	joined(0)
+	waiter := make(chan error, 1)
+	go func() {
+		h, err := s.Acquire(context.Background(), 1, nil)
+		if err == nil && (!h.Loaded || value(h) != 1) {
+			err = fmt.Errorf("the waiter's handle %+v", h)
+		}
+		h.Release()
+		waiter <- err
+	}()
+	joined(1)
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: %v", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter: %v", err)
+	}
+}
+
+// BenchmarkAcquireHit is the hit path of every lazy query: parallel
+// TryAcquire and Release of resident chunks.
+func BenchmarkAcquireHit(b *testing.B) {
+	const chunks = 64
+	s := newStore(Config{Loader: arenaLoader{n: 100}, CacheBytes: 1 << 30})
+	for id := int64(0); id < chunks; id++ {
+		h, err := s.Acquire(context.Background(), id, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for id := int64(0); pb.Next(); id++ {
+			h, ok := s.TryAcquire(id%chunks, nil)
+			if !ok {
+				b.Error("a resident chunk missed")
+				return
+			}
+			h.Release()
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sommelier/internal/cache"
 	"sommelier/internal/storage"
@@ -26,7 +25,7 @@ type segLoader struct {
 
 var allSegs = []int64{0, 1, 2, 3}
 
-func (l *segLoader) LoadChunkInto(_ string, _ int64, segs []int64, _ *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l *segLoader) LoadChunkInto(_ context.Context, _ string, _ int64, segs []int64, _ *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	l.calls.Add(1)
 	l.mu.Lock()
 	l.last = segs
@@ -220,7 +219,7 @@ func TestPromoteCoverage(t *testing.T) {
 // went to another load while it still reads shows the wrong values.
 type arenaSegLoader struct{}
 
-func (arenaSegLoader) LoadChunkInto(_ string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (arenaSegLoader) LoadChunkInto(_ context.Context, _ string, id int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	var held []int64
 	for _, seg := range allSegs {
 		if cache.Covers(segs, []int64{seg}) {
@@ -260,58 +259,98 @@ func mustAcquireSegs(t *testing.T, s *Store, id int64, segs []int64) Handle {
 	return h
 }
 
-// TestTopUpUnderEviction: an admission that evicts a chunk's old entry
-// while a top-up of it has replaced the entry but not yet been admitted
-// waits for that admission. Here the top-up (the whole chunk) is
-// larger than the cache, so it must end transient: its memory stays
-// valid until its handle is released, and the store and its recycler
-// still agree on what is resident.
+// TestOversizedTopUpKeepsEntry: a top-up larger than the whole cache
+// is transient and leaves the entry it would have widened resident.
+func TestOversizedTopUpKeepsEntry(t *testing.T) {
+	s := newStore(Config{Loader: arenaSegLoader{}, CacheBytes: sizeOf(t, []int64{0, 1})})
+	mustAcquireSegs(t, s, 1, []int64{0}).Release()
+	h := mustAcquireSegs(t, s, 1, nil)
+	if !h.Loaded || len(h.Rel().Batches()) != 4 {
+		t.Fatalf("whole top-up: %+v", h)
+	}
+	h.Release()
+	hit, ok := s.TryAcquire(1, []int64{0})
+	if !ok {
+		t.Fatal("the narrow entry was dropped")
+	}
+	hit.Release()
+	if st := s.Stats(); st.Resident != 1 || st.Partial != 1 || st.Topups != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestTopUpUnderEviction: narrow and whole top-ups of one chunk race
+// admissions of others on a cache smaller than one whole chunk, so a
+// top-up's replacement of its entry interleaves with evictions — of the
+// entry it replaces among them — and whole top-ups end transient. No
+// handle's arena is reused while it reads, the store and its recycler
+// agree on what is resident, and an idle resident chunk holds only its
+// residency's reference.
 func TestTopUpUnderEviction(t *testing.T) {
 	p1, p2, whole := sizeOf(t, []int64{0}), sizeOf(t, []int64{0, 1}), sizeOf(t, nil)
-	// Room for chunk 2's two segments, not for them and chunk 1's one,
-	// and never for a whole chunk.
-	capacity := p2 + p1/2
+	// Room for one chunk's two segments and another's one, not for
+	// three and one, and never for a whole chunk.
+	capacity := p2 + p1 + p1/2
 	if whole <= capacity {
 		t.Fatalf("sizes %d/%d/%d leave no room for the race", p1, p2, whole)
 	}
-	s := newStore(Config{Loader: arenaSegLoader{}, CacheBytes: capacity})
-	mustAcquireSegs(t, s, 1, []int64{0}).Release()
-
-	evicting := make(chan struct{})
-	var once sync.Once
-	testHookInstalled = func(id int64) {
-		if id != 1 {
-			return
-		}
-		once.Do(func() {
-			go func() {
-				defer close(evicting)
-				if h, err := s.Acquire(context.Background(), 2, []int64{0, 1}); err == nil {
-					h.Release()
+	dt, err := cache.OpenDiskTier(t.TempDir(), "D", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Close()
+	s := newStore(Config{Loader: arenaSegLoader{}, CacheBytes: capacity, Disk: dt})
+	reqs := [][]int64{{0}, {1}, {0, 1}, {2}, nil, {1, 3}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			type held struct {
+				id int64
+				h  Handle
+			}
+			var hs []held
+			defer func() {
+				for _, x := range hs {
+					x.h.Release()
 				}
 			}()
-			// Give the evicting admission every chance to run now.
-			select {
-			case <-evicting:
-			case <-time.After(100 * time.Millisecond):
+			for i := 0; i < 150; i++ {
+				// Goroutines 0 and 1 top chunk 1 up; 2 and 3 admit others.
+				id, segs := int64(1), reqs[(g+i)%len(reqs)]
+				if g >= 2 {
+					id, segs = int64(2+(g+i)%2), reqs[(g+i)%3]
+				}
+				h, err := s.Acquire(context.Background(), id, segs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				hs = append(hs, held{id, h})
+				for _, x := range hs {
+					for _, b := range x.h.Rel().Batches() {
+						if v := storage.Float64s(b.Cols[0])[0]; v < float64(x.id*10) || v > float64(x.id*10+3) {
+							t.Errorf("a handle on chunk %d reads %v: its arena was reused", x.id, v)
+							return
+						}
+					}
+				}
+				if len(hs) > 2 {
+					hs[0].h.Release()
+					hs = hs[1:]
+				}
 			}
-		})
+		}(g)
 	}
-	defer func() { testHookInstalled = nil }()
-	h := mustAcquireSegs(t, s, 1, nil)
-	<-evicting
-	// A whole load of another chunk takes the free arena of a whole
-	// chunk's size, if h's went there.
-	mustAcquireSegs(t, s, 3, nil).Release()
-	for _, b := range h.Rel().Batches() {
-		if v := storage.Float64s(b.Cols[0])[0]; v < 10 || v > 13 {
-			t.Fatalf("the top-up's handle reads %v: its arena was reused", v)
-		}
+	wg.Wait()
+	dt.WaitIdle()
+	st, cst := s.Stats(), s.CacheStats()
+	if st.Resident != cst.Chunks || st.ResidentBytes != cst.BytesUsed {
+		t.Errorf("store holds %d entries of %d bytes, the recycler charges %d of %d", st.Resident, st.ResidentBytes, cst.Chunks, cst.BytesUsed)
 	}
-	h.Release()
-	st, rst := s.Stats(), s.rec.Stats()
-	if st.Resident != rst.Chunks || st.ResidentBytes != rst.BytesUsed {
-		t.Errorf("store holds %d entries of %d bytes, the recycler charges %d of %d", st.Resident, st.ResidentBytes, rst.Chunks, rst.BytesUsed)
+	if st.Topups == 0 || cst.Evictions == 0 {
+		t.Errorf("no race: %+v, %+v", st, cst)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -151,7 +151,7 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 	d, _ := cat.Table(seismic.TableD)
 	var chunkSize int64
 	{
-		rel, _, _ := loader.LoadChunkInto(seismic.TableD, 0, nil, nil)
+		rel, _, _ := loader.LoadChunkInto(context.Background(), seismic.TableD, 0, nil, nil)
 		chunkSize = rel.MemSize()
 		loader.mu.Lock()
 		loader.loads = nil

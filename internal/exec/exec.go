@@ -285,8 +285,7 @@ type Options struct {
 	// cancellation propagates down to the morsel cursor, so LIMIT-style
 	// consumers stop the scan instead of discarding it.
 	Sink physical.StreamSink
-	// Trace, when non-nil, is filled with the per-operator row counts
-	// (and makes the execution serial, see Trace).
+	// Trace, when non-nil, is filled with the per-operator row counts.
 	Trace *Trace
 }
 
@@ -374,14 +373,6 @@ func (ex *executor) exec() (*Result, error) {
 	ex.degraded = ex.env.Degraded
 	if v, ok := degradedFrom(ex.ctx); ok {
 		ex.degraded = v
-	}
-	if ex.trace != nil {
-		// Traced execution stays serial so per-operator row counts are
-		// exact without atomics on the hot path. The Counted wrappers
-		// also make every input non-splittable, so aggregates whole-fold
-		// here: EXPLAIN ANALYZE float results may differ from untraced
-		// runs in final rounding.
-		ex.par = 1
 	}
 	// However the query ends, its chunk handles are released — unless
 	// a collected Result took them over.

@@ -26,11 +26,11 @@ type flakyLoader struct {
 	unavailable map[int64]bool
 }
 
-func (l *flakyLoader) LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l *flakyLoader) LoadChunkInto(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	if l.unavailable[chunkID] {
 		return nil, nil, &degradableChunkErr{id: chunkID}
 	}
-	return l.fakeLoader.LoadChunkInto(tableName, chunkID, segs, mem)
+	return l.fakeLoader.LoadChunkInto(ctx, tableName, chunkID, segs, mem)
 }
 
 // countSink recycles every pushed batch, counting rows.

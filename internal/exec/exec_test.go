@@ -39,7 +39,7 @@ type fakeLoader struct {
 	delay  time.Duration
 }
 
-func (l *fakeLoader) LoadChunkInto(tableName string, chunkID int64, _ []int64, _ *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l *fakeLoader) LoadChunkInto(_ context.Context, tableName string, chunkID int64, _ []int64, _ *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	l.mu.Lock()
 	l.loads = append(l.loads, chunkID)
 	fail := l.fail[chunkID]
@@ -223,7 +223,7 @@ func TestCacheEvictionReloads(t *testing.T) {
 	// Capacity for roughly two chunks only.
 	var chunkSize int64
 	{
-		rel, _, _ := loader.LoadChunkInto(seismic.TableD, 0, nil, nil)
+		rel, _, _ := loader.LoadChunkInto(context.Background(), seismic.TableD, 0, nil, nil)
 		chunkSize = rel.MemSize()
 		loader.loads = nil
 	}
@@ -249,7 +249,7 @@ func TestEagerFullScansEverything(t *testing.T) {
 	// Eager plain: one monolithic chunk holding all data.
 	all := storage.NewRelation()
 	for _, id := range loader.chunks {
-		rel, _, _ := loader.LoadChunkInto(seismic.TableD, id, nil, nil)
+		rel, _, _ := loader.LoadChunkInto(context.Background(), seismic.TableD, id, nil, nil)
 		for _, b := range rel.Batches() {
 			all.Append(b)
 		}
@@ -280,7 +280,7 @@ func TestEagerIndexedPrunesChunks(t *testing.T) {
 	cat, loader := setupCatalog(t, 6)
 	d, _ := cat.Table(seismic.TableD)
 	for _, id := range loader.chunks {
-		rel, _, _ := loader.LoadChunkInto(seismic.TableD, id, nil, nil)
+		rel, _, _ := loader.LoadChunkInto(context.Background(), seismic.TableD, id, nil, nil)
 		d.Chunks().Install(id, rel)
 	}
 	env := &Env{Catalog: cat, Mode: ModeEagerIndexed}
@@ -317,7 +317,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 		dE, _ := catE.Table(seismic.TableD)
 		all := storage.NewRelation()
 		for _, id := range loaderE.chunks {
-			rel, _, _ := loaderE.LoadChunkInto(seismic.TableD, id, nil, nil)
+			rel, _, _ := loaderE.LoadChunkInto(context.Background(), seismic.TableD, id, nil, nil)
 			for _, b := range rel.Batches() {
 				all.Append(b)
 			}

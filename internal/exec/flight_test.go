@@ -22,7 +22,7 @@ type gatedLoader struct {
 	load  func(call int32) (*storage.Relation, error)
 }
 
-func (l *gatedLoader) LoadChunkInto(string, int64, []int64, *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l *gatedLoader) LoadChunkInto(context.Context, string, int64, []int64, *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	rel, err := l.load(l.calls.Add(1))
 	return rel, nil, err
 }

@@ -36,7 +36,7 @@ func indexedEnv(t *testing.T, nFiles int) (*Env, *table.Catalog) {
 	cat, loader := setupCatalog(t, nFiles)
 	d, _ := cat.Table(seismic.TableD)
 	for _, id := range loader.chunks {
-		rel, _, err := loader.LoadChunkInto(seismic.TableD, id, nil, nil)
+		rel, _, err := loader.LoadChunkInto(context.Background(), seismic.TableD, id, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -323,10 +323,7 @@ const aggSplitMax = 1 << 20
 // the floating-point results are bitwise identical at every degree of
 // parallelism — a query answered serially under a 16-client burst
 // matches the same query answered with every core while the server was
-// idle. The whole-input fold remains only for non-splittable inputs;
-// traced execution (EXPLAIN ANALYZE) is one such input — every operator
-// is wrapped in a row counter — so its float aggregates may differ from
-// untraced runs in final rounding.
+// idle. The whole-input fold remains only for non-splittable inputs.
 //
 // The guarantee is bought with per-range overhead even at DOP=1 (one
 // accumulator, cloned argument expressions and a merge per ~4-batch

@@ -535,12 +535,14 @@ func (s *IndexScan) Next() (*storage.Batch, error) {
 
 // Counted wraps an operator and accumulates the number of rows it
 // emits; the executor uses it to annotate plans for EXPLAIN ANALYZE.
+// It splits as its input does, its parts adding to the same counter,
+// so a traced query runs at its real degree of parallelism.
 type Counted struct {
 	in   Operator
 	rows *int64
 }
 
-// NewCounted wraps in, adding emitted rows to *rows.
+// NewCounted wraps in, adding emitted rows to *rows atomically.
 func NewCounted(in Operator, rows *int64) *Counted {
 	return &Counted{in: in, rows: rows}
 }
@@ -563,7 +565,21 @@ func (c *Counted) BatchHint() int {
 func (c *Counted) Next() (*storage.Batch, error) {
 	b, err := c.in.Next()
 	if b != nil {
-		*c.rows += int64(b.Len())
+		atomic.AddInt64(c.rows, int64(b.Len()))
 	}
 	return b, err
+}
+
+// Split implements Splitter: the input's parts, each counted into the
+// same counter; nil when the input cannot split.
+func (c *Counted) Split(n int) ([]Operator, error) {
+	sp, ok := c.in.(Splitter)
+	if !ok {
+		return nil, nil
+	}
+	parts, err := sp.Split(n)
+	for i, p := range parts {
+		parts[i] = NewCounted(p, c.rows)
+	}
+	return parts, err
 }

@@ -231,8 +231,7 @@ func TestParallelAggregate(t *testing.T) {
 			}
 			// A non-splittable input folds the whole stream into one
 			// accumulator; its float results may differ in rounding.
-			var rows int64
-			ref, err := Collect(build(1, NewCounted(scan(pred), &rows)), DrainOpts{})
+			ref, err := Collect(build(1, unsplittable{scan(pred)}), DrainOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,6 +239,9 @@ func TestParallelAggregate(t *testing.T) {
 		}
 	}
 }
+
+// unsplittable hides its operator's Split: a non-splittable input.
+type unsplittable struct{ Operator }
 
 // TestParallelAggregateGlobal covers the global (no group) aggregate,
 // including over an all-filtered-out input.

@@ -250,7 +250,7 @@ func (r *HTTPRepository) OpenContext(ctx context.Context, chunkID int64) (io.Rea
 }
 
 // fetchFailure carries the attempt count of an exhausted fetch up to
-// LoadChunkContext, which folds it into the ChunkError it reports.
+// LoadChunkInto, which folds it into the ChunkError it reports.
 type fetchFailure struct {
 	attempts int
 	err      error
@@ -459,27 +459,21 @@ func escapePath(p string) string {
 func (r *HTTPRepository) AllChunkIDs(tableName string) []int64 { return allChunkIDs(r) }
 
 // LoadChunk is chunk-access of a whole chunk over HTTP into fresh
-// memory (see LoadChunkContext).
+// memory (see LoadChunkInto).
 func (r *HTTPRepository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	rel, _, err := r.LoadChunkInto(tableName, chunkID, nil, nil)
+	rel, _, err := r.LoadChunkInto(context.Background(), tableName, chunkID, nil, nil)
 	return rel, err
 }
 
-// LoadChunkInto implements chunkstore.Loader: chunk-access over HTTP
-// (see LoadChunkContext).
-func (r *HTTPRepository) LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
-	return r.LoadChunkContext(context.Background(), tableName, chunkID, segs, mem)
-}
-
-// LoadChunkContext is the chunk-access operator over the hardened
-// fetch path, landing the segments segs selects in mem (see
-// LoadChunkFromSource). A
-// chunk whose fetch exhausts its retries — or whose payload fails to
-// decode — is quarantined for QuarantineTTL; while quarantined,
-// requests for it fail immediately without touching the archive. All
-// failures except caller cancellation are reported as a *ChunkError,
-// which is Degradable.
-func (r *HTTPRepository) LoadChunkContext(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+// LoadChunkInto implements chunkstore.Loader: the chunk-access operator
+// over the hardened fetch path, landing the segments segs selects in
+// mem (see LoadChunkFromSource). A chunk whose fetch exhausts its
+// retries — or whose payload fails to decode — is quarantined for
+// QuarantineTTL; while quarantined, requests for it fail immediately
+// without touching the archive. All failures except caller
+// cancellation (ctx ending) are reported as a *ChunkError, which is
+// Degradable.
+func (r *HTTPRepository) LoadChunkInto(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	r.init()
 	if reason, ok := r.quar.check(chunkID, time.Now()); ok {
 		return nil, nil, &ChunkError{Table: tableName, Chunk: chunkID, Quarantined: true, Err: errors.New(reason)}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sommelier/internal/chunkstore"
 	"sommelier/internal/fault"
 	"sommelier/internal/seismic"
 )
@@ -25,6 +26,7 @@ type archiveServer struct {
 	status  int           // failure status code
 	header  http.Header   // extra headers on failures
 	sleep   time.Duration // pre-answer stall
+	hang    bool          // answer nothing until the client goes away
 	reqs    int
 	fs      http.Handler
 }
@@ -51,8 +53,13 @@ func (a *archiveServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	status := a.status
 	sleep := a.sleep
+	hang := a.hang
 	hdr := a.header
 	a.mu.Unlock()
+	if hang {
+		<-r.Context().Done()
+		return
+	}
 	if sleep > 0 {
 		time.Sleep(sleep)
 	}
@@ -276,7 +283,7 @@ func TestBackoffSleepHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := repo.LoadChunkContext(ctx, seismic.TableD, 0, nil, nil)
+		_, _, err := repo.LoadChunkInto(ctx, seismic.TableD, 0, nil, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the first attempt fail and the backoff start
@@ -288,6 +295,52 @@ func TestBackoffSleepHonorsCancellation(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancellation did not interrupt the backoff sleep")
+	}
+}
+
+// TestAcquireCancelStopsFetch: a chunk store's load runs under the
+// acquiring query's ctx, so an Acquire cancelled while the archive
+// stalls returns at once, after one attempt, and leaves the chunk
+// unquarantined.
+func TestAcquireCancelStopsFetch(t *testing.T) {
+	srv, a := newArchiveServer(t)
+	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
+		r.Timeout = 5 * time.Second
+		r.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	})
+	s := chunkstore.New(seismic.TableD)
+	s.Configure(chunkstore.Config{Loader: repo, CacheBytes: 1 << 20})
+	a.set(func(a *archiveServer) { a.hang = true })
+	before := a.requests()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		h, err := s.Acquire(ctx, 0, nil)
+		h.Release()
+		done <- err
+	}()
+	for a.requests() == before {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if el := time.Since(t0); el > time.Second {
+			t.Fatalf("cancelled Acquire returned after %v", el)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("cancellation did not stop the fetch")
+	}
+	if n := a.requests() - before; n != 1 {
+		t.Fatalf("%d attempts, want 1", n)
+	}
+	if h := repo.Health(); h.Quarantined != 0 {
+		t.Fatalf("health = %+v: a cancelled load quarantined its chunk", h)
 	}
 }
 

@@ -177,7 +177,7 @@ func injectorFor(src Source) *fault.Injector {
 // chunk store loads through (chunkstore.Loader's method set).
 type ChunkSource interface {
 	Source
-	LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
+	LoadChunkInto(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error)
 	AllChunkIDs(tableName string) []int64
 }
 
@@ -273,13 +273,13 @@ func (r *Repository) AllChunkIDs(tableName string) []int64 {
 // LoadChunk is the chunk-access operator of a whole chunk into fresh
 // memory: LoadChunkInto of every segment, without a ChunkMem.
 func (r *Repository) LoadChunk(tableName string, chunkID int64) (*storage.Relation, error) {
-	rel, _, err := r.LoadChunkInto(tableName, chunkID, nil, nil)
+	rel, _, err := r.LoadChunkInto(context.Background(), tableName, chunkID, nil, nil)
 	return rel, err
 }
 
 // LoadChunkInto implements chunkstore.Loader: the chunk-access operator.
-func (r *Repository) LoadChunkInto(tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
-	return LoadChunkFromSource(context.Background(), r, tableName, chunkID, segs, mem)
+func (r *Repository) LoadChunkInto(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+	return LoadChunkFromSource(ctx, r, tableName, chunkID, segs, mem)
 }
 
 func allChunkIDs(src Source) []int64 {

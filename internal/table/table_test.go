@@ -155,7 +155,7 @@ func TestChunkLifecycle(t *testing.T) {
 // the arena the store hands it: chunk id holds the value id.
 type arenaLoader struct{ n int }
 
-func (l arenaLoader) LoadChunkInto(_ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
+func (l arenaLoader) LoadChunkInto(_ context.Context, _ string, id int64, _ []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	a := mem.TakeArena(l.n, l.n)
 	ids := make([]int64, l.n)
 	for i := range ids {
