@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"sommelier/internal/fault"
 	"sommelier/internal/registrar"
 	"sommelier/internal/storage"
 )
@@ -253,8 +254,20 @@ func TestChaosDiskTierDegraded(t *testing.T) {
 	if s := faulty.DiskCacheStats(); s.Spills == 0 || s.Promotes == 0 {
 		t.Fatalf("disk tier idle under chaos churn: %+v", s)
 	}
-	if faulty.FaultInjector() != nil && faulty.FaultInjector().Enabled() && !sawDegraded {
-		t.Error("armed ambient schedule never degraded a query over the disk tier")
+	// A fault that fired on the chunk path must have degraded a query. A
+	// schedule armed at rate zero never fires, so it only has to show it
+	// walked the fill check.
+	if inj := faulty.FaultInjector(); inj.Enabled() {
+		var fired uint64
+		for _, p := range []string{fault.PointFlight, fault.PointCacheFill, fault.PointHTTP, fault.PointDecode} {
+			fired += inj.Fired(p)
+		}
+		if fired > 0 && !sawDegraded {
+			t.Errorf("ambient schedule fired %d chunk-path faults but never degraded a query over the disk tier", fired)
+		}
+		if strings.Contains(inj.Spec(), fault.PointCacheFill) && inj.Checks(fault.PointCacheFill) == 0 {
+			t.Errorf("ambient schedule arms %s but the disk-tier churn never checked it", fault.PointCacheFill)
+		}
 	}
 	if err := faulty.Close(); err != nil {
 		t.Fatal(err)

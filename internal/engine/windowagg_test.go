@@ -1,0 +1,66 @@
+package engine
+
+import (
+	"math"
+	"testing"
+
+	"sommelier/internal/registrar"
+	"sommelier/internal/seisgen"
+	"sommelier/internal/storage"
+)
+
+// TestAggregatesEqualDerivedWindows: the engine's AVG, MIN and MAX of
+// D.sample_value per D.window_ts over one station-day equal H's
+// window_mean_val, window_min_val and window_max_val for the same
+// windows, bitwise. Samples are integer-valued, so the engine's row-order
+// sum / count and dmd's sum / n are both the correctly rounded mean.
+func TestAggregatesEqualDerivedWindows(t *testing.T) {
+	dir := t.TempDir()
+	cfg := seisgen.DefaultConfig(1)
+	cfg.SamplesPerFile = 40000
+	if _, err := seisgen.Generate(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	db := open(t, dir, registrar.Lazy)
+	rows := func(sql string) map[int64][3]float64 {
+		t.Helper()
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Release()
+		out := map[int64][3]float64{}
+		flat := res.Rel.Flatten()
+		for r := 0; r < flat.Len(); r++ {
+			var v [3]float64
+			for c := range v {
+				v[c] = storage.ValueAt(flat.Cols[c+1], r).(float64)
+			}
+			out[storage.ValueAt(flat.Cols[0], r).(int64)] = v
+		}
+		return out
+	}
+	engine := rows(`SELECT D.window_ts, AVG(D.sample_value), MIN(D.sample_value), MAX(D.sample_value)
+		FROM dataview WHERE F.station = 'FIAM'
+		  AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-02T00:00:00.000'
+		GROUP BY D.window_ts`)
+	derived := rows(`SELECT window_start_ts, window_mean_val, window_min_val, window_max_val FROM H
+		WHERE window_station = 'FIAM'
+		  AND window_start_ts >= '2010-01-01T00:00:00.000' AND window_start_ts < '2010-01-02T00:00:00.000'`)
+	if len(engine) < 2 {
+		t.Fatalf("%d windows with data, want several", len(engine))
+	}
+	for ws, got := range engine {
+		want, ok := derived[ws]
+		if !ok {
+			t.Errorf("window %d: no H row", ws)
+			continue
+		}
+		for c, name := range []string{"mean", "min", "max"} {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Errorf("window %d %s: engine %v (%#x), H %v (%#x)", ws, name,
+					got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+			}
+		}
+	}
+}

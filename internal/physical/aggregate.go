@@ -34,49 +34,21 @@ type AggColumn struct {
 	Name string
 }
 
-// aggState accumulates one aggregate for one group using a numerically
-// stable (Welford) recurrence for the variance.
+// aggState is one aggregate's state for one group: n (n > 0 is "seen")
+// and only what its function renders — SUM over an int64 argument the
+// row-order iSum, other SUMs and AVG the row-order float64 sum, MIN and
+// MAX min or max (iMin or iMax), STDDEV Welford's mean and m2.
 type aggState struct {
 	n                int64
 	sum              float64
 	mean, m2         float64
 	min, max         float64
-	intArg           bool
 	iSum, iMin, iMax int64
-	seen             bool
-}
-
-func (s *aggState) addF(v float64) {
-	s.n++
-	s.sum += v
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
-	if !s.seen || v < s.min {
-		s.min = v
-	}
-	if !s.seen || v > s.max {
-		s.max = v
-	}
-	s.seen = true
-}
-
-func (s *aggState) addI(v int64) {
-	s.intArg = true
-	s.iSum += v
-	if !s.seen || v < s.iMin {
-		s.iMin = v
-	}
-	if !s.seen || v > s.iMax {
-		s.iMax = v
-	}
-	s.addF(float64(v))
 }
 
 // merge folds another partial state into s: the parallel-aggregation
-// combine step. The mean/variance combination is the standard pairwise
-// Welford merge (Chan et al.), so merged results match the serial
-// recurrence up to floating-point rounding.
+// combine step. Counts and sums add, extremes compare, and STDDEV's mean
+// and m2 combine by the pairwise Welford merge (Chan et al.).
 func (s *aggState) merge(o aggState) {
 	if o.n == 0 {
 		return
@@ -92,22 +64,13 @@ func (s *aggState) merge(o aggState) {
 	s.n = n
 	s.sum += o.sum
 	s.iSum += o.iSum
-	if o.seen {
-		if !s.seen || o.min < s.min {
-			s.min = o.min
-		}
-		if !s.seen || o.max > s.max {
-			s.max = o.max
-		}
-		if !s.seen || o.iMin < s.iMin {
-			s.iMin = o.iMin
-		}
-		if !s.seen || o.iMax > s.iMax {
-			s.iMax = o.iMax
-		}
-		s.seen = true
+	if o.min < s.min {
+		s.min = o.min
 	}
-	s.intArg = s.intArg || o.intArg
+	if o.max > s.max {
+		s.max = o.max
+	}
+	s.iMin, s.iMax = min(s.iMin, o.iMin), max(s.iMax, o.iMax)
 }
 
 // HashAggregate groups its input and computes aggregates per group; a
@@ -115,12 +78,12 @@ func (s *aggState) merge(o aggState) {
 //
 // Rows resolve to dense group ids through a keyIndex, run by run — the
 // group of a run of equal adjacent keys is looked up once — and every
-// aggregate then folds its argument column in one typed loop over the
-// batch, each row into its group's state, through the batch's deferred
-// selection. GROUP BY F.station over clustered actual data therefore
-// hashes a few keys per batch, and a global aggregate none. Grouping by
-// int64/time columns resolves on the raw values; other shapes go
-// through the composite index.Key.
+// aggregate then folds its argument column, through the batch's deferred
+// selection, one run of equal group ids at a time (foldArg). GROUP BY
+// F.station over clustered actual data therefore hashes a few keys per
+// batch, and a global aggregate none. Grouping by int64/time columns
+// resolves on the raw values; other shapes go through the composite
+// index.Key.
 //
 // Under a degree of parallelism (SetParallel), and when the input can
 // Split, the input's morsel ranges are claimed by a worker pool, each
@@ -239,44 +202,135 @@ func (h *HashAggregate) Names() []string { return h.names }
 // Kinds implements Operator.
 func (h *HashAggregate) Kinds() []storage.Kind { return h.kinds }
 
-// foldArg folds one aggregate's argument column over a batch's n rows —
-// positions in sel when the batch carries a selection — into slot i of
-// each row's group states: one typed loop, the group of position p
-// being ids[p] (nil: the single global group). Each state sees its rows
-// in batch order, whatever order the aggregates are folded in.
-func foldArg(states []aggState, nagg, i int, arg storage.Column, ids, sel []int32, n int) {
-	at := func(p int) (row int, st *aggState) {
-		row, st = p, &states[i]
-		if sel != nil {
-			row = int(sel[p])
-		}
-		if ids != nil {
-			st = &states[int(ids[p])*nagg+i]
-		}
-		return row, st
-	}
+// foldArg folds aggregate f's argument column, of kind k, over a
+// batch's n rows — positions in sel when the batch carries a selection —
+// into slot i of the group states, position p's group being ids[p] (nil:
+// the global group). A kernel picked once per batch folds only what f
+// renders, run by run of equal group ids, each state seeing its rows in
+// batch order.
+func foldArg(states []aggState, nagg, i int, f AggFuncID, k storage.Kind, arg storage.Column, ids, sel []int32, n int) {
 	switch c := arg.(type) {
-	case nil: // COUNT(*)
-		if ids == nil {
-			states[i].n += int64(n)
-			return
-		}
-		for _, id := range ids {
-			states[int(id)*nagg+i].n++
-		}
+	case nil: // COUNT(*) reads no column
+		foldRuns[int64](states[i:], nagg, f, k, nil, ids, sel, n)
 	case *storage.Float64Column:
-		vals := storage.Float64s(c)
-		for p := 0; p < n; p++ {
-			r, st := at(p)
-			st.addF(vals[r])
-		}
+		foldRuns(states[i:], nagg, f, k, storage.Float64s(c), ids, sel, n)
 	default:
-		vals := storage.Int64s(c)
-		for p := 0; p < n; p++ {
-			r, st := at(p)
-			st.addI(vals[r])
+		foldRuns(states[i:], nagg, f, k, storage.Int64s(c), ids, sel, n)
+	}
+}
+
+// foldRuns picks foldArg's kernel for one argument type.
+func foldRuns[T float64 | int64](states []aggState, nagg int, f AggFuncID, k storage.Kind, vals []T, ids, sel []int32, n int) {
+	switch f {
+	case AggCount:
+		for lo := 0; lo < n; lo, _, _ = nextRun(states, nagg, ids, lo, n) {
+		}
+	case AggSum, AggAvg:
+		if f == AggSum && k == storage.KindInt64 {
+			sumRuns[int64](states, nagg, vals, ids, sel, n)
+		} else {
+			sumRuns[float64](states, nagg, vals, ids, sel, n)
+		}
+	case AggMin, AggMax:
+		extremeRuns(states, nagg, f == AggMax, vals, ids, sel, n)
+	case AggStddev:
+		welfordRuns(states, nagg, vals, ids, sel, n)
+	}
+}
+
+// nextRun counts the run of equal group ids from lo (the whole batch for
+// the global group) into its state's n: end, state, old n.
+func nextRun(states []aggState, nagg int, ids []int32, lo, n int) (int, *aggState, int64) {
+	hi, g := n, 0
+	if ids != nil {
+		id := ids[lo]
+		for hi, g = lo+1, int(id); hi < n && ids[hi] == id; hi++ {
 		}
 	}
+	st := &states[g*nagg]
+	st.n += int64(hi - lo)
+	return hi, st, st.n - int64(hi-lo)
+}
+
+// sumRuns folds the row-order sum into sum (S float64) or iSum (S int64).
+func sumRuns[S, T float64 | int64](states []aggState, nagg int, vals []T, ids, sel []int32, n int) {
+	for lo := 0; lo < n; {
+		hi, st, _ := nextRun(states, nagg, ids, lo, n)
+		sp, ok := any(&st.sum).(*S)
+		if !ok {
+			sp = any(&st.iSum).(*S)
+		}
+		*sp = sum(*sp, vals, sel, lo, hi)
+		lo = hi
+	}
+}
+
+// sum adds positions [lo, hi) of a column to s, in row order.
+func sum[T, S float64 | int64](s S, vals []T, sel []int32, lo, hi int) S {
+	if sel == nil {
+		for _, v := range vals[lo:hi] {
+			s += S(v)
+		}
+		return s
+	}
+	for _, r := range sel[lo:hi] {
+		s += S(vals[r])
+	}
+	return s
+}
+
+// extremeRuns folds the minimum (maximum when isMax) as `!seen || v < m`
+// (v > m) row by row: a leading NaN sticks, later NaNs never win.
+func extremeRuns[T float64 | int64](states []aggState, nagg int, isMax bool, vals []T, ids, sel []int32, n int) {
+	for lo := 0; lo < n; {
+		hi, st, seen := nextRun(states, nagg, ids, lo, n)
+		mp := bound[T](st, isMax)
+		m := *mp
+		for p := lo; p < hi; p++ {
+			if v := vals[at(sel, p)]; p == lo && seen == 0 || isMax && v > m || !isMax && v < m {
+				m = v
+			}
+		}
+		*mp = m
+		lo = hi
+	}
+}
+
+// bound is st's min (max when isMax) field of T: min/max or iMin/iMax.
+func bound[T float64 | int64](st *aggState, isMax bool) *T {
+	fp, ip := &st.min, &st.iMin
+	if isMax {
+		fp, ip = &st.max, &st.iMax
+	}
+	if p, ok := any(fp).(*T); ok {
+		return p
+	}
+	return any(ip).(*T)
+}
+
+// welfordRuns folds mean and m2 by the Welford recurrence.
+func welfordRuns[T float64 | int64](states []aggState, nagg int, vals []T, ids, sel []int32, n int) {
+	for lo := 0; lo < n; {
+		hi, st, k := nextRun(states, nagg, ids, lo, n)
+		mean, m2 := st.mean, st.m2
+		for p := lo; p < hi; p++ {
+			v := float64(vals[at(sel, p)])
+			k++
+			d := v - mean
+			mean += d / float64(k)
+			m2 += d * (v - mean)
+		}
+		st.mean, st.m2 = mean, m2
+		lo = hi
+	}
+}
+
+// at is the row of position p: sel[p] under a selection, else p.
+func at(sel []int32, p int) int {
+	if sel != nil {
+		return int(sel[p])
+	}
+	return p
 }
 
 // groupTable is the dense group table of one accumulator: nagg states
@@ -323,7 +377,8 @@ const aggSplitMax = 1 << 20
 // the floating-point results are bitwise identical at every degree of
 // parallelism — a query answered serially under a 16-client burst
 // matches the same query answered with every core while the server was
-// idle. The whole-input fold remains only for non-splittable inputs.
+// idle. (Integer sums below 2^53 are exact and do not even depend on the
+// ranges.) The whole-input fold remains only for non-splittable inputs.
 //
 // The guarantee is bought with per-range overhead even at DOP=1 (one
 // accumulator, cloned argument expressions and a merge per ~4-batch
@@ -526,7 +581,7 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 		a.g.grow(nagg)
 	}
 	for i, arg := range argCols {
-		foldArg(a.g.states, nagg, i, arg, ids, sel, n)
+		foldArg(a.g.states, nagg, i, h.aggs[i].Func, h.argKinds[i], arg, ids, sel, n)
 	}
 	storage.PutSel(ids)
 	storage.PutSel(sel)
@@ -637,7 +692,7 @@ func (h *HashAggregate) appendAggs(builders []storage.Builder, states []aggState
 		case AggSum:
 			iv, fv = st.iSum, st.sum
 		case AggAvg:
-			if fv = st.mean; st.n == 0 {
+			if fv = st.sum / float64(st.n); st.n == 0 {
 				fv = math.NaN()
 			}
 		case AggStddev:

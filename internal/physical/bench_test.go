@@ -304,3 +304,58 @@ func BenchmarkGroupedAggregateKeys(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAggregateFold folds one aggregate function at a time over
+// 64 k clustered rows: globally and grouped by file (one key run per
+// batch), over the whole batch and through a deferred selection of about
+// half its rows. It prices each function's fold kernel alone.
+func BenchmarkAggregateFold(b *testing.B) {
+	rel, names, kinds := keyedRel(false)
+	funcs := []struct {
+		name string
+		agg  AggColumn
+	}{
+		{"count", AggColumn{Func: AggCount, Arg: expr.Col("D.val"), Name: "n"}},
+		{"countstar", AggColumn{Func: AggCount, Name: "n"}},
+		{"sum", AggColumn{Func: AggSum, Arg: expr.Col("D.val"), Name: "sum"}},
+		{"avg", AggColumn{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"}},
+		{"min", AggColumn{Func: AggMin, Arg: expr.Col("D.val"), Name: "min"}},
+		{"max", AggColumn{Func: AggMax, Arg: expr.Col("D.val"), Name: "max"}},
+		{"stddev", AggColumn{Func: AggStddev, Arg: expr.Col("D.val"), Name: "sd"}},
+	}
+	for _, grouped := range []bool{false, true} {
+		var groupCols []int
+		shape := "global"
+		if grouped {
+			groupCols, shape = []int{0}, "grouped"
+		}
+		for _, f := range funcs {
+			for _, selective := range []bool{false, true} {
+				var pred expr.Expr
+				name := shape + "/" + f.name
+				if selective {
+					pred, name = expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0)), name+"/sel"
+				}
+				b.Run(name, func(b *testing.B) {
+					b.SetBytes(int64(rel.Rows()) * 8)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						s, err := NewRelScan(rel, names, kinds, pred)
+						if err != nil {
+							b.Fatal(err)
+						}
+						agg, err := NewHashAggregate(s, groupCols, []AggColumn{f.agg})
+						if err != nil {
+							b.Fatal(err)
+						}
+						out, err := Collect(agg, DrainOpts{Pooled: true})
+						if err != nil {
+							b.Fatal(err)
+						}
+						out.Release()
+					}
+				})
+			}
+		}
+	}
+}

@@ -324,7 +324,8 @@ func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 // refAggregate is the per-row hash fold over the same range parts the
 // operator folds (the partial/merge structure is part of the float
 // result): every row looks its group up in a map and updates its states
-// one value at a time; partials merge in range order.
+// one value at a time (refAdd); partials merge in range order (refMerge)
+// and render through refRender.
 func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) [][]any {
 	t.Helper()
 	type part struct {
@@ -368,12 +369,7 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 							ci = c
 						}
 					}
-					switch v := storage.ValueAt(b.Cols[ci], r).(type) {
-					case float64:
-						st.addF(v)
-					case int64:
-						st.addI(v)
-					}
+					refAdd(st, storage.ValueAt(b.Cols[ci], r))
 				}
 			}
 			storage.PutBatch(b)
@@ -396,7 +392,7 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 				continue
 			}
 			for i := range p.states[k] {
-				final.states[k][i].merge(p.states[k][i])
+				refMerge(&final.states[k][i], p.states[k][i])
 			}
 		}
 	}
@@ -410,7 +406,10 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 		for i, v := range final.keys[k] {
 			builders[i].AppendAny(v)
 		}
-		h.appendAggs(builders, final.states[k])
+		for i, a := range aggs {
+			iv, fv := refRender(a.Func, final.states[k][i])
+			appendNum(builders[len(groupCols)+i], iv, fv)
+		}
 		rel := storage.NewRelation()
 		rel.Append(finishBuilders(builders))
 		rows = append(rows, rowsOf(rel)[0])
