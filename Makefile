@@ -60,7 +60,7 @@ bench:
 ## promote and chunk-store hit microbenchmarks with allocation counts;
 ## compare against a baseline with benchstat.
 bench-micro:
-	$(GO) test -run='^$$' -bench='BenchmarkFilter|BenchmarkZoneSkip|BenchmarkHashJoin|BenchmarkGroupedAggregate|BenchmarkAggregateFold' -benchmem ./internal/physical/
+	$(GO) test -run='^$$' -bench='BenchmarkFilter|BenchmarkZoneSkip|BenchmarkHashJoin|BenchmarkGroupedAggregate|BenchmarkAggregateFold|BenchmarkJoinGroupBy' -benchmem ./internal/physical/
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/storage/
 	$(GO) test -run='^$$' -bench='BenchmarkRender' -benchmem ./internal/server/
 	$(GO) test -run='^$$' -bench='BenchmarkPromote' -benchmem ./internal/cache/

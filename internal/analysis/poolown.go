@@ -22,7 +22,7 @@ var poolOwnSpec = &ownSpec{
 		sp + "NewPooledBatch":    0,
 		sp + "ViewWithSel":       0,
 		sp + "GatherPooled":      0,
-		sp + "ScatterPooled":     0,
+		sp + "GatherRunsPooled":  0,
 		sp + "GetRelation":       0,
 		sp + "Batch.DetachSel":   0,
 		sp + "Batch.Materialize": 0,
@@ -88,7 +88,7 @@ var poolBorrows = map[string]bool{
 	// probe batch; its columns that pass through into the join output
 	// are kept by the caller's PutBatchExcept.
 	"sommelier/internal/physical.keyIndex.resolve":    true,
-	"sommelier/internal/physical.HashJoin.viewCols":   true,
+	"sommelier/internal/physical.HashJoin.runCols":    true,
 	"sommelier/internal/physical.HashJoin.gatherCols": true,
 	// Interface-method reads (funcKey cannot name the dynamic type, so
 	// these match by bare method name): expression evaluation borrows

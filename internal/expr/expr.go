@@ -374,7 +374,7 @@ func (c *Cmp) Eval(b *storage.Batch) storage.Column {
 			}
 		}
 	case storage.KindString:
-		ls, rs := l.(*storage.StringColumn), r.(*storage.StringColumn)
+		ls, rs := storage.Strings(l), storage.Strings(r)
 		// Fast path: equality against a constant collapses to a
 		// dictionary code comparison.
 		if rc, ok := c.R.(*Const); ok && (c.Op == EQ || c.Op == NE) {
@@ -442,17 +442,15 @@ func cmpLoop[T int64 | float64](out []bool, op CmpOp, l, r []T) {
 }
 
 func asFloats(c storage.Column) []float64 {
-	switch c := c.(type) {
-	case *storage.Float64Column:
+	if c.Kind() == storage.KindFloat64 {
 		return storage.Float64s(c)
-	default:
-		iv := storage.Int64s(c)
-		out := make([]float64, len(iv))
-		for i, v := range iv {
-			out[i] = float64(v)
-		}
-		return out
 	}
+	iv := storage.Int64s(c)
+	out := make([]float64, len(iv))
+	for i, v := range iv {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // Walk implements Expr.

@@ -45,14 +45,14 @@ func keyAt(b *storage.Batch, cols []int, r int) (Key, error) {
 	iSlot, sSlot := 0, 0
 	for _, ci := range cols {
 		c := b.Cols[ci]
+		// Whatever the column's shape.
 		switch c.Kind() {
 		case storage.KindInt64, storage.KindTime:
-			// Whatever the column's shape.
 			if err := k.setInt(&iSlot, storage.Int64At(c, r)); err != nil {
 				return k, err
 			}
 		case storage.KindString:
-			if err := k.setStr(&sSlot, c.(*storage.StringColumn).Value(r)); err != nil {
+			if err := k.setStr(&sSlot, storage.StringAt(c, r)); err != nil {
 				return k, err
 			}
 		default:

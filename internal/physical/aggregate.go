@@ -203,65 +203,60 @@ func (h *HashAggregate) Names() []string { return h.names }
 func (h *HashAggregate) Kinds() []storage.Kind { return h.kinds }
 
 // foldArg folds aggregate f's argument column, of kind k, over a
-// batch's n rows — positions in sel when the batch carries a selection —
-// into slot i of the group states, position p's group being ids[p] (nil:
-// the global group). A kernel picked once per batch folds only what f
-// renders, run by run of equal group ids, each state seeing its rows in
-// batch order.
-func foldArg(states []aggState, nagg, i int, f AggFuncID, k storage.Kind, arg storage.Column, ids, sel []int32, n int) {
-	switch c := arg.(type) {
-	case nil: // COUNT(*) reads no column
-		foldRuns[int64](states[i:], nagg, f, k, nil, ids, sel, n)
-	case *storage.Float64Column:
-		foldRuns(states[i:], nagg, f, k, storage.Float64s(c), ids, sel, n)
+// batch's rows — positions in sel when the batch carries a selection —
+// into slot i of the group states: run r of (ids, ends), positions
+// [ends[r-1], ends[r]), belongs to group ids[r]. A kernel picked once
+// per batch folds only what f renders, one run at a time, each state
+// seeing its rows in batch order.
+func foldArg(states []aggState, nagg, i int, f AggFuncID, k storage.Kind, arg storage.Column, ids, ends, sel []int32) {
+	switch {
+	case arg == nil: // COUNT(*) reads no column
+		foldRuns[int64](states[i:], nagg, f, k, nil, ids, ends, sel)
+	case k == storage.KindFloat64:
+		foldRuns(states[i:], nagg, f, k, storage.Float64s(arg), ids, ends, sel)
 	default:
-		foldRuns(states[i:], nagg, f, k, storage.Int64s(c), ids, sel, n)
+		foldRuns(states[i:], nagg, f, k, storage.Int64s(arg), ids, ends, sel)
 	}
 }
 
 // foldRuns picks foldArg's kernel for one argument type.
-func foldRuns[T float64 | int64](states []aggState, nagg int, f AggFuncID, k storage.Kind, vals []T, ids, sel []int32, n int) {
+func foldRuns[T float64 | int64](states []aggState, nagg int, f AggFuncID, k storage.Kind, vals []T, ids, ends, sel []int32) {
 	switch f {
 	case AggCount:
-		for lo := 0; lo < n; lo, _, _ = nextRun(states, nagg, ids, lo, n) {
+		for r := range ids {
+			foldRun(states, nagg, ids, ends, r)
 		}
 	case AggSum, AggAvg:
 		if f == AggSum && k == storage.KindInt64 {
-			sumRuns[int64](states, nagg, vals, ids, sel, n)
+			sumRuns[int64](states, nagg, vals, ids, ends, sel)
 		} else {
-			sumRuns[float64](states, nagg, vals, ids, sel, n)
+			sumRuns[float64](states, nagg, vals, ids, ends, sel)
 		}
 	case AggMin, AggMax:
-		extremeRuns(states, nagg, f == AggMax, vals, ids, sel, n)
+		extremeRuns(states, nagg, f == AggMax, vals, ids, ends, sel)
 	case AggStddev:
-		welfordRuns(states, nagg, vals, ids, sel, n)
+		welfordRuns(states, nagg, vals, ids, ends, sel)
 	}
 }
 
-// nextRun counts the run of equal group ids from lo (the whole batch for
-// the global group) into its state's n: end, state, old n.
-func nextRun(states []aggState, nagg int, ids []int32, lo, n int) (int, *aggState, int64) {
-	hi, g := n, 0
-	if ids != nil {
-		id := ids[lo]
-		for hi, g = lo+1, int(id); hi < n && ids[hi] == id; hi++ {
-		}
-	}
-	st := &states[g*nagg]
+// foldRun counts run r into its group's state: the state, the run's
+// positions [lo, hi) and the state's count before them.
+func foldRun(states []aggState, nagg int, ids, ends []int32, r int) (st *aggState, lo, hi int, seen int64) {
+	st = &states[int(ids[r])*nagg]
+	lo, hi, seen = int(runStart(ends, r)), int(ends[r]), st.n
 	st.n += int64(hi - lo)
-	return hi, st, st.n - int64(hi-lo)
+	return st, lo, hi, seen
 }
 
 // sumRuns folds the row-order sum into sum (S float64) or iSum (S int64).
-func sumRuns[S, T float64 | int64](states []aggState, nagg int, vals []T, ids, sel []int32, n int) {
-	for lo := 0; lo < n; {
-		hi, st, _ := nextRun(states, nagg, ids, lo, n)
+func sumRuns[S, T float64 | int64](states []aggState, nagg int, vals []T, ids, ends, sel []int32) {
+	for r := range ids {
+		st, lo, hi, _ := foldRun(states, nagg, ids, ends, r)
 		sp, ok := any(&st.sum).(*S)
 		if !ok {
 			sp = any(&st.iSum).(*S)
 		}
 		*sp = sum(*sp, vals, sel, lo, hi)
-		lo = hi
 	}
 }
 
@@ -281,9 +276,9 @@ func sum[T, S float64 | int64](s S, vals []T, sel []int32, lo, hi int) S {
 
 // extremeRuns folds the minimum (maximum when isMax) as `!seen || v < m`
 // (v > m) row by row: a leading NaN sticks, later NaNs never win.
-func extremeRuns[T float64 | int64](states []aggState, nagg int, isMax bool, vals []T, ids, sel []int32, n int) {
-	for lo := 0; lo < n; {
-		hi, st, seen := nextRun(states, nagg, ids, lo, n)
+func extremeRuns[T float64 | int64](states []aggState, nagg int, isMax bool, vals []T, ids, ends, sel []int32) {
+	for r := range ids {
+		st, lo, hi, seen := foldRun(states, nagg, ids, ends, r)
 		mp := bound[T](st, isMax)
 		m := *mp
 		for p := lo; p < hi; p++ {
@@ -292,7 +287,6 @@ func extremeRuns[T float64 | int64](states []aggState, nagg int, isMax bool, val
 			}
 		}
 		*mp = m
-		lo = hi
 	}
 }
 
@@ -309,9 +303,9 @@ func bound[T float64 | int64](st *aggState, isMax bool) *T {
 }
 
 // welfordRuns folds mean and m2 by the Welford recurrence.
-func welfordRuns[T float64 | int64](states []aggState, nagg int, vals []T, ids, sel []int32, n int) {
-	for lo := 0; lo < n; {
-		hi, st, k := nextRun(states, nagg, ids, lo, n)
+func welfordRuns[T float64 | int64](states []aggState, nagg int, vals []T, ids, ends, sel []int32) {
+	for r := range ids {
+		st, lo, hi, k := foldRun(states, nagg, ids, ends, r)
 		mean, m2 := st.mean, st.m2
 		for p := lo; p < hi; p++ {
 			v := float64(vals[at(sel, p)])
@@ -321,7 +315,6 @@ func welfordRuns[T float64 | int64](states []aggState, nagg int, vals []T, ids, 
 			m2 += d * (v - mean)
 		}
 		st.mean, st.m2 = mean, m2
-		lo = hi
 	}
 }
 
@@ -478,6 +471,9 @@ type aggAcc struct {
 	args    []expr.Expr
 	argCols []storage.Column // per-batch scratch, reused
 	g       *groupTable
+	// global is the global group's one run: id 0, ending at the batch's
+	// last position.
+	global [2]int32
 }
 
 func (h *HashAggregate) newAcc() (*aggAcc, error) {
@@ -570,20 +566,27 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 	if sel != nil {
 		n = len(sel)
 	}
-	var ids []int32
+	var ids, ends []int32
 	if len(h.groupCols) > 0 {
 		var err error
-		if ids, err = a.g.x.resolve(base, h.groupCols, sel, true, false); err != nil {
+		if ids, ends, err = a.g.x.resolve(base, h.groupCols, sel, true, false); err != nil {
 			storage.PutSel(sel)
 			storage.PutBatch(base)
 			return err
 		}
 		a.g.grow(nagg)
+	} else {
+		// The global group is one run of every position.
+		a.global[1] = int32(n)
+		ids, ends = a.global[:1], a.global[1:]
 	}
 	for i, arg := range argCols {
-		foldArg(a.g.states, nagg, i, h.aggs[i].Func, h.argKinds[i], arg, ids, sel, n)
+		foldArg(a.g.states, nagg, i, h.aggs[i].Func, h.argKinds[i], arg, ids, ends, sel)
 	}
-	storage.PutSel(ids)
+	if len(h.groupCols) > 0 {
+		storage.PutSel(ids)
+		storage.PutSel(ends)
+	}
 	storage.PutSel(sel)
 	storage.PutBatch(base)
 	return nil

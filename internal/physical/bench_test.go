@@ -359,3 +359,46 @@ func BenchmarkAggregateFold(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkJoinGroupBy is the groupby_station shape: the probe emits
+// the build side's station column under D, and GROUP BY that column
+// folds AVG and COUNT(*). Clustered keys come run-shaped, as chunk
+// access delivers D (a key run or two per batch); shuffled keys start a
+// new run at almost every row.
+func BenchmarkJoinGroupBy(b *testing.B) {
+	dim := storage.NewRelation()
+	dim.Append(storage.NewBatch(storage.NewInt64Column([]int64{0, 1, 2, 3}),
+		storage.NewStringColumn([]string{"FIAM", "ISK", "AQU", "CERA"})))
+	dnames, dkinds := []string{"F.file_id", "F.station"}, []storage.Kind{storage.KindInt64, storage.KindString}
+	for _, shuffled := range []bool{false, true} {
+		fact, fnames, fkinds := keyedRel(shuffled)
+		name := "shuffled"
+		if !shuffled {
+			fact, name = runShaped(fact), "clustered"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(fact.Rows()) * 16)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ds, _ := NewRelScan(dim, dnames, dkinds, nil)
+				fs, _ := NewRelScan(fact, fnames, fkinds, nil)
+				j, err := NewHashJoinCols(ds, fs, []int{0}, []int{0}, []int{1, 5})
+				if err != nil {
+					b.Fatal(err)
+				}
+				agg, err := NewHashAggregate(j, []int{0}, []AggColumn{
+					{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"},
+					{Func: AggCount, Name: "n"},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := Collect(agg, DrainOpts{Pooled: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				out.Release()
+			}
+		})
+	}
+}

@@ -16,15 +16,16 @@ import (
 //
 // Build and probe resolve keys through one keyIndex, so the probe is
 // run-aware: it hashes the first row of every run of equal adjacent
-// keys (actual data arrives clustered by chunk and segment) and reuses
-// the match for the rest, composing with a deferred selection on the
+// keys (actual data arrives clustered by chunk and segment) and carries
+// the match on as one run, composing with a deferred selection on the
 // probe batch. When no build key repeats — the foreign-key→primary-key
 // shape of every dataview query — each probe row matches at most one
 // build row, and the probe batch passes through as a selection view
-// with the needed build-side columns scattered under it (no hashing, no
-// copy of the probe side); duplicate build keys fall back to gathering
-// both sides. Either way only the columns the parent reads (out) are
-// emitted.
+// with each needed build-side column laid under it as a run column, a
+// run per matched key run (no per-row work, no copy of the probe side);
+// a GROUP BY on such a column then folds those runs whole. Duplicate
+// build keys fall back to gathering both sides. Either way only the
+// columns the parent reads (out) are emitted.
 //
 // The probe side parallelizes through Split: each returned operator
 // probes its own share of the right input's morsels against the shared
@@ -79,7 +80,8 @@ func newJoinTable(ints bool, data *storage.Batch, cols []int) (*joinTable, error
 		t = &joinTable{}
 	}
 	t.x.reset(ints, len(cols))
-	ids, err := t.x.resolve(data, cols, nil, true, false)
+	t.x.presize(data.Len())
+	ids, ends, err := t.x.resolve(data, cols, nil, true, false)
 	if err != nil {
 		joinTablePool.Put(t)
 		return nil, err
@@ -88,20 +90,31 @@ func newJoinTable(ints bool, data *storage.Batch, cols []int) (*joinTable, error
 	for i := range t.head {
 		t.head[i] = -1
 	}
-	t.next = slices.Grow(t.next[:0], len(ids))[:len(ids)]
+	t.next = slices.Grow(t.next[:0], data.Len())[:data.Len()]
 	t.unique = true
-	for r := len(ids) - 1; r >= 0; r-- {
-		id := ids[r]
-		t.next[r] = t.head[id]
-		t.unique = t.unique && t.head[id] < 0
-		t.head[id] = int32(r)
+	for k := len(ids) - 1; k >= 0; k-- {
+		id, lo := ids[k], runStart(ends, k)
+		for r := ends[k] - 1; r >= lo; r-- {
+			t.next[r] = t.head[id]
+			t.unique = t.unique && t.head[id] < 0
+			t.head[id] = r
+		}
 	}
-	// A build side larger than a batch must not pin its oversized id
-	// vector under the selection pool's batch-sized users.
-	if len(ids) <= storage.BatchSize {
+	// A build side larger than a batch must not pin its oversized run
+	// vectors under the selection pool's batch-sized users.
+	if data.Len() <= storage.BatchSize {
 		storage.PutSel(ids)
+		storage.PutSel(ends)
 	}
 	return t, nil
+}
+
+// runStart is the first position of run k of a resolve result.
+func runStart(ends []int32, k int) int32 {
+	if k == 0 {
+		return 0
+	}
+	return ends[k-1]
 }
 
 // SetParallel implements ParallelHinter: it grants the build-side drain
@@ -276,7 +289,7 @@ func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
 		base, sel := rb.DetachSel()
 		ch, ok := right.(constHinter)
 		constant := ok && j.fastKey && ch.lastConst(j.rightK)
-		ids, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
+		ids, ends, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
 		if err != nil {
 			storage.PutSel(sel)
 			storage.PutBatch(base)
@@ -285,11 +298,12 @@ func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
 		// The output columns are laid straight into a pooled header.
 		out := storage.NewPooledBatch()
 		if j.table.unique {
-			out.Cols, sel = j.viewCols(out.Cols, base, sel, ids)
+			out.Cols, sel = j.runCols(out.Cols, base, sel, ids, ends)
 		} else {
-			out.Cols, sel = j.gatherCols(out.Cols, base, sel, ids)
+			out.Cols, sel = j.gatherCols(out.Cols, base, sel, ids, ends)
 		}
 		storage.PutSel(ids)
+		storage.PutSel(ends)
 		// Probe columns passed through live on in out; whatever else the
 		// probe batch owned dies here.
 		storage.PutBatchExcept(base, out.Cols)
@@ -304,43 +318,58 @@ func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
 	}
 }
 
-// viewCols builds the output of a probe batch against a table without
-// duplicate keys, where ids are the matched build rows themselves: the
-// probe columns pass through under a selection of the matched rows (the
-// input's own, nil included, when every row matched), and each needed
-// build column is scattered to the probe batch's base positions.
-// Appends the columns to cols and consumes sel; no columns when nothing
-// matched.
-func (j *HashJoin) viewCols(cols []storage.Column, base *storage.Batch, sel, ids []int32) ([]storage.Column, []int32) {
+// runCols builds the output of a probe batch against a table without
+// duplicate keys, where the key ids of the runs (ids, ends) are the
+// matched build rows themselves. The probe columns pass through under a
+// selection of the matched rows (the input's own, nil included, when
+// every run matched). Each needed build column is emitted as a run
+// column over the probe batch's base rows: one run per matched key run,
+// stretched over the rows after it up to the next matched run's first
+// row (and the first one back to row 0), so every base row — unselected
+// and unmatched ones included — holds a readable build value. Appends
+// the columns to cols and consumes sel; no columns when nothing matched.
+func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
+	rows, rowEnds := storage.GetSel(len(ids)), storage.GetSel(len(ids))
 	matched := 0
-	for _, id := range ids {
+	for k, id := range ids {
 		if id >= 0 {
-			matched++
+			matched += int(ends[k] - runStart(ends, k))
+			if len(rows) == 0 || rows[len(rows)-1] != id {
+				rows, rowEnds = append(rows, id), append(rowEnds, 0)
+			}
+		}
+		if len(rowEnds) > 0 {
+			rowEnds[len(rowEnds)-1] = int32(at(sel, int(ends[k])-1)) + 1
 		}
 	}
 	if matched == 0 {
+		storage.PutSel(rows)
+		storage.PutSel(rowEnds)
 		storage.PutSel(sel)
 		return cols, nil
 	}
+	rowEnds[len(rowEnds)-1] = int32(base.Len())
 	nl := len(j.buildData.Cols)
 	for _, o := range j.out {
 		if o < nl {
-			cols = append(cols, storage.ScatterPooled(j.buildData.Cols[o], base.Len(), sel, ids))
+			cols = append(cols, storage.GatherRunsPooled(j.buildData.Cols[o], rows, rowEnds))
 		} else {
 			cols = append(cols, base.Cols[o-nl])
 		}
 	}
-	if matched == len(ids) {
+	storage.PutSel(rows)
+	storage.PutSel(rowEnds)
+	n := int(ends[len(ends)-1])
+	if matched == n {
 		return cols, sel
 	}
 	outSel := storage.GetSel(matched)
-	for i, id := range ids {
-		switch {
-		case id < 0:
-		case sel != nil:
-			outSel = append(outSel, sel[i])
-		default:
-			outSel = append(outSel, int32(i))
+	for k, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for p := runStart(ends, k); p < ends[k]; p++ {
+			outSel = append(outSel, int32(at(sel, int(p))))
 		}
 	}
 	storage.PutSel(sel)
@@ -351,19 +380,18 @@ func (j *HashJoin) viewCols(cols []storage.Column, base *storage.Batch, sel, ids
 // duplicate keys: every (probe row, build row) pair, both sides
 // gathered into pooled columns, which need no selection. Appends the
 // columns to cols and consumes sel; no columns when nothing matched.
-func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids []int32) ([]storage.Column, []int32) {
-	leftIdx, rightIdx := storage.GetSel(len(ids)), storage.GetSel(len(ids))
-	for i, id := range ids {
+func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
+	leftIdx, rightIdx := storage.GetSel(base.Len()), storage.GetSel(base.Len())
+	for k, id := range ids {
 		if id < 0 {
 			continue
 		}
-		r := int32(i)
-		if sel != nil {
-			r = sel[i]
-		}
-		for lr := j.table.head[id]; lr >= 0; lr = j.table.next[lr] {
-			leftIdx = append(leftIdx, lr)
-			rightIdx = append(rightIdx, r)
+		for p := runStart(ends, k); p < ends[k]; p++ {
+			r := int32(at(sel, int(p)))
+			for lr := j.table.head[id]; lr >= 0; lr = j.table.next[lr] {
+				leftIdx = append(leftIdx, lr)
+				rightIdx = append(rightIdx, r)
+			}
 		}
 	}
 	storage.PutSel(sel)

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math"
+	"slices"
 
 	"sommelier/internal/index"
 	"sommelier/internal/storage"
@@ -18,12 +19,13 @@ type intKey [3]int64
 // runtime's 8-byte map path, two or three as an intKey; every other
 // shape goes through the composite index.Key.
 //
-// resolve is run-aware: the actual-data side of a metadata⋈data join
-// arrives clustered by chunk and segment, so a batch is a handful of
-// runs of equal keys, and only the first row of a run is hashed. A
-// run-shaped key column states its runs; on any other, unclustered
-// input makes every row its own run, for the price of one comparison
-// with the previous row.
+// resolve returns key runs: the actual-data side of a metadata⋈data
+// join arrives clustered by chunk and segment, so a batch is a handful
+// of runs of equal keys, and a run is hashed once and handed on as one
+// (id, end) pair — to the join's build chains and output runs and to
+// the grouped fold alike. A run-shaped key column states its runs; on
+// any other, unclustered input makes every row its own run, for the
+// price of one comparison with the previous row.
 type keyIndex struct {
 	ints  bool
 	nk    int
@@ -59,6 +61,24 @@ func (x *keyIndex) reset(ints bool, nk int) {
 		x.multi = make(map[intKey]int32, 64)
 	case ints && nk <= 1 && x.one == nil:
 		x.one = make(map[int64]int32, 64)
+	}
+}
+
+// presize readies the just reset index for about n keys. Past what a
+// pooled map keeps, the map is made at that size at once (reset drops
+// it again) instead of regrowing from 64 entries through every
+// doubling.
+func (x *keyIndex) presize(n int) {
+	if n <= maxPooledKeys {
+		return
+	}
+	switch {
+	case !x.ints:
+		x.str, x.skeys = make(map[index.Key]int32, n), slices.Grow(x.skeys, n)
+	case x.nk > 1:
+		x.multi, x.ikeys = make(map[intKey]int32, n), slices.Grow(x.ikeys, n)
+	default:
+		x.one, x.ikeys = make(map[int64]int32, n), slices.Grow(x.ikeys, n)
 	}
 }
 
@@ -123,15 +143,16 @@ type rawKeys struct {
 	i64      [3][]int64
 	i32      [2][]int32
 	n64, n32 int
-	runs     [3]keyRuns
+	runs     [5]keyRuns
 	nrun     int
 	// slot64[j] is the intKey slot of i64[j]: its rank among the
 	// int64-backed key columns, run-shaped ones included.
 	slot64 [3]int
 }
 
-// keyRuns is one run-shaped key column (storage.Runs): its intKey slot
-// and the run of the row last seeked to.
+// keyRuns is one run-shaped key column (storage.RunsOf): its runs'
+// ends, on the int path their values and its intKey slot, and the run
+// of the row last seeked to.
 type keyRuns struct {
 	vals []int64
 	ends []int32
@@ -168,45 +189,51 @@ func (rk *rawKeys) seek(r int) int {
 	return limit
 }
 
-// resolve returns, in a pooled vector the caller PutSels, the key id of
-// each of b's rows — those sel names, or all of them — over the key
-// columns cols: position i holds the id of row sel[i] (or i), -1 for a
-// key the index does not hold unless insert is set, which adds it.
-// constant promises that every row holds the same key (the caller read
-// it off a zone map), so only the first is looked at.
-func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, constant bool) ([]int32, error) {
+// resolve returns the key runs of b's rows — those sel names, or all of
+// them — over the key columns cols, in two pooled vectors the caller
+// PutSels: run k covers positions [ends[k-1], ends[k]) (from 0 for
+// k = 0) and holds key id ids[k], -1 for a key the index does not hold
+// unless insert is set, which adds it; adjacent runs hold different
+// ids. Position i is row sel[i] (or i).
+//
+// Only the first row of a run is looked up. When every key column is
+// run-shaped, resolve jumps from run to run; plain key columns are
+// walked row by row, a row whose raw key equals its predecessor's
+// joining its run. constant promises that every row holds the same key
+// (the caller read it off a zone map): one run, one lookup.
+func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, constant bool) (ids, ends []int32, err error) {
 	n := b.Len()
 	if sel != nil {
 		n = len(sel)
 	}
-	ids := storage.GetSel(n)[:n]
+	ids, ends = storage.GetSel(n), storage.GetSel(n)
 	if n == 0 {
-		return ids, nil
-	}
-	row := func(i int) int {
-		if sel != nil {
-			return int(sel[i])
-		}
-		return i
+		return ids, ends, nil
 	}
 	if !x.ints {
 		// The key shape (column kinds and counts) is the same on every
 		// row: validate it once.
-		if _, err := index.KeyAt(b, cols, row(0)); err != nil {
+		if _, err := index.KeyAt(b, cols, at(sel, 0)); err != nil {
 			storage.PutSel(ids)
-			return nil, err
+			storage.PutSel(ends)
+			return nil, nil, err
 		}
 	}
 	var rk rawKeys
 	for _, ci := range cols {
 		c := b.Cols[ci]
-		if sc, ok := c.(*storage.StringColumn); ok {
-			rk.i32[rk.n32] = sc.Codes()
-			rk.n32++
-		} else if vals, ends, ok := storage.Runs(c); ok {
-			rk.runs[rk.nrun] = keyRuns{vals: vals, ends: ends, slot: rk.n64 + rk.nrun}
+		switch vals, runEnds, shaped := storage.RunsOf(c); {
+		case shaped:
+			kr := keyRuns{ends: runEnds, slot: rk.n64 + rk.nrun}
+			if x.ints {
+				kr.vals = storage.Int64s(vals)
+			}
+			rk.runs[rk.nrun] = kr
 			rk.nrun++
-		} else {
+		case c.Kind() == storage.KindString:
+			rk.i32[rk.n32] = storage.Strings(c).Codes()
+			rk.n32++
+		default:
 			rk.i64[rk.n64], rk.slot64[rk.n64] = storage.Int64s(c), rk.n64+rk.nrun
 			rk.n64++
 		}
@@ -226,17 +253,47 @@ func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, co
 		k, _ := index.KeyAt(b, cols, r)
 		return x.keyID(k, insert)
 	}
-	first := row(0)
+	// push closes the current run at position end.
+	push := func(id int32, end int) {
+		if k := len(ids) - 1; k >= 0 && ids[k] == id {
+			ends[k] = int32(end)
+			return
+		}
+		ids, ends = append(ids, id), append(ends, int32(end))
+	}
+	first := at(sel, 0)
 	limit := rk.seek(first)
 	id := idAt(first)
-	for i := range ids {
-		if r := row(i); !constant && (r >= limit || !rk.same(r, first)) {
-			if r >= limit {
-				limit = rk.seek(r)
+	switch {
+	case constant:
+	case rk.n64+rk.n32 == 0:
+		// Run-shaped keys only: the run ends where the first of its
+		// columns' runs does.
+		for p := 0; ; {
+			q := min(limit, n)
+			if sel != nil {
+				q, _ = slices.BinarySearch(sel[p:], int32(limit))
+				q += p
 			}
-			first, id = r, idAt(r)
+			if q == n {
+				break
+			}
+			push(id, q)
+			p, first = q, at(sel, q)
+			limit = rk.seek(first)
+			id = idAt(first)
 		}
-		ids[i] = id
+	default:
+		for i := 1; i < n; i++ {
+			if r := at(sel, i); r >= limit || !rk.same(r, first) {
+				if r >= limit {
+					limit = rk.seek(r)
+				}
+				push(id, i)
+				first, id = r, idAt(r)
+			}
+		}
 	}
-	return ids, nil
+	push(id, n)
+	return ids, ends, nil
 }

@@ -278,9 +278,9 @@ func (p poisonedScan) Next() (*storage.Batch, error) {
 
 // TestWholeBaseConsumerAboveViewJoin: a Filter whose predicate takes the
 // mask path evaluates the join's whole base batch, rows the selection
-// excludes included — so the build-side string column scattered under a
+// excludes included — so the build-side string column laid under a
 // partially matching probe batch must hold a valid dictionary code at
-// every row, whatever the recycled vector it was laid into held before.
+// every row, whatever the recycled vectors it was laid into held before.
 func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 	fact := runFact(rand.New(rand.NewSource(73)), false)
 	out := []int{3, 8, 9} // S.station, D.station, D.val

@@ -346,16 +346,16 @@ func (a *topkAcc) cmpRows(ba *storage.Batch, ra int, bb *storage.Batch, rb int) 
 }
 
 // cmpColsAt compares position ai of column a with position bi of
-// column b; the two columns hold the same kind (same output schema).
+// column b; the two columns hold the same kind (same output schema),
+// but an input batch's column may be run-shaped where the candidate
+// buffer's is plain.
 func cmpColsAt(a storage.Column, ai int, b storage.Column, bi int) int {
-	switch ac := a.(type) {
-	case *storage.Float64Column:
-		return cmpOrd(ac.Value(ai), b.(*storage.Float64Column).Value(bi))
-	case *storage.StringColumn:
-		return cmpOrd(ac.Value(ai), b.(*storage.StringColumn).Value(bi))
+	switch a.Kind() {
+	case storage.KindFloat64:
+		return cmpOrd(storage.Float64At(a, ai), storage.Float64At(b, bi))
+	case storage.KindString:
+		return cmpOrd(storage.StringAt(a, ai), storage.StringAt(b, bi))
 	default:
-		// int64 or timestamp; an input batch's column may be run-shaped
-		// where the candidate buffer's is plain.
 		return cmpOrd(storage.Int64At(a, ai), storage.Int64At(b, bi))
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -108,13 +109,14 @@ func (b *Batch) Materialize() *Batch {
 			b = &Batch{Cols: b.Cols}
 		}
 	}
-	if cols, expanded := plainCols(b.Cols); expanded {
+	if hasRuns(b.Cols) {
+		// A pooled header, and its column slice, stay with their single
+		// owner; any other may be shared. The run columns expanded are
+		// dead here (a pooled one returns to the pool).
 		if !b.pooled {
-			return &Batch{Cols: cols}
+			b = &Batch{Cols: slices.Clone(b.Cols)}
 		}
-		// The pooled header, and its column slice, stay with their
-		// single owner.
-		copy(b.Cols, cols)
+		expandRuns(b.Cols, b.pooled, true)
 	}
 	return b
 }
@@ -386,10 +388,12 @@ func (r *Relation) Flatten() *Batch {
 	}
 	if len(r.batches) == 1 {
 		// The relation keeps its batch: expand into a new header.
-		if cols, expanded := plainCols(r.batches[0].Cols); expanded {
-			return &Batch{Cols: cols}
+		b := r.batches[0]
+		if hasRuns(b.Cols) {
+			b = &Batch{Cols: slices.Clone(b.Cols)}
+			expandRuns(b.Cols, false, false)
 		}
-		return r.batches[0]
+		return b
 	}
 	width := r.batches[0].Width()
 	cols := make([]Column, width)

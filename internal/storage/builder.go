@@ -12,8 +12,8 @@ type Builder interface {
 	// type mismatch. Typed builders expose faster Append methods.
 	AppendAny(v any)
 	// AppendFrom appends the i-th value of col, which must have the
-	// builder's kind. Here and below an int64 or timestamp col may be
-	// run-shaped; what is built is always plain.
+	// builder's kind. Here and below col may be run-shaped; what is
+	// built is always plain.
 	AppendFrom(col Column, i int)
 	// AppendSel appends the rows of col named by the selection vector,
 	// in order. col must have the builder's kind. Typed builders
@@ -44,6 +44,15 @@ func appendSel[T int64 | float64 | bool](dst, src []T, sel []int32) []T {
 		dst[n+k] = src[i]
 	}
 	return dst
+}
+
+// runValue resolves row i of a run-shaped col to its row of the run
+// values; other columns pass through.
+func runValue(col Column, i int) (Column, int) {
+	if rc, ok := col.(*RunColumn); ok {
+		return rc.vals, rc.runAt(i)
+	}
+	return col, i
 }
 
 // NewBuilder returns a builder for the given kind with capacity cap.
@@ -108,17 +117,14 @@ func (b *Int64Builder) AppendAny(v any) { b.vals = append(b.vals, v.(int64)) }
 
 // AppendFrom implements Builder.
 func (b *Int64Builder) AppendFrom(col Column, i int) {
-	if rc, ok := col.(*RunColumn); ok {
-		b.vals = append(b.vals, rc.Value(i))
-		return
-	}
+	col, i = runValue(col, i)
 	b.vals = append(b.vals, col.(*Int64Column).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *Int64Builder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		b.vals = rc.appendSel(b.vals, sel)
+		rc.appendRuns(b, rc.runsOf(sel))
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*Int64Column).vals, sel)
@@ -127,7 +133,7 @@ func (b *Int64Builder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *Int64Builder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		b.vals = rc.appendAll(b.vals)
+		rc.appendRuns(b, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*Int64Column).vals...)
@@ -179,17 +185,14 @@ func (b *TimeBuilder) AppendAny(v any) { b.vals = append(b.vals, v.(int64)) }
 
 // AppendFrom implements Builder.
 func (b *TimeBuilder) AppendFrom(col Column, i int) {
-	if rc, ok := col.(*RunColumn); ok {
-		b.vals = append(b.vals, rc.Value(i))
-		return
-	}
+	col, i = runValue(col, i)
 	b.vals = append(b.vals, col.(*TimeColumn).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *TimeBuilder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		b.vals = rc.appendSel(b.vals, sel)
+		rc.appendRuns(b, rc.runsOf(sel))
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*TimeColumn).vals, sel)
@@ -198,7 +201,7 @@ func (b *TimeBuilder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *TimeBuilder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		b.vals = rc.appendAll(b.vals)
+		rc.appendRuns(b, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*TimeColumn).vals...)
@@ -250,16 +253,25 @@ func (b *Float64Builder) AppendAny(v any) { b.vals = append(b.vals, v.(float64))
 
 // AppendFrom implements Builder.
 func (b *Float64Builder) AppendFrom(col Column, i int) {
+	col, i = runValue(col, i)
 	b.vals = append(b.vals, col.(*Float64Column).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *Float64Builder) AppendSel(col Column, sel []int32) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.runsOf(sel))
+		return
+	}
 	b.vals = appendSel(b.vals, col.(*Float64Column).vals, sel)
 }
 
 // AppendAll implements Builder.
 func (b *Float64Builder) AppendAll(col Column) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.rowRuns())
+		return
+	}
 	b.vals = append(b.vals, col.(*Float64Column).vals...)
 }
 
@@ -309,16 +321,25 @@ func (b *BoolBuilder) AppendAny(v any) { b.vals = append(b.vals, v.(bool)) }
 
 // AppendFrom implements Builder.
 func (b *BoolBuilder) AppendFrom(col Column, i int) {
+	col, i = runValue(col, i)
 	b.vals = append(b.vals, col.(*BoolColumn).vals[i])
 }
 
 // AppendSel implements Builder.
 func (b *BoolBuilder) AppendSel(col Column, sel []int32) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.runsOf(sel))
+		return
+	}
 	b.vals = appendSel(b.vals, col.(*BoolColumn).vals, sel)
 }
 
 // AppendAll implements Builder.
 func (b *BoolBuilder) AppendAll(col Column) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.rowRuns())
+		return
+	}
 	b.vals = append(b.vals, col.(*BoolColumn).vals...)
 }
 
@@ -380,11 +401,15 @@ func (b *StringBuilder) AppendAny(v any) { b.Append(v.(string)) }
 
 // AppendFrom implements Builder.
 func (b *StringBuilder) AppendFrom(col Column, i int) {
-	b.Append(col.(*StringColumn).Value(i))
+	b.Append(StringAt(col, i))
 }
 
 // AppendSel implements Builder.
 func (b *StringBuilder) AppendSel(col Column, sel []int32) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.runsOf(sel))
+		return
+	}
 	sc := col.(*StringColumn)
 	for _, i := range sel {
 		b.Append(sc.Value(int(i)))
@@ -393,6 +418,10 @@ func (b *StringBuilder) AppendSel(col Column, sel []int32) {
 
 // AppendAll implements Builder.
 func (b *StringBuilder) AppendAll(col Column) {
+	if rc, ok := col.(*RunColumn); ok {
+		rc.appendRuns(b, rc.rowRuns())
+		return
+	}
 	sc := col.(*StringColumn)
 	for i := 0; i < sc.Len(); i++ {
 		b.Append(sc.Value(i))

@@ -63,8 +63,8 @@ type Column interface {
 
 // Int64s returns the values of an int64 or timestamp column, one per
 // row: the backing slice of a plain column, a fresh expansion of a
-// run-shaped one (kernels that care read Runs instead). It panics if
-// the column has a different physical representation.
+// run-shaped one (kernels that care read RunsOf instead). It panics if
+// the column has a different kind.
 func Int64s(c Column) []int64 {
 	switch c := c.(type) {
 	case *Int64Column:
@@ -72,20 +72,35 @@ func Int64s(c Column) []int64 {
 	case *TimeColumn:
 		return c.vals
 	case *RunColumn:
-		return c.expand()
+		return Int64s(c.expand(false))
 	default:
 		panic(fmt.Sprintf("storage: Int64s on %T", c))
 	}
 }
 
-// Float64s extracts the backing slice of a float64 column.
+// Float64s is Int64s for float64 columns.
 func Float64s(c Column) []float64 {
+	if rc, ok := c.(*RunColumn); ok {
+		c = rc.expand(false)
+	}
 	return c.(*Float64Column).vals
 }
 
-// Bools extracts the backing slice of a bool column.
+// Bools is Int64s for bool columns.
 func Bools(c Column) []bool {
+	if rc, ok := c.(*RunColumn); ok {
+		c = rc.expand(false)
+	}
 	return c.(*BoolColumn).vals
+}
+
+// Strings is Int64s for string columns: the column itself when plain,
+// a fresh expansion sharing its dictionary when run-shaped.
+func Strings(c Column) *StringColumn {
+	if rc, ok := c.(*RunColumn); ok {
+		c = rc.expand(false)
+	}
+	return c.(*StringColumn)
 }
 
 // Int64Column is a column of 64-bit integers. pooled marks columns
@@ -312,7 +327,7 @@ func ValueAt(c Column, i int) any {
 	case *StringColumn:
 		return c.Value(i)
 	case *RunColumn:
-		return c.Value(i)
+		return ValueAt(runValue(c, i))
 	default:
 		panic(fmt.Sprintf("storage: ValueAt on %T", c))
 	}

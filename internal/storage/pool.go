@@ -9,9 +9,9 @@ package storage
 // Ownership is linear, mirroring the selection-vector rules:
 //
 //  1. A pooled column (or batch of pooled columns) has exactly one
-//     owner at a time. Producers — pooled builders, GatherPooled, the
-//     drain's coalescer, the join probe — create it owned by their
-//     consumer.
+//     owner at a time. Producers — pooled builders, GatherPooled,
+//     GatherRunsPooled, the drain's coalescer, the join probe — create
+//     it owned by their consumer.
 //  2. The owner either consumes it (fold/probe → PutBatch), hands it
 //     off (emit downstream, store into a Relation — the relation then
 //     owns it), or releases it (PutColumn/PutBatch).
@@ -24,7 +24,6 @@ package storage
 // around complete query lifecycles.
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -103,6 +102,7 @@ var (
 	float64Cols sync.Pool // *Float64Column
 	boolCols    sync.Pool // *BoolColumn
 	stringCols  sync.Pool // *StringColumn
+	runCols     sync.Pool // *RunColumn
 	batches     sync.Pool // *Batch with reusable Cols slice
 	relations   sync.Pool // *Relation with reusable batches slice
 )
@@ -206,6 +206,15 @@ func PutColumn(c Column) {
 		PutSel(c.codes) // codes share the selection-vector pool shape
 		c.dict, c.codes, c.pooled = nil, nil, false
 		stringCols.Put(c)
+	case *RunColumn:
+		if !c.pooled {
+			return
+		}
+		trackRelease(c)
+		PutColumn(c.vals)
+		PutSel(c.ends)
+		c.vals, c.ends, c.pooled = nil, nil, false
+		runCols.Put(c)
 	}
 }
 
@@ -355,51 +364,6 @@ func GatherPooled(c Column, idx []int32) Column {
 	}
 }
 
-// ScatterPooled returns a column of n rows, owned by the caller like a
-// GatherPooled result, holding src's row idx[i] at row pos[i] — at row
-// i when pos is nil — for every i with idx[i] >= 0. The other rows hold
-// an unspecified but readable value — a string column's hold dictionary
-// code 0, so src must not be empty: a consumer may evaluate an
-// expression over the whole base batch before applying the selection
-// that hides them. The join probe uses it to lay build-side values
-// under a passed-through probe batch at that batch's base positions.
-func ScatterPooled(src Column, n int, pos, idx []int32) Column {
-	var out Column
-	switch c := src.(type) {
-	case *Int64Column:
-		out = pooledInt64Col(scatter(int64Slices.get(n)[:n], c.vals, pos, idx), false)
-	case *TimeColumn:
-		out = pooledInt64Col(scatter(int64Slices.get(n)[:n], c.vals, pos, idx), true)
-	case *Float64Column:
-		out = pooledFloat64Col(scatter(float64Slices.get(n)[:n], c.vals, pos, idx))
-	case *BoolColumn:
-		out = pooledBoolCol(scatter(boolSlices.get(n)[:n], c.vals, pos, idx))
-	case *StringColumn:
-		codes := GetSel(n)[:n]
-		clear(codes) // a recycled vector holds row indexes, or -1
-		out = pooledStringCol(c.dict, scatter(codes, c.codes, pos, idx))
-	default:
-		panic(fmt.Sprintf("storage: ScatterPooled on %T", src))
-	}
-	if !pooling.Load() {
-		disownColumn(out)
-	}
-	return out
-}
-
-func scatter[T int64 | float64 | bool | int32](out, src []T, pos, idx []int32) []T {
-	for i, j := range idx {
-		switch {
-		case j < 0:
-		case pos == nil:
-			out[i] = src[j]
-		default:
-			out[pos[i]] = src[j]
-		}
-	}
-	return out
-}
-
 // GetRelation returns an empty relation pre-sized for nBatches, drawn
 // from the relation-header pool; PutRelation returns it. The drain uses
 // the pair for its scratch and per-range buffers, whose batches move on
@@ -473,6 +437,12 @@ func disownColumn(c Column) {
 		}
 	case *StringColumn:
 		if c.pooled {
+			trackRelease(c)
+			c.pooled = false
+		}
+	case *RunColumn:
+		if c.pooled {
+			disownColumn(c.vals)
 			trackRelease(c)
 			c.pooled = false
 		}

@@ -241,34 +241,33 @@ func TestZoneInheritance(t *testing.T) {
 	}
 }
 
-// TestScatterPooled: rows land at pos (or in place), negative indexes
-// are skipped, strings share the dictionary and are readable at every
-// row whatever the recycled vector held, and the column is owned by the
-// caller whether or not pooling is on.
-func TestScatterPooled(t *testing.T) {
+// TestGatherRunsPooled: run k holds the source row idx[k] over its
+// rows, strings share the dictionary, the ends are the column's own (the
+// caller's vector may be reused at once), and the column is owned by the
+// caller whether or not pooling is on: PutColumn recycles it, and
+// disowning it leaves the pools balanced too.
+func TestGatherRunsPooled(t *testing.T) {
 	defer SetPooling(true)
 	src := NewFloat64Column([]float64{10, 20, 30})
 	tags := NewStringColumn([]string{"a", "b", "c"})
 	for _, pooling := range []bool{true, false} {
 		SetPooling(pooling)
-		c := ScatterPooled(src, 3, nil, []int32{2, -1, 0})
-		if got := Float64s(c); got[0] != 30 || got[2] != 10 {
-			t.Fatalf("in place: %v", got)
+		ends := []int32{2, 3, 7}
+		c := GatherRunsPooled(src, []int32{2, 0, 1}, ends)
+		ends[0] = 1
+		if got := Float64s(c); len(got) != 7 || got[0] != 30 || got[1] != 30 || got[2] != 10 || got[6] != 20 {
+			t.Fatalf("float runs: %v", got)
 		}
 		PutColumn(c)
-		stale := GetSel(6)[:6]
-		for i := range stale {
-			stale[i] = -1
+		c = GatherRunsPooled(tags, []int32{2, 1}, []int32{4, 6})
+		if c.Kind() != KindString || c.Len() != 6 || StringAt(c, 3) != "c" || StringAt(c, 4) != "b" {
+			t.Fatalf("string runs: %v rows, %q %q", c.Len(), StringAt(c, 3), StringAt(c, 4))
 		}
-		PutSel(stale)
-		c = ScatterPooled(tags, 6, []int32{1, 4, 5}, []int32{2, -1, 1})
-		if sc := c.(*StringColumn); c.Len() != 6 || sc.Value(1) != "c" || sc.Value(5) != "b" {
-			t.Fatalf("scattered strings: %q %q", sc.Value(1), sc.Value(5))
+		if sc := Strings(c); &sc.Dict()[0] != &tags.Dict()[0] {
+			t.Fatal("string runs copied the dictionary")
 		}
-		for r := 0; r < c.Len(); r++ {
-			_ = ValueAt(c, r) // unfilled rows must not index the dictionary out of range
-		}
-		PutColumn(c)
+		b := NewPooledBatch(c)
+		DisownBatch(b)
 		RequireNoLeaks(t)
 	}
 }

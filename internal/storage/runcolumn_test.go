@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -85,8 +86,8 @@ func TestRunColumnMatchesPlainTwin(t *testing.T) {
 		if got := Int64s(rc); len(got) != n {
 			t.Fatalf("Int64s: %d values, want %d", len(got), n)
 		}
-		if rc.MemSize() != int64(len(rc.vals))*12 {
-			t.Fatalf("MemSize = %d for %d runs", rc.MemSize(), len(rc.vals))
+		if rc.MemSize() != int64(rc.vals.Len())*12 {
+			t.Fatalf("MemSize = %d for %d runs", rc.MemSize(), rc.vals.Len())
 		}
 		if z, w := ColumnZone(rc), ColumnZone(plain); z != w {
 			t.Fatalf("ColumnZone = %+v, want %+v", z, w)
@@ -389,4 +390,136 @@ func FuzzDecodeRelation(f *testing.F) {
 		back.Release()
 		RequireNoLeaks(t)
 	})
+}
+
+// kindRunPair returns a run column of any kind, rows rows long with
+// runs of one to five rows (a one-row run among them), and its plain
+// twin.
+func kindRunPair(rng *rand.Rand, kind Kind, rows int) (*RunColumn, Column) {
+	value := func() any {
+		switch kind {
+		case KindFloat64:
+			return float64(rng.Intn(7)) / 4
+		case KindBool:
+			return rng.Intn(2) == 0
+		case KindString:
+			return []string{"FIAM", "ISK", "AQU", "CERA"}[rng.Intn(4)]
+		default:
+			return rng.Int63n(7) - 3
+		}
+	}
+	vals, plain := NewBuilder(kind, 0), NewBuilder(kind, rows)
+	var ends []int32
+	for plain.Len() < rows {
+		n := min(1+rng.Intn(5), rows-plain.Len())
+		if len(ends) == 0 {
+			n = 1
+		}
+		v := value()
+		vals.AppendAny(v)
+		for i := 0; i < n; i++ {
+			plain.AppendAny(v)
+		}
+		ends = append(ends, int32(plain.Len()))
+	}
+	return newRuns(vals.Finish(), ends), plain.Finish()
+}
+
+// requireSameValues asserts got is a plain column of want's kind and
+// values.
+func requireSameValues(t *testing.T, what string, want, got Column) {
+	t.Helper()
+	if _, isRun := got.(*RunColumn); isRun {
+		t.Fatalf("%s: got a run column", what)
+	}
+	requireSameRows(t, what, want, got)
+}
+
+// requireSameRows asserts got, of any shape, has want's kind and values.
+func requireSameRows(t *testing.T, what string, want, got Column) {
+	t.Helper()
+	if got.Kind() != want.Kind() || got.Len() != want.Len() {
+		t.Fatalf("%s: (%v, %d rows), want (%v, %d rows)", what, got.Kind(), got.Len(), want.Kind(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if g, w := ValueAt(got, i), ValueAt(want, i); g != w {
+			t.Fatalf("%s: row %d = %v, want %v", what, i, g, w)
+		}
+	}
+}
+
+// TestRunColumnEveryKind: a run column of each kind reads and copies
+// exactly like its plain twin — through Slice (cuts inside runs
+// included), Gather, Batch.Materialize with and without a selection,
+// Relation.Append and every builder's AppendFrom, AppendSel and
+// AppendAll, pooled and not.
+func TestRunColumnEveryKind(t *testing.T) {
+	defer RequireNoLeaks(t)
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range []Kind{KindString, KindFloat64, KindBool, KindInt64, KindTime} {
+		for _, rows := range []int{1, 2, 9, 300} {
+			rc, plain := kindRunPair(rng, kind, rows)
+			what := func(op string) string { return fmt.Sprintf("%v/%d rows: %s", kind, rows, op) }
+			requireSameRows(t, what("ValueAt"), plain, rc)
+			if rows > 2 {
+				// The first run is one row long, so [1, rows-1) cuts into
+				// the runs at both ends whenever they are longer.
+				s := rc.Slice(1, rows-1)
+				if _, ok := s.(*RunColumn); !ok {
+					t.Fatalf("%s: slice lost the shape", what("slice"))
+				}
+				requireSameRows(t, what("slice"), plain.Slice(1, rows-1), s)
+				requireSameValues(t, what("slice gather"), plain.Slice(1, rows-1), s.Gather(ascending(rows-2)))
+			}
+			idx := make([]int32, 2*rows)
+			for i := range idx {
+				idx[i] = int32(rng.Intn(rows))
+			}
+			requireSameValues(t, what("gather"), plain.Gather(idx), rc.Gather(idx))
+			sel := randSel(rng, rows)
+
+			m := NewBatch(rc).Materialize()
+			requireSameValues(t, what("materialize"), plain, m.Cols[0])
+			if len(sel) > 0 {
+				m = ViewWithSel(NewBatch(rc), append(GetSel(len(sel)), sel...)).Materialize()
+				requireSameValues(t, what("materialize sel"), plain.Gather(sel), m.Cols[0])
+				PutBatch(m)
+			}
+			rel := NewRelation()
+			rel.Append(NewBatch(rc, rc))
+			requireSameValues(t, what("append"), plain, rel.Batches()[0].Cols[1])
+			if rel.Batches()[0].Cols[0] != rel.Batches()[0].Cols[1] {
+				t.Fatalf("%s: a column occurring twice was expanded twice", what("append"))
+			}
+
+			for _, pooled := range []bool{false, true} {
+				mk := NewBuilder
+				if pooled {
+					mk = NewPooledBuilder
+				}
+				wb, gb := mk(kind, 0), mk(kind, 0)
+				wb.AppendSel(plain, sel)
+				gb.AppendSel(rc, sel)
+				wb.AppendAll(plain)
+				gb.AppendAll(rc)
+				wb.AppendSel(plain, nil)
+				gb.AppendSel(rc, nil)
+				wb.AppendFrom(plain, rows/2)
+				gb.AppendFrom(rc, rows/2)
+				wc, gc := wb.Finish(), gb.Finish()
+				requireSameValues(t, what(fmt.Sprintf("builder pooled=%v", pooled)), wc, gc)
+				PutColumn(wc)
+				PutColumn(gc)
+			}
+		}
+	}
+}
+
+// ascending is the identity selection of n rows.
+func ascending(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
 }

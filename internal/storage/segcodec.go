@@ -556,5 +556,5 @@ func (d *segDecoder) runs(nRows int) (Column, error) {
 	if end != uint64(nRows) {
 		return nil, ErrSegCorrupt
 	}
-	return &RunColumn{kind: kind, vals: vals, ends: ends}, nil
+	return &RunColumn{vals: intColumn(kind, vals), ends: ends}, nil
 }
