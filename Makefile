@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: ci fmt vet lint lint-extra test build loc bench bench-micro
 
 ## ci is the documented pre-merge check: formatting, vet, the
-## ownership-protocol lint, and the full test suite under the race
+## sommelierlint analyzers, and the full test suite under the race
 ## detector (the concurrency guarantees of engine.DB and sommelierd
 ## are enforced by -race tests).
 ci: fmt vet lint test
@@ -13,17 +13,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## vet also type-checks the pooldebug build, so the stack-recording
-## pool accounting cannot rot between uses.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags pooldebug ./...
 
-## lint builds sommelierlint (the go/analysis vettool proving the
-## pooled-memory ownership protocol: poolown, selalias, releasecheck,
-## atomicguard) and runs it over the whole module via go vet. See the
-## "Static analysis & the ownership protocol" section of
-## PERFORMANCE.md.
+## lint builds sommelierlint (the go/analysis vettool running selalias,
+## releasecheck and atomicguard) and runs it over the whole module via
+## go vet. See the "Static analysis" section of PERFORMANCE.md.
 lint:
 	$(GO) build -o bin/sommelierlint ./cmd/sommelierlint
 	$(GO) vet -vettool=$(abspath bin/sommelierlint) ./...

@@ -1,14 +1,14 @@
-// Command sommelierlint is the static-analysis gate for the pooled
-// memory ownership protocol. It runs two ways:
+// Command sommelierlint is sommelier's static-analysis gate. It runs
+// two ways:
 //
 //	go vet -vettool=$(pwd)/bin/sommelierlint ./...   # the CI path
 //	sommelierlint ./internal/...                     # standalone
 //
-// The suite: poolown (linear ownership of pooled batches/relations),
-// selalias (no retained aliases of recycled backing), releasecheck
-// (query results are released), atomicguard (no mixed atomic/plain
-// access). See internal/analysis and the "Static analysis & the
-// ownership protocol" section of PERFORMANCE.md.
+// The suite: selalias (no retained or stale alias of a batch's pooled
+// selection vector), releasecheck (query results are released, so
+// their chunk memory can be reused), atomicguard (no mixed
+// atomic/plain access). See internal/analysis and the "Static
+// analysis" section of PERFORMANCE.md.
 package main
 
 import "sommelier/internal/analysis"

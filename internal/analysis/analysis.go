@@ -1,19 +1,14 @@
 // Package analysis is sommelier's static-analysis suite: a small,
 // dependency-free re-implementation of the golang.org/x/tools
-// go/analysis surface (Analyzer, Pass, Diagnostic) plus four custom
-// analyzers that prove the pooled-memory ownership protocol of
-// internal/storage at compile time:
+// go/analysis surface (Analyzer, Pass, Diagnostic) plus three custom
+// analyzers:
 //
-//   - poolown: every pooled value obtained from a producer
-//     (NewPooledBatch, ViewWithSel, GatherPooled, GetRelation,
-//     DetachSel, Materialize) reaches exactly one consumer
-//     (PutBatch/PutBatchExcept/PutColumn/PutRelation/Release) or a
-//     deliberate escape (Disown, return, handoff) on every control-flow
-//     path — leaks, double releases and uses after release are flagged.
-//   - selalias: no retention of Batch.Sel (or other pooled backing
-//     aliases) past the owning batch's release.
+//   - selalias: no alias of a batch's pooled selection vector
+//     (Batch.Sel) is retained, or used after the batch is materialized,
+//     its selection detached or the vector recycled.
 //   - releasecheck: callers of the executor and engine query entry
-//     points release their Result.
+//     points release their Result, which returns the chunk memory its
+//     rows may alias.
 //   - atomicguard: a struct field accessed through sync/atomic anywhere
 //     must never be accessed plainly.
 //
@@ -31,7 +26,7 @@
 // Deliberate protocol escapes the analyzers cannot prove are annotated
 // in source:
 //
-//	//sommelier:ownership-transferred  (poolown, releasecheck)
+//	//sommelier:ownership-transferred  (releasecheck)
 //	//sommelier:sel-retained           (selalias)
 //	//sommelier:atomic-guarded         (atomicguard)
 //
@@ -83,11 +78,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All is the sommelierlint suite, in reporting order.
-var All = []*Analyzer{PoolOwn, SelAlias, ReleaseCheck, AtomicGuard}
+var All = []*Analyzer{SelAlias, ReleaseCheck, AtomicGuard}
 
-// storagePath is the package whose ownership protocol the suite
-// enforces. The pool implementation itself manipulates ownership
-// internals legitimately and is skipped by the ownership analyzers.
+// storagePath is the package whose selection-vector lifecycle selalias
+// checks. The storage implementation itself manipulates selections
+// legitimately and is skipped.
 const storagePath = "sommelier/internal/storage"
 
 // runPackage applies the analyzers to one loaded package and returns

@@ -1,7 +1,6 @@
 package analysis
 
-// The ownership dataflow engine shared by poolown, releasecheck and
-// selalias: a structured abstract interpreter over function bodies.
+// The ownership dataflow engine shared by releasecheck and selalias: a structured abstract interpreter over function bodies.
 // Each tracked variable (the result of a producer call) carries a
 // bitmask state {owned, released}; branches interpret on cloned
 // environments and join afterwards, loops iterate the body to a
@@ -25,59 +24,37 @@ import (
 	"strings"
 )
 
-type consumeKind int
-
-const (
-	// consumeRelease returns the value to the pool: the value is dead and
-	// any further use is a bug.
-	consumeRelease consumeKind = iota
-	// consumeDisown dissolves pool ownership but leaves the value usable
-	// (it will be garbage collected normally).
-	consumeDisown
-)
-
 // ownSpec parameterizes the engine for one analyzer.
 type ownSpec struct {
 	// directive suppresses diagnostics when //sommelier:<directive>
 	// appears on or above the flagged line.
 	directive string
-	// noun names the tracked resource in messages ("pooled batch").
+	// noun names the tracked resource in messages ("query result").
 	noun string
 	// producers maps funcKey → index of the tracked result.
 	producers map[string]int
 	// recvConsumed lists producers that also consume their receiver
 	// (DetachSel, Materialize).
 	recvConsumed map[string]bool
-	// consumers maps funcKey → what the call does to its target (the
-	// receiver for methods, the first argument for functions).
-	consumers map[string]consumeKind
-	// argConsumers maps funcKey → what the call does to its first
-	// argument, for methods that borrow their receiver but take
-	// ownership of the argument (StreamSink.Push: the sink lives on,
-	// the pushed batch is the sink's to recycle).
-	argConsumers map[string]consumeKind
+	// consumers lists the calls that release their target (the
+	// receiver for methods, the first argument for functions): the
+	// value is dead afterwards and any further use is a bug.
+	consumers map[string]bool
 	// borrows lists calls that read a tracked value without taking
 	// ownership; unlisted calls transfer ownership out of the analysis.
 	borrows map[string]bool
-	// recvBorrows lists methods that borrow their receiver but take
-	// ownership of their arguments (Relation.Append: the relation stays
-	// owned, the appended batch is handed off).
-	recvBorrows map[string]bool
 	// derives lists methods whose result aliases the receiver's pooled
 	// backing (Batch.Sel); using the result after the receiver is
 	// released is flagged.
 	derives map[string]bool
-	// deriveFields lists field names whose reads alias pooled backing
-	// (Cols).
-	deriveFields map[string]bool
-	// aliasOnly restricts reports to stale-alias diagnostics; leak,
-	// discard, overwrite and double-release findings are left to the
-	// analyzer that owns them (poolown reports the leak once, selalias
-	// only the aliasing it adds on top).
+	// aliasOnly restricts reports to stale-alias diagnostics: a batch
+	// never materialized or detached is no leak (selalias cares only
+	// about the aliases it tracks).
 	aliasOnly bool
 	// skipTests excludes *_test.go files (tests may lean on the GC).
 	skipTests bool
-	// skipPkgs excludes whole packages (the pool implementation itself).
+	// skipPkgs excludes whole packages (the storage implementation
+	// itself).
 	skipPkgs map[string]bool
 }
 
@@ -562,13 +539,13 @@ func (w *walker) call(c *ast.CallExpr) {
 			w.escapeAlias(arg)
 		}
 		if recvConsumed {
-			w.consumeTarget(c, consumeRelease)
+			w.consumeTarget(c)
 		} else if recv := w.receiver(c); recv != nil {
 			w.use(recv)
 		}
 		return
 	}
-	if kind, ok := spec.consumers[key]; ok {
+	if spec.consumers[key] {
 		target := w.receiver(c)
 		args := c.Args
 		if target == nil && len(args) > 0 {
@@ -581,19 +558,7 @@ func (w *walker) call(c *ast.CallExpr) {
 		if target != nil {
 			// No use() here: consuming a released value reports "double",
 			// which subsumes the use-after-release a use would add.
-			w.consume(target, c, kind)
-		}
-		return
-	}
-	if kind, ok := spec.argConsumers[key]; ok {
-		if recv := w.receiver(c); recv != nil {
-			w.use(recv)
-		}
-		if len(c.Args) > 0 {
-			w.consume(c.Args[0], c, kind)
-		}
-		for _, arg := range c.Args[1:] {
-			w.use(arg)
+			w.consume(target, c)
 		}
 		return
 	}
@@ -603,16 +568,6 @@ func (w *walker) call(c *ast.CallExpr) {
 		}
 		for _, arg := range c.Args {
 			w.use(arg)
-		}
-		return
-	}
-	if spec.recvBorrows[key] {
-		if recv := w.receiver(c); recv != nil {
-			w.use(recv)
-		}
-		for _, arg := range c.Args {
-			w.use(arg)
-			w.escapeAlias(arg)
 		}
 		return
 	}
@@ -631,14 +586,14 @@ func (w *walker) call(c *ast.CallExpr) {
 }
 
 // consumeTarget consumes the receiver of c (DetachSel/Materialize).
-func (w *walker) consumeTarget(c *ast.CallExpr, kind consumeKind) {
+func (w *walker) consumeTarget(c *ast.CallExpr) {
 	if recv := w.receiver(c); recv != nil {
-		w.consume(recv, c, kind)
+		w.consume(recv, c)
 	}
 }
 
 // consume applies a consumer call to the variable rooting target.
-func (w *walker) consume(target ast.Expr, c *ast.CallExpr, kind consumeKind) {
+func (w *walker) consume(target ast.Expr, c *ast.CallExpr) {
 	id := rootIdent(target)
 	if id == nil {
 		return
@@ -648,21 +603,21 @@ func (w *walker) consume(target ast.Expr, c *ast.CallExpr, kind consumeKind) {
 		return
 	}
 	st, ok := w.env[v]
-	if !ok || st.owner != nil {
+	if ok && st.owner != nil {
+		// Releasing an alias (PutSel(s), s := b.Sel()) releases what it
+		// aliases.
+		v = st.owner
+		st, ok = w.env[v]
+	}
+	if !ok {
 		return
 	}
 	if st.mask&maskReleased != 0 {
 		w.a.reportOnce(c.Pos(), "double",
 			"%s %q may already be released here (double release)", w.spec().noun, id.Name)
 	}
-	switch kind {
-	case consumeRelease:
-		st.mask = maskReleased
-		w.env[v] = st
-	case consumeDisown:
-		// The value stays usable; pool ownership is dissolved.
-		delete(w.env, v)
-	}
+	st.mask = maskReleased
+	w.env[v] = st
 }
 
 // receiver returns the receiver expression of a method call, nil for

@@ -103,7 +103,7 @@ func (w *walker) exprStmt(s *ast.ExprStmt) {
 			w.escapeAlias(arg)
 		}
 		if recvConsumed {
-			w.consumeTarget(c, consumeRelease)
+			w.consumeTarget(c)
 		}
 		return
 	}
@@ -184,7 +184,7 @@ func (w *walker) assignCore(lhs, rhs []ast.Expr) {
 					w.escapeAlias(arg)
 				}
 				if recvConsumed {
-					w.consumeTarget(c, consumeRelease)
+					w.consumeTarget(c)
 				} else if recv := w.receiver(c); recv != nil {
 					w.use(recv)
 				}
@@ -201,13 +201,6 @@ func (w *walker) assignCore(lhs, rhs []ast.Expr) {
 			w.call(c)
 			w.clearLHS(lhs)
 			return
-		}
-		if len(lhs) == 1 && w.spec().deriveFields != nil {
-			if base := deriveFieldBase(w.info(), rhs[0], w.spec().deriveFields); base != nil {
-				w.use(rhs[0])
-				w.bindDerived(lhs[0], base)
-				return
-			}
 		}
 	}
 	for i, r := range rhs {
@@ -313,8 +306,7 @@ func (w *walker) bindProduced(lhs []ast.Expr, idx int, c *ast.CallExpr, short st
 }
 
 // bindDerived binds an alias of a tracked value's pooled backing
-// (b.Sel(), b.Cols[i]) so later use past the owner's release is
-// caught.
+// (b.Sel()) so later use past the owner's release is caught.
 func (w *walker) bindDerived(l ast.Expr, recv ast.Expr, _ ...any) {
 	rid := rootIdent(recv)
 	if rid == nil {
@@ -358,23 +350,6 @@ func (w *walker) fileVar(v *types.Var) {
 			return
 		}
 	}
-}
-
-// deriveFieldBase recognizes reads of aliasing fields (b.Cols,
-// b.Cols[i]) and returns the root identifier of the owner.
-func deriveFieldBase(info *types.Info, e ast.Expr, fields map[string]bool) *ast.Ident {
-	x := ast.Unparen(e)
-	if ix, ok := x.(*ast.IndexExpr); ok {
-		x = ast.Unparen(ix.X)
-	}
-	sel, ok := x.(*ast.SelectorExpr)
-	if !ok || !fields[sel.Sel.Name] {
-		return nil
-	}
-	if s, ok := info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return rootIdent(sel.X)
 }
 
 func (w *walker) returnStmt(s *ast.ReturnStmt) {
@@ -468,10 +443,9 @@ func (w *walker) ifStmt(s *ast.IfStmt) {
 
 // refine narrows the environment for one side of a condition:
 // negate=false means the condition holds on this path. Two shapes
-// matter to the protocol: `v == nil` (a nil pooled value owns
-// nothing, see the NewPooledBatch fallback) and `err != nil` after
-// `v, err := producer(...)` (the producer failed, so v was never
-// acquired).
+// matter to the protocol: `v == nil` (a nil value owns nothing) and
+// `err != nil` after `v, err := producer(...)` (the producer failed,
+// so v was never acquired).
 func (w *walker) refine(cond ast.Expr, negate bool) {
 	switch x := ast.Unparen(cond).(type) {
 	case *ast.UnaryExpr:

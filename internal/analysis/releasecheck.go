@@ -1,22 +1,22 @@
 package analysis
 
-// releasecheck enforces the caller half of the protocol: whoever runs
-// a query owns the result and must call Release (or Disown) on it on
-// every path. Test files are exempt — tests may lean on the garbage
-// collector, and the pool-focused ones assert with
-// storage.RequireNoLeaks instead.
+// releasecheck enforces the caller half of the chunk-memory protocol:
+// whoever runs a query owns the result, whose rows may alias chunk
+// memory, and must call Release on it on every path so the chunk store
+// can reuse that memory. Test files are exempt — tests may lean on the
+// garbage collector, and the leak-focused ones assert the engine's
+// chunk-handle gauge instead.
 
 const (
-	execPath     = "sommelier/internal/exec."
-	enginePath   = "sommelier/internal/engine."
-	physicalPath = "sommelier/internal/physical."
+	execPath   = "sommelier/internal/exec."
+	enginePath = "sommelier/internal/engine."
 )
 
 // ReleaseCheck flags query results that are never released.
 var ReleaseCheck = &Analyzer{
 	Name: "releasecheck",
 	Doc: "check that callers of exec/engine query entry points release the " +
-		"Result (or the drained Relation) on every path",
+		"Result on every path",
 	Run: func(p *Pass) error { return runOwnership(p, releaseSpec) },
 }
 
@@ -34,20 +34,13 @@ var releaseSpec = &ownSpec{
 		enginePath + "DB.RunContext":       0,
 		enginePath + "Stmt.Query":          0,
 		enginePath + "Stmt.QueryContext":   0,
-
-		physicalPath + "Collect": 0,
 	},
-	consumers: map[string]consumeKind{
+	consumers: map[string]bool{
 		// res.Release() resolves here for engine.Result too (it embeds
 		// *exec.Result).
-		execPath + "Result.Release": consumeRelease,
-		// Drained relations (and res.Rel selector chains) release
-		// through the storage protocol.
-		sp + "Relation.Release": consumeRelease,
-		sp + "Relation.Disown":  consumeDisown,
-		sp + "PutRelation":      consumeRelease,
+		execPath + "Result.Release": true,
 	},
-	borrows: mergeKeys(poolBorrows, map[string]bool{
+	borrows: mergeKeys(batchBorrows, map[string]bool{
 		execPath + "Result.Rows": true,
 	}),
 	skipTests: true,

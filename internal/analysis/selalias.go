@@ -1,13 +1,13 @@
 package analysis
 
-// selalias guards against the quietest failure mode the pool has:
-// slice recycling turns a retained alias of a released batch's
-// backing (its selection vector or a column) into silent data
-// corruption once the pool hands the memory to someone else. Two
-// checks:
+// selalias guards the selection-vector lifecycle. A batch carrying a
+// deferred selection owns a pooled vector: Materialize recycles it with
+// PutSel, DetachSel hands it to the caller, who recycles it in turn. An
+// alias kept from Batch.Sel() turns into silent data corruption once
+// the pool hands the vector to someone else. Two checks:
 //
-//  1. dataflow: an alias derived from a tracked batch (s := b.Sel(),
-//     c := b.Cols[i]) must not be used after the batch is released;
+//  1. dataflow: an alias s := b.Sel() must not be used after b is
+//     materialized, its selection detached, or s recycled (PutSel);
 //  2. retention: the result of Batch.Sel() must not be stored into a
 //     field, global or composite, or returned — those outlive the
 //     statement and the analysis cannot tie them to the batch's
@@ -19,28 +19,78 @@ import (
 	"go/types"
 )
 
-// SelAlias flags retained aliases of pooled batch backing.
+const sp = storagePath + "."
+
+// SelAlias flags retained or stale aliases of a batch's selection.
 var SelAlias = &Analyzer{
 	Name: "selalias",
-	Doc: "check that Batch.Sel and pooled column backings are not retained " +
-		"past the owning batch's release",
+	Doc: "check that Batch.Sel is not retained past the batch's Materialize, " +
+		"DetachSel or PutSel",
 	Run: runSelAlias,
 }
 
 var selAliasSpec = &ownSpec{
-	directive:    "sel-retained",
-	noun:         "pooled value",
-	producers:    poolOwnSpec.producers,
-	recvConsumed: poolOwnSpec.recvConsumed,
-	consumers:    poolOwnSpec.consumers,
-	borrows:      poolBorrows,
-	recvBorrows:  poolOwnSpec.recvBorrows,
+	directive: "sel-retained",
+	noun:      "batch",
+	producers: map[string]int{
+		sp + "Batch.WithSel":     0,
+		sp + "Batch.DetachSel":   0,
+		sp + "Batch.Materialize": 0,
+	},
+	// Both end the receiver's hold on its selection: Materialize
+	// recycles it, DetachSel moves it to the caller.
+	recvConsumed: map[string]bool{
+		sp + "Batch.DetachSel":   true,
+		sp + "Batch.Materialize": true,
+	},
+	consumers: map[string]bool{
+		sp + "PutSel": true,
+	},
+	borrows: batchBorrows,
 	derives: map[string]bool{
 		sp + "Batch.Sel": true,
 	},
-	deriveFields: map[string]bool{"Cols": true},
-	aliasOnly:    true,
-	skipPkgs:     map[string]bool{storagePath: true},
+	aliasOnly: true,
+	skipPkgs:  map[string]bool{storagePath: true},
+}
+
+// batchBorrows lists calls that read a batch, a relation or a column
+// without consuming it. Shared by selalias and releasecheck.
+var batchBorrows = map[string]bool{
+	// Batch reads.
+	sp + "Batch.Len":     true,
+	sp + "Batch.Width":   true,
+	sp + "Batch.Sel":     true,
+	sp + "Batch.MemSize": true,
+	sp + "Batch.Slice":   true,
+	sp + "Batch.Gather":  true,
+	// Relation reads. Flatten's result aliases the relation's batches.
+	sp + "Relation.Batches": true,
+	sp + "Relation.Rows":    true,
+	sp + "Relation.MemSize": true,
+	sp + "Relation.Zone":    true,
+	sp + "Relation.Flatten": true,
+	// Column accessors.
+	sp + "Int64s":     true,
+	sp + "Float64s":   true,
+	sp + "Bools":      true,
+	sp + "ColumnZone": true,
+	// Selection-vector recycling reads nothing from the batch.
+	sp + "PutSel": true,
+	// Row/key readers over batches.
+	sp + "ValueAt":                    true,
+	"sommelier/internal/index.KeyAt":  true,
+	"sommelier/internal/expr.EvalSel": true,
+	// The key resolver and the join probe's column builders read the
+	// probe batch.
+	"sommelier/internal/physical.keyIndex.resolve":    true,
+	"sommelier/internal/physical.HashJoin.runCols":    true,
+	"sommelier/internal/physical.HashJoin.gatherCols": true,
+	// Interface-method reads (funcKey cannot name the dynamic type, so
+	// these match by bare method name): expression evaluation borrows
+	// the batch it reads.
+	".Eval":    true,
+	".EvalSel": true,
 }
 
 func runSelAlias(pass *Pass) error {

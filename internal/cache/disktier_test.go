@@ -47,7 +47,6 @@ func requireSameRows(t *testing.T, want, got *storage.Relation) {
 }
 
 func TestDiskTierSpillPromoteRoundtrip(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -69,7 +68,6 @@ func TestDiskTierSpillPromoteRoundtrip(t *testing.T) {
 			t.Fatalf("promote %d missed", id)
 		}
 		requireSameRows(t, want, got)
-		got.Release()
 	}
 	s := dt.Stats()
 	if s.Spills != 5 || s.Promotes != 5 || s.Hits != 5 || s.CorruptBlocks != 0 {
@@ -81,7 +79,6 @@ func TestDiskTierSpillPromoteRoundtrip(t *testing.T) {
 }
 
 func TestDiskTierWarmReopen(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -105,7 +102,6 @@ func TestDiskTierWarmReopen(t *testing.T) {
 		t.Fatal("block lost across reopen")
 	}
 	requireSameRows(t, want, got)
-	got.Release()
 	// And the reopened segment accepts new appends after the footer.
 	more := tierRel(100, 9)
 	dt2.SpillSync(43, more)
@@ -116,7 +112,6 @@ func TestDiskTierWarmReopen(t *testing.T) {
 }
 
 func TestDiskTierCapacityRefusal(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 600)
 	if err != nil {
@@ -182,7 +177,6 @@ func requireQuarantined(t *testing.T, dir, path, kind string) {
 }
 
 func TestDiskTierTruncatedSegmentQuarantined(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	path := corruptTier(t, dir)
 	// A kill during spill leaves a segment without its footer: chop the
@@ -198,7 +192,6 @@ func TestDiskTierTruncatedSegmentQuarantined(t *testing.T) {
 }
 
 func TestDiskTierFlippedByteQuarantined(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	path := corruptTier(t, dir)
 	data, err := os.ReadFile(path)
@@ -215,7 +208,6 @@ func TestDiskTierFlippedByteQuarantined(t *testing.T) {
 }
 
 func TestDiskTierMissingFooterQuarantined(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	path := corruptTier(t, dir)
 	data, err := os.ReadFile(path)
@@ -236,7 +228,6 @@ func TestDiskTierMissingFooterQuarantined(t *testing.T) {
 // read as a negative slice bound; so is one claiming far more entries
 // than its bytes hold, before that count sizes anything.
 func TestDiskTierHugeFooterLengthQuarantined(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	for _, c := range []struct {
 		what          string
@@ -281,11 +272,9 @@ func TestDiskTierHugeFooterLengthQuarantined(t *testing.T) {
 		t.Fatal("the fresh segment does not serve")
 	}
 	requireSameRows(t, want, got)
-	got.Release()
 }
 
 func TestDiskTierBitRotAfterOpenDegradesToMiss(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -318,7 +307,6 @@ func TestDiskTierBitRotAfterOpenDegradesToMiss(t *testing.T) {
 }
 
 func TestDiskTierDuplicateSpillIgnored(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -337,7 +325,6 @@ func TestDiskTierDuplicateSpillIgnored(t *testing.T) {
 }
 
 func TestDiskTierSpillAfterCloseRefused(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -358,7 +345,6 @@ func TestDiskTierSpillAfterCloseRefused(t *testing.T) {
 // no block counted corrupt, every promote is a miss (the executor's
 // next step is the archive), and the tier spills and serves afresh.
 func TestDiskTierOlderSegmentVersionDiscarded(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {
@@ -406,7 +392,6 @@ func TestDiskTierOlderSegmentVersionDiscarded(t *testing.T) {
 		t.Fatal("the fresh segment does not serve")
 	}
 	requireSameRows(t, want, got)
-	got.Release()
 }
 
 // TestDiskTierSpillDone: a spill reports that the tier no longer reads
@@ -414,7 +399,6 @@ func TestDiskTierOlderSegmentVersionDiscarded(t *testing.T) {
 // on disk), refused by a full queue, and after close — so its owner can
 // reuse the memory.
 func TestDiskTierSpillDone(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dt, err := OpenDiskTier(t.TempDir(), "D", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +439,6 @@ func TestDiskTierSpillDone(t *testing.T) {
 // 16-byte header (chunk ID, body length, CRC32 of the body) followed by
 // the storage.EncodeRelation body, back to back after the file header.
 func TestDiskTierBlockLayout(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := t.TempDir()
 	dt, err := OpenDiskTier(dir, "D", 0)
 	if err != nil {

@@ -88,7 +88,7 @@ type Store struct {
 	mems    []*storage.ChunkMem
 	maxFree int
 
-	hits, misses, reused, allocated, topups atomic.Int64
+	hits, misses, reused, allocated, topups, handles atomic.Int64
 }
 
 // New returns an empty store for the named table, lazy only once
@@ -152,8 +152,15 @@ func (h Handle) Rel() *storage.Relation { return h.c.rel }
 // Release drops the reference. Releasing a handle twice is a bug.
 func (h Handle) Release() {
 	if h.c != nil {
+		h.c.s.handles.Add(-1)
 		h.c.unref()
 	}
+}
+
+// handle grants a Handle on c, whose reference the caller has taken.
+func (s *Store) handle(c *chunk) Handle {
+	s.handles.Add(1)
+	return Handle{c: c}
 }
 
 // ReleaseAll releases every handle of hs.
@@ -192,7 +199,7 @@ func (s *Store) TryAcquire(id int64, segs []int64) (Handle, bool) {
 	if !hit {
 		return Handle{}, false
 	}
-	return Handle{c: c}, true
+	return s.handle(c), true
 }
 
 // flight is one chunk load shared by the Acquires arriving while it
@@ -238,7 +245,7 @@ func (s *Store) Acquire(ctx context.Context, id int64, segs []int64) (Handle, er
 			// Another flight just landed it.
 			c.refs.Add(1)
 			s.mu.Unlock()
-			return Handle{c: c}, nil
+			return s.handle(c), nil
 		}
 		if f := s.flights[id]; f != nil {
 			if !cache.Covers(f.segs, segs) {
@@ -275,7 +282,10 @@ func (s *Store) Acquire(ctx context.Context, id int64, segs []int64) (Handle, er
 func (s *Store) wait(ctx context.Context, f *flight) (Handle, error) {
 	select {
 	case <-f.done:
-		return Handle{c: f.c}, f.err
+		if f.err != nil {
+			return Handle{}, f.err
+		}
+		return s.handle(f.c), nil
 	case <-ctx.Done():
 	}
 	s.mu.Lock()
@@ -317,7 +327,9 @@ func (s *Store) lead(ctx context.Context, id int64, f *flight) (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
-	return Handle{c: c, Loaded: true, Promoted: promoted}, nil
+	h := s.handle(c)
+	h.Loaded, h.Promoted = true, promoted
+	return h, nil
 }
 
 // admit makes c resident, in place of the entry it widens (old), as far
@@ -523,10 +535,13 @@ func (s *Store) Rows() int {
 // result — which never keeps a chunk resident), those holding a strict
 // subset of their segments, their charged bytes; free arenas, loads
 // that wrote into a released chunk's arena or needed a fresh one, and
-// loads that widened a resident chunk.
+// loads that widened a resident chunk. Handles counts the handles
+// granted and not yet released, evicted chunks' included: zero once
+// every query has finished and every result is released.
 type Stats struct {
 	Resident        int   `json:"resident"`
 	Pinned          int   `json:"pinned"`
+	Handles         int64 `json:"handles"`
 	Partial         int   `json:"partial"`
 	ResidentBytes   int64 `json:"resident_bytes"`
 	FreeArenas      int   `json:"free_arenas"`
@@ -554,7 +569,7 @@ func (s *Store) Stats() Stats {
 	st.FreeArenas = len(s.arenas)
 	s.freeMu.Unlock()
 	st.ArenasReused, st.ArenasAllocated = s.reused.Load(), s.allocated.Load()
-	st.Topups = s.topups.Load()
+	st.Topups, st.Handles = s.topups.Load(), s.handles.Load()
 	return st
 }
 

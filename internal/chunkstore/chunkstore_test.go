@@ -63,6 +63,31 @@ func mustAcquire(t *testing.T, s *Store, id int64) Handle {
 	return h
 }
 
+// requireNoHandles fails t when a handle s granted is still held.
+func requireNoHandles(t *testing.T, s *Store) {
+	t.Helper()
+	if n := s.Stats().Handles; n != 0 {
+		t.Errorf("%d chunk handles still held", n)
+	}
+}
+
+// TestHandlesGauge: Handles counts every handle granted and not yet
+// released — a load's, a hit's, and those on a chunk evicted since,
+// which Pinned (resident chunks only) misses.
+func TestHandlesGauge(t *testing.T) {
+	l := arenaLoader{n: 100}
+	s := newStore(Config{Loader: l, CacheBytes: chunkBytes(t, l) + 1})
+	loaded := mustAcquire(t, s, 0)
+	hit := mustAcquire(t, s, 0)
+	mustAcquire(t, s, 1).Release() // evicts 0
+	if st := s.Stats(); st.Handles != 2 || st.Pinned != 0 {
+		t.Fatalf("two handles on an evicted chunk: %+v", st)
+	}
+	loaded.Release()
+	hit.Release()
+	requireNoHandles(t, s)
+}
+
 // TestEvictedArenaServesNextLoad: an evicted, released chunk's arena is
 // what the next load writes into, so a steady stream of misses
 // allocates nothing once warm.
@@ -250,7 +275,6 @@ func TestTransientLoadLivesWithItsHandles(t *testing.T) {
 // its arena until the tier's writer has encoded it, and the block then
 // promotes back into a recycled arena.
 func TestSpillHoldsArena(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dt, err := cache.OpenDiskTier(t.TempDir(), "D", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +282,7 @@ func TestSpillHoldsArena(t *testing.T) {
 	defer dt.Close()
 	l := arenaLoader{n: 200}
 	s := newStore(Config{Loader: l, CacheBytes: chunkBytes(t, l) + 1, Disk: dt})
+	defer requireNoHandles(t, s)
 	mustAcquire(t, s, 1).Release()
 	mustAcquire(t, s, 2).Release() // evicts 1: a spill
 	dt.WaitIdle()
@@ -340,7 +365,7 @@ func TestConcurrentAcquireRelease(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.Pinned != 0 || st.Resident > 2 {
+	if st := s.Stats(); st.Pinned != 0 || st.Handles != 0 || st.Resident > 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -387,6 +412,7 @@ func TestWaiterOutlivesLeaderCancel(t *testing.T) {
 	if err := <-waiter; err != nil {
 		t.Fatalf("waiter: %v", err)
 	}
+	requireNoHandles(t, s)
 }
 
 // BenchmarkAcquireHit is the hit path of every lazy query: parallel

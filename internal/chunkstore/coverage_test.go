@@ -185,7 +185,6 @@ func TestConcurrentNarrowWide(t *testing.T) {
 // request from the archive, and a partial entry spilled and promoted
 // keeps its coverage.
 func TestPromoteCoverage(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dt, err := cache.OpenDiskTier(t.TempDir(), "D", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -194,6 +193,7 @@ func TestPromoteCoverage(t *testing.T) {
 	l := &segLoader{}
 	// Room for one one-segment chunk, not two.
 	s := newStore(Config{Loader: l, CacheBytes: 100, Disk: dt})
+	defer requireNoHandles(t, s)
 	acquireSegs(t, s, 1, []int64{2}).Release()
 	acquireSegs(t, s, 2, []int64{0}).Release() // evicts 1: a spill of {2}
 	dt.WaitIdle()

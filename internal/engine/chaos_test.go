@@ -73,7 +73,6 @@ type rowSink struct{ sb strings.Builder }
 
 func (s *rowSink) Push(b *storage.Batch) error {
 	flat := b.Materialize()
-	defer storage.PutBatch(flat)
 	for r := 0; r < flat.Len(); r++ {
 		for c := 0; c < flat.Width(); c++ {
 			v := storage.ValueAt(flat.Cols[c], r)
@@ -94,7 +93,6 @@ func (s *rowSink) Push(b *storage.Batch) error {
 // principled, not approximate. The matrix crosses DOP 1/3 with
 // materialized/streaming delivery under a seeded fault schedule.
 func TestChaosDegradedEqualsStrictMinusSkipped(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 3)
 	bag := chaosBag()
 	sawDegraded := false
@@ -102,7 +100,7 @@ func TestChaosDegradedEqualsStrictMinusSkipped(t *testing.T) {
 	for _, dop := range []int{1, 3} {
 		for _, streaming := range []bool{false, true} {
 			name := fmt.Sprintf("dop=%d streaming=%v", dop, streaming)
-			faulty, err := Open(dir, Config{
+			faulty, err := openChecked(t, dir, Config{
 				Approach: registrar.Lazy, OptDisable: "none", MaxParallel: dop,
 				Degraded: true, Faults: chaosSchedule, FaultSeed: chaosSeed,
 			})
@@ -111,7 +109,7 @@ func TestChaosDegradedEqualsStrictMinusSkipped(t *testing.T) {
 			}
 			// The reference engine must not inherit any fault schedule —
 			// not the suite's, not the environment's.
-			clean, err := Open(dir, Config{
+			clean, err := openChecked(t, dir, Config{
 				Approach: registrar.Lazy, OptDisable: "none", MaxParallel: dop,
 				Faults: "off",
 			})
@@ -186,13 +184,12 @@ func TestChaosDegradedEqualsStrictMinusSkipped(t *testing.T) {
 // a real rate and degraded results must still equal strict-minus-
 // skipped. With no ambient schedule it is a plain tier differential.
 func TestChaosDiskTierDegraded(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	bag := chaosBag()
 
 	// Clean RAM-only reference: explicitly fault-free, whatever the
 	// environment says, and the source of the churn cache sizing.
-	clean, err := Open(dir, Config{
+	clean, err := openChecked(t, dir, Config{
 		Approach: registrar.Lazy, OptDisable: "none", Faults: "off",
 	})
 	if err != nil {
@@ -213,7 +210,7 @@ func TestChaosDiskTierDegraded(t *testing.T) {
 
 	// Empty Faults defers to SOMMELIER_FAULTS: this is the engine the
 	// CI fault leg actually shakes.
-	faulty, err := Open(dir, Config{
+	faulty, err := openChecked(t, dir, Config{
 		Approach: registrar.Lazy, OptDisable: "none",
 		Degraded: true, CacheBytes: churnBytes, CacheDir: t.TempDir(),
 	})
@@ -278,9 +275,8 @@ func TestChaosDiskTierDegraded(t *testing.T) {
 // schedule turns injected chunk faults into query errors (never
 // silently partial results).
 func TestChaosStrictModeFailsUnderFaults(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
-	db, err := Open(dir, Config{
+	db, err := openChecked(t, dir, Config{
 		Approach: registrar.Lazy, OptDisable: "none",
 		Faults: "exec.flight=error:1", FaultSeed: chaosSeed,
 	})
@@ -341,7 +337,6 @@ func (f *flakyArchive) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // when the archive heals and the TTL and cooldown lapse, results
 // converge back to the pre-outage answers and the breaker closes.
 func TestChaosHTTPArchiveHeals(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	if err := registrar.WriteIndexFile(dir); err != nil {
 		t.Fatal(err)
@@ -367,6 +362,7 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer requireReleased(t, db)
 	sql := tQueries()[4]
 	ref, err := db.Query(sql)
 	if err != nil {

@@ -75,10 +75,9 @@ func churn(t *testing.T, db *DB) {
 // alias chunk columns stays bitwise intact after its chunks are evicted
 // and two later loads have run — because it holds its chunks' memory
 // until Release, and an unreleased result holds it for good — while the
-// DMd fetcher's single-batch series, disowned and never released, keeps
-// its chunk's arena out of reuse the same way.
+// DMd fetcher copies a single-batch series out of its chunk and
+// releases the handles, so the series survives the churn too.
 func TestCollectedResultOutlivesEviction(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 1)
 	open := func(t *testing.T) *DB {
 		db, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none"})
@@ -112,10 +111,10 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 			}
 		})
 	}
-	t.Run("fetchSeries disown", func(t *testing.T) {
+	t.Run("fetchSeries copy", func(t *testing.T) {
 		db := open(t)
 		// One whole segment of FIAM's chunk: a single-batch result, which
-		// fetchSeries hands out by aliasing instead of copying.
+		// fetchSeries copies out before releasing it.
 		file, err := db.Query(`SELECT file_id FROM F WHERE station = 'FIAM'`)
 		if err != nil {
 			t.Fatal(err)
@@ -134,9 +133,10 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !aliases(t, db, vals) {
-			t.Fatal("the series was copied: nothing to test")
+		if aliases(t, db, vals) {
+			t.Fatal("the series aliases chunk memory its handles no longer hold")
 		}
+		requireReleased(t, db)
 		wantT, wantV := append([]int64(nil), times...), append([]float64(nil), vals...)
 		churn(t, db)
 		for i := range wantT {
@@ -152,9 +152,8 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 // its real backing, the capacity of its column slices and run arrays,
 // within 1 %. Otherwise -cache-bytes bounds a fiction.
 func TestChunkChargeMatchesBacking(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 1)
-	db, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: t.TempDir()})
+	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +210,6 @@ func TestChunkChargeMatchesBacking(t *testing.T) {
 // reference both when it arrives and when it is released. Run with
 // -race.
 func TestChunkMemoryStress(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	queries := stressQueries()
 	for _, station := range []string{"FIAM", "ISK", "AQU", "CERA"} {
@@ -233,7 +231,7 @@ func TestChunkMemoryStress(t *testing.T) {
 		res.Release()
 	}
 	st := ref.CacheStats()
-	db, err := Open(dir, Config{
+	db, err := openChecked(t, dir, Config{
 		Approach:   registrar.Lazy,
 		OptDisable: "none",
 		CacheBytes: st.BytesUsed / int64(st.Chunks) * 3,

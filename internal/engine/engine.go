@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -378,20 +379,16 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 	if err != nil {
 		return nil, nil, err
 	}
+	defer res.Release()
 	flat := res.Rel.Flatten()
 	if flat.Len() == 0 {
-		res.Release()
 		return nil, nil, nil
 	}
 	times, vals := storage.Int64s(flat.Cols[0]), storage.Float64s(flat.Cols[1])
-	if len(res.Rel.Batches()) > 1 {
-		// Flatten copied the rows out; the drained batches can recycle.
-		res.Release()
-	} else {
-		// flat IS the single batch and the returned slices alias pooled
-		// memory or a chunk's arena: leave both to the GC (the handles
-		// stay unreleased).
-		res.Rel.Disown()
+	if len(res.Rel.Batches()) == 1 {
+		// flat IS the single batch, whose rows may alias a chunk's arena:
+		// copy them out before the release hands the arena back.
+		times, vals = slices.Clone(times), slices.Clone(vals)
 	}
 	return times, vals, nil
 }
@@ -603,10 +600,9 @@ func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any
 }
 
 // StreamSink receives the batches of a streaming query in result
-// order; see physical.StreamSink for the ownership and lifetime
-// contract (pushed batches are the sink's to recycle via
-// storage.PutBatch; rows must be consumed before Push returns;
-// returning ErrStopStream ends the query early without error).
+// order; see physical.StreamSink for the lifetime contract (rows must
+// be consumed before Push returns; returning ErrStopStream ends the
+// query early without error).
 type StreamSink = physical.StreamSink
 
 // SchemaSink is a StreamSink that also wants the output schema before

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"sommelier/internal/registrar"
 	"sommelier/internal/seisgen"
@@ -25,6 +26,38 @@ func genRepo(t testing.TB, days int) string {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// requireReleased fails t unless db's live chunk handles and governor
+// bytes in use both drain to zero: every query has finished and every
+// result is released. It polls, since a cancelled query's workers may
+// still be unwinding when the caller sees the error.
+func requireReleased(t testing.TB, db *DB) {
+	t.Helper()
+	var handles, inUse int64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		handles, inUse = db.ChunkStats().Handles, 0
+		if g := db.Governor(); g != nil {
+			inUse = g.InUse()
+		}
+		if handles == 0 && inUse == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if handles != 0 || inUse != 0 {
+		t.Errorf("%d chunk handles and %d governor bytes still held", handles, inUse)
+	}
+}
+
+// openChecked is Open with requireReleased run on the DB when the test
+// ends.
+func openChecked(t testing.TB, dir string, cfg Config) (*DB, error) {
+	t.Helper()
+	db, err := Open(dir, cfg)
+	if err == nil {
+		t.Cleanup(func() { requireReleased(t, db) })
+	}
+	return db, err
 }
 
 func open(t testing.TB, dir string, approach registrar.Approach) *DB {

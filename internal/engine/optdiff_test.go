@@ -6,7 +6,6 @@ import (
 
 	"sommelier/internal/opt"
 	"sommelier/internal/registrar"
-	"sommelier/internal/storage"
 )
 
 // optDiffQueries spans the taxonomy (T1/T2/T4/T5) plus projection
@@ -120,7 +119,7 @@ func pruneBag() []string {
 func TestPruneColsBitwise(t *testing.T) {
 	dir := genRepo(t, 2)
 	run := func(app registrar.Approach, disable string) ([]string, string) {
-		db, err := Open(dir, Config{Approach: app, OptDisable: disable})
+		db, err := openChecked(t, dir, Config{Approach: app, OptDisable: disable})
 		if err != nil {
 			t.Fatalf("open %s (disable %s): %v", app, disable, err)
 		}
@@ -158,5 +157,4 @@ func TestPruneColsBitwise(t *testing.T) {
 			t.Errorf("%s: join output pruning should follow the prunecols rule:\non:\n%s\noff:\n%s", app, planOn, planOff)
 		}
 	}
-	storage.RequireNoLeaks(t)
 }

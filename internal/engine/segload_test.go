@@ -120,7 +120,7 @@ func runBits(t *testing.T, db *DB, qs []string, perm []int) []string {
 func openSeg(t *testing.T, dir string, cfg Config) *DB {
 	t.Helper()
 	cfg.OptDisable = "none"
-	db, err := Open(dir, cfg)
+	db, err := openChecked(t, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,6 @@ func diffBits(t *testing.T, what string, qs, got, want []string) {
 // across a disk-tier warm restart whose blocks hold part of their
 // chunks.
 func TestSegmentLoadingBitwise(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir, man := genSegRepo(t)
 	qs := segmentQueries(man)
 	want := wholeReference(t, dir, qs, nil)
@@ -268,7 +267,6 @@ func containsAll(s string, subs ...string) bool {
 // it with one load, after which a scan of D, which needs every segment,
 // is a cache hit.
 func TestSegmentLoadTopUp(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir, man := genSegRepo(t)
 	db := openSeg(t, dir, Config{Approach: registrar.Lazy})
 	defer db.Close()

@@ -2,9 +2,9 @@ package engine
 
 // Differential and stress tests for streaming execution at the engine
 // level: QueryStream must deliver exactly the rows Query materializes,
-// in order, for the whole query bag, at every degree of parallelism,
-// with pooling on or off — and a client that stops or drops mid-stream
-// must never leak a pooled batch, even under heavy concurrency.
+// in order, for the whole query bag, at every degree of parallelism —
+// and a client that stops or drops mid-stream must never leave a chunk
+// handle held, even under heavy concurrency.
 
 import (
 	"context"
@@ -59,40 +59,35 @@ func streamingQueries() []string {
 
 // TestStreamingMatchesMaterialized is the acceptance differential:
 // every query of the bag, streamed, equals its materialized result
-// row-for-row and in order — across DOP 1/2/4/8 and pooling on/off —
-// with the pool gauge back at baseline after each configuration.
+// row-for-row and in order — across DOP 1/2/4/8 — with every chunk
+// handle released after each configuration.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	dir := genRepo(t, 2)
 	queries := streamingQueries()
-	defer storage.SetPooling(true)
 	for _, par := range []int{1, 2, 4, 8} {
-		for _, pooled := range []bool{true, false} {
-			storage.SetPooling(pooled)
-			db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for qi, sql := range queries {
-				res, err := db.Query(sql)
-				if err != nil {
-					t.Fatalf("par %d query %d: %v", par, qi, err)
-				}
-				want := renderRel(res.Rel)
-				res.Release()
-				sink := &physical.CollectSink{Rel: storage.NewRelation()}
-				sres, err := db.QueryStream(context.Background(), sql, sink)
-				if err != nil {
-					t.Fatalf("par %d pooled %v query %d (stream): %v", par, pooled, qi, err)
-				}
-				if got := renderRel(sink.Rel); got != want {
-					t.Errorf("par %d pooled %v query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s",
-						par, pooled, qi, got, want)
-				}
-				sink.Rel.Release()
-				sres.Release()
-			}
-			storage.RequireNoLeaks(t)
+		db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: par})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for qi, sql := range queries {
+			res, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("par %d query %d: %v", par, qi, err)
+			}
+			want := renderRel(res.Rel)
+			res.Release()
+			sink := &physical.CollectSink{Rel: storage.NewRelation()}
+			sres, err := db.QueryStream(context.Background(), sql, sink)
+			if err != nil {
+				t.Fatalf("par %d query %d (stream): %v", par, qi, err)
+			}
+			if got := renderRel(sink.Rel); got != want {
+				t.Errorf("par %d query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s",
+					par, qi, got, want)
+			}
+			sres.Release()
+		}
+		requireReleased(t, db)
 	}
 }
 
@@ -105,7 +100,6 @@ type countingStopSink struct {
 
 func (s *countingStopSink) Push(b *storage.Batch) error {
 	s.rows += b.Len()
-	storage.PutBatch(b)
 	if s.rows >= s.limit {
 		return physical.ErrStopStream
 	}
@@ -122,7 +116,6 @@ type dropSink struct {
 
 func (s *dropSink) Push(b *storage.Batch) error {
 	s.rows += b.Len()
-	storage.PutBatch(b)
 	if s.rows >= s.limit {
 		return s.err
 	}
@@ -140,7 +133,6 @@ type cancelSink struct {
 
 func (s *cancelSink) Push(b *storage.Batch) error {
 	s.rows += b.Len()
-	storage.PutBatch(b)
 	if s.rows >= s.limit {
 		s.cancel()
 	}
@@ -150,8 +142,8 @@ func (s *cancelSink) Push(b *storage.Batch) error {
 // TestStreamingDisconnectStress hammers one DB with concurrent
 // streaming queries whose clients stop politely, drop abruptly, or
 // cancel their context at random points mid-stream. Run with -race;
-// the pool gauge must return to baseline regardless of how each
-// stream ended.
+// every chunk handle must be released regardless of how each stream
+// ended.
 func TestStreamingDisconnectStress(t *testing.T) {
 	dir := genRepo(t, 1)
 	db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: 4})
@@ -195,7 +187,7 @@ func TestStreamingDisconnectStress(t *testing.T) {
 		}(int64(w) + 71)
 	}
 	wg.Wait()
-	storage.RequireNoLeaks(t)
+	requireReleased(t, db)
 }
 
 // TestStreamingQuota pins the engine-level memory-ceiling contract: a
@@ -218,7 +210,7 @@ func TestStreamingQuota(t *testing.T) {
 		if !errors.As(err, &qe) {
 			t.Fatalf("materialized query at DOP %d under %d-byte ceiling: err = %v, want *storage.QuotaError", par, ceiling, err)
 		}
-		storage.RequireNoLeaks(t)
+		requireReleased(t, db)
 	}
 
 	// The streaming path buffers only the bounded run-ahead window; a
@@ -234,5 +226,5 @@ func TestStreamingQuota(t *testing.T) {
 	if sink.rows*16 <= ceiling {
 		t.Fatalf("stream delivered only %d rows — result fits the ceiling, test proves nothing", sink.rows)
 	}
-	storage.RequireNoLeaks(t)
+	requireReleased(t, db1)
 }

@@ -9,7 +9,6 @@ import (
 
 	"sommelier/internal/registrar"
 	"sommelier/internal/seismic"
-	"sommelier/internal/storage"
 )
 
 // warmBag is the differential query bag: T1 metadata, T2 derived
@@ -39,7 +38,6 @@ func runWarmBag(t *testing.T, db *DB) []string {
 // tier off, with a tiny RAM cache churning every chunk through
 // spill/promote, and across a warm restart.
 func TestTierEquivalence(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 
 	// Reference: RAM-only, exactly the pre-disk-tier configuration.
@@ -58,7 +56,7 @@ func TestTierEquivalence(t *testing.T) {
 	t.Run("tiny-ram-churn", func(t *testing.T) {
 		// A RAM cache that holds only one chunk forces constant
 		// evict → spill → promote churn while queries are running.
-		db, err := Open(dir, Config{
+		db, err := openChecked(t, dir, Config{
 			Approach:   registrar.Lazy,
 			OptDisable: "none",
 			CacheBytes: churnBytes,
@@ -93,7 +91,7 @@ func TestTierEquivalence(t *testing.T) {
 
 	t.Run("warm-restart", func(t *testing.T) {
 		cacheDir := t.TempDir()
-		db, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+		db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestTierEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		db2, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+		db2, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +138,10 @@ func TestTierEquivalence(t *testing.T) {
 // Re-pointing the dir wipes segments and snapshots and re-binds the
 // fingerprint sidecar.
 func TestCacheDirBoundToArchive(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cacheDir := t.TempDir()
 
 	dirA := genRepo(t, 2)
-	db, err := Open(dirA, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db, err := openChecked(t, dirA, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +160,7 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 	ref := openOpt(t, dirB, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
-	db2, err := Open(dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db2, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 	}
 
 	// The dir is now bound to B: the next open warm-starts again.
-	db3, err := Open(dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db3, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +201,13 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 // quarantine it and transparently refetch from the archive — degraded
 // performance, identical answers.
 func TestWarmRestartCorruptSegmentRefetches(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	cacheDir := t.TempDir()
 
 	ref := openOpt(t, dir, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
-	db, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +227,7 @@ func TestWarmRestartCorruptSegmentRefetches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db2, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +306,12 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 // means a cold start with RAM-only answers, and no row of the damaged
 // file reaches F, S or H.
 func TestWarmRestartDamagedSnapshot(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	ref := openOpt(t, dir, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
 	cfg := Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: t.TempDir()}
-	db, err := Open(dir, cfg)
+	db, err := openChecked(t, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +346,7 @@ func TestWarmRestartDamagedSnapshot(t *testing.T) {
 			if err := os.WriteFile(snapPath, damage(append([]byte(nil), good...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			db, err := Open(dir, cfg)
+			db, err := openChecked(t, dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,14 +9,14 @@ import (
 
 	"sommelier/internal/exec"
 	"sommelier/internal/registrar"
-	"sommelier/internal/storage"
 )
 
 // The runaway-query watchdog acceptance suite: a query that blows its
 // context deadline must be cancelled at a morsel boundary — within the
 // deadline plus one morsel of grace, not after finishing its drains —
 // on both the materialized and streaming paths, surface a typed
-// *exec.DeadlineError, and release every pooled batch on the way out.
+// *exec.DeadlineError, and release every chunk handle and governor byte
+// on the way out.
 // Injected exec.morsel stalls stand in for the runaway work: without
 // the watchdog each stalled claim would hold the query for 30s.
 
@@ -25,7 +25,7 @@ import (
 // serial fallback) is exercised regardless of GOMAXPROCS.
 func openWatchdog(t *testing.T, dir, faults string) *DB {
 	t.Helper()
-	db, err := Open(dir, Config{
+	db, err := openChecked(t, dir, Config{
 		Approach: registrar.Lazy, OptDisable: "none", MaxParallel: 2,
 		Faults: faults, FaultSeed: 3,
 	})
@@ -60,14 +60,12 @@ func requireDeadlineKill(t *testing.T, err error) *exec.DeadlineError {
 // 30s injected stall: the 50ms deadline must cancel the query at that
 // first claim, promptly, on both delivery paths.
 func TestWatchdogCancelsStalledMorsel(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 	sql := tQueries()[4]
 
 	for _, streaming := range []bool{false, true} {
 		t.Run(fmt.Sprintf("streaming=%v", streaming), func(t *testing.T) {
 			db := openWatchdog(t, dir, "exec.morsel=stall:1")
-			base := storage.Outstanding()
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			t0 := time.Now()
@@ -85,20 +83,17 @@ func TestWatchdogCancelsStalledMorsel(t *testing.T) {
 			if wall > time.Second {
 				t.Fatalf("deadlined query took %v, want ~50ms", wall)
 			}
-			if got := storage.Outstanding(); got != base {
-				t.Fatalf("outstanding pooled batches = %d, want baseline %d", got, base)
-			}
+			requireReleased(t, db)
 		})
 	}
 }
 
 // TestWatchdogCancelsMidQuery delays every morsel claim by 40ms under
 // a 50ms deadline: the first claim succeeds and does real work
-// (pooled batches in flight), the second expires mid-wait — the
-// watchdog must cancel between morsels and the error paths must
-// release everything the first morsel allocated.
+// (chunk handles and governor bytes held), the second expires mid-wait
+// — the watchdog must cancel between morsels and the error paths must
+// release everything the first morsel took.
 func TestWatchdogCancelsMidQuery(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 2)
 
 	queries := map[string]string{
@@ -121,7 +116,6 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 				}
 				cancelWarm()
 
-				base := storage.Outstanding()
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				defer cancel()
 				t0 := time.Now()
@@ -138,9 +132,7 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 				if wall > time.Second {
 					t.Fatalf("deadlined query took %v, want deadline + one morsel", wall)
 				}
-				if got := storage.Outstanding(); got != base {
-					t.Fatalf("outstanding pooled batches = %d, want baseline %d", got, base)
-				}
+				requireReleased(t, db)
 			})
 		}
 	}
@@ -150,7 +142,6 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 // at rate zero, queries under generous deadlines are untouched — the
 // watchdog check itself must not perturb results.
 func TestWatchdogFaultFreePassthrough(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	dir := genRepo(t, 1)
 	clean := openOpt(t, dir, registrar.Lazy)
 	armed := openWatchdog(t, dir, "exec.morsel=latency:0")

@@ -210,19 +210,19 @@ func degradable(err error) bool {
 // Rows is shorthand for the result cardinality.
 func (r *Result) Rows() int { return r.Rel.Rows() }
 
-// Release recycles the result's pooled batch memory back into the
-// storage pools and lets the chunk store reuse the memory of the chunks
-// its rows may alias. Call it when the rows are no longer referenced
-// (after rendering, copying out, or comparing); the steady state then
-// reuses the same memory every execution. Releasing is optional — an
-// unreleased result is simply garbage collected, the chunk memory it
-// aliases with it — and never keeps a chunk resident.
+// Release returns the handles of the chunks the result's rows may
+// alias, so the chunk store can reuse their memory, and empties the
+// result so a stray later read sees no rows. Call it when the rows are
+// no longer referenced (after rendering, copying out, or comparing).
+// Releasing is optional — an unreleased result is simply garbage
+// collected, the chunk memory it aliases with it — and never keeps a
+// chunk resident.
 func (r *Result) Release() {
 	if r == nil {
 		return
 	}
 	if r.Rel != nil {
-		r.Rel.Release()
+		r.Rel.TakeBatches()
 	}
 	chunkstore.ReleaseAll(r.chunks)
 	r.chunks = nil
@@ -277,13 +277,12 @@ type Options struct {
 	// batch reaches the sink as soon as it is produced. The returned
 	// Result then carries the schema and stats with an empty relation.
 	//
-	// Ownership and lifetime follow physical.StreamSink: each pushed
-	// batch is the sink's to recycle, and the chunk data a batch may
-	// alias is held only until Execute returns — sinks that keep rows
-	// longer must copy or serialize them inside Push. A sink returning
-	// physical.ErrStopStream ends the query early without error; the
-	// cancellation propagates down to the morsel cursor, so LIMIT-style
-	// consumers stop the scan instead of discarding it.
+	// Lifetime follows physical.StreamSink: the chunk data a pushed
+	// batch may alias is held only until Execute returns — sinks that
+	// keep rows longer must copy or serialize them inside Push. A sink
+	// returning physical.ErrStopStream ends the query early without
+	// error; the cancellation propagates down to the morsel cursor, so
+	// LIMIT-style consumers stop the scan instead of discarding it.
 	Sink physical.StreamSink
 	// Trace, when non-nil, is filled with the per-operator row counts.
 	Trace *Trace
@@ -385,16 +384,10 @@ func (ex *executor) exec() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The stage-one result is drained unpooled, and any pooled
-		// batches its operators emitted (join probe output) are disowned
-		// rather than recycled: qfRel's batches may pass through the
-		// stage-two result-scan into the final result, which outlives
-		// the query.
-		rel, err := physical.Collect(op, ex.drainOpts(false))
+		rel, err := physical.Collect(op, ex.drainOpts())
 		if err != nil {
 			return nil, fmt.Errorf("exec: stage one: %w", err)
 		}
-		rel.Disown()
 		ex.qfRel = rel
 		ex.qfNames = ex.plan.Qf.Names()
 		ex.qfKinds = ex.plan.Qf.Kinds()
@@ -426,13 +419,13 @@ func (ex *executor) exec() (*Result, error) {
 	// pushed rows before Push returns.
 	var rel *storage.Relation
 	if ex.sink == nil {
-		rel, err = physical.Collect(op, ex.drainOpts(true))
+		rel, err = physical.Collect(op, ex.drainOpts())
 	} else {
 		if ss, ok := ex.sink.(physical.SchemaSink); ok {
 			ss.SetSchema(ex.plan.Root.Names(), ex.plan.Root.Kinds())
 		}
 		rel = storage.NewRelation()
-		err = physical.Drain(op, ex.sink, ex.drainOpts(true))
+		err = physical.Drain(op, ex.sink, ex.drainOpts())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("exec: stage two: %w", err)
@@ -455,8 +448,8 @@ func (ex *executor) exec() (*Result, error) {
 // batches, the watchdog at every morsel claim, the query's memory
 // ceiling, and — above a degree of parallelism of one — the operator's
 // morsels split across a worker pool.
-func (ex *executor) drainOpts(pooled bool) physical.DrainOpts {
-	return physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota, Pooled: pooled}
+func (ex *executor) drainOpts() physical.DrainOpts {
+	return physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota}
 }
 
 // selectChunks extracts, per actual-data table, the distinct chunk IDs

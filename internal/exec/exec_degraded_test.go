@@ -9,6 +9,7 @@ import (
 	"sommelier/internal/fault"
 	"sommelier/internal/seismic"
 	"sommelier/internal/storage"
+	"sommelier/internal/table"
 )
 
 // degradableChunkErr is the test stand-in for a registrar failure that
@@ -33,13 +34,22 @@ func (l *flakyLoader) LoadChunkInto(ctx context.Context, tableName string, chunk
 	return l.fakeLoader.LoadChunkInto(ctx, tableName, chunkID, segs, mem)
 }
 
-// countSink recycles every pushed batch, counting rows.
+// countSink consumes every pushed batch, counting rows.
 type countSink struct{ rows int }
 
 func (s *countSink) Push(b *storage.Batch) error {
 	s.rows += b.Len()
-	storage.PutBatch(b)
 	return nil
+}
+
+// requireNoHandles fails t when a query over cat left a handle on one of
+// its actual-data chunks unreleased.
+func requireNoHandles(t *testing.T, cat *table.Catalog) {
+	t.Helper()
+	d, _ := cat.Table(seismic.TableD)
+	if n := d.Chunks().Stats().Handles; n != 0 {
+		t.Errorf("%d chunk handles still held", n)
+	}
 }
 
 // sumFor is the expected sum_val over the given chunks: chunk c holds
@@ -56,8 +66,8 @@ func sumFor(chunks ...int64) float64 {
 // whose load fails with a Degradable error is skipped with a warning
 // and the query answers over the surviving chunks.
 func TestDegradedSkipsUnavailableChunk(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, base := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	loader := &flakyLoader{fakeLoader: base, unavailable: map[int64]bool{4: true}}
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
@@ -92,8 +102,8 @@ func TestDegradedSkipsUnavailableChunk(t *testing.T) {
 // TestStrictModeFailsOnUnavailableChunk: without degraded mode the
 // same failure is fatal.
 func TestStrictModeFailsOnUnavailableChunk(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, base := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	loader := &flakyLoader{fakeLoader: base, unavailable: map[int64]bool{4: true}}
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
@@ -112,8 +122,8 @@ func TestStrictModeFailsOnUnavailableChunk(t *testing.T) {
 // TestDegradedPerRequestOverride: the context override wins over the
 // env default, in both directions.
 func TestDegradedPerRequestOverride(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, base := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	loader := &flakyLoader{fakeLoader: base, unavailable: map[int64]bool{4: true}}
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
@@ -145,8 +155,8 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 // errors that declare themselves Degradable; anything else (a decode
 // bug, a corrupt catalog) still fails the query.
 func TestDegradedNonDegradableStillFatal(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, loader := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	loader.fail[4] = true // plain error, not Degradable
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
@@ -165,8 +175,8 @@ func TestDegradedNonDegradableStillFatal(t *testing.T) {
 // exec.flight point fails every chunk ingestion; in degraded mode the
 // query still completes, reporting every selected chunk skipped.
 func TestDegradedFaultInjectedFlight(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, loader := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
 		t.Fatal(err)
@@ -196,8 +206,8 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 // after the chunk is decoded, so the warning reports how many rows and
 // bytes the query proceeded without.
 func TestDegradedCacheFillFaultCarriesVolume(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, loader := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +231,8 @@ func TestDegradedCacheFillFaultCarriesVolume(t *testing.T) {
 
 // TestDegradedStreaming: warnings flow through the streaming path too.
 func TestDegradedStreaming(t *testing.T) {
-	defer storage.RequireNoLeaks(t)
 	cat, base := setupCatalog(t, 10)
+	defer requireNoHandles(t, cat)
 	loader := &flakyLoader{fakeLoader: base, unavailable: map[int64]bool{2: true, 6: true}}
 	p, err := compile(cat, t4Query("ISK"))
 	if err != nil {

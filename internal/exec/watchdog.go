@@ -12,14 +12,13 @@ import (
 // The runaway-query watchdog. Context deadlines have always been
 // enforced at the HTTP handler; what was missing is enforcement
 // *inside* execution — a query that blew its budget kept burning CPU
-// and pooled memory until its drains finished. The executor now
-// threads a cooperative check into every stage-2 drain (materialized
-// and streaming), every morsel-range claim, and every pipeline
-// breaker's internal drain (hash-join build, aggregation fold, sort
-// input, top-k feed), so an expired query stops within one morsel of
-// the expiry, releases every pooled batch on the way out (the drain
-// error paths already guarantee that), and surfaces a typed
-// *DeadlineError the server can count as a watchdog kill.
+// and memory until its drains finished. The executor now threads a
+// cooperative check into every stage-2 drain (materialized and
+// streaming), every morsel-range claim, and every pipeline breaker's
+// internal drain (hash-join build, aggregation fold, sort input, top-k
+// feed), so an expired query stops within one morsel of the expiry and
+// surfaces a typed *DeadlineError the server can count as a watchdog
+// kill.
 
 // DeadlineError reports that a query's deadline expired and the
 // watchdog cancelled it at a morsel or drain boundary. It unwraps to

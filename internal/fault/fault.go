@@ -53,7 +53,7 @@ const (
 	// PointMorsel fires at every top-level morsel-range claim of the
 	// stage-2 drain, materialized and streaming alike (latency/stall =
 	// a worker wedged mid-query; the watchdog and shed paths must
-	// release every pooled batch regardless).
+	// release every chunk handle regardless).
 	PointMorsel = "exec.morsel"
 )
 

@@ -550,8 +550,8 @@ func (a *aggAcc) evalArgs(b *storage.Batch) []storage.Column {
 	return a.argCols
 }
 
-// fold accumulates one batch, recycling a pooled input batch once its
-// rows are folded (the accumulator is the batch's single consumer).
+// fold accumulates one batch (the accumulator is the batch's single
+// consumer).
 func (a *aggAcc) fold(b *storage.Batch) error {
 	h := a.h
 	if h.exprArgs {
@@ -571,7 +571,6 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 		var err error
 		if ids, ends, err = a.g.x.resolve(base, h.groupCols, sel, true, false); err != nil {
 			storage.PutSel(sel)
-			storage.PutBatch(base)
 			return err
 		}
 		a.g.grow(nagg)
@@ -588,7 +587,6 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 		storage.PutSel(ends)
 	}
 	storage.PutSel(sel)
-	storage.PutBatch(base)
 	return nil
 }
 

@@ -35,11 +35,9 @@ func BenchmarkFilterScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := Collect(s, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(s, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -62,11 +60,9 @@ func BenchmarkFilterChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := Collect(f, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(f, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -97,11 +93,9 @@ func BenchmarkZoneSkipScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := Collect(s, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(s, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -122,11 +116,9 @@ func BenchmarkHashJoinProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := Collect(j, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(j, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -143,11 +135,9 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := Collect(agg, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(agg, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -173,11 +163,9 @@ func BenchmarkHashJoinProbeParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		j.SetParallel(dop)
-		out, err := Collect(j, DrainOpts{DOP: dop, Pooled: true})
-		if err != nil {
+		if _, err := Collect(j, DrainOpts{DOP: dop}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -198,11 +186,9 @@ func BenchmarkGroupedAggregateParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		agg.SetParallel(dop)
-		out, err := Collect(agg, DrainOpts{Pooled: true})
-		if err != nil {
+		if _, err := Collect(agg, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
-		out.Release()
 	}
 }
 
@@ -263,11 +249,9 @@ func BenchmarkHashJoinProbeKeys(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := Collect(j, DrainOpts{Pooled: true})
-					if err != nil {
+					if _, err := Collect(j, DrainOpts{}); err != nil {
 						b.Fatal(err)
 					}
-					out.Release()
 				}
 			})
 		}
@@ -294,11 +278,9 @@ func BenchmarkGroupedAggregateKeys(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					out, err := Collect(agg, DrainOpts{Pooled: true})
-					if err != nil {
+					if _, err := Collect(agg, DrainOpts{}); err != nil {
 						b.Fatal(err)
 					}
-					out.Release()
 				}
 			})
 		}
@@ -348,11 +330,9 @@ func BenchmarkAggregateFold(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						out, err := Collect(agg, DrainOpts{Pooled: true})
-						if err != nil {
+						if _, err := Collect(agg, DrainOpts{}); err != nil {
 							b.Fatal(err)
 						}
-						out.Release()
 					}
 				})
 			}
@@ -393,11 +373,9 @@ func BenchmarkJoinGroupBy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				out, err := Collect(agg, DrainOpts{Pooled: true})
-				if err != nil {
+				if _, err := Collect(agg, DrainOpts{}); err != nil {
 					b.Fatal(err)
 				}
-				out.Release()
 			}
 		})
 	}

@@ -195,8 +195,7 @@ func scanFilterProject(t *testing.T, rel *storage.Relation, names []string, kind
 // test keeps) — a predicated, column-narrowed RelScan, a residual
 // Filter, and a Project of references, duplicates and arithmetic —
 // against the naive mask-and-gather filter followed by per-batch
-// expression evaluation: serial and morsel-parallel, pooled and
-// unpooled, bitwise.
+// expression evaluation: serial and morsel-parallel, bitwise.
 func TestDifferentialFusedPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel, names, kinds := diffRel(rng, 16, 96)
@@ -230,21 +229,12 @@ func TestDifferentialFusedPipeline(t *testing.T) {
 				want := naiveProject(t, kept, names, kinds, outs)
 				label := fmt.Sprintf("pred %v residual %d projection %d", pred, ri, oi)
 				for _, dop := range []int{1, 2, 4, 8} {
-					got, err := Collect(chain(pred, residual, outs), DrainOpts{DOP: dop, Pooled: true})
+					got, err := Collect(chain(pred, residual, outs), DrainOpts{DOP: dop})
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameRelation(t, got, want, fmt.Sprintf("%s dop %d", label, dop))
-					got.Release()
-					storage.RequireNoLeaks(t)
 				}
-				storage.SetPooling(false)
-				got, err := Collect(chain(pred, residual, outs), DrainOpts{})
-				storage.SetPooling(true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRelation(t, got, want, label+" unpooled")
 			}
 		}
 	}
@@ -264,12 +254,11 @@ func TestFusedPipelineNarrowed(t *testing.T) {
 	want := naiveProject(t, naiveFilter(t, rel, names, kinds, pred), names, kinds, outs)
 	for _, dop := range []int{1, 4} {
 		op, _ := scanFilterProject(t, rel, names, kinds, []int{1, 2}, pred, nil, outs)
-		got, err := Collect(op, DrainOpts{DOP: dop, Pooled: true})
+		got, err := Collect(op, DrainOpts{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRelation(t, got, want, fmt.Sprintf("narrowed dop %d", dop))
-		got.Release()
 	}
 }
 
@@ -286,11 +275,10 @@ func TestFusedPipelineZoneSkip(t *testing.T) {
 	residual := expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120))
 	outs := []expr.Expr{expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(2)), expr.Col("D.id")}
 	op, s := scanFilterProject(t, rel, names, kinds, []int{1, 2, 0}, window, residual, outs)
-	got, err := Collect(op, DrainOpts{Pooled: true})
+	got, err := Collect(op, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer got.Release()
 	kept := naiveFilter(t, rel, names, kinds, expr.NewAnd(window, residual))
 	sameRelation(t, got, naiveProject(t, kept, names, kinds, outs), "zone skip under project")
 	if s.Skipped() < 15 {
@@ -411,8 +399,6 @@ func TestDifferentialJoinFastKey(t *testing.T) {
 		fast := runJoin(t, dim, fact, false, pred)
 		slow := runJoin(t, dim, fact, true, pred)
 		sameRelation(t, fast, slow, "join fast-vs-composite")
-		fast.Release()
-		slow.Release()
 	}
 	// Empty build side drains to an empty result on both paths.
 	emptyDim := storage.NewRelation()
@@ -421,8 +407,6 @@ func TestDifferentialJoinFastKey(t *testing.T) {
 	if fast.Rows() != 0 || slow.Rows() != 0 {
 		t.Fatalf("empty build: fast=%d slow=%d rows", fast.Rows(), slow.Rows())
 	}
-	fast.Release()
-	slow.Release()
 }
 
 func runAgg(t *testing.T, rel *storage.Relation, names []string, kinds []storage.Kind, groupCol string, forceComposite bool, pred expr.Expr) *storage.Relation {

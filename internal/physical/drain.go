@@ -19,12 +19,11 @@ import (
 // last one is computed.
 
 // StreamSink receives the batches of a drain, in result order. Push
-// takes ownership of the batch — even when it returns an error — and
-// recycles it via storage.PutBatch once the rows are consumed (or
-// retains it; disowning is the sink's call). The data a pushed batch
-// references is only guaranteed valid until the Drain call that drove
-// the push returns: sinks that outlive the query must copy or serialize
-// rows before returning from Push.
+// takes the batch — even when it returns an error — and may consume or
+// retain it. The data a pushed batch references is only guaranteed
+// valid until the Drain call that drove the push returns: sinks that
+// outlive the query must copy or serialize rows before returning from
+// Push.
 //
 // Returning ErrStopStream stops the drain gracefully: it stops pulling
 // (the cancellation propagates down to the morsel cursor, so scan work
@@ -48,7 +47,7 @@ type SchemaSink interface {
 }
 
 // DrainOpts configures Drain and Collect; the zero value is a serial,
-// unpooled, unchecked, unmetered drain.
+// unchecked, unmetered drain.
 type DrainOpts struct {
 	// DOP grants the drain up to this many workers when the operator
 	// can split its work (<=1 drains serially on the caller).
@@ -68,14 +67,6 @@ type DrainOpts struct {
 	// of the parallel drain and refunded as they are delivered. What the
 	// sink retains is the sink's to charge (CollectSink does).
 	Quota *storage.Quota
-	// Pooled draws coalesced output batches from the batch pool; they
-	// reach the sink pooled, and whoever ends up owning them recycles
-	// them. Stage one, the join build and the cross join need it off:
-	// they Disown what they drain (the rows outlive the query or are
-	// aliased by the build data), and a disowned pooled batch takes
-	// BatchSize rows of backing per column out of the pool for what is
-	// typically a dozen metadata rows.
-	Pooled bool
 }
 
 // Drain pulls op to completion into sink. Selection-carrying batches
@@ -108,7 +99,7 @@ func Drain(op Operator, sink StreamSink, o DrainOpts) error {
 	}
 	err := claimCheck(o.Morsel)
 	if err == nil {
-		err = drainSerial(op, sink, o.Check, o.Pooled)
+		err = drainSerial(op, sink, o.Check)
 	}
 	if err == ErrStopStream {
 		return nil
@@ -117,22 +108,17 @@ func Drain(op Operator, sink StreamSink, o DrainOpts) error {
 }
 
 // Collect drains op into a relation pre-sized from the operator's
-// batch-count hint, charging o.Quota for every batch it retains. With
-// o.Pooled the caller owns pooled batches and Releases the relation
-// when the rows are no longer referenced.
+// batch-count hint, charging o.Quota for every batch it retains.
 func Collect(op Operator, o DrainOpts) (*storage.Relation, error) {
 	sink := CollectSink{Rel: storage.NewRelationWithCap(batchHint(op)), Quota: o.Quota}
 	if err := Drain(op, &sink, o); err != nil {
-		// The caller never sees the partial relation.
-		sink.Rel.Release()
 		return nil, err
 	}
 	return sink.Rel, nil
 }
 
 // CollectSink accumulates a drain into Rel: the sink that makes the
-// result materialized. The relation owns the pushed batches; Release it
-// as usual. Every retained batch is charged to Quota (nil =
+// result materialized. Every retained batch is charged to Quota (nil =
 // unmetered) and never refunded — the engine loses sight of a result
 // once it is handed to the caller.
 type CollectSink struct {
@@ -144,7 +130,6 @@ type CollectSink struct {
 func (c *CollectSink) Push(b *storage.Batch) error {
 	if c.Quota != nil {
 		if err := c.Quota.Charge(b.MemSize()); err != nil {
-			storage.PutBatch(b)
 			return err
 		}
 	}
@@ -154,9 +139,8 @@ func (c *CollectSink) Push(b *storage.Batch) error {
 
 // deliver hands the batches buffered in buf to the sink in order,
 // refunding quota (nil when they were never charged) as each one
-// leaves, and empties buf. The batch being pushed is the sink's from
-// the moment Push is called; on an error the batches after it are
-// recycled here.
+// leaves, and empties buf. On an error the batches after the failed
+// push are refunded and dropped.
 func deliver(sink StreamSink, buf *storage.Relation, quota *storage.Quota) error {
 	batches := buf.TakeBatches()
 	for i, b := range batches {
@@ -166,7 +150,6 @@ func deliver(sink StreamSink, buf *storage.Relation, quota *storage.Quota) error
 		if err := sink.Push(b); err != nil {
 			for _, rest := range batches[i+1:] {
 				refund(quota, rest)
-				storage.PutBatch(rest)
 			}
 			return err
 		}
@@ -174,9 +157,8 @@ func deliver(sink StreamSink, buf *storage.Relation, quota *storage.Quota) error
 	return nil
 }
 
-// refund returns b's bytes to quota. It must run while b is still
-// owned: once pushed or recycled, the columns may already be another
-// query's.
+// refund returns b's bytes to quota. It runs before the push: once
+// pushed, the sink may have consumed b.
 func refund(quota *storage.Quota, b *storage.Batch) {
 	if quota != nil {
 		quota.Refund(b.MemSize())
@@ -184,18 +166,12 @@ func refund(quota *storage.Quota, b *storage.Batch) {
 }
 
 // drainSerial is the drain on the calling goroutine. The coalescer
-// borrows a scratch relation; completed batches are taken out of it and
+// fills a scratch relation; completed batches are taken out of it and
 // pushed as soon as they form, so at most one batch's worth of rows is
 // buffered at any time. A sink stop surfaces as ErrStopStream.
-func drainSerial(op Operator, sink StreamSink, check func() error, pooled bool) error {
-	var coal *storage.Coalescer
-	if pooled {
-		coal = storage.NewPooledCoalescer(op.Kinds())
-	} else {
-		coal = storage.NewCoalescer(op.Kinds())
-	}
-	scratch := storage.GetRelation(0)
-	defer storage.PutRelation(scratch)
+func drainSerial(op Operator, sink StreamSink, check func() error) error {
+	coal := storage.NewCoalescer(op.Kinds())
+	scratch := storage.NewRelation()
 	for {
 		var (
 			b   *storage.Batch
@@ -222,10 +198,6 @@ func drainSerial(op Operator, sink StreamSink, check func() error, pooled bool) 
 			}
 		}
 		if err != nil {
-			// Rows still in the coalescer's builders are recycled with
-			// anything undelivered.
-			coal.Flush(scratch)
-			scratch.Release()
 			return err
 		}
 		if b == nil {
@@ -274,11 +246,6 @@ func drainRanges(parts []Operator, sink StreamSink, o DrainOpts) error {
 		}
 		ready.Broadcast()
 	}
-	// recycle returns a buffer nobody will deliver to the pools.
-	recycle := func(rel *storage.Relation) {
-		rel.Release()
-		storage.PutRelation(rel)
-	}
 	for w := 0; w < dop; w++ {
 		wg.Add(1)
 		go func() {
@@ -296,16 +263,15 @@ func drainRanges(parts []Operator, sink StreamSink, o DrainOpts) error {
 				cursor++
 				mu.Unlock()
 
-				buf := CollectSink{Rel: storage.GetRelation(batchHint(parts[i])), Quota: o.Quota}
+				buf := CollectSink{Rel: storage.NewRelationWithCap(batchHint(parts[i])), Quota: o.Quota}
 				err := claimCheck(o.Morsel)
 				if err == nil {
-					err = drainSerial(parts[i], &buf, workerCheck, o.Pooled)
+					err = drainSerial(parts[i], &buf, workerCheck)
 				}
 				mu.Lock()
 				if err != nil {
 					fail(err)
 					mu.Unlock()
-					recycle(buf.Rel)
 					return
 				}
 				outs[i] = buf.Rel
@@ -322,7 +288,6 @@ func drainRanges(parts []Operator, sink StreamSink, o DrainOpts) error {
 					outs[next] = nil
 					mu.Unlock()
 					perr := deliver(sink, r, o.Quota)
-					storage.PutRelation(r)
 					mu.Lock()
 					next++
 					ready.Broadcast()
@@ -337,13 +302,6 @@ func drainRanges(parts []Operator, sink StreamSink, o DrainOpts) error {
 		}()
 	}
 	wg.Wait()
-	// Ranges drained but never delivered (stop or failure) are this
-	// function's to recycle.
-	for _, rel := range outs {
-		if rel != nil {
-			recycle(rel)
-		}
-	}
 	return failErr
 }
 

@@ -1,10 +1,9 @@
 package physical
 
-// Differential tests for the drain: at every degree of parallelism and
-// with pooling on or off, Drain must deliver exactly the rows the
-// serial drain delivers, in the same order; a sink stop must end the
-// query early without error and without leaking a single pooled batch;
-// a sink failure must abort with that error, equally leak-free.
+// Differential tests for the drain: at every degree of parallelism,
+// Drain must deliver exactly the rows the serial drain delivers, in the
+// same order; a sink stop must end the query early without error; a
+// sink failure must abort with that error.
 
 import (
 	"errors"
@@ -35,7 +34,7 @@ func (s *stopAfterSink) Push(b *storage.Batch) error {
 	return nil
 }
 
-// failAfterSink recycles batches until a limit, then fails the stream.
+// failAfterSink consumes batches until a limit, then fails the stream.
 type failAfterSink struct {
 	rows int
 	fail error
@@ -43,7 +42,6 @@ type failAfterSink struct {
 
 func (s *failAfterSink) Push(b *storage.Batch) error {
 	s.rows += b.Len()
-	storage.PutBatch(b)
 	if s.rows > 256 {
 		return s.fail
 	}
@@ -85,17 +83,12 @@ func TestDrainMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, dop := range drainDOPs {
-				for _, pooled := range []bool{false, true} {
-					sink := &CollectSink{Rel: storage.NewRelation()}
-					err := Drain(drainChain(t, r, names, kinds, pred), sink,
-						DrainOpts{DOP: dop, Pooled: pooled})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRelation(t, sink.Rel, want, pred.String())
-					sink.Rel.Release()
-					storage.RequireNoLeaks(t)
+				sink := &CollectSink{Rel: storage.NewRelation()}
+				err := Drain(drainChain(t, r, names, kinds, pred), sink, DrainOpts{DOP: dop})
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameRelation(t, sink.Rel, want, pred.String())
 			}
 		}
 	}
@@ -103,9 +96,8 @@ func TestDrainMatchesSerial(t *testing.T) {
 
 // TestDrainEarlyStop stops the drain after a handful of rows: the
 // delivered rows must be a prefix of the serial result (sink-driven
-// cancellation keeps in-order delivery), the call must report success,
-// and nothing pooled may leak — including the morsel ranges the stop
-// prevented from ever being scanned.
+// cancellation keeps in-order delivery) and the call must report
+// success.
 func TestDrainEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	rel, names, kinds := diffRel(rng, 32, 256)
@@ -115,58 +107,47 @@ func TestDrainEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dop := range drainDOPs {
-		for _, pooled := range []bool{false, true} {
-			sink := &stopAfterSink{limit: 10}
-			err := Drain(drainChain(t, rel, names, kinds, pred), sink,
-				DrainOpts{DOP: dop, Pooled: pooled})
-			if err != nil {
-				t.Fatalf("dop %d pooled %v: %v", dop, pooled, err)
-			}
-			got := sink.rel
-			if got.Rows() < 10 {
-				t.Fatalf("dop %d: stopped after %d rows, want >= 10", dop, got.Rows())
-			}
-			// Prefix check: the delivered rows are the first rows of the
-			// serial result.
-			g, w := got.Flatten(), want.Flatten()
-			for c := 0; c < w.Width(); c++ {
-				for r := 0; r < g.Len(); r++ {
-					if storage.ValueAt(g.Cols[c], r) != storage.ValueAt(w.Cols[c], r) {
-						t.Fatalf("dop %d: cell (%d,%d) = %v, want %v", dop,
-							r, c, storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r))
-					}
+		sink := &stopAfterSink{limit: 10}
+		err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{DOP: dop})
+		if err != nil {
+			t.Fatalf("dop %d: %v", dop, err)
+		}
+		got := sink.rel
+		if got.Rows() < 10 {
+			t.Fatalf("dop %d: stopped after %d rows, want >= 10", dop, got.Rows())
+		}
+		// Prefix check: the delivered rows are the first rows of the
+		// serial result.
+		g, w := got.Flatten(), want.Flatten()
+		for c := 0; c < w.Width(); c++ {
+			for r := 0; r < g.Len(); r++ {
+				if storage.ValueAt(g.Cols[c], r) != storage.ValueAt(w.Cols[c], r) {
+					t.Fatalf("dop %d: cell (%d,%d) = %v, want %v", dop,
+						r, c, storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r))
 				}
 			}
-			got.Release()
-			storage.RequireNoLeaks(t)
 		}
 	}
 }
 
 // TestDrainPushError aborts the drain with a sink failure: the error
-// must surface and the undelivered run-ahead buffers must all be
-// recycled.
+// must surface.
 func TestDrainPushError(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rel, names, kinds := diffRel(rng, 32, 256)
 	pred := expr.NewCmp(expr.GE, expr.Col("D.id"), expr.Int(0)) // all pass
 	boom := errors.New("client hung up")
 	for _, dop := range drainDOPs {
-		for _, pooled := range []bool{false, true} {
-			sink := &failAfterSink{fail: boom}
-			err := Drain(drainChain(t, rel, names, kinds, pred), sink,
-				DrainOpts{DOP: dop, Pooled: pooled})
-			if !errors.Is(err, boom) {
-				t.Fatalf("dop %d pooled %v: err = %v, want %v", dop, pooled, err, boom)
-			}
-			storage.RequireNoLeaks(t)
+		sink := &failAfterSink{fail: boom}
+		err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{DOP: dop})
+		if !errors.Is(err, boom) {
+			t.Fatalf("dop %d: err = %v, want %v", dop, err, boom)
 		}
 	}
 }
 
 // TestDrainQuota runs parallel drains under ceilings below the result
-// size, each failing with a typed error and recycling everything
-// buffered: a ceiling of one byte trips on the first run-ahead buffer;
+// size, each failing with a typed error: a ceiling of one byte trips on the first run-ahead buffer;
 // three quarters of the result fits any run-ahead (a consuming sink
 // succeeds under it) but not the collected relation.
 func TestDrainQuota(t *testing.T) {
@@ -180,26 +161,23 @@ func TestDrainQuota(t *testing.T) {
 	}
 	ceiling := whole.MemSize() * 3 / 4
 	for _, limit := range []int64{1, ceiling} {
-		got, err := Collect(chain(), DrainOpts{DOP: 4, Pooled: true, Quota: storage.NewQuota(limit)})
+		got, err := Collect(chain(), DrainOpts{DOP: 4, Quota: storage.NewQuota(limit)})
 		var qe *storage.QuotaError
 		if !errors.As(err, &qe) || got != nil {
 			t.Fatalf("limit %d: got %v, err = %v, want a *storage.QuotaError", limit, got, err)
 		}
-		storage.RequireNoLeaks(t)
 	}
 	quota := storage.NewQuota(ceiling)
 	sink := &failAfterSink{fail: nil}
-	if err := Drain(chain(), sink, DrainOpts{DOP: 4, Pooled: true, Quota: quota}); err != nil {
+	if err := Drain(chain(), sink, DrainOpts{DOP: 4, Quota: quota}); err != nil {
 		t.Fatalf("consuming sink under the ceiling: %v", err)
 	}
 	if sink.rows != whole.Rows() || quota.Used() != 0 {
 		t.Fatalf("consumed %d rows (want %d) with %d bytes still charged", sink.rows, whole.Rows(), quota.Used())
 	}
-	storage.RequireNoLeaks(t)
 }
 
-// twoBatchOp emits a pooled selection batch followed by a pooled
-// contiguous one, so a single pull hands the drain two buffered batches
+// twoBatchOp emits a selection batch followed by a contiguous one, so a single pull hands the drain two buffered batches
 // (the coalesced rows of the first, flushed ahead of the second). Split
 // yields four such streams.
 type twoBatchOp struct{ emitted int }
@@ -212,13 +190,13 @@ func (o *twoBatchOp) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	o.emitted++
-	bl := storage.NewPooledBuilder(storage.KindInt64, 8)
+	bl := storage.NewBuilder(storage.KindInt64, 8)
 	for i := 0; i < 8; i++ {
 		bl.AppendAny(int64(i))
 	}
-	b := storage.NewPooledBatch(bl.Finish())
+	b := storage.NewBatch(bl.Finish())
 	if o.emitted == 1 {
-		return storage.ViewWithSel(b, append(storage.GetSel(2), 1, 5)), nil
+		return b.WithSel(append(storage.GetSel(2), 1, 5)), nil
 	}
 	return b, nil
 }
@@ -227,47 +205,38 @@ func (o *twoBatchOp) Split(n int) ([]Operator, error) {
 	return []Operator{&twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}}, nil
 }
 
-// TestLimitDisownsPooledTruncation pins Limit's ownership behaviour:
-// truncating a pooled batch (twoBatchOp's second, 8 rows past a limit
-// of 5 with 2 already seen) takes it out of pool accounting — the
-// sliced views share its storage — so the outstanding gauge returns to
-// baseline once the result is dropped.
-func TestLimitDisownsPooledTruncation(t *testing.T) {
-	out, err := Collect(NewLimit(&twoBatchOp{}, 5), DrainOpts{Pooled: true})
+// TestLimitTruncatesBatch: Limit cuts the batch that crosses the limit
+// (twoBatchOp's second, 8 rows past a limit of 5 with 2 already seen).
+func TestLimitTruncatesBatch(t *testing.T) {
+	out, err := Collect(NewLimit(&twoBatchOp{}, 5), DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Rows() != 5 {
 		t.Fatalf("limit emitted %d rows, want 5", out.Rows())
 	}
-	out.Release()
-	storage.RequireNoLeaks(t)
 }
 
-// firstPushSink recycles the first batch it is pushed and returns err.
+// firstPushSink drops the first batch it is pushed and returns err.
 type firstPushSink struct{ err error }
 
 func (s firstPushSink) Push(b *storage.Batch) error {
-	storage.PutBatch(b)
 	return s.err
 }
 
 // TestDrainFirstPushFailureRecyclesRest fails or stops the sink on the
-// first of two batches delivered together: the second must be recycled
-// by the drain, serial and parallel alike.
+// first of two batches delivered together: the error (or the graceful
+// stop) surfaces, serial and parallel alike.
 func TestDrainFirstPushFailureRecyclesRest(t *testing.T) {
 	boom := errors.New("client hung up")
 	for _, dop := range []int{1, 2, 4, 8} {
-		for _, pooled := range []bool{false, true} {
-			for _, want := range []error{boom, ErrStopStream} {
-				err := Drain(&twoBatchOp{}, firstPushSink{want}, DrainOpts{DOP: dop, Pooled: pooled})
-				if want == ErrStopStream {
-					want = nil
-				}
-				if err != want {
-					t.Fatalf("dop %d pooled %v: err = %v, want %v", dop, pooled, err, want)
-				}
-				storage.RequireNoLeaks(t)
+		for _, want := range []error{boom, ErrStopStream} {
+			err := Drain(&twoBatchOp{}, firstPushSink{want}, DrainOpts{DOP: dop})
+			if want == ErrStopStream {
+				want = nil
+			}
+			if err != want {
+				t.Fatalf("dop %d: err = %v, want %v", dop, err, want)
 			}
 		}
 	}

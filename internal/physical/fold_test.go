@@ -250,11 +250,10 @@ func FuzzAggregateFold(f *testing.F) {
 			t.Fatal(err)
 		}
 		h.SetParallel(1 + int(shape>>2&1))
-		got, err := Collect(h, DrainOpts{Pooled: true})
+		got, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer got.Release()
 		sameRows(t, canonNaN(rowsOf(got)), canonNaN(refAggregate(t, scan(), groupCols, aggs)), "fold vs per-row reference")
 	})
 }
@@ -275,11 +274,10 @@ func aggRow(t *testing.T, cols []storage.Column, names []string, kinds []storage
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Collect(h, DrainOpts{Pooled: true})
+	out, err := Collect(h, DrainOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer out.Release()
 	b := out.Batches()[0]
 	row := make([]any, b.Width())
 	for c := range row {

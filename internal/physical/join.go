@@ -201,14 +201,6 @@ func (j *HashJoin) build() error {
 		return err
 	}
 	j.buildData = rel.Flatten()
-	// A multi-batch flatten copied the rows: recycle the drained input.
-	// A single-batch flatten shares it: disown (the build data lives as
-	// long as the join, outside pool accounting).
-	if len(rel.Batches()) > 1 {
-		rel.Release()
-	} else {
-		rel.Disown()
-	}
 	j.probesLeft.Store(1)
 	if j.buildData.Len() > 0 {
 		if j.table, err = newJoinTable(j.fastKey, j.buildData, j.leftK); err != nil {
@@ -292,27 +284,22 @@ func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
 		ids, ends, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
 		if err != nil {
 			storage.PutSel(sel)
-			storage.PutBatch(base)
 			return nil, err
 		}
-		// The output columns are laid straight into a pooled header.
-		out := storage.NewPooledBatch()
+		var cols []storage.Column
 		if j.table.unique {
-			out.Cols, sel = j.runCols(out.Cols, base, sel, ids, ends)
+			cols, sel = j.runCols(cols, base, sel, ids, ends)
 		} else {
-			out.Cols, sel = j.gatherCols(out.Cols, base, sel, ids, ends)
+			cols, sel = j.gatherCols(cols, base, sel, ids, ends)
 		}
 		storage.PutSel(ids)
 		storage.PutSel(ends)
-		// Probe columns passed through live on in out; whatever else the
-		// probe batch owned dies here.
-		storage.PutBatchExcept(base, out.Cols)
-		if len(out.Cols) == 0 {
-			storage.PutBatch(out)
+		if len(cols) == 0 {
 			continue
 		}
+		out := &storage.Batch{Cols: cols}
 		if sel != nil {
-			out = storage.ViewWithSel(out, sel)
+			out = out.WithSel(sel)
 		}
 		return out, nil
 	}
@@ -352,7 +339,7 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 	nl := len(j.buildData.Cols)
 	for _, o := range j.out {
 		if o < nl {
-			cols = append(cols, storage.GatherRunsPooled(j.buildData.Cols[o], rows, rowEnds))
+			cols = append(cols, storage.GatherRuns(j.buildData.Cols[o], rows, rowEnds))
 		} else {
 			cols = append(cols, base.Cols[o-nl])
 		}
@@ -378,7 +365,7 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 
 // gatherCols builds the output of a probe batch against a table with
 // duplicate keys: every (probe row, build row) pair, both sides
-// gathered into pooled columns, which need no selection. Appends the
+// gathered into new columns, which need no selection. Appends the
 // columns to cols and consumes sel; no columns when nothing matched.
 func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
 	leftIdx, rightIdx := storage.GetSel(base.Len()), storage.GetSel(base.Len())
@@ -399,9 +386,9 @@ func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, i
 		nl := len(j.buildData.Cols)
 		for _, o := range j.out {
 			if o < nl {
-				cols = append(cols, storage.GatherPooled(j.buildData.Cols[o], leftIdx))
+				cols = append(cols, j.buildData.Cols[o].Gather(leftIdx))
 			} else {
-				cols = append(cols, storage.GatherPooled(base.Cols[o-nl], rightIdx))
+				cols = append(cols, base.Cols[o-nl].Gather(rightIdx))
 			}
 		}
 	}
@@ -466,14 +453,10 @@ func (c *CrossJoin) Next() (*storage.Batch, error) {
 			return nil, err
 		}
 		c.leftData = lrel.Flatten()
-		// Both sides outlive the drain (the right batches are re-emitted
-		// in the product): take them out of pool accounting.
-		lrel.Disown()
 		c.rightRel, err = Collect(c.right, DrainOpts{})
 		if err != nil {
 			return nil, err
 		}
-		c.rightRel.Disown()
 		c.built = true
 	}
 	for c.li < c.leftData.Len() {

@@ -104,8 +104,6 @@ func FuzzJoinProbe(f *testing.F) {
 	f.Add([]byte{0x48, 0x18, 0x58, 0x28, 0x38, 0x08}, uint8(0x05), uint8(1))
 	f.Add([]byte("join probe runs: \x00\x10\x20\x30\x40\x50\x88\x98"), uint8(0x0a), uint8(40))
 	f.Fuzz(func(t *testing.T, data []byte, shape, batch uint8) {
-		defer storage.SetPooling(true)
-		storage.SetPooling(shape&0x20 == 0)
 		probe := probeRel(data, 1+int(batch)%64)
 		if shape&1 != 0 {
 			probe = runShaped(probe) // zones seeded: constant-key batches say so
@@ -140,12 +138,11 @@ func FuzzJoinProbe(f *testing.F) {
 		if pred != nil {
 			probeRows = rowsOf(naiveFilter(t, probe, probeNames, probeKinds, pred))
 		}
-		got, err := Collect(join(), DrainOpts{DOP: dop, Pooled: true})
+		got, err := Collect(join(), DrainOpts{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRows(t, rowsOf(got), nestedLoopJoin(rowsOf(build), probeRows, out), "join vs nested loop")
-		got.Release()
 
 		// GROUP BY an emitted build column: B.s, or B.t.
 		groupCols := []int{1}
@@ -169,13 +166,11 @@ func FuzzJoinProbe(f *testing.F) {
 			t.Fatal(err)
 		}
 		h.SetParallel(dop)
-		agg, err := Collect(h, DrainOpts{Pooled: true})
+		agg, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRows(t, canonNaN(rowsOf(agg)), canonNaN(refAggregate(t, join(), groupCols, aggs)),
 			fmt.Sprintf("group by %s vs per-row reference", h.Names()[0]))
-		agg.Release()
-		storage.RequireNoLeaks(t)
 	})
 }

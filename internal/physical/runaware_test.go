@@ -7,7 +7,7 @@ package physical
 // and shuffled keys, unique and duplicate build keys, batches that
 // straddle segment boundaries, probe batches with and without selection
 // vectors, every output-column shape, int-backed and string-carrying
-// keys, at DOP 1/2/4/8, pooled and unpooled.
+// keys, at DOP 1/2/4/8.
 
 import (
 	"fmt"
@@ -153,7 +153,6 @@ func refJoin(dim, fact [][]any, lk, rk, out []int) [][]any {
 }
 
 func TestRunAwareJoinMatchesPerRowHash(t *testing.T) {
-	defer storage.SetPooling(true)
 	rng := rand.New(rand.NewSource(71))
 	keySets := []struct {
 		name     string
@@ -191,32 +190,27 @@ func TestRunAwareJoinMatchesPerRowHash(t *testing.T) {
 				}
 				for oi, out := range outs {
 					want := refJoin(rowsOf(dim), factRows, ks.lk, ks.rk, out)
-					for _, pooling := range []bool{true, false} {
-						storage.SetPooling(pooling)
-						for _, dop := range []int{1, 2, 4, 8} {
-							ds, err := NewRelScan(dim, runDimNames, runDimKinds, nil)
-							if err != nil {
-								t.Fatal(err)
-							}
-							fs, err := NewRelScan(fact, runFactNames, runFactKinds, pred)
-							if err != nil {
-								t.Fatal(err)
-							}
-							j, err := NewHashJoinCols(ds, fs, ks.lk, ks.rk, out)
-							if err != nil {
-								t.Fatal(err)
-							}
-							j.SetParallel(dop)
-							got, err := Collect(j, DrainOpts{DOP: dop, Pooled: true})
-							if err != nil {
-								t.Fatal(err)
-							}
-							label := fmt.Sprintf("join %s shuffled=%v pred#%d out#%d pooling=%v dop=%d",
-								ks.name, shuffled, pi, oi, pooling, dop)
-							sameRows(t, rowsOf(got), want, label)
-							got.Release()
-							storage.RequireNoLeaks(t)
+					for _, dop := range []int{1, 2, 4, 8} {
+						ds, err := NewRelScan(dim, runDimNames, runDimKinds, nil)
+						if err != nil {
+							t.Fatal(err)
 						}
+						fs, err := NewRelScan(fact, runFactNames, runFactKinds, pred)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j, err := NewHashJoinCols(ds, fs, ks.lk, ks.rk, out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.SetParallel(dop)
+						got, err := Collect(j, DrainOpts{DOP: dop})
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("join %s shuffled=%v pred#%d out#%d dop=%d",
+							ks.name, shuffled, pi, oi, dop)
+						sameRows(t, rowsOf(got), want, label)
 					}
 				}
 			}
@@ -247,7 +241,6 @@ func TestJoinUniqueBuildPassesProbeThrough(t *testing.T) {
 		if shared := b.Cols[1] == fact.Batches()[0].Cols[4]; shared != tc.shared {
 			t.Fatalf("uniqueOn=%d: probe column shared = %v, want %v", tc.uniqueOn, shared, tc.shared)
 		}
-		storage.PutBatch(b)
 	}
 	ds, _ := NewRelScan(fact, runFactNames, runFactKinds, nil)
 	fs, _ := NewRelScan(fact, runFactNames, runFactKinds, nil)
@@ -311,13 +304,11 @@ func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Collect(f, DrainOpts{Pooled: true})
+		got, err := Collect(f, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRows(t, rowsOf(got), want, tc.name+" join under a mask-path filter")
-		got.Release()
-		storage.RequireNoLeaks(t)
 	}
 }
 
@@ -372,7 +363,6 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 					refAdd(st, storage.ValueAt(b.Cols[ci], r))
 				}
 			}
-			storage.PutBatch(b)
 		}
 	}
 	parts := []Operator{in}
@@ -437,7 +427,6 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 }
 
 func TestRunAwareAggregateMatchesPerRowHash(t *testing.T) {
-	defer storage.SetPooling(true)
 	rng := rand.New(rand.NewSource(73))
 	aggs := []AggColumn{
 		{Func: AggCount, Name: "n"},
@@ -475,24 +464,19 @@ func TestRunAwareAggregateMatchesPerRowHash(t *testing.T) {
 		for gi, groupCols := range groupings {
 			for pi, pred := range preds {
 				want := refAggregate(t, scan(pred), groupCols, aggs)
-				for _, pooling := range []bool{true, false} {
-					storage.SetPooling(pooling)
-					for _, dop := range []int{1, 2, 4, 8} {
-						agg, err := NewHashAggregate(scan(pred), groupCols, aggs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						agg.SetParallel(dop)
-						got, err := Collect(agg, DrainOpts{Pooled: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d pooling=%v dop=%d",
-							gi, shuffled, pi, pooling, dop)
-						sameRows(t, rowsOf(got), want, label)
-						got.Release()
-						storage.RequireNoLeaks(t)
+				for _, dop := range []int{1, 2, 4, 8} {
+					agg, err := NewHashAggregate(scan(pred), groupCols, aggs)
+					if err != nil {
+						t.Fatal(err)
 					}
+					agg.SetParallel(dop)
+					got, err := Collect(agg, DrainOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d dop=%d",
+						gi, shuffled, pi, dop)
+					sameRows(t, rowsOf(got), want, label)
 				}
 			}
 		}
@@ -525,7 +509,6 @@ func TestExactBoundsSkipEvaluation(t *testing.T) {
 		if err != nil || b.Sel() == nil || b.Len() != 150 {
 			t.Fatalf("straddling batch: %d rows, sel %v, err %v", b.Len(), b.Sel() != nil, err)
 		}
-		storage.PutBatch(b)
 		b, err = s.Next() // rows 350..699: ts 3..6, wholly inside
 		if err != nil || b.Sel() != nil || b.Len() != 350 {
 			t.Fatalf("inside batch: %d rows, sel %v, err %v", b.Len(), b.Sel() != nil, err)
@@ -599,11 +582,10 @@ func TestRunShapedKeysMatchPlain(t *testing.T) {
 		if ph, ok := op.(ParallelHinter); ok {
 			ph.SetParallel(dop)
 		}
-		rel, err := Collect(op, DrainOpts{DOP: dop, Pooled: true})
+		rel, err := Collect(op, DrainOpts{DOP: dop})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rel.Release()
 		for _, b := range rel.Batches() {
 			for ci, c := range b.Cols {
 				if _, _, shaped := storage.Runs(c); shaped {
@@ -700,6 +682,5 @@ func TestRunShapedKeysMatchPlain(t *testing.T) {
 				sameRows(t, collect(scan(shaped, pred), dop), collect(scan(plain, pred), dop), "scan "+label)
 			}
 		}
-		storage.RequireNoLeaks(t)
 	}
 }

@@ -71,16 +71,10 @@ func (s *Sort) Next() (*storage.Batch, error) {
 		return nil, err
 	}
 	if rel.Rows() == 0 {
-		rel.Release()
 		return nil, nil
 	}
 	flat := rel.Flatten()
-	out := flat.Gather(stableOrder(flat, s.keys))
-	// The ordered copy replaces the drained input; recycle any pooled
-	// batches the input operators emitted (flat shares rel's only batch
-	// in the single-batch case, but the gather above already copied).
-	rel.Release()
-	return out, nil
+	return flat.Gather(stableOrder(flat, s.keys)), nil
 }
 
 // stableOrder returns the row numbers of b ordered by the keys, rows
@@ -139,10 +133,8 @@ func cmpOrd[T int64 | float64 | string](a, b T) int {
 }
 
 // Limit passes through at most N rows. Its early stop abandons
-// whatever the upstream operators still hold in flight — pooled
-// batches they would have emitted are left to the garbage collector
-// (operators have no close protocol), so LIMIT plans trade pool
-// locality for the rows they skip.
+// whatever the upstream operators still hold in flight (operators have
+// no close protocol); the garbage collector takes it.
 type Limit struct {
 	in   Operator
 	n    int
@@ -168,12 +160,7 @@ func (l *Limit) Next() (*storage.Batch, error) {
 		return nil, err
 	}
 	if l.seen+b.Len() > l.n {
-		full := b.Materialize()
-		b = full.Slice(0, l.n-l.seen)
-		// The sliced views share the truncated batch's storage: take it
-		// out of pool accounting (it must never be recycled while the
-		// views live, and nobody owns it downstream).
-		storage.DisownBatch(full)
+		b = b.Materialize().Slice(0, l.n-l.seen)
 	}
 	l.seen += b.Len()
 	return b, nil

@@ -120,9 +120,9 @@ func (t *TopK) Next() (*storage.Batch, error) {
 }
 
 // topkAcc is one bounded candidate buffer: rows that may still be
-// among the first k under the keys. Candidates are stored as unpooled
-// copies (the O(k) working set of the operator), so incoming pooled
-// batches are recycled immediately after filtering.
+// among the first k under the keys. Candidates are stored as copies
+// (the O(k) working set of the operator), so an incoming batch is dead
+// once filtered.
 type topkAcc struct {
 	keys []SortKey
 	k    int
@@ -252,7 +252,7 @@ func (a *topkAcc) feed(op Operator, check func() error) error {
 }
 
 // add filters one input batch against the ranking so far, copies the
-// surviving rows into the buffer, and recycles the input.
+// surviving rows into the buffer, and recycles the input's selection.
 func (a *topkAcc) add(b *storage.Batch) {
 	base, sel := b.DetachSel()
 	n := base.Len()
@@ -282,7 +282,6 @@ func (a *topkAcc) add(b *storage.Batch) {
 		a.buf.Append(base.Gather(idx))
 	}
 	storage.PutSel(sel)
-	storage.PutBatch(base)
 	if a.buf.Rows() >= a.compactAt() {
 		a.compact()
 	}

@@ -15,7 +15,6 @@ import (
 	"sommelier/internal/engine"
 	"sommelier/internal/registrar"
 	"sommelier/internal/seisgen"
-	"sommelier/internal/storage"
 )
 
 // testDBGoverned builds a repository and opens it with the global
@@ -114,7 +113,7 @@ func TestReadyz(t *testing.T) {
 // kills the client connection after the first response bytes, and
 // requires every byte of the query's global memory reservation back:
 // the governed quota must unwind to zero on the disconnect path, with
-// no pooled batch left outstanding.
+// no chunk handle left held.
 func TestStreamingDisconnectRefundsGovernor(t *testing.T) {
 	db := testDBGoverned(t, 5000, 256<<20)
 	s := New(db, Config{Workers: 2})
@@ -153,19 +152,16 @@ func TestStreamingDisconnectRefundsGovernor(t *testing.T) {
 		t.Fatal("governor high-water is zero: the streaming query never reserved, test exercised nothing")
 	}
 	// The handler goroutine may still be unwinding after the refund;
-	// wait for the pooled batches to drain back too.
-	for storage.Outstanding() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	storage.RequireNoLeaks(t)
+	// wait for its chunk handles too.
+	requireReleased(t, db)
 }
 
 // TestAdmissionChaosNoLeaks arms the server.admit and exec.morsel
 // fault points — synthetic admission sheds, stalled morsel claims —
 // and drives a burst of short-deadline queries over both delivery
 // paths. Every request must settle as 200, 429 (shed), 499 or 504
-// (watchdog kill), and the shed/cancel paths must release every
-// pooled batch.
+// (watchdog kill), and the shed/cancel paths must release every chunk
+// handle and governor byte.
 func TestAdmissionChaosNoLeaks(t *testing.T) {
 	dir := t.TempDir()
 	gen := seisgen.DefaultConfig(2)
@@ -225,7 +221,7 @@ func TestAdmissionChaosNoLeaks(t *testing.T) {
 	if got := db.Governor().InUse(); got != 0 {
 		t.Fatalf("governor in-use = %d after chaos burst, want 0", got)
 	}
-	storage.RequireNoLeaks(t)
+	requireReleased(t, db)
 }
 
 // TestOverloadSmoke is the CI overload leg: 64 clients hammer a
@@ -275,5 +271,5 @@ func TestOverloadSmoke(t *testing.T) {
 	if got := db.Governor().InUse(); got != 0 {
 		t.Fatalf("governor in-use = %d after overload, want 0", got)
 	}
-	storage.RequireNoLeaks(t)
+	requireReleased(t, db)
 }

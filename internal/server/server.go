@@ -360,8 +360,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult renders a materialized result as the QueryResponse JSON
-// body straight from its column batches, releases the result's pooled
-// memory, and writes the body once with its Content-Length.
+// body straight from its column batches, releases the result, and
+// writes the body once with its Content-Length.
 func (s *Server) writeResult(w http.ResponseWriter, res *engine.Result, stats QueryStats) {
 	r := getRenderer()
 	defer putRenderer(r)

@@ -37,6 +37,27 @@ func testDB(t testing.TB) *engine.DB {
 	return db
 }
 
+// requireReleased fails t unless db's live chunk handles and governor
+// bytes in use both drain to zero: every query has finished and every
+// result is released. It polls, since the handler of a dropped client
+// unwinds asynchronously.
+func requireReleased(t testing.TB, db *engine.DB) {
+	t.Helper()
+	var handles, inUse int64
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		handles, inUse = db.ChunkStats().Handles, 0
+		if g := db.Governor(); g != nil {
+			inUse = g.InUse()
+		}
+		if handles == 0 && inUse == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if handles != 0 || inUse != 0 {
+		t.Errorf("%d chunk handles and %d governor bytes still held", handles, inUse)
+	}
+}
+
 func post(t testing.TB, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -420,9 +441,9 @@ func TestExplainOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRowCountMatchesRows: row_count must be taken before the result's
-// pooled batches are released — a result of one pooled batch (a T3 join,
-// a one-batch D export) flattens to the very batch Release recycles.
+// TestRowCountMatchesRows: row_count must be taken before the result is
+// released — Release empties its relation — for one-batch results (a
+// T3 join, a one-batch D export) and larger ones alike.
 func TestRowCountMatchesRows(t *testing.T) {
 	db := testDB(t)
 	err := db.Catalog().AddView(&table.View{

@@ -123,7 +123,6 @@ func (s *streamSink) begin() error {
 // Push implements engine.StreamSink: one record per batch, flushed.
 func (s *streamSink) Push(b *storage.Batch) error {
 	flat := b.Materialize()
-	defer storage.PutBatch(flat)
 	if err := s.begin(); err != nil {
 		return err
 	}

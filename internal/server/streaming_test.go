@@ -2,7 +2,7 @@ package server
 
 // Tests for the streaming response path: both wire formats must carry
 // exactly the rows the materialized JSON response carries, a client
-// that disconnects mid-stream must not leak pooled batches, and the
+// that disconnects mid-stream must not leave chunk handles held, and the
 // per-query memory ceiling must surface as 413.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"sommelier/internal/engine"
 	"sommelier/internal/registrar"
@@ -183,9 +182,10 @@ func sameResponse(t *testing.T, qi int, format string, cols []string, rows [][]a
 
 // TestStreamingDisconnectReleasesMemory opens a streaming response
 // over a large result, reads a little, and slams the connection shut;
-// the server must abort the query and return every pooled batch.
+// the server must abort the query and release every chunk handle.
 func TestStreamingDisconnectReleasesMemory(t *testing.T) {
-	s := New(testDB(t), Config{Workers: 2})
+	db := testDB(t)
+	s := New(db, Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -209,11 +209,7 @@ func TestStreamingDisconnectReleasesMemory(t *testing.T) {
 		resp.Body.Close()
 	}
 	// The aborted queries unwind asynchronously after the disconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for storage.Outstanding() != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	storage.RequireNoLeaks(t)
+	requireReleased(t, db)
 }
 
 // TestQuotaExceededIs413 wires a ceiling-limited DB into the server: a

@@ -24,10 +24,6 @@ const BatchSize = 4096
 type Batch struct {
 	Cols []Column
 	sel  []int32 // deferred selection; nil selects all rows
-	// pooled marks a header owned by the batch pool (pool.go). The flag
-	// follows the linear owner through WithSel/DetachSel/Materialize so
-	// exactly one holder ever recycles it.
-	pooled bool
 }
 
 // NewBatch wraps columns into a batch, verifying equal lengths.
@@ -49,12 +45,6 @@ func (b *Batch) WithSel(sel []int32) *Batch {
 	if b.sel != nil {
 		panic("storage: WithSel on a batch already carrying a selection")
 	}
-	if b.pooled {
-		// Reuse the pooled header in place: b and the returned batch are
-		// the same owner.
-		b.sel = sel
-		return b
-	}
 	return &Batch{Cols: b.Cols, sel: sel}
 }
 
@@ -74,10 +64,6 @@ func (b *Batch) DetachSel() (*Batch, []int32) {
 		return b, nil
 	}
 	b.sel = nil
-	if b.pooled {
-		// The pooled header stays with its single owner.
-		return b, sel
-	}
 	return &Batch{Cols: b.Cols}, sel
 }
 
@@ -99,24 +85,16 @@ func (b *Batch) Materialize() *Batch {
 				cols[i] = c.Gather(sel)
 			}
 			PutSel(sel)
-			// The gathered copy replaces the base: recycle the (now dead)
-			// pooled base columns and header, if any.
-			PutBatch(b)
 			return &Batch{Cols: cols}
 		}
 		PutSel(sel)
-		if !b.pooled {
-			b = &Batch{Cols: b.Cols}
-		}
+		b = &Batch{Cols: b.Cols}
 	}
 	if hasRuns(b.Cols) {
-		// A pooled header, and its column slice, stay with their single
-		// owner; any other may be shared. The run columns expanded are
-		// dead here (a pooled one returns to the pool).
-		if !b.pooled {
-			b = &Batch{Cols: slices.Clone(b.Cols)}
-		}
-		expandRuns(b.Cols, b.pooled, true)
+		// The header and its column slice may be shared: expand into a
+		// copy.
+		b = &Batch{Cols: slices.Clone(b.Cols)}
+		expandRuns(b.Cols)
 	}
 	return b
 }
@@ -355,10 +333,9 @@ func extendZones(prev *[][]Zone, batches []*Batch) [][]Zone {
 func (r *Relation) Batches() []*Batch { return r.batches }
 
 // TakeBatches removes and returns the relation's batches without
-// releasing them: ownership of every batch moves to the caller and the
-// relation is left empty (reusable or recyclable via PutRelation). The
-// drain uses it to move coalesced batches out of its scratch buffers
-// and into the sink.
+// copying them: every batch moves to the caller and the relation is
+// left empty and reusable. The drain uses it to move coalesced batches
+// out of its scratch buffers and into the sink.
 func (r *Relation) TakeBatches() []*Batch {
 	bs := r.batches
 	r.batches = nil
@@ -391,7 +368,7 @@ func (r *Relation) Flatten() *Batch {
 		b := r.batches[0]
 		if hasRuns(b.Cols) {
 			b = &Batch{Cols: slices.Clone(b.Cols)}
-			expandRuns(b.Cols, false, false)
+			expandRuns(b.Cols)
 		}
 		return b
 	}

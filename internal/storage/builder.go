@@ -73,29 +73,9 @@ func NewBuilder(k Kind, capacity int) Builder {
 	}
 }
 
-// NewPooledBuilder is NewBuilder drawing backing arrays from the
-// batch-memory pool: Reset re-arms from the pool and Finish emits a
-// pooled column owned by the caller (release with PutColumn/PutBatch).
-// String builders have no pooled form and fall back to NewBuilder.
-func NewPooledBuilder(k Kind, capacity int) Builder {
-	switch k {
-	case KindInt64:
-		return &Int64Builder{vals: int64Slices.get(capacity), pooled: true}
-	case KindFloat64:
-		return &Float64Builder{vals: float64Slices.get(capacity), pooled: true}
-	case KindBool:
-		return &BoolBuilder{vals: boolSlices.get(capacity), pooled: true}
-	case KindTime:
-		return &TimeBuilder{vals: int64Slices.get(capacity), pooled: true}
-	default:
-		return NewBuilder(k, capacity)
-	}
-}
-
 // Int64Builder builds Int64Columns.
 type Int64Builder struct {
-	vals   []int64
-	pooled bool
+	vals []int64
 }
 
 // NewInt64Builder returns a builder with the given capacity.
@@ -141,29 +121,19 @@ func (b *Int64Builder) AppendAll(col Column) {
 
 // Reset implements Builder.
 func (b *Int64Builder) Reset(capacity int) {
-	if b.pooled {
-		b.vals = int64Slices.get(capacity)
-		return
-	}
 	b.vals = make([]int64, 0, capacity)
 }
 
 // Finish implements Builder.
 func (b *Int64Builder) Finish() Column {
-	var c Column
-	if b.pooled && pooling.Load() {
-		c = pooledInt64Col(b.vals, false)
-	} else {
-		c = &Int64Column{vals: b.vals}
-	}
+	c := &Int64Column{vals: b.vals}
 	b.vals = nil
 	return c
 }
 
 // TimeBuilder builds TimeColumns (int64 nanoseconds since epoch).
 type TimeBuilder struct {
-	vals   []int64
-	pooled bool
+	vals []int64
 }
 
 // NewTimeBuilder returns a builder with the given capacity.
@@ -209,29 +179,19 @@ func (b *TimeBuilder) AppendAll(col Column) {
 
 // Reset implements Builder.
 func (b *TimeBuilder) Reset(capacity int) {
-	if b.pooled {
-		b.vals = int64Slices.get(capacity)
-		return
-	}
 	b.vals = make([]int64, 0, capacity)
 }
 
 // Finish implements Builder.
 func (b *TimeBuilder) Finish() Column {
-	var c Column
-	if b.pooled && pooling.Load() {
-		c = pooledInt64Col(b.vals, true)
-	} else {
-		c = &TimeColumn{vals: b.vals}
-	}
+	c := &TimeColumn{vals: b.vals}
 	b.vals = nil
 	return c
 }
 
 // Float64Builder builds Float64Columns.
 type Float64Builder struct {
-	vals   []float64
-	pooled bool
+	vals []float64
 }
 
 // NewFloat64Builder returns a builder with the given capacity.
@@ -277,29 +237,19 @@ func (b *Float64Builder) AppendAll(col Column) {
 
 // Reset implements Builder.
 func (b *Float64Builder) Reset(capacity int) {
-	if b.pooled {
-		b.vals = float64Slices.get(capacity)
-		return
-	}
 	b.vals = make([]float64, 0, capacity)
 }
 
 // Finish implements Builder.
 func (b *Float64Builder) Finish() Column {
-	var c Column
-	if b.pooled && pooling.Load() {
-		c = pooledFloat64Col(b.vals)
-	} else {
-		c = &Float64Column{vals: b.vals}
-	}
+	c := &Float64Column{vals: b.vals}
 	b.vals = nil
 	return c
 }
 
 // BoolBuilder builds BoolColumns.
 type BoolBuilder struct {
-	vals   []bool
-	pooled bool
+	vals []bool
 }
 
 // NewBoolBuilder returns a builder with the given capacity.
@@ -345,21 +295,12 @@ func (b *BoolBuilder) AppendAll(col Column) {
 
 // Reset implements Builder.
 func (b *BoolBuilder) Reset(capacity int) {
-	if b.pooled {
-		b.vals = boolSlices.get(capacity)
-		return
-	}
 	b.vals = make([]bool, 0, capacity)
 }
 
 // Finish implements Builder.
 func (b *BoolBuilder) Finish() Column {
-	var c Column
-	if b.pooled && pooling.Load() {
-		c = pooledBoolCol(b.vals)
-	} else {
-		c = &BoolColumn{vals: b.vals}
-	}
+	c := &BoolColumn{vals: b.vals}
 	b.vals = nil
 	return c
 }

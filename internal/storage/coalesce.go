@@ -16,18 +16,11 @@ type Coalescer struct {
 	kinds    []Kind
 	eligible bool
 	builders []Builder
-	// pooled draws builder backing from the batch-memory pool and emits
-	// pooled batches: the output relation owns them and Release recycles
-	// them (the steady-state drain path of hot queries).
-	pooled bool
 	// armed marks that the builders hold backing capacity for the
 	// current fill; Flush disarms instead of re-allocating, so the
 	// final flush of a stream never arms capacity it will not use.
 	armed bool
 	rows  int
-	// colScratch is the reused column slice Flush hands to the batch
-	// constructor (which copies it into the emitted header).
-	colScratch []Column
 }
 
 // NewCoalescer prepares a coalescer for the given output schema.
@@ -40,13 +33,6 @@ func NewCoalescer(kinds []Kind) *Coalescer {
 			c.eligible = false
 		}
 	}
-	return c
-}
-
-// NewPooledCoalescer is NewCoalescer with pooled output batches.
-func NewPooledCoalescer(kinds []Kind) *Coalescer {
-	c := NewCoalescer(kinds)
-	c.pooled = true
 	return c
 }
 
@@ -70,15 +56,11 @@ func (c *Coalescer) Add(out *Relation, b *Batch) {
 	if c.builders == nil {
 		c.builders = make([]Builder, len(c.kinds))
 		for i, k := range c.kinds {
-			if c.pooled {
-				c.builders[i] = NewPooledBuilder(k, BatchSize)
-			} else {
-				// A fresh heap array is zeroed on allocation: the first
-				// fill starts at the size of what arrived and grows, so a
-				// stage-one drain of a few dozen rows does not pay for
-				// BatchSize of them per column.
-				c.builders[i] = NewBuilder(k, len(sel))
-			}
+			// A fresh heap array is zeroed on allocation: the first fill
+			// starts at the size of what arrived and grows, so a stage-one
+			// drain of a few dozen rows does not pay for BatchSize of them
+			// per column.
+			c.builders[i] = NewBuilder(k, len(sel))
 		}
 	} else if !c.armed {
 		for _, bl := range c.builders {
@@ -91,8 +73,6 @@ func (c *Coalescer) Add(out *Relation, b *Batch) {
 	}
 	c.rows += len(sel)
 	PutSel(sel)
-	// The selected rows are copied out: a pooled base is dead here.
-	PutBatch(base)
 	if c.rows >= BatchSize {
 		c.Flush(out)
 	}
@@ -103,23 +83,14 @@ func (c *Coalescer) Flush(out *Relation) {
 	if c.rows == 0 {
 		return
 	}
-	if c.colScratch == nil {
-		c.colScratch = make([]Column, len(c.builders))
-	}
-	cols := c.colScratch
+	cols := make([]Column, len(c.builders))
 	for i, b := range c.builders {
 		// Finish surrenders the backing slice to the column; the next
 		// Add re-arms capacity lazily, so a stream's final flush does
 		// not allocate backing it will never fill.
 		cols[i] = b.Finish()
 	}
-	if c.pooled {
-		// NewPooledBatch copies cols into the pooled header, so the
-		// scratch slice is free to reuse.
-		out.Append(NewPooledBatch(cols...))
-	} else {
-		out.Append(NewBatch(append([]Column(nil), cols...)...))
-	}
+	out.Append(NewBatch(cols...))
 	c.armed = false
 	c.rows = 0
 }

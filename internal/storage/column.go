@@ -72,7 +72,7 @@ func Int64s(c Column) []int64 {
 	case *TimeColumn:
 		return c.vals
 	case *RunColumn:
-		return Int64s(c.expand(false))
+		return Int64s(c.expand())
 	default:
 		panic(fmt.Sprintf("storage: Int64s on %T", c))
 	}
@@ -81,7 +81,7 @@ func Int64s(c Column) []int64 {
 // Float64s is Int64s for float64 columns.
 func Float64s(c Column) []float64 {
 	if rc, ok := c.(*RunColumn); ok {
-		c = rc.expand(false)
+		c = rc.expand()
 	}
 	return c.(*Float64Column).vals
 }
@@ -89,7 +89,7 @@ func Float64s(c Column) []float64 {
 // Bools is Int64s for bool columns.
 func Bools(c Column) []bool {
 	if rc, ok := c.(*RunColumn); ok {
-		c = rc.expand(false)
+		c = rc.expand()
 	}
 	return c.(*BoolColumn).vals
 }
@@ -98,17 +98,14 @@ func Bools(c Column) []bool {
 // a fresh expansion sharing its dictionary when run-shaped.
 func Strings(c Column) *StringColumn {
 	if rc, ok := c.(*RunColumn); ok {
-		c = rc.expand(false)
+		c = rc.expand()
 	}
 	return c.(*StringColumn)
 }
 
-// Int64Column is a column of 64-bit integers. pooled marks columns
-// whose backing array is owned by the batch-memory pool (see pool.go);
-// it is metadata for PutColumn, invisible to readers.
+// Int64Column is a column of 64-bit integers.
 type Int64Column struct {
-	vals   []int64
-	pooled bool
+	vals []int64
 }
 
 // NewInt64Column wraps vals (not copied) as a column.
@@ -141,8 +138,7 @@ func (c *Int64Column) Value(i int) int64 { return c.vals[i] }
 // TimeColumn is a column of timestamps, stored as int64 nanoseconds
 // since the Unix epoch.
 type TimeColumn struct {
-	vals   []int64
-	pooled bool
+	vals []int64
 }
 
 // NewTimeColumn wraps vals (nanoseconds since epoch, not copied).
@@ -174,8 +170,7 @@ func (c *TimeColumn) Value(i int) int64 { return c.vals[i] }
 
 // Float64Column is a column of 64-bit floats.
 type Float64Column struct {
-	vals   []float64
-	pooled bool
+	vals []float64
 }
 
 // NewFloat64Column wraps vals (not copied) as a column.
@@ -207,8 +202,7 @@ func (c *Float64Column) Value(i int) float64 { return c.vals[i] }
 
 // BoolColumn is a column of booleans.
 type BoolColumn struct {
-	vals   []bool
-	pooled bool
+	vals []bool
 }
 
 // NewBoolColumn wraps vals (not copied) as a column.
@@ -243,9 +237,8 @@ func (c *BoolColumn) Value(i int) bool { return c.vals[i] }
 // the metadata tables of chunked repositories, so dictionary encoding is
 // the storage default for strings.
 type StringColumn struct {
-	dict   []string
-	codes  []int32
-	pooled bool
+	dict  []string
+	codes []int32
 }
 
 // NewStringColumn dictionary-encodes vals into a column.

@@ -10,11 +10,10 @@ import (
 // Quota is a per-query ceiling on the bytes a query may materialize
 // into its own buffers: drained result relations, pipeline-breaker
 // builds (sort input, hash-join build side) and the bounded run-ahead
-// of the parallel drain all charge against it. The global
-// batch pools carry no query identity, so the ceiling is enforced at
-// the boundary where batches accumulate into per-query state rather
-// than inside the pool itself; transient per-batch working memory
-// (one coalescer's worth per worker) is not counted.
+// of the parallel drain all charge against it. The ceiling is enforced
+// at the boundary where batches accumulate into per-query state;
+// transient per-batch working memory (one coalescer's worth per
+// worker) is not counted.
 //
 // A quota may additionally be parented on a process-wide Governor
 // (NewGovernedQuota): every charge then reserves the same bytes from

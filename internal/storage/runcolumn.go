@@ -15,21 +15,17 @@ import (
 //     couple per batch — which cost 12 bytes a run instead of 8 bytes a
 //     row, resident and on the disk tier alike;
 //   - the build-side columns a unique-key join emits under a clustered
-//     probe batch: a run per run of equal probe keys (GatherRunsPooled).
+//     probe batch: a run per run of equal probe keys (GatherRuns).
 //
 // The shape lives between its producers and the kernels that read it
 // (RunsOf, Runs, the *At accessors, ColumnZone); everything that copies
 // rows — Gather, the builders and with them the coalescer,
 // Batch.Materialize, Relation.Append and Flatten — writes the plain
 // column of the same kind, and Int64s, Float64s, Bools and Strings
-// expand it, so code that never heard of runs stays correct. Chunk run
-// columns are table data: never pooled, skipped by PutColumn and
-// Relation.Release. A join's run columns are pooled like any other
-// probe output and return through PutBatch.
+// expand it, so code that never heard of runs stays correct.
 type RunColumn struct {
-	vals   Column  // plain, one row per run
-	ends   []int32 // cumulative and strictly increasing; the last is Len
-	pooled bool
+	vals Column  // plain, one row per run
+	ends []int32 // cumulative and strictly increasing; the last is Len
 }
 
 // NewRunColumn wraps runs of int64-backed values (not copied) as a
@@ -150,7 +146,7 @@ func (c *RunColumn) Slice(lo, hi int) Column {
 	if lo == hi {
 		return &RunColumn{vals: c.vals.Slice(0, 0)}
 	}
-	if lo == 0 && hi == c.Len() && !c.pooled {
+	if lo == 0 && hi == c.Len() {
 		return c
 	}
 	k0, k1 := c.runAt(lo), c.runAt(hi-1)
@@ -169,16 +165,10 @@ func (c *RunColumn) Gather(idx []int32) Column {
 	return out
 }
 
-// expand returns the plain column of every row's value, in pooled
-// memory when pooled is set.
-func (c *RunColumn) expand(pooled bool) Column {
+// expand returns the plain column of every row's value.
+func (c *RunColumn) expand() Column {
 	runs := c.rowRuns()
-	var out Column
-	if pooled {
-		out = GatherPooled(c.vals, runs)
-	} else {
-		out = c.vals.Gather(runs)
-	}
+	out := c.vals.Gather(runs)
 	PutSel(runs)
 	return out
 }
@@ -227,23 +217,13 @@ func (c *RunColumn) runsOf(idx []int32) []int32 {
 	return out
 }
 
-// GatherRunsPooled returns a run column owned by the caller like a
-// GatherPooled result: run k holds src's row idx[k] over the rows
-// [ends[k-1], ends[k]). src must be plain. The join probe emits the
-// build-side columns it outputs this way, one run per run of equal
-// probe keys laid over the probe batch's base rows.
-func GatherRunsPooled(src Column, idx, ends []int32) Column {
-	vals := GatherPooled(src, idx)
-	if !pooling.Load() {
-		return &RunColumn{vals: vals, ends: slices.Clone(ends)}
-	}
-	c, _ := runCols.Get().(*RunColumn)
-	if c == nil {
-		c = &RunColumn{}
-	}
-	c.vals, c.ends, c.pooled = vals, append(GetSel(len(ends)), ends...), true
-	trackAcquire(c)
-	return c
+// GatherRuns returns a run column whose run k holds src's row idx[k]
+// over the rows [ends[k-1], ends[k]); ends is copied, so the caller may
+// reuse it. src must be plain. The join probe emits the build-side
+// columns it outputs this way, one run per run of equal probe keys laid
+// over the probe batch's base rows.
+func GatherRuns(src Column, idx, ends []int32) Column {
+	return &RunColumn{vals: src.Gather(idx), ends: slices.Clone(ends)}
 }
 
 // hasRuns reports whether any of cols is run-shaped.
@@ -255,23 +235,18 @@ func hasRuns(cols []Column) bool {
 }
 
 // expandRuns replaces every run-shaped column of cols, in place, by its
-// plain twin — in pooled memory when pooled is set, one expansion per
-// column however often it occurs — recycling the replaced column when
-// release is set.
-func expandRuns(cols []Column, pooled, release bool) {
+// plain twin, one expansion per column however often it occurs.
+func expandRuns(cols []Column) {
 	for i, c := range cols {
 		rc, ok := c.(*RunColumn)
 		if !ok {
 			continue
 		}
-		e := rc.expand(pooled)
+		e := rc.expand()
 		for j := i; j < len(cols); j++ {
 			if cols[j] == c {
 				cols[j] = e
 			}
-		}
-		if release {
-			PutColumn(rc)
 		}
 	}
 }

@@ -75,7 +75,6 @@ func randSel(rng *rand.Rand, n int) []int32 {
 }
 
 func TestRunColumnMatchesPlainTwin(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rng := rand.New(rand.NewSource(20))
 	sizes := []int{0, 1, 2, 5, 100, BatchSize, BatchSize + 37}
 	for iter := 0; iter < 300; iter++ {
@@ -114,30 +113,18 @@ func TestRunColumnMatchesPlainTwin(t *testing.T) {
 			idx = idx[:0]
 		}
 		requireSameColumn(t, "gather", plain.Gather(idx), rc.Gather(idx), false)
-		gp := GatherPooled(rc, idx)
-		requireSameColumn(t, "gather pooled", plain.Gather(idx), gp, false)
-		PutColumn(gp)
 
 		sel := randSel(rng, n)
-		for _, pooled := range []bool{false, true} {
-			mk := NewBuilder
-			if pooled {
-				mk = NewPooledBuilder
-			}
-			wb, gb := mk(kind, 0), mk(kind, 0)
-			wb.AppendSel(plain, sel)
-			gb.AppendSel(rc, sel)
-			wb.AppendAll(plain)
-			gb.AppendAll(rc)
-			if n > 0 {
-				wb.AppendFrom(plain, n/2)
-				gb.AppendFrom(rc, n/2)
-			}
-			wc, gc := wb.Finish(), gb.Finish()
-			requireSameColumn(t, "builder", wc, gc, false)
-			PutColumn(wc)
-			PutColumn(gc)
+		wb, gb := NewBuilder(kind, 0), NewBuilder(kind, 0)
+		wb.AppendSel(plain, sel)
+		gb.AppendSel(rc, sel)
+		wb.AppendAll(plain)
+		gb.AppendAll(rc)
+		if n > 0 {
+			wb.AppendFrom(plain, n/2)
+			gb.AppendFrom(rc, n/2)
 		}
+		requireSameColumn(t, "builder", wb.Finish(), gb.Finish(), false)
 
 		if n == 0 {
 			continue
@@ -151,44 +138,37 @@ func TestRunColumnMatchesPlainTwin(t *testing.T) {
 			t.Fatal("Materialize touched the shared batch or copied a plain column")
 		}
 		if len(sel) > 0 {
-			m = ViewWithSel(src, append(GetSel(len(sel)), sel...)).Materialize()
+			m = src.WithSel(append(GetSel(len(sel)), sel...)).Materialize()
 			requireSameColumn(t, "materialize sel", plain.Gather(sel), m.Cols[0], false)
-			PutBatch(m)
 		}
 
 		// Coalescer: selection views over run batches come out plain.
-		for _, pooled := range []bool{false, true} {
-			co := NewCoalescer([]Kind{kind, kind})
-			if pooled {
-				co = NewPooledCoalescer([]Kind{kind, kind})
+		co := NewCoalescer([]Kind{kind, kind})
+		out := NewRelation()
+		var want []int64
+		for k := 0; k < 3; k++ {
+			s := randSel(rng, n)
+			if len(s) == 0 {
+				continue
 			}
-			out := NewRelation()
-			var want []int64
-			for k := 0; k < 3; k++ {
-				s := randSel(rng, n)
-				if len(s) == 0 {
-					continue
-				}
-				for _, i := range s {
-					want = append(want, Int64At(plain, int(i)))
-				}
-				co.Add(out, ViewWithSel(src, append(GetSel(len(s)), s...)))
+			for _, i := range s {
+				want = append(want, Int64At(plain, int(i)))
 			}
-			co.Flush(out)
-			var got []int64
-			for _, b := range out.Batches() {
-				requireSameColumn(t, "coalesced", b.Cols[1], b.Cols[0], false)
-				got = append(got, Int64s(b.Cols[0])...)
+			co.Add(out, src.WithSel(append(GetSel(len(s)), s...)))
+		}
+		co.Flush(out)
+		var got []int64
+		for _, b := range out.Batches() {
+			requireSameColumn(t, "coalesced", b.Cols[1], b.Cols[0], false)
+			got = append(got, Int64s(b.Cols[0])...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("coalescer: %d rows, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("coalescer: row %d = %d, want %d", i, got[i], want[i])
 			}
-			if len(got) != len(want) {
-				t.Fatalf("coalescer: %d rows, want %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("coalescer: row %d = %d, want %d", i, got[i], want[i])
-				}
-			}
-			out.Release()
 		}
 	}
 }
@@ -219,7 +199,6 @@ func chunkShaped(rng *rand.Rand, batches int) (shaped, plain *Relation) {
 }
 
 func TestChunkRelationKeepsShapesAndSeededZones(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rng := rand.New(rand.NewSource(21))
 	shaped, plain := chunkShaped(rng, 5)
 	if shaped.Rows() != plain.Rows() {
@@ -240,7 +219,7 @@ func TestChunkRelationKeepsShapesAndSeededZones(t *testing.T) {
 		t.Fatalf("reading seeded zones computed %d batch bounds", got-before)
 	}
 	// Flatten and Append both end in plain columns; the chunk keeps its
-	// shapes, and releasing it recycles nothing (it owns no pooled memory).
+	// shapes.
 	flat, want := shaped.Flatten(), plain.Flatten()
 	for ci := range want.Cols {
 		if ci == 2 {
@@ -259,7 +238,6 @@ func TestChunkRelationKeepsShapesAndSeededZones(t *testing.T) {
 }
 
 func TestSegCodecRunColumnsRoundtrip(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rng := rand.New(rand.NewSource(22))
 	for iter := 0; iter < 50; iter++ {
 		shaped, plain := chunkShaped(rng, 1+rng.Intn(4))
@@ -294,20 +272,12 @@ func TestSegCodecRunColumnsRoundtrip(t *testing.T) {
 		if ZoneComputations() != before {
 			t.Fatal("decoded zones were recomputed, not seeded")
 		}
-		// A decoded relation holds no pooled memory: releasing and
-		// disowning it must both leave the pools balanced.
-		if iter%2 == 0 {
-			got.Release()
-		} else {
-			got.Disown()
-		}
 	}
 }
 
 // TestSegCodecCorruptRunCount: a run count is checked against the rows
 // and the bytes that are there before anything is allocated from it.
 func TestSegCodecCorruptRunCount(t *testing.T) {
-	defer RequireNoLeaks(t)
 	var body []byte
 	uv := func(v uint64) { body = binary.AppendUvarint(body, v) }
 	uv(1)       // batches
@@ -349,8 +319,7 @@ func TestSegCodecCorruptRunCount(t *testing.T) {
 
 // FuzzDecodeRelation: a block body comes off a disk anyone can write
 // to. Whatever the bytes, DecodeRelation returns ErrSegCorrupt or a
-// relation that encodes and decodes back to itself — it never panics
-// and never leaves pooled memory checked out.
+// relation that encodes and decodes back to itself — it never panics.
 func FuzzDecodeRelation(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 4; i++ {
@@ -374,7 +343,6 @@ func FuzzDecodeRelation(f *testing.F) {
 			if !errors.Is(err, ErrSegCorrupt) {
 				t.Fatalf("err = %v, want ErrSegCorrupt", err)
 			}
-			RequireNoLeaks(t)
 			return
 		}
 		again, err := EncodeRelation(nil, rel)
@@ -386,9 +354,6 @@ func FuzzDecodeRelation(f *testing.F) {
 			t.Fatalf("re-decode: %v", err)
 		}
 		requireSameRelation(t, rel, back)
-		rel.Release()
-		back.Release()
-		RequireNoLeaks(t)
 	})
 }
 
@@ -452,9 +417,8 @@ func requireSameRows(t *testing.T, what string, want, got Column) {
 // exactly like its plain twin — through Slice (cuts inside runs
 // included), Gather, Batch.Materialize with and without a selection,
 // Relation.Append and every builder's AppendFrom, AppendSel and
-// AppendAll, pooled and not.
+// AppendAll.
 func TestRunColumnEveryKind(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rng := rand.New(rand.NewSource(24))
 	for _, kind := range []Kind{KindString, KindFloat64, KindBool, KindInt64, KindTime} {
 		for _, rows := range []int{1, 2, 9, 300} {
@@ -481,9 +445,8 @@ func TestRunColumnEveryKind(t *testing.T) {
 			m := NewBatch(rc).Materialize()
 			requireSameValues(t, what("materialize"), plain, m.Cols[0])
 			if len(sel) > 0 {
-				m = ViewWithSel(NewBatch(rc), append(GetSel(len(sel)), sel...)).Materialize()
+				m = NewBatch(rc).WithSel(append(GetSel(len(sel)), sel...)).Materialize()
 				requireSameValues(t, what("materialize sel"), plain.Gather(sel), m.Cols[0])
-				PutBatch(m)
 			}
 			rel := NewRelation()
 			rel.Append(NewBatch(rc, rc))
@@ -492,25 +455,16 @@ func TestRunColumnEveryKind(t *testing.T) {
 				t.Fatalf("%s: a column occurring twice was expanded twice", what("append"))
 			}
 
-			for _, pooled := range []bool{false, true} {
-				mk := NewBuilder
-				if pooled {
-					mk = NewPooledBuilder
-				}
-				wb, gb := mk(kind, 0), mk(kind, 0)
-				wb.AppendSel(plain, sel)
-				gb.AppendSel(rc, sel)
-				wb.AppendAll(plain)
-				gb.AppendAll(rc)
-				wb.AppendSel(plain, nil)
-				gb.AppendSel(rc, nil)
-				wb.AppendFrom(plain, rows/2)
-				gb.AppendFrom(rc, rows/2)
-				wc, gc := wb.Finish(), gb.Finish()
-				requireSameValues(t, what(fmt.Sprintf("builder pooled=%v", pooled)), wc, gc)
-				PutColumn(wc)
-				PutColumn(gc)
-			}
+			wb, gb := NewBuilder(kind, 0), NewBuilder(kind, 0)
+			wb.AppendSel(plain, sel)
+			gb.AppendSel(rc, sel)
+			wb.AppendAll(plain)
+			gb.AppendAll(rc)
+			wb.AppendSel(plain, nil)
+			gb.AppendSel(rc, nil)
+			wb.AppendFrom(plain, rows/2)
+			gb.AppendFrom(rc, rows/2)
+			requireSameValues(t, what("builder"), wb.Finish(), gb.Finish())
 		}
 	}
 }
@@ -522,4 +476,26 @@ func ascending(n int) []int32 {
 		idx[i] = int32(i)
 	}
 	return idx
+}
+
+// TestGatherRunsPooled: run k of a GatherRuns column holds the source
+// row idx[k] over its rows, strings share the dictionary, and the ends
+// are the column's own (the caller's vector may be reused at once).
+// (The name is from when GatherRuns drew from a pool.)
+func TestGatherRunsPooled(t *testing.T) {
+	src := NewFloat64Column([]float64{10, 20, 30})
+	tags := NewStringColumn([]string{"a", "b", "c"})
+	ends := []int32{2, 3, 7}
+	c := GatherRuns(src, []int32{2, 0, 1}, ends)
+	ends[0] = 1
+	if got := Float64s(c); len(got) != 7 || got[0] != 30 || got[1] != 30 || got[2] != 10 || got[6] != 20 {
+		t.Fatalf("float runs: %v", got)
+	}
+	c = GatherRuns(tags, []int32{2, 1}, []int32{4, 6})
+	if c.Kind() != KindString || c.Len() != 6 || StringAt(c, 3) != "c" || StringAt(c, 4) != "b" {
+		t.Fatalf("string runs: %v rows, %q %q", c.Len(), StringAt(c, 3), StringAt(c, 4))
+	}
+	if sc := Strings(c); &sc.Dict()[0] != &tags.Dict()[0] {
+		t.Fatal("string runs copied the dictionary")
+	}
 }

@@ -243,10 +243,9 @@ func DecodeRelation(data []byte) (*Relation, error) {
 // DecodeRelationInto decodes one block body produced by EncodeRelation.
 // Its plain int64/time and float64 columns land in one arena taken from
 // mem, sized exactly by a first walk over the body, and its run columns
-// in one slab of runs; nothing is pooled, so the relation needs no
-// release. Its zone cache is pre-seeded from the encoded bounds. Any
-// malformed input returns an error wrapping ErrSegCorrupt; the arena
-// mem took (if any) is then the caller's to reuse.
+// in one slab of runs. Its zone cache is pre-seeded from the encoded
+// bounds. Any malformed input returns an error wrapping ErrSegCorrupt;
+// the arena mem took (if any) is then the caller's to reuse.
 func DecodeRelationInto(data []byte, mem *ChunkMem) (*Relation, error) {
 	size := segDecoder{segReader: segReader{data: data}, sizing: true}
 	if _, err := size.relation(); err != nil {

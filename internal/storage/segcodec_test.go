@@ -83,7 +83,6 @@ func requireSameRelation(t *testing.T, want, got *Relation) {
 }
 
 func TestSegCodecRoundtrip(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rel := segTestRel(t, 3, 100)
 	body, err := EncodeRelation(nil, rel)
 	if err != nil {
@@ -94,11 +93,9 @@ func TestSegCodecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, rel, got)
-	got.Release()
 }
 
 func TestSegCodecRoundtripEdgeValues(t *testing.T) {
-	defer RequireNoLeaks(t)
 	// Extremes, sign flips and wraparound-inducing jumps: the
 	// delta-of-delta subtractions overflow int64, which must cancel
 	// exactly in the decoder's cumulative sums.
@@ -116,11 +113,9 @@ func TestSegCodecRoundtripEdgeValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, rel, got)
-	got.Release()
 }
 
 func TestSegCodecConstantColumnCompresses(t *testing.T) {
-	defer RequireNoLeaks(t)
 	// A constant-period time column is the disk tier's common case; the
 	// zero-run encoding must collapse it to a few bytes, not one byte
 	// per row.
@@ -143,11 +138,9 @@ func TestSegCodecConstantColumnCompresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, rel, got)
-	got.Release()
 }
 
 func TestSegCodecEmptyRelation(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rel := NewRelation()
 	body, err := EncodeRelation(nil, rel)
 	if err != nil {
@@ -160,11 +153,9 @@ func TestSegCodecEmptyRelation(t *testing.T) {
 	if got.Rows() != 0 {
 		t.Fatalf("rows = %d", got.Rows())
 	}
-	got.Release()
 }
 
 func TestSegCodecZoneSeeding(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rel := segTestRel(t, 2, 50)
 	// Force the zones to exist so the encoder embeds them.
 	for bi := range rel.Batches() {
@@ -188,11 +179,9 @@ func TestSegCodecZoneSeeding(t *testing.T) {
 	if n := ZoneComputations() - base; n != 0 {
 		t.Fatalf("reading seeded zones recomputed %d zones, want 0", n)
 	}
-	got.Release()
 }
 
 func TestSegCodecCorruptInputs(t *testing.T) {
-	defer RequireNoLeaks(t)
 	rel := segTestRel(t, 2, 40)
 	body, err := EncodeRelation(nil, rel)
 	if err != nil {
@@ -206,8 +195,7 @@ func TestSegCodecCorruptInputs(t *testing.T) {
 		"huge-counts": {0xff, 0xff, 0xff, 0xff, 0xff, 0x07},
 	}
 	for name, data := range cases {
-		if got, err := DecodeRelation(data); err == nil {
-			got.Release()
+		if _, err := DecodeRelation(data); err == nil {
 			t.Fatalf("%s: decoded without error", name)
 		} else if !errors.Is(err, ErrSegCorrupt) {
 			t.Fatalf("%s: error %v does not wrap ErrSegCorrupt", name, err)
@@ -215,12 +203,10 @@ func TestSegCodecCorruptInputs(t *testing.T) {
 	}
 	// Flip every byte in turn somewhere in the first stretch: whatever
 	// the damage, decode must either fail cleanly or return a relation
-	// — never panic, never leak.
+	// — never panic.
 	for i := 0; i < len(body) && i < 200; i++ {
 		mut := append([]byte{}, body...)
 		mut[i] ^= 0x5A
-		if got, err := DecodeRelation(mut); err == nil {
-			got.Release()
-		}
+		_, _ = DecodeRelation(mut)
 	}
 }

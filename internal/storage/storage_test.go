@@ -267,3 +267,100 @@ func TestQuickFlattenOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherPooledMatchesGather checks Gather for every column kind and
+// shape, run columns included, against the source rows it names. (The
+// name is from when a pooled gather sat beside this one.)
+func TestGatherPooledMatchesGather(t *testing.T) {
+	idx := []int32{3, 1, 3, 0}
+	cols := []Column{
+		NewInt64Column([]int64{10, 11, 12, 13}),
+		NewTimeColumn([]int64{20, 21, 22, 23}),
+		NewFloat64Column([]float64{0.5, 1.5, 2.5, 3.5}),
+		NewBoolColumn([]bool{true, false, true, false}),
+		NewStringColumn([]string{"a", "b", "a", "c"}),
+		NewRunColumn(KindInt64, []int64{7, 8}, []int32{1, 4}),
+	}
+	for _, c := range cols {
+		got := c.Gather(idx)
+		if got.Len() != len(idx) {
+			t.Fatalf("%T: gathered %d rows, want %d", c, got.Len(), len(idx))
+		}
+		if _, runs := got.(*RunColumn); runs {
+			t.Fatalf("%T: gather kept the run shape", c)
+		}
+		for i, j := range idx {
+			if ValueAt(got, i) != ValueAt(c, int(j)) {
+				t.Fatalf("%T: row %d = %v, want %v", c, i, ValueAt(got, i), ValueAt(c, int(j)))
+			}
+		}
+	}
+}
+
+// TestPooledCoalescerMultiFlushPoolingOff: each flush owns its column
+// slice, so a second flush cannot overwrite the first batch's columns.
+// (The name is from the pool's off switch, whose fallback it pinned.)
+func TestPooledCoalescerMultiFlushPoolingOff(t *testing.T) {
+	c := NewCoalescer([]Kind{KindInt64})
+	out := NewRelation()
+	mkSel := func(v int64) *Batch {
+		vals := make([]int64, BatchSize)
+		for i := range vals {
+			vals[i] = v
+		}
+		return NewBatch(NewInt64Column(vals)).WithSel(IdentitySel(BatchSize))
+	}
+	c.Add(out, mkSel(1)) // flush #1 (exactly full)
+	c.Add(out, mkSel(2)) // flush #2
+	c.Flush(out)
+	if len(out.Batches()) != 2 {
+		t.Fatalf("got %d batches, want 2", len(out.Batches()))
+	}
+	if got := Int64s(out.Batches()[0].Cols[0])[0]; got != 1 {
+		t.Fatalf("batch 0 overwritten by later flush: got %d, want 1", got)
+	}
+	if got := Int64s(out.Batches()[1].Cols[0])[0]; got != 2 {
+		t.Fatalf("batch 1 = %d, want 2", got)
+	}
+}
+
+// TestZoneInheritance asserts the incremental zone-map protocol: a
+// snapshot cloned for append inherits the parent's cached per-batch
+// bounds, and only the appended tail batches are ever scanned.
+func TestZoneInheritance(t *testing.T) {
+	mk := func(lo int64) *Batch {
+		vals := []int64{lo, lo + 1, lo + 2}
+		return NewBatch(NewInt64Column(vals), NewFloat64Column(make([]float64, 3)))
+	}
+	parent := NewRelation()
+	for i := int64(0); i < 3; i++ {
+		parent.Append(mk(i * 10))
+	}
+	base := ZoneComputations()
+	z := parent.Zone(2, 0)
+	if !z.Ok || z.Min != 20 || z.Max != 22 {
+		t.Fatalf("zone = %+v, want [20,22]", z)
+	}
+	if got := ZoneComputations() - base; got != 3 {
+		t.Fatalf("computed %d batch bounds on first use, want 3", got)
+	}
+
+	child := parent.CloneForAppend(1)
+	child.Append(mk(100))
+	base = ZoneComputations()
+	z = child.Zone(3, 0)
+	if !z.Ok || z.Min != 100 || z.Max != 102 {
+		t.Fatalf("tail zone = %+v, want [100,102]", z)
+	}
+	if got := ZoneComputations() - base; got != 1 {
+		t.Fatalf("append recomputed %d batch bounds, want 1 (tail only)", got)
+	}
+	// The parent snapshot's cache is untouched and still valid.
+	base = ZoneComputations()
+	if z := parent.Zone(0, 0); !z.Ok || z.Min != 0 {
+		t.Fatalf("parent zone = %+v", z)
+	}
+	if got := ZoneComputations() - base; got != 0 {
+		t.Fatalf("parent recomputed %d bounds after child append, want 0", got)
+	}
+}
