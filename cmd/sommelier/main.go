@@ -47,7 +47,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   sommelier gen     -dir DIR [-days N] [-samples N] [-seed N]
-  sommelier query   -dir DIR [-approach A] -sql SQL   (EXPLAIN SELECT ... prints the plan)
+  sommelier query   -dir DIR [-approach A] -sql SQL   (EXPLAIN [ANALYZE] SELECT ... prints the plan)
   sommelier explain -dir DIR -sql SQL
   sommelier report  -dir DIR [-approach A]
 approaches: lazy (default), eager_csv, eager_plain, eager_index, eager_dmd`)
@@ -133,11 +133,11 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	out, err := db.Explain(*sql)
+	res, err := db.Query("EXPLAIN " + *sql)
 	if err != nil {
 		return err
 	}
-	fmt.Print(out)
+	fmt.Print(sommelier.FormatResult(res))
 	return nil
 }
 

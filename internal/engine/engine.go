@@ -520,19 +520,35 @@ func (db *DB) prepareDMd(c *compiled, args []*expr.Const) (dmd.Stats, error) {
 
 // execCompiled runs a compiled statement: Algorithm 1 (derived-metadata
 // preparation) against the argument-substituted predicates, then the
-// two-stage executor. With a sink the result batches reach it
-// incrementally and the returned Result carries an empty relation
-// (schema, stats and provenance only).
-func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink) (*Result, error) {
+// two-stage executor, every stage recorded on prof. With a sink the
+// result batches reach it incrementally and the returned Result carries
+// an empty relation (schema, stats and provenance only). EXPLAIN
+// ANALYZE (analyze) runs the query without the sink and returns its
+// profile as plan rows, streamed to the sink if there is one.
+func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink, analyze bool, prof *exec.Profile) (*Result, error) {
 	dst, err := db.prepareDMd(c, args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := exec.Execute(ctx, db.env, c.plan, exec.Options{Params: args, Sink: sink})
+	prof.End(exec.StageDMd)
+	o := exec.Options{Params: args, Sink: sink, Profile: prof}
+	if analyze {
+		o.Sink = nil
+	}
+	res, err := exec.Execute(ctx, db.env, c.plan, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan}, nil
+	start, end := prof.Span(exec.StageCompile)
+	out := &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan, Compile: end - start}
+	prof.End(exec.StageAssemble)
+	if !analyze {
+		return out, nil
+	}
+	out.Release()
+	rows := planRows(renderAnalyze(out))
+	out.Names, out.Kinds, out.Rel = rows.Names, rows.Kinds, rows.Rel
+	return out, streamOut(out, sink)
 }
 
 // Query parses, prepares (Algorithm 1) and executes one SQL statement.
@@ -558,7 +574,8 @@ func (db *DB) QueryArgs(sql string, args ...any) (*Result, error) {
 // QueryArgsContext is QueryArgs with cancellation. Statements without
 // explicit markers take no args (their literals are auto-parameterized
 // internally); an EXPLAIN statement returns the optimized plan and the
-// applied-rule log as rows instead of executing.
+// applied-rule log as rows instead of executing, and EXPLAIN ANALYZE
+// executes, then returns them annotated with the query's profile.
 func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*Result, error) {
 	return db.query(ctx, sql, nil, args)
 }
@@ -566,12 +583,12 @@ func (db *DB) QueryArgsContext(ctx context.Context, sql string, args ...any) (*R
 // query is the one parse → bind → compile → execute path; a nil sink
 // materializes the result.
 func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any) (*Result, error) {
-	t0 := time.Now()
+	prof := exec.NewProfile()
 	st, err := sqlparse.ParseStatement(sql)
 	if err != nil {
 		return nil, err
 	}
-	if st.Explain {
+	if st.Explain && !st.Analyze {
 		// EXPLAIN only compiles — argument values are never used, so
 		// none are required (any supplied are ignored).
 		c, hit, err := db.compileStatement(st)
@@ -579,7 +596,7 @@ func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any
 			return nil, err
 		}
 		res := explainResult(c.plan)
-		res.Compile, res.PlanCacheHit = time.Since(t0), hit
+		res.Compile, res.PlanCacheHit = prof.End(exec.StageCompile), hit
 		return res, streamOut(res, sink)
 	}
 	vals, err := statementArgs(st, args)
@@ -590,12 +607,12 @@ func (db *DB) query(ctx context.Context, sql string, sink StreamSink, args []any
 	if err != nil {
 		return nil, err
 	}
-	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, c, vals, sink)
+	prof.End(exec.StageCompile)
+	res, err := db.execCompiled(ctx, c, vals, sink, st.Analyze, prof)
 	if err != nil {
 		return nil, err
 	}
-	res.Compile, res.PlanCacheHit = compile, hit
+	res.PlanCacheHit = hit
 	return res, nil
 }
 
@@ -699,12 +716,9 @@ func convertArgs(args []any) ([]*expr.Const, error) {
 // arguments. A cache hit on the same normalized statement shares the
 // compiled plan.
 type Stmt struct {
-	db       *DB
-	c        *compiled
-	explain  bool
-	norm     string
-	nParams  int
-	defaults []*expr.Const
+	db *DB
+	c  *compiled
+	st *sqlparse.Statement
 }
 
 // Prepare compiles a statement through the plan cache and returns the
@@ -719,21 +733,14 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{
-		db:       db,
-		c:        c,
-		explain:  st.Explain,
-		norm:     st.Normalized,
-		nParams:  st.NumParams,
-		defaults: st.Args,
-	}, nil
+	return &Stmt{db: db, c: c, st: st}, nil
 }
 
 // Normalized returns the canonical statement text (the plan-cache key).
-func (s *Stmt) Normalized() string { return s.norm }
+func (s *Stmt) Normalized() string { return s.st.Normalized }
 
 // NumParams reports how many arguments Query expects.
-func (s *Stmt) NumParams() int { return s.nParams }
+func (s *Stmt) NumParams() int { return s.st.NumParams }
 
 // Query executes the prepared statement. Statements prepared from
 // literal SQL (auto-parameterized) may be called with no arguments to
@@ -759,16 +766,16 @@ func (s *Stmt) QueryStream(ctx context.Context, sink StreamSink, args ...any) (*
 // query binds the arguments and executes the compiled statement; a nil
 // sink materializes the result.
 func (s *Stmt) query(ctx context.Context, sink StreamSink, args []any) (*Result, error) {
-	if s.explain {
+	if s.st.Explain && !s.st.Analyze {
 		res := explainResult(s.c.plan)
 		return res, streamOut(res, sink)
 	}
 	var vals []*expr.Const
-	if len(args) == 0 && s.defaults != nil {
-		vals = s.defaults
+	if len(args) == 0 && s.st.Args != nil {
+		vals = s.st.Args
 	} else {
-		if len(args) != s.nParams {
-			return nil, fmt.Errorf("engine: prepared statement needs %d argument(s), got %d", s.nParams, len(args))
+		if len(args) != s.st.NumParams {
+			return nil, fmt.Errorf("engine: prepared statement needs %d argument(s), got %d", s.st.NumParams, len(args))
 		}
 		var err error
 		vals, err = convertArgs(args)
@@ -776,7 +783,7 @@ func (s *Stmt) query(ctx context.Context, sink StreamSink, args []any) (*Result,
 			return nil, err
 		}
 	}
-	return s.db.execCompiled(ctx, s.c, vals, sink)
+	return s.db.execCompiled(ctx, s.c, vals, sink, s.st.Analyze, exec.NewProfile())
 }
 
 // Run executes a programmatically constructed query specification
@@ -788,18 +795,13 @@ func (db *DB) Run(q *plan.Query) (*Result, error) {
 
 // RunContext is Run with cancellation.
 func (db *DB) RunContext(ctx context.Context, q *plan.Query) (*Result, error) {
-	t0 := time.Now()
+	prof := exec.NewProfile()
 	p, err := db.compileQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	compile := time.Since(t0)
-	res, err := db.execCompiled(ctx, &compiled{query: q, plan: p}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Compile = compile
-	return res, nil
+	prof.End(exec.StageCompile)
+	return db.execCompiled(ctx, &compiled{query: q, plan: p}, nil, nil, false, prof)
 }
 
 // Catalog exposes the warehouse catalog.
@@ -843,86 +845,16 @@ func (db *DB) WarmUp(sql string, runs int) error {
 	return nil
 }
 
-// ExplainAnalyze executes a SQL statement with operator-level tracing
-// and renders the plan annotated with the rows each operator emitted
-// per stage, plus the execution statistics. Compilation goes through
-// the same cache as Query; args bind `?` markers exactly as in
-// QueryArgs.
-func (db *DB) ExplainAnalyze(sql string, args ...any) (string, error) {
-	st, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return "", err
-	}
-	vals, err := statementArgs(st, args)
-	if err != nil {
-		return "", err
-	}
-	c, _, err := db.compileStatement(st)
-	if err != nil {
-		return "", err
-	}
-	if _, err := db.prepareDMd(c, vals); err != nil {
-		return "", err
-	}
-	p := c.plan
-	trace := &exec.Trace{}
-	res, err := exec.Execute(context.Background(), db.env, p, exec.Options{Params: vals, Trace: trace})
-	if err != nil {
-		return "", err
-	}
-	defer res.Release()
-	out := fmt.Sprintf("-- type: T%d  two-stage: %t\n", p.Type(), p.TwoStage)
-	out += plan.RenderAnnotated(p.Root, p.Qf, func(n plan.Node) string {
-		s1, s2 := trace.Rows(n, 1), trace.Rows(n, 2)
-		switch {
-		case s1 > 0 && s2 > 0:
-			return fmt.Sprintf("stage1: %d rows, stage2: %d rows", s1, s2)
-		case s1 > 0:
-			return fmt.Sprintf("stage1: %d rows", s1)
-		default:
-			return fmt.Sprintf("%d rows", s2)
-		}
-	})
-	out += renderRuleLog(p)
-	st2 := res.Stats
-	out += fmt.Sprintf("-- stage1=%v load=%v stage2=%v  chunks: %d selected, %d loaded, %d cached\n",
-		st2.Stage1.Round(time.Microsecond), st2.Load.Round(time.Microsecond),
-		st2.Stage2.Round(time.Microsecond), st2.ChunksSelected, st2.ChunksLoaded, st2.CacheHits)
-	return out, nil
-}
-
-// Explain renders the optimized plan of a SQL statement with the Qf
-// branch marked, followed by the applied-rule log — the same text the
-// `EXPLAIN <query>` statement returns as rows.
-func (db *DB) Explain(sql string) (string, error) {
-	st, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return "", err
-	}
-	c, _, err := db.compileStatement(st)
-	if err != nil {
-		return "", err
-	}
-	return renderExplain(c.plan), nil
-}
-
-// renderExplain is the EXPLAIN text: header, plan tree, rule log.
-func renderExplain(p *plan.Plan) string {
+// renderExplain is the EXPLAIN text: header, the plan tree with each
+// operator line annotated by annot (nil: none), rule log.
+func renderExplain(p *plan.Plan, annot func(plan.Node) string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "-- type: T%d  two-stage: %t", p.Type(), p.TwoStage)
 	if p.NumParams > 0 {
 		fmt.Fprintf(&sb, "  params: %d", p.NumParams)
 	}
 	sb.WriteByte('\n')
-	sb.WriteString(plan.Render(p.Root, p.Qf))
-	sb.WriteString(renderRuleLog(p))
-	return sb.String()
-}
-
-// renderRuleLog renders the optimizer's applied-rule log, one line per
-// rule.
-func renderRuleLog(p *plan.Plan) string {
-	var sb strings.Builder
+	sb.WriteString(plan.RenderAnnotated(p.Root, p.Qf, annot))
 	for _, r := range p.RuleLog {
 		sb.WriteString("-- rule ")
 		sb.WriteString(r)
@@ -931,22 +863,50 @@ func renderRuleLog(p *plan.Plan) string {
 	return sb.String()
 }
 
-// explainResult wraps the EXPLAIN text into a one-column result so the
-// statement flows through every client path (CLI, HTTP) unchanged.
-func explainResult(p *plan.Plan) *Result {
-	text := strings.TrimRight(renderExplain(p), "\n")
-	lines := strings.Split(text, "\n")
-	rel := storage.NewRelation()
-	rel.Append(storage.NewBatch(storage.NewStringColumn(lines)))
-	return &Result{
-		Result: &exec.Result{
-			Names: []string{"plan"},
-			Kinds: []storage.Kind{storage.KindString},
-			Rel:   rel,
-		},
-		QueryType: p.Type(),
-		Plan:      p,
+// renderAnalyze is the EXPLAIN ANALYZE text of an executed query: the
+// EXPLAIN text with each operator's rows and batches per stage (summed
+// over its parallel parts) and each pipeline breaker's time and self
+// time, then the stage spans and the chunk counts.
+func renderAnalyze(res *Result) string {
+	prof := res.Profile
+	text := renderExplain(res.Plan, func(n plan.Node) string {
+		var parts []string
+		for _, stage1 := range []bool{true, false} {
+			if st, self, ok := prof.Op(n, stage1); ok && st.Timed {
+				parts = append(parts, fmt.Sprintf("rows=%d batches=%d time=%v self=%v",
+					st.Rows, st.Batches, st.Time.Round(time.Microsecond), self.Round(time.Microsecond)))
+			} else if ok {
+				parts = append(parts, fmt.Sprintf("rows=%d batches=%d", st.Rows, st.Batches))
+			}
+		}
+		if len(parts) == 2 {
+			return "stage1: " + parts[0] + "; stage2: " + parts[1]
+		}
+		return strings.Join(parts, "")
+	})
+	var sb strings.Builder
+	sb.WriteString(text)
+	sb.WriteString("-- stages:")
+	for s := exec.Stage(0); s < exec.NumStages; s++ {
+		start, end := prof.Span(s)
+		fmt.Fprintf(&sb, " %v=%v", s, (end - start).Round(time.Microsecond))
 	}
+	st := res.Stats
+	fmt.Fprintf(&sb, "  chunks: %d selected, %d loaded, %d cached\n", st.ChunksSelected, st.ChunksLoaded, st.CacheHits)
+	return sb.String()
+}
+
+// planRows is EXPLAIN text as a one-column result, so the statement
+// flows through every client path (CLI, HTTP) unchanged.
+func planRows(text string) *exec.Result {
+	rel := storage.NewRelation()
+	rel.Append(storage.NewBatch(storage.NewStringColumn(strings.Split(strings.TrimRight(text, "\n"), "\n"))))
+	return &exec.Result{Names: []string{"plan"}, Kinds: []storage.Kind{storage.KindString}, Rel: rel}
+}
+
+// explainResult is the EXPLAIN result of a compiled plan.
+func explainResult(p *plan.Plan) *Result {
+	return &Result{Result: planRows(renderExplain(p, nil)), QueryType: p.Type(), Plan: p}
 }
 
 // PlanCacheStats reports compiled-plan cache activity.

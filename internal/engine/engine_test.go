@@ -351,14 +351,14 @@ func TestCacheDisabled(t *testing.T) {
 func TestExplainMarksQf(t *testing.T) {
 	dir := genRepo(t, 1)
 	db := openOpt(t, dir, registrar.Lazy)
-	out, err := db.Explain(tQueries()[4])
+	res, err := db.Query("EXPLAIN " + tQueries()[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "[Qf]") || !strings.Contains(out, "type: T4") {
+	if out := planText(res); !strings.Contains(out, "[Qf]") || !strings.Contains(out, "type: T4") {
 		t.Fatalf("explain:\n%s", out)
 	}
-	if _, err := db.Explain("not sql"); err == nil {
+	if _, err := db.Query("EXPLAIN not sql"); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }

@@ -175,7 +175,7 @@ func TestExplainStatement(t *testing.T) {
 }
 
 // EXPLAIN never executes, so a `?`-marker statement explains without
-// arguments — and ExplainAnalyze, which does execute, takes them.
+// arguments — and EXPLAIN ANALYZE, which does execute, takes them.
 func TestExplainParameterizedStatement(t *testing.T) {
 	dir := genRepo(t, 1)
 	db := openOpt(t, dir, registrar.Lazy)
@@ -193,14 +193,10 @@ func TestExplainParameterizedStatement(t *testing.T) {
 	if _, err := stmt.Query(); err != nil {
 		t.Fatalf("prepared EXPLAIN: %v", err)
 	}
-	out, err := db.ExplainAnalyze(`SELECT COUNT(*) AS n FROM F WHERE station = ?`, "FIAM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "rows") {
+	if out := analyzeText(t, db, `SELECT COUNT(*) AS n FROM F WHERE station = ?`, "FIAM"); !strings.Contains(out, "rows=1 ") {
 		t.Fatalf("explain analyze output:\n%s", out)
 	}
-	if _, err := db.ExplainAnalyze(`SELECT COUNT(*) AS n FROM F WHERE station = ?`); err == nil {
+	if _, err := db.Query(`EXPLAIN ANALYZE SELECT COUNT(*) AS n FROM F WHERE station = ?`); err == nil {
 		t.Fatal("missing argument accepted")
 	}
 }

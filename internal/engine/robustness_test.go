@@ -176,16 +176,22 @@ func TestSampleThroughSQL(t *testing.T) {
 func TestExplainAnalyze(t *testing.T) {
 	dir := genRepo(t, 2)
 	db := openOpt(t, dir, registrar.Lazy)
-	out, err := db.ExplainAnalyze(tQueries()[4])
+	res, err := db.Query("EXPLAIN ANALYZE " + tQueries()[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"[Qf]", "rows", "chunks:", "scan(D"} {
+	out := planText(res)
+	res.Release()
+	for _, want := range []string{"[Qf]", "stage1: rows=", "rows=", "batches=", "time=", "self=",
+		"-- rule ", "-- stages: compile=", " load=", " stage2=", "chunks:", "scan(D"} {
 		if !containsStr(out, want) {
 			t.Fatalf("explain analyze lacks %q:\n%s", want, out)
 		}
 	}
-	if _, err := db.ExplainAnalyze("not sql"); err == nil {
+	if res.Stats.ChunksSelected == 0 || res.Stats.Stage2 <= 0 {
+		t.Fatalf("EXPLAIN ANALYZE result lacks its query's stats: %+v", res.Stats)
+	}
+	if _, err := db.Query("EXPLAIN ANALYZE not sql"); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }

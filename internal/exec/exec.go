@@ -167,6 +167,8 @@ type Result struct {
 	// chunk the query proceeded without. Aggregates and row sets are
 	// correct over the surviving chunk set.
 	Warnings []Warning
+	// Profile is what the execution did: the substance of EXPLAIN ANALYZE.
+	Profile *Profile
 	// chunks holds the scanned chunks until Release: Rel may alias them.
 	chunks []chunkstore.Handle
 }
@@ -228,40 +230,6 @@ func (r *Result) Release() {
 	r.chunks = nil
 }
 
-// Trace records, per logical plan node, the number of rows its
-// physical realization emitted in each stage: the substance of
-// EXPLAIN ANALYZE. Qf nodes execute in stage one and reappear as a
-// result-scan in stage two.
-type Trace struct {
-	rows map[plan.Node]*[2]int64
-}
-
-// Rows reports the rows node emitted in the given stage (1 or 2).
-func (t *Trace) Rows(n plan.Node, stage int) int64 {
-	if t == nil || t.rows == nil {
-		return 0
-	}
-	if c, ok := t.rows[n]; ok {
-		return c[stage-1]
-	}
-	return 0
-}
-
-func (t *Trace) counter(n plan.Node, inStage1 bool) *int64 {
-	if t.rows == nil {
-		t.rows = make(map[plan.Node]*[2]int64)
-	}
-	c, ok := t.rows[n]
-	if !ok {
-		c = &[2]int64{}
-		t.rows[n] = c
-	}
-	if inStage1 {
-		return &c[0]
-	}
-	return &c[1]
-}
-
 // Options carries the per-execution inputs of Execute; the zero value
 // runs a parameterless plan into a materialized result.
 type Options struct {
@@ -284,8 +252,9 @@ type Options struct {
 	// error; the cancellation propagates down to the morsel cursor, so
 	// LIMIT-style consumers stop the scan instead of discarding it.
 	Sink physical.StreamSink
-	// Trace, when non-nil, is filled with the per-operator row counts.
-	Trace *Trace
+	// Profile records the execution's stages, after those the caller
+	// already ended on it (compile, Algorithm 1); nil starts a new one.
+	Profile *Profile
 }
 
 // Execute runs a compiled plan in the environment, honouring
@@ -293,7 +262,7 @@ type Options struct {
 // before every chunk ingestion, so long-running lazy loads abort
 // promptly.
 func Execute(ctx context.Context, env *Env, p *plan.Plan, o Options) (*Result, error) {
-	ex := &executor{ctx: ctx, env: env, plan: p, params: o.Params, sink: o.Sink, trace: o.Trace}
+	ex := &executor{ctx: ctx, env: env, plan: p, params: o.Params, sink: o.Sink, prof: o.Profile}
 	return ex.run()
 }
 
@@ -302,7 +271,7 @@ type executor struct {
 	env    *Env
 	plan   *plan.Plan
 	params []*expr.Const
-	trace  *Trace
+	prof   *Profile
 	// sink, when set, receives the stage-two rows in place of the
 	// Result's relation.
 	sink physical.StreamSink
@@ -311,8 +280,11 @@ type executor struct {
 	// Env.MaxQueryBytes at the start of run and Closed — returning any
 	// outstanding global reservation — however the query ends.
 	quota *storage.Quota
-	// t0 stamps execution start, for the watchdog's DeadlineError.
-	t0 time.Time
+	// drain configures the query's drains: cancellation between
+	// batches, the watchdog at every morsel claim (breakers ignore it),
+	// the memory ceiling, and — above a DOP of one — the operator's
+	// morsels split across a worker pool.
+	drain physical.DrainOpts
 
 	qfRel   *storage.Relation
 	qfNames []string
@@ -332,7 +304,7 @@ type executor struct {
 	// start of run from the environment's adaptive split.
 	par int
 
-	// stats and trace are confined to the query's own goroutine: the
+	// stats and prof are confined to the query's own goroutine: the
 	// ingestion workers communicate through the per-chunk results slice
 	// joined before any counter is updated, so accumulation is
 	// race-free even with many concurrent queries per Env.
@@ -349,7 +321,9 @@ type executor struct {
 // failure — wherever it surfaced: a morsel claim, a drain pull, a
 // breaker build, chunk ingestion — to a typed *DeadlineError.
 func (ex *executor) run() (*Result, error) {
-	ex.t0 = time.Now()
+	if ex.prof == nil {
+		ex.prof = NewProfile()
+	}
 	res, err := ex.exec()
 	if err != nil {
 		return nil, ex.deadlineErr(err)
@@ -365,6 +339,7 @@ func (ex *executor) exec() (*Result, error) {
 	defer ex.env.inflight.Add(-1)
 	ex.par = ex.env.dop()
 	ex.quota = storage.NewGovernedQuota(ex.ctx, ex.env.MaxQueryBytes, ex.env.Governor)
+	ex.drain = physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota}
 	// However the query ends — success, error, watchdog kill, or a
 	// streaming client gone mid-result — its global memory reservation
 	// goes back to the governor here.
@@ -379,34 +354,32 @@ func (ex *executor) exec() (*Result, error) {
 	ex.stats.SampleFraction = 1
 	needStage1 := ex.plan.Qf != nil && ex.plan.TwoStage && ex.env.Mode != ModeEagerFull
 	if needStage1 {
-		t0 := time.Now()
 		op, err := ex.build(ex.plan.Qf, true)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := physical.Collect(op, ex.drainOpts())
+		rel, err := physical.Collect(op, ex.drain)
 		if err != nil {
 			return nil, fmt.Errorf("exec: stage one: %w", err)
 		}
 		ex.qfRel = rel
 		ex.qfNames = ex.plan.Qf.Names()
 		ex.qfKinds = ex.plan.Qf.Kinds()
-		ex.stats.Stage1 = time.Since(t0)
+		ex.stats.Stage1 = ex.prof.End(StageStage1)
 		if err := ex.selectChunks(); err != nil {
 			return nil, err
 		}
 		ex.applySampling()
+		ex.prof.End(StageSelect)
 	}
 	if ex.plan.TwoStage {
-		t1 := time.Now()
 		if err := ex.acquireChunks(); err != nil {
 			return nil, err
 		}
-		if ex.env.Mode == ModeLazy {
-			ex.stats.Load = time.Since(t1)
+		if load := ex.prof.End(StageLoad); ex.env.Mode == ModeLazy {
+			ex.stats.Load = load
 		}
 	}
-	t2 := time.Now()
 	op, err := ex.build(ex.plan.Root, false)
 	if err != nil {
 		return nil, err
@@ -419,37 +392,30 @@ func (ex *executor) exec() (*Result, error) {
 	// pushed rows before Push returns.
 	var rel *storage.Relation
 	if ex.sink == nil {
-		rel, err = physical.Collect(op, ex.drainOpts())
+		rel, err = physical.Collect(op, ex.drain)
 	} else {
 		if ss, ok := ex.sink.(physical.SchemaSink); ok {
 			ss.SetSchema(ex.plan.Root.Names(), ex.plan.Root.Kinds())
 		}
 		rel = storage.NewRelation()
-		err = physical.Drain(op, ex.sink, ex.drainOpts())
+		err = physical.Drain(op, ex.sink, ex.drain)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("exec: stage two: %w", err)
 	}
-	ex.stats.Stage2 = time.Since(t2)
+	ex.stats.Stage2 = ex.prof.End(StageStage2)
 	res := &Result{
 		Names:    ex.plan.Root.Names(),
 		Kinds:    ex.plan.Root.Kinds(),
 		Rel:      rel,
 		Stats:    ex.stats,
 		Warnings: ex.warnings,
+		Profile:  ex.prof,
 	}
 	if ex.sink == nil {
 		res.chunks, ex.chunks = ex.chunks, nil
 	}
 	return res, nil
-}
-
-// drainOpts configures a drain of this query: cancellation between
-// batches, the watchdog at every morsel claim, the query's memory
-// ceiling, and — above a degree of parallelism of one — the operator's
-// morsels split across a worker pool.
-func (ex *executor) drainOpts() physical.DrainOpts {
-	return physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota}
 }
 
 // selectChunks extracts, per actual-data table, the distinct chunk IDs
@@ -749,34 +715,21 @@ func (ex *executor) rexpr(e expr.Expr) (expr.Expr, error) {
 	return expr.SubstParams(e, ex.params)
 }
 
-// build constructs the physical operator tree for a plan subtree.
-// inStage1 marks that we are compiling Qf itself; otherwise an
-// encountered Qf node is replaced by a result-scan over the
-// materialized stage-one result.
+// build constructs the physical operator tree for a plan subtree, each
+// node's operator profiled. inStage1 marks that we are compiling Qf
+// itself; otherwise an encountered Qf node is replaced by a result-scan
+// over the materialized stage-one result.
 func (ex *executor) build(n plan.Node, inStage1 bool) (physical.Operator, error) {
 	op, err := ex.buildInner(n, inStage1)
 	if err != nil {
 		return op, err
 	}
-	// Grant the query's degree of parallelism to operators that
-	// materialize an input internally (join build, aggregation, sort).
-	if ph, ok := op.(physical.ParallelHinter); ok {
-		ph.SetParallel(ex.par)
+	// Pipeline breakers drain an input internally, at the query's
+	// parallelism, under its cancellation check and memory ceiling.
+	if b, ok := op.(physical.Breaker); ok {
+		b.SetDrain(ex.drain)
 	}
-	// Their internal materializations charge the per-query ceiling.
-	if qh, ok := op.(physical.QuotaHinter); ok {
-		qh.SetQuota(ex.quota)
-	}
-	// And their internal drains — pipeline breakers that would
-	// otherwise materialize to completion — learn the watchdog's
-	// cancellation check.
-	if ch, ok := op.(physical.CheckHinter); ok {
-		ch.SetCheck(ex.ctx.Err)
-	}
-	if ex.trace == nil {
-		return op, nil
-	}
-	return physical.NewCounted(op, ex.trace.counter(n, inStage1)), nil
+	return ex.prof.add(n, inStage1, op), nil
 }
 
 func (ex *executor) buildInner(n plan.Node, inStage1 bool) (physical.Operator, error) {

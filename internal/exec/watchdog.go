@@ -25,8 +25,8 @@ import (
 // context.DeadlineExceeded, so existing errors.Is dispatch (HTTP 504)
 // keeps working.
 type DeadlineError struct {
-	// Elapsed is how long the query had been executing when the
-	// expiry was noticed.
+	// Elapsed is how long the query had been running, from the start
+	// of its profile, when the expiry was noticed.
 	Elapsed time.Duration
 }
 
@@ -47,7 +47,7 @@ func (ex *executor) deadlineErr(err error) error {
 		return err
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
-		return &DeadlineError{Elapsed: time.Since(ex.t0)}
+		return &DeadlineError{Elapsed: time.Since(ex.prof.clock)}
 	}
 	return err
 }

@@ -143,7 +143,7 @@ func TestOptimizeQuery1(t *testing.T) {
 	if d := scanOf(p.Root, "D"); d == nil || d.Filter == nil {
 		t.Fatal("selection on D not pushed down")
 	}
-	if got := plan.Render(p.Root, p.Qf); !strings.Contains(got, "[Qf]") {
+	if got := plan.RenderAnnotated(p.Root, p.Qf, nil); !strings.Contains(got, "[Qf]") {
 		t.Fatalf("render lacks Qf marker:\n%s", got)
 	}
 	if len(p.RuleLog) == 0 {
@@ -233,7 +233,7 @@ func TestGoldenPlansPerRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := compile(t, query1(), tc.opts)
-			got := plan.Render(p.Root, p.Qf)
+			got := plan.RenderAnnotated(p.Root, p.Qf, nil)
 			for _, w := range tc.want {
 				if !strings.Contains(got, w) {
 					t.Errorf("rendering lacks %q:\n%s", w, got)
@@ -347,7 +347,7 @@ func TestConstFoldSimplifiesConjuncts(t *testing.T) {
 		}),
 	}
 	p := compile(t, q, opt.Default())
-	got := plan.Render(p.Root, p.Qf)
+	got := plan.RenderAnnotated(p.Root, p.Qf, nil)
 	if strings.Contains(got, "2 > 1") {
 		t.Fatalf("tautology survived:\n%s", got)
 	}

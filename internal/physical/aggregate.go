@@ -85,7 +85,7 @@ func (s *aggState) merge(o aggState) {
 // resolves on the raw values; other shapes go through the composite
 // index.Key.
 //
-// Under a degree of parallelism (SetParallel), and when the input can
+// Under a degree of parallelism (SetDrain), and when the input can
 // Split, the input's morsel ranges are claimed by a worker pool, each
 // range folded into its own thread-local partial-aggregate table; the
 // partials are merged in range order (so results are deterministic for
@@ -112,21 +112,16 @@ type HashAggregate struct {
 	// share: set only when all arguments are bare column references
 	// (stateless, safe to evaluate concurrently without cloning).
 	sharedArgs []expr.Expr
-	// dop is the parallelism granted by the executor.
-	dop int
-	// check cancels the accumulation drain — a pipeline breaker — when
-	// the query's deadline expires mid-fold.
-	check func() error
+	// drain grants the parallelism of the accumulation drain and the
+	// check that cancels it when the query's deadline expires mid-fold.
+	drain DrainOpts
 
 	done bool
 }
 
-// SetParallel implements ParallelHinter: it grants the aggregation up
-// to dop workers. It must be called before the first Next.
-func (h *HashAggregate) SetParallel(dop int) { h.dop = dop }
-
-// SetCheck implements CheckHinter for the accumulation drain.
-func (h *HashAggregate) SetCheck(check func() error) { h.check = check }
+// SetDrain implements Breaker: the aggregation runs on up to o.DOP
+// workers, checking o.Check; its partial tables charge no quota.
+func (h *HashAggregate) SetDrain(o DrainOpts) { h.drain = o }
 
 // NewHashAggregate binds the aggregate arguments against the input.
 func NewHashAggregate(in Operator, groupCols []int, aggs []AggColumn) (*HashAggregate, error) {
@@ -396,7 +391,7 @@ func (h *HashAggregate) Next() (*storage.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := acc.drain(h.in, h.check); err != nil {
+	if err := acc.drain(h.in, h.drain.Check); err != nil {
 		acc.release()
 		return nil, err
 	}
@@ -423,10 +418,10 @@ func (h *HashAggregate) foldParts(parts []Operator) (*storage.Batch, error) {
 		done   = make([]*aggAcc, len(parts))
 		merged int
 	)
-	err = runParts(len(parts), h.dop, h.check, func(i int) error {
+	err = runParts(len(parts), h.drain.DOP, h.drain.Check, func(i int) error {
 		acc, err := h.newAcc()
 		if err == nil {
-			err = acc.drain(parts[i], h.check)
+			err = acc.drain(parts[i], h.drain.Check)
 		}
 		if err != nil {
 			if acc != nil {

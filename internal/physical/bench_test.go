@@ -162,7 +162,7 @@ func BenchmarkHashJoinProbeParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		j.SetParallel(dop)
+		j.SetDrain(DrainOpts{DOP: dop})
 		if _, err := Collect(j, DrainOpts{DOP: dop}); err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkGroupedAggregateParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		agg.SetParallel(dop)
+		agg.SetDrain(DrainOpts{DOP: dop})
 		if _, err := Collect(agg, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}

@@ -249,7 +249,7 @@ func FuzzAggregateFold(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.SetParallel(1 + int(shape>>2&1))
+		h.SetDrain(DrainOpts{DOP: 1 + int(shape>>2&1)})
 		got, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)

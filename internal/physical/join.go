@@ -42,14 +42,9 @@ type HashJoin struct {
 	// without composite index.Key construction; differential tests clear
 	// it to force the composite path.
 	fastKey bool
-	// dop is the parallelism granted by the executor for the build drain.
-	dop int
-	// quota meters the materialized build side against the per-query
-	// memory ceiling.
-	quota *storage.Quota
-	// check cancels the build drain — a pipeline breaker — when the
-	// query's deadline expires mid-build.
-	check func() error
+	// drain configures the build drain (SetDrain): its parallelism, its
+	// cancellation check and the quota the build side is charged to.
+	drain DrainOpts
 
 	built     bool
 	buildData *storage.Batch
@@ -117,16 +112,9 @@ func runStart(ends []int32, k int) int32 {
 	return ends[k-1]
 }
 
-// SetParallel implements ParallelHinter: it grants the build-side drain
-// up to dop workers. It must be called before the first Next or Split.
-func (j *HashJoin) SetParallel(dop int) { j.dop = dop }
-
-// SetQuota implements QuotaHinter: the materialized build side is
-// charged against the per-query memory ceiling.
-func (j *HashJoin) SetQuota(q *storage.Quota) { j.quota = q }
-
-// SetCheck implements CheckHinter for the build-side drain.
-func (j *HashJoin) SetCheck(check func() error) { j.check = check }
+// SetDrain implements Breaker for the build-side drain, whose claims
+// check cancellation.
+func (j *HashJoin) SetDrain(o DrainOpts) { o.Morsel = o.Check; j.drain = o }
 
 // NewHashJoin joins left and right on pairwise-equal key columns given
 // as column positions, emitting every column of both sides.
@@ -196,7 +184,7 @@ func (j *HashJoin) Names() []string { return j.names }
 func (j *HashJoin) Kinds() []storage.Kind { return j.kinds }
 
 func (j *HashJoin) build() error {
-	rel, err := Collect(j.left, DrainOpts{DOP: j.dop, Quota: j.quota, Check: j.check, Morsel: j.check})
+	rel, err := Collect(j.left, j.drain)
 	if err != nil {
 		return err
 	}

@@ -131,7 +131,7 @@ func FuzzJoinProbe(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.SetParallel(dop)
+			j.SetDrain(DrainOpts{DOP: dop})
 			return j
 		}
 		probeRows := rowsOf(probe)
@@ -165,7 +165,7 @@ func FuzzJoinProbe(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.SetParallel(dop)
+		h.SetDrain(DrainOpts{DOP: dop})
 		agg, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,6 @@ package physical
 import (
 	"sync"
 	"sync/atomic"
-
-	"sommelier/internal/storage"
 )
 
 // This file implements morsel-driven parallel execution (Leis et al.,
@@ -43,31 +41,19 @@ type Splitter interface {
 	Split(n int) ([]Operator, error)
 }
 
-// ParallelHinter is implemented by operators that materialize an input
-// internally (hash-join build, aggregation, sort) and can use a degree
-// of parallelism granted by the executor. SetParallel must be called
-// before the first Next.
-type ParallelHinter interface {
-	SetParallel(dop int)
-}
-
-// QuotaHinter is implemented by operators that materialize an input
-// internally (sort input, top-k buffers, join build side) and charge
-// that materialization against the per-query memory ceiling. SetQuota
-// must be called before the first Next; a nil quota means unlimited.
-type QuotaHinter interface {
-	SetQuota(q *storage.Quota)
-}
-
-// CheckHinter is implemented by pipeline breakers (hash-join build,
-// aggregation, sort, top-k) that drain their input internally and
-// would otherwise run that drain unchecked: the executor hands them
-// its cancellation check so a query whose deadline expired mid-build
-// stops at the next batch instead of materializing to completion.
-// SetCheck must be called before the first Next; a nil check means
-// uncancellable.
-type CheckHinter interface {
-	SetCheck(check func() error)
+// Breaker is implemented by pipeline breakers — hash-join build,
+// aggregation, sort, top-k — that drain an input internally. The
+// executor hands them the query's drain options before the first Next
+// or Split: the degree of parallelism of the internal drain, the
+// cancellation check that stops it at the next batch once the query's
+// deadline expires, and the per-query ceiling its materialization
+// charges (aggregation and top-k keep bounded state and charge
+// nothing). They ignore Morsel: the claim hook, with its fault point,
+// belongs to top-level drains, so fault counts stay proportional to
+// top-level morsels; an internal drain checks cancellation at each
+// claim instead.
+type Breaker interface {
+	SetDrain(o DrainOpts)
 }
 
 // runParts invokes run for every part index in [0, n), claimed off a

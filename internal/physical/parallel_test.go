@@ -92,7 +92,7 @@ func TestParallelJoin(t *testing.T) {
 				if forceComposite {
 					j.fastKey = false
 				}
-				j.SetParallel(dop)
+				j.SetDrain(DrainOpts{DOP: dop})
 				return j
 			}
 			want, err := Collect(build(1), DrainOpts{})
@@ -149,7 +149,7 @@ func TestParallelLargeBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.SetParallel(dop)
+		j.SetDrain(DrainOpts{DOP: dop})
 		return j
 	}
 	want, err := Collect(build(1), DrainOpts{})
@@ -200,7 +200,7 @@ func TestParallelAggregate(t *testing.T) {
 				if forceComposite {
 					agg.fastKey = false
 				}
-				agg.SetParallel(dop)
+				agg.SetDrain(DrainOpts{DOP: dop})
 				return agg
 			}
 			scan := func(pred expr.Expr) Operator {
@@ -259,7 +259,7 @@ func TestParallelAggregateGlobal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg.SetParallel(dop)
+			agg.SetDrain(DrainOpts{DOP: dop})
 			return agg
 		}
 		want, err := Collect(build(1), DrainOpts{})
@@ -294,7 +294,7 @@ func TestParallelSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srt.SetParallel(dop)
+		srt.SetDrain(DrainOpts{DOP: dop})
 		return srt
 	}
 	want, err := Collect(build(1), DrainOpts{})

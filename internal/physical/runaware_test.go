@@ -203,7 +203,7 @@ func TestRunAwareJoinMatchesPerRowHash(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						j.SetParallel(dop)
+						j.SetDrain(DrainOpts{DOP: dop})
 						got, err := Collect(j, DrainOpts{DOP: dop})
 						if err != nil {
 							t.Fatal(err)
@@ -469,7 +469,7 @@ func TestRunAwareAggregateMatchesPerRowHash(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					agg.SetParallel(dop)
+					agg.SetDrain(DrainOpts{DOP: dop})
 					got, err := Collect(agg, DrainOpts{})
 					if err != nil {
 						t.Fatal(err)
@@ -579,8 +579,8 @@ func TestRunShapedKeysMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	collect := func(op Operator, dop int) [][]any {
 		t.Helper()
-		if ph, ok := op.(ParallelHinter); ok {
-			ph.SetParallel(dop)
+		if b, ok := op.(Breaker); ok {
+			b.SetDrain(DrainOpts{DOP: dop})
 		}
 		rel, err := Collect(op, DrainOpts{DOP: dop})
 		if err != nil {

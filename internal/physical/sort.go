@@ -14,30 +14,21 @@ type SortKey struct {
 }
 
 // Sort materializes its input and emits it ordered by the keys. Under a
-// degree of parallelism (SetParallel) the input is drained through the
+// degree of parallelism (SetDrain) the input is drained through the
 // parallel morsel pipeline; the sort itself then imposes the total
 // order, so the result is unaffected by the drain's batch boundaries.
 type Sort struct {
 	in    Operator
 	keys  []SortKey
-	dop   int
-	quota *storage.Quota
-	check func() error
+	drain DrainOpts
 	done  bool
 }
 
-// SetParallel implements ParallelHinter: it grants the input drain up
-// to dop workers. It must be called before the first Next.
-func (s *Sort) SetParallel(dop int) { s.dop = dop }
-
-// SetQuota implements QuotaHinter: the materialized input is charged
-// against the per-query memory ceiling.
-func (s *Sort) SetQuota(q *storage.Quota) { s.quota = q }
-
-// SetCheck implements CheckHinter: the input drain is a pipeline
-// breaker, so without this hook an expired query would sort its whole
-// input before anyone noticed the deadline.
-func (s *Sort) SetCheck(check func() error) { s.check = check }
+// SetDrain implements Breaker: the input drain runs at the granted
+// parallelism, is charged to the query's quota, and stops (checking at
+// claims too) when the query is cancelled instead of sorting its whole
+// input first.
+func (s *Sort) SetDrain(o DrainOpts) { o.Morsel = o.Check; s.drain = o }
 
 // NewSort validates the key positions.
 func NewSort(in Operator, keys []SortKey) (*Sort, error) {
@@ -66,7 +57,7 @@ func (s *Sort) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	s.done = true
-	rel, err := Collect(s.in, DrainOpts{DOP: s.dop, Quota: s.quota, Check: s.check, Morsel: s.check})
+	rel, err := Collect(s.in, s.drain)
 	if err != nil {
 		return nil, err
 	}

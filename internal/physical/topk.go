@@ -24,8 +24,7 @@ type TopK struct {
 	in    Operator
 	keys  []SortKey
 	n     int
-	dop   int
-	check func() error
+	drain DrainOpts
 	done  bool
 }
 
@@ -47,15 +46,11 @@ func NewTopK(in Operator, keys []SortKey, n int) (*TopK, error) {
 	return &TopK{in: in, keys: keys, n: n}, nil
 }
 
-// SetParallel implements ParallelHinter: morsel ranges of a splittable
-// input are folded into per-range candidate buffers by up to dop
-// workers, merged in range order.
-func (t *TopK) SetParallel(dop int) { t.dop = dop }
-
-// SetCheck implements CheckHinter: the candidate accumulation drains
-// the whole input, so the deadline check runs per claimed range and
-// per pulled batch.
-func (t *TopK) SetCheck(check func() error) { t.check = check }
+// SetDrain implements Breaker: morsel ranges of a splittable input are
+// folded into per-range candidate buffers by up to o.DOP workers,
+// merged in range order, and the cancellation check runs per claimed
+// range and per pulled batch. The O(n) buffers charge no quota.
+func (t *TopK) SetDrain(o DrainOpts) { t.drain = o }
 
 // Names implements Operator.
 func (t *TopK) Names() []string { return t.in.Names() }
@@ -76,10 +71,11 @@ func (t *TopK) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	var parts []Operator
-	if t.dop > 1 {
+	dop, check := t.drain.DOP, t.drain.Check
+	if dop > 1 {
 		if sp, ok := t.in.(Splitter); ok {
 			var err error
-			parts, err = sp.Split(t.dop * morselFanout)
+			parts, err = sp.Split(dop * morselFanout)
 			if err != nil {
 				return nil, err
 			}
@@ -90,9 +86,9 @@ func (t *TopK) Next() (*storage.Batch, error) {
 	}
 	kinds := t.in.Kinds()
 	accs := make([]*topkAcc, len(parts))
-	err := runParts(len(parts), t.dop, t.check, func(i int) error {
+	err := runParts(len(parts), dop, check, func(i int) error {
 		acc := newTopkAcc(t.keys, kinds, t.n)
-		if err := acc.feed(parts[i], t.check); err != nil {
+		if err := acc.feed(parts[i], check); err != nil {
 			return err
 		}
 		accs[i] = acc

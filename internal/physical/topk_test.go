@@ -44,7 +44,7 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tk.SetParallel(dop)
+					tk.SetDrain(DrainOpts{DOP: dop})
 					got, err := Collect(tk, DrainOpts{})
 					if err != nil {
 						t.Fatal(err)
@@ -96,7 +96,7 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk.SetParallel(dop)
+		tk.SetDrain(DrainOpts{DOP: dop})
 		got, err := Collect(tk, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)

@@ -449,32 +449,10 @@ func (l *Limit) Children() []Node { return []Node{l.In} }
 // String implements Node.
 func (l *Limit) String() string { return fmt.Sprintf("limit(%d)", l.N) }
 
-// Render pretty-prints a plan subtree, marking the Qf branch in the
-// spirit of the paper's bold-face notation.
-func Render(root Node, qf Node) string {
-	var sb strings.Builder
-	var rec func(n Node, depth int, inQf bool)
-	rec = func(n Node, depth int, inQf bool) {
-		if n == qf {
-			inQf = true
-		}
-		sb.WriteString(strings.Repeat("  ", depth))
-		if inQf {
-			sb.WriteString("[Qf] ")
-		}
-		sb.WriteString(n.String())
-		sb.WriteByte('\n')
-		for _, c := range n.Children() {
-			rec(c, depth+1, inQf)
-		}
-	}
-	rec(root, 0, false)
-	return sb.String()
-}
-
-// RenderAnnotated pretty-prints a plan like Render, appending the
-// annotation returned by annot (if any) to each operator line. It is
-// the backbone of EXPLAIN ANALYZE.
+// RenderAnnotated pretty-prints a plan subtree, marking the Qf branch
+// in the spirit of the paper's bold-face notation, and appends the
+// annotation annot returns (if any; annot may be nil) to each operator
+// line: EXPLAIN ANALYZE's per-operator profile.
 func RenderAnnotated(root Node, qf Node, annot func(Node) string) string {
 	var sb strings.Builder
 	var rec func(n Node, depth int, inQf bool)
@@ -487,9 +465,11 @@ func RenderAnnotated(root Node, qf Node, annot func(Node) string) string {
 			sb.WriteString("[Qf] ")
 		}
 		sb.WriteString(n.String())
-		if a := annot(n); a != "" {
-			sb.WriteString("   -- ")
-			sb.WriteString(a)
+		if annot != nil {
+			if a := annot(n); a != "" {
+				sb.WriteString("   -- ")
+				sb.WriteString(a)
+			}
 		}
 		sb.WriteByte('\n')
 		for _, c := range n.Children() {

@@ -13,8 +13,9 @@
 //
 // Queries are compiled through the engine's plan cache: statements
 // differing only in literals share one compiled plan, `?` markers bind
-// the "params" array, and `EXPLAIN <query>` returns the optimized plan
-// with the applied-rule log as rows.
+// the "params" array, and `EXPLAIN [ANALYZE] <query>` returns the
+// optimized plan (annotated with the executed query's profile) and the
+// applied-rule log as rows.
 //
 // Setting "stream": true in the request switches to incremental
 // delivery: result batches are encoded and flushed as the executor

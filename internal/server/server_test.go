@@ -441,6 +441,57 @@ func TestExplainOverHTTP(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeOverHTTP: EXPLAIN ANALYZE answers in JSON and in
+// the columnar format with the profiled plan as rows, and its footer
+// reports the executed query's stages.
+func TestExplainAnalyzeOverHTTP(t *testing.T) {
+	db := testDB(t)
+	s := New(db, Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := QueryRequest{
+		SQL: `EXPLAIN ANALYZE SELECT AVG(D.sample_value) FROM dataview WHERE F.station = ?
+		      AND D.sample_time < '2010-01-02T00:00:00.000'`,
+		Params: []any{"FIAM"},
+	}
+	check := func(format string, cols []string, rows [][]any, st QueryStats) {
+		t.Helper()
+		if len(cols) != 1 || cols[0] != "plan" {
+			t.Fatalf("%s: columns = %v", format, cols)
+		}
+		text := fmt.Sprintf("%v", rows)
+		for _, want := range []string{"[Qf]", "stage1: rows=", "time=", "-- stages: compile=", "rule joinorder"} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("%s: EXPLAIN ANALYZE output lacks %q:\n%s", format, want, text)
+			}
+		}
+		if st.Stage2US <= 0 || st.ChunksSelected == 0 {
+			t.Fatalf("%s: footer stats %+v do not describe the executed query", format, st)
+		}
+	}
+	resp, data := post(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var qr QueryResponse
+	if err := json.Unmarshal(data, &qr); err != nil {
+		t.Fatal(err)
+	}
+	check("json", qr.Columns, qr.Rows, qr.Stats)
+	req.Format = FormatColumnar
+	resp, data = post(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("columnar status %d: %s", resp.StatusCode, data)
+	}
+	col, err := DecodeColumnar(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("columnar", col.Columns, col.Rows, col.Stats)
+	requireReleased(t, db)
+}
+
 // TestRowCountMatchesRows: row_count must be taken before the result is
 // released — Release empties its relation — for one-batch results (a
 // T3 join, a one-batch D export) and larger ones alike.

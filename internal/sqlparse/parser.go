@@ -34,10 +34,13 @@ type Statement struct {
 	// Explain marks an `EXPLAIN <query>` statement: compile only, and
 	// return the optimized plan rendering instead of executing.
 	Explain bool
+	// Analyze marks `EXPLAIN ANALYZE <query>`: execute the query, then
+	// return its plan annotated with what each operator did.
+	Analyze bool
 	// Normalized is the canonical statement text — keywords uppercased,
 	// whitespace collapsed, every parameterized literal replaced by `?`
-	// (the EXPLAIN prefix is stripped, so EXPLAIN shares the compiled
-	// plan of its query). It is the engine's plan-cache key.
+	// (the EXPLAIN [ANALYZE] prefix is stripped, so the statement shares
+	// the compiled plan of its query). It is the engine's plan-cache key.
 	Normalized string
 	// NumParams is the number of `?` parameters the query references.
 	NumParams int
@@ -67,11 +70,11 @@ func Parse(sql string) (*plan.Query, error) {
 }
 
 // ParseStatement parses a statement for compilation: it handles the
-// EXPLAIN prefix and `?` parameter markers, produces the normalized
-// statement text, and — when the statement has no explicit markers —
-// auto-parameterizes the literals of WHERE comparisons so that queries
-// differing only in constants share one normalized text (and therefore
-// one compiled plan).
+// EXPLAIN [ANALYZE] prefix and `?` parameter markers, produces the
+// normalized statement text, and — when the statement has no explicit
+// markers — auto-parameterizes the literals of WHERE comparisons so
+// that queries differing only in constants share one normalized text
+// (and therefore one compiled plan).
 func ParseStatement(sql string) (*Statement, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -79,11 +82,12 @@ func ParseStatement(sql string) (*Statement, error) {
 	}
 	p := &parser{toks: toks, constSpan: make(map[*expr.Const][2]int)}
 	st := &Statement{}
-	skipTok := -1
-	if t := p.peek(); t.kind == tokIdent && strings.EqualFold(t.text, "EXPLAIN") {
-		st.Explain = true
-		skipTok = p.pos
-		p.next()
+	skip := 0 // prefix tokens the normalized text drops
+	if p.keyword("EXPLAIN") {
+		st.Explain, skip = true, 1
+		if p.keyword("ANALYZE") {
+			st.Analyze, skip = true, 2
+		}
 	}
 	q, err := p.parseSelect()
 	if err != nil {
@@ -102,7 +106,7 @@ func ParseStatement(sql string) (*Statement, error) {
 		st.Args = p.autoParameterize(q, paramSpans)
 		st.NumParams = len(st.Args)
 	}
-	st.Normalized = p.normalize(skipTok, paramSpans)
+	st.Normalized = p.normalize(skip, paramSpans)
 	return st, nil
 }
 
@@ -186,21 +190,18 @@ func (p *parser) autoParameterize(q *plan.Query, spans map[int]int) []*expr.Cons
 
 // normalize renders the canonical statement text from the token stream:
 // single spaces, parameterized literal spans as `?`, the trailing
-// semicolon and the token at skipTok (the EXPLAIN keyword) dropped.
+// semicolon and the first skip tokens (the EXPLAIN prefix) dropped.
 // Identifiers keep their case — name resolution is case-sensitive, and
 // keyword-spelled words (MIN, SAMPLE, ...) can be column names, so
 // case-folding here could collide two different statements onto one
 // cache key. Two spellings of the same keywords merely cost an extra
 // cache entry.
-func (p *parser) normalize(skipTok int, paramSpans map[int]int) string {
+func (p *parser) normalize(skip int, paramSpans map[int]int) string {
 	var sb strings.Builder
-	for i := 0; i < len(p.toks); i++ {
+	for i := skip; i < len(p.toks); i++ {
 		t := p.toks[i]
 		if t.kind == tokEOF {
 			break
-		}
-		if i == skipTok {
-			continue
 		}
 		if end, ok := paramSpans[i]; ok {
 			if sb.Len() > 0 {

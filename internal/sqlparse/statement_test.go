@@ -155,6 +155,29 @@ func TestExplainPrefix(t *testing.T) {
 	}
 }
 
+// EXPLAIN ANALYZE q normalizes to q's own text, so it shares q's plan;
+// ANALYZE alone is not a statement.
+func TestExplainAnalyzePrefix(t *testing.T) {
+	const q = `SELECT station FROM F WHERE station = 'ISK'`
+	st, err := ParseStatement(`explain Analyze ` + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ParseStatement(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Explain || !st.Analyze || plain.Analyze {
+		t.Fatalf("Explain/Analyze = %t/%t, plain Analyze %t", st.Explain, st.Analyze, plain.Analyze)
+	}
+	if st.Normalized != plain.Normalized {
+		t.Fatalf("EXPLAIN ANALYZE changes the cache key: %q vs %q", st.Normalized, plain.Normalized)
+	}
+	if _, err := ParseStatement(`ANALYZE ` + q); err == nil {
+		t.Fatal("bare ANALYZE accepted")
+	}
+}
+
 func TestExplicitMarkersDisableAutoParameterization(t *testing.T) {
 	st, err := ParseStatement(`SELECT station FROM F WHERE station = ? AND file_id > 7`)
 	if err != nil {
@@ -180,6 +203,7 @@ func FuzzParseStatement(f *testing.F) {
 		`SELECT D.sample_value FROM dataview WHERE F.station = 'CERA' AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-01T00:10:00.000' ORDER BY D.sample_value DESC LIMIT 10`,
 		`SELECT D.sample_time, D.sample_value FROM dataview WHERE F.station = 'FIAM' AND D.sample_time >= '2010-01-01T00:00:00.000' AND D.sample_time < '2010-01-01T00:01:00.000'`,
 		`EXPLAIN SELECT x FROM F WHERE NOT (a = ? OR b <> -2.5) SAMPLE 10;`,
+		`EXPLAIN ANALYZE SELECT F.station, COUNT(*) FROM dataview WHERE D.sample_time < '2010-01-02T00:00:00.000' GROUP BY F.station`,
 	} {
 		f.Add(sql)
 	}
