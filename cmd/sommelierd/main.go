@@ -5,7 +5,7 @@
 // concurrency guarantees): the limit floats between -workers-min and
 // -workers-max by AIMD on observed latency, excess load queues with a
 // deadline-aware bound and sheds with 429 + Retry-After, each request
-// carries a context deadline enforced at morsel granularity, and
+// carries a context deadline enforced at batch granularity, and
 // SIGINT/SIGTERM trigger a graceful drain.
 //
 // Usage:
@@ -73,7 +73,6 @@ type options struct {
 	cachePolicy string
 	cacheDir    string
 	diskCacheB  int64
-	maxPar      int
 	maxQueryB   int64
 	globalMemB  int64
 	govWait     time.Duration
@@ -108,7 +107,6 @@ func main() {
 	flag.StringVar(&o.cachePolicy, "cache-policy", "lru", "recycler replacement policy: lru, cost-aware")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "persistent disk cache tier directory (lazy approach): evicted chunks spill here and restarts are warm; empty = RAM-only")
 	flag.Int64Var(&o.diskCacheB, "disk-cache-bytes", 0, "disk tier capacity in bytes (0 = unbounded)")
-	flag.IntVar(&o.maxPar, "max-parallel", 0, "per-query parallelism: chunk ingestion fan-out and execution DOP (0 = adaptive, 1 = serial)")
 	flag.Int64Var(&o.maxQueryB, "max-query-bytes", 0, "per-query memory ceiling on materialized bytes; exceeding it fails the query with 413 (0 = unlimited)")
 	flag.Int64Var(&o.globalMemB, "global-memory-bytes", 0, "process-wide memory governor: total bytes all in-flight queries may hold; exhaustion degrades to queueing then 429 (0 = ungoverned)")
 	flag.DurationVar(&o.govWait, "governor-wait", 0, "how long a query waits for governed memory before shedding (0 = default 100ms)")
@@ -160,7 +158,6 @@ func run(o options) error {
 		CachePolicy:       policy,
 		CacheDir:          o.cacheDir,
 		DiskCacheBytes:    o.diskCacheB,
-		MaxParallel:       o.maxPar,
 		MaxQueryBytes:     o.maxQueryB,
 		GlobalMemoryBytes: o.globalMemB,
 		GovernorWait:      o.govWait,

@@ -26,7 +26,7 @@ const (
 
 // chaosBag is a deterministic bag of chunk-touching queries using only
 // order-insensitive aggregates (COUNT/MIN/MAX), so results compare
-// exactly across DOP and chunk-subset differences.
+// exactly across ingestion fan-out and chunk-subset differences.
 func chaosBag() []string {
 	stations := []string{"FIAM", "ISK", "AQU", "CERA"}
 	base := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -90,8 +90,9 @@ func (s *rowSink) Push(b *storage.Batch) error {
 // TestChaosDegradedEqualsStrictMinusSkipped is the chaos suite's core
 // invariant: a degraded result must equal the strict result of the
 // same query with the skipped chunks excluded — partial results are
-// principled, not approximate. The matrix crosses DOP 1/3 with
-// materialized/streaming delivery under a seeded fault schedule.
+// principled, not approximate. The matrix crosses ingestion fan-out
+// 1/3 with materialized/streaming delivery under a seeded fault
+// schedule.
 func TestChaosDegradedEqualsStrictMinusSkipped(t *testing.T) {
 	dir := genRepo(t, 3)
 	bag := chaosBag()

@@ -52,11 +52,9 @@ type Config struct {
 	// stay archive-only), never evicted — the disk tier is append-only
 	// within a process lifetime.
 	DiskCacheBytes int64
-	// MaxParallel bounds per-query parallelism: chunk-ingestion fan-out
-	// and the degree of parallelism of query execution (morsel-parallel
-	// scans, join probes, partial aggregation). 0 = adaptive (GOMAXPROCS
-	// shared across in-flight queries), 1 = fully serial (the
-	// parallelization ablation), any other value is taken literally.
+	// MaxParallel bounds a query's chunk-ingestion fan-out. 0 = adaptive
+	// (GOMAXPROCS shared across in-flight queries), 1 = serial loads (the
+	// parallel-load ablation), any other value is taken literally.
 	MaxParallel int
 	// PlanCacheSize bounds the compiled-plan cache (entries). 0 picks
 	// DefaultPlanCacheSize; negative disables plan caching.
@@ -864,9 +862,9 @@ func renderExplain(p *plan.Plan, annot func(plan.Node) string) string {
 }
 
 // renderAnalyze is the EXPLAIN ANALYZE text of an executed query: the
-// EXPLAIN text with each operator's rows and batches per stage (summed
-// over its parallel parts) and each pipeline breaker's time and self
-// time, then the stage spans and the chunk counts.
+// EXPLAIN text with each operator's rows and batches per stage and each
+// pipeline breaker's time and self time, then the stage spans and the
+// chunk counts.
 func renderAnalyze(res *Result) string {
 	prof := res.Profile
 	text := renderExplain(res.Plan, func(n plan.Node) string {

@@ -8,15 +8,13 @@ import (
 	"sommelier/internal/registrar"
 )
 
-// TestParallelQueriesAllApproachesRace pins a fixed degree of
-// parallelism greater than one — bypassing the adaptive split, so every
-// query runs morsel-parallel even while many are in flight — and fires
-// the mixed workload from several goroutines against one DB per loading
-// approach. Every answer must match the fully serial (MaxParallel: 1)
-// baseline: the range-partitioned aggregation makes even the
-// floating-point aggregates identical across DOPs. Run with -race to
-// verify the worker pools, the shared join tables, the scan morsel
-// accounting and the recycler's lock-free hit path together.
+// TestParallelQueriesAllApproachesRace fires the mixed workload from
+// several goroutines against one DB per loading approach, its chunk
+// ingestion fanned out 3 wide — bypassing the adaptive split, so loads
+// overlap even while many queries are in flight. Every answer must
+// match a baseline answered one query at a time with serial loads.
+// Run with -race to verify concurrent queries sharing chunk loads, the
+// chunk store and the recycler's lock-free hit path together.
 func TestParallelQueriesAllApproachesRace(t *testing.T) {
 	const goroutines, rounds = 6, 2
 	dir := genRepo(t, 2)
@@ -65,7 +63,7 @@ func TestParallelQueriesAllApproachesRace(t *testing.T) {
 							got := sortedRows(res)
 							res.Release()
 							if got != want[i] {
-								t.Errorf("goroutine %d query %d diverged from serial:\n%s\nvs\n%s", g, i, got, want[i])
+								t.Errorf("goroutine %d query %d diverged from the baseline:\n%s\nvs\n%s", g, i, got, want[i])
 								return
 							}
 						}

@@ -18,7 +18,7 @@ import (
 
 // genSegRepo generates a repository whose chunks span several batches
 // and segments, so that loading a subset of a chunk's segments changes
-// the scan's morsel list — what the parallel aggregation partitions.
+// the scan's batch list.
 func genSegRepo(t testing.TB) (string, *seisgen.Manifest) {
 	t.Helper()
 	dir := t.TempDir()
@@ -35,8 +35,8 @@ func genSegRepo(t testing.TB) (string, *seisgen.Manifest) {
 // the service benchmark — one-minute and two-second probes inside one
 // segment, whole-day exports, the hot scans, the T1–T3 point lookups —
 // plus float aggregates over a strict subset of a chunk's segments,
-// whose rounding depends on how their rows are partitioned, and scans
-// of D without a metadata branch.
+// whose rounding depends on the rows they fold, and scans of D without
+// a metadata branch.
 func segmentQueries(man *seisgen.Manifest) []string {
 	at := func(ns int64) string {
 		return time.Unix(0, ns).UTC().Format("2006-01-02T15:04:05.000")
@@ -133,7 +133,7 @@ func openSeg(t *testing.T, dir string, cfg Config) *DB {
 // wholeReference answers qs, in the order perm gives, from chunks
 // loaded whole: a scan of D first makes every chunk resident with all
 // its segments, so no query can load part of one. Answers do not depend
-// on the degree of parallelism, so it serves every DOP.
+// on the ingestion fan-out, so it serves every fan-out.
 func wholeReference(t *testing.T, dir string, qs []string, perm []int) []string {
 	t.Helper()
 	db := openSeg(t, dir, Config{Approach: registrar.Lazy, MaxParallel: 1})
@@ -160,10 +160,10 @@ func diffBits(t *testing.T, what string, qs, got, want []string) {
 
 // TestSegmentLoadingBitwise holds segment-granular loading to the
 // answers of whole-chunk loading bit for bit — floats at full
-// precision, rows in order: cold at DOP 1, 2, 4 and 8, where the eager
-// approaches, which install whole chunks, must answer at every DOP as
-// they do at DOP 1 (eager_index, whose chunks are the lazy ones, as the
-// lazy reference); through
+// precision, rows in order: cold at ingestion fan-outs 1, 2, 4 and 8,
+// where the eager approaches, which install whole chunks, must answer
+// at every fan-out as they do at 1 (eager_index, whose chunks are the
+// lazy ones, as the lazy reference); through
 // a 4 MiB recycler in shuffled orders that put narrow queries before
 // wide ones, so that entries are widened while others are evicted; and
 // across a disk-tier warm restart whose blocks hold part of their

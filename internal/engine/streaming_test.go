@@ -2,8 +2,7 @@ package engine
 
 // Differential and stress tests for streaming execution at the engine
 // level: QueryStream must deliver exactly the rows Query materializes,
-// in order, for the whole query bag, at every degree of parallelism —
-// and a client that stops or drops mid-stream must never leave a chunk
+// in order, for the whole query bag — and a client that stops or drops mid-stream must never leave a chunk
 // handle held, even under heavy concurrency.
 
 import (
@@ -19,6 +18,10 @@ import (
 	"sommelier/internal/registrar"
 	"sommelier/internal/storage"
 )
+
+// renderBits renders a result with float64 cells at full precision, so
+// comparisons are bitwise, not display-rounded.
+func renderBits(res *Result) string { return renderRel(res.Rel) }
 
 // renderRel renders a relation the way renderBits renders a result, so
 // streamed and materialized rows compare bitwise.
@@ -59,36 +62,32 @@ func streamingQueries() []string {
 
 // TestStreamingMatchesMaterialized is the acceptance differential:
 // every query of the bag, streamed, equals its materialized result
-// row-for-row and in order — across DOP 1/2/4/8 — with every chunk
-// handle released after each configuration.
+// row-for-row and in order — with every chunk handle released
+// afterwards.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	dir := genRepo(t, 2)
-	queries := streamingQueries()
-	for _, par := range []int{1, 2, 4, 8} {
-		db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi, sql := range queries {
-			res, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("par %d query %d: %v", par, qi, err)
-			}
-			want := renderRel(res.Rel)
-			res.Release()
-			sink := &physical.CollectSink{Rel: storage.NewRelation()}
-			sres, err := db.QueryStream(context.Background(), sql, sink)
-			if err != nil {
-				t.Fatalf("par %d query %d (stream): %v", par, qi, err)
-			}
-			if got := renderRel(sink.Rel); got != want {
-				t.Errorf("par %d query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s",
-					par, qi, got, want)
-			}
-			sres.Release()
-		}
-		requireReleased(t, db)
+	db, err := Open(dir, Config{Approach: registrar.Lazy})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for qi, sql := range streamingQueries() {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		want := renderRel(res.Rel)
+		res.Release()
+		sink := &physical.CollectSink{Rel: storage.NewRelation()}
+		sres, err := db.QueryStream(context.Background(), sql, sink)
+		if err != nil {
+			t.Fatalf("query %d (stream): %v", qi, err)
+		}
+		if got := renderRel(sink.Rel); got != want {
+			t.Errorf("query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s", qi, got, want)
+		}
+		sres.Release()
+	}
+	requireReleased(t, db)
 }
 
 // countingStopSink consumes rows up to a limit and then stops the
@@ -146,7 +145,7 @@ func (s *cancelSink) Push(b *storage.Batch) error {
 // ended.
 func TestStreamingDisconnectStress(t *testing.T) {
 	dir := genRepo(t, 1)
-	db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: 4})
+	db, err := Open(dir, Config{Approach: registrar.Lazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,31 +199,24 @@ func TestStreamingQuota(t *testing.T) {
 	const ceiling = 16 << 10 // far below the result size, far above stage one's
 	const q = `SELECT D.sample_time, D.sample_value FROM dataview
 	             WHERE D.sample_time < '2010-01-02T00:00:00.000'`
-	for _, par := range []int{1, 4} {
-		db, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: par, MaxQueryBytes: ceiling})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = db.Query(q)
-		var qe *storage.QuotaError
-		if !errors.As(err, &qe) {
-			t.Fatalf("materialized query at DOP %d under %d-byte ceiling: err = %v, want *storage.QuotaError", par, ceiling, err)
-		}
-		requireReleased(t, db)
-	}
-
-	// The streaming path buffers only the bounded run-ahead window; a
-	// serial stream (DOP 1) buffers nothing chargeable in stage two.
-	db1, err := Open(dir, Config{Approach: registrar.Lazy, MaxParallel: 1, MaxQueryBytes: ceiling})
+	db, err := Open(dir, Config{Approach: registrar.Lazy, MaxQueryBytes: ceiling})
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, err = db.Query(q)
+	var qe *storage.QuotaError
+	if !errors.As(err, &qe) {
+		t.Fatalf("materialized query under %d-byte ceiling: err = %v, want *storage.QuotaError", ceiling, err)
+	}
+	requireReleased(t, db)
+
+	// A stream buffers nothing chargeable in stage two.
 	sink := &countingStopSink{limit: 1 << 30}
-	if _, err := db1.QueryStream(context.Background(), q, sink); err != nil {
-		t.Fatalf("serial streaming under %d-byte ceiling: %v", ceiling, err)
+	if _, err := db.QueryStream(context.Background(), q, sink); err != nil {
+		t.Fatalf("streaming under %d-byte ceiling: %v", ceiling, err)
 	}
 	if sink.rows*16 <= ceiling {
 		t.Fatalf("stream delivered only %d rows — result fits the ceiling, test proves nothing", sink.rows)
 	}
-	requireReleased(t, db1)
+	requireReleased(t, db)
 }

@@ -21,8 +21,7 @@ import (
 // the watchdog each stalled claim would hold the query for 30s.
 
 // openWatchdog opens the repository with a deterministic exec.morsel
-// schedule and DOP 2, so the parallel morsel-claim path (not just the
-// serial fallback) is exercised regardless of GOMAXPROCS.
+// schedule and an ingestion fan-out of 2, regardless of GOMAXPROCS.
 func openWatchdog(t *testing.T, dir, faults string) *DB {
 	t.Helper()
 	db, err := openChecked(t, dir, Config{

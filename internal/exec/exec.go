@@ -12,6 +12,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -72,14 +73,14 @@ type Env struct {
 	// MetaIndexes holds the index-scan accelerators per metadata
 	// table, built by the eager_index investment.
 	MetaIndexes map[string][]MetaIndex
-	// MaxParallel bounds per-query parallelism: concurrent chunk
-	// ingestion AND the degree of parallelism of stage-2 execution
-	// (morsel-parallel scans, probes and partial aggregation). 0 means
-	// adaptive: GOMAXPROCS shared evenly across the queries in flight,
-	// so a lone query uses every core while a 16-client burst degrades
-	// to one core per query instead of thrashing 16×GOMAXPROCS
-	// goroutines. 1 gives fully serial execution (the parallelization
-	// ablation); any other value is taken literally per query.
+	// MaxParallel bounds a query's chunk-ingestion fan-out: how many
+	// of its missing chunks load concurrently. Stage 2 always runs on
+	// the query's own goroutine. 0 means adaptive: GOMAXPROCS shared
+	// evenly across the queries in flight, so a lone query loads on
+	// every core while a 16-client burst degrades to one load at a time
+	// per query instead of thrashing 16×GOMAXPROCS decode goroutines. 1
+	// loads serially (the parallel-load ablation); any other value is
+	// taken literally per query.
 	MaxParallel int
 	// MaxQueryBytes caps the bytes a single query may materialize into
 	// its own buffers (drained results, sort input, join build side,
@@ -106,11 +107,11 @@ type Env struct {
 	Faults *fault.Injector
 
 	// inflight counts queries currently executing, for the adaptive
-	// degree-of-parallelism split.
+	// ingestion fan-out.
 	inflight atomic.Int32
 }
 
-// dop resolves the effective per-query degree of parallelism given the
+// dop resolves the effective per-query ingestion fan-out given the
 // current in-flight query count.
 func (env *Env) dop() int {
 	if env.MaxParallel == 1 {
@@ -249,8 +250,8 @@ type Options struct {
 	// batch may alias is held only until Execute returns — sinks that
 	// keep rows longer must copy or serialize them inside Push. A sink
 	// returning physical.ErrStopStream ends the query early without
-	// error; the cancellation propagates down to the morsel cursor, so
-	// LIMIT-style consumers stop the scan instead of discarding it.
+	// error; the drain stops pulling, so LIMIT-style consumers stop the
+	// scan instead of discarding it.
 	Sink physical.StreamSink
 	// Profile records the execution's stages, after those the caller
 	// already ended on it (compile, Algorithm 1); nil starts a new one.
@@ -281,9 +282,8 @@ type executor struct {
 	// outstanding global reservation — however the query ends.
 	quota *storage.Quota
 	// drain configures the query's drains: cancellation between
-	// batches, the watchdog at every morsel claim (breakers ignore it),
-	// the memory ceiling, and — above a DOP of one — the operator's
-	// morsels split across a worker pool.
+	// batches, the watchdog and fault point once per top-level drain
+	// (breakers ignore it) and the memory ceiling.
 	drain physical.DrainOpts
 
 	qfRel   *storage.Relation
@@ -300,8 +300,8 @@ type executor struct {
 	chunks []chunkstore.Handle
 	rels   map[string][]*storage.Relation
 
-	// par is the query's effective degree of parallelism, fixed at the
-	// start of run from the environment's adaptive split.
+	// par is the query's chunk-ingestion fan-out, fixed at the start of
+	// run from the environment's adaptive split.
 	par int
 
 	// stats and prof are confined to the query's own goroutine: the
@@ -318,7 +318,7 @@ type executor struct {
 }
 
 // run executes the compiled plan, normalizing any deadline-caused
-// failure — wherever it surfaced: a morsel claim, a drain pull, a
+// failure — wherever it surfaced: the morsel hook, a drain pull, a
 // breaker build, chunk ingestion — to a typed *DeadlineError.
 func (ex *executor) run() (*Result, error) {
 	if ex.prof == nil {
@@ -339,7 +339,7 @@ func (ex *executor) exec() (*Result, error) {
 	defer ex.env.inflight.Add(-1)
 	ex.par = ex.env.dop()
 	ex.quota = storage.NewGovernedQuota(ex.ctx, ex.env.MaxQueryBytes, ex.env.Governor)
-	ex.drain = physical.DrainOpts{DOP: ex.par, Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota}
+	ex.drain = physical.DrainOpts{Check: ex.ctx.Err, Morsel: ex.morselHook(), Quota: ex.quota}
 	// However the query ends — success, error, watchdog kill, or a
 	// streaming client gone mid-result — its global memory reservation
 	// goes back to the governor here.
@@ -443,38 +443,41 @@ func (ex *executor) selectChunks() error {
 			ex.stats.ChunksSelected += len(ex.selected[tn])
 			continue
 		}
-		// One lookup per Qf row, as for the chunk IDs alone: the distinct
-		// (chunk, segment) pairs, segment 0 throughout without a segment
-		// column.
+		// The distinct (chunk, segment) pairs of the Qf rows, sorted, so
+		// the chunk IDs and each chunk's segments come off them ascending.
+		// A set finds them: sorting every row took three times as long on
+		// windowdataview, whose Qf repeats each pair once per window.
 		type pair struct{ chunk, seg int64 }
-		seen := make(map[pair]bool)
-		segs := make(map[int64][]int64)
-		var ids, segIDs []int64
+		seen, pairs := make(map[pair]bool), []pair(nil)
 		if flat.Len() > 0 {
+			chunks, segIDs := storage.Int64s(flat.Cols[col]), []int64(nil)
 			if segCol >= 0 {
 				segIDs = storage.Int64s(flat.Cols[segCol])
 			}
-			for i, v := range storage.Int64s(flat.Cols[col]) {
+			for i, v := range chunks {
 				p := pair{chunk: v}
 				if segIDs != nil {
 					p.seg = segIDs[i]
 				}
-				if seen[p] {
-					continue
+				if !seen[p] {
+					seen[p] = true
+					pairs = append(pairs, p)
 				}
-				seen[p] = true
-				if _, ok := segs[v]; !ok {
-					ids = append(ids, v)
-				}
-				segs[v] = append(segs[v], p.seg)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.SortFunc(pairs, func(a, b pair) int {
+			return cmp.Or(cmp.Compare(a.chunk, b.chunk), cmp.Compare(a.seg, b.seg))
+		})
+		var ids []int64
+		segs := make(map[int64][]int64)
+		for _, p := range pairs {
+			if len(ids) == 0 || ids[len(ids)-1] != p.chunk {
+				ids = append(ids, p.chunk)
+			}
+			segs[p.chunk] = append(segs[p.chunk], p.seg)
+		}
 		ex.selected[tn] = ids
 		if segCol >= 0 {
-			for _, ss := range segs {
-				slices.Sort(ss)
-			}
 			ex.segs[tn] = segs
 		}
 		ex.stats.ChunksSelected += len(ids)
@@ -615,7 +618,7 @@ func (ex *executor) acquireChunks() error {
 // them are taken on the spot. In lazy mode the others are loaded in
 // parallel (the paper's static parallelization: the degree of
 // parallelism is the number of selected chunks, bounded by the query's
-// effective DOP), concurrent queries selecting the same chunk sharing
+// fan-out), concurrent queries selecting the same chunk sharing
 // one load through the store; eager data is all resident, so there a
 // missing chunk is one the clustered index pruned.
 func (ex *executor) ingest(tn string, store *chunkstore.Store, ids []int64, segs map[int64][]int64) error {
@@ -630,11 +633,10 @@ func (ex *executor) ingest(tn string, store *chunkstore.Store, ids []int64, segs
 		}
 	}
 	load := func(i int) { hs[i], errs[i] = store.Acquire(ex.ctx, ids[i], segs[ids[i]]) }
-	// The ingestion fan-out is the query's effective DOP — the same
-	// adaptive split as stage-2 execution, so a 16-client cold burst
-	// does not spawn 16×GOMAXPROCS decode goroutines. A fan-out of one —
-	// a point query's single missing chunk, a serial query — loads on
-	// the query's own goroutine: a hand-off to another thread buys no
+	// The fan-out is adaptive, so a 16-client cold burst does not spawn
+	// 16×GOMAXPROCS decode goroutines. A fan-out of one — a point
+	// query's single missing chunk, a serial load — loads on the
+	// query's own goroutine: a hand-off to another thread buys no
 	// parallelism and costs a wake-up on a busy box.
 	if par := min(ex.par, len(missing)); par <= 1 {
 		for _, i := range missing {
@@ -881,9 +883,8 @@ func (ex *executor) buildScan(n *plan.Scan) (physical.Operator, error) {
 		return physical.NewEmpty(names, kinds), nil
 	}
 	// The union of cache-scans and chunk-accesses over the selected
-	// chunks, collapsed into one scan whose batch list doubles as the
-	// morsel list of parallel execution; the selection is pushed down
-	// (NewMultiRelScanCols clones and binds the predicate).
+	// chunks, collapsed into one scan in chunk order; the selection is
+	// pushed down (NewMultiRelScanCols clones and binds the predicate).
 	return physical.NewMultiRelScanCols(rels, names, kinds, filter, n.Cols)
 }
 

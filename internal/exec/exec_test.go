@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -409,6 +411,34 @@ func TestSelectedChunksAreSorted(t *testing.T) {
 	ids := ex.selected[seismic.TableD]
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 		t.Fatalf("chunk ids not sorted: %v", ids)
+	}
+	segs := ex.segs[seismic.TableD]
+	if len(ids) < 2 || len(segs) != len(ids) {
+		t.Fatalf("%d chunks with segments %v: the reordering below proves nothing", len(ids), segs)
+	}
+	for id, ss := range segs {
+		if !slices.IsSorted(ss) || len(slices.Compact(slices.Clone(ss))) != len(ss) {
+			t.Fatalf("chunk %d segments not ascending and distinct: %v", id, ss)
+		}
+	}
+
+	// Qf rows in reverse order, each twice: out of chunk order and with
+	// duplicate (chunk, segment) pairs. The selection is the same.
+	flat := ex.qfRel.Flatten()
+	var rows []int32
+	for r := flat.Len() - 1; r >= 0; r-- {
+		rows = append(rows, int32(r), int32(r))
+	}
+	ex.qfRel = storage.NewRelation()
+	ex.qfRel.Append(flat.Gather(rows))
+	if err := ex.selectChunks(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.selected[seismic.TableD]; !slices.Equal(got, ids) {
+		t.Fatalf("reordered Qf selects chunks %v, want %v", got, ids)
+	}
+	if got := ex.segs[seismic.TableD]; !maps.EqualFunc(got, segs, slices.Equal[[]int64]) {
+		t.Fatalf("reordered Qf selects segments %v, want %v", got, segs)
 	}
 }
 

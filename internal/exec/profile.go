@@ -73,8 +73,8 @@ func (p *Profile) add(n plan.Node, stage1 bool, op physical.Operator) *physical.
 	return w
 }
 
-// Op reports what node n's operator did in stage 1 (Qf) or stage 2,
-// summed over its parallel parts; ok is false if it did not run then.
+// Op reports what node n's operator did in stage 1 (Qf) or stage 2;
+// ok is false if it did not run then.
 // A timed operator's self time is its time less that of the nearest
 // timed operators beneath it in the same stage: the pipeline it drains.
 func (p *Profile) Op(n plan.Node, stage1 bool) (st physical.OpStats, self time.Duration, ok bool) {

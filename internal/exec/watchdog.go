@@ -13,15 +13,14 @@ import (
 // enforced at the HTTP handler; what was missing is enforcement
 // *inside* execution — a query that blew its budget kept burning CPU
 // and memory until its drains finished. The executor now threads a
-// cooperative check into every stage-2 drain (materialized and
-// streaming), every morsel-range claim, and every pipeline breaker's
-// internal drain (hash-join build, aggregation fold, sort input, top-k
-// feed), so an expired query stops within one morsel of the expiry and
-// surfaces a typed *DeadlineError the server can count as a watchdog
-// kill.
+// cooperative check before every batch pulled by a stage-2 drain
+// (materialized and streaming) and by every pipeline breaker's internal
+// drain (hash-join build, aggregation fold, sort input, top-k feed), so
+// an expired query stops within one batch of the expiry and surfaces a
+// typed *DeadlineError the server can count as a watchdog kill.
 
 // DeadlineError reports that a query's deadline expired and the
-// watchdog cancelled it at a morsel or drain boundary. It unwraps to
+// watchdog cancelled it at a batch boundary. It unwraps to
 // context.DeadlineExceeded, so existing errors.Is dispatch (HTTP 504)
 // keeps working.
 type DeadlineError struct {
@@ -54,10 +53,10 @@ func (ex *executor) deadlineErr(err error) error {
 
 // morselHook builds the Morsel hook for the top-level stage-2 drains:
 // the exec.morsel fault point (injected stalls and errors land here,
-// once per claimed morsel range, never inside a batch) followed by
-// the watchdog's deadline check. Breakers' internal drains get the
-// bare context check instead, so fault counts stay proportional to
-// top-level morsels.
+// once per top-level drain, before its first pull, never inside a
+// batch) followed by the watchdog's deadline check. Breakers' internal
+// drains get the bare context check instead, so fault counts stay one
+// per top-level drain.
 func (ex *executor) morselHook() func() error {
 	inj := ex.env.Faults
 	ctx := ex.ctx

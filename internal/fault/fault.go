@@ -50,9 +50,9 @@ const (
 	// is queued or dispatched (error = synthetic shed, latency/stall =
 	// a slow gate holding the handler).
 	PointAdmit = "server.admit"
-	// PointMorsel fires at every top-level morsel-range claim of the
-	// stage-2 drain, materialized and streaming alike (latency/stall =
-	// a worker wedged mid-query; the watchdog and shed paths must
+	// PointMorsel fires once per top-level drain of a query, before its
+	// first pull, materialized and streaming alike (latency/stall = a
+	// query wedged mid-execution; the watchdog and shed paths must
 	// release every chunk handle regardless).
 	PointMorsel = "exec.morsel"
 )

@@ -46,33 +46,6 @@ type aggState struct {
 	iSum, iMin, iMax int64
 }
 
-// merge folds another partial state into s: the parallel-aggregation
-// combine step. Counts and sums add, extremes compare, and STDDEV's mean
-// and m2 combine by the pairwise Welford merge (Chan et al.).
-func (s *aggState) merge(o aggState) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.n = n
-	s.sum += o.sum
-	s.iSum += o.iSum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.iMin, s.iMax = min(s.iMin, o.iMin), max(s.iMax, o.iMax)
-}
-
 // HashAggregate groups its input and computes aggregates per group; a
 // single global group when groupCols is empty.
 //
@@ -85,20 +58,15 @@ func (s *aggState) merge(o aggState) {
 // resolves on the raw values; other shapes go through the composite
 // index.Key.
 //
-// Under a degree of parallelism (SetDrain), and when the input can
-// Split, the input's morsel ranges are claimed by a worker pool, each
-// range folded into its own thread-local partial-aggregate table; the
-// partials are merged in range order (so results are deterministic for
-// a given DOP) and rendered once. Groups are emitted in ascending key
-// order either way, exactly as the serial path.
+// The whole input folds in row order into one accumulator, so every
+// SUM, AVG and STDDEV is the row-order fold of its group's values.
+// Groups are emitted in ascending key order.
 type HashAggregate struct {
 	in        Operator
 	groupCols []int
 	aggs      []AggColumn
 	names     []string
 	kinds     []storage.Kind
-	inNames   []string
-	inKinds   []storage.Kind
 	argKinds  []storage.Kind
 	// fastKey marks grouping by int64-backed columns only (or none);
 	// differential tests clear it to force the composite path.
@@ -108,26 +76,21 @@ type HashAggregate struct {
 	// positionally over a whole batch, so a sparsely selected input is
 	// materialized first instead of folded through its selection.
 	exprArgs bool
-	// sharedArgs are the bound aggregate arguments every accumulator may
-	// share: set only when all arguments are bare column references
-	// (stateless, safe to evaluate concurrently without cloning).
-	sharedArgs []expr.Expr
-	// drain grants the parallelism of the accumulation drain and the
-	// check that cancels it when the query's deadline expires mid-fold.
+	// drain holds the check that cancels the fold when the query's
+	// deadline expires mid-fold.
 	drain DrainOpts
 
 	done bool
 }
 
-// SetDrain implements Breaker: the aggregation runs on up to o.DOP
-// workers, checking o.Check; its partial tables charge no quota.
+// SetDrain implements Breaker: the fold checks o.Check before every
+// pull; its group table charges no quota.
 func (h *HashAggregate) SetDrain(o DrainOpts) { h.drain = o }
 
 // NewHashAggregate binds the aggregate arguments against the input.
 func NewHashAggregate(in Operator, groupCols []int, aggs []AggColumn) (*HashAggregate, error) {
 	h := &HashAggregate{in: in, groupCols: groupCols}
 	inNames, inKinds := in.Names(), in.Kinds()
-	h.inNames, h.inKinds = inNames, inKinds
 	for _, gc := range groupCols {
 		if gc < 0 || gc >= len(inNames) {
 			return nil, fmt.Errorf("physical: group column %d out of range", gc)
@@ -163,14 +126,6 @@ func NewHashAggregate(in Operator, groupCols []int, aggs []AggColumn) (*HashAggr
 	h.fastKey = len(groupCols) <= len(intKey{})
 	for _, gc := range groupCols {
 		h.fastKey = h.fastKey && isIntKeyKind(inKinds[gc])
-	}
-	if !h.exprArgs {
-		// Every argument is a bare (stateless) column reference: all
-		// accumulators can share the bound expressions without cloning.
-		h.sharedArgs = make([]expr.Expr, len(h.aggs))
-		for i, a := range h.aggs {
-			h.sharedArgs[i] = a.Arg
-		}
 	}
 	return h, nil
 }
@@ -323,9 +278,7 @@ func at(sel []int32, p int) int {
 
 // groupTable is the dense group table of one accumulator: nagg states
 // per key id of x, in first-seen order. Tables are pooled and reset —
-// never reallocated — between the ranges of a partitioned aggregation
-// and between queries, which is what erases the per-range accumulator
-// churn of deterministic partial aggregation.
+// never reallocated — between queries.
 type groupTable struct {
 	x      keyIndex
 	states []aggState
@@ -350,120 +303,24 @@ func (g *groupTable) grow(nagg int) {
 	}
 }
 
-// aggSplitMax asks the input for as many range parts as its grain
-// allows. The part layout is therefore a function of the morsel list
-// alone — never of the degree of parallelism — which is what makes the
-// merged floating-point results identical at every DOP (see Next).
-const aggSplitMax = 1 << 20
-
-// Next implements Operator.
-//
-// Whenever the input can split, accumulation is range-partitioned even
-// in serial execution: each range folds into its own partial
-// accumulator and the partials merge in range order. Because the ranges
-// are fixed by the input's morsel list and the merge order is fixed,
-// the floating-point results are bitwise identical at every degree of
-// parallelism — a query answered serially under a 16-client burst
-// matches the same query answered with every core while the server was
-// idle. (Integer sums below 2^53 are exact and do not even depend on the
-// ranges.) The whole-input fold remains only for non-splittable inputs.
-//
-// The guarantee is bought with per-range overhead even at DOP=1 (one
-// accumulator, cloned argument expressions and a merge per ~4-batch
-// range instead of one whole-input fold): a few percent on the serial
-// grouped-aggregate microbenchmark. Gating partitioning on DOP>1 would
-// reclaim it at the price of answers that drift across DOPs and load.
+// Next implements Operator: it folds the whole input, then emits every
+// group as one batch.
 func (h *HashAggregate) Next() (*storage.Batch, error) {
 	if h.done {
 		return nil, nil
 	}
 	h.done = true
-	if sp, ok := h.in.(Splitter); ok {
-		parts, err := sp.Split(aggSplitMax)
-		if err != nil {
-			return nil, err
-		}
-		if parts != nil {
-			return h.foldParts(parts)
-		}
-	}
-	acc, err := h.newAcc()
-	if err != nil {
-		return nil, err
-	}
+	acc := h.newAcc()
+	defer acc.release()
 	if err := acc.drain(h.in, h.drain.Check); err != nil {
-		acc.release()
 		return nil, err
 	}
-	out := acc.render()
-	acc.release()
-	return out, nil
+	return acc.render(), nil
 }
 
-// foldParts accumulates each range part into its own partial and merges
-// the partials strictly in range order, using up to the granted DOP
-// workers. Partials are folded into the final accumulator as soon as
-// the in-order merge frontier reaches them and freed immediately, so
-// peak memory holds the final table plus at most one out-of-order
-// window of partials (≈ DOP), not one partial per part — the merge
-// SEQUENCE is identical to a fully deferred merge, preserving the
-// bitwise determinism guarantee.
-func (h *HashAggregate) foldParts(parts []Operator) (*storage.Batch, error) {
-	final, err := h.newAcc()
-	if err != nil {
-		return nil, err
-	}
-	var (
-		mu     sync.Mutex
-		done   = make([]*aggAcc, len(parts))
-		merged int
-	)
-	err = runParts(len(parts), h.drain.DOP, h.drain.Check, func(i int) error {
-		acc, err := h.newAcc()
-		if err == nil {
-			err = acc.drain(parts[i], h.drain.Check)
-		}
-		if err != nil {
-			if acc != nil {
-				acc.release()
-			}
-			return err
-		}
-		mu.Lock()
-		done[i] = acc
-		for merged < len(done) && done[merged] != nil {
-			final.merge(done[merged])
-			done[merged].release()
-			done[merged] = nil
-			merged++
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		// Partials that finished but were never merged still hold pooled
-		// scratch; runParts has returned, so no goroutine touches done.
-		for _, acc := range done {
-			if acc != nil {
-				acc.release()
-			}
-		}
-		final.release()
-		return nil, err
-	}
-	out := final.render()
-	final.release()
-	return out, nil
-}
-
-// aggAcc accumulates (partial) groups for one input partition, into a
-// pooled group table. An accumulator with computed arguments owns
-// clones of the argument expressions — expression memoization is
-// per-goroutine state — while bare column references are shared unbound
-// of state.
+// aggAcc accumulates the groups of the input into a pooled group table.
 type aggAcc struct {
 	h       *HashAggregate
-	args    []expr.Expr
 	argCols []storage.Column // per-batch scratch, reused
 	g       *groupTable
 	// global is the global group's one run: id 0, ending at the batch's
@@ -471,25 +328,8 @@ type aggAcc struct {
 	global [2]int32
 }
 
-func (h *HashAggregate) newAcc() (*aggAcc, error) {
-	a := &aggAcc{h: h}
-	if h.sharedArgs != nil {
-		a.args = h.sharedArgs
-	} else {
-		a.args = make([]expr.Expr, len(h.aggs))
-		for i, ag := range h.aggs {
-			if ag.Arg == nil {
-				continue
-			}
-			e := expr.Clone(ag.Arg)
-			if _, err := e.Bind(h.inNames, h.inKinds); err != nil {
-				return nil, err
-			}
-			a.args[i] = e
-		}
-	}
-	a.argCols = make([]storage.Column, len(h.aggs))
-	a.g = getGroupTable()
+func (h *HashAggregate) newAcc() *aggAcc {
+	a := &aggAcc{h: h, argCols: make([]storage.Column, len(h.aggs)), g: getGroupTable()}
 	// The global group is the empty int key, whatever fastKey says (the
 	// differential tests clear it).
 	a.g.x.reset(h.fastKey || len(h.groupCols) == 0, len(h.groupCols))
@@ -499,16 +339,14 @@ func (h *HashAggregate) newAcc() (*aggAcc, error) {
 		a.g.x.intID(intKey{}, true)
 		a.g.grow(len(h.aggs))
 	}
-	return a, nil
+	return a
 }
 
 // release returns the accumulator's pooled group table. The accumulator
 // must not be used afterwards.
 func (a *aggAcc) release() {
-	if a.g != nil {
-		groupTablePool.Put(a.g)
-		a.g = nil
-	}
+	groupTablePool.Put(a.g)
+	a.g = nil
 }
 
 // drain folds every batch of in into the accumulator.
@@ -535,11 +373,10 @@ func (a *aggAcc) drain(in Operator, check func() error) error {
 // evalArgs evaluates the aggregate arguments once per batch, into the
 // accumulator's reusable scratch slice.
 func (a *aggAcc) evalArgs(b *storage.Batch) []storage.Column {
-	for i, e := range a.args {
-		if e != nil {
-			a.argCols[i] = e.Eval(b)
-		} else {
-			a.argCols[i] = nil
+	for i, ag := range a.h.aggs {
+		a.argCols[i] = nil
+		if ag.Arg != nil {
+			a.argCols[i] = ag.Arg.Eval(b)
 		}
 	}
 	return a.argCols
@@ -583,26 +420,6 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 	}
 	storage.PutSel(sel)
 	return nil
-}
-
-// merge folds another accumulator's partial groups into a. New groups
-// are adopted by value; shared groups merge state-wise. Callers merge
-// partials in range order, so the result is deterministic.
-func (a *aggAcc) merge(o *aggAcc) {
-	nagg := len(a.h.aggs)
-	for oid := 0; oid < o.g.x.len(); oid++ {
-		os := o.g.states[oid*nagg : (oid+1)*nagg]
-		known := a.g.x.len()
-		id := int(a.g.x.adopt(&o.g.x, oid))
-		if id == known {
-			a.g.states = append(a.g.states, os...)
-			continue
-		}
-		as := a.g.states[id*nagg : (id+1)*nagg]
-		for i := range as {
-			as[i].merge(os[i])
-		}
-	}
 }
 
 // render emits the accumulated groups as one batch, in ascending key

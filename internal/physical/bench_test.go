@@ -2,7 +2,6 @@ package physical
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sommelier/internal/expr"
@@ -135,57 +134,6 @@ func BenchmarkGroupedAggregate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Collect(agg, DrainOpts{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHashJoinProbeParallel is the probe benchmark through the
-// morsel-parallel drain at DOP = GOMAXPROCS (identical to the serial
-// path at GOMAXPROCS=1).
-func BenchmarkHashJoinProbeParallel(b *testing.B) {
-	dimRel := storage.NewRelation()
-	ids := make([]int64, 64)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	dimRel.Append(storage.NewBatch(storage.NewInt64Column(ids)))
-	factRel, fnames, fkinds := benchRel(1 << 16)
-	dop := runtime.GOMAXPROCS(0)
-	b.SetBytes(int64(factRel.Rows()) * 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ds, _ := NewRelScan(dimRel, []string{"F.file_id"}, []storage.Kind{storage.KindInt64}, nil)
-		fs, _ := NewRelScan(factRel, fnames, fkinds, nil)
-		j, err := NewHashJoin(ds, fs, []int{0}, []int{0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		j.SetDrain(DrainOpts{DOP: dop})
-		if _, err := Collect(j, DrainOpts{DOP: dop}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupedAggregateParallel folds thread-local partial
-// aggregates at DOP = GOMAXPROCS and merges them in range order.
-func BenchmarkGroupedAggregateParallel(b *testing.B) {
-	rel, names, kinds := benchRel(1 << 16)
-	dop := runtime.GOMAXPROCS(0)
-	b.SetBytes(int64(rel.Rows()) * 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, _ := NewRelScan(rel, names, kinds, nil)
-		agg, err := NewHashAggregate(s, []int{0}, []AggColumn{
-			{Func: AggAvg, Arg: expr.Col("D.val"), Name: "avg"},
-			{Func: AggStddev, Arg: expr.Col("D.val"), Name: "sd"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg.SetDrain(DrainOpts{DOP: dop})
 		if _, err := Collect(agg, DrainOpts{}); err != nil {
 			b.Fatal(err)
 		}

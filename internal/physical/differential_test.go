@@ -195,12 +195,12 @@ func scanFilterProject(t *testing.T, rel *storage.Relation, names []string, kind
 // test keeps) — a predicated, column-narrowed RelScan, a residual
 // Filter, and a Project of references, duplicates and arithmetic —
 // against the naive mask-and-gather filter followed by per-batch
-// expression evaluation: serial and morsel-parallel, bitwise.
+// expression evaluation, bitwise.
 func TestDifferentialFusedPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel, names, kinds := diffRel(rng, 16, 96)
 	// The scan reads (ts, val, id): station is pruned away, and the
-	// mapping is not a prefix, so every range must apply it.
+	// mapping is not a prefix, so every batch must apply it.
 	srcCols := []int{1, 2, 0}
 	projections := [][]expr.Expr{
 		{expr.Col("D.val"), expr.Col("D.id")},
@@ -228,21 +228,19 @@ func TestDifferentialFusedPipeline(t *testing.T) {
 			for oi, outs := range projections {
 				want := naiveProject(t, kept, names, kinds, outs)
 				label := fmt.Sprintf("pred %v residual %d projection %d", pred, ri, oi)
-				for _, dop := range []int{1, 2, 4, 8} {
-					got, err := Collect(chain(pred, residual, outs), DrainOpts{DOP: dop})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRelation(t, got, want, fmt.Sprintf("%s dop %d", label, dop))
+				got, err := Collect(chain(pred, residual, outs), DrainOpts{})
+				if err != nil {
+					t.Fatal(err)
 				}
+				sameRelation(t, got, want, label)
 			}
 		}
 	}
 }
 
 // TestFusedPipelineNarrowed runs a computed projection over a scan
-// narrowed to (ts, val), with a predicate on both columns, serial and
-// morsel-parallel: the scan reads source columns 1 and 2 through its
+// narrowed to (ts, val), with a predicate on both columns: the scan
+// reads source columns 1 and 2 through its
 // mapping, and the Project binds against the narrowed schema.
 func TestFusedPipelineNarrowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -252,14 +250,12 @@ func TestFusedPipelineNarrowed(t *testing.T) {
 		expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(0)))
 	outs := []expr.Expr{expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(3)), expr.Col("D.ts")}
 	want := naiveProject(t, naiveFilter(t, rel, names, kinds, pred), names, kinds, outs)
-	for _, dop := range []int{1, 4} {
-		op, _ := scanFilterProject(t, rel, names, kinds, []int{1, 2}, pred, nil, outs)
-		got, err := Collect(op, DrainOpts{DOP: dop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRelation(t, got, want, fmt.Sprintf("narrowed dop %d", dop))
+	op, _ := scanFilterProject(t, rel, names, kinds, []int{1, 2}, pred, nil, outs)
+	got, err := Collect(op, DrainOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameRelation(t, got, want, "narrowed")
 }
 
 // TestFusedPipelineZoneSkip asserts zone pruning still consults the

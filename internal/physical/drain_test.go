@@ -1,9 +1,9 @@
 package physical
 
-// Differential tests for the drain: at every degree of parallelism,
-// Drain must deliver exactly the rows the serial drain delivers, in the
-// same order; a sink stop must end the query early without error; a
-// sink failure must abort with that error.
+// Differential tests for the drain: Drain must deliver exactly the rows
+// of a naive filter-and-project reference, in the same order; a sink
+// stop must end the query early without error; a sink failure must
+// abort with that error.
 
 import (
 	"errors"
@@ -13,8 +13,6 @@ import (
 	"sommelier/internal/expr"
 	"sommelier/internal/storage"
 )
-
-var drainDOPs = []int{1, 2, 3, 4, 8}
 
 // stopAfterSink collects rows until a limit, then stops the stream:
 // the LIMIT-style consumer.
@@ -48,6 +46,12 @@ func (s *failAfterSink) Push(b *storage.Batch) error {
 	return nil
 }
 
+// The drain chain's residual filter and projection.
+var (
+	drainResidual = expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120))
+	drainOuts     = []expr.Expr{expr.NewArith(expr.Add, expr.Col("D.id"), expr.Int(1)), expr.Col("D.val")}
+)
+
 // drainChain builds the scan → filter → project chain used across
 // these tests.
 func drainChain(t *testing.T, rel *storage.Relation, names []string, kinds []storage.Kind, pred expr.Expr) Operator {
@@ -56,48 +60,41 @@ func drainChain(t *testing.T, rel *storage.Relation, names []string, kinds []sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFilter(s, expr.NewCmp(expr.LT, expr.Col("D.val"), expr.Float(120)))
+	f, err := NewFilter(s, drainResidual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProject(f, []string{"id2", "v"}, []expr.Expr{
-		expr.NewArith(expr.Add, expr.Col("D.id"), expr.Int(1)),
-		expr.Col("D.val"),
-	})
+	p, err := NewProject(f, []string{"id2", "v"}, drainOuts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// TestDrainMatchesSerial is the core differential: the rows delivered
-// at any DOP equal the serial drain's rows, row for row, in order.
+// TestDrainMatchesSerial is the core differential: the rows a drain
+// delivers, coalesced, equal the serial reference — the naive filter
+// of the whole chain's predicate, then the projection — row for row,
+// in order.
 func TestDrainMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	rel, names, kinds := diffRel(rng, 24, 256)
 	empty := storage.NewRelation()
 	for _, r := range []*storage.Relation{rel, empty} {
 		for _, pred := range diffPreds(rng) {
-			want, err := Collect(drainChain(t, r, names, kinds, pred), DrainOpts{})
-			if err != nil {
+			kept := naiveFilter(t, r, names, kinds, expr.NewAnd(pred, drainResidual))
+			want := naiveProject(t, kept, names, kinds, drainOuts)
+			sink := &CollectSink{Rel: storage.NewRelation()}
+			if err := Drain(drainChain(t, r, names, kinds, pred), sink, DrainOpts{}); err != nil {
 				t.Fatal(err)
 			}
-			for _, dop := range drainDOPs {
-				sink := &CollectSink{Rel: storage.NewRelation()}
-				err := Drain(drainChain(t, r, names, kinds, pred), sink, DrainOpts{DOP: dop})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameRelation(t, sink.Rel, want, pred.String())
-			}
+			sameRelation(t, sink.Rel, want, pred.String())
 		}
 	}
 }
 
 // TestDrainEarlyStop stops the drain after a handful of rows: the
-// delivered rows must be a prefix of the serial result (sink-driven
-// cancellation keeps in-order delivery) and the call must report
-// success.
+// delivered rows must be a prefix of the whole result and the call
+// must report success.
 func TestDrainEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	rel, names, kinds := diffRel(rng, 32, 256)
@@ -106,25 +103,22 @@ func TestDrainEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dop := range drainDOPs {
-		sink := &stopAfterSink{limit: 10}
-		err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{DOP: dop})
-		if err != nil {
-			t.Fatalf("dop %d: %v", dop, err)
-		}
-		got := sink.rel
-		if got.Rows() < 10 {
-			t.Fatalf("dop %d: stopped after %d rows, want >= 10", dop, got.Rows())
-		}
-		// Prefix check: the delivered rows are the first rows of the
-		// serial result.
-		g, w := got.Flatten(), want.Flatten()
-		for c := 0; c < w.Width(); c++ {
-			for r := 0; r < g.Len(); r++ {
-				if storage.ValueAt(g.Cols[c], r) != storage.ValueAt(w.Cols[c], r) {
-					t.Fatalf("dop %d: cell (%d,%d) = %v, want %v", dop,
-						r, c, storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r))
-				}
+	sink := &stopAfterSink{limit: 10}
+	if err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	got := sink.rel
+	if got.Rows() < 10 || got.Rows() >= want.Rows() {
+		t.Fatalf("stopped after %d of %d rows, want >= 10 and fewer than all", got.Rows(), want.Rows())
+	}
+	// Prefix check: the delivered rows are the first rows of the whole
+	// result.
+	g, w := got.Flatten(), want.Flatten()
+	for c := 0; c < w.Width(); c++ {
+		for r := 0; r < g.Len(); r++ {
+			if storage.ValueAt(g.Cols[c], r) != storage.ValueAt(w.Cols[c], r) {
+				t.Fatalf("cell (%d,%d) = %v, want %v",
+					r, c, storage.ValueAt(g.Cols[c], r), storage.ValueAt(w.Cols[c], r))
 			}
 		}
 	}
@@ -137,19 +131,16 @@ func TestDrainPushError(t *testing.T) {
 	rel, names, kinds := diffRel(rng, 32, 256)
 	pred := expr.NewCmp(expr.GE, expr.Col("D.id"), expr.Int(0)) // all pass
 	boom := errors.New("client hung up")
-	for _, dop := range drainDOPs {
-		sink := &failAfterSink{fail: boom}
-		err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{DOP: dop})
-		if !errors.Is(err, boom) {
-			t.Fatalf("dop %d: err = %v, want %v", dop, err, boom)
-		}
+	sink := &failAfterSink{fail: boom}
+	if err := Drain(drainChain(t, rel, names, kinds, pred), sink, DrainOpts{}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
-// TestDrainQuota runs parallel drains under ceilings below the result
-// size, each failing with a typed error: a ceiling of one byte trips on the first run-ahead buffer;
-// three quarters of the result fits any run-ahead (a consuming sink
-// succeeds under it) but not the collected relation.
+// TestDrainQuota collects under ceilings below the result size, each
+// failing with a typed error: a ceiling of one byte trips on the first
+// retained batch, three quarters of the result on a later one. A
+// consuming sink under the same ceiling succeeds and charges nothing.
 func TestDrainQuota(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	rel, names, kinds := diffRel(rng, 128, 512)
@@ -161,7 +152,7 @@ func TestDrainQuota(t *testing.T) {
 	}
 	ceiling := whole.MemSize() * 3 / 4
 	for _, limit := range []int64{1, ceiling} {
-		got, err := Collect(chain(), DrainOpts{DOP: 4, Quota: storage.NewQuota(limit)})
+		got, err := Collect(chain(), DrainOpts{Quota: storage.NewQuota(limit)})
 		var qe *storage.QuotaError
 		if !errors.As(err, &qe) || got != nil {
 			t.Fatalf("limit %d: got %v, err = %v, want a *storage.QuotaError", limit, got, err)
@@ -169,7 +160,7 @@ func TestDrainQuota(t *testing.T) {
 	}
 	quota := storage.NewQuota(ceiling)
 	sink := &failAfterSink{fail: nil}
-	if err := Drain(chain(), sink, DrainOpts{DOP: 4, Quota: quota}); err != nil {
+	if err := Drain(chain(), sink, DrainOpts{Quota: quota}); err != nil {
 		t.Fatalf("consuming sink under the ceiling: %v", err)
 	}
 	if sink.rows != whole.Rows() || quota.Used() != 0 {
@@ -177,9 +168,9 @@ func TestDrainQuota(t *testing.T) {
 	}
 }
 
-// twoBatchOp emits a selection batch followed by a contiguous one, so a single pull hands the drain two buffered batches
-// (the coalesced rows of the first, flushed ahead of the second). Split
-// yields four such streams.
+// twoBatchOp emits a selection batch followed by a contiguous one, so a
+// single pull hands the drain two buffered batches (the coalesced rows
+// of the first, flushed ahead of the second).
 type twoBatchOp struct{ emitted int }
 
 func (o *twoBatchOp) Names() []string       { return []string{"x"} }
@@ -199,10 +190,6 @@ func (o *twoBatchOp) Next() (*storage.Batch, error) {
 		return b.WithSel(append(storage.GetSel(2), 1, 5)), nil
 	}
 	return b, nil
-}
-
-func (o *twoBatchOp) Split(n int) ([]Operator, error) {
-	return []Operator{&twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}, &twoBatchOp{}}, nil
 }
 
 // TestLimitTruncatesBatch: Limit cuts the batch that crosses the limit
@@ -226,18 +213,16 @@ func (s firstPushSink) Push(b *storage.Batch) error {
 
 // TestDrainFirstPushFailureRecyclesRest fails or stops the sink on the
 // first of two batches delivered together: the error (or the graceful
-// stop) surfaces, serial and parallel alike.
+// stop) surfaces.
 func TestDrainFirstPushFailureRecyclesRest(t *testing.T) {
 	boom := errors.New("client hung up")
-	for _, dop := range []int{1, 2, 4, 8} {
-		for _, want := range []error{boom, ErrStopStream} {
-			err := Drain(&twoBatchOp{}, firstPushSink{want}, DrainOpts{DOP: dop})
-			if want == ErrStopStream {
-				want = nil
-			}
-			if err != want {
-				t.Fatalf("dop %d: err = %v, want %v", dop, err, want)
-			}
+	for _, want := range []error{boom, ErrStopStream} {
+		err := Drain(&twoBatchOp{}, firstPushSink{want}, DrainOpts{})
+		if want == ErrStopStream {
+			want = nil
+		}
+		if err != want {
+			t.Fatalf("err = %v, want %v", err, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package physical
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sommelier/internal/expr"
@@ -42,38 +43,6 @@ func refAdd(st *aggState, v any) {
 	d := f - st.mean
 	st.mean += d / float64(st.n)
 	st.m2 += d * (f - st.mean)
-}
-
-// refMerge combines partial o into s, every field at once: counts and
-// sums add, extremes compare as `!seen || o.min < s.min` with seen as
-// n > 0, and mean/m2 by the pairwise Welford merge.
-func refMerge(s *aggState, o aggState) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.sum += o.sum
-	s.iSum += o.iSum
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	if o.iMin < s.iMin {
-		s.iMin = o.iMin
-	}
-	if o.iMax > s.iMax {
-		s.iMax = o.iMax
-	}
-	s.n = n
 }
 
 // refRender is f's result over st, as an int64 (int64-backed results)
@@ -216,15 +185,14 @@ func canonNaN(rows [][]any) [][]any {
 
 // FuzzAggregateFold drives HashAggregate's fold kernels — every
 // function over float64, int64 and time arguments, globally or grouped
-// by key runs, with or without a deferred selection, serial or parallel
-// — against the per-row reference fold over the same range parts,
-// bitwise.
+// by key runs, with or without a deferred selection — against the
+// per-row reference fold in row order, bitwise.
 func FuzzAggregateFold(f *testing.F) {
 	f.Add([]byte{0x00, 0, 7, 0x81, 1, 0x12, 0x83, 2, 0x24, 9, 0x0c, 0x80, 0, 0x47, 3}, uint8(3), uint16(2))
 	f.Add([]byte{0x05, 0x7f, 0xf0, 0, 0, 0, 0, 0, 1, 0x1c, 0x04, 0x80, 0x95, 0x84, 1, 0x23}, uint8(1), uint16(1))
 	f.Add([]byte{0x04, 1, 0x04, 1, 0x04, 1, 0x0c, 0xff, 0x14, 0xff}, uint8(0), uint16(40))
-	// One-row batches: many range parts, so the merge decides ±0 and
-	// int extremes.
+	// One-row batches: every batch a run boundary, so the kernels'
+	// carried state decides ±0 and int extremes.
 	f.Add([]byte("00001010102010100"), uint8(0), uint16(0))
 	f.Add([]byte("101010000000000000100"), uint8('9'), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8, batch uint16) {
@@ -249,7 +217,6 @@ func FuzzAggregateFold(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.SetDrain(DrainOpts{DOP: 1 + int(shape>>2&1)})
 		got, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -329,6 +296,67 @@ func TestAvgIsRowOrderSumOverCount(t *testing.T) {
 		row := aggRow(t, []storage.Column{col}, []string{"D.x"}, []storage.Kind{kind}, avgSum("D.x"))
 		if avg := row[0].(float64); math.Float64bits(avg) != math.Float64bits(want) {
 			t.Errorf("AVG over %v = %v, want %v (row-order float64 sum / n)", kind, avg, want)
+		}
+	}
+}
+
+// TestAggregateManyBatchesMatchesRowOrderFold: grouped and global
+// aggregates over 24 batches — fast and composite keys, bare and
+// computed arguments, some rows or every row filtered out — equal the
+// per-row fold of the whole input in row order, bit for bit: SUM, AVG
+// and STDDEV included.
+func TestAggregateManyBatchesMatchesRowOrderFold(t *testing.T) {
+	rel, names, kinds := diffRel(rand.New(rand.NewSource(44)), 24, 512)
+	half := expr.NewArith(expr.Mul, expr.Col("D.val"), expr.Float(0.5))
+	aggsOver := func(arg expr.Expr) []AggColumn {
+		return []AggColumn{
+			{Func: AggCount, Name: "n"},
+			{Func: AggSum, Arg: arg, Name: "sum"},
+			{Func: AggAvg, Arg: arg, Name: "avg"},
+			{Func: AggMin, Arg: arg, Name: "mn"},
+			{Func: AggMax, Arg: arg, Name: "mx"},
+			{Func: AggStddev, Arg: arg, Name: "sd"},
+		}
+	}
+	for _, pred := range []expr.Expr{
+		expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(-50)),
+		expr.NewCmp(expr.GT, expr.Col("D.val"), expr.Float(1e12)), // all fail
+	} {
+		scan := func() Operator {
+			s, err := NewRelScan(rel, names, kinds, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		// The reference input carries the computed argument as D.val.
+		halved := func() Operator {
+			p, err := NewProject(scan(), names, []expr.Expr{expr.Col("D.id"), expr.Col("D.ts"), half, expr.Col("D.station")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		for _, groupCols := range [][]int{nil, {0}, {3}, {3, 0}} {
+			for _, composite := range []bool{false, true} {
+				for _, computed := range []bool{false, true} {
+					arg, ref := expr.Expr(expr.Col("D.val")), scan()
+					if computed {
+						arg, ref = half, halved()
+					}
+					h, err := NewHashAggregate(scan(), groupCols, aggsOver(arg))
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.fastKey = h.fastKey && !composite
+					got, err := Collect(h, DrainOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameRows(t, canonNaN(rowsOf(got)), canonNaN(refAggregate(t, ref, groupCols, aggsOver(expr.Col("D.val")))),
+						fmt.Sprintf("pred %v group %v composite=%v computed=%v", pred, groupCols, composite, computed))
+				}
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"sommelier/internal/storage"
 )
@@ -26,10 +25,6 @@ import (
 // a GROUP BY on such a column then folds those runs whole. Duplicate
 // build keys fall back to gathering both sides. Either way only the
 // columns the parent reads (out) are emitted.
-//
-// The probe side parallelizes through Split: each returned operator
-// probes its own share of the right input's morsels against the shared
-// read-only table.
 type HashJoin struct {
 	left, right   Operator
 	leftK, rightK []int
@@ -42,16 +37,15 @@ type HashJoin struct {
 	// without composite index.Key construction; differential tests clear
 	// it to force the composite path.
 	fastKey bool
-	// drain configures the build drain (SetDrain): its parallelism, its
-	// cancellation check and the quota the build side is charged to.
+	// drain configures the build drain (SetDrain): its cancellation
+	// check and the quota the build side is charged to.
 	drain DrainOpts
 
 	built     bool
 	buildData *storage.Batch
-	table     *joinTable
-	// probesLeft counts the probe streams still running; the last one to
-	// exhaust recycles the pooled build table.
-	probesLeft atomic.Int32
+	// table is the build table, nil when the build side is empty or
+	// the probe side is exhausted (it then went back to its pool).
+	table *joinTable
 }
 
 // joinTable is the build table: head[id] is the first build row of key
@@ -112,9 +106,9 @@ func runStart(ends []int32, k int) int32 {
 	return ends[k-1]
 }
 
-// SetDrain implements Breaker for the build-side drain, whose claims
-// check cancellation.
-func (j *HashJoin) SetDrain(o DrainOpts) { o.Morsel = o.Check; j.drain = o }
+// SetDrain implements Breaker for the build-side drain, which checks
+// cancellation and never runs the Morsel hook.
+func (j *HashJoin) SetDrain(o DrainOpts) { o.Morsel = nil; j.drain = o }
 
 // NewHashJoin joins left and right on pairwise-equal key columns given
 // as column positions, emitting every column of both sides.
@@ -189,7 +183,6 @@ func (j *HashJoin) build() error {
 		return err
 	}
 	j.buildData = rel.Flatten()
-	j.probesLeft.Store(1)
 	if j.buildData.Len() > 0 {
 		if j.table, err = newJoinTable(j.fastKey, j.buildData, j.leftK); err != nil {
 			return err
@@ -199,15 +192,6 @@ func (j *HashJoin) build() error {
 	return nil
 }
 
-// probeDone marks one probe stream exhausted; the last one recycles the
-// pooled build table.
-func (j *HashJoin) probeDone() {
-	if j.probesLeft.Add(-1) == 0 && j.table != nil {
-		joinTablePool.Put(j.table)
-		j.table = nil
-	}
-}
-
 // Next implements Operator.
 func (j *HashJoin) Next() (*storage.Batch, error) {
 	if !j.built {
@@ -215,32 +199,7 @@ func (j *HashJoin) Next() (*storage.Batch, error) {
 			return nil, err
 		}
 	}
-	return j.probeFrom(j.right)
-}
-
-// Split implements Splitter: when the probe side can partition its
-// morsels, the build runs once and each returned operator probes one
-// share of the right input against the shared read-only table.
-func (j *HashJoin) Split(n int) ([]Operator, error) {
-	sp, ok := j.right.(Splitter)
-	if !ok {
-		return nil, nil
-	}
-	rights, err := sp.Split(n)
-	if err != nil || rights == nil {
-		return nil, err
-	}
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]Operator, len(rights))
-	for i, r := range rights {
-		out[i] = &hashJoinProbe{j: j, right: r}
-	}
-	j.probesLeft.Store(int32(len(out)))
-	return out, nil
+	return j.probe()
 }
 
 // constHinter is implemented by scans that can tell from their zone
@@ -250,24 +209,24 @@ type constHinter interface {
 	lastConst(cols []int) bool
 }
 
-// probeFrom probes batches pulled from right against the build table.
-// It reads only immutable post-build state, so any number of probes may
-// run concurrently over disjoint right streams.
-func (j *HashJoin) probeFrom(right Operator) (*storage.Batch, error) {
-	if j.table == nil { // empty build side
+// probe probes batches pulled from the right input against the build
+// table; the exhausted probe side recycles the pooled table.
+func (j *HashJoin) probe() (*storage.Batch, error) {
+	if j.table == nil { // empty build side, or probed to the end
 		return nil, nil
 	}
 	for {
-		rb, err := right.Next()
+		rb, err := j.right.Next()
 		if err != nil {
 			return nil, err
 		}
 		if rb == nil {
-			j.probeDone()
+			joinTablePool.Put(j.table)
+			j.table = nil
 			return nil, nil
 		}
 		base, sel := rb.DetachSel()
-		ch, ok := right.(constHinter)
+		ch, ok := j.right.(constHinter)
 		constant := ok && j.fastKey && ch.lastConst(j.rightK)
 		ids, ends, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
 		if err != nil {
@@ -383,24 +342,6 @@ func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, i
 	storage.PutSel(leftIdx)
 	storage.PutSel(rightIdx)
 	return cols, nil
-}
-
-// hashJoinProbe is one partition of a split hash join: it probes its
-// own right-side share against the parent's shared build table.
-type hashJoinProbe struct {
-	j     *HashJoin
-	right Operator
-}
-
-// Names implements Operator.
-func (p *hashJoinProbe) Names() []string { return p.j.names }
-
-// Kinds implements Operator.
-func (p *hashJoinProbe) Kinds() []storage.Kind { return p.j.kinds }
-
-// Next implements Operator.
-func (p *hashJoinProbe) Next() (*storage.Batch, error) {
-	return p.j.probeFrom(p.right)
 }
 
 // CrossJoin produces the Cartesian product of its inputs; the planner

@@ -117,7 +117,6 @@ func FuzzJoinProbe(f *testing.F) {
 		if shape&8 != 0 {
 			out = []int{4, 6} // B.s, P.v: the groupby_station shape
 		}
-		dop := 1 + int(shape>>4&1)
 		join := func() Operator {
 			bs, err := NewRelScan(build, buildNames, buildKinds, nil)
 			if err != nil {
@@ -131,14 +130,13 @@ func FuzzJoinProbe(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.SetDrain(DrainOpts{DOP: dop})
 			return j
 		}
 		probeRows := rowsOf(probe)
 		if pred != nil {
 			probeRows = rowsOf(naiveFilter(t, probe, probeNames, probeKinds, pred))
 		}
-		got, err := Collect(join(), DrainOpts{DOP: dop})
+		got, err := Collect(join(), DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +163,6 @@ func FuzzJoinProbe(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.SetDrain(DrainOpts{DOP: dop})
 		agg, err := Collect(h, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)

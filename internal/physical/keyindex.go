@@ -125,14 +125,6 @@ func (x *keyIndex) keyID(k index.Key, insert bool) int32 {
 	return id
 }
 
-// adopt inserts key id oid of o (an index over the same key shape).
-func (x *keyIndex) adopt(o *keyIndex, oid int) int32 {
-	if x.ints {
-		return x.intID(o.ikeys[oid], true)
-	}
-	return x.keyID(o.skeys[oid], true)
-}
-
 // rawKeys are one batch's key columns as run detection reads them.
 // Plain columns are compared row against row on their backing slices:
 // values of int64-backed columns, dictionary codes of string columns

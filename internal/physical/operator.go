@@ -14,7 +14,6 @@ package physical
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"sommelier/internal/expr"
@@ -47,8 +46,8 @@ type BatchHinter interface {
 // filtering them. It implements the scan, result-scan and cache-scan
 // access paths; a scan over several relations is the union of
 // cache-scans and chunk-accesses over a query's selected chunks
-// (rewrite rule (1)) collapsed into one operator, whose batch list is
-// the morsel list of parallel execution.
+// (rewrite rule (1)) collapsed into one operator, streaming their
+// batches in chunk order.
 //
 // A predicate is evaluated through the fused selection-vector kernels
 // (expr.EvalSel): surviving rows travel as a deferred selection on the
@@ -70,13 +69,11 @@ type RelScan struct {
 	// optimizer's projection pruning); nil is the identity. Emitted
 	// batches share the selected column vectors — no copying.
 	srcCols []int
-	// skipped counts zone-pruned batches; shared by the range scans a
-	// Split produces, so the parent's Skipped sees the whole scan.
-	skipped *atomic.Int64
+	// skipped counts zone-pruned batches.
+	skipped int
 }
 
-// scanMorsel is one batch of one relation: the unit of work parallel
-// scans dispatch to workers.
+// scanMorsel is one batch of one relation: the unit a scan emits.
 type scanMorsel struct {
 	rel *storage.Relation
 	idx int
@@ -108,7 +105,7 @@ func NewMultiRelScan(rels []*storage.Relation, names []string, kinds []storage.K
 // narrowed output schema, and the predicate is bound against it. The
 // zone maps of the source relations still drive batch skipping.
 func NewMultiRelScanCols(rels []*storage.Relation, names []string, kinds []storage.Kind, pred expr.Expr, srcCols []int) (*RelScan, error) {
-	s := &RelScan{names: names, kinds: kinds, srcCols: srcCols, skipped: new(atomic.Int64)}
+	s := &RelScan{names: names, kinds: kinds, srcCols: srcCols}
 	for _, rel := range rels {
 		for i := range rel.Batches() {
 			s.morsels = append(s.morsels, scanMorsel{rel: rel, idx: i})
@@ -199,42 +196,8 @@ func (s *RelScan) Kinds() []storage.Kind { return s.kinds }
 // BatchHint implements BatchHinter.
 func (s *RelScan) BatchHint() int { return len(s.morsels) }
 
-// Skipped reports how many batches the zone maps pruned, across every
-// range scan split off this one.
-func (s *RelScan) Skipped() int { return int(s.skipped.Load()) }
-
-// Split implements Splitter: the remaining morsels are cut into at most
-// n contiguous ranges, each served by an independent scan with its own
-// predicate clone (expression memoization is per-goroutine state).
-func (s *RelScan) Split(n int) ([]Operator, error) {
-	rest := s.morsels[s.pos:]
-	ranges := splitRanges(len(rest), n, scanSplitGrain)
-	if ranges == nil {
-		return nil, nil
-	}
-	out := make([]Operator, len(ranges))
-	for i, r := range ranges {
-		child := &RelScan{
-			names:   s.names,
-			kinds:   s.kinds,
-			morsels: rest[r[0]:r[1]],
-			bounds:  s.bounds,
-			exact:   s.exact,
-			srcCols: s.srcCols,
-			skipped: s.skipped,
-		}
-		if s.pred != nil {
-			p := expr.Clone(s.pred)
-			if _, err := p.Bind(s.names, s.kinds); err != nil {
-				return nil, err
-			}
-			child.pred = p
-		}
-		out[i] = child
-	}
-	s.pos = len(s.morsels)
-	return out, nil
-}
+// Skipped reports how many batches the zone maps pruned.
+func (s *RelScan) Skipped() int { return s.skipped }
 
 // lastConst implements constHinter over the zone maps of the batch the
 // last Next returned.
@@ -256,7 +219,7 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 		// Zone pruning consults the source relation directly, so a
 		// skipped batch costs no projection work.
 		if s.pred != nil && s.pruneByZone(m) {
-			s.skipped.Add(1)
+			s.skipped++
 			continue
 		}
 		b := m.rel.Batches()[m.idx]
@@ -351,28 +314,6 @@ func (f *Filter) Kinds() []storage.Kind { return f.in.Kinds() }
 // BatchHint implements BatchHinter.
 func (f *Filter) BatchHint() int { return batchHint(f.in) }
 
-// Split implements Splitter: a filter splits exactly when its input
-// does, applying a fresh predicate clone per range.
-func (f *Filter) Split(n int) ([]Operator, error) {
-	sp, ok := f.in.(Splitter)
-	if !ok {
-		return nil, nil
-	}
-	ins, err := sp.Split(n)
-	if err != nil || ins == nil {
-		return nil, err
-	}
-	out := make([]Operator, len(ins))
-	for i, in := range ins {
-		nf, err := NewFilter(in, f.pred)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = nf
-	}
-	return out, nil
-}
-
 // Next implements Operator.
 func (f *Filter) Next() (*storage.Batch, error) {
 	for {
@@ -426,28 +367,6 @@ func (p *Project) Kinds() []storage.Kind { return p.kinds }
 
 // BatchHint implements BatchHinter.
 func (p *Project) BatchHint() int { return batchHint(p.in) }
-
-// Split implements Splitter: a projection splits exactly when its input
-// does, evaluating fresh expression clones per range.
-func (p *Project) Split(n int) ([]Operator, error) {
-	sp, ok := p.in.(Splitter)
-	if !ok {
-		return nil, nil
-	}
-	ins, err := sp.Split(n)
-	if err != nil || ins == nil {
-		return nil, err
-	}
-	out := make([]Operator, len(ins))
-	for i, in := range ins {
-		np, err := NewProject(in, p.names, p.exprs)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = np
-	}
-	return out, nil
-}
 
 // Next implements Operator.
 func (p *Project) Next() (*storage.Batch, error) {
@@ -519,8 +438,8 @@ func (s *IndexScan) Next() (*storage.Batch, error) {
 }
 
 // OpStats is what one operator did: the rows and batches it emitted
-// and, for a pipeline breaker (Timed), the wall time of its Split and
-// its Next calls up to its first batch: where it builds or folds.
+// and, for a pipeline breaker (Timed), the wall time of its Next calls
+// up to its first batch: where it builds or folds.
 type OpStats struct {
 	Rows, Batches int64
 	Time          time.Duration
@@ -529,16 +448,14 @@ type OpStats struct {
 
 // Profiled wraps an operator and records its OpStats; the executor
 // wraps every operator, so each query carries its own profile. It
-// forwards every optional interface its input has — Splitter,
-// BatchHinter, constHinter — so a profiled plan executes exactly as an
-// unprofiled one. Each Split part records on its own, without atomics.
-// Only breakers read the clock: a read around every Next cost about
-// 6 % of hot_scan's in-process latency.
+// forwards every optional interface its input has — BatchHinter,
+// constHinter — so a profiled plan executes exactly as an unprofiled
+// one. Only breakers read the clock: a read around every Next cost
+// about 6 % of hot_scan's in-process latency.
 type Profiled struct {
 	in    Operator
 	clock time.Time
 	stats OpStats
-	parts [][]Profiled // one slice per Split
 }
 
 // NewProfiled wraps in, timing it if it is a Breaker, as offsets from
@@ -548,17 +465,8 @@ func NewProfiled(in Operator, clock time.Time) *Profiled {
 	return &Profiled{in: in, clock: clock, stats: OpStats{Timed: timed}}
 }
 
-// Stats sums what the operator and its split parts did, once drained.
-func (p *Profiled) Stats() OpStats {
-	s := p.stats
-	for _, parts := range p.parts {
-		for i := range parts {
-			ps := parts[i].Stats()
-			s.Rows, s.Batches, s.Time = s.Rows+ps.Rows, s.Batches+ps.Batches, s.Time+ps.Time
-		}
-	}
-	return s
-}
+// Stats is what the operator did, once drained.
+func (p *Profiled) Stats() OpStats { return p.stats }
 
 // Names implements Operator.
 func (p *Profiled) Names() []string { return p.in.Names() }
@@ -594,27 +502,4 @@ func (p *Profiled) Next() (*storage.Batch, error) {
 		p.stats.Batches++
 	}
 	return b, err
-}
-
-// Split implements Splitter: the input's parts, each profiled on its
-// own (untimed: a breaker's parts stream); nil when the input cannot
-// split. A join builds its table here.
-func (p *Profiled) Split(n int) ([]Operator, error) {
-	sp, ok := p.in.(Splitter)
-	if !ok {
-		return nil, nil
-	}
-	t0 := p.now(p.stats.Timed)
-	parts, err := sp.Split(n)
-	p.stats.Time += p.now(p.stats.Timed) - t0
-	if len(parts) == 0 {
-		return parts, err
-	}
-	ws := make([]Profiled, len(parts))
-	for i, in := range parts {
-		ws[i] = Profiled{in: in, clock: p.clock}
-		parts[i] = &ws[i]
-	}
-	p.parts = append(p.parts, ws)
-	return parts, err
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestProfiledHidesNothing: for every operator type that implements an
-// optional interface — Splitter, BatchHinter, constHinter — the
+// optional interface — BatchHinter, constHinter — the
 // profiled operator implements it too and answers as the operator
 // does, so profiling every operator changes no execution decision (the
 // join's constant-key probe reads constHinter through the wrapper).
@@ -67,18 +67,6 @@ func TestProfiledHidesNothing(t *testing.T) {
 				t.Errorf("%s: profiled batch hint %d, want %d", name, batchHint(w), batchHint(op))
 			}
 		}
-		if sp, ok := op.(Splitter); ok {
-			wsp, ok := w.(Splitter)
-			if !ok {
-				t.Fatalf("%s: profiled operator does not split", name)
-			}
-			parts, err := sp.Split(4)
-			wparts, werr := wsp.Split(4)
-			if err != nil || werr != nil || len(parts) != len(wparts) {
-				t.Errorf("%s: %d parts (%v), profiled %d (%v)", name, len(parts), err, len(wparts), werr)
-			}
-			op, w = mk(), NewProfiled(mk(), time.Now())
-		}
 		if ch, ok := op.(constHinter); ok {
 			wch, ok := w.(constHinter)
 			if !ok {
@@ -108,36 +96,30 @@ func TestProfiledHidesNothing(t *testing.T) {
 	}
 }
 
-// TestProfiledSumsParts: a profiled operator drained by parallel
-// workers records each part on its own, and Stats sums them to the
-// serial drain's rows; only the breaker above it reads the clock.
-func TestProfiledSumsParts(t *testing.T) {
-	rel, names, kinds := bigRel(rand.New(rand.NewSource(33)), 64)
-	for _, dop := range []int{1, 4} {
-		scan, err := NewRelScan(rel, names, kinds, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewProfiled(scan, time.Now())
-		sort, err := NewSort(p, []SortKey{{Col: 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.SetDrain(DrainOpts{DOP: dop})
-		ps := NewProfiled(sort, time.Now())
-		out, err := Collect(ps, DrainOpts{DOP: dop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, sst := p.Stats(), ps.Stats()
-		if st.Rows != int64(rel.Rows()) || out.Rows() != rel.Rows() || st.Batches < 1 || st.Timed || st.Time != 0 {
-			t.Fatalf("dop %d: scan stats %+v over %d rows", dop, st, rel.Rows())
-		}
-		if sst.Rows != int64(rel.Rows()) || !sst.Timed || sst.Time <= 0 {
-			t.Fatalf("dop %d: sort stats %+v", dop, sst)
-		}
-		if dop > 1 && (len(p.parts) != 1 || len(p.parts[0]) < 2) {
-			t.Fatalf("dop %d: parts %v recorded", dop, p.parts)
-		}
+// TestProfiledTimesBreakersOnly: a profiled scan under a sort counts
+// every row it emits and reads no clock; the sort above it, a breaker,
+// records the time to its first batch.
+func TestProfiledTimesBreakersOnly(t *testing.T) {
+	rel, names, kinds := diffRel(rand.New(rand.NewSource(33)), 64, 512)
+	scan, err := NewRelScan(rel, names, kinds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProfiled(scan, time.Now())
+	sort, err := NewSort(p, []SortKey{{Col: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := NewProfiled(sort, time.Now())
+	out, err := Collect(ps, DrainOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, sst := p.Stats(), ps.Stats()
+	if st.Rows != int64(rel.Rows()) || out.Rows() != rel.Rows() || st.Batches < 1 || st.Timed || st.Time != 0 {
+		t.Fatalf("scan stats %+v over %d rows", st, rel.Rows())
+	}
+	if sst.Rows != int64(rel.Rows()) || !sst.Timed || sst.Time <= 0 {
+		t.Fatalf("sort stats %+v", sst)
 	}
 }

@@ -7,7 +7,7 @@ package physical
 // and shuffled keys, unique and duplicate build keys, batches that
 // straddle segment boundaries, probe batches with and without selection
 // vectors, every output-column shape, int-backed and string-carrying
-// keys, at DOP 1/2/4/8.
+// keys.
 
 import (
 	"fmt"
@@ -190,28 +190,24 @@ func TestRunAwareJoinMatchesPerRowHash(t *testing.T) {
 				}
 				for oi, out := range outs {
 					want := refJoin(rowsOf(dim), factRows, ks.lk, ks.rk, out)
-					for _, dop := range []int{1, 2, 4, 8} {
-						ds, err := NewRelScan(dim, runDimNames, runDimKinds, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fs, err := NewRelScan(fact, runFactNames, runFactKinds, pred)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j, err := NewHashJoinCols(ds, fs, ks.lk, ks.rk, out)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j.SetDrain(DrainOpts{DOP: dop})
-						got, err := Collect(j, DrainOpts{DOP: dop})
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("join %s shuffled=%v pred#%d out#%d dop=%d",
-							ks.name, shuffled, pi, oi, dop)
-						sameRows(t, rowsOf(got), want, label)
+					ds, err := NewRelScan(dim, runDimNames, runDimKinds, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
+					fs, err := NewRelScan(fact, runFactNames, runFactKinds, pred)
+					if err != nil {
+						t.Fatal(err)
+					}
+					j, err := NewHashJoinCols(ds, fs, ks.lk, ks.rk, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Collect(j, DrainOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("join %s shuffled=%v pred#%d out#%d", ks.name, shuffled, pi, oi)
+					sameRows(t, rowsOf(got), want, label)
 				}
 			}
 		}
@@ -312,77 +308,48 @@ func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 	}
 }
 
-// refAggregate is the per-row hash fold over the same range parts the
-// operator folds (the partial/merge structure is part of the float
-// result): every row looks its group up in a map and updates its states
-// one value at a time (refAdd); partials merge in range order (refMerge)
-// and render through refRender.
+// refAggregate is the per-row hash fold of the whole input in row
+// order: every row looks its group up in a map and updates its states
+// one value at a time (refAdd), rendered through refRender.
 func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) [][]any {
 	t.Helper()
-	type part struct {
-		order  []string
-		keys   map[string][]any
-		states map[string][]aggState
+	var order []string
+	keys, states := map[string][]any{}, map[string][]aggState{}
+	if len(groupCols) == 0 {
+		order, keys[""], states[""] = []string{""}, nil, make([]aggState, len(aggs))
 	}
-	fold := func(op Operator) *part {
-		p := &part{keys: map[string][]any{}, states: map[string][]aggState{}}
-		if len(groupCols) == 0 {
-			p.order, p.keys[""], p.states[""] = []string{""}, nil, make([]aggState, len(aggs))
-		}
-		names := op.Names()
-		for {
-			b, err := op.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				return p
-			}
-			b = b.Materialize()
-			for r := 0; r < b.Len(); r++ {
-				k, kv := "", []any(nil)
-				for _, gc := range groupCols {
-					kv = append(kv, storage.ValueAt(b.Cols[gc], r))
-					k += fmt.Sprint(kv[len(kv)-1]) + "|"
-				}
-				if _, ok := p.states[k]; !ok {
-					p.order, p.keys[k], p.states[k] = append(p.order, k), kv, make([]aggState, len(aggs))
-				}
-				for i, a := range aggs {
-					st := &p.states[k][i]
-					if a.Arg == nil {
-						st.n++
-						continue
-					}
-					ci := -1
-					for c, n := range names {
-						if n == a.Arg.(*expr.ColRef).Name {
-							ci = c
-						}
-					}
-					refAdd(st, storage.ValueAt(b.Cols[ci], r))
-				}
-			}
-		}
-	}
-	parts := []Operator{in}
-	if sp, ok := in.(Splitter); ok {
-		if ps, err := sp.Split(aggSplitMax); err != nil {
+	names := in.Names()
+	for {
+		b, err := in.Next()
+		if err != nil {
 			t.Fatal(err)
-		} else if ps != nil {
-			parts = ps
 		}
-	}
-	final := fold(NewEmpty(in.Names(), in.Kinds()))
-	for _, op := range parts {
-		p := fold(op)
-		for _, k := range p.order {
-			if _, ok := final.states[k]; !ok {
-				final.order, final.keys[k], final.states[k] = append(final.order, k), p.keys[k], p.states[k]
-				continue
+		if b == nil {
+			break
+		}
+		b = b.Materialize()
+		for r := 0; r < b.Len(); r++ {
+			k, kv := "", []any(nil)
+			for _, gc := range groupCols {
+				kv = append(kv, storage.ValueAt(b.Cols[gc], r))
+				k += fmt.Sprint(kv[len(kv)-1]) + "|"
 			}
-			for i := range p.states[k] {
-				refMerge(&final.states[k][i], p.states[k][i])
+			if _, ok := states[k]; !ok {
+				order, keys[k], states[k] = append(order, k), kv, make([]aggState, len(aggs))
+			}
+			for i, a := range aggs {
+				st := &states[k][i]
+				if a.Arg == nil {
+					st.n++
+					continue
+				}
+				ci := -1
+				for c, n := range names {
+					if n == a.Arg.(*expr.ColRef).Name {
+						ci = c
+					}
+				}
+				refAdd(st, storage.ValueAt(b.Cols[ci], r))
 			}
 		}
 	}
@@ -391,13 +358,13 @@ func refAggregate(t *testing.T, in Operator, groupCols []int, aggs []AggColumn) 
 		t.Fatal(err)
 	}
 	var rows [][]any
-	for _, k := range final.order {
+	for _, k := range order {
 		builders := h.newBuilders(1)
-		for i, v := range final.keys[k] {
+		for i, v := range keys[k] {
 			builders[i].AppendAny(v)
 		}
 		for i, a := range aggs {
-			iv, fv := refRender(a.Func, final.states[k][i])
+			iv, fv := refRender(a.Func, states[k][i])
 			appendNum(builders[len(groupCols)+i], iv, fv)
 		}
 		rel := storage.NewRelation()
@@ -464,20 +431,15 @@ func TestRunAwareAggregateMatchesPerRowHash(t *testing.T) {
 		for gi, groupCols := range groupings {
 			for pi, pred := range preds {
 				want := refAggregate(t, scan(pred), groupCols, aggs)
-				for _, dop := range []int{1, 2, 4, 8} {
-					agg, err := NewHashAggregate(scan(pred), groupCols, aggs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					agg.SetDrain(DrainOpts{DOP: dop})
-					got, err := Collect(agg, DrainOpts{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d dop=%d",
-						gi, shuffled, pi, dop)
-					sameRows(t, rowsOf(got), want, label)
+				agg, err := NewHashAggregate(scan(pred), groupCols, aggs)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, err := Collect(agg, DrainOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRows(t, rowsOf(got), want, fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d", gi, shuffled, pi))
 			}
 		}
 	}
@@ -577,12 +539,9 @@ func runShaped(rel *storage.Relation) *storage.Relation {
 // return never carries a shape.
 func TestRunShapedKeysMatchPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
-	collect := func(op Operator, dop int) [][]any {
+	collect := func(op Operator) [][]any {
 		t.Helper()
-		if b, ok := op.(Breaker); ok {
-			b.SetDrain(DrainOpts{DOP: dop})
-		}
-		rel, err := Collect(op, DrainOpts{DOP: dop})
+		rel, err := Collect(op, DrainOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,55 +591,98 @@ func TestRunShapedKeysMatchPlain(t *testing.T) {
 		plain := runFact(rng, shuffled)
 		shaped := runShaped(plain)
 		for pi, pred := range preds {
-			for _, dop := range []int{1, 2, 4} {
-				for _, jc := range joins {
-					join := func(fact *storage.Relation) Operator {
-						ds, err := NewRelScan(runDim(jc.uniqueOn), runDimNames, runDimKinds, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j, err := NewHashJoinCols(ds, scan(fact, pred), jc.lk, jc.rk, jc.out)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return j
-					}
-					sameRows(t, collect(join(shaped), dop), collect(join(plain), dop),
-						fmt.Sprintf("join %s shuffled=%v pred#%d dop=%d", jc.name, shuffled, pi, dop))
-				}
-				for gi, groupCols := range groupings {
-					agg := func(fact *storage.Relation) Operator {
-						a, err := NewHashAggregate(scan(fact, pred), groupCols, aggs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return a
-					}
-					sameRows(t, collect(agg(shaped), dop), collect(agg(plain), dop),
-						fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d dop=%d", gi, shuffled, pi, dop))
-				}
-				// Top-k and sort over run-shaped order keys, and a bare
-				// scan: the drain itself hands shapes to no sink.
-				keys := []SortKey{{Col: 0, Desc: true}, {Col: 2}, {Col: 4}}
-				topk := func(fact *storage.Relation) Operator {
-					k, err := NewTopK(scan(fact, pred), keys, 37)
+			for _, jc := range joins {
+				join := func(fact *storage.Relation) Operator {
+					ds, err := NewRelScan(runDim(jc.uniqueOn), runDimNames, runDimKinds, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return k
-				}
-				label := fmt.Sprintf("shuffled=%v pred#%d dop=%d", shuffled, pi, dop)
-				sameRows(t, collect(topk(shaped), dop), collect(topk(plain), dop), "topk "+label)
-				sorted := func(fact *storage.Relation) Operator {
-					s, err := NewSort(scan(fact, pred), keys)
+					j, err := NewHashJoinCols(ds, scan(fact, pred), jc.lk, jc.rk, jc.out)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return s
+					return j
 				}
-				sameRows(t, collect(sorted(shaped), dop), collect(sorted(plain), dop), "sort "+label)
-				sameRows(t, collect(scan(shaped, pred), dop), collect(scan(plain, pred), dop), "scan "+label)
+				sameRows(t, collect(join(shaped)), collect(join(plain)),
+					fmt.Sprintf("join %s shuffled=%v pred#%d", jc.name, shuffled, pi))
 			}
+			for gi, groupCols := range groupings {
+				agg := func(fact *storage.Relation) Operator {
+					a, err := NewHashAggregate(scan(fact, pred), groupCols, aggs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return a
+				}
+				sameRows(t, collect(agg(shaped)), collect(agg(plain)),
+					fmt.Sprintf("aggregate group#%d shuffled=%v pred#%d", gi, shuffled, pi))
+			}
+			// Top-k and sort over run-shaped order keys, and a bare
+			// scan: the drain itself hands shapes to no sink.
+			keys := []SortKey{{Col: 0, Desc: true}, {Col: 2}, {Col: 4}}
+			topk := func(fact *storage.Relation) Operator {
+				k, err := NewTopK(scan(fact, pred), keys, 37)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return k
+			}
+			label := fmt.Sprintf("shuffled=%v pred#%d", shuffled, pi)
+			sameRows(t, collect(topk(shaped)), collect(topk(plain)), "topk "+label)
+			sorted := func(fact *storage.Relation) Operator {
+				s, err := NewSort(scan(fact, pred), keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			sameRows(t, collect(sorted(shaped)), collect(sorted(plain)), "sort "+label)
+			sameRows(t, collect(scan(shaped, pred)), collect(scan(plain, pred)), "scan "+label)
 		}
 	}
+}
+
+// TestJoinLargeBuildDuplicateKeys probes a 16 k-row build side with
+// duplicate keys — a build drain of several batches, a table larger
+// than a batch, the multi-match gather — and matches the per-row hash
+// join row for row.
+func TestJoinLargeBuildDuplicateKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	dim := storage.NewRelation()
+	for bi := 0; bi < 4; bi++ {
+		ids, xs := make([]int64, 1<<12), make([]float64, 1<<12)
+		for i := range ids {
+			ids[i], xs[i] = rng.Int63n(1<<14), float64(i)
+		}
+		dim.Append(storage.NewBatch(storage.NewInt64Column(ids), storage.NewFloat64Column(xs)))
+	}
+	fact := storage.NewRelation()
+	for bi := 0; bi < 8; bi++ {
+		ids := make([]int64, 512)
+		for i := range ids {
+			ids[i] = rng.Int63n(1 << 14)
+		}
+		fact.Append(storage.NewBatch(storage.NewInt64Column(ids)))
+	}
+	ds, err := NewRelScan(dim, []string{"F.id", "F.x"}, []storage.Kind{storage.KindInt64, storage.KindFloat64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewRelScan(fact, []string{"D.id"}, []storage.Kind{storage.KindInt64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewHashJoin(ds, fs, []int{0}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Collect(j, DrainOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refJoin(rowsOf(dim), rowsOf(fact), []int{0}, []int{0}, nil)
+	if len(want) == 0 {
+		t.Fatal("no build key matched: the test proves nothing")
+	}
+	sameRows(t, rowsOf(got), want, "large build")
 }

@@ -13,10 +13,9 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes its input and emits it ordered by the keys. Under a
-// degree of parallelism (SetDrain) the input is drained through the
-// parallel morsel pipeline; the sort itself then imposes the total
-// order, so the result is unaffected by the drain's batch boundaries.
+// Sort materializes its input and emits it ordered by the keys. The
+// sort imposes the total order, so the result is unaffected by the
+// input drain's batch boundaries.
 type Sort struct {
 	in    Operator
 	keys  []SortKey
@@ -24,11 +23,10 @@ type Sort struct {
 	done  bool
 }
 
-// SetDrain implements Breaker: the input drain runs at the granted
-// parallelism, is charged to the query's quota, and stops (checking at
-// claims too) when the query is cancelled instead of sorting its whole
-// input first.
-func (s *Sort) SetDrain(o DrainOpts) { o.Morsel = o.Check; s.drain = o }
+// SetDrain implements Breaker: the input drain is charged to the
+// query's quota and stops when the query is cancelled instead of
+// sorting its whole input first; it never runs the Morsel hook.
+func (s *Sort) SetDrain(o DrainOpts) { o.Morsel = nil; s.drain = o }
 
 // NewSort validates the key positions.
 func NewSort(in Operator, keys []SortKey) (*Sort, error) {

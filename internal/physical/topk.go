@@ -10,7 +10,7 @@ import (
 // fused execution of ORDER BY + LIMIT produced by the topk optimizer
 // rule. Unlike Sort (which materializes the whole input before
 // ordering it), TopK keeps a bounded candidate buffer of at most
-// ~2n rows per morsel range: each incoming batch is filtered against
+// ~2n rows: each incoming batch is filtered against
 // the current n-th best row, survivors are copied into the buffer, and
 // the buffer is compacted back to n rows by a stable partial sort
 // whenever it doubles. A single numeric key with a small n — ORDER BY
@@ -46,10 +46,8 @@ func NewTopK(in Operator, keys []SortKey, n int) (*TopK, error) {
 	return &TopK{in: in, keys: keys, n: n}, nil
 }
 
-// SetDrain implements Breaker: morsel ranges of a splittable input are
-// folded into per-range candidate buffers by up to o.DOP workers,
-// merged in range order, and the cancellation check runs per claimed
-// range and per pulled batch. The O(n) buffers charge no quota.
+// SetDrain implements Breaker: the cancellation check runs before every
+// pulled batch. The O(n) buffer charges no quota.
 func (t *TopK) SetDrain(o DrainOpts) { t.drain = o }
 
 // Names implements Operator.
@@ -70,49 +68,11 @@ func (t *TopK) Next() (*storage.Batch, error) {
 	if t.n == 0 {
 		return nil, nil
 	}
-	var parts []Operator
-	dop, check := t.drain.DOP, t.drain.Check
-	if dop > 1 {
-		if sp, ok := t.in.(Splitter); ok {
-			var err error
-			parts, err = sp.Split(dop * morselFanout)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(parts) == 0 {
-		parts = []Operator{t.in}
-	}
-	kinds := t.in.Kinds()
-	accs := make([]*topkAcc, len(parts))
-	err := runParts(len(parts), dop, check, func(i int) error {
-		acc := newTopkAcc(t.keys, kinds, t.n)
-		if err := acc.feed(parts[i], check); err != nil {
-			return err
-		}
-		accs[i] = acc
-		return nil
-	})
-	if err != nil {
+	acc := newTopkAcc(t.keys, t.in.Kinds(), t.n)
+	if err := acc.feed(t.in, t.drain.Check); err != nil {
 		return nil, err
 	}
-	// Merge the per-range winners in range order: ranges partition the
-	// input in serial order, and earlier arrivals stay first among key
-	// ties, so the merged result carries exactly the ties Sort+Limit
-	// would keep, in the same order.
-	merged := newTopkAcc(t.keys, kinds, t.n)
-	for _, acc := range accs {
-		if b := acc.result(); b != nil {
-			merged.add(b)
-		}
-	}
-	merged.compact()
-	out := merged.result()
-	if out == nil || out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return acc.result(), nil
 }
 
 // topkAcc is one bounded candidate buffer: rows that may still be

@@ -3,8 +3,8 @@ package physical
 // Differential tests for the bounded top-k operator: TopK must be
 // row-for-row identical to Sort followed by Limit — including the
 // order of key ties, which stability guarantees — on randomized
-// inputs, at every degree of parallelism, for ascending and descending
-// keys, multi-key orders, k larger than the input, and k = 0.
+// inputs of many batches, for ascending and descending keys, multi-key
+// orders, k larger than the input, and k = 0.
 
 import (
 	"math/rand"
@@ -15,7 +15,8 @@ import (
 )
 
 // TestTopKMatchesSortLimit is the core differential against the
-// operator pair the topk optimizer rule replaces.
+// operator pair the topk optimizer rule replaces, over 24 batches whose
+// id key ties across every batch.
 func TestTopKMatchesSortLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	rel, names, kinds := diffRel(rng, 24, 256)
@@ -39,22 +40,27 @@ func TestTopKMatchesSortLimit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, dop := range []int{1, 2, 4, 8} {
-					tk, err := NewTopK(mustScan(t, r, names, kinds), keys, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tk.SetDrain(DrainOpts{DOP: dop})
-					got, err := Collect(tk, DrainOpts{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRelation(t, got, want, // labels: key-set index, k, dop
-						"topk keys#"+itoa(ki)+" n="+itoa(n)+" dop="+itoa(dop))
+				tk, err := NewTopK(mustScan(t, r, names, kinds), keys, n)
+				if err != nil {
+					t.Fatal(err)
 				}
+				got, err := Collect(tk, DrainOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameRelation(t, got, want, "topk keys#"+itoa(ki)+" n="+itoa(n))
 			}
 		}
 	}
+}
+
+func mustScan(t *testing.T, rel *storage.Relation, names []string, kinds []storage.Kind) Operator {
+	t.Helper()
+	s, err := NewRelScan(rel, names, kinds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func itoa(n int) string {
@@ -91,16 +97,13 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dop := range []int{1, 4} {
-		tk, err := NewTopK(build(), []SortKey{{Col: 2, Desc: true}}, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk.SetDrain(DrainOpts{DOP: dop})
-		got, err := Collect(tk, DrainOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRelation(t, got, want, "topk over selections")
+	tk, err := NewTopK(build(), []SortKey{{Col: 2, Desc: true}}, 25)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := Collect(tk, DrainOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRelation(t, got, want, "topk over selections")
 }

@@ -33,7 +33,7 @@
 // front, and one whose deadline expires while queued is never
 // dispatched. Rejections answer 429 with a computed Retry-After.
 // Inside the engine the same request's context deadline is enforced
-// cooperatively at every morsel boundary (the runaway watchdog,
+// cooperatively at every batch boundary (the runaway watchdog,
 // surfacing as *exec.DeadlineError → 504), and the optional global
 // memory governor sheds queries the process cannot afford
 // (*storage.GovernorError → 429).
@@ -440,7 +440,7 @@ func errorStatus(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded):
 		// Including *exec.DeadlineError — the runaway watchdog's
-		// morsel-boundary kill unwraps to the context deadline.
+		// batch-boundary kill unwraps to the context deadline.
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
@@ -510,7 +510,7 @@ type StatsResponse struct {
 	// Degraded counts completed queries that returned partial results.
 	Degraded int64 `json:"degraded"`
 	// DeadlineKills counts queries the runaway watchdog cancelled at a
-	// morsel boundary after their deadline expired mid-execution.
+	// batch boundary after their deadline expired mid-execution.
 	DeadlineKills int64 `json:"deadline_kills"`
 	// GovernorSheds counts queries rejected because the global memory
 	// governor could not reserve for them in time.

@@ -3,8 +3,8 @@
 // and flushed to the client as the executor produces them. The flush
 // is the backpressure point — the worker goroutine running the query
 // blocks inside Push until the client-side TCP window drains, which
-// suspends the morsel cursor upstream (physical.Drain), so a
-// slow reader throttles the scan instead of growing a buffer. A
+// suspends the scan that physical.Drain pulls on the same goroutine,
+// so a slow reader throttles it instead of growing a buffer. A
 // client that disconnects mid-stream fails the next flush, which
 // cancels the query the same way.
 
