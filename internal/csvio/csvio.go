@@ -30,7 +30,7 @@ func ExportChunk(w io.Writer, fileID int64, f *mseed.File) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var rows int64
 	for _, seg := range f.Segments {
-		period := float64(time.Second) / seg.Header.SampleRate
+		period := seg.Header.PeriodNS()
 		for i, v := range seg.Samples {
 			ts := seg.Header.StartTime + int64(float64(i)*period)
 			_, err := fmt.Fprintf(bw, "%d,%d,%s,%d\n",

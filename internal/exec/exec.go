@@ -445,8 +445,10 @@ func (ex *executor) selectChunks() error {
 		}
 		// The distinct (chunk, segment) pairs of the Qf rows, sorted, so
 		// the chunk IDs and each chunk's segments come off them ascending.
-		// A set finds them: sorting every row took three times as long on
-		// windowdataview, whose Qf repeats each pair once per window.
+		// A set finds them: windowdataview's Qf repeats each pair once per
+		// window the segment overlaps (one or two, under the band
+		// rangeinfer puts on its S ⋈ H join; once per window of the
+		// station without it).
 		type pair struct{ chunk, seg int64 }
 		seen, pairs := make(map[pair]bool), []pair(nil)
 		if flat.Len() > 0 {
@@ -767,7 +769,12 @@ func (ex *executor) buildInner(n plan.Node, inStage1 bool) (physical.Operator, e
 			lk = append(lk, li)
 			rk = append(rk, ri)
 		}
-		return physical.NewHashJoinCols(l, r, lk, rk, n.Out)
+		j, err := physical.NewHashJoinCols(l, r, lk, rk, n.Out)
+		if err != nil || n.Band == nil {
+			return j, err
+		}
+		b, all := n.Band, append(slices.Clone(l.Names()), r.Names()...)
+		return j, j.SetBand(indexOf(all, b.T), indexOf(all, b.Lo), indexOf(all, b.Hi), int64(b.Slack))
 	case *plan.Select:
 		in, err := ex.build(n.In, inStage1)
 		if err != nil {

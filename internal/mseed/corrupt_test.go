@@ -2,6 +2,8 @@ package mseed
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -80,6 +82,9 @@ func FuzzReadBytes(f *testing.F) {
 		if perr != nil {
 			t.Fatalf("the full read succeeds, the filtered one fails: %v", perr)
 		}
+		for i, seg := range file.Segments {
+			requireBounded(t, i, seg.Header)
+		}
 		if len(part.Segments) != len(file.Segments) {
 			t.Fatalf("filtered read: %d segments, want %d", len(part.Segments), len(file.Segments))
 		}
@@ -127,4 +132,66 @@ func segmentedFile(nseg, n int) *File {
 		})
 	}
 	return f
+}
+
+// requireBounded fails t unless every sample of h, stamped as chunk
+// access stamps it, lies in [StartTime, EndTime()).
+func requireBounded(t *testing.T, i int, h SegmentHeader) {
+	t.Helper()
+	end, period := h.EndTime(), h.PeriodNS()
+	if end < h.StartTime {
+		t.Fatalf("segment %d: end time %d before start time %d", i, end, h.StartTime)
+	}
+	for k := 0; k < int(h.SampleCount); k++ {
+		if ts := h.StartTime + int64(float64(k)*period); ts < h.StartTime || ts >= end {
+			t.Fatalf("segment %d (%+v): sample %d at %d outside [%d, %d)", i, h, k, ts, h.StartTime, end)
+		}
+	}
+}
+
+// TestUnboundedSegmentIsCorrupt: a segment header whose samples cannot
+// all lie in [StartTime, EndTime()) fails the read as a corrupt chunk,
+// since the planner prunes rows by that bound. The headers are patched
+// into a valid three-sample file; its payload checksum still holds.
+func TestUnboundedSegmentIsCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, benchFile(3)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, pos, err := parseFileHeader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		start    int64
+		wireRate uint64 // micro-Hz
+	}{
+		"zero rate": {0, 0},
+		// Samples 0.5 ns apart: sample 2 is stamped at 1 ns, EndTime is
+		// int64(1.5 ns) = 1.
+		"2 GHz": {0, 2e15},
+		// Three samples at 1 µHz span 3e15 ns, from 1 s below MaxInt64:
+		// EndTime overflows.
+		"end overflows": {math.MaxInt64 - 1e9, 1},
+	}
+	for name, c := range cases {
+		data := slices.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(data[pos+4:], uint64(c.start))
+		binary.LittleEndian.PutUint64(data[pos+12:], c.wireRate)
+		if _, err := ReadBytes(data); err == nil || !strings.Contains(err.Error(), "corrupt chunk") {
+			t.Errorf("%s: read error %v, want a corrupt chunk", name, err)
+		}
+		hdr, segs, err := ReadMetadata(bytes.NewReader(data))
+		if err != nil || len(segs) != 1 || hdr.Station != "FIAM" {
+			t.Errorf("%s: metadata read: %v", name, err)
+			continue
+		}
+		if err := Write(new(bytes.Buffer), &File{Header: hdr, Segments: []Segment{{Header: segs[0], Samples: []int32{1, 2, 3}}}}); err == nil {
+			t.Errorf("%s: Write accepts a segment the reader rejects", name)
+		}
+	}
+	// The same file with its own header reads.
+	if _, err := ReadBytes(buf.Bytes()); err != nil {
+		t.Fatalf("unpatched file: %v", err)
+	}
 }

@@ -70,9 +70,33 @@ func (h SegmentHeader) Period() time.Duration {
 	return time.Duration(float64(time.Second) / h.SampleRate)
 }
 
+// PeriodNS returns the sample spacing in nanoseconds, unrounded: chunk
+// access stamps sample i at StartTime + int64(float64(i)*PeriodNS()).
+func (h SegmentHeader) PeriodNS() float64 { return float64(time.Second) / h.SampleRate }
+
 // EndTime returns the timestamp just after the last sample.
 func (h SegmentHeader) EndTime() int64 {
 	return h.StartTime + int64(float64(h.SampleCount)*float64(time.Second)/h.SampleRate)
+}
+
+// bounded reports whether every sample's stamp lies in [StartTime,
+// EndTime()) and EndTime does not overflow: the per-segment bound the
+// planner infers metadata predicates and join bands from. A zero rate
+// stamps every sample at a wrapped EndTime; a rate above 1 GHz can
+// stamp the last sample at EndTime; a long enough span overflows it.
+func (h SegmentHeader) bounded() bool {
+	if !(h.SampleRate > 0) {
+		return false
+	}
+	if h.SampleCount == 0 {
+		return true
+	}
+	span := float64(h.SampleCount) * float64(time.Second) / h.SampleRate
+	if !(span < 1<<63) || h.StartTime > math.MaxInt64-int64(span) {
+		return false
+	}
+	last := float64(h.SampleCount-1) * h.PeriodNS()
+	return last < span && int64(last) < int64(span)
 }
 
 // Segment is a segment header plus its decoded samples (sensor counts).

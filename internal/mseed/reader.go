@@ -141,6 +141,10 @@ func decode(data []byte, s *Scratch, segs []int64) (*File, error) {
 			return nil, fmt.Errorf("mseed: segment %d: %d samples in %d payload bytes (corrupt chunk)",
 				i, sh.SampleCount, sh.payloadLen)
 		}
+		if !sh.bounded() {
+			return nil, fmt.Errorf("mseed: segment %d: %d samples at %v Hz from %d do not fit before their end time (corrupt chunk)",
+				i, sh.SampleCount, sh.SampleRate, sh.StartTime)
+		}
 		if int(sh.payloadLen) > len(data)-p {
 			return nil, fmt.Errorf("mseed: segment %d: truncated payload: %w", i, io.ErrUnexpectedEOF)
 		}

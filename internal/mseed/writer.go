@@ -44,6 +44,13 @@ func writeSegment(bw *bufio.Writer, enc Encoding, s *Segment) error {
 	if s.Header.SampleRate <= 0 {
 		return fmt.Errorf("non-positive sample rate %v", s.Header.SampleRate)
 	}
+	// Refuse what a read would reject, at the rate as it reads back.
+	back := s.Header
+	back.SampleRate = float64(uint64(s.Header.SampleRate*1e6)) / 1e6
+	if !back.bounded() {
+		return fmt.Errorf("%d samples at %v Hz from %d do not fit before their end time",
+			s.Header.SampleCount, s.Header.SampleRate, s.Header.StartTime)
+	}
 	payload, err := EncodeSamples(enc, s.Samples)
 	if err != nil {
 		return err

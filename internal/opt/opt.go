@@ -29,6 +29,7 @@ package opt
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -164,7 +165,12 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 	// pushdown map and from the residual list, so the rule works with
 	// pushdown disabled too (the rules are independent toggles); the
 	// inferred predicates are new, and land directly on their metadata
-	// scan.
+	// scan. A mapping's truncated column, equated with another table's
+	// column, also yields a band for the join of that table with the
+	// bounding metadata (inferBand); it is attached once the tree is
+	// assembled.
+	var band *plan.Band
+	rangeLog := -1
 	if !opts.Disabled(RuleRangeInfer) {
 		inferred := 0
 		inTabs := func(name string) bool {
@@ -207,7 +213,11 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 					inferred++
 				}
 			}
+			if b := inferBand(cat, p, m); b != nil && band == nil {
+				band = b
+			}
 		}
+		rangeLog = len(log)
 		log = append(log, fmt.Sprintf("%s: inferred %d metadata predicate(s)", RuleRangeInfer, inferred))
 	}
 
@@ -242,7 +252,7 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 	var prune map[string][]int
 	var pruneNotes []string
 	if !opts.Disabled(RulePruneCols) {
-		prune = pruneColumns(cat, p, pushdown, residual)
+		prune = pruneColumns(cat, p, pushdown, residual, band)
 		var notes []string
 		for _, tn := range p.FromTables {
 			if idxs, ok := prune[tn]; ok {
@@ -263,6 +273,9 @@ func Optimize(ctx *Context, p *plan.Plan, opts Options) (*plan.Plan, error) {
 		return nil, err
 	}
 	p.Root = root
+	if band != nil && attachBand(p.Root, band) {
+		log[rangeLog] += ", " + band.String()
+	}
 
 	// prunecols, continued on the assembled tree: every join emits only
 	// the columns the operators above it read.
@@ -350,7 +363,7 @@ func buildGraph(cat *table.Catalog, p *plan.Plan, pushdown map[string][]expr.Exp
 // actual-data table's chunk key (the stage-one chunk selection reads it
 // from the Qf result). Tables where everything is referenced are absent
 // from the map (no pruning).
-func pruneColumns(cat *table.Catalog, p *plan.Plan, pushdown map[string][]expr.Expr, residual []expr.Expr) map[string][]int {
+func pruneColumns(cat *table.Catalog, p *plan.Plan, pushdown map[string][]expr.Expr, residual []expr.Expr, band *plan.Band) map[string][]int {
 	needed := make(map[string]map[string]bool, len(p.FromTables))
 	for _, tn := range p.FromTables {
 		needed[tn] = make(map[string]bool)
@@ -383,6 +396,11 @@ func pruneColumns(cat *table.Catalog, p *plan.Plan, pushdown map[string][]expr.E
 	for _, j := range p.BaseJoins {
 		addName(j.Left)
 		addName(j.Right)
+	}
+	if band != nil {
+		for _, c := range band.Cols() {
+			addName(c)
+		}
 	}
 	q := p.Spec
 	for _, it := range q.Select {
@@ -486,6 +504,9 @@ func pruneJoinOutputs(cat *table.Catalog, p *plan.Plan, n plan.Node, need map[st
 		below := need
 		for _, jp := range n.Preds {
 			below = withCols(below, jp.Left, jp.Right)
+		}
+		if n.Band != nil {
+			below = withCols(below, n.Band.Cols()...)
 		}
 		pruneJoinOutputs(cat, p, n.L, below, notes)
 		pruneJoinOutputs(cat, p, n.R, below, notes)
@@ -662,6 +683,74 @@ func isValue(e expr.Expr) bool {
 	switch e.(type) {
 	case *expr.Const, *expr.Param:
 		return true
+	}
+	return false
+}
+
+// inferBand derives the band a truncating range mapping implies. When
+// the query joins the actual-data table to the mapping's bounding table
+// on that table's whole primary key by the chunk and segment keys — so
+// each data row meets its own segment — and equates the truncated
+// column with a column T of a third table, every result row has
+//
+//	Lo ≤ ad < Hi  and  T = trunc(ad) ∈ (ad − width, ad]
+//
+// so Lo − width < T < Hi: a band on the join of the bounding table
+// with T's table, which drops only pairs no data row can complete.
+// Returns nil when the query lacks either join.
+func inferBand(cat *table.Catalog, p *plan.Plan, m table.RangeMapping) *plan.Band {
+	if m.Trunc == "" {
+		return nil
+	}
+	adTab, _, _ := table.SplitQualified(m.ADColumn)
+	mdTab, _, _ := table.SplitQualified(m.MdLo)
+	hiTab, _, _ := table.SplitQualified(m.MdHi)
+	ad, ok1 := cat.Table(adTab)
+	md, ok2 := cat.Table(mdTab)
+	if !ok1 || !ok2 || hiTab != mdTab || ad.ChunkKey == "" || ad.SegmentKey == "" {
+		return nil
+	}
+	// The bounding-table column each data-side key is equated with.
+	keyed := make(map[string]string)
+	var t string
+	for _, j := range p.BaseJoins {
+		for _, pr := range [2][2]string{{j.Left, j.Right}, {j.Right, j.Left}} {
+			at, ac, _ := table.SplitQualified(pr[0])
+			bt, bc, _ := table.SplitQualified(pr[1])
+			switch {
+			case at == adTab && bt == mdTab:
+				keyed[ac] = bc
+			case pr[0] == m.Trunc && bt != adTab && bt != mdTab:
+				t = pr[1]
+			}
+		}
+	}
+	segKey := map[string]bool{keyed[ad.ChunkKey]: true, keyed[ad.SegmentKey]: true}
+	if t == "" || len(md.PrimaryKey) != 2 || !segKey[md.PrimaryKey[0]] || !segKey[md.PrimaryKey[1]] {
+		return nil
+	}
+	return &plan.Band{T: t, Lo: m.MdLo, Hi: m.MdHi, Slack: m.TruncWidth}
+}
+
+// attachBand puts b on the lowest join under n with both bound columns
+// on one input and the banded column on the other, reporting whether
+// there was one.
+func attachBand(n plan.Node, b *plan.Band) bool {
+	for _, c := range n.Children() {
+		if attachBand(c, b) {
+			return true
+		}
+	}
+	j, ok := n.(*plan.Join)
+	if !ok || len(j.Preds) == 0 {
+		return false
+	}
+	for _, sides := range [2][2]plan.Node{{j.L, j.R}, {j.R, j.L}} {
+		bounds, times := sides[0].Names(), sides[1].Names()
+		if slices.Contains(bounds, b.Lo) && slices.Contains(bounds, b.Hi) && slices.Contains(times, b.T) {
+			j.Band = b
+			return true
+		}
 	}
 	return false
 }

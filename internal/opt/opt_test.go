@@ -52,6 +52,23 @@ func query2() *plan.Query {
 	}
 }
 
+// queryT5 is the hot_scan benchmark's join_t5 shape: a windowdataview
+// aggregate bounded both on H and on D.
+func queryT5() *plan.Query {
+	from, to := expr.Time(ts("2010-01-03T00:00:00.000")), expr.Time(ts("2010-01-07T00:00:00.000"))
+	return &plan.Query{
+		Select: []plan.SelectItem{{Agg: plan.AggAvg, Expr: expr.Col("D.sample_value")}},
+		From:   seismic.ViewWindowData,
+		Where: expr.Conjoin([]expr.Expr{
+			expr.NewCmp(expr.EQ, expr.Col("F.station"), expr.Str("ISK")),
+			expr.NewCmp(expr.GE, expr.Col("H.window_start_ts"), from),
+			expr.NewCmp(expr.LT, expr.Col("H.window_start_ts"), to),
+			expr.NewCmp(expr.GE, expr.Col("D.sample_time"), from),
+			expr.NewCmp(expr.LT, expr.Col("D.sample_time"), to),
+		}),
+	}
+}
+
 func compile(t *testing.T, q *plan.Query, opts opt.Options) *plan.Plan {
 	t.Helper()
 	cat := seismic.NewCatalog()
@@ -175,10 +192,12 @@ func TestOptimizeQuery2(t *testing.T) {
 // the shape every rule contributes, so an accidental regression in one
 // rule changes exactly its snapshot.
 func TestGoldenPlansPerRule(t *testing.T) {
+	const band = "band(S.start_time-1h < H.window_start_ts < S.end_time)"
 	cases := []struct {
 		name    string
+		query   *plan.Query // nil: query1
 		opts    opt.Options
-		want    []string // substrings that must appear in the rendering
+		want    []string // substrings that must appear in the rendering or the rule log
 		wantNot []string // substrings that must not
 	}{
 		{
@@ -229,11 +248,55 @@ func TestGoldenPlansPerRule(t *testing.T) {
 				"[Qf]", "cols=", "out=", "S.end_time >",
 			},
 		},
+		{
+			// windowdataview: D joins S on the segment key and D.window_ts
+			// equals H.window_start_ts, so the Qf join where S meets H
+			// carries the band. It reads S.start_time and S.end_time, which
+			// the S scan keeps and the band join does not emit. Query 2
+			// filters only H, so H joins before S: S is the probe side.
+			name:  "windowdataview/all-rules",
+			query: query2(),
+			opts:  opt.Default(),
+			want: []string{
+				"[Qf] join(F.file_id=S.file_id " + band + " out=4/6)",
+				"[Qf] scan(S cols=4/6)",
+				"rangeinfer: inferred 0 metadata predicate(s), " + band,
+			},
+		},
+		{
+			// With a D.sample_time range S is filtered too and joins first:
+			// H is the probe side.
+			name:  "windowdataview/sample-range",
+			query: queryT5(),
+			opts:  opt.Default(),
+			want: []string{
+				"[Qf] join(F.station=H.window_station,F.channel=H.window_channel " + band + " out=4/10)",
+				"rangeinfer: inferred 2 metadata predicate(s), " + band,
+			},
+		},
+		{
+			name:    "windowdataview/no-rangeinfer",
+			query:   query2(),
+			opts:    opt.Disable(opt.RuleRangeInfer),
+			want:    []string{"[Qf] join(F.station=H.window_station"},
+			wantNot: []string{"band(", "S.start_time", "S.end_time"},
+		},
+		{
+			name:    "windowdataview/all-disabled",
+			query:   query2(),
+			opts:    opt.Disable("all"),
+			want:    []string{"join(", "H.window_start_ts"},
+			wantNot: []string{"band(", "[Qf]"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := compile(t, query1(), tc.opts)
-			got := plan.RenderAnnotated(p.Root, p.Qf, nil)
+			q := tc.query
+			if q == nil {
+				q = query1()
+			}
+			p := compile(t, q, tc.opts)
+			got := plan.RenderAnnotated(p.Root, p.Qf, nil) + strings.Join(p.RuleLog, "\n")
 			for _, w := range tc.want {
 				if !strings.Contains(got, w) {
 					t.Errorf("rendering lacks %q:\n%s", w, got)

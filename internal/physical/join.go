@@ -2,6 +2,7 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -25,6 +26,11 @@ import (
 // a GROUP BY on such a column then folds those runs whole. Duplicate
 // build keys fall back to gathering both sides. Either way only the
 // columns the parent reads (out) are emitted.
+//
+// A join may carry a time band (SetBand): a pair is emitted only if the
+// time column of one side lies in (lo − slack, hi) of the other side's
+// bound columns. A banded join always gathers, testing each pair before
+// it is emitted.
 type HashJoin struct {
 	left, right   Operator
 	leftK, rightK []int
@@ -40,6 +46,8 @@ type HashJoin struct {
 	// drain configures the build drain (SetDrain): its cancellation
 	// check and the quota the build side is charged to.
 	drain DrainOpts
+	// band is the time band, nil for none.
+	band *joinBand
 
 	built     bool
 	buildData *storage.Batch
@@ -58,6 +66,46 @@ type joinTable struct {
 	// unique reports that no key has two build rows; key ids, assigned
 	// in build-row order, then ARE the build-row indexes.
 	unique bool
+	// first and last hold, per row of a banded join's bound side —
+	// every build row, or the probe batch's base rows —, the times its
+	// band admits: uint64(t − first[r]) ≤ last[r].
+	first []int64
+	last  []uint64
+}
+
+// joinBand is a HashJoin's time band: the positions in build++probe of
+// the time column t and of the bound columns lo and hi, which sit on
+// the other input, all int64-backed; and the slack (≥ 1).
+type joinBand struct {
+	t, lo, hi int
+	slack     int64
+}
+
+// setBand fills first and last from the bound columns lo and hi.
+func (t *joinTable) setBand(lo, hi []int64, slack int64) {
+	t.first = slices.Grow(t.first[:0], len(lo))[:len(lo)]
+	t.last = slices.Grow(t.last[:0], len(lo))[:len(lo)]
+	for r := range lo {
+		t.first[r], t.last[r] = bandRange(lo[r], hi[r], slack)
+	}
+}
+
+// bandRange returns the probe times the open interval (lo − slack, hi)
+// admits modulo 2^64, as those t with uint64(t − first) ≤ last. Wrapping
+// arithmetic keeps it exact near both ends of int64. An interval with
+// hi ≤ lo bounds nothing and admits every t, as does one of 2^64 or
+// more integers.
+func bandRange(lo, hi, slack int64) (first int64, last uint64) {
+	first = lo - slack + 1
+	if hi <= lo {
+		return first, math.MaxUint64
+	}
+	// The interval holds hi − lo + slack − 1 integers; 0 < hi − lo < 2^64.
+	span, extra := uint64(hi-lo)-1, uint64(slack-1)
+	if span > math.MaxUint64-extra {
+		return first, math.MaxUint64
+	}
+	return first, span + extra
 }
 
 var joinTablePool sync.Pool
@@ -104,6 +152,30 @@ func runStart(ends []int32, k int) int32 {
 		return 0
 	}
 	return ends[k-1]
+}
+
+// SetBand restricts the join to pairs whose time column t lies in
+// (lo − slack, hi) of the bound columns lo and hi, modulo 2^64 (bounds
+// with hi ≤ lo admit every time). The columns are positions in the
+// concatenated build++probe schema, lo and hi on one input and t on the
+// other; slack must be positive.
+func (j *HashJoin) SetBand(t, lo, hi int, slack int64) error {
+	kinds := append(slices.Clone(j.left.Kinds()), j.right.Kinds()...)
+	nl := len(j.left.Kinds())
+	side := func(c int) int {
+		if c < 0 || c >= len(kinds) || !isIntKeyKind(kinds[c]) {
+			return -1
+		}
+		return min(c/nl, 1)
+	}
+	if side(lo) < 0 || side(lo) != side(hi) || side(t) != 1-side(lo) {
+		return fmt.Errorf("physical: band columns %d, %d, %d are not int64-backed, time and bounds on opposite inputs", t, lo, hi)
+	}
+	if slack < 1 {
+		return fmt.Errorf("physical: band slack %d is not positive", slack)
+	}
+	j.band = &joinBand{t: t, lo: lo, hi: hi, slack: slack}
+	return nil
 }
 
 // SetDrain implements Breaker for the build-side drain, which checks
@@ -187,6 +259,9 @@ func (j *HashJoin) build() error {
 		if j.table, err = newJoinTable(j.fastKey, j.buildData, j.leftK); err != nil {
 			return err
 		}
+		if b := j.band; b != nil && b.lo < len(j.buildData.Cols) {
+			j.table.setBand(storage.Int64s(j.buildData.Cols[b.lo]), storage.Int64s(j.buildData.Cols[b.hi]), b.slack)
+		}
 	}
 	j.built = true
 	return nil
@@ -234,7 +309,7 @@ func (j *HashJoin) probe() (*storage.Batch, error) {
 			return nil, err
 		}
 		var cols []storage.Column
-		if j.table.unique {
+		if j.table.unique && j.band == nil {
 			cols, sel = j.runCols(cols, base, sel, ids, ends)
 		} else {
 			cols, sel = j.gatherCols(cols, base, sel, ids, ends)
@@ -311,22 +386,16 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 }
 
 // gatherCols builds the output of a probe batch against a table with
-// duplicate keys: every (probe row, build row) pair, both sides
-// gathered into new columns, which need no selection. Appends the
-// columns to cols and consumes sel; no columns when nothing matched.
+// duplicate keys, or of a banded join: every (probe row, build row)
+// pair (in the band), both sides gathered into new columns, which need
+// no selection. Appends the columns to cols and consumes sel; no
+// columns when nothing matched.
 func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
 	leftIdx, rightIdx := storage.GetSel(base.Len()), storage.GetSel(base.Len())
-	for k, id := range ids {
-		if id < 0 {
-			continue
-		}
-		for p := runStart(ends, k); p < ends[k]; p++ {
-			r := int32(at(sel, int(p)))
-			for lr := j.table.head[id]; lr >= 0; lr = j.table.next[lr] {
-				leftIdx = append(leftIdx, lr)
-				rightIdx = append(rightIdx, r)
-			}
-		}
+	if j.band == nil {
+		leftIdx, rightIdx = j.table.pairs(leftIdx, rightIdx, sel, ids, ends)
+	} else {
+		leftIdx, rightIdx = j.bandPairs(leftIdx, rightIdx, sel, ids, ends, base)
 	}
 	storage.PutSel(sel)
 	if len(leftIdx) > 0 {
@@ -342,6 +411,68 @@ func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, i
 	storage.PutSel(leftIdx)
 	storage.PutSel(rightIdx)
 	return cols, nil
+}
+
+// pairs appends every (build row, probe row) pair of the probe key runs
+// (ids, ends) over the rows sel selects.
+func (t *joinTable) pairs(leftIdx, rightIdx, sel, ids, ends []int32) ([]int32, []int32) {
+	for k, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for p := runStart(ends, k); p < ends[k]; p++ {
+			r := int32(at(sel, int(p)))
+			for lr := t.head[id]; lr >= 0; lr = t.next[lr] {
+				leftIdx = append(leftIdx, lr)
+				rightIdx = append(rightIdx, r)
+			}
+		}
+	}
+	return leftIdx, rightIdx
+}
+
+// bandPairs is pairs keeping only the pairs in the band: the build
+// rows' bands were computed at build time, or the probe batch's are
+// computed now over its base rows.
+func (j *HashJoin) bandPairs(leftIdx, rightIdx, sel, ids, ends []int32, base *storage.Batch) ([]int32, []int32) {
+	b, t, nl := j.band, j.table, len(j.buildData.Cols)
+	if b.lo < nl {
+		ts := storage.Int64s(base.Cols[b.t-nl])
+		for k, id := range ids {
+			if id < 0 {
+				continue
+			}
+			for p := runStart(ends, k); p < ends[k]; p++ {
+				r := int32(at(sel, int(p)))
+				v := ts[r]
+				for lr := t.head[id]; lr >= 0; lr = t.next[lr] {
+					if uint64(v-t.first[lr]) <= t.last[lr] {
+						leftIdx = append(leftIdx, lr)
+						rightIdx = append(rightIdx, r)
+					}
+				}
+			}
+		}
+		return leftIdx, rightIdx
+	}
+	t.setBand(storage.Int64s(base.Cols[b.lo-nl]), storage.Int64s(base.Cols[b.hi-nl]), b.slack)
+	ts := storage.Int64s(j.buildData.Cols[b.t])
+	for k, id := range ids {
+		if id < 0 {
+			continue
+		}
+		for p := runStart(ends, k); p < ends[k]; p++ {
+			r := int32(at(sel, int(p)))
+			first, last := t.first[r], t.last[r]
+			for lr := t.head[id]; lr >= 0; lr = t.next[lr] {
+				if uint64(ts[lr]-first) <= last {
+					leftIdx = append(leftIdx, lr)
+					rightIdx = append(rightIdx, r)
+				}
+			}
+		}
+	}
+	return leftIdx, rightIdx
 }
 
 // CrossJoin produces the Cartesian product of its inputs; the planner

@@ -15,6 +15,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"sommelier/internal/expr"
 	"sommelier/internal/storage"
@@ -171,9 +172,38 @@ type Join struct {
 	// Out, when non-nil, restricts the join's output to these positions
 	// of the concatenated L++R schema (the optimizer's projection pruning
 	// carried through the join); names/kinds are narrowed accordingly.
-	Out   []int
+	Out []int
+	// Band, when non-nil, is a time band the join applies on top of its
+	// keys; the optimizer attaches only bands the rest of the query
+	// implies, so the result is unchanged.
+	Band  *Band
 	names []string
 	kinds []storage.Kind
+}
+
+// Band keeps a joined pair only if Lo − Slack < T < Hi holds, where T
+// is a column of one input of the join and Lo, Hi columns of the other,
+// all int64-backed. The comparison is modulo 2^64, as the truncation
+// that implies the band wraps near the ends of int64; a pair with
+// Hi ≤ Lo is always kept.
+type Band struct {
+	T, Lo, Hi string
+	Slack     time.Duration
+}
+
+// Cols lists the columns the band reads.
+func (b *Band) Cols() []string { return []string{b.T, b.Lo, b.Hi} }
+
+// String renders the band as EXPLAIN shows it.
+func (b *Band) String() string {
+	slack := b.Slack.String() // "1h0m0s": drop the zero minutes and seconds
+	if strings.HasSuffix(slack, "m0s") {
+		slack = slack[:len(slack)-2]
+	}
+	if strings.HasSuffix(slack, "h0m") {
+		slack = slack[:len(slack)-2]
+	}
+	return fmt.Sprintf("band(%s-%s < %s < %s)", b.Lo, slack, b.T, b.Hi)
 }
 
 // NewJoin builds a join node emitting every column of both inputs.
@@ -217,6 +247,9 @@ func (j *Join) String() string {
 		parts[i] = p.Left + "=" + p.Right
 	}
 	s := "join(" + strings.Join(parts, ",")
+	if j.Band != nil {
+		s += " " + j.Band.String()
+	}
 	if j.Out != nil {
 		s += fmt.Sprintf(" out=%d/%d", len(j.Out), len(j.L.Names())+len(j.R.Names()))
 	}

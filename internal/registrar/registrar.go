@@ -378,7 +378,7 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 		seg := &f.Segments[si]
 		n := len(seg.Samples)
 		ts, vals := arena.Ints[off:off+n:off+n], arena.Floats[off:off+n:off+n]
-		start, period := seg.Header.StartTime, float64(time.Second)/seg.Header.SampleRate
+		start, period := seg.Header.StartTime, seg.Header.PeriodNS()
 		for i, v := range seg.Samples {
 			ts[i], vals[i] = start+int64(float64(i)*period), float64(v)
 		}
@@ -416,7 +416,7 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 		n := len(seg.Samples)
 		ts, vals := tsAll[:n:n], valAll[:n:n]
 		tsAll, valAll = tsAll[n:], valAll[n:]
-		start, period := seg.Header.StartTime, float64(time.Second)/seg.Header.SampleRate
+		start, period := seg.Header.StartTime, seg.Header.PeriodNS()
 		// Sorted: a positive rate makes the offsets non-decreasing; the
 		// last, below 2^63 (defined conversion, no NaN), keeps every row
 		// and its window's end below MaxInt64. Near MinInt64 WindowStart

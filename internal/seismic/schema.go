@@ -118,9 +118,13 @@ func NewCatalog() *table.Catalog {
 
 	// Sample timestamps are bounded per segment by the given metadata:
 	// the planner infers S predicates from D.sample_time ranges, which
-	// is what lets a 2-day query select only the 2 covering files.
+	// is what lets a 2-day query select only the 2 covering files. A
+	// sample's window_ts is its sample_time truncated to the window, so
+	// a segment meets only the windows that start in (start_time −
+	// WindowDuration, end_time): the band of windowdataview's S ⋈ H.
 	if err := cat.AddRangeMapping(table.RangeMapping{
 		ADColumn: "D.sample_time", MdLo: "S.start_time", MdHi: "S.end_time",
+		Trunc: "D.window_ts", TruncWidth: WindowDuration,
 	}); err != nil {
 		panic(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 )
 
 // JoinPred is an equality join predicate between two table columns,
@@ -40,6 +41,13 @@ type RangeMapping struct {
 	ADColumn string // e.g. "D.sample_time"
 	MdLo     string // e.g. "S.start_time"
 	MdHi     string // e.g. "S.end_time"
+	// Trunc, when set, names a column of ADColumn's table holding
+	// ADColumn truncated down to a multiple of TruncWidth (e.g.
+	// "D.window_ts", an hourly window start). Its values then lie in
+	// (Lo − TruncWidth, Hi), which lets the planner band a join of the
+	// bounding metadata to whatever Trunc is equated with.
+	Trunc      string
+	TruncWidth time.Duration
 }
 
 // Catalog is the schema registry: tables, views and foreign keys.
@@ -167,11 +175,23 @@ func (c *Catalog) ForeignKeys() []ForeignKey {
 }
 
 // AddRangeMapping registers a chunk-bounding declaration after
-// validating all three columns.
+// validating its columns; a Trunc column must sit in ADColumn's table
+// and come with a positive width.
 func (c *Catalog) AddRangeMapping(m RangeMapping) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, q := range []string{m.ADColumn, m.MdLo, m.MdHi} {
+	cols := []string{m.ADColumn, m.MdLo, m.MdHi}
+	if m.Trunc != "" {
+		adTab, _, err := SplitQualified(m.ADColumn)
+		if err != nil {
+			return err
+		}
+		if tab, _, err := SplitQualified(m.Trunc); err != nil || tab != adTab || m.TruncWidth <= 0 {
+			return fmt.Errorf("catalog: range mapping truncation %q (width %v) is not a column of %s with a positive width", m.Trunc, m.TruncWidth, adTab)
+		}
+		cols = append(cols, m.Trunc)
+	}
+	for _, q := range cols {
 		tab, col, err := SplitQualified(q)
 		if err != nil {
 			return err
