@@ -114,7 +114,7 @@ func main() {
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
 	flag.BoolVar(&o.degraded, "degraded", false, "default to degraded mode: answer over available chunks when some are unreachable (per-request override via \"degraded\")")
-	flag.StringVar(&o.faults, "faults", "", "deterministic fault-injection spec, e.g. registrar.http=error:0.05 (empty: honor SOMMELIER_FAULTS; \"off\" disables)")
+	flag.StringVar(&o.faults, "faults", "", "deterministic fault-injection spec, e.g. registrar.http=error:0.05 (empty: no injection)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 0, "seed for the -faults schedule (reproducible fault sequences)")
 	flag.DurationVar(&o.fetchTimeout, "fetch-timeout", 30*time.Second, "per-attempt deadline for one remote chunk fetch")
 	flag.IntVar(&o.fetchRetries, "fetch-retries", 0, "max fetch attempts per chunk, including the first (0 = default 3)")

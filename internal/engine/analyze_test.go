@@ -16,7 +16,7 @@ import (
 // arguments per execution, runs the query they select, releases its
 // rows, and carries the executed query's stats.
 func TestExplainAnalyzePrepared(t *testing.T) {
-	db := openOpt(t, genRepo(t, 1), registrar.Lazy)
+	db := open(t, genRepo(t, 1), registrar.Lazy)
 	defer db.Close()
 	const q = `SELECT D.sample_value FROM dataview WHERE F.station = ? AND D.sample_time < ?`
 	until := time.Date(2010, 1, 1, 12, 0, 0, 0, time.UTC)
@@ -58,7 +58,7 @@ func TestExplainAnalyzePrepared(t *testing.T) {
 // TestExplainAnalyzeCancelled: EXPLAIN ANALYZE runs under the caller's
 // context, so a cancelled one stops it.
 func TestExplainAnalyzeCancelled(t *testing.T) {
-	db := openOpt(t, genRepo(t, 1), registrar.Lazy)
+	db := open(t, genRepo(t, 1), registrar.Lazy)
 	defer db.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -81,7 +81,7 @@ func TestExplainAnalyzeCancelled(t *testing.T) {
 // stage durations of Stats are those spans.
 func TestProfileSpansTile(t *testing.T) {
 	// A cache smaller than a chunk: every execution loads.
-	db, err := Open(genRepo(t, 1), Config{Approach: registrar.Lazy, CacheBytes: 1, OptDisable: "none"})
+	db, err := Open(genRepo(t, 1), Config{Approach: registrar.Lazy, CacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func churn(t *testing.T, db *DB) {
 func TestCollectedResultOutlivesEviction(t *testing.T) {
 	dir := genRepo(t, 1)
 	open := func(t *testing.T) *DB {
-		db, err := Open(dir, Config{Approach: registrar.Lazy, OptDisable: "none"})
+		db, err := Open(dir, Config{Approach: registrar.Lazy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +97,9 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 			if !aliases(t, db, storage.Float64s(res.Rel.Batches()[0].Cols[1])) {
 				t.Fatal("the result copied its rows: nothing to test")
 			}
-			want := renderBits(res)
+			want := digest(res.Rel).String()
 			churn(t, db)
-			if got := renderBits(res); got != want {
+			if got := digest(res.Rel).String(); got != want {
 				t.Fatal("a collected result changed after its chunk's eviction")
 			}
 			free := db.ChunkStats().FreeArenas
@@ -153,7 +153,7 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 // within 1 %. Otherwise -cache-bytes bounds a fiction.
 func TestChunkChargeMatchesBacking(t *testing.T) {
 	dir := genRepo(t, 1)
-	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: t.TempDir()})
+	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestChunkMemoryStress(t *testing.T) {
 			queries = append(queries, dayScan(station, day))
 		}
 	}
-	ref := openOpt(t, dir, registrar.Lazy)
+	ref := open(t, dir, registrar.Lazy)
 	if err := addMetadataView(ref); err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,12 @@ func TestChunkMemoryStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = sortedRows(res)
+		want[i] = digest(res.Rel).multiset().String()
 		res.Release()
 	}
 	st := ref.CacheStats()
 	db, err := openChecked(t, dir, Config{
 		Approach:   registrar.Lazy,
-		OptDisable: "none",
 		CacheBytes: st.BytesUsed / int64(st.Chunks) * 3,
 		CacheDir:   t.TempDir(),
 	})
@@ -257,13 +256,13 @@ func TestChunkMemoryStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if got := sortedRows(res); got != want[qi] {
+					if got := digest(res.Rel).multiset().String(); got != want[qi] {
 						t.Errorf("query %d diverges on arrival", qi)
 					}
 					held.Add(1)
 					time.AfterFunc(time.Duration(rng.Intn(2000))*time.Microsecond, func() {
 						defer held.Done()
-						if got := sortedRows(res); got != want[qi] {
+						if got := digest(res.Rel).multiset().String(); got != want[qi] {
 							t.Errorf("query %d diverged while held", qi)
 						}
 						res.Release()

@@ -61,9 +61,7 @@ type Config struct {
 	PlanCacheSize int
 	// OptDisable lists logical-optimizer rules to disable, comma
 	// separated ("all" disables every rule; see internal/opt). Empty
-	// defers to the SOMMELIER_OPT_DISABLE environment variable; the
-	// special value "none" forces every rule on regardless of the
-	// environment.
+	// runs every rule.
 	OptDisable string
 	// MaxQueryBytes caps the bytes any single query may materialize
 	// into its own buffers (result relations, sort input, join build
@@ -92,12 +90,10 @@ type Config struct {
 	Degraded bool
 	// Faults is the fault-injection schedule for this database's
 	// ingestion path, in internal/fault spec syntax
-	// ("point=kind:rate[:dur],..."). Empty defers to the
-	// SOMMELIER_FAULTS environment; "off" (or "none") disables
-	// injection regardless of the environment.
+	// ("point=kind:rate[:dur],..."). Empty injects nothing.
 	Faults string
 	// FaultSeed drives the deterministic fault decisions when Faults
-	// is set (the environment schedule uses SOMMELIER_FAULT_SEED).
+	// is set.
 	FaultSeed int64
 }
 
@@ -280,14 +276,7 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 			}
 		}
 	}
-	switch strings.TrimSpace(cfg.OptDisable) {
-	case "":
-		db.optRules = opt.FromEnv()
-	case "none":
-		db.optRules = opt.Default()
-	default:
-		db.optRules = opt.ParseDisable(cfg.OptDisable)
-	}
+	db.optRules = opt.ParseDisable(cfg.OptDisable)
 	size := cfg.PlanCacheSize
 	if size == 0 {
 		size = DefaultPlanCacheSize
@@ -296,11 +285,9 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 	db.env.MaxQueryBytes = cfg.MaxQueryBytes
 	db.env.Governor = storage.NewGovernor(cfg.GlobalMemoryBytes, cfg.GovernorWait)
 	db.env.Degraded = cfg.Degraded
-	if strings.TrimSpace(cfg.Faults) == "" {
-		// Defer to the process environment (nil when unset: the
-		// injection checks reduce to a nil-receiver branch).
-		db.env.Faults = fault.Default()
-	} else {
+	if strings.TrimSpace(cfg.Faults) != "" {
+		// Unset, the injector stays nil: the injection checks reduce to
+		// a nil-receiver branch.
 		inj, err := fault.New(cfg.Faults, cfg.FaultSeed)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
@@ -373,7 +360,10 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 		return nil, nil, db.seriesErr
 	}
 	args := []*expr.Const{expr.Str(station), expr.Str(channel), expr.Time(from), expr.Time(to)}
-	res, err := exec.Execute(context.Background(), db.env, db.seriesPlan, exec.Options{Params: args})
+	// Derived windows outlive the query that derives them: a series
+	// missing a skipped chunk would summarize it wrongly for every later
+	// query, so derivation is strict whatever the degraded mode.
+	res, err := exec.Execute(WithDegraded(context.Background(), false), db.env, db.seriesPlan, exec.Options{Params: args})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -427,8 +417,8 @@ func (db *DB) SourceHealth() *registrar.Health {
 }
 
 // FaultInjector exposes the engine's fault injector — nil unless
-// Config.Faults or SOMMELIER_FAULTS armed one. Benchmarks use it to
-// report how many faults actually fired during a run.
+// Config.Faults armed one. Benchmarks use it to report how many faults
+// actually fired during a run.
 func (db *DB) FaultInjector() *fault.Injector { return db.env.Faults }
 
 // Governor exposes the process-wide memory governor — nil unless

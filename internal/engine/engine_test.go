@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -69,19 +68,6 @@ func open(t testing.TB, dir string, approach registrar.Approach) *DB {
 	return db
 }
 
-// openOpt opens with every optimizer rule forced on, for tests that
-// assert optimizer-driven behavior (Qf chunk pruning, sampling,
-// EXPLAIN markers) and must not inherit SOMMELIER_OPT_DISABLE from the
-// environment.
-func openOpt(t testing.TB, dir string, approach registrar.Approach) *DB {
-	t.Helper()
-	db, err := Open(dir, Config{Approach: approach, OptDisable: "none"})
-	if err != nil {
-		t.Fatalf("open %s: %v", approach, err)
-	}
-	return db
-}
-
 // The T1–T5 representative queries of the evaluation, over the
 // generated repository's stations (FIAM et al., channel HHZ, data
 // starting 2010-01-01).
@@ -140,7 +126,7 @@ func TestLazyMetadataOnlyInvestment(t *testing.T) {
 
 func TestQuery1EndToEnd(t *testing.T) {
 	dir := genRepo(t, 2)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query(`
 		SELECT AVG(D.sample_value) FROM dataview
 		WHERE F.station = 'ISK' AND F.channel = 'BHE'
@@ -202,44 +188,6 @@ func TestQuery2EndToEndWithDerivation(t *testing.T) {
 	res2.Release()
 }
 
-func TestAllApproachesAgree(t *testing.T) {
-	// The fundamental invariant: every loading approach returns the
-	// same answers for the whole T1–T5 workload.
-	dir := genRepo(t, 2)
-	queries := tQueries()
-	type key struct {
-		qt  int
-		app registrar.Approach
-	}
-	answers := make(map[key]string)
-	for _, app := range registrar.Approaches() {
-		db := open(t, dir, app)
-		for qt := 1; qt <= 5; qt++ {
-			sql := queries[qt]
-			if qt == 3 {
-				// windowdataview_md is registered below per DB.
-				if err := addMetadataView(db); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := db.Query(sql)
-			if err != nil {
-				t.Fatalf("%s T%d: %v", app, qt, err)
-			}
-			answers[key{qt, app}] = renderRows(res)
-			res.Release()
-		}
-	}
-	for qt := 1; qt <= 5; qt++ {
-		want := answers[key{qt, registrar.EagerPlain}]
-		for _, app := range registrar.Approaches() {
-			if got := answers[key{qt, app}]; got != want {
-				t.Errorf("T%d: %s disagrees with eager_plain:\n%s\nvs\n%s", qt, app, got, want)
-			}
-		}
-	}
-}
-
 // addMetadataView registers a metadata-only view (F ⋈ H) used by the T3
 // query; idempotent per database.
 func addMetadataView(db *DB) error {
@@ -254,23 +202,6 @@ func addMetadataView(db *DB) error {
 			{Left: "F.channel", Right: "H.window_channel"},
 		},
 	})
-}
-
-func renderRows(res *Result) string {
-	var sb strings.Builder
-	flat := res.Rel.Flatten()
-	for r := 0; r < flat.Len(); r++ {
-		for c := 0; c < flat.Width(); c++ {
-			v := storage.ValueAt(flat.Cols[c], r)
-			if f, ok := v.(float64); ok {
-				fmt.Fprintf(&sb, "%.6f|", f)
-			} else {
-				fmt.Fprintf(&sb, "%v|", v)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 func TestEagerDMdAnswersT2Instantly(t *testing.T) {
@@ -350,7 +281,7 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestExplainMarksQf(t *testing.T) {
 	dir := genRepo(t, 1)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query("EXPLAIN " + tQueries()[4])
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +347,7 @@ func TestReportSizesGrowUnderLazy(t *testing.T) {
 
 func TestEagerIndexPrunesLikeLazy(t *testing.T) {
 	dir := genRepo(t, 2)
-	dbI := openOpt(t, dir, registrar.EagerIndex)
+	dbI := open(t, dir, registrar.EagerIndex)
 	res, err := dbI.Query(tQueries()[4])
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +366,7 @@ func TestEagerIndexPrunesLikeLazy(t *testing.T) {
 
 func TestStatsStageTimings(t *testing.T) {
 	dir := genRepo(t, 1)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query(tQueries()[4])
 	if err != nil {
 		t.Fatal(err)
@@ -446,5 +377,38 @@ func TestStatsStageTimings(t *testing.T) {
 	}
 	if st.Total() != st.Stage1+st.Load+st.Stage2 {
 		t.Fatal("total mismatch")
+	}
+}
+
+// TestSamplingEndToEnd checks the §VIII approximative answering path
+// through SQL: a sampled average stays within the data's value range
+// and touches fewer chunks.
+func TestSamplingEndToEnd(t *testing.T) {
+	dir := genRepo(t, 4)
+	db := open(t, dir, registrar.Lazy)
+	exact, err := db.Query(`
+		SELECT AVG(D.sample_value) FROM dataview
+		WHERE F.station = 'FIAM'
+		  AND D.sample_time >= '2010-01-01T00:00:00.000'
+		  AND D.sample_time < '2010-01-05T00:00:00.000'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2 := open(t, dir, registrar.Lazy)
+	approx, err := db2.Query(`
+		SELECT AVG(D.sample_value) FROM dataview
+		WHERE F.station = 'FIAM'
+		  AND D.sample_time >= '2010-01-01T00:00:00.000'
+		  AND D.sample_time < '2010-01-05T00:00:00.000'
+		SAMPLE 50`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if approx.Stats.ChunksSelected >= exact.Stats.ChunksSelected {
+		t.Fatalf("sampling did not reduce chunks: %d vs %d",
+			approx.Stats.ChunksSelected, exact.Stats.ChunksSelected)
+	}
+	if approx.Stats.SampleFraction >= 1 || approx.Stats.SampleFraction <= 0 {
+		t.Fatalf("fraction = %v", approx.Stats.SampleFraction)
 	}
 }

@@ -144,7 +144,7 @@ func TestPlanCacheBounded(t *testing.T) {
 // path: the result holds the optimized plan and the applied-rule log.
 func TestExplainStatement(t *testing.T) {
 	dir := genRepo(t, 1)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query("EXPLAIN " + cacheT4)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestExplainStatement(t *testing.T) {
 // arguments — and EXPLAIN ANALYZE, which does execute, takes them.
 func TestExplainParameterizedStatement(t *testing.T) {
 	dir := genRepo(t, 1)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query(`EXPLAIN SELECT COUNT(*) AS n FROM F WHERE station = ?`)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func TestConcurrentQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[sql] = renderRows(res)
+		want[sql] = digest(res.Rel).String()
 		res.Release()
 	}
 	var wg sync.WaitGroup
@@ -45,7 +45,7 @@ func TestConcurrentQueries(t *testing.T) {
 					errs <- err
 					return
 				}
-				got := renderRows(res)
+				got := digest(res.Rel).String()
 				res.Release()
 				if got != want[sql] {
 					errs <- errMismatch(sql)
@@ -150,7 +150,7 @@ func TestOrderByLimitThroughEngine(t *testing.T) {
 
 func TestSampleThroughSQL(t *testing.T) {
 	dir := genRepo(t, 4)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query(`
 		SELECT COUNT(*) AS n FROM dataview
 		WHERE F.station = 'FIAM' SAMPLE 50`)
@@ -175,7 +175,7 @@ func TestSampleThroughSQL(t *testing.T) {
 
 func TestExplainAnalyze(t *testing.T) {
 	dir := genRepo(t, 2)
-	db := openOpt(t, dir, registrar.Lazy)
+	db := open(t, dir, registrar.Lazy)
 	res, err := db.Query("EXPLAIN ANALYZE " + tQueries()[4])
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,13 @@
 package engine
 
-// Differential and stress tests for streaming execution at the engine
-// level: QueryStream must deliver exactly the rows Query materializes,
-// in order, for the whole query bag — and a client that stops or drops mid-stream must never leave a chunk
-// handle held, even under heavy concurrency.
+// Stress tests for streaming execution at the engine level: a client
+// that stops or drops mid-stream must never leave a chunk handle held,
+// even under heavy concurrency. TestOracle checks what streams deliver.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -18,77 +15,6 @@ import (
 	"sommelier/internal/registrar"
 	"sommelier/internal/storage"
 )
-
-// renderBits renders a result with float64 cells at full precision, so
-// comparisons are bitwise, not display-rounded.
-func renderBits(res *Result) string { return renderRel(res.Rel) }
-
-// renderRel renders a relation the way renderBits renders a result, so
-// streamed and materialized rows compare bitwise.
-func renderRel(rel *storage.Relation) string {
-	if rel == nil {
-		return ""
-	}
-	var sb strings.Builder
-	flat := rel.Flatten()
-	for r := 0; r < flat.Len(); r++ {
-		for c := 0; c < flat.Width(); c++ {
-			v := storage.ValueAt(flat.Cols[c], r)
-			if f, ok := v.(float64); ok {
-				fmt.Fprintf(&sb, "%.17g|", f)
-			} else {
-				fmt.Fprintf(&sb, "%v|", v)
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// streamingQueries is optDiffQueries plus shapes where streaming does
-// real work: wide projections with no aggregate, and ORDER BY + LIMIT
-// (the topk path).
-func streamingQueries() []string {
-	return append(optDiffQueries(),
-		`SELECT D.sample_time, D.sample_value FROM dataview
-		   WHERE F.station = 'FIAM' AND D.sample_time < '2010-01-02T00:00:00.000'`,
-		`SELECT D.sample_time, D.sample_value FROM dataview
-		   WHERE F.station = 'ISK' LIMIT 10`,
-		`SELECT D.sample_value, D.sample_time FROM dataview
-		   WHERE F.station = 'AQU' ORDER BY D.sample_value DESC, D.sample_time LIMIT 25`,
-		`EXPLAIN SELECT COUNT(*) AS n FROM F WHERE station = 'FIAM'`,
-	)
-}
-
-// TestStreamingMatchesMaterialized is the acceptance differential:
-// every query of the bag, streamed, equals its materialized result
-// row-for-row and in order — with every chunk handle released
-// afterwards.
-func TestStreamingMatchesMaterialized(t *testing.T) {
-	dir := genRepo(t, 2)
-	db, err := Open(dir, Config{Approach: registrar.Lazy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, sql := range streamingQueries() {
-		res, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		want := renderRel(res.Rel)
-		res.Release()
-		sink := &physical.CollectSink{Rel: storage.NewRelation()}
-		sres, err := db.QueryStream(context.Background(), sql, sink)
-		if err != nil {
-			t.Fatalf("query %d (stream): %v", qi, err)
-		}
-		if got := renderRel(sink.Rel); got != want {
-			t.Errorf("query %d: streamed rows diverge:\ngot:\n%s\nwant:\n%s", qi, got, want)
-		}
-		sres.Release()
-	}
-	requireReleased(t, db)
-}
 
 // countingStopSink consumes rows up to a limit and then stops the
 // stream gracefully (a client that has all it wants).

@@ -11,14 +11,6 @@ import (
 	"sommelier/internal/seismic"
 )
 
-// warmBag is the differential query bag: T1 metadata, T2 derived
-// windows, T4 and T5 lazy-ingestion aggregates — every tier and every
-// table the cache hierarchy touches.
-func warmBag() []string {
-	q := tQueries()
-	return []string{q[1], q[2], q[4], q[5]}
-}
-
 func runWarmBag(t *testing.T, db *DB) []string {
 	t.Helper()
 	var out []string
@@ -27,109 +19,10 @@ func runWarmBag(t *testing.T, db *DB) []string {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		out = append(out, renderRows(res))
+		out = append(out, digest(res.Rel).String())
 		res.Release()
 	}
 	return out
-}
-
-// TestTierEquivalence is the tier-differential suite: the same bag
-// over the same repository must be bitwise identical with the disk
-// tier off, with a tiny RAM cache churning every chunk through
-// spill/promote, and across a warm restart.
-func TestTierEquivalence(t *testing.T) {
-	dir := genRepo(t, 2)
-
-	// Reference: RAM-only, exactly the pre-disk-tier configuration.
-	ref := openOpt(t, dir, registrar.Lazy)
-	want := runWarmBag(t, ref)
-	// Size the churn cache off the reference run: 1.5 average chunks
-	// admits any one chunk but evicts as soon as a second arrives.
-	// (Chunk MemSize varies a little with pool slab reuse, so a
-	// hardcoded byte count is flaky under the full suite.)
-	refStats := ref.CacheStats()
-	if refStats.Chunks == 0 {
-		t.Fatal("reference run cached no chunks")
-	}
-	churnBytes := refStats.BytesUsed / int64(refStats.Chunks) * 3 / 2
-
-	t.Run("tiny-ram-churn", func(t *testing.T) {
-		// A RAM cache that holds only one chunk forces constant
-		// evict → spill → promote churn while queries are running.
-		db, err := openChecked(t, dir, Config{
-			Approach:   registrar.Lazy,
-			OptDisable: "none",
-			CacheBytes: churnBytes,
-			CacheDir:   t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := runWarmBag(t, db)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("query %d diverges under churn:\ngot:\n%s\nwant:\n%s", i, got[i], want[i])
-			}
-		}
-		// Let the asynchronous spills land, then run the bag again: the
-		// evicted chunks now come back through promote.
-		db.waitDiskIdle()
-		again := runWarmBag(t, db)
-		for i := range want {
-			if again[i] != want[i] {
-				t.Errorf("query %d diverges on churned re-run:\ngot:\n%s\nwant:\n%s", i, again[i], want[i])
-			}
-		}
-		// The tiny cache must actually have exercised the disk tier.
-		if s := db.DiskCacheStats(); s.Spills == 0 || s.Promotes == 0 {
-			t.Fatalf("disk tier idle under churn: %+v", s)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("warm-restart", func(t *testing.T) {
-		cacheDir := t.TempDir()
-		db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := runWarmBag(t, db)
-		for i := range want {
-			if first[i] != want[i] {
-				t.Errorf("query %d diverges on cold tiered run", i)
-			}
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		db2, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !db2.WarmStart() {
-			t.Fatal("second open did not warm-start")
-		}
-		got := runWarmBag(t, db2)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("query %d diverges across warm restart:\ngot:\n%s\nwant:\n%s", i, got[i], want[i])
-			}
-		}
-		// The warm restart must have served the whole bag from local
-		// state: not a single raw-archive open.
-		if n, ok := db2.SourceFetches(); !ok || n != 0 {
-			t.Fatalf("warm restart fetched %d times from the archive (counter ok=%v), want 0", n, ok)
-		}
-		if s := db2.DiskCacheStats(); s.Promotes == 0 {
-			t.Fatalf("warm restart promoted nothing from the disk tier: %+v", s)
-		}
-		if err := db2.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestCacheDirBoundToArchive: a cache directory populated from one
@@ -141,7 +34,7 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 	cacheDir := t.TempDir()
 
 	dirA := genRepo(t, 2)
-	db, err := openChecked(t, dirA, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db, err := openChecked(t, dirA, Config{Approach: registrar.Lazy, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +50,10 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 	// fingerprint) differs even though the bytes happen to match —
 	// exactly the case where silent reuse would go unnoticed.
 	dirB := genRepo(t, 2)
-	ref := openOpt(t, dirB, registrar.Lazy)
+	ref := open(t, dirB, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
-	db2, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db2, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +77,7 @@ func TestCacheDirBoundToArchive(t *testing.T) {
 	}
 
 	// The dir is now bound to B: the next open warm-starts again.
-	db3, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db3, err := openChecked(t, dirB, Config{Approach: registrar.Lazy, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +97,10 @@ func TestWarmRestartCorruptSegmentRefetches(t *testing.T) {
 	dir := genRepo(t, 2)
 	cacheDir := t.TempDir()
 
-	ref := openOpt(t, dir, registrar.Lazy)
+	ref := open(t, dir, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
-	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db, err := openChecked(t, dir, Config{Approach: registrar.Lazy, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +120,7 @@ func TestWarmRestartCorruptSegmentRefetches(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := openChecked(t, dir, Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: cacheDir})
+	db2, err := openChecked(t, dir, Config{Approach: registrar.Lazy, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +166,7 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 	if res.DMd.Computed == 0 {
 		t.Fatal("nothing derived")
 	}
-	want := renderRows(res)
+	want := digest(res.Rel).String()
 	res.Release()
 	derived := db.MaterializedWindows()
 	if err := db.Close(); err != nil {
@@ -296,7 +189,7 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 	if res2.DMd.Computed != 0 {
 		t.Fatalf("restored view recomputed %d windows", res2.DMd.Computed)
 	}
-	if renderRows(res2) != want {
+	if digest(res2.Rel).String() != want {
 		t.Fatal("restored view changed the answer")
 	}
 }
@@ -307,10 +200,10 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 // file reaches F, S or H.
 func TestWarmRestartDamagedSnapshot(t *testing.T) {
 	dir := genRepo(t, 2)
-	ref := openOpt(t, dir, registrar.Lazy)
+	ref := open(t, dir, registrar.Lazy)
 	want := runWarmBag(t, ref)
 
-	cfg := Config{Approach: registrar.Lazy, OptDisable: "none", CacheDir: t.TempDir()}
+	cfg := Config{Approach: registrar.Lazy, CacheDir: t.TempDir()}
 	db, err := openChecked(t, dir, cfg)
 	if err != nil {
 		t.Fatal(err)

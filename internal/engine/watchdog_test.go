@@ -25,7 +25,7 @@ import (
 func openWatchdog(t *testing.T, dir, faults string) *DB {
 	t.Helper()
 	db, err := openChecked(t, dir, Config{
-		Approach: registrar.Lazy, OptDisable: "none", MaxParallel: 2,
+		Approach: registrar.Lazy, MaxParallel: 2,
 		Faults: faults, FaultSeed: 3,
 	})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestWatchdogCancelsStalledMorsel(t *testing.T) {
 			t0 := time.Now()
 			var err error
 			if streaming {
-				_, err = db.QueryStream(ctx, sql, &rowSink{})
+				_, err = db.QueryStream(ctx, sql, new(rowDigest))
 			} else {
 				_, err = db.QueryContext(ctx, sql)
 			}
@@ -120,7 +120,7 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 				t0 := time.Now()
 				var err error
 				if streaming {
-					_, err = db.QueryStream(ctx, sql, &rowSink{})
+					_, err = db.QueryStream(ctx, sql, new(rowDigest))
 				} else {
 					_, err = db.QueryContext(ctx, sql)
 				}
@@ -142,7 +142,7 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 // watchdog check itself must not perturb results.
 func TestWatchdogFaultFreePassthrough(t *testing.T) {
 	dir := genRepo(t, 1)
-	clean := openOpt(t, dir, registrar.Lazy)
+	clean := open(t, dir, registrar.Lazy)
 	armed := openWatchdog(t, dir, "exec.morsel=latency:0")
 	for qi, sql := range tQueries() {
 		if qi == 3 {
@@ -159,7 +159,7 @@ func TestWatchdogFaultFreePassthrough(t *testing.T) {
 			cancel()
 			t.Fatalf("T%d armed: %v", qi, err)
 		}
-		if renderRows(got) != renderRows(want) {
+		if digest(got.Rel).String() != digest(want.Rel).String() {
 			t.Fatalf("T%d diverged under armed-zero exec.morsel", qi)
 		}
 		got.Release()

@@ -101,9 +101,8 @@ type Env struct {
 	// override: WithDegraded.
 	Degraded bool
 	// Faults is the fault-injection schedule of stage two (point
-	// exec.morsel); nil injects nothing unless the process environment
-	// (SOMMELIER_FAULTS) arms a schedule via the engine. The ingestion
-	// points belong to the chunk stores' configuration.
+	// exec.morsel); nil injects nothing. The ingestion points belong to
+	// the chunk stores' configuration.
 	Faults *fault.Injector
 
 	// inflight counts queries currently executing, for the adaptive

@@ -162,9 +162,7 @@ func (c Config) span(sf int) (int64, int64) {
 
 // openDB opens a database with the T3 metadata view registered.
 func openDB(dir string, approach registrar.Approach) (*engine.DB, error) {
-	// Experiments measure the paper's optimizer behaviour: force
-	// every rule on, regardless of SOMMELIER_OPT_DISABLE.
-	db, err := engine.Open(dir, engine.Config{Approach: approach, OptDisable: "none"})
+	db, err := engine.Open(dir, engine.Config{Approach: approach})
 	if err != nil {
 		return nil, err
 	}

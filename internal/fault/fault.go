@@ -12,19 +12,17 @@
 //
 // The zero value of the check is free in the common case: a nil
 // *Injector (faults disabled) returns the zero Action without a map
-// lookup, and an Action with no fault is a handful of branches. The
-// schedule can come from the SOMMELIER_FAULTS / SOMMELIER_FAULT_SEED
-// environment (Default) or be configured programmatically (New).
+// lookup, and an Action with no fault is a handful of branches. A
+// schedule is configured programmatically (New): engine.Config.Faults,
+// sommelierd's -faults flag.
 package fault
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -55,12 +53,6 @@ const (
 	// query wedged mid-execution; the watchdog and shed paths must
 	// release every chunk handle regardless).
 	PointMorsel = "exec.morsel"
-)
-
-// Environment variables read by Default.
-const (
-	EnvFaults = "SOMMELIER_FAULTS"
-	EnvSeed   = "SOMMELIER_FAULT_SEED"
 )
 
 // Kind is the failure mode of one schedule rule.
@@ -117,23 +109,17 @@ type Injector struct {
 	points map[string]*point
 }
 
-// Disabled is an explicitly inert injector: unlike leaving the field
-// nil (which in the engine falls back to the environment schedule), it
-// guarantees no faults regardless of SOMMELIER_FAULTS. Tests building
-// strict reference results use it.
-func Disabled() *Injector { return &Injector{spec: "off"} }
-
 // New parses a fault schedule. The grammar is comma-separated clauses
 //
 //	point=kind:rate[:duration]
 //
 // with kind ∈ {error, latency, corrupt, stall}, rate a probability in
 // [0,1], and duration (latency/stall only) a Go duration like "5ms".
-// The specs "", "off" and "none" yield an inert injector.
+// An empty spec yields an inert injector.
 func New(spec string, seed int64) (*Injector, error) {
 	in := &Injector{seed: seed, spec: spec}
 	trimmed := strings.TrimSpace(spec)
-	if trimmed == "" || trimmed == "off" || trimmed == "none" {
+	if trimmed == "" {
 		return in, nil
 	}
 	in.points = make(map[string]*point)
@@ -200,40 +186,6 @@ func MustNew(spec string, seed int64) *Injector {
 		panic(err)
 	}
 	return in
-}
-
-var (
-	defOnce sync.Once
-	def     *Injector
-)
-
-// Default returns the process-wide injector parsed once from
-// SOMMELIER_FAULTS / SOMMELIER_FAULT_SEED, or nil when the environment
-// sets no schedule. A malformed environment schedule is reported on
-// stderr and ignored rather than silently arming nothing wrong — fault
-// injection must never take a production process down by itself.
-func Default() *Injector {
-	defOnce.Do(func() {
-		spec := os.Getenv(EnvFaults)
-		if strings.TrimSpace(spec) == "" {
-			return
-		}
-		var seed int64
-		if s := os.Getenv(EnvSeed); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fault: ignoring %s=%q: %v\n", EnvSeed, s, err)
-			}
-			seed = v
-		}
-		in, err := New(spec, seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault: ignoring %s: %v\n", EnvFaults, err)
-			return
-		}
-		def = in
-	})
-	return def
 }
 
 // Enabled reports whether any rule is armed.

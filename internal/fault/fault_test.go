@@ -24,6 +24,7 @@ func TestParseErrors(t *testing.T) {
 		"registrar.http=latency:0.5:-5ms",  // negative duration
 		"registrar.http=latency:0.5:1s:2s", // too many fields
 		"a=error:0.5,b",                    // bad second clause
+		"off",                              // no clause
 	}
 	for _, spec := range bad {
 		if _, err := New(spec, 0); err == nil {
@@ -33,7 +34,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestDisabledSpecs(t *testing.T) {
-	for _, spec := range []string{"", "off", "none", "  off  "} {
+	for _, spec := range []string{"", "  "} {
 		in, err := New(spec, 7)
 		if err != nil {
 			t.Fatalf("New(%q): %v", spec, err)

@@ -28,7 +28,6 @@ package opt
 
 import (
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -54,10 +53,6 @@ const (
 func Rules() []string {
 	return []string{RuleConstFold, RulePushdown, RuleRangeInfer, RuleJoinOrder, RulePruneCols, RuleIndexKey, RuleTopK}
 }
-
-// EnvDisable is the environment variable listing rules to disable
-// (comma-separated rule names, or "all").
-const EnvDisable = "SOMMELIER_OPT_DISABLE"
 
 // Options selects which rules run.
 type Options struct {
@@ -95,9 +90,6 @@ func ParseDisable(s string) Options {
 	}
 	return Disable(strings.Split(s, ",")...)
 }
-
-// FromEnv reads the SOMMELIER_OPT_DISABLE environment variable.
-func FromEnv() Options { return ParseDisable(os.Getenv(EnvDisable)) }
 
 // Disabled reports whether the named rule is off.
 func (o Options) Disabled(name string) bool { return o.disabled[name] }

@@ -112,7 +112,7 @@ type HTTPRepository struct {
 	// quarantine entirely.
 	QuarantineTTL time.Duration
 	// Faults is the fault-injection schedule for this repository; nil
-	// falls back to the process environment (fault.Default).
+	// injects nothing.
 	Faults *fault.Injector
 
 	paths []string // relative chunk paths, position = chunk ID
@@ -144,19 +144,12 @@ func (r *HTTPRepository) init() {
 	})
 }
 
-func (r *HTTPRepository) inj() *fault.Injector {
-	if r.Faults != nil {
-		return r.Faults
-	}
-	return fault.Default()
-}
-
 // SetFaults overrides the repository's fault-injection schedule (the
 // engine wires Config.Faults through here).
 func (r *HTTPRepository) SetFaults(in *fault.Injector) { r.Faults = in }
 
 // faultInjector lets LoadChunkFromSource find the schedule.
-func (r *HTTPRepository) faultInjector() *fault.Injector { return r.inj() }
+func (r *HTTPRepository) faultInjector() *fault.Injector { return r.Faults }
 
 // DiscoverHTTPRepository fetches the archive's chunk listing with the
 // default policies. To tune timeouts, retries or the breaker first,
@@ -340,7 +333,7 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 // registrar.http fault point. On a retryable status the server's
 // Retry-After (when parseable) is returned alongside the error.
 func (r *HTTPRepository) attempt(ctx context.Context, u string) (*http.Response, time.Duration, error) {
-	act := r.inj().Check(fault.PointHTTP)
+	act := r.Faults.Check(fault.PointHTTP)
 	if err := act.Wait(ctx); err != nil {
 		return nil, 0, err
 	}

@@ -90,15 +90,14 @@ func (a *archiveServer) set(fn func(*archiveServer)) {
 // fastRetry keeps test retry sleeps in the microsecond range.
 var fastRetry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
 
-// newTestRepo discovers against the archive with fault injection off
-// (ambient SOMMELIER_FAULTS must not leak into these tests).
+// newTestRepo discovers against the archive, with no fault injection
+// unless mut arms some.
 func newTestRepo(t *testing.T, srv *httptest.Server, mut func(*HTTPRepository)) *HTTPRepository {
 	t.Helper()
 	r := &HTTPRepository{
 		BaseURL: srv.URL,
 		Client:  srv.Client(),
 		Retry:   fastRetry,
-		Faults:  fault.Disabled(),
 	}
 	if mut != nil {
 		mut(r)
@@ -374,7 +373,6 @@ func TestDiscoverTimeout(t *testing.T) {
 		Client:  srv.Client(),
 		Timeout: 20 * time.Millisecond,
 		Retry:   RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
-		Faults:  fault.Disabled(),
 	}
 	t0 := time.Now()
 	if err := r.Discover(context.Background()); err == nil {
@@ -397,7 +395,7 @@ func TestDiscoverIndexBounds(t *testing.T) {
 		}
 	}))
 	defer huge.Close()
-	r := &HTTPRepository{BaseURL: huge.URL, Client: huge.Client(), Retry: fastRetry, Faults: fault.Disabled()}
+	r := &HTTPRepository{BaseURL: huge.URL, Client: huge.Client(), Retry: fastRetry}
 	err := r.Discover(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized index: err = %v, want size-cap error", err)
@@ -407,7 +405,7 @@ func TestDiscoverIndexBounds(t *testing.T) {
 		fmt.Fprint(w, strings.Repeat("b", MaxIndexLine+1)+"\n")
 	}))
 	defer long.Close()
-	r2 := &HTTPRepository{BaseURL: long.URL, Client: long.Client(), Retry: fastRetry, Faults: fault.Disabled()}
+	r2 := &HTTPRepository{BaseURL: long.URL, Client: long.Client(), Retry: fastRetry}
 	err = r2.Discover(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "line exceeds") {
 		t.Fatalf("oversized line: err = %v, want line-cap error", err)
@@ -428,7 +426,7 @@ func TestDecodeFaultQuarantines(t *testing.T) {
 		t.Fatalf("err = %v, want fresh (not-yet-quarantined) ChunkError", err)
 	}
 	before := a.requests()
-	repo.SetFaults(fault.Disabled())
+	repo.SetFaults(nil)
 	_, err = repo.LoadChunk(seismic.TableD, 0)
 	if !errors.As(err, &ce) || !ce.Quarantined {
 		t.Fatalf("second load err = %v, want quarantined ChunkError", err)
@@ -447,7 +445,7 @@ func TestCorruptFaultDetected(t *testing.T) {
 	repo.SetFaults(fault.MustNew("registrar.http=corrupt:1", 3))
 
 	rel, err := repo.LoadChunk(seismic.TableD, 0)
-	repo.SetFaults(fault.Disabled())
+	repo.SetFaults(nil)
 	clean, cleanErr := func() (int, error) {
 		r2 := newTestRepo(t, srv, nil)
 		rel2, err := r2.LoadChunk(seismic.TableD, 0)

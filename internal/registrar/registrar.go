@@ -169,7 +169,7 @@ func injectorFor(src Source) *fault.Injector {
 	if fs, ok := src.(faultSource); ok {
 		return fs.faultInjector()
 	}
-	return fault.Default()
+	return nil
 }
 
 // ChunkSource is the full contract the engine needs from a repository:
@@ -187,8 +187,8 @@ type Repository struct {
 	Dir  string
 	Uris []string // position = chunk ID
 	// Faults is the fault-injection schedule for this repository; nil
-	// falls back to the process environment (fault.Default). Local
-	// repositories only honor the mseed.decode point.
+	// injects nothing. Local repositories only honor the mseed.decode
+	// point.
 	Faults *fault.Injector
 
 	// fetches counts raw archive opens (metadata registration and
@@ -203,12 +203,7 @@ func (r *Repository) FetchCount() int64 { return r.fetches.Load() }
 // SetFaults overrides the repository's fault-injection schedule.
 func (r *Repository) SetFaults(in *fault.Injector) { r.Faults = in }
 
-func (r *Repository) faultInjector() *fault.Injector {
-	if r.Faults != nil {
-		return r.Faults
-	}
-	return fault.Default()
-}
+func (r *Repository) faultInjector() *fault.Injector { return r.Faults }
 
 // DiscoverRepository lists the chunk files under dir in deterministic
 // order (sorted by path), assigning chunk IDs by position.

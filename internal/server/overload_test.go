@@ -31,7 +31,7 @@ func testDBGoverned(t testing.TB, samplesPerFile int, governorBytes int64) *engi
 		t.Fatal(err)
 	}
 	db, err := engine.Open(dir, engine.Config{
-		Approach: registrar.Lazy, OptDisable: "none",
+		Approach:          registrar.Lazy,
 		GlobalMemoryBytes: governorBytes,
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestAdmissionChaosNoLeaks(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, err := engine.Open(dir, engine.Config{
-		Approach: registrar.Lazy, OptDisable: "none", MaxParallel: 2,
+		Approach: registrar.Lazy, MaxParallel: 2,
 		GlobalMemoryBytes: 64 << 20,
 		Faults:            "server.admit=error:0.2,exec.morsel=stall:0.3",
 		FaultSeed:         11,

@@ -28,8 +28,7 @@ func faultyDB(t testing.TB) *engine.DB {
 		t.Fatal(err)
 	}
 	db, err := engine.Open(dir, engine.Config{
-		Approach: registrar.Lazy, OptDisable: "none",
-		Faults: "exec.flight=error:1", FaultSeed: 1,
+		Approach: registrar.Lazy, Faults: "exec.flight=error:1", FaultSeed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func testDB(t testing.TB) *engine.DB {
 	if _, err := seisgen.Generate(dir, cfg); err != nil {
 		t.Fatal(err)
 	}
-	db, err := engine.Open(dir, engine.Config{Approach: registrar.Lazy, OptDisable: "none"})
+	db, err := engine.Open(dir, engine.Config{Approach: registrar.Lazy})
 	if err != nil {
 		t.Fatal(err)
 	}
