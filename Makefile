@@ -16,9 +16,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-## lint builds sommelierlint (the go/analysis vettool running selalias,
-## releasecheck and atomicguard) and runs it over the whole module via
-## go vet. See the "Static analysis" section of PERFORMANCE.md.
+## lint builds sommelierlint (the go/analysis vettool running
+## atomicguard) and runs it over the whole module via go vet. See the
+## "Static analysis" section of PERFORMANCE.md.
 lint:
 	$(GO) build -o bin/sommelierlint ./cmd/sommelierlint
 	$(GO) vet -vettool=$(abspath bin/sommelierlint) ./...

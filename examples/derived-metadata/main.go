@@ -66,7 +66,6 @@ func main() {
 	}
 	fmt.Printf("second run: requested %d windows, covered %d, derived only %d\n",
 		res2.DMd.Requested, res2.DMd.Covered, res2.DMd.Computed)
-	res2.Release()
 
 	// Inspect the materialized view directly (a T2 query).
 	res3, err := db.Query(`

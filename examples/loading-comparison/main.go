@@ -62,7 +62,6 @@ func main() {
 		fmt.Printf("%-12s %12v %12v %12v %14d %10.2f\n",
 			app, prep.Round(time.Microsecond), q.Round(time.Microsecond),
 			(prep + q).Round(time.Microsecond), rep.DataBytes, answer)
-		res.Release()
 	}
 	fmt.Println("\ninsight = preparation + first query (the paper's data-to-insight time)")
 	fmt.Println("lazy prepares in microseconds and ingests only the 2 chunks the query needs;")

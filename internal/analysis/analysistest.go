@@ -25,7 +25,7 @@ var wantRe = regexp.MustCompile(`// want (.*)$`)
 var wantArgRe = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
 // RunGolden analyzes the package in dir (a path relative to the
-// caller, e.g. "testdata/selalias") and matches diagnostics against
+// caller, e.g. "testdata/atomicguard") and matches diagnostics against
 // the fixture's want comments.
 func RunGolden(t TB, a *Analyzer, dir string) {
 	t.Helper()

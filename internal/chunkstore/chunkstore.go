@@ -531,13 +531,12 @@ func (s *Store) Rows() int {
 }
 
 // Stats is the store's gauge block (GET /stats "chunks"): resident
-// chunks, those a handle references (a running query, an unreleased
-// result — which never keeps a chunk resident), those holding a strict
-// subset of their segments, their charged bytes; free arenas, loads
+// chunks, those a handle references (a running query), those holding
+// a strict subset of their segments, their charged bytes; free arenas, loads
 // that wrote into a released chunk's arena or needed a fresh one, and
 // loads that widened a resident chunk. Handles counts the handles
 // granted and not yet released, evicted chunks' included: zero once
-// every query has finished and every result is released.
+// every query has finished.
 type Stats struct {
 	Resident        int   `json:"resident"`
 	Pinned          int   `json:"pinned"`

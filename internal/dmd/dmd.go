@@ -9,6 +9,7 @@
 package dmd
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -28,8 +29,8 @@ import (
 // "might require to employ lazy loading as well").
 type Fetcher interface {
 	// FetchSeries returns (time, value) pairs of one station/channel
-	// within [from, to) nanoseconds.
-	FetchSeries(station, channel string, from, to int64) ([]int64, []float64, error)
+	// within [from, to) nanoseconds, giving up once ctx is done.
+	FetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error)
 }
 
 // PK is one primary-key tuple of the hourly-window DMd table.
@@ -88,8 +89,9 @@ func (m *Manager) Reset() {
 	m.materialized = make(map[PK]bool)
 }
 
-// Prepare runs Algorithm 1 for a compiled query before execution.
-func (m *Manager) Prepare(p *plan.Plan, q *plan.Query) (Stats, error) {
+// Prepare runs Algorithm 1 for a compiled query before execution; the
+// derivation fetches its series under ctx, the query's context.
+func (m *Manager) Prepare(ctx context.Context, p *plan.Plan, q *plan.Query) (Stats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var st Stats
@@ -122,7 +124,7 @@ func (m *Manager) Prepare(p *plan.Plan, q *plan.Query) (Stats, error) {
 	}
 	// Step 6: compute the unavailable required DMd and insert it.
 	t0 := time.Now()
-	if err := m.derive(psu); err != nil {
+	if err := m.derive(ctx, psu); err != nil {
 		return st, err
 	}
 	st.Computed = len(psu)
@@ -269,7 +271,7 @@ func (m *Manager) domains() ([][2]string, [2]int64, error) {
 // derived together. Windows are grouped per (station, channel) and
 // fetched as one contiguous range to bound the number of internal
 // queries.
-func (m *Manager) derive(psu []PK) error {
+func (m *Manager) derive(ctx context.Context, psu []PK) error {
 	type group struct {
 		station, channel string
 		lo, hi           int64
@@ -293,7 +295,7 @@ func (m *Manager) derive(psu []PK) error {
 	hT, _ := m.cat.Table(seismic.TableH)
 	for _, gk := range order {
 		g := groups[gk]
-		times, vals, err := m.fetcher.FetchSeries(g.station, g.channel, g.lo, g.hi)
+		times, vals, err := m.fetcher.FetchSeries(ctx, g.station, g.channel, g.lo, g.hi)
 		if err != nil {
 			return fmt.Errorf("dmd: deriving %s/%s: %w", g.station, g.channel, err)
 		}
@@ -419,7 +421,7 @@ func (m *Manager) DeriveAll() (int, time.Duration, error) {
 			}
 		}
 	}
-	if err := m.derive(psu); err != nil {
+	if err := m.derive(context.Background(), psu); err != nil {
 		return 0, 0, err
 	}
 	return len(psu), time.Since(start), nil

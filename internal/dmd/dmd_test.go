@@ -1,6 +1,7 @@
 package dmd
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -59,7 +60,7 @@ func fixtureCatalog(t *testing.T) *table.Catalog {
 // the day, 4 samples per hour.
 type rampFetcher struct{ calls int }
 
-func (rf *rampFetcher) FetchSeries(station, channel string, from, to int64) ([]int64, []float64, error) {
+func (rf *rampFetcher) FetchSeries(_ context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
 	rf.calls++
 	var ts []int64
 	var vs []float64
@@ -90,7 +91,7 @@ func prepare(t *testing.T, m *Manager, cat *table.Catalog, q *plan.Query) Stats 
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Prepare(p, q)
+	st, err := m.Prepare(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestEmptyWindowsMaterializeAsKnowledge(t *testing.T) {
 
 type fetcherFunc func(station, channel string, from, to int64) ([]int64, []float64, error)
 
-func (f fetcherFunc) FetchSeries(station, channel string, from, to int64) ([]int64, []float64, error) {
+func (f fetcherFunc) FetchSeries(_ context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
 	return f(station, channel, from, to)
 }
 
@@ -255,7 +256,7 @@ func TestFetcherErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Prepare(p, t5Query(0, 1)); err == nil {
+	if _, err := m.Prepare(context.Background(), p, t5Query(0, 1)); err == nil {
 		t.Fatal("fetcher error swallowed")
 	}
 }

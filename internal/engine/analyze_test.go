@@ -30,7 +30,6 @@ func TestExplainAnalyzePrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := plain.Rows()
-		plain.Release()
 		if station == "FIAM" && n == 0 {
 			t.Fatal("FIAM has no rows to profile")
 		}
@@ -39,7 +38,6 @@ func TestExplainAnalyzePrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := planText(res)
-		res.Release()
 		if root := strings.Split(text, "\n")[1]; !strings.Contains(root, fmt.Sprintf("-- rows=%d ", n)) {
 			t.Errorf("%s: root line %q, want the query's %d rows", station, root, n)
 		}
@@ -92,7 +90,6 @@ func TestProfileSpansTile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	prof := res.Profile
 	var prev time.Duration
 	for s := exec.Stage(0); s < exec.NumStages; s++ {

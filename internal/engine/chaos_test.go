@@ -112,7 +112,6 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 		t.Fatalf("pre-outage query: %v", err)
 	}
 	want := digest(ref.Rel).String()
-	ref.Release()
 
 	// Outage. Evict the cache so the next query must refetch.
 	arch.failing.Store(true)
@@ -124,10 +123,8 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	if len(res.Warnings) == 0 {
 		t.Fatal("outage query reported no skipped chunks")
 	}
-	res.Release()
 	cold := tQueries()[5]
 	if res, err := db.Query(cold); err == nil {
-		res.Release()
 		t.Fatalf("cold windows answered during the outage, warnings %v", res.Warnings)
 	} else if !degradable(err) || !strings.Contains(err.Error(), "dmd: deriving") {
 		t.Fatalf("cold windows during the outage: %v, want a degradable derivation failure", err)
@@ -154,7 +151,6 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	if got := digest(res.Rel).String(); got != want {
 		t.Fatalf("post-heal result diverged:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	res.Release()
 	strict, err := openChecked(t, dir, Config{Approach: registrar.Lazy})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +163,6 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 			t.Fatalf("cold windows after the heal: %v", err)
 		}
 		answers[i] = digest(res.Rel).String()
-		res.Release()
 	}
 	if answers[0] != answers[1] {
 		t.Fatalf("cold windows after the heal: %s, strict %s", answers[0], answers[1])

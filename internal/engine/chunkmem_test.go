@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -67,16 +68,16 @@ func churn(t *testing.T, db *DB) {
 		if res.Stats.ChunksLoaded != 1 {
 			t.Fatalf("%s: %+v", station, res.Stats)
 		}
-		res.Release()
 	}
 }
 
-// TestCollectedResultOutlivesEviction: a collected result whose rows
-// alias chunk columns stays bitwise intact after its chunks are evicted
-// and two later loads have run — because it holds its chunks' memory
-// until Release, and an unreleased result holds it for good — while the
-// DMd fetcher copies a single-batch series out of its chunk and
-// releases the handles, so the series survives the churn too.
+// TestCollectedResultOutlivesEviction: a collected result owns its
+// rows. They do not alias chunk memory, although stage two passed the
+// chunk's columns through; they stay bitwise intact after their chunk
+// is evicted and two later loads have reused arenas; and the chunk's
+// arena is free for reuse as soon as it is evicted, with the result
+// never released. The DMd fetcher's series, collected the same way,
+// survives the churn too.
 func TestCollectedResultOutlivesEviction(t *testing.T) {
 	dir := genRepo(t, 1)
 	open := func(t *testing.T) *DB {
@@ -86,41 +87,37 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 		}
 		return db
 	}
-	for _, release := range []bool{true, false} {
-		name := map[bool]string{true: "released late", false: "never released"}[release]
-		t.Run(name, func(t *testing.T) {
-			db := open(t)
-			res, err := db.Query(dayScan("FIAM", 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !aliases(t, db, storage.Float64s(res.Rel.Batches()[0].Cols[1])) {
-				t.Fatal("the result copied its rows: nothing to test")
-			}
-			want := digest(res.Rel).String()
-			churn(t, db)
-			if got := digest(res.Rel).String(); got != want {
-				t.Fatal("a collected result changed after its chunk's eviction")
-			}
-			free := db.ChunkStats().FreeArenas
-			if release {
-				res.Release()
-				if got := db.ChunkStats().FreeArenas; got != free+1 {
-					t.Fatalf("released result's arena not reused: %d free, was %d", got, free)
-				}
-			}
-		})
-	}
+	t.Run("never released", func(t *testing.T) {
+		db := open(t)
+		res, err := db.Query(dayScan("FIAM", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ChunksLoaded != 1 || res.Rows() == 0 {
+			t.Fatalf("stats %+v, %d rows", res.Stats, res.Rows())
+		}
+		if aliases(t, db, storage.Float64s(res.Rel.Batches()[0].Cols[1])) {
+			t.Fatal("the result aliases chunk memory")
+		}
+		want := digest(res.Rel).String()
+		free := db.ChunkStats().FreeArenas
+		db.ClearCache()
+		if got := db.ChunkStats().FreeArenas; got != free+1 {
+			t.Fatalf("evicted chunk's arena not free: %d free, was %d", got, free)
+		}
+		churn(t, db)
+		if got := digest(res.Rel).String(); got != want {
+			t.Fatal("a collected result changed after its chunk's eviction")
+		}
+	})
 	t.Run("fetchSeries copy", func(t *testing.T) {
 		db := open(t)
-		// One whole segment of FIAM's chunk: a single-batch result, which
-		// fetchSeries copies out before releasing it.
+		// One whole segment of FIAM's chunk: a single-batch result.
 		file, err := db.Query(`SELECT file_id FROM F WHERE station = 'FIAM'`)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fileID := storage.Int64s(file.Rel.Flatten().Cols[0])[0]
-		file.Release()
 		seg, err := db.Query(fmt.Sprintf(`SELECT start_time, end_time FROM S
 			WHERE file_id = %d ORDER BY start_time LIMIT 1`, fileID))
 		if err != nil {
@@ -128,10 +125,12 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 		}
 		flat := seg.Rel.Flatten()
 		from, to := storage.Int64s(flat.Cols[0])[0], storage.Int64s(flat.Cols[1])[0]
-		seg.Release()
-		times, vals, err := db.fetchSeries("FIAM", "HHZ", from, to)
+		times, vals, err := db.fetchSeries(context.Background(), "FIAM", "HHZ", from, to)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(vals) == 0 {
+			t.Fatal("empty series: nothing to test")
 		}
 		if aliases(t, db, vals) {
 			t.Fatal("the series aliases chunk memory its handles no longer hold")
@@ -145,6 +144,29 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestQueryReturnsItsHandles: chunk handles and governor bytes are the
+// query's, not the result's. Right after Query returns, with its
+// collected result still live and unread, no chunk handle is held and
+// no governor byte is reserved.
+func TestQueryReturnsItsHandles(t *testing.T) {
+	dir := genRepo(t, 1)
+	db, err := Open(dir, Config{Approach: registrar.Lazy, GlobalMemoryBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.Query(dayScan("FIAM", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, b := db.ChunkStats().Handles, db.Governor().InUse(); h != 0 || b != 0 {
+		t.Fatalf("%d chunk handles and %d governor bytes held after Query returned", h, b)
+	}
+	if res.Stats.ChunksLoaded != 1 || res.Rows() == 0 {
+		t.Fatalf("stats %+v, %d rows", res.Stats, res.Rows())
+	}
 }
 
 // TestChunkChargeMatchesBacking: on both load paths — archive fetch and
@@ -180,7 +202,6 @@ func TestChunkChargeMatchesBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 		if res.Stats.ChunksLoaded != 1 || res.Stats.ChunksPromoted != promoted {
 			t.Fatalf("%s %s: %+v", path, station, res.Stats)
 		}
@@ -205,10 +226,9 @@ func TestChunkChargeMatchesBacking(t *testing.T) {
 
 // TestChunkMemoryStress: concurrent queries over a three-chunk recycler
 // on a disk tier — every load evicts, spills or promotes, every arena is
-// reused — hold their collected results for a random while before
-// releasing them, and every result must match a serial RAM-only
-// reference both when it arrives and when it is released. Run with
-// -race.
+// reused — hold their collected results for a random while, and every
+// result must match a serial RAM-only reference both when it arrives
+// and at the end of that while. Run with -race.
 func TestChunkMemoryStress(t *testing.T) {
 	dir := genRepo(t, 2)
 	queries := stressQueries()
@@ -228,7 +248,6 @@ func TestChunkMemoryStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = digest(res.Rel).multiset().String()
-		res.Release()
 	}
 	st := ref.CacheStats()
 	db, err := openChecked(t, dir, Config{
@@ -265,7 +284,6 @@ func TestChunkMemoryStress(t *testing.T) {
 						if got := digest(res.Rel).multiset().String(); got != want[qi] {
 							t.Errorf("query %d diverged while held", qi)
 						}
-						res.Release()
 					})
 				}
 			}

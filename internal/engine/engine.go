@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -329,17 +328,18 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 }
 
 // fetcherFunc adapts a function to the dmd.Fetcher interface.
-type fetcherFunc func(station, channel string, from, to int64) ([]int64, []float64, error)
+type fetcherFunc func(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error)
 
-func (f fetcherFunc) FetchSeries(station, channel string, from, to int64) ([]int64, []float64, error) {
-	return f(station, channel, from, to)
+func (f fetcherFunc) FetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
+	return f(ctx, station, channel, from, to)
 }
 
 // fetchSeries retrieves one station/channel series through the regular
 // two-stage execution path, so DMd derivation exploits lazy loading.
 // The fixed-shape series query is compiled once (parameterized) and
-// replayed per derivation, like any other prepared statement.
-func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []float64, error) {
+// replayed per derivation, like any other prepared statement, under the
+// context of the query that needs the windows.
+func (db *DB) fetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
 	db.seriesOnce.Do(func() {
 		q := &plan.Query{
 			Select: []plan.SelectItem{
@@ -363,22 +363,15 @@ func (db *DB) fetchSeries(station, channel string, from, to int64) ([]int64, []f
 	// Derived windows outlive the query that derives them: a series
 	// missing a skipped chunk would summarize it wrongly for every later
 	// query, so derivation is strict whatever the degraded mode.
-	res, err := exec.Execute(WithDegraded(context.Background(), false), db.env, db.seriesPlan, exec.Options{Params: args})
+	res, err := exec.Execute(WithDegraded(ctx, false), db.env, db.seriesPlan, exec.Options{Params: args})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer res.Release()
 	flat := res.Rel.Flatten()
 	if flat.Len() == 0 {
 		return nil, nil, nil
 	}
-	times, vals := storage.Int64s(flat.Cols[0]), storage.Float64s(flat.Cols[1])
-	if len(res.Rel.Batches()) == 1 {
-		// flat IS the single batch, whose rows may alias a chunk's arena:
-		// copy them out before the release hands the arena back.
-		times, vals = slices.Clone(times), slices.Clone(vals)
-	}
-	return times, vals, nil
+	return storage.Int64s(flat.Cols[0]), storage.Float64s(flat.Cols[1]), nil
 }
 
 func (db *DB) fillSizes() {
@@ -498,12 +491,12 @@ func substSpec(spec *plan.Query, args []*expr.Const) (*plan.Query, error) {
 // prepareDMd runs Algorithm 1 for a compiled statement: the derived
 // metadata the execution needs is made available before it starts,
 // enumerated from the argument-substituted predicates.
-func (db *DB) prepareDMd(c *compiled, args []*expr.Const) (dmd.Stats, error) {
+func (db *DB) prepareDMd(ctx context.Context, c *compiled, args []*expr.Const) (dmd.Stats, error) {
 	spec, err := substSpec(c.query, args)
 	if err != nil {
 		return dmd.Stats{}, err
 	}
-	return db.dmd.Prepare(c.plan, spec)
+	return db.dmd.Prepare(ctx, c.plan, spec)
 }
 
 // execCompiled runs a compiled statement: Algorithm 1 (derived-metadata
@@ -514,7 +507,7 @@ func (db *DB) prepareDMd(c *compiled, args []*expr.Const) (dmd.Stats, error) {
 // ANALYZE (analyze) runs the query without the sink and returns its
 // profile as plan rows, streamed to the sink if there is one.
 func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink, analyze bool, prof *exec.Profile) (*Result, error) {
-	dst, err := db.prepareDMd(c, args)
+	dst, err := db.prepareDMd(ctx, c, args)
 	if err != nil {
 		return nil, err
 	}
@@ -533,7 +526,6 @@ func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const,
 	if !analyze {
 		return out, nil
 	}
-	out.Release()
 	rows := planRows(renderAnalyze(out))
 	out.Names, out.Kinds, out.Rel = rows.Names, rows.Kinds, rows.Rel
 	return out, streamOut(out, sink)
@@ -824,11 +816,9 @@ func (db *DB) MaterializedWindows() int { return db.dmd.MaterializedCount() }
 // WarmUp runs a query once to populate caches (for "hot" measurements).
 func (db *DB) WarmUp(sql string, runs int) error {
 	for i := 0; i < runs; i++ {
-		res, err := db.Query(sql)
-		if err != nil {
+		if _, err := db.Query(sql); err != nil {
 			return err
 		}
-		res.Release()
 	}
 	return nil
 }

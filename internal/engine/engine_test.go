@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -28,9 +30,9 @@ func genRepo(t testing.TB, days int) string {
 }
 
 // requireReleased fails t unless db's live chunk handles and governor
-// bytes in use both drain to zero: every query has finished and every
-// result is released. It polls, since a cancelled query's workers may
-// still be unwinding when the caller sees the error.
+// bytes in use both drain to zero: every query has finished. It polls,
+// since a cancelled query's workers may still be unwinding when the
+// caller sees the error.
 func requireReleased(t testing.TB, db *DB) {
 	t.Helper()
 	var handles, inUse int64
@@ -184,8 +186,28 @@ func TestQuery2EndToEndWithDerivation(t *testing.T) {
 	if db.MaterializedWindows() != 5 {
 		t.Fatalf("materialized = %d", db.MaterializedWindows())
 	}
-	res.Release()
-	res2.Release()
+}
+
+// TestDerivationHonoursQueryContext: Algorithm 1 derives windows under
+// the context of the query that needs them. A T2 query issued with an
+// already-cancelled context on a cold lazy DB fails with an error
+// wrapping context.Canceled, derives no window and loads no chunk.
+func TestDerivationHonoursQueryContext(t *testing.T) {
+	db := open(t, genRepo(t, 1), registrar.Lazy)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.QueryContext(ctx, tQueries()[2]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := db.MaterializedWindows(); n != 0 {
+		t.Fatalf("%d windows derived under a cancelled context", n)
+	}
+	if cs := db.ChunkStats(); cs.Resident != 0 || cs.ArenasAllocated+cs.ArenasReused != 0 {
+		t.Fatalf("a chunk loaded under a cancelled context: %+v", cs)
+	}
+	if _, err := db.Query(tQueries()[2]); err != nil || db.MaterializedWindows() == 0 {
+		t.Fatalf("the same query under a live context: err %v, %d windows", err, db.MaterializedWindows())
+	}
 }
 
 // addMetadataView registers a metadata-only view (F ⋈ H) used by the T3

@@ -504,7 +504,6 @@ func answer(db *DB, sink string, limit int, q oracleQuery) (rowDigest, []Warning
 		if err != nil {
 			return rowDigest{}, nil, err
 		}
-		defer res.Release()
 		return digest(res.Rel), res.Warnings, nil
 	}
 	s := &limitSink{limit: limit}
@@ -518,7 +517,6 @@ func answer(db *DB, sink string, limit int, q oracleQuery) (rowDigest, []Warning
 	if err != nil {
 		return s.rows, nil, err
 	}
-	defer res.Release()
 	return s.rows, res.Warnings, nil
 }
 
@@ -854,7 +852,6 @@ func (o *oracle) plan(t *testing.T, db *DB, sql string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	return planText(res)
 }
 

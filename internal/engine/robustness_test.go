@@ -30,7 +30,6 @@ func TestConcurrentQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[sql] = digest(res.Rel).String()
-		res.Release()
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -46,7 +45,6 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				got := digest(res.Rel).String()
-				res.Release()
 				if got != want[sql] {
 					errs <- errMismatch(sql)
 					return
@@ -181,7 +179,6 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := planText(res)
-	res.Release()
 	for _, want := range []string{"[Qf]", "stage1: rows=", "rows=", "batches=", "time=", "self=",
 		"-- rule ", "-- stages: compile=", " load=", " stage2=", "chunks:", "scan(D"} {
 		if !containsStr(out, want) {

@@ -35,7 +35,6 @@ func TestSegmentLoadTopUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Release()
 		return res.Stats
 	}
 

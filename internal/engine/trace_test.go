@@ -18,7 +18,6 @@ func analyzeText(t *testing.T, db *DB, sql string, args ...any) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Release()
 	return planText(res)
 }
 
@@ -62,7 +61,6 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := res.Rows()
-	res.Release()
 	counts := tracedRun(t, db, sql)
 	if root := strings.Split(counts, "\n")[1]; !strings.HasSuffix(root, fmt.Sprintf("-- rows=%d", n)) {
 		t.Errorf("root line %q does not emit the query's %d rows", root, n)

@@ -20,7 +20,6 @@ func runWarmBag(t *testing.T, db *DB) []string {
 			t.Fatalf("query %d: %v", qi, err)
 		}
 		out = append(out, digest(res.Rel).String())
-		res.Release()
 	}
 	return out
 }
@@ -167,7 +166,6 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("nothing derived")
 	}
 	want := digest(res.Rel).String()
-	res.Release()
 	derived := db.MaterializedWindows()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -185,7 +183,6 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res2.Release()
 	if res2.DMd.Computed != 0 {
 		t.Fatalf("restored view recomputed %d windows", res2.DMd.Computed)
 	}

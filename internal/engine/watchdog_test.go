@@ -110,9 +110,7 @@ func TestWatchdogCancelsMidQuery(t *testing.T) {
 				// Warm the cache so execution time is morsel work, not
 				// chunk ingestion: run once without a deadline.
 				warm, cancelWarm := context.WithCancel(context.Background())
-				if res, err := db.QueryContext(warm, sql); err == nil {
-					res.Release()
-				}
+				_, _ = db.QueryContext(warm, sql)
 				cancelWarm()
 
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -162,8 +160,6 @@ func TestWatchdogFaultFreePassthrough(t *testing.T) {
 		if digest(got.Rel).String() != digest(want.Rel).String() {
 			t.Fatalf("T%d diverged under armed-zero exec.morsel", qi)
 		}
-		got.Release()
-		want.Release()
 		cancel()
 	}
 }

@@ -28,7 +28,6 @@ func TestAggregatesEqualDerivedWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer res.Release()
 		out := map[int64][3]float64{}
 		flat := res.Rel.Flatten()
 		for r := 0; r < flat.Len(); r++ {

@@ -177,7 +177,6 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 					return
 				}
 				got := storage.Float64s(res.Rel.Flatten().Cols[0])[0]
-				res.Release()
 				if got != want {
 					t.Errorf("sum = %v, want %v", got, want)
 					return
@@ -186,7 +185,7 @@ func TestConcurrentQueriesUnderEvictionChurn(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// After the dust settles — every result released — no chunk may stay
+	// After the dust settles — every query returned — no chunk may stay
 	// pinned and the cache may hold at most its two-chunk capacity.
 	if st := d.Chunks().Stats(); st.Pinned != 0 {
 		t.Fatalf("chunks still pinned: %+v", st)

@@ -169,8 +169,6 @@ type Result struct {
 	Warnings []Warning
 	// Profile is what the execution did: the substance of EXPLAIN ANALYZE.
 	Profile *Profile
-	// chunks holds the scanned chunks until Release: Rel may alias them.
-	chunks []chunkstore.Handle
 }
 
 // Warning records one chunk a degraded-mode query skipped.
@@ -212,24 +210,6 @@ func degradable(err error) bool {
 // Rows is shorthand for the result cardinality.
 func (r *Result) Rows() int { return r.Rel.Rows() }
 
-// Release returns the handles of the chunks the result's rows may
-// alias, so the chunk store can reuse their memory, and empties the
-// result so a stray later read sees no rows. Call it when the rows are
-// no longer referenced (after rendering, copying out, or comparing).
-// Releasing is optional — an unreleased result is simply garbage
-// collected, the chunk memory it aliases with it — and never keeps a
-// chunk resident.
-func (r *Result) Release() {
-	if r == nil {
-		return
-	}
-	if r.Rel != nil {
-		r.Rel.TakeBatches()
-	}
-	chunkstore.ReleaseAll(r.chunks)
-	r.chunks = nil
-}
-
 // Options carries the per-execution inputs of Execute; the zero value
 // runs a parameterless plan into a materialized result.
 type Options struct {
@@ -246,11 +226,12 @@ type Options struct {
 	// Result then carries the schema and stats with an empty relation.
 	//
 	// Lifetime follows physical.StreamSink: the chunk data a pushed
-	// batch may alias is held only until Execute returns — sinks that
-	// keep rows longer must copy or serialize them inside Push. A sink
-	// returning physical.ErrStopStream ends the query early without
-	// error; the drain stops pulling, so LIMIT-style consumers stop the
-	// scan instead of discarding it.
+	// batch may alias is held only until Execute returns, when the
+	// query's chunk handles go — sinks that keep rows longer must copy
+	// or serialize them inside Push. A sink returning
+	// physical.ErrStopStream ends the query early without error; the
+	// drain stops pulling, so LIMIT-style consumers stop the scan
+	// instead of discarding it.
 	Sink physical.StreamSink
 	// Profile records the execution's stages, after those the caller
 	// already ended on it (compile, Algorithm 1); nil starts a new one.
@@ -295,7 +276,7 @@ type executor struct {
 	segs     map[string]map[int64][]int64
 	// chunks holds a handle on every chunk stage two scans, and rels
 	// their relations per table in chunk order; the handles go when
-	// Execute returns, or move into a collected Result.
+	// Execute returns.
 	chunks []chunkstore.Handle
 	rels   map[string][]*storage.Relation
 
@@ -347,8 +328,7 @@ func (ex *executor) exec() (*Result, error) {
 	if v, ok := degradedFrom(ex.ctx); ok {
 		ex.degraded = v
 	}
-	// However the query ends, its chunk handles are released — unless
-	// a collected Result took them over.
+	// However the query ends, its chunk handles are released.
 	defer func() { chunkstore.ReleaseAll(ex.chunks) }()
 	ex.stats.SampleFraction = 1
 	needStage1 := ex.plan.Qf != nil && ex.plan.TwoStage && ex.env.Mode != ModeEagerFull
@@ -383,15 +363,18 @@ func (ex *executor) exec() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Without a sink the rows collect into the Result, whose owner
-	// Releases them — and with them the chunk handles, since collected
-	// rows may alias chunk columns. With a sink they flow to it as they
-	// are produced and nothing is materialized here; the chunk handles
-	// drop when this function returns, which is why sinks must consume
-	// pushed rows before Push returns.
+	// Without a sink the rows collect into the Result, which owns them:
+	// collected rows may alias chunk columns, whose memory the chunk
+	// store reuses once the handles drop when this function returns, so
+	// they are copied out of it, once. With a sink they flow to it as
+	// they are produced and nothing is materialized here, which is why
+	// sinks must consume pushed rows before Push returns.
 	var rel *storage.Relation
 	if ex.sink == nil {
 		rel, err = physical.Collect(op, ex.drain)
+		if err == nil && len(ex.chunks) > 0 {
+			rel = rel.Copy()
+		}
 	} else {
 		if ss, ok := ex.sink.(physical.SchemaSink); ok {
 			ss.SetSchema(ex.plan.Root.Names(), ex.plan.Root.Kinds())
@@ -403,18 +386,14 @@ func (ex *executor) exec() (*Result, error) {
 		return nil, fmt.Errorf("exec: stage two: %w", err)
 	}
 	ex.stats.Stage2 = ex.prof.End(StageStage2)
-	res := &Result{
+	return &Result{
 		Names:    ex.plan.Root.Names(),
 		Kinds:    ex.plan.Root.Kinds(),
 		Rel:      rel,
 		Stats:    ex.stats,
 		Warnings: ex.warnings,
 		Profile:  ex.prof,
-	}
-	if ex.sink == nil {
-		res.chunks, ex.chunks = ex.chunks, nil
-	}
-	return res, nil
+	}, nil
 }
 
 // selectChunks extracts, per actual-data table, the distinct chunk IDs
@@ -444,31 +423,28 @@ func (ex *executor) selectChunks() error {
 		}
 		// The distinct (chunk, segment) pairs of the Qf rows, sorted, so
 		// the chunk IDs and each chunk's segments come off them ascending.
-		// A set finds them: windowdataview's Qf repeats each pair once per
-		// window the segment overlaps (one or two, under the band
-		// rangeinfer puts on its S ⋈ H join; once per window of the
-		// station without it).
+		// windowdataview's Qf repeats each pair once per window the
+		// segment overlaps (one or two, under the band rangeinfer puts on
+		// its S ⋈ H join; once per window of the station without it):
+		// sorting brings the repeats together, and Compact drops them.
 		type pair struct{ chunk, seg int64 }
-		seen, pairs := make(map[pair]bool), []pair(nil)
+		pairs := make([]pair, flat.Len())
 		if flat.Len() > 0 {
 			chunks, segIDs := storage.Int64s(flat.Cols[col]), []int64(nil)
 			if segCol >= 0 {
 				segIDs = storage.Int64s(flat.Cols[segCol])
 			}
 			for i, v := range chunks {
-				p := pair{chunk: v}
+				pairs[i].chunk = v
 				if segIDs != nil {
-					p.seg = segIDs[i]
-				}
-				if !seen[p] {
-					seen[p] = true
-					pairs = append(pairs, p)
+					pairs[i].seg = segIDs[i]
 				}
 			}
 		}
 		slices.SortFunc(pairs, func(a, b pair) int {
 			return cmp.Or(cmp.Compare(a.chunk, b.chunk), cmp.Compare(a.seg, b.seg))
 		})
+		pairs = slices.Compact(pairs)
 		var ids []int64
 		segs := make(map[int64][]int64)
 		for _, p := range pairs {

@@ -79,7 +79,6 @@ func TestDegradedSkipsUnavailableChunk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
-	defer res.Release()
 	// ISK owns the even chunks {0,2,4,6,8}; 4 is unavailable.
 	if res.Stats.ChunksSelected != 5 || res.Stats.ChunksSkipped != 1 {
 		t.Fatalf("stats = %+v", res.Stats)
@@ -109,9 +108,8 @@ func TestStrictModeFailsOnUnavailableChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
+	_, err = Execute(context.Background(), lazyEnv(cat, loader, 0), p, Options{})
 	if err == nil {
-		res.Release()
 		t.Fatal("strict query over an unavailable chunk succeeded")
 	}
 	if !strings.Contains(err.Error(), "chunk-access") {
@@ -139,14 +137,12 @@ func TestDegradedPerRequestOverride(t *testing.T) {
 	if res.Stats.ChunksSkipped != 1 {
 		t.Fatalf("stats = %+v", res.Stats)
 	}
-	res.Release()
 
 	// Degraded env, strict request: fails.
 	env2 := lazyEnv(cat, loader, 0)
 	env2.Degraded = true
 	res, err = Execute(WithDegraded(context.Background(), false), env2, p, Options{})
 	if err == nil {
-		res.Release()
 		t.Fatal("strict request on degraded env succeeded over an unavailable chunk")
 	}
 }
@@ -164,9 +160,8 @@ func TestDegradedNonDegradableStillFatal(t *testing.T) {
 	}
 	env := lazyEnv(cat, loader, 0)
 	env.Degraded = true
-	res, err := Execute(context.Background(), env, p, Options{})
+	_, err = Execute(context.Background(), env, p, Options{})
 	if err == nil {
-		res.Release()
 		t.Fatal("degraded mode forgave a non-degradable error")
 	}
 }
@@ -187,7 +182,6 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded query under total fault injection failed: %v", err)
 	}
-	defer res.Release()
 	if res.Stats.ChunksSkipped != 5 || len(res.Warnings) != 5 {
 		t.Fatalf("stats = %+v warnings = %d, want all 5 ISK chunks skipped", res.Stats, len(res.Warnings))
 	}
@@ -196,8 +190,7 @@ func TestDegradedFaultInjectedFlight(t *testing.T) {
 	}
 	// Strict mode under the same schedule fails.
 	env2 := lazyEnvFaults(cat, loader, 0, fault.MustNew("exec.flight=error:1", 1))
-	if res, err := Execute(context.Background(), env2, p, Options{}); err == nil {
-		res.Release()
+	if _, err := Execute(context.Background(), env2, p, Options{}); err == nil {
 		t.Fatal("strict query under total fault injection succeeded")
 	}
 }
@@ -218,7 +211,6 @@ func TestDegradedCacheFillFaultCarriesVolume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
-	defer res.Release()
 	if len(res.Warnings) != 5 {
 		t.Fatalf("warnings = %d, want 5", len(res.Warnings))
 	}
@@ -245,7 +237,6 @@ func TestDegradedStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded stream failed: %v", err)
 	}
-	defer res.Release()
 	if res.Stats.ChunksSkipped != 2 || len(res.Warnings) != 2 {
 		t.Fatalf("stats = %+v warnings = %d", res.Stats, len(res.Warnings))
 	}

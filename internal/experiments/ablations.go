@@ -46,7 +46,6 @@ func AblationParallelLoad(cfg Config) ([]ParallelLoadRow, error) {
 		rows = append(rows, ParallelLoadRow{
 			SF: sf, MaxParallel: par, QueryTime: time.Since(t0), Chunks: res.Stats.ChunksLoaded,
 		})
-		res.Release()
 	}
 	return rows, nil
 }
@@ -83,11 +82,10 @@ func AblationCachePolicy(cfg Config) ([]CachePolicyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pres, err := probe.Query(queryT4("FIAM", start, start+int64(24*time.Hour)))
+		_, err = probe.Query(queryT4("FIAM", start, start+int64(24*time.Hour)))
 		if err != nil {
 			return nil, err
 		}
-		pres.Release()
 		perChunk := probe.Report().DataBytes
 		db, err := engine.Open(dir, engine.Config{
 			Approach:    registrar.Lazy,
@@ -103,11 +101,10 @@ func AblationCachePolicy(cfg Config) ([]CachePolicyRow, error) {
 		for i := 0; i < 4*days; i++ {
 			day := int(zipf.Uint64())
 			lo := start + int64(day)*int64(24*time.Hour)
-			qres, err := db.Query(queryT4("FIAM", lo, lo+int64(24*time.Hour)))
+			_, err := db.Query(queryT4("FIAM", lo, lo+int64(24*time.Hour)))
 			if err != nil {
 				return nil, err
 			}
-			qres.Release()
 		}
 		total := time.Since(t0)
 		st := db.CacheStats()
@@ -146,7 +143,6 @@ func AblationJoinRules(cfg Config) ([]JoinRuleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer res.Release()
 	// Sanity-check that the compiled plan really carries a Qf branch.
 	q, err := sqlparse.Parse(sql)
 	if err != nil {

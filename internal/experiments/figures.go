@@ -95,23 +95,21 @@ func Fig7(cfg Config) ([]QueryPerfRow, error) {
 					return nil, err
 				}
 				t0 := time.Now()
-				res, err := db.Query(sql)
+				_, err = db.Query(sql)
 				if err != nil {
 					return nil, fmt.Errorf("fig7 sf-%d %s T%d: %w", sf, app, qt, err)
 				}
 				cold := time.Since(t0)
-				res.Release()
 				hot := time.Duration(1<<62 - 1)
 				for i := 0; i < 3; i++ {
 					t1 := time.Now()
-					res, err := db.Query(sql)
+					_, err := db.Query(sql)
 					if err != nil {
 						return nil, err
 					}
 					if d := time.Since(t1); d < hot {
 						hot = d
 					}
-					res.Release()
 				}
 				rows = append(rows, QueryPerfRow{SF: sf, Approach: app, QueryType: qt, Cold: cold, Hot: hot})
 			}
@@ -171,12 +169,11 @@ func Fig8(cfg Config) ([]InsightRow, error) {
 						lo, hi := rangeFor(start, end, 0, float64(sel))
 						sql := queryOfType(qt, "FIAM", lo, hi)
 						t1 := time.Now()
-						res, err := db.Query(sql)
+						_, err := db.Query(sql)
 						if err != nil {
 							return nil, fmt.Errorf("fig8 sf-%d %s T%d sel=%d: %w", sf, app, qt, sel, err)
 						}
 						row.FirstQuery = time.Since(t1)
-						res.Release()
 					}
 					rows = append(rows, row)
 				}
@@ -263,11 +260,10 @@ func Fig9(cfg Config) ([]WorkloadRow, error) {
 								}
 								lo, hi := rangeFor(start, end, off, QuerySelectivityPct)
 								sql := queryOfType(qt, "FIAM", lo, hi)
-								res, err := db.Query(sql)
+								_, err := db.Query(sql)
 								if err != nil {
 									return nil, fmt.Errorf("fig9 sf-%d %s T%d w=%d: %w", sf, app, qt, wsel, err)
 								}
-								res.Release()
 							}
 							row.Workload = time.Since(t1)
 						}

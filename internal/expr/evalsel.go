@@ -4,55 +4,82 @@ import (
 	"sommelier/internal/storage"
 )
 
+// SelBuf is the selection memory of one EvalSel caller: the buffer its
+// result is written into, and the buffers OR and NOT keep their
+// intermediate selections in, two per nesting depth. An operator owns
+// one SelBuf while it runs; every buffer grows on first use and is reused on every
+// later batch, so evaluation allocates nothing once warm. The zero
+// value is ready to use.
+type SelBuf struct {
+	out    []int32
+	levels [][2][]int32
+}
+
 // EvalSel evaluates a bound boolean predicate over the rows of b named
 // by sel (nil selects every row) and returns the qualifying row indexes
-// as an ascending, pooled selection vector. It is the selection-vector
+// as an ascending selection vector. It is the selection-vector
 // counterpart of Eval: comparisons run as fused compare-and-select
 // kernels that never materialize a bool column, AND evaluates its right
 // operand only over the rows surviving the left, and OR evaluates its
 // right operand only over the rows the left rejected.
 //
 // b must be contiguous (carry no deferred selection); pass the base
-// batch and its selection separately. sel is read-only; the returned
-// vector is always freshly drawn from the pool and must eventually be
-// released with storage.PutSel (directly, or by attaching it to a batch
-// whose consumer materializes it).
-func EvalSel(e Expr, b *storage.Batch, sel []int32) []int32 {
+// batch and its selection separately. sel is read-only and must not be
+// a result of the same SelBuf. The returned vector is s's own buffer:
+// it is valid until the next EvalSel on s, and never nil — an empty
+// result stays distinct from the nil that selects every row.
+func (s *SelBuf) EvalSel(e Expr, b *storage.Batch, sel []int32) []int32 {
+	s.out = s.eval(e, b, sel, s.out, 0)
+	return s.out
+}
+
+// tmp returns intermediate buffer i of nesting depth d.
+func (s *SelBuf) tmp(d, i int) []int32 {
+	for len(s.levels) <= d {
+		s.levels = append(s.levels, [2][]int32{})
+	}
+	return s.levels[d][i]
+}
+
+// eval writes the selection of e at nesting depth d into dst, keeping
+// the intermediates of a boolean connective in the buffers of depth d
+// (stored back as they grow) and those of its operands deeper down. sel
+// may share dst's memory: every kernel writes its survivors in order,
+// never ahead of the candidate it reads, so it filters in place, and
+// OR's merge writes dst only once sel is no longer read.
+func (s *SelBuf) eval(e Expr, b *storage.Batch, sel, dst []int32, d int) []int32 {
 	// No candidates: nothing can qualify, and the fallback paths would
 	// still evaluate whole-batch columns (AND's right operand after an
 	// all-rejecting left lands here with an empty selection).
 	if sel != nil && len(sel) == 0 {
-		return storage.GetSel(0)
+		return storage.GrowSel(dst, 0)
 	}
 	n := b.Len()
 	switch e := e.(type) {
 	case *And:
-		l := EvalSel(e.L, b, sel)
-		out := EvalSel(e.R, b, l)
-		storage.PutSel(l)
-		return out
+		// The right operand filters the left's survivors in place; AND
+		// keeps no intermediate, so its operands use depth d's buffers.
+		l := s.eval(e.L, b, sel, dst, d)
+		return s.eval(e.R, b, l, l, d)
 	case *Or:
-		l := EvalSel(e.L, b, sel)
-		rest := selComplement(sel, l, n)
-		r := EvalSel(e.R, b, rest)
-		storage.PutSel(rest)
-		out := selMerge(l, r)
-		storage.PutSel(l)
-		storage.PutSel(r)
-		return out
+		l := s.eval(e.L, b, sel, s.tmp(d, 0), d+1)
+		s.levels[d][0] = l
+		rest := selComplement(s.tmp(d, 1), sel, l, n)
+		r := s.eval(e.R, b, rest, rest, d+1)
+		s.levels[d][1] = r
+		return selMerge(dst, l, r)
 	case *Not:
-		inner := EvalSel(e.E, b, sel)
-		out := selComplement(sel, inner, n)
-		storage.PutSel(inner)
-		return out
+		inner := s.eval(e.E, b, sel, s.tmp(d, 0), d+1)
+		s.levels[d][0] = inner
+		return selComplement(dst, sel, inner, n)
 	case *Const:
 		if e.B {
-			return selCopy(sel, n)
+			return selCopy(dst, sel, n)
 		}
-		return storage.GetSel(0)
+		return storage.GrowSel(dst, 0)
 	case *ColRef:
 		vals := storage.Bools(b.Cols[e.Idx])
-		out := storage.GetSel(selLen(sel, n))
+		out := storage.GrowSel(dst, selLen(sel, n))
 		if sel == nil {
 			for i, v := range vals {
 				if v {
@@ -68,12 +95,12 @@ func EvalSel(e Expr, b *storage.Batch, sel []int32) []int32 {
 		}
 		return out
 	case *Cmp:
-		if out, ok := evalSelCmp(e, b, sel); ok {
+		if out, ok := evalSelCmp(dst, e, b, sel); ok {
 			return out
 		}
-		return evalSelMask(e, b, sel)
+		return evalSelMask(dst, e, b, sel)
 	default:
-		return evalSelMask(e, b, sel)
+		return evalSelMask(dst, e, b, sel)
 	}
 }
 
@@ -85,19 +112,22 @@ func selLen(sel []int32, n int) int {
 	return len(sel)
 }
 
-// selCopy clones sel into a pooled vector (identity for nil).
-func selCopy(sel []int32, n int) []int32 {
-	if sel == nil {
-		return storage.IdentitySel(n)
+// selCopy writes sel (identity for nil) into dst.
+func selCopy(dst, sel []int32, n int) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, n))
+	if sel != nil {
+		return append(out, sel...)
 	}
-	out := storage.GetSel(len(sel))
-	return append(out, sel...)
+	for i := 0; i < n; i++ {
+		out = append(out, int32(i))
+	}
+	return out
 }
 
-// selComplement returns the rows of sel (identity for nil) absent from
-// sub, which must be an ascending subset of sel.
-func selComplement(sel, sub []int32, n int) []int32 {
-	out := storage.GetSel(selLen(sel, n) - len(sub))
+// selComplement writes into dst the rows of sel (identity for nil)
+// absent from sub, which must be an ascending subset of sel.
+func selComplement(dst, sel, sub []int32, n int) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, n)-len(sub))
 	j := 0
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -119,9 +149,9 @@ func selComplement(sel, sub []int32, n int) []int32 {
 	return out
 }
 
-// selMerge merges two disjoint ascending selections into one.
-func selMerge(a, b []int32) []int32 {
-	out := storage.GetSel(len(a) + len(b))
+// selMerge merges two disjoint ascending selections into dst.
+func selMerge(dst, a, b []int32) []int32 {
+	out := storage.GrowSel(dst, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -139,9 +169,9 @@ func selMerge(a, b []int32) []int32 {
 
 // evalSelMask is the generic fallback: evaluate the predicate as a bool
 // column over the whole base batch and filter the candidates by it.
-func evalSelMask(e Expr, b *storage.Batch, sel []int32) []int32 {
+func evalSelMask(dst []int32, e Expr, b *storage.Batch, sel []int32) []int32 {
 	mask := storage.Bools(e.Eval(b))
-	out := storage.GetSel(selLen(sel, b.Len()))
+	out := storage.GrowSel(dst, selLen(sel, b.Len()))
 	if sel == nil {
 		for i, v := range mask {
 			if v {
@@ -162,34 +192,34 @@ func evalSelMask(e Expr, b *storage.Batch, sel []int32) []int32 {
 // handles column-vs-constant (either side) and column-vs-column
 // operand shapes; anything else (arithmetic operands, ...) reports
 // false and falls back to the mask path.
-func evalSelCmp(c *Cmp, b *storage.Batch, sel []int32) ([]int32, bool) {
+func evalSelCmp(dst []int32, c *Cmp, b *storage.Batch, sel []int32) ([]int32, bool) {
 	n := b.Len()
 	// Normalize constant-vs-column to column-vs-constant.
 	if lcol, ok := c.L.(*ColRef); ok {
 		if rc, ok := c.R.(*Const); ok {
-			return cmpColConst(c, b.Cols[lcol.Idx], c.Op, rc, sel, n)
+			return cmpColConst(dst, c, b.Cols[lcol.Idx], c.Op, rc, sel, n)
 		}
 		if rcol, ok := c.R.(*ColRef); ok {
-			return cmpColCol(c, b.Cols[lcol.Idx], b.Cols[rcol.Idx], sel, n)
+			return cmpColCol(dst, c, b.Cols[lcol.Idx], b.Cols[rcol.Idx], sel, n)
 		}
 	}
 	if rcol, ok := c.R.(*ColRef); ok {
 		if lc, ok := c.L.(*Const); ok {
-			return cmpColConst(c, b.Cols[rcol.Idx], flip(c.Op), lc, sel, n)
+			return cmpColConst(dst, c, b.Cols[rcol.Idx], flip(c.Op), lc, sel, n)
 		}
 	}
 	return nil, false
 }
 
 // cmpColConst fuses col op const over the candidate rows.
-func cmpColConst(c *Cmp, col storage.Column, op CmpOp, k *Const, sel []int32, n int) ([]int32, bool) {
+func cmpColConst(dst []int32, c *Cmp, col storage.Column, op CmpOp, k *Const, sel []int32, n int) ([]int32, bool) {
 	switch c.lk {
 	case storage.KindInt64, storage.KindTime:
 		switch col := col.(type) {
 		case *storage.Int64Column:
-			return selCmpOrd(storage.Int64s(col), k.I, op, sel), true
+			return selCmpOrd(dst, storage.Int64s(col), k.I, op, sel), true
 		case *storage.TimeColumn:
-			return selCmpOrd(storage.Int64s(col), k.I, op, sel), true
+			return selCmpOrd(dst, storage.Int64s(col), k.I, op, sel), true
 		}
 	case storage.KindFloat64:
 		cv := k.F
@@ -198,24 +228,24 @@ func cmpColConst(c *Cmp, col storage.Column, op CmpOp, k *Const, sel []int32, n 
 		}
 		switch col := col.(type) {
 		case *storage.Float64Column:
-			return selCmpOrd(storage.Float64s(col), cv, op, sel), true
+			return selCmpOrd(dst, storage.Float64s(col), cv, op, sel), true
 		case *storage.Int64Column:
 			// Integer column promoted against a float constant.
-			return selCmpIntAsFloat(storage.Int64s(col), cv, op, sel), true
+			return selCmpIntAsFloat(dst, storage.Int64s(col), cv, op, sel), true
 		}
 	case storage.KindString:
 		sc, ok := col.(*storage.StringColumn)
 		if !ok {
 			return nil, false
 		}
-		return selCmpString(sc, k.S, op, sel, n), true
+		return selCmpString(dst, sc, k.S, op, sel, n), true
 	case storage.KindBool:
 		bc, ok := col.(*storage.BoolColumn)
 		if !ok || (op != EQ && op != NE) {
 			return nil, false
 		}
 		vals := storage.Bools(bc)
-		out := storage.GetSel(selLen(sel, n))
+		out := storage.GrowSel(dst, selLen(sel, n))
 		want := k.B == (op == EQ)
 		if sel == nil {
 			for i, v := range vals {
@@ -237,25 +267,25 @@ func cmpColConst(c *Cmp, col storage.Column, op CmpOp, k *Const, sel []int32, n 
 
 // cmpColCol fuses col op col when both sides share a physical
 // representation; mixed int/float pairs fall back to the mask path.
-func cmpColCol(c *Cmp, l, r storage.Column, sel []int32, n int) ([]int32, bool) {
+func cmpColCol(dst []int32, c *Cmp, l, r storage.Column, sel []int32, n int) ([]int32, bool) {
 	switch c.lk {
 	case storage.KindInt64, storage.KindTime:
-		return selCmpColsOrd(storage.Int64s(l), storage.Int64s(r), c.Op, sel, n), true
+		return selCmpColsOrd(dst, storage.Int64s(l), storage.Int64s(r), c.Op, sel, n), true
 	case storage.KindFloat64:
 		lf, lok := l.(*storage.Float64Column)
 		rf, rok := r.(*storage.Float64Column)
 		if !lok || !rok {
 			return nil, false
 		}
-		return selCmpColsOrd(storage.Float64s(lf), storage.Float64s(rf), c.Op, sel, n), true
+		return selCmpColsOrd(dst, storage.Float64s(lf), storage.Float64s(rf), c.Op, sel, n), true
 	}
 	return nil, false
 }
 
 // selCmpOrd is the workhorse kernel: one pass over the candidates,
 // comparing against a constant and collecting survivors.
-func selCmpOrd[T int64 | float64](vals []T, cv T, op CmpOp, sel []int32) []int32 {
-	out := storage.GetSel(selLen(sel, len(vals)))
+func selCmpOrd[T int64 | float64](dst []int32, vals []T, cv T, op CmpOp, sel []int32) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, len(vals)))
 	if sel == nil {
 		switch op {
 		case EQ:
@@ -341,8 +371,8 @@ func selCmpOrd[T int64 | float64](vals []T, cv T, op CmpOp, sel []int32) []int32
 // selCmpIntAsFloat compares an integer column against a float constant
 // without materializing the promoted float vector; like selCmpOrd, the
 // operator switch is hoisted out of the row loop.
-func selCmpIntAsFloat(vals []int64, cv float64, op CmpOp, sel []int32) []int32 {
-	out := storage.GetSel(selLen(sel, len(vals)))
+func selCmpIntAsFloat(dst []int32, vals []int64, cv float64, op CmpOp, sel []int32) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, len(vals)))
 	if sel == nil {
 		switch op {
 		case EQ:
@@ -427,8 +457,8 @@ func selCmpIntAsFloat(vals []int64, cv float64, op CmpOp, sel []int32) []int32 {
 
 // selCmpColsOrd compares two columns row-wise over the candidates,
 // with the operator switch hoisted out of the row loop.
-func selCmpColsOrd[T int64 | float64](l, r []T, op CmpOp, sel []int32, n int) []int32 {
-	out := storage.GetSel(selLen(sel, n))
+func selCmpColsOrd[T int64 | float64](dst []int32, l, r []T, op CmpOp, sel []int32, n int) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, n))
 	if sel == nil {
 		switch op {
 		case EQ:
@@ -514,8 +544,8 @@ func selCmpColsOrd[T int64 | float64](l, r []T, op CmpOp, sel []int32, n int) []
 // selCmpString compares a dictionary-encoded column against a constant.
 // Equality collapses to a dictionary-code comparison; ordered operators
 // compare the decoded values.
-func selCmpString(col *storage.StringColumn, cv string, op CmpOp, sel []int32, n int) []int32 {
-	out := storage.GetSel(selLen(sel, n))
+func selCmpString(dst []int32, col *storage.StringColumn, cv string, op CmpOp, sel []int32, n int) []int32 {
+	out := storage.GrowSel(dst, selLen(sel, n))
 	if op == EQ || op == NE {
 		code := col.Lookup(cv)
 		if sel == nil {

@@ -101,13 +101,16 @@ func maskSel(pred Expr, b *storage.Batch, sel []int32) []int32 {
 // TestEvalSelDifferential asserts the fused selection-vector path
 // produces row-for-row identical selections to the materializing
 // bool-column path on randomized batches and predicates, with and
-// without an input selection, including empty batches.
+// without an input selection, including empty batches. One SelBuf
+// serves every trial, so each evaluation reuses buffers an earlier one
+// left behind, at other sizes and nesting depths.
 func TestEvalSelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var sb SelBuf
 	for trial := 0; trial < 300; trial++ {
 		n := []int{0, 1, 7, 256}[rng.Intn(4)]
 		b, names, kinds := randBatch(rng, n)
-		pred := randPred(rng, rng.Intn(3))
+		pred := randPred(rng, rng.Intn(4))
 		if _, err := pred.Bind(names, kinds); err != nil {
 			t.Fatalf("bind %s: %v", pred, err)
 		}
@@ -126,11 +129,10 @@ func TestEvalSelDifferential(t *testing.T) {
 			}
 		}
 		want := maskSel(pred, b, selIn)
-		got := EvalSel(fused, b, selIn)
-		if fmt.Sprint(want) != fmt.Sprint(got) {
+		got := sb.EvalSel(fused, b, selIn)
+		if fmt.Sprint(want) != fmt.Sprint(got) || got == nil {
 			t.Fatalf("trial %d pred %s selIn=%v:\n got %v\nwant %v", trial, pred, selIn, got, want)
 		}
-		storage.PutSel(got)
 	}
 }
 
@@ -139,6 +141,7 @@ func TestEvalSelDifferential(t *testing.T) {
 func TestEvalSelEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	b, names, kinds := randBatch(rng, 100)
+	var sb SelBuf
 	for _, tc := range []struct {
 		pred Expr
 		want int
@@ -153,11 +156,10 @@ func TestEvalSelEdges(t *testing.T) {
 		if _, err := p.Bind(names, kinds); err != nil {
 			t.Fatalf("bind %s: %v", tc.pred, err)
 		}
-		got := EvalSel(p, b, nil)
-		if len(got) != tc.want {
+		got := sb.EvalSel(p, b, nil)
+		if len(got) != tc.want || got == nil {
 			t.Fatalf("%s: got %d rows, want %d", tc.pred, len(got), tc.want)
 		}
-		storage.PutSel(got)
 	}
 }
 

@@ -391,18 +391,14 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 		// sparse selection it is cheaper to gather the survivors first.
 		b = b.Materialize()
 	}
-	base, sel := b.DetachSel()
+	base, sel := b.Base(), b.Sel()
 	argCols := a.evalArgs(base)
 	nagg := len(h.aggs)
-	n := base.Len()
-	if sel != nil {
-		n = len(sel)
-	}
+	n := b.Len()
 	var ids, ends []int32
 	if len(h.groupCols) > 0 {
 		var err error
 		if ids, ends, err = a.g.x.resolve(base, h.groupCols, sel, true, false); err != nil {
-			storage.PutSel(sel)
 			return err
 		}
 		a.g.grow(nagg)
@@ -414,11 +410,6 @@ func (a *aggAcc) fold(b *storage.Batch) error {
 	for i, arg := range argCols {
 		foldArg(a.g.states, nagg, i, h.aggs[i].Func, h.argKinds[i], arg, ids, ends, sel)
 	}
-	if len(h.groupCols) > 0 {
-		storage.PutSel(ids)
-		storage.PutSel(ends)
-	}
-	storage.PutSel(sel)
 	return nil
 }
 
@@ -428,16 +419,7 @@ func (a *aggAcc) render() *storage.Batch {
 	h, x := a.h, &a.g.x
 	nagg := len(h.aggs)
 	n := x.len()
-	// The permutation shares the selection-vector pool only when it
-	// is batch-sized; a huge group count must not pin an oversized
-	// array under the pool's uniformly small vectors.
-	var perm []int32
-	fromPool := n <= storage.BatchSize
-	if fromPool {
-		perm = storage.GetSel(n)[:n]
-	} else {
-		perm = make([]int32, n)
-	}
+	perm := make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -470,9 +452,6 @@ func (a *aggAcc) render() *storage.Batch {
 			}
 		}
 		h.appendAggs(builders, a.g.states[int(gi)*nagg:(int(gi)+1)*nagg])
-	}
-	if fromPool {
-		storage.PutSel(perm)
 	}
 	return finishBuilders(builders)
 }

@@ -187,7 +187,7 @@ func (o *twoBatchOp) Next() (*storage.Batch, error) {
 	}
 	b := storage.NewBatch(bl.Finish())
 	if o.emitted == 1 {
-		return b.WithSel(append(storage.GetSel(2), 1, 5)), nil
+		return b.WithSel([]int32{1, 5}), nil
 	}
 	return b, nil
 }

@@ -54,6 +54,10 @@ type HashJoin struct {
 	// table is the build table, nil when the build side is empty or
 	// the probe side is exhausted (it then went back to its pool).
 	table *joinTable
+	// The probe's buffers, reused on every batch: the selection it
+	// emits; the matched build rows and their run ends (runCols); the
+	// build and probe row of every pair (gatherCols).
+	sel, rows, rowEnds, leftIdx, rightIdx []int32
 }
 
 // joinTable is the build table: head[id] is the first build row of key
@@ -136,12 +140,6 @@ func newJoinTable(ints bool, data *storage.Batch, cols []int) (*joinTable, error
 			t.unique = t.unique && t.head[id] < 0
 			t.head[id] = r
 		}
-	}
-	// A build side larger than a batch must not pin its oversized run
-	// vectors under the selection pool's batch-sized users.
-	if data.Len() <= storage.BatchSize {
-		storage.PutSel(ids)
-		storage.PutSel(ends)
 	}
 	return t, nil
 }
@@ -300,12 +298,11 @@ func (j *HashJoin) probe() (*storage.Batch, error) {
 			j.table = nil
 			return nil, nil
 		}
-		base, sel := rb.DetachSel()
+		base, sel := rb.Base(), rb.Sel()
 		ch, ok := j.right.(constHinter)
 		constant := ok && j.fastKey && ch.lastConst(j.rightK)
 		ids, ends, err := j.table.x.resolve(base, j.rightK, sel, false, constant)
 		if err != nil {
-			storage.PutSel(sel)
 			return nil, err
 		}
 		var cols []storage.Column
@@ -314,8 +311,6 @@ func (j *HashJoin) probe() (*storage.Batch, error) {
 		} else {
 			cols, sel = j.gatherCols(cols, base, sel, ids, ends)
 		}
-		storage.PutSel(ids)
-		storage.PutSel(ends)
 		if len(cols) == 0 {
 			continue
 		}
@@ -336,9 +331,10 @@ func (j *HashJoin) probe() (*storage.Batch, error) {
 // stretched over the rows after it up to the next matched run's first
 // row (and the first one back to row 0), so every base row — unselected
 // and unmatched ones included — holds a readable build value. Appends
-// the columns to cols and consumes sel; no columns when nothing matched.
+// the columns to cols and returns them with that selection; no columns
+// when nothing matched.
 func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
-	rows, rowEnds := storage.GetSel(len(ids)), storage.GetSel(len(ids))
+	rows, rowEnds := storage.GrowSel(j.rows, len(ids)), storage.GrowSel(j.rowEnds, len(ids))
 	matched := 0
 	for k, id := range ids {
 		if id >= 0 {
@@ -351,10 +347,8 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 			rowEnds[len(rowEnds)-1] = int32(at(sel, int(ends[k])-1)) + 1
 		}
 	}
+	j.rows, j.rowEnds = rows, rowEnds
 	if matched == 0 {
-		storage.PutSel(rows)
-		storage.PutSel(rowEnds)
-		storage.PutSel(sel)
 		return cols, nil
 	}
 	rowEnds[len(rowEnds)-1] = int32(base.Len())
@@ -366,13 +360,11 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 			cols = append(cols, base.Cols[o-nl])
 		}
 	}
-	storage.PutSel(rows)
-	storage.PutSel(rowEnds)
 	n := int(ends[len(ends)-1])
 	if matched == n {
 		return cols, sel
 	}
-	outSel := storage.GetSel(matched)
+	outSel := storage.GrowSel(j.sel, matched)
 	for k, id := range ids {
 		if id < 0 {
 			continue
@@ -381,23 +373,23 @@ func (j *HashJoin) runCols(cols []storage.Column, base *storage.Batch, sel, ids,
 			outSel = append(outSel, int32(at(sel, int(p))))
 		}
 	}
-	storage.PutSel(sel)
+	j.sel = outSel
 	return cols, outSel
 }
 
 // gatherCols builds the output of a probe batch against a table with
 // duplicate keys, or of a banded join: every (probe row, build row)
 // pair (in the band), both sides gathered into new columns, which need
-// no selection. Appends the columns to cols and consumes sel; no
-// columns when nothing matched.
+// no selection. Appends the columns to cols; no columns when nothing
+// matched.
 func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, ids, ends []int32) ([]storage.Column, []int32) {
-	leftIdx, rightIdx := storage.GetSel(base.Len()), storage.GetSel(base.Len())
+	leftIdx, rightIdx := storage.GrowSel(j.leftIdx, base.Len()), storage.GrowSel(j.rightIdx, base.Len())
 	if j.band == nil {
 		leftIdx, rightIdx = j.table.pairs(leftIdx, rightIdx, sel, ids, ends)
 	} else {
 		leftIdx, rightIdx = j.bandPairs(leftIdx, rightIdx, sel, ids, ends, base)
 	}
-	storage.PutSel(sel)
+	j.leftIdx, j.rightIdx = leftIdx, rightIdx
 	if len(leftIdx) > 0 {
 		nl := len(j.buildData.Cols)
 		for _, o := range j.out {
@@ -408,8 +400,6 @@ func (j *HashJoin) gatherCols(cols []storage.Column, base *storage.Batch, sel, i
 			}
 		}
 	}
-	storage.PutSel(leftIdx)
-	storage.PutSel(rightIdx)
 	return cols, nil
 }
 

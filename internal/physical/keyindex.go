@@ -34,6 +34,8 @@ type keyIndex struct {
 	str   map[index.Key]int32
 	ikeys []intKey    // ints: key per id
 	skeys []index.Key // otherwise
+	// ids and ends are resolve's result buffers, reused on every call.
+	ids, ends []int32
 }
 
 // maxPooledKeys bounds the key count a map may reach and still be kept
@@ -47,6 +49,10 @@ const maxPooledKeys = 1 << 10
 func (x *keyIndex) reset(ints bool, nk int) {
 	if x.len() > maxPooledKeys {
 		x.one, x.multi, x.str = nil, nil, nil
+	}
+	if cap(x.ids) > storage.BatchSize {
+		// A build side's run vectors: the next user probes batches.
+		x.ids, x.ends = nil, nil
 	}
 	x.ints, x.nk = ints, nk
 	clear(x.one)
@@ -182,11 +188,12 @@ func (rk *rawKeys) seek(r int) int {
 }
 
 // resolve returns the key runs of b's rows — those sel names, or all of
-// them — over the key columns cols, in two pooled vectors the caller
-// PutSels: run k covers positions [ends[k-1], ends[k]) (from 0 for
-// k = 0) and holds key id ids[k], -1 for a key the index does not hold
-// unless insert is set, which adds it; adjacent runs hold different
-// ids. Position i is row sel[i] (or i).
+// them — over the key columns cols, in the index's two result buffers,
+// valid until its next resolve: run k covers positions
+// [ends[k-1], ends[k]) (from 0 for k = 0) and holds key id ids[k], -1
+// for a key the index does not hold unless insert is set, which adds
+// it; adjacent runs hold different ids. Position i is row sel[i] (or
+// i).
 //
 // Only the first row of a run is looked up. When every key column is
 // run-shaped, resolve jumps from run to run; plain key columns are
@@ -198,7 +205,9 @@ func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, co
 	if sel != nil {
 		n = len(sel)
 	}
-	ids, ends = storage.GetSel(n), storage.GetSel(n)
+	// At most n runs: the appends below never outgrow the buffers.
+	x.ids, x.ends = storage.GrowSel(x.ids, n), storage.GrowSel(x.ends, n)
+	ids, ends = x.ids, x.ends
 	if n == 0 {
 		return ids, ends, nil
 	}
@@ -206,8 +215,6 @@ func (x *keyIndex) resolve(b *storage.Batch, cols []int, sel []int32, insert, co
 		// The key shape (column kinds and counts) is the same on every
 		// row: validate it once.
 		if _, err := index.KeyAt(b, cols, at(sel, 0)); err != nil {
-			storage.PutSel(ids)
-			storage.PutSel(ends)
 			return nil, nil, err
 		}
 	}

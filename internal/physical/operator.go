@@ -14,6 +14,7 @@ package physical
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"sommelier/internal/expr"
@@ -25,7 +26,8 @@ import (
 // stream is exhausted. Batches may carry a deferred selection vector
 // (storage.Batch.Sel); consumers either compose with it (Filter, the
 // specialized join/group-by paths) or materialize it on first
-// contiguous access.
+// contiguous access. A returned batch is valid until the operator's
+// next Next: the operator reuses its selection buffer then.
 type Operator interface {
 	// Names returns the qualified output column names.
 	Names() []string
@@ -71,6 +73,8 @@ type RelScan struct {
 	srcCols []int
 	// skipped counts zone-pruned batches.
 	skipped int
+	// sb holds the selections the scan emits (see selBufs).
+	sb *expr.SelBuf
 }
 
 // scanMorsel is one batch of one relation: the unit a scan emits.
@@ -236,18 +240,43 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 		if s.pred == nil || s.exact && morselInside(m, s.bounds, s.srcCols) {
 			return b, nil
 		}
-		sel := expr.EvalSel(s.pred, b, nil)
+		sel := takeSelBuf(&s.sb).EvalSel(s.pred, b, nil)
 		if len(sel) == 0 {
-			storage.PutSel(sel)
 			continue
 		}
 		if len(sel) == b.Len() {
-			storage.PutSel(sel)
 			return b, nil
 		}
 		return b.WithSel(sel), nil
 	}
+	returnSelBuf(&s.sb)
 	return nil, nil
+}
+
+// selBufs recycles the selection buffers of exhausted scans and filters
+// across queries, as joinTablePool does the join tables, so that a
+// query allocates none in steady state. An operator takes one at its
+// first evaluation and returns it when its input is exhausted: no
+// batch it returned is valid any more then. One that stops early leaves
+// its buffer to the garbage collector.
+var selBufs sync.Pool
+
+// takeSelBuf returns *sb, first taking one from selBufs if it has none.
+func takeSelBuf(sb **expr.SelBuf) *expr.SelBuf {
+	if *sb == nil {
+		if *sb, _ = selBufs.Get().(*expr.SelBuf); *sb == nil {
+			*sb = new(expr.SelBuf)
+		}
+	}
+	return *sb
+}
+
+// returnSelBuf hands *sb back to selBufs, if it holds one.
+func returnSelBuf(sb **expr.SelBuf) {
+	if *sb != nil {
+		selBufs.Put(*sb)
+		*sb = nil
+	}
 }
 
 // pruneByZone reports that the morsel's batch cannot contain qualifying
@@ -290,6 +319,8 @@ func morselInside(m scanMorsel, bounds []zoneBound, srcCols []int) bool {
 type Filter struct {
 	in   Operator
 	pred expr.Expr
+	// sb holds the selections the filter emits (see selBufs).
+	sb *expr.SelBuf
 }
 
 // NewFilter binds pred against the input schema.
@@ -318,18 +349,19 @@ func (f *Filter) BatchHint() int { return batchHint(f.in) }
 func (f *Filter) Next() (*storage.Batch, error) {
 	for {
 		b, err := f.in.Next()
-		if err != nil || b == nil {
+		if err != nil {
 			return nil, err
 		}
-		base, selIn := b.DetachSel()
-		sel := expr.EvalSel(f.pred, base, selIn)
-		storage.PutSel(selIn)
+		if b == nil {
+			returnSelBuf(&f.sb)
+			return nil, nil
+		}
+		base := b.Base()
+		sel := takeSelBuf(&f.sb).EvalSel(f.pred, base, b.Sel())
 		if len(sel) == 0 {
-			storage.PutSel(sel)
 			continue
 		}
 		if len(sel) == base.Len() {
-			storage.PutSel(sel)
 			return base, nil
 		}
 		return base.WithSel(sel), nil

@@ -245,31 +245,20 @@ func TestJoinUniqueBuildPassesProbeThrough(t *testing.T) {
 	}
 }
 
-// poisonedScan leaves on top of the selection pool, before every batch
-// it passes on, what a probe's id vector holds after dangling keys: -1
-// everywhere.
-type poisonedScan struct{ Operator }
-
-func (p poisonedScan) Next() (*storage.Batch, error) {
-	var held [][]int32
-	for i := 0; i < 8; i++ {
-		v := storage.GetSel(storage.BatchSize)[:storage.BatchSize]
-		for r := range v {
-			v[r] = -1
-		}
-		held = append(held, v)
+// poison fills the join's reusable buffers, to their full capacity,
+// with what a probe's id vector holds after dangling keys: -1
+// everywhere. Later batches reuse what earlier ones wrote there.
+func poison(j *HashJoin) {
+	for _, p := range []*[]int32{&j.sel, &j.rows, &j.rowEnds, &j.leftIdx, &j.rightIdx} {
+		*p = slices.Repeat([]int32{-1}, storage.BatchSize)[:0]
 	}
-	for _, v := range held {
-		storage.PutSel(v)
-	}
-	return p.Operator.Next()
 }
 
 // TestWholeBaseConsumerAboveViewJoin: a Filter whose predicate takes the
 // mask path evaluates the join's whole base batch, rows the selection
 // excludes included — so the build-side string column laid under a
 // partially matching probe batch must hold a valid dictionary code at
-// every row, whatever the recycled vectors it was laid into held before.
+// every row, whatever the reused buffers it was laid into held before.
 func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 	fact := runFact(rand.New(rand.NewSource(73)), false)
 	out := []int{3, 8, 9} // S.station, D.station, D.val
@@ -292,10 +281,11 @@ func TestWholeBaseConsumerAboveViewJoin(t *testing.T) {
 		}
 		ds, _ := NewRelScan(tc.dim, runDimNames, runDimKinds, nil)
 		fs, _ := NewRelScan(fact, runFactNames, runFactKinds, nil)
-		j, err := NewHashJoinCols(ds, poisonedScan{fs}, tc.lk, tc.rk, out)
+		j, err := NewHashJoinCols(ds, fs, tc.lk, tc.rk, out)
 		if err != nil {
 			t.Fatal(err)
 		}
+		poison(j)
 		f, err := NewFilter(j, pred)
 		if err != nil {
 			t.Fatal(err)

@@ -207,14 +207,11 @@ func (a *topkAcc) feed(op Operator, check func() error) error {
 	}
 }
 
-// add filters one input batch against the ranking so far, copies the
-// surviving rows into the buffer, and recycles the input's selection.
+// add filters one input batch against the ranking so far and copies
+// the surviving rows into the buffer.
 func (a *topkAcc) add(b *storage.Batch) {
-	base, sel := b.DetachSel()
-	n := base.Len()
-	if sel != nil {
-		n = len(sel)
-	}
+	base, sel := b.Base(), b.Sel()
+	n := b.Len()
 	idx := a.scratch[:0]
 	switch {
 	case a.ints != nil:
@@ -237,7 +234,6 @@ func (a *topkAcc) add(b *storage.Batch) {
 	if len(idx) > 0 {
 		a.buf.Append(base.Gather(idx))
 	}
-	storage.PutSel(sel)
 	if a.buf.Rows() >= a.compactAt() {
 		a.compact()
 	}

@@ -25,7 +25,6 @@ func TestStatsChunkCoverage(t *testing.T) {
 	flat := res.Rel.Flatten()
 	files := append([]int64(nil), storage.Int64s(flat.Cols[0])...)
 	starts := append([]int64(nil), storage.Int64s(flat.Cols[1])...)
-	res.Release()
 	// The first chunk of two segments or more, and its first segment.
 	i := 1
 	for i < len(files) && files[i] != files[i-1] {
@@ -39,7 +38,6 @@ func TestStatsChunkCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	station := storage.ValueAt(res.Rel.Flatten().Cols[0], 0)
-	res.Release()
 
 	s := New(db, Config{Workers: 1})
 	defer s.Close()

@@ -185,8 +185,11 @@ func renderCases() []renderCase {
 			return []*storage.Batch{edgeBatch().Slice(4, 7)}
 		}},
 		{"selection", all, allKinds, func() []*storage.Batch {
-			sel := append(storage.GetSel(8), 0, 2, 3, 11, 12, 30)
-			return []*storage.Batch{edgeBatch().WithSel(sel), edgeBatch().WithSel(storage.IdentitySel(len(edgeFloats)))}
+			identity := make([]int32, len(edgeFloats))
+			for i := range identity {
+				identity[i] = int32(i)
+			}
+			return []*storage.Batch{edgeBatch().WithSel([]int32{0, 2, 3, 11, 12, 30}), edgeBatch().WithSel(identity)}
 		}},
 	}
 	for seed := int64(1); seed <= 8; seed++ {

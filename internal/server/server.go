@@ -361,13 +361,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult renders a materialized result as the QueryResponse JSON
-// body straight from its column batches, releases the result, and
-// writes the body once with its Content-Length.
+// body straight from its column batches and writes the body once with
+// its Content-Length.
 func (s *Server) writeResult(w http.ResponseWriter, res *engine.Result, stats QueryStats) {
 	r := getRenderer()
 	defer putRenderer(r)
 	err := r.appendResponse(res, stats)
-	res.Release()
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -38,9 +38,8 @@ func testDB(t testing.TB) *engine.DB {
 }
 
 // requireReleased fails t unless db's live chunk handles and governor
-// bytes in use both drain to zero: every query has finished and every
-// result is released. It polls, since the handler of a dropped client
-// unwinds asynchronously.
+// bytes in use both drain to zero: every query has finished. It polls,
+// since the handler of a dropped client unwinds asynchronously.
 func requireReleased(t testing.TB, db *engine.DB) {
 	t.Helper()
 	var handles, inUse int64
@@ -492,9 +491,9 @@ func TestExplainAnalyzeOverHTTP(t *testing.T) {
 	requireReleased(t, db)
 }
 
-// TestRowCountMatchesRows: row_count must be taken before the result is
-// released — Release empties its relation — for one-batch results (a
-// T3 join, a one-batch D export) and larger ones alike.
+// TestRowCountMatchesRows: row_count must equal the rows rendered, for
+// one-batch results (a T3 join, a one-batch D export) and larger ones
+// alike.
 func TestRowCountMatchesRows(t *testing.T) {
 	db := testDB(t)
 	err := db.Catalog().AddView(&table.View{

@@ -73,7 +73,6 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req Que
 		s.degraded.Add(1)
 	}
 	sink.finish(toStats(res, time.Since(t0), timeout, capped), res.Warnings)
-	res.Release()
 	return nil
 }
 

@@ -13,14 +13,20 @@ const BatchSize = 4096
 // physical operators.
 //
 // A batch may additionally carry a deferred selection vector: an
-// ascending list of surviving row indexes into the base columns. Such a
-// batch represents the selected rows without having copied them;
-// Len reports the selected count, and Materialize performs the deferred
-// Gather. Selection-aware operators (Filter, the specialized hash join
-// and group-by) take ownership of the vector with DetachSel, read the
-// base columns directly, and avoid the copy entirely. A batch carrying a selection is owned by its single
-// downstream consumer, which either materializes it or detaches the
-// vector; the vector is recycled into the selection pool at that point.
+// ascending list of surviving row indexes into the base columns, the
+// MonetDB/X100 representation of a filter result. Such a batch
+// represents the selected rows without having copied them; Len reports
+// the selected count, and Materialize performs the deferred Gather.
+// Selection-aware operators (Filter, the hash join probe, aggregation,
+// top-k) read the base columns through the selection directly and
+// avoid the copy entirely.
+//
+// A selection belongs to the operator that produced it: the operator
+// owns one reusable buffer and rewrites it on its next Next, so the
+// selection a batch carries is valid until then. A consumer that keeps
+// rows past that point resolves the selection into rows of its own
+// (Relation.Append materializes, Coalescer.Add copies the selected
+// rows). Columns are never written in place once a batch carries them.
 type Batch struct {
 	Cols []Column
 	sel  []int32 // deferred selection; nil selects all rows
@@ -39,8 +45,7 @@ func NewBatch(cols ...Column) *Batch {
 }
 
 // WithSel returns a batch sharing b's columns with the given deferred
-// selection attached. b must not already carry a selection. The
-// returned batch takes ownership of sel.
+// selection attached. b must not already carry a selection.
 func (b *Batch) WithSel(sel []int32) *Batch {
 	if b.sel != nil {
 		panic("storage: WithSel on a batch already carrying a selection")
@@ -49,45 +54,45 @@ func (b *Batch) WithSel(sel []int32) *Batch {
 }
 
 // Sel returns the deferred selection vector, nil when the batch is
-// contiguous. Callers must not modify or retain it past the batch; to
-// consume it, use DetachSel.
+// contiguous. Callers must not modify it.
 func (b *Batch) Sel() []int32 { return b.sel }
 
-// DetachSel strips and returns the deferred selection, transferring
-// ownership (and the duty to PutSel) to the caller; b must not be used
-// afterwards — use the returned base batch instead. b's own selection
-// reference is cleared, so a stray later use of b cannot reach the
-// detached (and possibly re-pooled) vector.
-func (b *Batch) DetachSel() (*Batch, []int32) {
-	sel := b.sel
-	if sel == nil {
-		return b, nil
+// GrowSel returns sel emptied, with room for n entries: an operator's
+// reusable selection buffer, reallocated only when too small, then at
+// least doubled up to BatchSize. The result is never nil, so an empty
+// selection stays distinct from the nil that selects every row.
+func GrowSel(sel []int32, n int) []int32 {
+	if sel == nil || cap(sel) < n {
+		return make([]int32, 0, max(n, min(2*cap(sel), BatchSize)))
 	}
-	b.sel = nil
-	return &Batch{Cols: b.Cols}, sel
+	return sel[:0]
+}
+
+// Base returns the batch's base columns without its selection: b itself
+// when it carries none.
+func (b *Batch) Base() *Batch {
+	if b.sel == nil {
+		return b
+	}
+	return &Batch{Cols: b.Cols}
 }
 
 // Materialize returns the batch in plain contiguous form: a deferred
-// selection is resolved by gathering the selected rows, recycling the
-// selection vector (and clearing b's reference to it, so a stray second
-// use of b cannot reach pooled memory), and run-shaped columns are
-// expanded to their plain twins, so nothing downstream of a Materialize
-// — a Relation built by Append, a sink — ever sees a column shape.
-// Contiguous plain batches are returned unchanged. Because selections
-// are ascending subsets, a selection as long as the base is the
-// identity and resolves without gathering.
+// selection is resolved by gathering the selected rows, and run-shaped
+// columns are expanded to their plain twins, so nothing downstream of a
+// Materialize — a Relation built by Append, a sink — ever sees a column
+// shape. Contiguous plain batches are returned unchanged. Because
+// selections are ascending subsets, a selection as long as the base is
+// the identity and resolves without gathering.
 func (b *Batch) Materialize() *Batch {
 	if sel := b.sel; sel != nil {
-		b.sel = nil
 		if len(sel) != b.baseLen() {
 			cols := make([]Column, len(b.Cols))
 			for i, c := range b.Cols {
 				cols[i] = c.Gather(sel)
 			}
-			PutSel(sel)
 			return &Batch{Cols: cols}
 		}
-		PutSel(sel)
 		b = &Batch{Cols: b.Cols}
 	}
 	if hasRuns(b.Cols) {
@@ -342,6 +347,37 @@ func (r *Relation) TakeBatches() []*Batch {
 	r.rows = 0
 	r.zones.Store(nil)
 	return bs
+}
+
+// Copy returns the relation's rows as one batch in memory of its own,
+// so they outlive whatever r's columns alias (a chunk's arena, which the
+// chunk store reuses). Several batches are concatenated, each column
+// copied once into exactly its size; a single batch's int64, time and
+// float64 columns — the kinds an arena backs — are cloned, its bool and
+// string columns shared.
+func (r *Relation) Copy() *Relation {
+	if len(r.batches) != 1 {
+		out := &Relation{rows: r.rows}
+		if r.rows > 0 {
+			out.batches = []*Batch{r.Flatten()}
+		}
+		return out
+	}
+	b := r.batches[0].Materialize()
+	cols := make([]Column, len(b.Cols))
+	for i, c := range b.Cols {
+		switch c := c.(type) {
+		case *Int64Column:
+			cols[i] = NewInt64Column(slices.Clone(c.vals))
+		case *TimeColumn:
+			cols[i] = NewTimeColumn(slices.Clone(c.vals))
+		case *Float64Column:
+			cols[i] = NewFloat64Column(slices.Clone(c.vals))
+		default:
+			cols[i] = c
+		}
+	}
+	return &Relation{batches: []*Batch{{Cols: cols}}, rows: r.rows}
 }
 
 // Rows reports the total number of rows.

@@ -33,13 +33,11 @@ func TestBatchWithSel(t *testing.T) {
 func TestRelationAppendMaterializes(t *testing.T) {
 	r := NewRelation()
 	b := NewBatch(NewInt64Column([]int64{1, 2, 3, 4, 5}))
-	r.Append(b.WithSel(GetSel(5)[:0]))
+	r.Append(b.WithSel([]int32{}))
 	if r.Rows() != 0 {
 		t.Fatalf("empty selection appended %d rows", r.Rows())
 	}
-	sel := GetSel(2)
-	sel = append(sel, 0, 4)
-	r.Append(b.WithSel(sel))
+	r.Append(b.WithSel([]int32{0, 4}))
 	if r.Rows() != 2 {
 		t.Fatalf("rows = %d, want 2", r.Rows())
 	}
@@ -72,21 +70,4 @@ func TestRelationZones(t *testing.T) {
 	if r.Zone(1, 0).Disjoint(150, 300) {
 		t.Fatal("zone [100,200] overlaps [150,300]")
 	}
-}
-
-func TestSelPoolRoundTrip(t *testing.T) {
-	s := GetSel(10)
-	if len(s) != 0 || cap(s) < 10 {
-		t.Fatalf("GetSel: len=%d cap=%d", len(s), cap(s))
-	}
-	s = append(s, 1, 2, 3)
-	PutSel(s)
-	PutSel(nil) // no-op
-	id := IdentitySel(4)
-	for i, v := range id {
-		if v != int32(i) {
-			t.Fatalf("identity[%d] = %d", i, v)
-		}
-	}
-	PutSel(id)
 }

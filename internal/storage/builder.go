@@ -104,7 +104,7 @@ func (b *Int64Builder) AppendFrom(col Column, i int) {
 // AppendSel implements Builder.
 func (b *Int64Builder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.runsOf(sel))
+		rc.appendSel(b, sel)
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*Int64Column).vals, sel)
@@ -113,7 +113,7 @@ func (b *Int64Builder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *Int64Builder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.rowRuns())
+		b.AppendSel(rc.vals, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*Int64Column).vals...)
@@ -162,7 +162,7 @@ func (b *TimeBuilder) AppendFrom(col Column, i int) {
 // AppendSel implements Builder.
 func (b *TimeBuilder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.runsOf(sel))
+		rc.appendSel(b, sel)
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*TimeColumn).vals, sel)
@@ -171,7 +171,7 @@ func (b *TimeBuilder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *TimeBuilder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.rowRuns())
+		b.AppendSel(rc.vals, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*TimeColumn).vals...)
@@ -220,7 +220,7 @@ func (b *Float64Builder) AppendFrom(col Column, i int) {
 // AppendSel implements Builder.
 func (b *Float64Builder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.runsOf(sel))
+		rc.appendSel(b, sel)
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*Float64Column).vals, sel)
@@ -229,7 +229,7 @@ func (b *Float64Builder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *Float64Builder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.rowRuns())
+		b.AppendSel(rc.vals, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*Float64Column).vals...)
@@ -278,7 +278,7 @@ func (b *BoolBuilder) AppendFrom(col Column, i int) {
 // AppendSel implements Builder.
 func (b *BoolBuilder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.runsOf(sel))
+		rc.appendSel(b, sel)
 		return
 	}
 	b.vals = appendSel(b.vals, col.(*BoolColumn).vals, sel)
@@ -287,7 +287,7 @@ func (b *BoolBuilder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *BoolBuilder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.rowRuns())
+		b.AppendSel(rc.vals, rc.rowRuns())
 		return
 	}
 	b.vals = append(b.vals, col.(*BoolColumn).vals...)
@@ -348,7 +348,7 @@ func (b *StringBuilder) AppendFrom(col Column, i int) {
 // AppendSel implements Builder.
 func (b *StringBuilder) AppendSel(col Column, sel []int32) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.runsOf(sel))
+		rc.appendSel(b, sel)
 		return
 	}
 	sc := col.(*StringColumn)
@@ -360,7 +360,7 @@ func (b *StringBuilder) AppendSel(col Column, sel []int32) {
 // AppendAll implements Builder.
 func (b *StringBuilder) AppendAll(col Column) {
 	if rc, ok := col.(*RunColumn); ok {
-		rc.appendRuns(b, rc.rowRuns())
+		b.AppendSel(rc.vals, rc.rowRuns())
 		return
 	}
 	sc := col.(*StringColumn)

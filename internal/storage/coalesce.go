@@ -21,6 +21,9 @@ type Coalescer struct {
 	// final flush of a stream never arms capacity it will not use.
 	armed bool
 	rows  int
+	// runs is the scratch that maps selected rows of a run-shaped
+	// column to its runs, reused on every Add.
+	runs []int32
 }
 
 // NewCoalescer prepares a coalescer for the given output schema.
@@ -44,12 +47,12 @@ func (c *Coalescer) Eligible(b *Batch) bool {
 	return c.eligible && b.Sel() != nil
 }
 
-// Add folds b's selected rows into the builders, recycling the
-// selection vector. The fill is flushed to out before it would
+// Add copies b's selected rows into the builders, so nothing of b is
+// kept past the call. The fill is flushed to out before it would
 // overflow BatchSize (so the builders never re-grow) and again when it
 // reaches BatchSize exactly.
 func (c *Coalescer) Add(out *Relation, b *Batch) {
-	base, sel := b.DetachSel()
+	sel := b.Sel()
 	if c.rows > 0 && c.rows+len(sel) > BatchSize {
 		c.Flush(out)
 	}
@@ -68,11 +71,15 @@ func (c *Coalescer) Add(out *Relation, b *Batch) {
 		}
 	}
 	c.armed = true
-	for ci, col := range base.Cols {
+	for ci, col := range b.Cols {
+		if rc, ok := col.(*RunColumn); ok {
+			c.runs = rc.runsOf(c.runs[:0], sel)
+			c.builders[ci].AppendSel(rc.vals, c.runs)
+			continue
+		}
 		c.builders[ci].AppendSel(col, sel)
 	}
 	c.rows += len(sel)
-	PutSel(sel)
 	if c.rows >= BatchSize {
 		c.Flush(out)
 	}

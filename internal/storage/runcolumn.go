@@ -158,32 +158,24 @@ func (c *RunColumn) Slice(lo, hi int) Column {
 }
 
 // Gather implements Column; the result is the plain column of the kind.
+// The runs vector is allocated beside it: run columns are shared across
+// goroutines, and no operator owns scratch here.
 func (c *RunColumn) Gather(idx []int32) Column {
-	runs := c.runsOf(idx)
-	out := c.vals.Gather(runs)
-	PutSel(runs)
-	return out
+	return c.vals.Gather(c.runsOf(make([]int32, 0, len(idx)), idx))
 }
 
 // expand returns the plain column of every row's value.
-func (c *RunColumn) expand() Column {
-	runs := c.rowRuns()
-	out := c.vals.Gather(runs)
-	PutSel(runs)
-	return out
+func (c *RunColumn) expand() Column { return c.vals.Gather(c.rowRuns()) }
+
+// appendSel appends the values of the rows sel names to a builder of
+// c's kind.
+func (c *RunColumn) appendSel(b Builder, sel []int32) {
+	b.AppendSel(c.vals, c.runsOf(make([]int32, 0, len(sel)), sel))
 }
 
-// appendRuns appends the values of runs — a vector from runsOf or
-// rowRuns, recycled here — to a builder of c's kind.
-func (c *RunColumn) appendRuns(b Builder, runs []int32) {
-	b.AppendSel(c.vals, runs)
-	PutSel(runs)
-}
-
-// rowRuns returns, in a pooled vector the caller PutSels, the run of
-// every row.
+// rowRuns returns the run of every row.
 func (c *RunColumn) rowRuns() []int32 {
-	out := GetSel(c.Len())[:c.Len()]
+	out := make([]int32, c.Len())
 	lo := int32(0)
 	for k, e := range c.ends {
 		run := out[lo:e]
@@ -195,11 +187,10 @@ func (c *RunColumn) rowRuns() []int32 {
 	return out
 }
 
-// runsOf returns, in a pooled vector the caller PutSels, the run of
-// every row idx names. A run is looked up when idx leaves the previous
-// one, so an ascending selection costs a search per run it touches.
-func (c *RunColumn) runsOf(idx []int32) []int32 {
-	out := GetSel(len(idx))
+// runsOf appends to out the run of every row idx names. A run is looked
+// up when idx leaves the previous one, so an ascending selection costs
+// a search per run it touches.
+func (c *RunColumn) runsOf(out, idx []int32) []int32 {
 	var (
 		lo, hi int32 // the rows of the current run
 		k      int32

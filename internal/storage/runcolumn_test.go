@@ -138,7 +138,7 @@ func TestRunColumnMatchesPlainTwin(t *testing.T) {
 			t.Fatal("Materialize touched the shared batch or copied a plain column")
 		}
 		if len(sel) > 0 {
-			m = src.WithSel(append(GetSel(len(sel)), sel...)).Materialize()
+			m = src.WithSel(sel).Materialize()
 			requireSameColumn(t, "materialize sel", plain.Gather(sel), m.Cols[0], false)
 		}
 
@@ -154,7 +154,7 @@ func TestRunColumnMatchesPlainTwin(t *testing.T) {
 			for _, i := range s {
 				want = append(want, Int64At(plain, int(i)))
 			}
-			co.Add(out, src.WithSel(append(GetSel(len(s)), s...)))
+			co.Add(out, src.WithSel(s))
 		}
 		co.Flush(out)
 		var got []int64
@@ -445,7 +445,7 @@ func TestRunColumnEveryKind(t *testing.T) {
 			m := NewBatch(rc).Materialize()
 			requireSameValues(t, what("materialize"), plain, m.Cols[0])
 			if len(sel) > 0 {
-				m = NewBatch(rc).WithSel(append(GetSel(len(sel)), sel...)).Materialize()
+				m = NewBatch(rc).WithSel(sel).Materialize()
 				requireSameValues(t, what("materialize sel"), plain.Gather(sel), m.Cols[0])
 			}
 			rel := NewRelation()

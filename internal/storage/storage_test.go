@@ -308,7 +308,11 @@ func TestPooledCoalescerMultiFlushPoolingOff(t *testing.T) {
 		for i := range vals {
 			vals[i] = v
 		}
-		return NewBatch(NewInt64Column(vals)).WithSel(IdentitySel(BatchSize))
+		sel := make([]int32, BatchSize)
+		for i := range sel {
+			sel[i] = int32(i)
+		}
+		return NewBatch(NewInt64Column(vals)).WithSel(sel)
 	}
 	c.Add(out, mkSel(1)) // flush #1 (exactly full)
 	c.Add(out, mkSel(2)) // flush #2
