@@ -27,11 +27,11 @@
 //
 // Robustness knobs (see RELIABILITY.md): -degraded makes partial
 // results the server default when an archive chunk is unavailable,
-// -faults/-fault-seed arm the deterministic fault injector, the
-// -fetch-*/-breaker-*/-quarantine-ttl flags tune the remote-archive
-// retry, circuit-breaker and quarantine policies, and the overload
-// controls (-workers-min, -workers-max, -queue, -global-memory-bytes,
-// -governor-wait) bound concurrency and memory under hostile traffic.
+// -faults/-fault-seed arm the deterministic fault injector, and the
+// overload controls (-workers-min, -workers-max, -queue,
+// -global-memory-bytes) bound concurrency and memory under hostile
+// traffic. The remote archive's retry, circuit-breaker, quarantine and
+// fetch-deadline policy is fixed (registrar.HTTPRepository).
 package main
 
 import (
@@ -75,20 +75,13 @@ type options struct {
 	diskCacheB  int64
 	maxQueryB   int64
 	globalMemB  int64
-	govWait     time.Duration
 	genDays     int
 	pprofAddr   string
 
 	// Robustness.
-	degraded      bool
-	faults        string
-	faultSeed     int64
-	fetchTimeout  time.Duration
-	fetchRetries  int
-	fetchBackoff  time.Duration
-	quarantineTTL time.Duration
-	breakerThresh int
-	breakerCool   time.Duration
+	degraded  bool
+	faults    string
+	faultSeed int64
 }
 
 func main() {
@@ -109,19 +102,12 @@ func main() {
 	flag.Int64Var(&o.diskCacheB, "disk-cache-bytes", 0, "disk tier capacity in bytes (0 = unbounded)")
 	flag.Int64Var(&o.maxQueryB, "max-query-bytes", 0, "per-query memory ceiling on materialized bytes; exceeding it fails the query with 413 (0 = unlimited)")
 	flag.Int64Var(&o.globalMemB, "global-memory-bytes", 0, "process-wide memory governor: total bytes all in-flight queries may hold; exhaustion degrades to queueing then 429 (0 = ungoverned)")
-	flag.DurationVar(&o.govWait, "governor-wait", 0, "how long a query waits for governed memory before shedding (0 = default 100ms)")
 	flag.IntVar(&o.genDays, "gen-days", 2, "days of synthetic data when generating a demo repo")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
 	flag.BoolVar(&o.degraded, "degraded", false, "default to degraded mode: answer over available chunks when some are unreachable (per-request override via \"degraded\")")
 	flag.StringVar(&o.faults, "faults", "", "deterministic fault-injection spec, e.g. registrar.http=error:0.05 (empty: no injection)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 0, "seed for the -faults schedule (reproducible fault sequences)")
-	flag.DurationVar(&o.fetchTimeout, "fetch-timeout", 30*time.Second, "per-attempt deadline for one remote chunk fetch")
-	flag.IntVar(&o.fetchRetries, "fetch-retries", 0, "max fetch attempts per chunk, including the first (0 = default 3)")
-	flag.DurationVar(&o.fetchBackoff, "fetch-backoff", 0, "base retry backoff, doubled per attempt with jitter (0 = default 50ms)")
-	flag.DurationVar(&o.quarantineTTL, "quarantine-ttl", 0, "how long a failed chunk stays quarantined (0 = default 30s, negative disables)")
-	flag.IntVar(&o.breakerThresh, "breaker-threshold", 0, "consecutive fetch failures before the per-host circuit opens (0 = default 5)")
-	flag.DurationVar(&o.breakerCool, "breaker-cooldown", 0, "how long an open circuit waits before a half-open probe (0 = default 2s)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -160,7 +146,6 @@ func run(o options) error {
 		DiskCacheBytes:    o.diskCacheB,
 		MaxQueryBytes:     o.maxQueryB,
 		GlobalMemoryBytes: o.globalMemB,
-		GovernorWait:      o.govWait,
 		Degraded:          o.degraded,
 		Faults:            o.faults,
 		FaultSeed:         o.faultSeed,
@@ -171,21 +156,9 @@ func run(o options) error {
 	var err error
 	var origin string
 	if o.remote != "" {
-		repo := &registrar.HTTPRepository{
-			BaseURL: o.remote,
-			Timeout: o.fetchTimeout,
-			Retry: registrar.RetryPolicy{
-				MaxAttempts: o.fetchRetries,
-				BaseBackoff: o.fetchBackoff,
-			},
-			Breaker: registrar.BreakerConfig{
-				Threshold: o.breakerThresh,
-				Cooldown:  o.breakerCool,
-			},
-			QuarantineTTL: o.quarantineTTL,
-		}
-		if err := repo.Discover(context.Background()); err != nil {
-			return fmt.Errorf("discover %s: %w", o.remote, err)
+		repo, dErr := registrar.DiscoverHTTPRepository(o.remote, nil)
+		if dErr != nil {
+			return fmt.Errorf("discover %s: %w", o.remote, dErr)
 		}
 		db, err = engine.OpenSource(repo, "", cfg)
 		origin = o.remote

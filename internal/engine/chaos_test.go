@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +71,30 @@ func (f *flakyArchive) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.fs.ServeHTTP(w, r)
 }
 
+// fakeClock is a registrar.Clock that moves only when a backoff sleeps
+// or the test advances it.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.Advance(d)
+	return ctx.Err()
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
 // TestChaosHTTPArchiveHeals is the end-to-end outage story: a remote
 // archive goes down mid-workload, degraded queries keep answering over
 // what they can get while the breaker opens and chunks quarantine;
@@ -88,14 +113,8 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	srv := httptest.NewServer(arch)
 	defer srv.Close()
 
-	repo := &registrar.HTTPRepository{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-		Retry:   registrar.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		Breaker: registrar.BreakerConfig{Threshold: 2, Cooldown: 30 * time.Millisecond},
-
-		QuarantineTTL: 40 * time.Millisecond,
-	}
+	clock := &fakeClock{now: time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)}
+	repo := &registrar.HTTPRepository{BaseURL: srv.URL, Client: srv.Client(), Clock: clock}
 	if err := repo.Discover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +151,23 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	if n := db.MaterializedWindows(); n != 0 {
 		t.Fatalf("%d windows kept from the outage", n)
 	}
+	// The query's two chunks have six attempts between them and the
+	// fifth failure opens the breaker, so at least one chunk used up
+	// all three of its attempts and sits in quarantine. The backoffs
+	// advanced the clock by well under the cooldown.
 	health := db.SourceHealth()
-	if health == nil || health.FetchErrors == 0 {
-		t.Fatalf("source health = %+v, want fetch errors recorded", health)
+	if health == nil || health.FetchErrors == 0 || health.Quarantined == 0 ||
+		len(health.Hosts) != 1 || health.Hosts[0].Opens == 0 ||
+		health.Hosts[0].State != registrar.BreakerOpen.String() {
+		t.Fatalf("source health = %+v, want fetch errors, an open breaker and quarantined chunks", health)
 	}
 
-	// Heal; wait out quarantine TTL and breaker cooldown; converge.
+	// Heal; let quarantine TTL and breaker cooldown lapse; converge.
 	arch.failing.Store(false)
-	time.Sleep(60 * time.Millisecond)
+	clock.Advance(max(registrar.QuarantineTTL, registrar.BreakerCooldown) + time.Second)
+	if h := db.SourceHealth(); h.Quarantined != 0 {
+		t.Fatalf("source health = %+v after the TTL, want an empty quarantine", h)
+	}
 	db.ClearCache()
 	res, err = db.QueryContext(WithDegraded(context.Background(), false), sql)
 	if err != nil {
@@ -168,9 +196,7 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 		t.Fatalf("cold windows after the heal: %s, strict %s", answers[0], answers[1])
 	}
 	health = db.SourceHealth()
-	for _, h := range health.Hosts {
-		if h.State != registrar.BreakerClosed.String() {
-			t.Fatalf("host %s breaker %s after heal, want closed", h.Host, h.State)
-		}
+	if health.Quarantined != 0 || len(health.Hosts) != 1 || health.Hosts[0].State != registrar.BreakerClosed.String() {
+		t.Fatalf("source health = %+v after heal, want an empty quarantine and a closed breaker", health)
 	}
 }

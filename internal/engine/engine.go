@@ -55,9 +55,6 @@ type Config struct {
 	// (GOMAXPROCS shared across in-flight queries), 1 = serial loads (the
 	// parallel-load ablation), any other value is taken literally.
 	MaxParallel int
-	// PlanCacheSize bounds the compiled-plan cache (entries). 0 picks
-	// DefaultPlanCacheSize; negative disables plan caching.
-	PlanCacheSize int
 	// OptDisable lists logical-optimizer rules to disable, comma
 	// separated ("all" disables every rule; see internal/opt). Empty
 	// runs every rule.
@@ -77,9 +74,6 @@ type Config struct {
 	// with a *storage.GovernorError, which sommelierd answers with
 	// 429 + Retry-After (sommelierd -global-memory-bytes).
 	GlobalMemoryBytes int64
-	// GovernorWait bounds how long a query's charge may wait for
-	// global memory before shedding; 0 = storage.DefaultGovernorWait.
-	GovernorWait time.Duration
 	// Degraded makes partial results the default: a query whose chunk
 	// fetch ultimately fails (exhausted retries, quarantine, open
 	// circuit breaker) proceeds over the available chunks and carries
@@ -276,13 +270,9 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		}
 	}
 	db.optRules = opt.ParseDisable(cfg.OptDisable)
-	size := cfg.PlanCacheSize
-	if size == 0 {
-		size = DefaultPlanCacheSize
-	}
-	db.plans = newPlanCache(size)
+	db.plans = newPlanCache(DefaultPlanCacheSize)
 	db.env.MaxQueryBytes = cfg.MaxQueryBytes
-	db.env.Governor = storage.NewGovernor(cfg.GlobalMemoryBytes, cfg.GovernorWait)
+	db.env.Governor = storage.NewGovernor(cfg.GlobalMemoryBytes, storage.DefaultGovernorWait)
 	db.env.Degraded = cfg.Degraded
 	if strings.TrimSpace(cfg.Faults) != "" {
 		// Unset, the injector stays nil: the injection checks reduce to
@@ -398,8 +388,8 @@ func WithDegraded(ctx context.Context, degraded bool) context.Context {
 	return exec.WithDegraded(ctx, degraded)
 }
 
-// SourceHealth reports the chunk source's reliability state — per-host
-// circuit breakers, quarantine population, retry counters — when the
+// SourceHealth reports the chunk source's reliability state — the
+// circuit breaker, quarantine population, retry counters — when the
 // source tracks it (registrar.HTTPRepository does); nil otherwise.
 func (db *DB) SourceHealth() *registrar.Health {
 	if h, ok := db.repo.(interface{ Health() registrar.Health }); ok {

@@ -6,8 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultPlanCacheSize is the compiled-plan cache capacity (entries)
-// when none is configured.
+// DefaultPlanCacheSize is the compiled-plan cache capacity (entries).
 const DefaultPlanCacheSize = 256
 
 // PlanCacheStats reports compiled-plan cache activity.
@@ -36,24 +35,14 @@ type cacheEntry struct {
 	c   *compiled
 }
 
-// newPlanCache returns a cache bounded to capacity entries; capacity
-// <= 0 disables caching (every Get misses, Put is a no-op).
+// newPlanCache returns a cache bounded to capacity (> 0) entries.
 func newPlanCache(capacity int) *planCache {
-	pc := &planCache{cap: capacity}
-	if capacity > 0 {
-		pc.ll = list.New()
-		pc.m = make(map[string]*list.Element, capacity)
-	}
-	return pc
+	return &planCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity)}
 }
 
 // Get returns the compiled statement for key, marking it most recently
 // used.
 func (pc *planCache) Get(key string) (*compiled, bool) {
-	if pc.cap <= 0 {
-		pc.misses.Add(1)
-		return nil, false
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	el, ok := pc.m[key]
@@ -69,9 +58,6 @@ func (pc *planCache) Get(key string) (*compiled, bool) {
 // Put inserts (or refreshes) a compiled statement, evicting the least
 // recently used entry beyond capacity.
 func (pc *planCache) Put(key string, c *compiled) {
-	if pc.cap <= 0 {
-		return
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if el, ok := pc.m[key]; ok {
@@ -91,9 +77,6 @@ func (pc *planCache) Put(key string, c *compiled) {
 // first. The warm-restart machinery persists them so a restarted
 // process can pre-compile the hot statement set.
 func (pc *planCache) Keys() []string {
-	if pc.cap <= 0 {
-		return nil
-	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	keys := make([]string, 0, pc.ll.Len())
@@ -105,15 +88,12 @@ func (pc *planCache) Keys() []string {
 
 // Stats snapshots the counters.
 func (pc *planCache) Stats() PlanCacheStats {
-	st := PlanCacheStats{
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return PlanCacheStats{
 		Hits:     pc.hits.Load(),
 		Misses:   pc.misses.Load(),
+		Size:     pc.ll.Len(),
 		Capacity: pc.cap,
 	}
-	if pc.cap > 0 {
-		pc.mu.Lock()
-		st.Size = pc.ll.Len()
-		pc.mu.Unlock()
-	}
-	return st
 }

@@ -119,10 +119,8 @@ func TestPreparedLiteralStatement(t *testing.T) {
 
 func TestPlanCacheBounded(t *testing.T) {
 	dir := genRepo(t, 1)
-	db, err := Open(dir, Config{Approach: registrar.EagerPlain, PlanCacheSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := open(t, dir, registrar.EagerPlain)
+	db.plans = newPlanCache(2)
 	for i := 0; i < 5; i++ {
 		// Distinct shapes (different LIMITs stay literal), so each is
 		// its own cache entry.

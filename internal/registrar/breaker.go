@@ -32,32 +32,7 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the per-host circuit breakers.
-type BreakerConfig struct {
-	// Threshold is the number of consecutive request failures that
-	// opens the breaker. <= 0 selects the default (5).
-	Threshold int
-	// Cooldown is how long an open breaker rejects before admitting a
-	// half-open probe. <= 0 selects the default (2s).
-	Cooldown time.Duration
-}
-
-const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 2 * time.Second
-)
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = defaultBreakerThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = defaultBreakerCooldown
-	}
-	return c
-}
-
-// breaker is one host's circuit breaker. The half-open state admits
+// breaker is the archive's circuit breaker. The half-open state admits
 // exactly one in-flight probe, so a recovering host sees one request,
 // not a thundering herd; callers arriving meanwhile wait for the
 // probe's verdict and then proceed or are rejected by it — a healed
@@ -65,7 +40,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // that finds it healed.
 type breaker struct {
 	mu       sync.Mutex
-	cfg      BreakerConfig
 	state    BreakerState
 	fails    int // consecutive failures while closed
 	openedAt time.Time
@@ -81,7 +55,7 @@ type breaker struct {
 // Retry-After-style surfacing. A caller allowed through must report
 // back with success, failure or abandon, handing over the probe token
 // it was given: non-nil for the half-open probe, nil for everyone else.
-func (b *breaker) allow(ctx context.Context) (ok bool, probe chan struct{}, wait time.Duration) {
+func (b *breaker) allow(ctx context.Context, clk Clock) (ok bool, probe chan struct{}, wait time.Duration) {
 	for {
 		b.mu.Lock()
 		if b.state == BreakerClosed {
@@ -89,7 +63,7 @@ func (b *breaker) allow(ctx context.Context) (ok bool, probe chan struct{}, wait
 			return true, nil, 0
 		}
 		if b.state == BreakerOpen {
-			if wait := b.cfg.Cooldown - time.Since(b.openedAt); wait > 0 {
+			if wait := BreakerCooldown - clk.Now().Sub(b.openedAt); wait > 0 {
 				b.mu.Unlock()
 				return false, nil, wait
 			}
@@ -165,7 +139,7 @@ func (b *breaker) failure(probe chan struct{}, now time.Time) {
 		b.opens++
 	case BreakerClosed:
 		b.fails++
-		if b.fails >= b.cfg.Threshold {
+		if b.fails >= breakerThreshold {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.opens++
@@ -175,7 +149,7 @@ func (b *breaker) failure(probe chan struct{}, now time.Time) {
 	}
 }
 
-// HostHealth is one host's breaker snapshot, surfaced on /stats.
+// HostHealth is the archive host's breaker snapshot, surfaced on /stats.
 type HostHealth struct {
 	Host                string `json:"host"`
 	State               string `json:"state"`
@@ -192,40 +166,4 @@ func (b *breaker) snapshot(host string) HostHealth {
 		ConsecutiveFailures: b.fails,
 		Opens:               b.opens,
 	}
-}
-
-// breakerSet lazily allocates one breaker per host.
-type breakerSet struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
-	m   map[string]*breaker
-}
-
-func newBreakerSet(cfg BreakerConfig) *breakerSet {
-	return &breakerSet{cfg: cfg.withDefaults(), m: make(map[string]*breaker)}
-}
-
-func (s *breakerSet) get(host string) *breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.m[host]
-	if b == nil {
-		b = &breaker{cfg: s.cfg}
-		s.m[host] = b
-	}
-	return b
-}
-
-func (s *breakerSet) snapshot() []HostHealth {
-	s.mu.Lock()
-	hosts := make([]string, 0, len(s.m))
-	for h := range s.m {
-		hosts = append(hosts, h)
-	}
-	s.mu.Unlock()
-	out := make([]HostHealth, 0, len(hosts))
-	for _, h := range hosts {
-		out = append(out, s.get(h).snapshot(h))
-	}
-	return out
 }

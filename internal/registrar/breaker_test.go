@@ -7,11 +7,14 @@ import (
 	"time"
 )
 
-// openBreaker returns a breaker tripped long enough ago that its next
-// caller becomes the half-open probe.
-func openBreaker() *breaker {
-	b := &breaker{cfg: BreakerConfig{Threshold: 1, Cooldown: time.Millisecond}.withDefaults()}
-	b.failure(nil, time.Now().Add(-time.Second))
+// openBreaker returns a breaker tripped a cooldown ago on clk, so that
+// its next caller becomes the half-open probe.
+func openBreaker(clk *fakeClock) *breaker {
+	b := &breaker{}
+	for i := 0; i < breakerThreshold; i++ {
+		b.failure(nil, clk.Now())
+	}
+	clk.Advance(BreakerCooldown)
 	return b
 }
 
@@ -20,18 +23,19 @@ func openBreaker() *breaker {
 // after a success, all rejected with the fresh cooldown after a failure,
 // and the next one takes the probe over when the prober gives up.
 func TestHalfOpenCallersAwaitTheProbe(t *testing.T) {
+	clk := newFakeClock()
 	for _, tc := range []struct {
 		name    string
 		verdict func(b *breaker, probe chan struct{})
 		admit   bool
 	}{
 		{"success", (*breaker).success, true},
-		{"failure", func(b *breaker, probe chan struct{}) { b.failure(probe, time.Now()) }, false},
+		{"failure", func(b *breaker, probe chan struct{}) { b.failure(probe, clk.Now()) }, false},
 	} {
-		b := openBreaker()
-		b.cfg.Cooldown = time.Hour // a failed probe re-opens for good
-		b.openedAt = time.Now().Add(-2 * time.Hour)
-		ok, probe, _ := b.allow(context.Background())
+		// The clock stands still from here, so a failed probe re-opens
+		// the breaker for the whole test.
+		b := openBreaker(clk)
+		ok, probe, _ := b.allow(context.Background(), clk)
 		if !ok || probe == nil {
 			t.Fatalf("%s: probe not admitted after the cooldown", tc.name)
 		}
@@ -42,7 +46,7 @@ func TestHalfOpenCallersAwaitTheProbe(t *testing.T) {
 			started.Add(1)
 			go func() {
 				started.Done()
-				ok, _, _ := b.allow(context.Background())
+				ok, _, _ := b.allow(context.Background(), clk)
 				admitted <- ok
 			}()
 		}
@@ -51,7 +55,7 @@ func TestHalfOpenCallersAwaitTheProbe(t *testing.T) {
 		// none of them holds the probe, so none may end it.
 		b.abandon(nil)
 		b.success(nil)
-		b.failure(nil, time.Now())
+		b.failure(nil, clk.Now())
 		select {
 		case ok := <-admitted:
 			t.Fatalf("%s: a caller got %v before the probe's verdict", tc.name, ok)
@@ -69,16 +73,16 @@ func TestHalfOpenCallersAwaitTheProbe(t *testing.T) {
 	}
 
 	// A waiter is bounded by its own context …
-	b := openBreaker()
-	_, probe, _ := b.allow(context.Background())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if ok, _, _ := b.allow(ctx); ok || ctx.Err() == nil {
-		t.Fatalf("waiter admitted = %v with ctx err %v, want a refusal at its deadline", ok, ctx.Err())
+	b := openBreaker(clk)
+	_, probe, _ := b.allow(context.Background(), clk)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ok, _, _ := b.allow(ctx, clk); ok {
+		t.Fatal("waiter with an ended context admitted while the probe is in flight")
 	}
 	// … and an abandoned probe hands the slot to the next caller.
 	b.abandon(probe)
-	if ok, next, _ := b.allow(context.Background()); !ok || next == nil || b.state != BreakerHalfOpen {
+	if ok, next, _ := b.allow(context.Background(), clk); !ok || next == nil || b.state != BreakerHalfOpen {
 		t.Fatalf("after abandon: admitted = %v (probe %v) in state %s, want the new half-open probe", ok, next != nil, b.state)
 	}
 }

@@ -41,7 +41,7 @@ func (e *ChunkError) Unwrap() error { return e.Err }
 // not a query-correctness failure.
 func (e *ChunkError) Degradable() bool { return true }
 
-// CircuitOpenError reports that the per-host circuit breaker refused a
+// CircuitOpenError reports that the archive's circuit breaker refused a
 // fetch without a network attempt: the host failed enough consecutive
 // requests that hammering it further would only add latency. It is
 // Degradable for the same reason ChunkError is.

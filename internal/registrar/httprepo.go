@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,51 +33,65 @@ const (
 	MaxIndexLine = 4096
 )
 
-// RetryPolicy tunes the bounded exponential backoff of the HTTP fetch
-// path. Each chunk request makes up to MaxAttempts attempts; attempt n
-// is preceded by a jittered sleep of roughly BaseBackoff·2ⁿ, capped at
-// MaxBackoff, raised to the server's Retry-After when one was sent.
-type RetryPolicy struct {
-	// MaxAttempts per request; <= 0 selects the default (3).
-	MaxAttempts int
-	// BaseBackoff before the first retry; <= 0 selects 50ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth; <= 0 selects 2s.
-	MaxBackoff time.Duration
-}
-
+// The remote archive's fetch policy. A fetch makes up to fetchAttempts
+// attempts, each bounded by AttemptTimeout from connect to the end of
+// the body; attempt n+1 follows a jittered backoff of about
+// baseBackoff·2ⁿ, capped at maxBackoff and raised to the archive's
+// Retry-After (itself capped at AttemptTimeout). breakerThreshold
+// consecutive failed attempts open the breaker, which sends a half-open
+// probe after BreakerCooldown. A chunk that fails for good stays
+// quarantined for QuarantineTTL.
 const (
-	defaultMaxAttempts = 3
-	defaultBaseBackoff = 50 * time.Millisecond
-	defaultMaxBackoff  = 2 * time.Second
+	fetchAttempts    = 3
+	baseBackoff      = 50 * time.Millisecond
+	maxBackoff       = 2 * time.Second
+	breakerThreshold = 5
+	BreakerCooldown  = 2 * time.Second
+	QuarantineTTL    = 30 * time.Second
+	AttemptTimeout   = 30 * time.Second
 )
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultMaxAttempts
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = defaultBaseBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = defaultMaxBackoff
-	}
-	return p
-}
+// defaultClient serves a repository whose Client is nil: its Timeout is
+// the per-attempt deadline.
+var defaultClient = &http.Client{Timeout: AttemptTimeout}
 
 // backoff is the sleep before retry number attempt (0-based), half
 // fixed and half jittered so synchronized clients spread out.
-func (p RetryPolicy) backoff(attempt int, jitter float64) time.Duration {
-	d := p.BaseBackoff << uint(attempt)
-	if d > p.MaxBackoff || d <= 0 {
-		d = p.MaxBackoff
+func backoff(attempt int, jitter float64) time.Duration {
+	d := baseBackoff << uint(attempt)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	return d/2 + time.Duration(jitter*float64(d/2))
 }
 
-// DefaultQuarantineTTL is how long a failed or corrupt chunk stays
-// quarantined when QuarantineTTL is left zero.
-const DefaultQuarantineTTL = 30 * time.Second
+// Clock is the time the archive's policy runs on: the breaker's
+// cooldown, the quarantine's expiry, the backoff between attempts and
+// the date form of Retry-After all read it.
+type Clock interface {
+	Now() time.Time
+	// Sleep waits d, returning ctx.Err() early if ctx ends first.
+	Sleep(ctx context.Context, d time.Duration) error
+}
+
+// wallClock is the Clock of a repository whose Clock is nil.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time { return time.Now() }
+
+func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
 
 // HTTPRepository is a chunk repository behind an HTTP interface: the
 // paper's §VIII "Other Sources" future work. The archive serves a plain
@@ -87,61 +100,52 @@ const DefaultQuarantineTTL = 30 * time.Second
 // chunk-access both stream over HTTP; the rest of the system is
 // oblivious to the transport.
 //
-// The fetch path is hardened for archives we do not control: every
-// request gets a per-attempt deadline (Timeout), transient failures
-// retry with bounded jittered exponential backoff (Retry) that honors
-// both Retry-After and context cancellation mid-sleep, a per-host
-// circuit breaker stops hammering a down host (Breaker), and chunks
-// that exhaust their retries or fail to decode enter a TTL quarantine
-// (QuarantineTTL) so the next query fails them fast. All failures
-// surface as Degradable errors — see ChunkError — which degraded-mode
-// queries turn into partial results instead of query failures.
+// The fetch path is hardened for archives we do not control, by the
+// fixed policy above: every attempt has a deadline, transient failures
+// retry with bounded jittered exponential backoff that honors both a
+// capped Retry-After and context cancellation mid-sleep, a circuit
+// breaker stops hammering a down archive, and chunks that exhaust their
+// retries or fail to decode enter a TTL quarantine so the next query
+// fails them fast. All failures surface as Degradable errors — see
+// ChunkError — which degraded-mode queries turn into partial results
+// instead of query failures.
 type HTTPRepository struct {
 	// BaseURL of the archive, without trailing slash.
 	BaseURL string
-	// Client used for all requests; http.DefaultClient when nil.
+	// Client used for all requests; its Timeout is the per-attempt
+	// deadline. Nil selects a client whose Timeout is AttemptTimeout.
 	Client *http.Client
-	// Timeout per request attempt; 0 means no extra deadline.
-	Timeout time.Duration
-	// Retry tunes backoff; the zero value selects the defaults.
-	Retry RetryPolicy
-	// Breaker tunes the per-host circuit breakers.
-	Breaker BreakerConfig
-	// QuarantineTTL is how long a failed chunk is blocked from
-	// re-fetching; 0 selects DefaultQuarantineTTL, negative disables
-	// quarantine entirely.
-	QuarantineTTL time.Duration
 	// Faults is the fault-injection schedule for this repository; nil
 	// injects nothing.
 	Faults *fault.Injector
+	// Clock times the backoff, the breaker and the quarantine; nil is
+	// the wall clock.
+	Clock Clock
 
 	paths []string // relative chunk paths, position = chunk ID
 
-	initOnce sync.Once
-	breakers *breakerSet
-	quar     *quarantine
-	host     string
+	// br guards the archive: every URL the repository fetches is on
+	// BaseURL's host.
+	br   breaker
+	quar quarantine
 
 	jseq                                   atomic.Uint64 // jitter sequence
 	fetches, retries, fetchErrors, rejects atomic.Int64
 }
 
-func (r *HTTPRepository) init() {
-	r.initOnce.Do(func() {
-		r.breakers = newBreakerSet(r.Breaker)
-		ttl := r.QuarantineTTL
-		if ttl == 0 {
-			ttl = DefaultQuarantineTTL
-		}
-		if ttl > 0 {
-			r.quar = newQuarantine(ttl)
-		}
-		if u, err := url.Parse(r.BaseURL); err == nil && u.Host != "" {
-			r.host = u.Host
-		} else {
-			r.host = r.BaseURL
-		}
-	})
+func (r *HTTPRepository) clock() Clock {
+	if r.Clock != nil {
+		return r.Clock
+	}
+	return wallClock{}
+}
+
+// host names the archive in breaker errors and Health.
+func (r *HTTPRepository) host() string {
+	if u, err := url.Parse(r.BaseURL); err == nil && u.Host != "" {
+		return u.Host
+	}
+	return r.BaseURL
 }
 
 // SetFaults overrides the repository's fault-injection schedule (the
@@ -151,9 +155,9 @@ func (r *HTTPRepository) SetFaults(in *fault.Injector) { r.Faults = in }
 // faultInjector lets LoadChunkFromSource find the schedule.
 func (r *HTTPRepository) faultInjector() *fault.Injector { return r.Faults }
 
-// DiscoverHTTPRepository fetches the archive's chunk listing with the
-// default policies. To tune timeouts, retries or the breaker first,
-// construct an HTTPRepository and call Discover.
+// DiscoverHTTPRepository fetches the archive's chunk listing through
+// client (nil: a client with the AttemptTimeout deadline). To set a
+// Clock or Faults first, construct an HTTPRepository and call Discover.
 func DiscoverHTTPRepository(baseURL string, client *http.Client) (*HTTPRepository, error) {
 	r := &HTTPRepository{BaseURL: strings.TrimRight(baseURL, "/"), Client: client}
 	if err := r.Discover(context.Background()); err != nil {
@@ -163,11 +167,10 @@ func DiscoverHTTPRepository(baseURL string, client *http.Client) (*HTTPRepositor
 }
 
 // Discover fetches the archive's chunk listing into a pre-configured
-// repository: the per-attempt Timeout, retry policy and breaker all
-// apply, and the index is bounded (MaxIndexBytes total, MaxIndexLine
-// per line) with a clear error on oversize.
+// repository: the per-attempt deadline, retries and breaker all apply,
+// and the index is bounded (MaxIndexBytes total, MaxIndexLine per line)
+// with a clear error on oversize.
 func (r *HTTPRepository) Discover(ctx context.Context) error {
-	r.init()
 	r.BaseURL = strings.TrimRight(r.BaseURL, "/")
 	resp, _, err := r.fetch(ctx, r.BaseURL+"/"+IndexFileName)
 	if err != nil {
@@ -222,18 +225,13 @@ func (r *HTTPRepository) URIs() []string {
 	return out
 }
 
-// Open implements Source: it GETs one chunk (see OpenContext).
-func (r *HTTPRepository) Open(chunkID int64) (io.ReadCloser, error) {
-	return r.OpenContext(context.Background(), chunkID)
-}
-
-// OpenContext streams one chunk's bytes through the hardened fetch
-// path: per-attempt deadline, retry with backoff, circuit breaker.
-func (r *HTTPRepository) OpenContext(ctx context.Context, chunkID int64) (io.ReadCloser, error) {
+// Open implements Source: it streams one chunk's bytes through the
+// hardened fetch path: per-attempt deadline, retry with backoff,
+// circuit breaker.
+func (r *HTTPRepository) Open(ctx context.Context, chunkID int64) (io.ReadCloser, error) {
 	if chunkID < 0 || chunkID >= int64(len(r.paths)) {
 		return nil, fmt.Errorf("registrar: chunk %d out of range", chunkID)
 	}
-	r.init()
 	u := r.BaseURL + "/" + escapePath(r.paths[chunkID])
 	resp, attempts, err := r.fetch(ctx, u)
 	if err != nil {
@@ -270,32 +268,30 @@ func retryableStatus(code int) bool {
 	return code == http.StatusRequestTimeout || code == http.StatusTooManyRequests || code >= 500
 }
 
-// fetch GETs u with retries, backoff, Retry-After, per-attempt
-// deadlines and the circuit breaker. It returns the number of attempts
-// actually made; the response body carries the per-attempt deadline
-// with it (the deadline is released when the body is closed).
+// fetch GETs u with retries, backoff, Retry-After and the circuit
+// breaker. It returns the number of attempts actually made; the
+// client's Timeout bounds each attempt, the response body included.
 func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, int, error) {
-	pol := r.Retry.withDefaults()
-	br := r.breakers.get(r.host)
+	clk := r.clock()
 	attempts := 0
 	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, attempts, err
 		}
-		ok, probe, wait := br.allow(ctx)
+		ok, probe, wait := r.br.allow(ctx, clk)
 		if !ok {
 			if err := ctx.Err(); err != nil {
 				return nil, attempts, err
 			}
 			r.rejects.Add(1)
-			return nil, attempts, &CircuitOpenError{Host: r.host, RetryIn: wait}
+			return nil, attempts, &CircuitOpenError{Host: r.host(), RetryIn: wait}
 		}
 		attempts++
 		r.fetches.Add(1)
-		resp, retryAfter, err := r.attempt(ctx, u)
+		resp, retryAfter, err := r.attempt(ctx, u, clk)
 		if err == nil {
-			br.success(probe)
+			r.br.success(probe)
 			return resp, attempts, nil
 		}
 		lastErr = err
@@ -303,36 +299,32 @@ func (r *HTTPRepository) fetch(ctx context.Context, u string) (*http.Response, i
 		if ctx.Err() != nil {
 			// Caller cancellation: not the host's fault, and not worth
 			// another attempt. No verdict for the breaker.
-			br.abandon(probe)
+			r.br.abandon(probe)
 			return nil, attempts, ctx.Err()
 		}
 		var se *statusError
 		if errors.As(err, &se) && !retryableStatus(se.code) {
 			// A permanent status is a live host answering: reset the
 			// breaker's failure streak, fail the request for good.
-			br.success(probe)
+			r.br.success(probe)
 			return nil, attempts, err
 		}
-		br.failure(probe, time.Now())
-		if attempt == pol.MaxAttempts-1 {
+		r.br.failure(probe, clk.Now())
+		if attempt == fetchAttempts-1 {
 			break
 		}
-		delay := pol.backoff(attempt, r.jitter())
-		if retryAfter > delay {
-			delay = retryAfter
-		}
 		r.retries.Add(1)
-		if err := sleepCtx(ctx, delay); err != nil {
+		if err := clk.Sleep(ctx, max(backoff(attempt, r.jitter()), retryAfter)); err != nil {
 			return nil, attempts, err
 		}
 	}
 	return nil, attempts, lastErr
 }
 
-// attempt performs one GET with the per-attempt deadline and the
-// registrar.http fault point. On a retryable status the server's
-// Retry-After (when parseable) is returned alongside the error.
-func (r *HTTPRepository) attempt(ctx context.Context, u string) (*http.Response, time.Duration, error) {
+// attempt performs one GET with the registrar.http fault point. On a
+// retryable status the server's Retry-After (when parseable) is
+// returned alongside the error.
+func (r *HTTPRepository) attempt(ctx context.Context, u string, clk Clock) (*http.Response, time.Duration, error) {
 	act := r.Faults.Check(fault.PointHTTP)
 	if err := act.Wait(ctx); err != nil {
 		return nil, 0, err
@@ -340,46 +332,23 @@ func (r *HTTPRepository) attempt(ctx context.Context, u string) (*http.Response,
 	if act.Err != nil {
 		return nil, 0, act.Err
 	}
-	actx, cancel := ctx, context.CancelFunc(func() {})
-	if r.Timeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, r.Timeout)
-	}
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		cancel()
 		return nil, 0, err
 	}
 	resp, err := r.client().Do(req)
 	if err != nil {
-		cancel()
 		return nil, 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		ra := parseRetryAfter(resp.Header.Get("Retry-After"))
+		ra := parseRetryAfter(resp.Header.Get("Retry-After"), clk.Now())
 		resp.Body.Close()
-		cancel()
 		return nil, ra, &statusError{url: u, code: resp.StatusCode, status: resp.Status}
 	}
-	// The attempt deadline stays armed while the body streams and is
-	// released when the caller closes it.
-	var body io.ReadCloser = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
 	if act.Corrupt {
-		body = readCloser{Reader: fault.CorruptReader(body, act.CorruptSeed), Closer: body}
+		resp.Body = readCloser{Reader: fault.CorruptReader(resp.Body, act.CorruptSeed), Closer: resp.Body}
 	}
-	resp.Body = body
 	return resp, 0, nil
-}
-
-// cancelOnClose releases an attempt's deadline when its body closes.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
 }
 
 type readCloser struct {
@@ -388,39 +357,23 @@ type readCloser struct {
 }
 
 // parseRetryAfter understands both forms of the header: delta-seconds
-// and an HTTP date. Unparseable values yield 0 (use our own backoff).
-func parseRetryAfter(h string) time.Duration {
+// and an HTTP date, read against now. The value comes from outside the
+// process, so it is honored only up to AttemptTimeout, and a value too
+// large to represent is that cap; unparseable values yield 0 (use our
+// own backoff).
+func parseRetryAfter(h string, now time.Time) time.Duration {
 	h = strings.TrimSpace(h)
-	if h == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(h); err == nil {
-		if secs < 0 {
-			return 0
+	var d time.Duration
+	if secs, err := strconv.ParseInt(h, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
+		// Out of range, ParseInt saturates to the sign's extreme.
+		if secs > int64(AttemptTimeout/time.Second) {
+			return AttemptTimeout
 		}
-		return time.Duration(secs) * time.Second
+		d = time.Duration(secs) * time.Second
+	} else if at, err := http.ParseTime(h); err == nil {
+		d = at.Sub(now)
 	}
-	if at, err := http.ParseTime(h); err == nil {
-		if d := time.Until(at); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-// sleepCtx waits out a backoff, returning early on cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return min(max(d, 0), AttemptTimeout)
 }
 
 // jitter draws the next deterministic jitter fraction in [0,1). The
@@ -437,7 +390,7 @@ func (r *HTTPRepository) client() *http.Client {
 	if r.Client != nil {
 		return r.Client
 	}
-	return http.DefaultClient
+	return defaultClient
 }
 
 func escapePath(p string) string {
@@ -467,8 +420,7 @@ func (r *HTTPRepository) LoadChunk(tableName string, chunkID int64) (*storage.Re
 // cancellation (ctx ending) are reported as a *ChunkError, which is
 // Degradable.
 func (r *HTTPRepository) LoadChunkInto(ctx context.Context, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
-	r.init()
-	if reason, ok := r.quar.check(chunkID, time.Now()); ok {
+	if reason, ok := r.quar.check(chunkID, r.clock().Now()); ok {
 		return nil, nil, &ChunkError{Table: tableName, Chunk: chunkID, Quarantined: true, Err: errors.New(reason)}
 	}
 	rel, cov, err := LoadChunkFromSource(ctx, r, tableName, chunkID, segs, mem)
@@ -490,7 +442,7 @@ func (r *HTTPRepository) LoadChunkInto(ctx context.Context, tableName string, ch
 		// status, undecodable payload): quarantine it. A breaker
 		// rejection proves nothing about this chunk, so it is not
 		// quarantined.
-		r.quar.add(chunkID, ce.Err.Error(), time.Now())
+		r.quar.add(chunkID, ce.Err.Error(), r.clock().Now())
 	}
 	return nil, nil, ce
 }
@@ -510,10 +462,9 @@ type Health struct {
 
 // Health reports the repository's breaker, quarantine and retry state.
 func (r *HTTPRepository) Health() Health {
-	r.init()
 	return Health{
-		Hosts:       r.breakers.snapshot(),
-		Quarantined: r.quar.size(time.Now()),
+		Hosts:       []HostHealth{r.br.snapshot(r.host())},
+		Quarantined: r.quar.size(r.clock().Now()),
 		Fetches:     r.fetches.Load(),
 		Retries:     r.retries.Load(),
 		FetchErrors: r.fetchErrors.Load(),

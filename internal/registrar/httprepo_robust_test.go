@@ -18,16 +18,16 @@ import (
 
 // archiveServer fronts a generated repository with controllable
 // failure behaviour: fail the next N requests, fail everything, stall
-// before answering, and count every request that arrives.
+// until the client goes away, and count every request that arrives.
 type archiveServer struct {
 	mu      sync.Mutex
-	failN   int           // fail this many upcoming requests, then serve
-	failAll bool          // fail every request
-	status  int           // failure status code
-	header  http.Header   // extra headers on failures
-	sleep   time.Duration // pre-answer stall
-	hang    bool          // answer nothing until the client goes away
+	failN   int         // fail this many upcoming requests, then serve
+	failAll bool        // fail every request
+	status  int         // failure status code
+	header  http.Header // extra headers on failures
+	hang    bool        // answer nothing until the client goes away
 	reqs    int
+	stalled chan struct{} // one send per request that hangs
 	fs      http.Handler
 }
 
@@ -37,7 +37,11 @@ func newArchiveServer(t *testing.T) (*httptest.Server, *archiveServer) {
 	if err := WriteIndexFile(dir); err != nil {
 		t.Fatal(err)
 	}
-	a := &archiveServer{status: http.StatusInternalServerError, fs: http.FileServer(http.Dir(dir))}
+	a := &archiveServer{
+		status:  http.StatusInternalServerError,
+		stalled: make(chan struct{}, fetchAttempts),
+		fs:      http.FileServer(http.Dir(dir)),
+	}
 	srv := httptest.NewServer(a)
 	t.Cleanup(srv.Close)
 	return srv, a
@@ -52,16 +56,16 @@ func (a *archiveServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fail = true
 	}
 	status := a.status
-	sleep := a.sleep
 	hang := a.hang
 	hdr := a.header
 	a.mu.Unlock()
 	if hang {
+		select {
+		case a.stalled <- struct{}{}:
+		default:
+		}
 		<-r.Context().Done()
 		return
-	}
-	if sleep > 0 {
-		time.Sleep(sleep)
 	}
 	if fail {
 		for k, vs := range hdr {
@@ -87,43 +91,103 @@ func (a *archiveServer) set(fn func(*archiveServer)) {
 	fn(a)
 }
 
-// fastRetry keeps test retry sleeps in the microsecond range.
-var fastRetry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+// fakeClock is a Clock that moves only when a backoff sleeps or the
+// test advances it, and records every sleep. With hold set, a sleep
+// instead signals asleep and waits for its context to end.
+type fakeClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	sleeps []time.Duration
+	hold   bool
+	asleep chan struct{}
+}
 
-// newTestRepo discovers against the archive, with no fault injection
-// unless mut arms some.
-func newTestRepo(t *testing.T, srv *httptest.Server, mut func(*HTTPRepository)) *HTTPRepository {
+func newFakeClock() *fakeClock {
+	return &fakeClock{now: time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC), asleep: make(chan struct{}, 1)}
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.mu.Lock()
+	c.sleeps = append(c.sleeps, d)
+	hold := c.hold
+	if !hold {
+		c.now = c.now.Add(d)
+	}
+	c.mu.Unlock()
+	if hold {
+		c.asleep <- struct{}{}
+		<-ctx.Done()
+	}
+	return ctx.Err()
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+func (c *fakeClock) slept() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.sleeps...)
+}
+
+// newTestRepo discovers against the archive on a fake clock, with no
+// fault injection.
+func newTestRepo(t *testing.T, srv *httptest.Server) (*HTTPRepository, *fakeClock) {
 	t.Helper()
-	r := &HTTPRepository{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-		Retry:   fastRetry,
-	}
-	if mut != nil {
-		mut(r)
-	}
+	clk := newFakeClock()
+	r := &HTTPRepository{BaseURL: srv.URL, Client: srv.Client(), Clock: clk}
 	if err := r.Discover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r, clk
+}
+
+// stallingClient cuts every attempt off after a short deadline.
+func stallingClient(srv *httptest.Server) *http.Client {
+	return &http.Client{Transport: srv.Client().Transport, Timeout: 20 * time.Millisecond}
+}
+
+// isTimeout reports whether err is an attempt cut off by its deadline.
+func isTimeout(err error) bool {
+	var ne interface{ Timeout() bool }
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // TestFetchRetriesTransientFailures: a chunk fetch survives transient
-// 500s within its attempt budget, and Health counts the retries.
+// 500s within its attempt budget, backing off between attempts, and
+// Health counts the retries.
 func TestFetchRetriesTransientFailures(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
-	a.set(func(a *archiveServer) { a.failN = 2 })
+	repo, clk := newTestRepo(t, srv)
+	a.set(func(a *archiveServer) { a.failN = fetchAttempts - 1 })
 	rel, err := repo.LoadChunk(seismic.TableD, 0)
 	if err != nil {
-		t.Fatalf("fetch did not survive 2 transient failures: %v", err)
+		t.Fatalf("fetch did not survive %d transient failures: %v", fetchAttempts-1, err)
 	}
 	if rel.Rows() == 0 {
 		t.Fatal("no rows decoded")
 	}
 	h := repo.Health()
-	if h.Retries < 2 || h.FetchErrors < 2 {
-		t.Fatalf("health = %+v, want >= 2 retries and fetch errors", h)
+	if h.Retries != fetchAttempts-1 || h.FetchErrors != fetchAttempts-1 {
+		t.Fatalf("health = %+v, want %d retries and fetch errors", h, fetchAttempts-1)
+	}
+	sleeps := clk.slept()
+	if len(sleeps) != fetchAttempts-1 {
+		t.Fatalf("sleeps = %v, want one backoff per retry", sleeps)
+	}
+	for i, d := range sleeps {
+		if lo := baseBackoff << uint(i) / 2; d < lo || d > 2*lo {
+			t.Fatalf("backoff %d = %v, want in [%v, %v]", i, d, lo, 2*lo)
+		}
 	}
 }
 
@@ -132,22 +196,23 @@ func TestFetchRetriesTransientFailures(t *testing.T) {
 // quarantine so the next request does not touch the archive.
 func TestFetchExhaustsRetries(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
+	repo, _ := newTestRepo(t, srv)
 	a.set(func(a *archiveServer) { a.failAll = true })
 
+	before := a.requests()
 	_, err := repo.LoadChunk(seismic.TableD, 0)
 	var ce *ChunkError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ChunkError", err)
 	}
-	if ce.Attempts != fastRetry.MaxAttempts || ce.Quarantined {
-		t.Fatalf("ChunkError = %+v, want %d attempts, not yet quarantined", ce, fastRetry.MaxAttempts)
+	if ce.Attempts != fetchAttempts || ce.Quarantined || a.requests()-before != fetchAttempts {
+		t.Fatalf("ChunkError = %+v after %d requests, want %d attempts, not yet quarantined", ce, a.requests()-before, fetchAttempts)
 	}
 	if !ce.Degradable() {
 		t.Fatal("ChunkError must be Degradable")
 	}
 
-	before := a.requests()
+	before = a.requests()
 	_, err = repo.LoadChunk(seismic.TableD, 0)
 	if !errors.As(err, &ce) || !ce.Quarantined {
 		t.Fatalf("second load err = %v, want quarantined ChunkError", err)
@@ -164,7 +229,7 @@ func TestFetchExhaustsRetries(t *testing.T) {
 // chunk is gone — one attempt, no retries, breaker stays closed.
 func TestPermanentStatusFailsFast(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
+	repo, _ := newTestRepo(t, srv)
 	a.set(func(a *archiveServer) { a.failAll = true; a.status = http.StatusNotFound })
 
 	before := a.requests()
@@ -182,13 +247,12 @@ func TestPermanentStatusFailsFast(t *testing.T) {
 	}
 }
 
-// TestQuarantineExpires: after the TTL a quarantined chunk is retried
-// against the archive and can recover.
+// TestQuarantineExpires: a quarantined chunk is answered from the
+// quarantine until QuarantineTTL has passed, then retried against the
+// archive, and can recover.
 func TestQuarantineExpires(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
-		r.QuarantineTTL = 30 * time.Millisecond
-	})
+	repo, clk := newTestRepo(t, srv)
 	a.set(func(a *archiveServer) { a.failAll = true })
 	if _, err := repo.LoadChunk(seismic.TableD, 0); err == nil {
 		t.Fatal("load succeeded against a failing archive")
@@ -197,9 +261,15 @@ func TestQuarantineExpires(t *testing.T) {
 		t.Fatalf("health = %+v, want 1 quarantined", h)
 	}
 
-	// Archive heals; once the TTL lapses the chunk loads again.
+	// Archive heals; until the TTL lapses the chunk stays quarantined.
 	a.set(func(a *archiveServer) { a.failAll = false })
-	time.Sleep(40 * time.Millisecond)
+	clk.Advance(QuarantineTTL)
+	before := a.requests()
+	var ce *ChunkError
+	if _, err := repo.LoadChunk(seismic.TableD, 0); !errors.As(err, &ce) || !ce.Quarantined || a.requests() != before {
+		t.Fatalf("load at the TTL: err = %v after %d requests, want quarantined ChunkError and none", err, a.requests()-before)
+	}
+	clk.Advance(time.Nanosecond)
 	rel, err := repo.LoadChunk(seismic.TableD, 0)
 	if err != nil {
 		t.Fatalf("chunk did not recover after quarantine expiry: %v", err)
@@ -212,72 +282,94 @@ func TestQuarantineExpires(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAndRecovers: consecutive failures open the per-host
-// circuit; while open, requests are rejected without touching the
-// archive; after the cooldown a half-open probe against a healed
-// archive closes it again.
+// TestBreakerOpensAndRecovers: consecutive failures open the circuit;
+// while open, requests are rejected without touching the archive and
+// their chunks are not quarantined; after the cooldown one half-open
+// probe goes out — a failed one re-opens the breaker, a successful one
+// against the healed archive closes it again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
-		r.Retry = RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-		r.Breaker = BreakerConfig{Threshold: 3, Cooldown: 50 * time.Millisecond}
-		r.QuarantineTTL = -1 // keep every load hitting the fetch path
-	})
+	repo, clk := newTestRepo(t, srv)
 	a.set(func(a *archiveServer) { a.failAll = true })
 
-	// Three distinct chunks fail once each: the host's streak trips the
-	// breaker.
-	for id := int64(0); id < 3; id++ {
+	// Chunk 0 uses up its attempts and is quarantined; chunk 1's
+	// failures take the streak to the threshold, and its last attempt
+	// is refused by the open breaker.
+	for id := int64(0); id < 2; id++ {
 		if _, err := repo.LoadChunk(seismic.TableD, id); err == nil {
 			t.Fatal("load succeeded against a failing archive")
 		}
 	}
 	h := repo.Health()
-	if len(h.Hosts) != 1 || h.Hosts[0].State != BreakerOpen.String() {
-		t.Fatalf("health = %+v, want open breaker after 3 failures", h)
+	if len(h.Hosts) != 1 || h.Hosts[0].State != BreakerOpen.String() || h.Hosts[0].Opens != 1 ||
+		h.FetchErrors != breakerThreshold || h.Quarantined != 1 {
+		t.Fatalf("health = %+v, want one open breaker after %d failures and chunk 0 quarantined", h, breakerThreshold)
 	}
 
-	// While open: rejected without a request on the wire.
+	// reject loads chunk 2 and wants a breaker rejection with no
+	// request on the wire; it returns the rejection's remaining wait.
+	reject := func(when string) time.Duration {
+		t.Helper()
+		before := a.requests()
+		_, err := repo.LoadChunk(seismic.TableD, 2)
+		var ce *ChunkError
+		var open *CircuitOpenError
+		if !errors.As(err, &ce) || !errors.As(ce.Err, &open) || ce.Attempts != 0 || ce.Quarantined {
+			t.Fatalf("%s: err = %v, want a breaker rejection", when, err)
+		}
+		if a.requests() != before {
+			t.Fatalf("%s: open breaker let a request through", when)
+		}
+		return open.RetryIn
+	}
+	wait := reject("while open")
+	if wait <= 0 || wait > BreakerCooldown {
+		t.Fatalf("rejection retries in %v, want within the %v cooldown", wait, BreakerCooldown)
+	}
+	clk.Advance(wait - time.Nanosecond)
+	reject("just before the cooldown ends")
+	if h := repo.Health(); h.Rejects != 3 || h.Quarantined != 1 {
+		t.Fatalf("health = %+v: want 3 breaker rejects and only chunk 0 quarantined", h)
+	}
+
+	// Cooldown over, archive still down: one probe goes out, fails, and
+	// re-opens the breaker for a fresh cooldown.
+	clk.Advance(time.Nanosecond)
 	before := a.requests()
-	_, err := repo.LoadChunk(seismic.TableD, 3)
-	var ce *ChunkError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *ChunkError", err)
+	if _, err := repo.LoadChunk(seismic.TableD, 2); err == nil {
+		t.Fatal("probe succeeded against a failing archive")
 	}
-	var open *CircuitOpenError
-	if !errors.As(ce.Err, &open) {
-		t.Fatalf("cause = %v, want *CircuitOpenError", ce.Err)
-	}
-	if a.requests() != before {
-		t.Fatal("open breaker let a request through")
-	}
-	if h := repo.Health(); h.Rejects == 0 {
-		t.Fatalf("health = %+v, want breaker rejects counted", h)
-	}
-	if h := repo.Health(); h.Quarantined != 0 {
-		t.Fatalf("health = %+v: breaker rejections must not quarantine chunks", h)
+	if h := repo.Health(); a.requests()-before != 1 || h.Hosts[0].State != BreakerOpen.String() || h.Hosts[0].Opens != 2 {
+		t.Fatalf("failed probe: %d requests, health = %+v; want 1 and a re-opened breaker", a.requests()-before, h)
 	}
 
-	// Heal, wait out the cooldown: the half-open probe closes the
-	// breaker and chunks load again.
+	// Heal, let the cooldown lapse: the probe closes the breaker, and
+	// the chunks a rejection refused load again.
 	a.set(func(a *archiveServer) { a.failAll = false })
-	time.Sleep(60 * time.Millisecond)
-	if _, err := repo.LoadChunk(seismic.TableD, 0); err != nil {
-		t.Fatalf("load after heal+cooldown failed: %v", err)
+	clk.Advance(reject("after the failed probe"))
+	before = a.requests()
+	if _, err := repo.LoadChunk(seismic.TableD, 2); err != nil {
+		t.Fatalf("probe after heal+cooldown failed: %v", err)
 	}
-	if h := repo.Health(); h.Hosts[0].State != BreakerClosed.String() {
-		t.Fatalf("health = %+v, want breaker closed after successful probe", h)
+	if h := repo.Health(); a.requests()-before != 1 || h.Hosts[0].State != BreakerClosed.String() {
+		t.Fatalf("successful probe: %d requests, health = %+v; want 1 and a closed breaker", a.requests()-before, h)
+	}
+	if _, err := repo.LoadChunk(seismic.TableD, 1); err != nil {
+		t.Fatalf("chunk refused by the breaker did not load after it closed: %v", err)
 	}
 }
 
 // TestBackoffSleepHonorsCancellation: a caller cancelling mid-backoff
-// gets its context error promptly instead of waiting out the sleep.
+// gets its context error at once instead of waiting out the sleep,
+// after one attempt and without quarantining the chunk.
 func TestBackoffSleepHonorsCancellation(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
-		r.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Second, MaxBackoff: 10 * time.Second}
-	})
+	repo, clk := newTestRepo(t, srv)
+	clk.mu.Lock()
+	clk.hold = true
+	clk.mu.Unlock()
 	a.set(func(a *archiveServer) { a.failAll = true })
+	before := a.requests()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -285,15 +377,16 @@ func TestBackoffSleepHonorsCancellation(t *testing.T) {
 		_, _, err := repo.LoadChunkInto(ctx, seismic.TableD, 0, nil, nil)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the first attempt fail and the backoff start
+	<-clk.asleep // the first attempt failed and the backoff began
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancellation did not interrupt the backoff sleep")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := a.requests() - before; n != 1 {
+		t.Fatalf("%d attempts, want 1", n)
+	}
+	if h := repo.Health(); h.Quarantined != 0 {
+		t.Fatalf("health = %+v: a cancelled load quarantined its chunk", h)
 	}
 }
 
@@ -303,10 +396,7 @@ func TestBackoffSleepHonorsCancellation(t *testing.T) {
 // unquarantined.
 func TestAcquireCancelStopsFetch(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
-		r.Timeout = 5 * time.Second
-		r.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	})
+	repo, _ := newTestRepo(t, srv)
 	s := chunkstore.New(seismic.TableD)
 	s.Configure(chunkstore.Config{Loader: repo, CacheBytes: 1 << 20})
 	a.set(func(a *archiveServer) { a.hang = true })
@@ -319,21 +409,10 @@ func TestAcquireCancelStopsFetch(t *testing.T) {
 		h.Release()
 		done <- err
 	}()
-	for a.requests() == before {
-		time.Sleep(time.Millisecond)
-	}
-	t0 := time.Now()
+	<-a.stalled
 	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if el := time.Since(t0); el > time.Second {
-			t.Fatalf("cancelled Acquire returned after %v", el)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("cancellation did not stop the fetch")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := a.requests() - before; n != 1 {
 		t.Fatalf("%d attempts, want 1", n)
@@ -343,43 +422,37 @@ func TestAcquireCancelStopsFetch(t *testing.T) {
 	}
 }
 
-// TestPerAttemptTimeout: a stalled archive is cut off by the
-// per-attempt deadline rather than hanging the fetch.
+// TestPerAttemptTimeout: a stalled archive is cut off by the client's
+// per-attempt deadline rather than hanging the fetch; every attempt
+// times out and the chunk is quarantined.
 func TestPerAttemptTimeout(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
-	repo.Timeout = 20 * time.Millisecond
-	repo.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	a.set(func(a *archiveServer) { a.sleep = 300 * time.Millisecond; a.failAll = true })
+	repo, _ := newTestRepo(t, srv)
+	repo.Client = stallingClient(srv)
+	a.set(func(a *archiveServer) { a.hang = true })
 
-	t0 := time.Now()
 	_, err := repo.LoadChunk(seismic.TableD, 0)
-	if err == nil {
-		t.Fatal("stalled fetch succeeded")
+	var ce *ChunkError
+	if !errors.As(err, &ce) || ce.Attempts != fetchAttempts || !isTimeout(err) {
+		t.Fatalf("stalled fetch: err = %v, want a timeout after %d attempts", err, fetchAttempts)
 	}
-	if el := time.Since(t0); el > 2*time.Second {
-		t.Fatalf("stalled fetch took %v, per-attempt timeout not applied", el)
+	if h := repo.Health(); h.Quarantined != 1 {
+		t.Fatalf("health = %+v, want the stalled chunk quarantined", h)
 	}
 }
 
 // TestDiscoverTimeout: discovery flows through the same hardened fetch
-// path, so a stalled index request is bounded too (the old code path
-// bypassed Timeout entirely).
+// path, so a stalled index request is bounded too.
 func TestDiscoverTimeout(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	a.set(func(a *archiveServer) { a.sleep = 300 * time.Millisecond })
-	r := &HTTPRepository{
-		BaseURL: srv.URL,
-		Client:  srv.Client(),
-		Timeout: 20 * time.Millisecond,
-		Retry:   RetryPolicy{MaxAttempts: 1, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond},
+	a.set(func(a *archiveServer) { a.hang = true })
+	r := &HTTPRepository{BaseURL: srv.URL, Client: stallingClient(srv), Clock: newFakeClock()}
+	err := r.Discover(context.Background())
+	if !isTimeout(err) {
+		t.Fatalf("stalled discovery: err = %v, want a timeout", err)
 	}
-	t0 := time.Now()
-	if err := r.Discover(context.Background()); err == nil {
-		t.Fatal("stalled discovery succeeded")
-	}
-	if el := time.Since(t0); el > 2*time.Second {
-		t.Fatalf("stalled discovery took %v", el)
+	if n := a.requests(); n != fetchAttempts {
+		t.Fatalf("stalled discovery made %d attempts, want %d", n, fetchAttempts)
 	}
 }
 
@@ -395,7 +468,7 @@ func TestDiscoverIndexBounds(t *testing.T) {
 		}
 	}))
 	defer huge.Close()
-	r := &HTTPRepository{BaseURL: huge.URL, Client: huge.Client(), Retry: fastRetry}
+	r := &HTTPRepository{BaseURL: huge.URL, Client: huge.Client(), Clock: newFakeClock()}
 	err := r.Discover(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized index: err = %v, want size-cap error", err)
@@ -405,7 +478,7 @@ func TestDiscoverIndexBounds(t *testing.T) {
 		fmt.Fprint(w, strings.Repeat("b", MaxIndexLine+1)+"\n")
 	}))
 	defer long.Close()
-	r2 := &HTTPRepository{BaseURL: long.URL, Client: long.Client(), Retry: fastRetry}
+	r2 := &HTTPRepository{BaseURL: long.URL, Client: long.Client(), Clock: newFakeClock()}
 	err = r2.Discover(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "line exceeds") {
 		t.Fatalf("oversized line: err = %v, want line-cap error", err)
@@ -417,7 +490,7 @@ func TestDiscoverIndexBounds(t *testing.T) {
 // failure would.
 func TestDecodeFaultQuarantines(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
+	repo, _ := newTestRepo(t, srv)
 	repo.SetFaults(fault.MustNew("mseed.decode=error:1", 7))
 
 	_, err := repo.LoadChunk(seismic.TableD, 0)
@@ -441,13 +514,13 @@ func TestDecodeFaultQuarantines(t *testing.T) {
 // chunk is quarantined as corrupt.
 func TestCorruptFaultDetected(t *testing.T) {
 	srv, _ := newArchiveServer(t)
-	repo := newTestRepo(t, srv, nil)
+	repo, _ := newTestRepo(t, srv)
 	repo.SetFaults(fault.MustNew("registrar.http=corrupt:1", 3))
 
 	rel, err := repo.LoadChunk(seismic.TableD, 0)
 	repo.SetFaults(nil)
 	clean, cleanErr := func() (int, error) {
-		r2 := newTestRepo(t, srv, nil)
+		r2, _ := newTestRepo(t, srv)
 		rel2, err := r2.LoadChunk(seismic.TableD, 0)
 		if err != nil {
 			return 0, err
@@ -469,40 +542,44 @@ func TestCorruptFaultDetected(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *ChunkError", err)
 		}
+		if h := repo.Health(); h.Quarantined != 1 {
+			t.Fatalf("health = %+v, want the corrupt chunk quarantined", h)
+		}
 	}
 }
 
-// TestRetryAfterParsing covers both header forms and garbage.
+// TestRetryAfterParsing covers both header forms, the cap and garbage.
 func TestRetryAfterParsing(t *testing.T) {
-	if d := parseRetryAfter("2"); d != 2*time.Second {
-		t.Fatalf("delta-seconds: %v", d)
-	}
-	if d := parseRetryAfter("-1"); d != 0 {
-		t.Fatalf("negative: %v", d)
-	}
-	future := time.Now().Add(90 * time.Second).UTC().Format(http.TimeFormat)
-	if d := parseRetryAfter(future); d < 80*time.Second || d > 90*time.Second {
-		t.Fatalf("http-date: %v", d)
-	}
-	past := time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat)
-	if d := parseRetryAfter(past); d != 0 {
-		t.Fatalf("past date: %v", d)
-	}
-	if d := parseRetryAfter("soon"); d != 0 {
-		t.Fatalf("garbage: %v", d)
-	}
-	if d := parseRetryAfter(""); d != 0 {
-		t.Fatalf("empty: %v", d)
+	now := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	date := func(d time.Duration) string { return now.Add(d).Format(http.TimeFormat) }
+	for _, tc := range []struct {
+		h    string
+		want time.Duration
+	}{
+		{"2", 2 * time.Second},
+		{" 7 ", 7 * time.Second},
+		{"-1", 0},
+		{"86400", AttemptTimeout},
+		{"99999999999", AttemptTimeout},
+		{"99999999999999999999999", AttemptTimeout},
+		{"-99999999999999999999999", 0},
+		{date(10 * time.Second), 10 * time.Second},
+		{date(90 * time.Second), AttemptTimeout},
+		{date(-time.Minute), 0},
+		{"soon", 0},
+		{"", 0},
+	} {
+		if d := parseRetryAfter(tc.h, now); d != tc.want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.h, d, tc.want)
+		}
 	}
 }
 
 // TestRetryAfterRaisesDelay: a 429 carrying Retry-After larger than
-// the policy backoff stretches the inter-attempt delay.
+// the backoff stretches the inter-attempt delay to it.
 func TestRetryAfterRaisesDelay(t *testing.T) {
 	srv, a := newArchiveServer(t)
-	repo := newTestRepo(t, srv, func(r *HTTPRepository) {
-		r.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
-	})
+	repo, clk := newTestRepo(t, srv)
 	hdr := http.Header{}
 	hdr.Set("Retry-After", "1")
 	a.set(func(a *archiveServer) {
@@ -510,24 +587,46 @@ func TestRetryAfterRaisesDelay(t *testing.T) {
 		a.status = http.StatusTooManyRequests
 		a.header = hdr
 	})
-	t0 := time.Now()
 	if _, err := repo.LoadChunk(seismic.TableD, 0); err != nil {
 		t.Fatalf("load failed: %v", err)
 	}
-	if el := time.Since(t0); el < 900*time.Millisecond {
-		t.Fatalf("retry came after %v, want >= ~1s (Retry-After honored)", el)
+	if got := clk.slept(); len(got) != 1 || got[0] != time.Second {
+		t.Fatalf("sleeps = %v, want one of 1s (Retry-After honored)", got)
 	}
 }
 
-// TestBackoffBounds: the computed backoff never exceeds MaxBackoff and
-// grows from a BaseBackoff floor.
+// TestRetryAfterCapped: an archive answering the index request with
+// 503 and a Retry-After of a day, or of more than a duration holds,
+// delays discovery by AttemptTimeout, not by what it asked for.
+func TestRetryAfterCapped(t *testing.T) {
+	for _, ra := range []string{"86400", "99999999999"} {
+		srv, a := newArchiveServer(t)
+		hdr := http.Header{}
+		hdr.Set("Retry-After", ra)
+		a.set(func(a *archiveServer) {
+			a.failN = 1
+			a.status = http.StatusServiceUnavailable
+			a.header = hdr
+		})
+		clk := newFakeClock()
+		r := &HTTPRepository{BaseURL: srv.URL, Client: srv.Client(), Clock: clk}
+		if err := r.Discover(context.Background()); err != nil {
+			t.Fatalf("Retry-After %s: discovery failed: %v", ra, err)
+		}
+		if got := clk.slept(); len(got) != 1 || got[0] != AttemptTimeout {
+			t.Fatalf("Retry-After %s: sleeps = %v, want one of %v", ra, got, AttemptTimeout)
+		}
+	}
+}
+
+// TestBackoffBounds: the computed backoff never exceeds maxBackoff and
+// grows from a baseBackoff/2 floor.
 func TestBackoffBounds(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 50 * time.Millisecond, MaxBackoff: 2 * time.Second}.withDefaults()
 	for attempt := 0; attempt < 40; attempt++ {
 		for _, j := range []float64{0, 0.5, 0.999} {
-			d := p.backoff(attempt, j)
-			if d < p.BaseBackoff/2 || d > p.MaxBackoff {
-				t.Fatalf("backoff(%d, %v) = %v out of [%v/2, %v]", attempt, j, d, p.BaseBackoff, p.MaxBackoff)
+			d := backoff(attempt, j)
+			if d < baseBackoff/2 || d > maxBackoff {
+				t.Fatalf("backoff(%d, %v) = %v out of [%v/2, %v]", attempt, j, d, baseBackoff, maxBackoff)
 			}
 		}
 	}

@@ -8,12 +8,11 @@ import (
 // quarantine is a TTL blocklist of chunk IDs whose fetch or decode
 // failed: repeated queries selecting the same bad chunk are answered
 // from here instead of re-hammering the archive through the whole
-// retry ladder. Entries expire after the TTL so a healed chunk comes
-// back without intervention.
+// retry ladder. Entries expire after QuarantineTTL so a healed chunk
+// comes back without intervention.
 type quarantine struct {
-	mu  sync.Mutex
-	ttl time.Duration
-	m   map[int64]quarEntry
+	mu sync.Mutex
+	m  map[int64]quarEntry
 }
 
 type quarEntry struct {
@@ -21,16 +20,9 @@ type quarEntry struct {
 	reason string
 }
 
-func newQuarantine(ttl time.Duration) *quarantine {
-	return &quarantine{ttl: ttl, m: make(map[int64]quarEntry)}
-}
-
 // check reports whether the chunk is quarantined now, returning the
 // recorded failure reason. Expired entries are removed on the spot.
 func (q *quarantine) check(id int64, now time.Time) (string, bool) {
-	if q == nil {
-		return "", false
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	e, ok := q.m[id]
@@ -44,21 +36,18 @@ func (q *quarantine) check(id int64, now time.Time) (string, bool) {
 	return e.reason, true
 }
 
-// add quarantines a chunk until now+TTL.
+// add quarantines a chunk until now+QuarantineTTL.
 func (q *quarantine) add(id int64, reason string, now time.Time) {
-	if q == nil {
-		return
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.m[id] = quarEntry{until: now.Add(q.ttl), reason: reason}
+	if q.m == nil {
+		q.m = make(map[int64]quarEntry)
+	}
+	q.m[id] = quarEntry{until: now.Add(QuarantineTTL), reason: reason}
 }
 
 // size counts live (unexpired) entries, purging dead ones as it goes.
 func (q *quarantine) size(now time.Time) int {
-	if q == nil {
-		return 0
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for id, e := range q.m {

@@ -140,16 +140,10 @@ func (ix *Indexes) MemSize() int64 {
 type Source interface {
 	// URIs lists the chunk identifiers; position = chunk ID.
 	URIs() []string
-	// Open streams the raw bytes of one chunk.
-	Open(chunkID int64) (io.ReadCloser, error)
-}
-
-// ContextSource is the optional context-aware extension of Source:
-// sources that can honor deadlines and cancellation mid-fetch (the
-// HTTP repository's retry/backoff ladder) implement it, and
-// LoadChunkFromSource prefers it over plain Open.
-type ContextSource interface {
-	OpenContext(ctx context.Context, chunkID int64) (io.ReadCloser, error)
+	// Open streams the raw bytes of one chunk; a source that fetches
+	// them (the HTTP repository's retry/backoff ladder) stops when ctx
+	// ends.
+	Open(ctx context.Context, chunkID int64) (io.ReadCloser, error)
 }
 
 // FaultConfigurable is implemented by sources that accept a
@@ -240,7 +234,7 @@ func (r *Repository) URI(chunkID int64) (string, error) {
 }
 
 // Open implements Source.
-func (r *Repository) Open(chunkID int64) (io.ReadCloser, error) {
+func (r *Repository) Open(_ context.Context, chunkID int64) (io.ReadCloser, error) {
 	uri, err := r.URI(chunkID)
 	if err != nil {
 		return nil, err
@@ -293,20 +287,14 @@ func allChunkIDs(src Source) []int64 {
 // file. Every payload is checksummed, selected or not. The file is
 // buffered in mem's scratch and the chunk lands in an arena taken from
 // it (ChunkToRelationInto) sized for the selected segments; a nil mem
-// allocates. Sources implementing ContextSource get ctx for the byte
-// fetch, and the mseed.decode fault point can corrupt or fail the
-// payload before decoding.
+// allocates. The source gets ctx for the byte fetch, and the
+// mseed.decode fault point can corrupt or fail the payload before
+// decoding.
 func LoadChunkFromSource(ctx context.Context, src Source, tableName string, chunkID int64, segs []int64, mem *storage.ChunkMem) (*storage.Relation, []int64, error) {
 	if tableName != seismic.TableD {
 		return nil, nil, fmt.Errorf("registrar: unknown actual-data table %q", tableName)
 	}
-	var rc io.ReadCloser
-	var err error
-	if cs, ok := src.(ContextSource); ok {
-		rc, err = cs.OpenContext(ctx, chunkID)
-	} else {
-		rc, err = src.Open(chunkID)
-	}
+	rc, err := src.Open(ctx, chunkID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -481,7 +469,7 @@ func RegisterMetadata(cat *table.Catalog, src Source) (int, time.Duration, error
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rc, err := src.Open(int64(i))
+			rc, err := src.Open(context.TODO(), int64(i))
 			if err != nil {
 				metas[i] = meta{err: err}
 				return
@@ -665,7 +653,7 @@ func LoadAllCSV(cat *table.Catalog, repo Source, csvDir string) (rows, csvBytes 
 	paths := make([]string, len(repo.URIs()))
 	for i := range paths {
 		var rc io.ReadCloser
-		rc, err = repo.Open(int64(i))
+		rc, err = repo.Open(context.TODO(), int64(i))
 		if err != nil {
 			return
 		}

@@ -115,7 +115,9 @@ func Open(dir string, cfg Config) (*DB, error) { return engine.Open(dir, cfg) }
 // OpenHTTP registers a chunk repository served over HTTP (the paper's
 // §VIII "Other Sources" extension): the archive exposes an index.txt
 // chunk listing at its root and the chunk files underneath. Metadata
-// registration and lazy chunk-access stream over the network.
+// registration and lazy chunk-access stream over the network, each
+// request under the archive's fixed retry, breaker, quarantine and
+// per-attempt deadline policy (see RELIABILITY.md).
 func OpenHTTP(baseURL string, cfg Config) (*DB, error) {
 	repo, err := registrar.DiscoverHTTPRepository(baseURL, nil)
 	if err != nil {
