@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-extra test build loc bench bench-micro
+.PHONY: ci fmt vet lint-extra test build loc bench bench-micro
 
-## ci is the documented pre-merge check: formatting, vet, the
-## sommelierlint analyzers, and the full test suite under the race
-## detector (the concurrency guarantees of engine.DB and sommelierd
-## are enforced by -race tests).
-ci: fmt vet lint test
+## ci is the documented pre-merge check: formatting, vet and the full
+## test suite under the race detector (the concurrency guarantees of
+## engine.DB and sommelierd are enforced by -race tests;
+## TestTypedAtomicsOnly holds every atomic to a typed one).
+ci: fmt vet test
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -15,13 +15,6 @@ fmt:
 
 vet:
 	$(GO) vet ./...
-
-## lint builds sommelierlint (the go/analysis vettool running
-## atomicguard) and runs it over the whole module via go vet. See the
-## "Static analysis" section of PERFORMANCE.md.
-lint:
-	$(GO) build -o bin/sommelierlint ./cmd/sommelierlint
-	$(GO) vet -vettool=$(abspath bin/sommelierlint) ./...
 
 ## lint-extra layers on analyzers that need golang.org/x/tools
 ## (network to fetch); CI runs it, offline checkouts can skip it.

@@ -3,19 +3,31 @@
 // the paper's Algorithm 1. When a query refers to a DMd table, the
 // manager enumerates the primary-key space the query touches (PSq),
 // subtracts the already materialized set (PSm), and computes the
-// uncovered remainder (PSu) through an internal T2-style fetch — which
-// itself exploits two-stage execution and lazy loading — before the
-// user's query proceeds.
+// uncovered remainder (PSu) with one grouped query per station/channel
+// through the engine itself — two-stage execution, lazy loading and the
+// executor's aggregate fold — before the user's query proceeds. The
+// hourly view H keeps its rows in key order (station, channel, window
+// start), so its contents do not depend on the order queries derived
+// them in.
+//
+// Derivation runs in the query's own degraded mode. A derivation that
+// skipped chunks still merges its windows, so the query reads them, but
+// they stay out of PSm: a materialized window is never rewritten, and a
+// partial one is replaced, whole, by the next query that needs it. A
+// strict query therefore never reads a partial window.
 package dmd
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
+	"sommelier/internal/exec"
 	"sommelier/internal/expr"
 	"sommelier/internal/plan"
 	"sommelier/internal/seismic"
@@ -23,14 +35,17 @@ import (
 	"sommelier/internal/table"
 )
 
-// Fetcher retrieves the actual data needed to derive metadata. The
-// engine implements it with a two-stage T4 query, so derivation
+// Fetcher derives windows from the actual data. The engine implements
+// it with one prepared grouped query over dataview, so derivation
 // piggybacks on lazy loading exactly as the paper describes (Step 6
 // "might require to employ lazy loading as well").
 type Fetcher interface {
-	// FetchSeries returns (time, value) pairs of one station/channel
-	// within [from, to) nanoseconds, giving up once ctx is done.
-	FetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error)
+	// FetchSeries returns one row per window of station/channel within
+	// [from, to) nanoseconds that holds samples, as H's columns from
+	// window_start_ts on (start, max, min, mean, standard deviation),
+	// giving up once ctx is done. Warnings name the chunks a degraded
+	// derivation proceeded without; its windows are then partial.
+	FetchSeries(ctx context.Context, station, channel string, from, to int64) (*storage.Batch, []exec.Warning, error)
 }
 
 // PK is one primary-key tuple of the hourly-window DMd table.
@@ -61,15 +76,14 @@ type Manager struct {
 }
 
 // NewManager creates the manager for the catalog's H table; rows H
-// already holds (restored by a warm restart) start out in PSm.
+// already holds (restored by a warm restart from a Snapshot) start out
+// in PSm.
 func NewManager(cat *table.Catalog, fetcher Fetcher) *Manager {
 	m := &Manager{cat: cat, fetcher: fetcher, materialized: make(map[PK]bool)}
 	hT, _ := cat.Table(seismic.TableH)
-	if h := hT.Data().Flatten(); h.Len() > 0 {
-		sta, ch := h.Cols[0].(*storage.StringColumn), h.Cols[1].(*storage.StringColumn)
-		for i, ws := range storage.Int64s(h.Cols[2]) {
-			m.materialized[PK{Station: sta.Value(i), Channel: ch.Value(i), WindowStart: ws}] = true
-		}
+	h := hT.Data().Flatten()
+	for i := 0; i < h.Len(); i++ {
+		m.materialized[rowPK(h, i)] = true
 	}
 	return m
 }
@@ -81,17 +95,38 @@ func (m *Manager) MaterializedCount() int {
 	return len(m.materialized)
 }
 
-// Reset forgets all materialized state (used between experiments; the
-// caller must also truncate H).
-func (m *Manager) Reset() {
+// Snapshot returns H's materialized rows, in key order: what a restart
+// may restore into PSm. Partial windows are left out.
+func (m *Manager) Snapshot() *storage.Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.materialized = make(map[PK]bool)
+	hT, _ := m.cat.Table(seismic.TableH)
+	rel := hT.Data()
+	if rel.Rows() == len(m.materialized) {
+		return rel
+	}
+	h := rel.Flatten()
+	var keep []int32
+	for i := 0; i < h.Len(); i++ {
+		if m.materialized[rowPK(h, i)] {
+			keep = append(keep, int32(i))
+		}
+	}
+	out := storage.NewRelation()
+	out.Append(h.Gather(keep))
+	return out
+}
+
+// rowPK is the primary key of row i of an H batch.
+func rowPK(h *storage.Batch, i int) PK {
+	return PK{Station: storage.StringAt(h.Cols[0], i), Channel: storage.StringAt(h.Cols[1], i), WindowStart: storage.Int64s(h.Cols[2])[i]}
 }
 
 // Prepare runs Algorithm 1 for a compiled query before execution; the
-// derivation fetches its series under ctx, the query's context.
-func (m *Manager) Prepare(ctx context.Context, p *plan.Plan, q *plan.Query) (Stats, error) {
+// derivation runs under ctx, the query's context, in its degraded mode.
+// The warnings name the chunks a degraded derivation skipped: they
+// belong to the query's result.
+func (m *Manager) Prepare(ctx context.Context, p *plan.Plan, q *plan.Query) (Stats, []exec.Warning, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var st Stats
@@ -100,13 +135,13 @@ func (m *Manager) Prepare(ctx context.Context, p *plan.Plan, q *plan.Query) (Sta
 	switch st.QueryType {
 	case 2, 3, 5:
 	default:
-		return st, nil // Step 7: proceed directly.
+		return st, nil, nil // Step 7: proceed directly.
 	}
 	// Step 2: predicates over the DMd table's primary key attributes.
 	// Step 3: enumerate PSq.
 	psq, err := m.enumeratePSq(q)
 	if err != nil {
-		return st, err
+		return st, nil, err
 	}
 	st.Requested = len(psq)
 	// Step 4: PSm is already materialized; check coverage.
@@ -120,16 +155,17 @@ func (m *Manager) Prepare(ctx context.Context, p *plan.Plan, q *plan.Query) (Sta
 		}
 	}
 	if len(psu) == 0 {
-		return st, nil // covered: proceed (Step 7).
+		return st, nil, nil // covered: proceed (Step 7).
 	}
 	// Step 6: compute the unavailable required DMd and insert it.
 	t0 := time.Now()
-	if err := m.derive(ctx, psu); err != nil {
-		return st, err
+	warns, err := m.derive(ctx, psu)
+	if err != nil {
+		return st, nil, err
 	}
 	st.Computed = len(psu)
 	st.Derivation = time.Since(t0)
-	return st, nil
+	return st, warns, nil
 }
 
 // enumeratePSq implements Steps 2 and 3: collect the PK-attribute
@@ -165,41 +201,38 @@ func (m *Manager) enumeratePSq(q *plan.Query) ([]PK, error) {
 			}
 			switch op {
 			case expr.GE:
-				lo = maxI(lo, ts)
+				lo = max(lo, ts)
 			case expr.GT:
-				lo = maxI(lo, ts+1)
+				lo = max(lo, ts+1)
 			case expr.LT:
-				hi = minI(hi, ts)
+				hi = min(hi, ts)
 			case expr.LE:
-				hi = minI(hi, ts+1)
+				hi = min(hi, ts+1)
 			}
 		}
 	}
-	pairs, span, err := m.domains()
-	if err != nil {
-		return nil, err
-	}
+	pairs, span := m.domains()
 	// Clamp to the data's span: windows outside it hold no data, so
 	// there is nothing to derive (or cover) there.
 	w := int64(seismic.WindowDuration)
-	lo = maxI(lo, seismic.WindowStart(span[0]))
-	hi = minI(hi, seismic.WindowStart(span[1]-1)+w)
+	lo = max(lo, seismic.WindowStart(span[0]))
+	hi = min(hi, seismic.WindowStart(span[1]-1)+w)
 	if hi <= lo {
 		return nil, nil
 	}
 	var psq []PK
 	for _, pr := range pairs {
-		if len(stations) > 0 && !containsStr(stations, pr[0]) {
+		if len(stations) > 0 && !slices.Contains(stations, pr[0]) {
 			continue
 		}
-		if len(channels) > 0 && !containsStr(channels, pr[1]) {
+		if len(channels) > 0 && !slices.Contains(channels, pr[1]) {
 			continue
 		}
 		for ws := seismic.WindowStart(lo); ws < hi; ws += w {
 			psq = append(psq, PK{Station: pr[0], Channel: pr[1], WindowStart: ws})
 		}
 	}
-	return psq, nil
+	return psq, nil // in key order: pairs sorted, windows ascending
 }
 
 // pkAliases maps column base names to the DMd PK attribute they are
@@ -227,214 +260,119 @@ func (m *Manager) pkAliases(from string) map[string]string {
 	return alias
 }
 
-// domains returns the distinct (station, channel) pairs of F and the
-// overall [min, max) time span of S.
-func (m *Manager) domains() ([][2]string, [2]int64, error) {
+// domains returns the distinct (station, channel) pairs of F, sorted,
+// and the overall [min, max) time span of S, read off its zone maps.
+func (m *Manager) domains() ([][2]string, [2]int64) {
 	fT, _ := m.cat.Table(seismic.TableF)
 	sT, _ := m.cat.Table(seismic.TableS)
-	fFlat := fT.Data().Flatten()
 	var pairs [][2]string
 	seen := make(map[[2]string]bool)
-	if fFlat.Len() > 0 {
-		stCol := fFlat.Cols[fT.Schema.IndexOf("station")].(*storage.StringColumn)
-		chCol := fFlat.Cols[fT.Schema.IndexOf("channel")].(*storage.StringColumn)
-		for i := 0; i < fFlat.Len(); i++ {
-			p := [2]string{stCol.Value(i), chCol.Value(i)}
+	sta, ch := fT.Schema.IndexOf("station"), fT.Schema.IndexOf("channel")
+	for _, b := range fT.Data().Batches() {
+		for i := range b.Len() {
+			p := [2]string{storage.StringAt(b.Cols[sta], i), storage.StringAt(b.Cols[ch], i)}
 			if !seen[p] {
 				seen[p] = true
 				pairs = append(pairs, p)
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	span := [2]int64{0, 0}
-	sFlat := sT.Data().Flatten()
-	if sFlat.Len() > 0 {
-		starts := storage.Int64s(sFlat.Cols[sT.Schema.IndexOf("start_time")])
-		ends := storage.Int64s(sFlat.Cols[sT.Schema.IndexOf("end_time")])
-		span[0], span[1] = starts[0], ends[0]
-		for i := range starts {
-			span[0] = minI(span[0], starts[i])
-			span[1] = maxI(span[1], ends[i])
+	slices.SortFunc(pairs, func(a, b [2]string) int { return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1])) })
+	var span [2]int64
+	s := sT.Data()
+	start, end := sT.Schema.IndexOf("start_time"), sT.Schema.IndexOf("end_time")
+	for i := range s.Batches() {
+		if lo, hi := s.Zone(i, start).Min, s.Zone(i, end).Max; i == 0 {
+			span = [2]int64{lo, hi}
+		} else {
+			span = [2]int64{min(span[0], lo), max(span[1], hi)}
 		}
 	}
-	return pairs, span, nil
+	return pairs, span
 }
 
-// derive computes and inserts the DMd rows for PSu. Following the
-// paper's amortization rule, all DMd attributes of a touched window are
-// derived together. Windows are grouped per (station, channel) and
-// fetched as one contiguous range to bound the number of internal
-// queries.
-func (m *Manager) derive(ctx context.Context, psu []PK) error {
-	type group struct {
-		station, channel string
-		lo, hi           int64
-		want             map[int64]bool
-	}
-	groups := make(map[[2]string]*group)
-	var order [][2]string
-	w := int64(seismic.WindowDuration)
-	for _, k := range psu {
-		gk := [2]string{k.Station, k.Channel}
-		g, ok := groups[gk]
-		if !ok {
-			g = &group{station: k.Station, channel: k.Channel, lo: k.WindowStart, hi: k.WindowStart + w, want: make(map[int64]bool)}
-			groups[gk] = g
-			order = append(order, gk)
+// derive computes the DMd rows for PSu, grouped by (station, channel)
+// as enumerated, and merges them into H at once. Following the paper's
+// amortization rule, all DMd attributes of a touched window are derived
+// together, by one grouped query per (station, channel) over the range
+// its wanted windows span. A wanted window without samples materializes
+// as a zero row: deriving "no data here" is itself knowledge. The
+// windows of a group whose derivation skipped chunks are merged but
+// left out of PSm, and the skipped chunks are returned.
+func (m *Manager) derive(ctx context.Context, psu []PK) ([]exec.Warning, error) {
+	var stas, chans []string
+	var starts []int64
+	var vals [4][]float64 // max, min, mean, standard deviation
+	var warns []exec.Warning
+	var whole []PK
+	for lo, hi := 0, 0; lo < len(psu); lo = hi {
+		for hi = lo + 1; hi < len(psu) && psu[hi].Station == psu[lo].Station && psu[hi].Channel == psu[lo].Channel; hi++ {
 		}
-		g.lo = minI(g.lo, k.WindowStart)
-		g.hi = maxI(g.hi, k.WindowStart+w)
-		g.want[k.WindowStart] = true
+		g := psu[lo:hi]
+		rows, skipped, err := m.fetcher.FetchSeries(ctx, g[0].Station, g[0].Channel, g[0].WindowStart, g[len(g)-1].WindowStart+int64(seismic.WindowDuration))
+		if err != nil {
+			return nil, fmt.Errorf("dmd: deriving %s/%s: %w", g[0].Station, g[0].Channel, err)
+		}
+		at := make(map[int64]int, rows.Len())
+		for r := range rows.Len() {
+			at[storage.Int64s(rows.Cols[0])[r]] = r
+		}
+		for _, k := range g {
+			stas, chans, starts = append(stas, k.Station), append(chans, k.Channel), append(starts, k.WindowStart)
+			r, ok := at[k.WindowStart]
+			for c := range vals {
+				v := 0.0
+				if ok {
+					v = storage.Float64s(rows.Cols[c+1])[r]
+				}
+				vals[c] = append(vals[c], v)
+			}
+		}
+		if len(skipped) == 0 {
+			whole = append(whole, g...)
+		}
+		warns = append(warns, skipped...)
 	}
 	hT, _ := m.cat.Table(seismic.TableH)
-	for _, gk := range order {
-		g := groups[gk]
-		times, vals, err := m.fetcher.FetchSeries(ctx, g.station, g.channel, g.lo, g.hi)
-		if err != nil {
-			return fmt.Errorf("dmd: deriving %s/%s: %w", g.station, g.channel, err)
-		}
-		rows := summarize(times, vals, g.want)
-		if err := m.insert(hT, g.station, g.channel, rows); err != nil {
-			return err
-		}
-		for ws := range g.want {
-			m.materialized[PK{Station: g.station, Channel: g.channel, WindowStart: ws}] = true
-		}
+	// psu holds no materialized key, so the only rows this merge may
+	// replace are partial ones: a materialized window is never rewritten.
+	err := hT.Merge(storage.NewBatch(
+		storage.NewStringColumn(stas), storage.NewStringColumn(chans), storage.NewTimeColumn(starts),
+		storage.NewFloat64Column(vals[0]), storage.NewFloat64Column(vals[1]),
+		storage.NewFloat64Column(vals[2]), storage.NewFloat64Column(vals[3]),
+	), true)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// windowRow is one derived summary row.
-type windowRow struct {
-	start                int64
-	max, min, mean, sdev float64
-	n                    int64
-}
-
-// summarize computes the window summaries for the wanted window starts.
-// Windows with no data still materialize (with zero counts), so the
-// coverage check will not re-derive them — deriving "no data here" is
-// itself knowledge.
-func summarize(times []int64, vals []float64, want map[int64]bool) []windowRow {
-	acc := make(map[int64]*windowRow)
-	for i, ts := range times {
-		ws := seismic.WindowStart(ts)
-		if !want[ws] {
-			continue
-		}
-		r, ok := acc[ws]
-		if !ok {
-			r = &windowRow{start: ws, max: math.Inf(-1), min: math.Inf(1)}
-			acc[ws] = r
-		}
-		v := vals[i]
-		r.n++
-		r.mean += v
-		r.max = math.Max(r.max, v)
-		r.min = math.Min(r.min, v)
+	for _, k := range whole {
+		m.materialized[k] = true
 	}
-	// Second pass for the standard deviation (two-pass is exact).
-	means := make(map[int64]float64, len(acc))
-	for ws, r := range acc {
-		r.mean /= float64(r.n)
-		means[ws] = r.mean
-	}
-	ss := make(map[int64]float64, len(acc))
-	for i, ts := range times {
-		ws := seismic.WindowStart(ts)
-		if r, ok := acc[ws]; ok {
-			d := vals[i] - r.mean
-			ss[ws] += d * d
-		}
-	}
-	var out []windowRow
-	for ws := range want {
-		if r, ok := acc[ws]; ok {
-			if r.n > 1 {
-				r.sdev = math.Sqrt(ss[ws] / float64(r.n-1))
-			}
-			out = append(out, *r)
-		} else {
-			out = append(out, windowRow{start: ws, max: 0, min: 0, mean: 0, sdev: 0})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].start < out[j].start })
-	return out
-}
-
-func (m *Manager) insert(hT *table.Table, station, channel string, rows []windowRow) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	n := len(rows)
-	stas := make([]string, n)
-	chans := make([]string, n)
-	starts := make([]int64, n)
-	maxs := make([]float64, n)
-	mins := make([]float64, n)
-	means := make([]float64, n)
-	sdevs := make([]float64, n)
-	for i, r := range rows {
-		stas[i], chans[i], starts[i] = station, channel, r.start
-		maxs[i], mins[i], means[i], sdevs[i] = r.max, r.min, r.mean, r.sdev
-		if r.n == 0 {
-			maxs[i], mins[i] = 0, 0
-		}
-	}
-	return hT.Append(storage.NewBatch(
-		storage.NewStringColumn(stas),
-		storage.NewStringColumn(chans),
-		storage.NewTimeColumn(starts),
-		storage.NewFloat64Column(maxs),
-		storage.NewFloat64Column(mins),
-		storage.NewFloat64Column(means),
-		storage.NewFloat64Column(sdevs),
-	))
+	return warns, nil
 }
 
 // DeriveAll eagerly materializes the whole DMd space: the eager_dmd
 // investment ("computing and saving all DMd as a materialized view").
+// It runs strict whatever the engine's degraded mode, so every window
+// is whole when it returns, or it fails.
 func (m *Manager) DeriveAll() (int, time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
-	pairs, span, err := m.domains()
+	// No predicate: every (station, channel) pair, every window of the
+	// data's span.
+	psq, err := m.enumeratePSq(&plan.Query{})
 	if err != nil {
 		return 0, 0, err
 	}
-	if span[1] <= span[0] {
-		return 0, time.Since(start), nil
-	}
-	var psu []PK
-	w := int64(seismic.WindowDuration)
-	for _, pr := range pairs {
-		for ws := seismic.WindowStart(span[0]); ws < span[1]; ws += w {
-			k := PK{Station: pr[0], Channel: pr[1], WindowStart: ws}
-			if !m.materialized[k] {
-				psu = append(psu, k)
-			}
-		}
-	}
-	if err := m.derive(context.Background(), psu); err != nil {
+	psu := slices.DeleteFunc(psq, func(k PK) bool { return m.materialized[k] })
+	if _, err := m.derive(exec.WithDegraded(context.Background(), false), psu); err != nil {
 		return 0, 0, err
 	}
 	return len(psu), time.Since(start), nil
 }
 
-func base(qualified string) string {
-	for i := len(qualified) - 1; i >= 0; i-- {
-		if qualified[i] == '.' {
-			return qualified[i+1:]
-		}
-	}
-	return qualified
-}
+// base strips a column name's qualifier.
+func base(qualified string) string { return qualified[strings.LastIndexByte(qualified, '.')+1:] }
 
 func constTime(k *expr.Const) (int64, error) {
 	switch k.K {
@@ -452,27 +390,4 @@ func constTime(k *expr.Const) (int64, error) {
 	default:
 		return 0, fmt.Errorf("dmd: %v is not a timestamp", k.K)
 	}
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

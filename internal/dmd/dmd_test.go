@@ -1,12 +1,13 @@
 package dmd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
+	"sommelier/internal/exec"
 	"sommelier/internal/expr"
 	"sommelier/internal/plan"
 	"sommelier/internal/seismic"
@@ -56,20 +57,33 @@ func fixtureCatalog(t *testing.T) *table.Catalog {
 	return cat
 }
 
-// rampFetcher serves a deterministic series: value = hour-index within
-// the day, 4 samples per hour.
-type rampFetcher struct{ calls int }
+// rampFetcher derives a deterministic ramp: the window of hour h of the
+// day holds max h+0.5, min h-0.5, mean h and standard deviation h/10,
+// except every fifth hour, which holds no samples. Derivations of the
+// stations in skip proceed without chunk 7.
+type rampFetcher struct {
+	calls int
+	skip  map[string]bool
+}
 
-func (rf *rampFetcher) FetchSeries(_ context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
+func (rf *rampFetcher) FetchSeries(_ context.Context, station, channel string, from, to int64) (*storage.Batch, []exec.Warning, error) {
 	rf.calls++
-	var ts []int64
-	var vs []float64
-	step := hour / 4
-	for x := from; x < to; x += step {
-		ts = append(ts, x)
-		vs = append(vs, float64((x-day0)/hour))
+	var starts []int64
+	var maxs, mins, means, sdevs []float64
+	for ws := from; ws < to; ws += hour {
+		h := float64((ws - day0) / hour)
+		if int(h)%5 == 4 {
+			continue
+		}
+		starts = append(starts, ws)
+		maxs, mins, means, sdevs = append(maxs, h+0.5), append(mins, h-0.5), append(means, h), append(sdevs, h/10)
 	}
-	return ts, vs, nil
+	rows := storage.NewBatch(storage.NewTimeColumn(starts), storage.NewFloat64Column(maxs),
+		storage.NewFloat64Column(mins), storage.NewFloat64Column(means), storage.NewFloat64Column(sdevs))
+	if rf.skip[station] {
+		return rows, []exec.Warning{{Table: seismic.TableD, Chunk: 7, Reason: "unavailable"}}, nil
+	}
+	return rows, nil, nil
 }
 
 func t5Query(loHour, hiHour int) *plan.Query {
@@ -87,15 +101,24 @@ func t5Query(loHour, hiHour int) *plan.Query {
 
 func prepare(t *testing.T, m *Manager, cat *table.Catalog, q *plan.Query) Stats {
 	t.Helper()
+	st, warns := prepareWarned(t, m, cat, q)
+	if len(warns) > 0 {
+		t.Fatalf("warnings %v", warns)
+	}
+	return st
+}
+
+func prepareWarned(t *testing.T, m *Manager, cat *table.Catalog, q *plan.Query) (Stats, []exec.Warning) {
+	t.Helper()
 	p, err := plan.Build(cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Prepare(context.Background(), p, q)
+	st, warns, err := m.Prepare(context.Background(), p, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return st, warns
 }
 
 func TestAlgorithm1StepsOnT5(t *testing.T) {
@@ -133,20 +156,22 @@ func TestAlgorithm1StepsOnT5(t *testing.T) {
 func TestDerivedValuesAreCorrect(t *testing.T) {
 	cat := fixtureCatalog(t)
 	m := NewManager(cat, &rampFetcher{})
-	prepare(t, m, cat, t5Query(3, 4)) // hour 3: constant value 3
+	prepare(t, m, cat, t5Query(3, 5)) // hour 3 holds samples, hour 4 none
 	h, _ := cat.Table(seismic.TableH)
 	flat := h.Data().Flatten()
-	if flat.Len() != 1 {
+	if flat.Len() != 2 {
 		t.Fatalf("H rows = %d", flat.Len())
 	}
-	get := func(col string) float64 {
-		return storage.Float64s(flat.Cols[h.Schema.IndexOf(col)])[0]
+	get := func(col string, r int) float64 {
+		return storage.Float64s(flat.Cols[h.Schema.IndexOf(col)])[r]
 	}
-	if get("window_max_val") != 3 || get("window_min_val") != 3 || get("window_mean_val") != 3 {
-		t.Fatalf("summary wrong: max=%v min=%v mean=%v", get("window_max_val"), get("window_min_val"), get("window_mean_val"))
+	if get("window_max_val", 0) != 3.5 || get("window_min_val", 0) != 2.5 || get("window_mean_val", 0) != 3 || get("window_std_dev", 0) != 0.3 {
+		t.Fatalf("summary wrong: max=%v min=%v mean=%v sdev=%v", get("window_max_val", 0), get("window_min_val", 0), get("window_mean_val", 0), get("window_std_dev", 0))
 	}
-	if get("window_std_dev") != 0 {
-		t.Fatalf("stddev = %v", get("window_std_dev"))
+	for _, col := range []string{"window_max_val", "window_min_val", "window_mean_val", "window_std_dev"} {
+		if get(col, 1) != 0 {
+			t.Fatalf("empty window's %s = %v, want 0", col, get(col, 1))
+		}
 	}
 	sta := flat.Cols[h.Schema.IndexOf("window_station")].(*storage.StringColumn).Value(0)
 	if sta != "FIAM" {
@@ -224,39 +249,34 @@ func TestWindowStartTruncation(t *testing.T) {
 
 func TestEmptyWindowsMaterializeAsKnowledge(t *testing.T) {
 	cat := fixtureCatalog(t)
-	// A fetcher that returns nothing: gaps in the data.
-	empty := fetcherFunc(func(string, string, int64, int64) ([]int64, []float64, error) {
-		return nil, nil, nil
-	})
-	m := NewManager(cat, empty)
-	st := prepare(t, m, cat, t5Query(1, 3))
-	if st.Computed != 2 {
+	// Hours 4 and 9 hold no samples: gaps in the data.
+	m := NewManager(cat, &rampFetcher{})
+	st := prepare(t, m, cat, t5Query(4, 5))
+	if st.Computed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The second query over the same windows must not re-derive.
-	st2 := prepare(t, m, cat, t5Query(1, 3))
-	if st2.Computed != 0 || st2.Covered != 2 {
+	// The second query over the same window must not re-derive.
+	st2 := prepare(t, m, cat, t5Query(4, 5))
+	if st2.Computed != 0 || st2.Covered != 1 {
 		t.Fatalf("reuse stats = %+v", st2)
 	}
 }
 
-type fetcherFunc func(station, channel string, from, to int64) ([]int64, []float64, error)
+// failingFetcher fails every derivation.
+type failingFetcher struct{}
 
-func (f fetcherFunc) FetchSeries(_ context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
-	return f(station, channel, from, to)
+func (failingFetcher) FetchSeries(context.Context, string, string, int64, int64) (*storage.Batch, []exec.Warning, error) {
+	return nil, nil, fmt.Errorf("repository unreachable")
 }
 
 func TestFetcherErrorPropagates(t *testing.T) {
 	cat := fixtureCatalog(t)
-	failing := fetcherFunc(func(string, string, int64, int64) ([]int64, []float64, error) {
-		return nil, nil, fmt.Errorf("repository unreachable")
-	})
-	m := NewManager(cat, failing)
+	m := NewManager(cat, failingFetcher{})
 	p, err := plan.Build(cat, t5Query(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Prepare(context.Background(), p, t5Query(0, 1)); err == nil {
+	if _, _, err := m.Prepare(context.Background(), p, t5Query(0, 1)); err == nil {
 		t.Fatal("fetcher error swallowed")
 	}
 }
@@ -284,28 +304,81 @@ func TestDeriveAll(t *testing.T) {
 	if h.Rows() != 48 {
 		t.Fatalf("H rows = %d", h.Rows())
 	}
-	m.Reset()
-	if m.MaterializedCount() != 0 {
-		t.Fatal("reset failed")
+}
+
+// hBytes encodes H's rows as stored.
+func hBytes(t *testing.T, cat *table.Catalog) []byte {
+	t.Helper()
+	h, _ := cat.Table(seismic.TableH)
+	b, err := storage.EncodeRelation(nil, h.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestHIndependentOfQueryOrder: the same windows derived by queries in
+// two different orders leave H byte for byte the same, in key order.
+func TestHIndependentOfQueryOrder(t *testing.T) {
+	stations := func(q *plan.Query, st string) *plan.Query {
+		q.Where = expr.Conjoin(append([]expr.Expr{expr.NewCmp(expr.EQ, expr.Col("F.station"), expr.Str(st))}, expr.Conjuncts(q.Where)[1:]...))
+		return q
+	}
+	queries := []*plan.Query{t5Query(6, 9), stations(t5Query(0, 12), "ISK"), t5Query(1, 4), t5Query(12, 20), stations(t5Query(10, 11), "ISK")}
+	var encoded [2][]byte
+	for run, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 1, 0, 2}} {
+		cat := fixtureCatalog(t)
+		m := NewManager(cat, &rampFetcher{})
+		for _, qi := range order {
+			prepare(t, m, cat, queries[qi])
+		}
+		encoded[run] = hBytes(t, cat)
+	}
+	if !bytes.Equal(encoded[0], encoded[1]) {
+		t.Fatal("H differs between query orders")
+	}
+	cat := fixtureCatalog(t)
+	m := NewManager(cat, &rampFetcher{})
+	prepare(t, m, cat, queries[0])
+	h, _ := cat.Table(seismic.TableH)
+	flat := h.Data().Flatten()
+	for i := 1; i < flat.Len(); i++ {
+		a, b := rowPK(flat, i-1), rowPK(flat, i)
+		if a.Station > b.Station || a.Station == b.Station && a.WindowStart >= b.WindowStart {
+			t.Fatalf("row %d %+v after %+v", i, b, a)
+		}
 	}
 }
 
-func TestSummarizeStddev(t *testing.T) {
-	// Hand-checked: values 1..5 in one window.
-	times := make([]int64, 5)
-	vals := []float64{1, 2, 3, 4, 5}
-	for i := range times {
-		times[i] = day0 + int64(i)
+// TestDegradedDerivationStaysPartial: a derivation that skipped chunks
+// merges its windows, so the query reads them, and returns the skipped
+// chunks, but leaves PSm and the snapshot as they were; the next query
+// that needs those windows derives them again and replaces the partial
+// rows.
+func TestDegradedDerivationStaysPartial(t *testing.T) {
+	cat := fixtureCatalog(t)
+	rf := &rampFetcher{skip: map[string]bool{"FIAM": true}}
+	m := NewManager(cat, rf)
+	st, warns := prepareWarned(t, m, cat, t5Query(1, 3))
+	if st.Computed != 2 || len(warns) != 1 || warns[0].Chunk != 7 {
+		t.Fatalf("stats %+v, warnings %v", st, warns)
 	}
-	rows := summarize(times, vals, map[int64]bool{day0: true})
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
+	h, _ := cat.Table(seismic.TableH)
+	if h.Rows() != 2 || m.MaterializedCount() != 0 || m.Snapshot().Rows() != 0 {
+		t.Fatalf("H rows %d, materialized %d, snapshot rows %d; want 2, 0, 0", h.Rows(), m.MaterializedCount(), m.Snapshot().Rows())
 	}
-	r := rows[0]
-	if r.max != 5 || r.min != 1 || r.mean != 3 {
-		t.Fatalf("row = %+v", r)
+	// Still degraded: derived again, still partial.
+	if st, warns = prepareWarned(t, m, cat, t5Query(1, 3)); st.Computed != 2 || len(warns) != 1 {
+		t.Fatalf("stats %+v, warnings %v", st, warns)
 	}
-	if math.Abs(r.sdev-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("sdev = %v", r.sdev)
+	rf.skip = nil
+	if st := prepare(t, m, cat, t5Query(1, 4)); st.Computed != 3 || st.Covered != 0 {
+		t.Fatalf("after the heal: %+v", st)
+	}
+	if h.Rows() != 3 || m.MaterializedCount() != 3 || m.Snapshot().Rows() != 3 {
+		t.Fatalf("H rows %d, materialized %d, snapshot rows %d; want 3 each", h.Rows(), m.MaterializedCount(), m.Snapshot().Rows())
+	}
+	if st := prepare(t, m, cat, t5Query(1, 3)); st.Computed != 0 || rf.calls != 3 {
+		t.Fatalf("whole windows derived again: %+v, %d calls", st, rf.calls)
 	}
 }

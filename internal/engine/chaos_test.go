@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,10 +101,11 @@ func (c *fakeClock) Advance(d time.Duration) {
 // what they can get while the breaker opens and chunks quarantine;
 // when the archive heals and the TTL and cooldown lapse, results
 // converge back to the pre-outage answers and the breaker closes. A
-// query whose windows are not derived yet is the exception: derived
-// windows outlive the query, so they come only from whole series, and
-// the query fails with an availability error — no answer over partial
-// windows, no window kept — until the archive heals.
+// query whose windows are not derived yet answers too: its derivation
+// runs in its degraded mode, so the query reads the partial windows and
+// carries the skipped chunks as warnings, but no window is kept (none
+// is materialized). After the heal the same windows derive whole and
+// answer as a database that never saw the outage does.
 func TestChaosHTTPArchiveHeals(t *testing.T) {
 	dir := genRepo(t, 2)
 	if err := registrar.WriteIndexFile(dir); err != nil {
@@ -143,10 +145,18 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 		t.Fatal("outage query reported no skipped chunks")
 	}
 	cold := tQueries()[5]
-	if res, err := db.Query(cold); err == nil {
-		t.Fatalf("cold windows answered during the outage, warnings %v", res.Warnings)
-	} else if !degradable(err) || !strings.Contains(err.Error(), "dmd: deriving") {
-		t.Fatalf("cold windows during the outage: %v, want a degradable derivation failure", err)
+	res, err = db.Query(cold)
+	if err != nil {
+		t.Fatalf("cold windows during the outage: %v", err)
+	}
+	if len(res.Warnings) == 0 || res.DMd.Computed == 0 || res.Stats.ChunksSkipped != len(res.Warnings) {
+		t.Fatalf("cold windows during the outage: warnings %v, dmd %+v, %d skipped; want skipped chunks, each once, and derived windows",
+			res.Warnings, res.DMd, res.Stats.ChunksSkipped)
+	}
+	for i, w := range res.Warnings {
+		if slices.ContainsFunc(res.Warnings[:i], func(v Warning) bool { return v.Chunk == w.Chunk }) {
+			t.Fatalf("chunk %d warned twice: %v", w.Chunk, res.Warnings)
+		}
 	}
 	if n := db.MaterializedWindows(); n != 0 {
 		t.Fatalf("%d windows kept from the outage", n)
@@ -190,7 +200,13 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cold windows after the heal: %v", err)
 		}
+		if len(res.Warnings) != 0 || res.DMd.Computed == 0 {
+			t.Fatalf("cold windows after the heal: warnings %v, dmd %+v; want none and derived windows", res.Warnings, res.DMd)
+		}
 		answers[i] = digest(res.Rel).String()
+	}
+	if n := db.MaterializedWindows(); n == 0 {
+		t.Fatal("no window kept after the heal")
 	}
 	if answers[0] != answers[1] {
 		t.Fatalf("cold windows after the heal: %s, strict %s", answers[0], answers[1])
@@ -198,5 +214,39 @@ func TestChaosHTTPArchiveHeals(t *testing.T) {
 	health = db.SourceHealth()
 	if health.Quarantined != 0 || len(health.Hosts) != 1 || health.Hosts[0].State != registrar.BreakerClosed.String() {
 		t.Fatalf("source health = %+v after heal, want an empty quarantine and a closed breaker", health)
+	}
+}
+
+// TestChaosEagerDMdOpensWhole: eager_dmd promises every window
+// materialized at Open, so its derivation runs strict even on a
+// degraded database, and an eager database holds every chunk resident,
+// so chunk faults cannot make a window partial. Under total chunk
+// faults it opens with the same windows, and answers a windows query
+// without warnings, as a fault-free strict twin.
+func TestChaosEagerDMdOpensWhole(t *testing.T) {
+	dir := genRepo(t, 2)
+	var answers [2]string
+	var windows [2]int
+	for i, cfg := range []Config{
+		{Approach: registrar.EagerDMd, Degraded: true, Faults: "exec.flight=error:1", FaultSeed: 17},
+		{Approach: registrar.EagerDMd},
+	} {
+		db, err := openChecked(t, dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		windows[i] = db.MaterializedWindows()
+		res, err := db.Query(tQueries()[5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Warnings) != 0 || res.DMd.Computed != 0 {
+			t.Fatalf("%+v: warnings %v, dmd %+v; want none and nothing derived after Open", cfg, res.Warnings, res.DMd)
+		}
+		answers[i] = digest(res.Rel).String()
+		db.Close()
+	}
+	if windows[0] == 0 || windows[0] != windows[1] || answers[0] != answers[1] {
+		t.Fatalf("under faults %d windows, answer %s; fault-free %d, %s", windows[0], answers[0], windows[1], answers[1])
 	}
 }

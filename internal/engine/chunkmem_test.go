@@ -125,23 +125,23 @@ func TestCollectedResultOutlivesEviction(t *testing.T) {
 		}
 		flat := seg.Rel.Flatten()
 		from, to := storage.Int64s(flat.Cols[0])[0], storage.Int64s(flat.Cols[1])[0]
-		times, vals, err := db.fetchSeries(context.Background(), "FIAM", "HHZ", from, to)
+		rows, _, err := (*windowFetcher)(db).FetchSeries(context.Background(), "FIAM", "HHZ", from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(vals) == 0 {
-			t.Fatal("empty series: nothing to test")
-		}
-		if aliases(t, db, vals) {
-			t.Fatal("the series aliases chunk memory its handles no longer hold")
+		if rows.Len() == 0 {
+			t.Fatal("no window: nothing to test")
 		}
 		requireReleased(t, db)
-		wantT, wantV := append([]int64(nil), times...), append([]float64(nil), vals...)
+		hash := func() string {
+			var d rowDigest
+			d.Push(rows)
+			return d.String()
+		}
+		want := hash()
 		churn(t, db)
-		for i := range wantT {
-			if times[i] != wantT[i] || vals[i] != wantV[i] {
-				t.Fatalf("series row %d changed after its chunk's eviction", i)
-			}
+		if got := hash(); got != want {
+			t.Fatalf("derived windows changed after their chunk's eviction: %s, were %s", got, want)
 		}
 	})
 }
@@ -227,8 +227,8 @@ func TestChunkChargeMatchesBacking(t *testing.T) {
 // TestChunkMemoryStress: concurrent queries over a three-chunk recycler
 // on a disk tier — every load evicts, spills or promotes, every arena is
 // reused — hold their collected results for a random while, and every
-// result must match a serial RAM-only reference both when it arrives
-// and at the end of that while. Run with -race.
+// result must match a serial RAM-only reference, rows in order, both
+// when it arrives and at the end of that while. Run with -race.
 func TestChunkMemoryStress(t *testing.T) {
 	dir := genRepo(t, 2)
 	queries := stressQueries()
@@ -247,7 +247,7 @@ func TestChunkMemoryStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = digest(res.Rel).multiset().String()
+		want[i] = digest(res.Rel).String()
 	}
 	st := ref.CacheStats()
 	db, err := openChecked(t, dir, Config{
@@ -275,13 +275,13 @@ func TestChunkMemoryStress(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if got := digest(res.Rel).multiset().String(); got != want[qi] {
+					if got := digest(res.Rel).String(); got != want[qi] {
 						t.Errorf("query %d diverges on arrival", qi)
 					}
 					held.Add(1)
 					time.AfterFunc(time.Duration(rng.Intn(2000))*time.Microsecond, func() {
 						defer held.Done()
-						if got := digest(res.Rel).multiset().String(); got != want[qi] {
+						if got := digest(res.Rel).String(); got != want[qi] {
 							t.Errorf("query %d diverged while held", qi)
 						}
 					})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -124,11 +125,9 @@ type DB struct {
 	optRules opt.Options
 	plans    *planCache
 
-	// seriesPlan is the derived-metadata fetcher's parameterized series
-	// query, compiled on first use and replayed per derivation.
-	seriesOnce sync.Once
-	seriesPlan *plan.Plan
-	seriesErr  error
+	// windowsPlan is Algorithm 1's derivation query (windowsSQL),
+	// compiled at Open and replayed per derivation.
+	windowsPlan *plan.Plan
 
 	reportMu sync.Mutex
 	report   registrar.Report
@@ -300,7 +299,14 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 		})
 	}
 
-	db.dmd = dmd.NewManager(db.cat, fetcherFunc(db.fetchSeries))
+	st, err := sqlparse.ParseStatement(windowsSQL)
+	if err == nil {
+		db.windowsPlan, err = db.compileQuery(st.Query)
+	}
+	if err != nil {
+		return nil, err
+	}
+	db.dmd = dmd.NewManager(db.cat, (*windowFetcher)(db))
 	if cfg.Approach == registrar.EagerDMd {
 		if _, dur, err := db.dmd.DeriveAll(); err != nil {
 			return nil, err
@@ -317,51 +323,27 @@ func OpenSource(repo registrar.ChunkSource, csvDir string, cfg Config) (*DB, err
 	return db, nil
 }
 
-// fetcherFunc adapts a function to the dmd.Fetcher interface.
-type fetcherFunc func(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error)
+// windowsSQL derives the hourly windows of one station/channel over a
+// time range: Step 6 of Algorithm 1 as a grouped query, folded by the
+// executor's own aggregates, grouping on the run column window_ts.
+const windowsSQL = `SELECT D.window_ts, MAX(D.sample_value), MIN(D.sample_value), AVG(D.sample_value), STDDEV(D.sample_value)
+	FROM dataview WHERE F.station = ? AND F.channel = ? AND D.sample_time >= ? AND D.sample_time < ?
+	GROUP BY D.window_ts`
 
-func (f fetcherFunc) FetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
-	return f(ctx, station, channel, from, to)
-}
+// windowFetcher is the DB as the derived-metadata manager's
+// dmd.Fetcher.
+type windowFetcher DB
 
-// fetchSeries retrieves one station/channel series through the regular
-// two-stage execution path, so DMd derivation exploits lazy loading.
-// The fixed-shape series query is compiled once (parameterized) and
-// replayed per derivation, like any other prepared statement, under the
-// context of the query that needs the windows.
-func (db *DB) fetchSeries(ctx context.Context, station, channel string, from, to int64) ([]int64, []float64, error) {
-	db.seriesOnce.Do(func() {
-		q := &plan.Query{
-			Select: []plan.SelectItem{
-				{Expr: expr.Col("D.sample_time")},
-				{Expr: expr.Col("D.sample_value")},
-			},
-			From: seismic.ViewData,
-			Where: expr.Conjoin([]expr.Expr{
-				expr.NewCmp(expr.EQ, expr.Col("F.station"), expr.NewParam(0)),
-				expr.NewCmp(expr.EQ, expr.Col("F.channel"), expr.NewParam(1)),
-				expr.NewCmp(expr.GE, expr.Col("D.sample_time"), expr.NewParam(2)),
-				expr.NewCmp(expr.LT, expr.Col("D.sample_time"), expr.NewParam(3)),
-			}),
-		}
-		db.seriesPlan, db.seriesErr = db.compileQuery(q)
-	})
-	if db.seriesErr != nil {
-		return nil, nil, db.seriesErr
-	}
+// FetchSeries runs windowsSQL through the two-stage execution path, so
+// derivation exploits lazy loading, under the context and so in the
+// degraded mode of the query that needs the windows.
+func (f *windowFetcher) FetchSeries(ctx context.Context, station, channel string, from, to int64) (*storage.Batch, []exec.Warning, error) {
 	args := []*expr.Const{expr.Str(station), expr.Str(channel), expr.Time(from), expr.Time(to)}
-	// Derived windows outlive the query that derives them: a series
-	// missing a skipped chunk would summarize it wrongly for every later
-	// query, so derivation is strict whatever the degraded mode.
-	res, err := exec.Execute(WithDegraded(ctx, false), db.env, db.seriesPlan, exec.Options{Params: args})
+	res, err := exec.Execute(ctx, f.env, f.windowsPlan, exec.Options{Params: args})
 	if err != nil {
 		return nil, nil, err
 	}
-	flat := res.Rel.Flatten()
-	if flat.Len() == 0 {
-		return nil, nil, nil
-	}
-	return storage.Int64s(flat.Cols[0]), storage.Float64s(flat.Cols[1]), nil
+	return res.Rel.Flatten(), res.Warnings, nil
 }
 
 func (db *DB) fillSizes() {
@@ -480,11 +462,13 @@ func substSpec(spec *plan.Query, args []*expr.Const) (*plan.Query, error) {
 
 // prepareDMd runs Algorithm 1 for a compiled statement: the derived
 // metadata the execution needs is made available before it starts,
-// enumerated from the argument-substituted predicates.
-func (db *DB) prepareDMd(ctx context.Context, c *compiled, args []*expr.Const) (dmd.Stats, error) {
+// enumerated from the argument-substituted predicates. The warnings
+// name the chunks a degraded derivation skipped: the windows it left
+// partial, which the execution reads.
+func (db *DB) prepareDMd(ctx context.Context, c *compiled, args []*expr.Const) (dmd.Stats, []Warning, error) {
 	spec, err := substSpec(c.query, args)
 	if err != nil {
-		return dmd.Stats{}, err
+		return dmd.Stats{}, nil, err
 	}
 	return db.dmd.Prepare(ctx, c.plan, spec)
 }
@@ -497,7 +481,7 @@ func (db *DB) prepareDMd(ctx context.Context, c *compiled, args []*expr.Const) (
 // ANALYZE (analyze) runs the query without the sink and returns its
 // profile as plan rows, streamed to the sink if there is one.
 func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const, sink StreamSink, analyze bool, prof *exec.Profile) (*Result, error) {
-	dst, err := db.prepareDMd(ctx, c, args)
+	dst, skipped, err := db.prepareDMd(ctx, c, args)
 	if err != nil {
 		return nil, err
 	}
@@ -509,6 +493,16 @@ func (db *DB) execCompiled(ctx context.Context, c *compiled, args []*expr.Const,
 	res, err := exec.Execute(ctx, db.env, c.plan, o)
 	if err != nil {
 		return nil, err
+	}
+	if len(skipped) > 0 {
+		// The chunks a degraded derivation skipped lead the warnings;
+		// one stage two skipped as well is named once.
+		for _, w := range res.Warnings {
+			if !slices.ContainsFunc(skipped, func(s Warning) bool { return s.Table == w.Table && s.Chunk == w.Chunk }) {
+				skipped = append(skipped, w)
+			}
+		}
+		res.Warnings, res.Stats.ChunksSkipped = skipped, len(skipped)
 	}
 	start, end := prof.Span(exec.StageCompile)
 	out := &Result{Result: res, QueryType: c.plan.Type(), DMd: dst, Plan: c.plan, Compile: end - start}

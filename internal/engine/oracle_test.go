@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,34 +23,28 @@ import (
 
 // rowDigest is a result as one hash per row, every cell hashed by its
 // bits, so results compare bitwise: in order, or as multisets of rows.
-// A second hash per row cuts floats to 10 significant digits, for the
-// comparisons across join orders (see oracle.check). A *rowDigest is a
-// StreamSink, hashing rows as they arrive.
-type rowDigest struct{ rows, rounded []uint64 }
+// A *rowDigest is a StreamSink, hashing rows as they arrive.
+type rowDigest struct{ rows []uint64 }
 
 func (d *rowDigest) Push(b *storage.Batch) error {
 	flat := b.Materialize()
-	h, hr := fnv.New64a(), fnv.New64a()
+	h := fnv.New64a()
 	var buf []byte
 	for r := 0; r < flat.Len(); r++ {
 		h.Reset()
-		hr.Reset()
 		for _, c := range flat.Cols {
 			buf = buf[:0]
 			switch v := storage.ValueAt(c, r).(type) {
 			case float64:
-				h.Write(binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)))
-				hr.Write(strconv.AppendFloat(buf[:0], v, 'g', 10, 64))
-				continue
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 			case int64:
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 			default:
 				buf = fmt.Appendf(buf, "%v|", v)
 			}
 			h.Write(buf)
-			hr.Write(buf)
 		}
-		d.rows, d.rounded = append(d.rows, h.Sum64()), append(d.rounded, hr.Sum64())
+		d.rows = append(d.rows, h.Sum64())
 	}
 	return nil
 }
@@ -72,14 +65,6 @@ func (d rowDigest) String() string {
 		h.Write(binary.LittleEndian.AppendUint64(nil, r))
 	}
 	return fmt.Sprintf("%d rows, digest %016x", len(d.rows), h.Sum64())
-}
-
-// multiset is the rows in a canonical order.
-func (d rowDigest) multiset() rowDigest {
-	m := rowDigest{slices.Clone(d.rows), slices.Clone(d.rounded)}
-	slices.Sort(m.rows)
-	slices.Sort(m.rounded)
-	return m
 }
 
 // match reports whether the row hashes got equal want — in order, or
@@ -121,12 +106,6 @@ func (q oracleQuery) class() string {
 	}
 	return ""
 }
-
-// ordered reports whether the query's ORDER BY fixes the order its
-// rows compare in across loading approaches and interleavings: sorts
-// are stable and every approach's joins emit D's rows in one order, so
-// rows tied on the keys come back in one order too.
-func (q oracleQuery) ordered() bool { return strings.Contains(q.sql, "ORDER BY") }
 
 func (q oracleQuery) explain() bool { return strings.HasPrefix(strings.TrimSpace(q.sql), "EXPLAIN") }
 
@@ -497,14 +476,14 @@ func (s *limitSink) Push(b *storage.Batch) error {
 	return nil
 }
 
-// answer runs q on db through sink and returns its rows and warnings.
-func answer(db *DB, sink string, limit int, q oracleQuery) (rowDigest, []Warning, error) {
+// answer runs q on db through sink and returns its rows and result.
+func answer(db *DB, sink string, limit int, q oracleQuery) (rowDigest, *Result, error) {
 	if sink == "collect" {
 		res, err := db.QueryArgs(q.sql, q.args...)
 		if err != nil {
 			return rowDigest{}, nil, err
 		}
-		return digest(res.Rel), res.Warnings, nil
+		return digest(res.Rel), res, nil
 	}
 	s := &limitSink{limit: limit}
 	switch sink {
@@ -514,10 +493,7 @@ func answer(db *DB, sink string, limit int, q oracleQuery) (rowDigest, []Warning
 		s.err = errSinkFail
 	}
 	res, err := db.QueryStream(context.Background(), q.sql, s, q.args...)
-	if err != nil {
-		return s.rows, nil, err
-	}
-	return s.rows, res.Warnings, nil
+	return s.rows, res, err
 }
 
 // degradable reports whether err is an availability failure: an
@@ -586,11 +562,6 @@ func (o *oracle) fail(t *testing.T, c cell, qi int, format string, a ...any) {
 		o.seed, c.seq, qi, c, fmt.Sprintf(format, a...), q.sql, q.args, t.Name())
 }
 
-// reordered reports whether the cell's joins emit rows in another
-// order than the reference's: without the joinorder rule they follow
-// the order the views list their tables in.
-func (c cell) reordered() bool { return c.lv[dRules] == "all" || c.lv[dRules] == opt.RuleJoinOrder }
-
 // atReference reports whether c is its approach's reference cell, whose
 // answers are the reference itself.
 func (c cell) atReference() bool { return c.lv == pin(c.seq, "approach="+c.lv[dApproach]).lv }
@@ -599,10 +570,9 @@ func (c cell) atReference() bool { return c.lv == pin(c.seq, "approach="+c.lv[dA
 // every rule on, serial loads, RAM only, no faults, collected — on a
 // fresh database, once, checking after each answer that it released
 // every chunk handle and governor byte. Every approach's reference
-// equals eager_plain's: rows in order where ORDER BY fixes it, and
-// plans; as multisets otherwise, since where nothing fixes the order,
-// approaches that derive H at another time join its windows in another
-// order.
+// equals eager_plain's, bitwise, rows in order and plans included: H
+// holds its windows in key order whichever approach derived them, and
+// when.
 func (o *oracle) ref(t *testing.T, seq int, app string) []rowDigest {
 	t.Helper()
 	if out, ok := o.refs[refKey{seq, app}]; ok {
@@ -626,9 +596,9 @@ func (o *oracle) ref(t *testing.T, seq int, app string) []rowDigest {
 	}
 	if app != string(registrar.EagerPlain) {
 		plain := o.ref(t, seq, string(registrar.EagerPlain))
-		for qi, q := range o.seqs[seq] {
-			if ordered := q.ordered() || q.explain(); !match(out[qi].rows, plain[qi].rows, ordered, 0) {
-				o.fail(t, c, qi, "%s, eager_plain's reference %s (ordered %v)", out[qi], plain[qi], ordered)
+		for qi := range o.seqs[seq] {
+			if !match(out[qi].rows, plain[qi].rows, true, 0) {
+				o.fail(t, c, qi, "%s, eager_plain's reference %s", out[qi], plain[qi])
 			}
 		}
 	}
@@ -637,41 +607,25 @@ func (o *oracle) ref(t *testing.T, seq int, app string) []rowDigest {
 }
 
 // check compares one answer — taken by a sink that stops at limit
-// rows, 0 for a whole one — with a reference, bitwise. A serial replay
-// returns the rows of its approach's reference in their order. Replays
-// from many goroutines, which derive H's windows in another order,
-// compare with eager_plain's reference: in order where ORDER BY fixes
-// it, as multisets otherwise.
-//
-// Across join orders two things may differ and do: which of the rows
-// tied at a LIMIT come back, and the last bits of a fold whose result
-// depends on row order (STDDEV's recurrence, whose rows then arrive in
-// the order windows were derived). There, floats compare to 10
-// significant digits, rows as multisets, and a LIMIT's rows by their
-// number.
-func (o *oracle) check(t *testing.T, c cell, qi int, got rowDigest, limit int, serial bool) {
+// rows, 0 for a whole one — with its approach's reference: bitwise, rows
+// in order, LIMIT ties included. H holds its windows in key order
+// whatever order queries derived them in, so replays from many
+// goroutines answer as the serial reference does; and actual data
+// streams on every join's probe side whatever the join order, so plans
+// without joinorder feed their folds and LIMITs the rows in the
+// reference's order too.
+func (o *oracle) check(t *testing.T, c cell, qi int, got rowDigest, limit int) {
 	t.Helper()
 	q := o.seqs[c.seq][qi]
-	want, ordered := o.ref(t, c.seq, string(registrar.EagerPlain))[qi], q.ordered() || q.explain()
-	if serial && !c.reordered() {
-		want, ordered = o.ref(t, c.seq, c.lv[dApproach])[qi], true
-	}
+	want := o.ref(t, c.seq, c.lv[dApproach])[qi]
 	switch {
 	case q.explain():
 		// Plans name the rules that ran.
 		if c.lv[dRules] == "on" && !match(got.rows, want.rows, true, limit) {
 			o.fail(t, c, qi, "plan %s, reference %s", got, want)
 		}
-	case !c.reordered():
-		if !match(got.rows, want.rows, ordered, limit) {
-			o.fail(t, c, qi, "%s, reference %s (ordered %v)", got, want, ordered)
-		}
-	case strings.Contains(q.sql, " LIMIT "):
-		if n := len(want.rows); len(got.rows) != n && !(limit > 0 && len(got.rows) >= min(limit, n) && len(got.rows) <= n) {
-			o.fail(t, c, qi, "%s, reference %s", got, want)
-		}
-	case !match(got.rounded, want.rounded, false, limit):
-		o.fail(t, c, qi, "%s, reference %s (to 10 digits, any order)", got, want)
+	case !match(got.rows, want.rows, true, limit):
+		o.fail(t, c, qi, "%s, reference %s", got, want)
 	}
 }
 
@@ -690,15 +644,16 @@ func (o *oracle) replay(t *testing.T, c cell, db, twin *DB, pass int) bool {
 		if c.lv[dSink] == "stop" || c.lv[dSink] == "fail" {
 			limit = 1 + rng.Intn(400)
 		}
-		got, warns, err := answer(db, c.lv[dSink], limit, q)
+		got, res, err := answer(db, c.lv[dSink], limit, q)
 		requireReleased(t, db)
-		// Derived windows come from whole series only: a fault while
-		// deriving fails the query, degraded or not, and the client
-		// retries it. Each retry derives the windows still missing, in
-		// the order the strict twin derives them all.
-		for try := 0; twin != nil && err != nil && strings.Contains(err.Error(), "dmd: deriving") && degradable(err) && try < 100; try++ {
+		// A derivation that skipped chunks leaves its windows partial,
+		// and the query reads them: no strict query answers over windows
+		// derived without some chunks, so the client retries it. Each
+		// retry derives the partial windows again; once none is left to
+		// derive, the answer is checked.
+		for try := 0; twin != nil && err == nil && len(res.Warnings) > 0 && res.DMd.Computed > 0 && try < 100; try++ {
 			degraded = true
-			got, warns, err = answer(db, c.lv[dSink], limit, q)
+			got, res, err = answer(db, c.lv[dSink], limit, q)
 			requireReleased(t, db)
 		}
 		if err != nil && !(errors.Is(err, errSinkFail) && len(got.rows) >= limit) {
@@ -706,20 +661,24 @@ func (o *oracle) replay(t *testing.T, c cell, db, twin *DB, pass int) bool {
 			continue
 		}
 		if twin == nil {
-			o.check(t, c, qi, got, limit, true)
+			o.check(t, c, qi, got, limit)
 			continue
+		}
+		var warns []Warning
+		if res != nil {
+			warns = res.Warnings
 		}
 		degraded = degraded || len(warns) > 0
 		strict := exclusionSQL(q.sql, warns)
-		want, twarns, err := answer(twin, c.lv[dSink], limit, oracleQuery{sql: strict, args: q.args})
+		want, tres, err := answer(twin, c.lv[dSink], limit, oracleQuery{sql: strict, args: q.args})
 		requireReleased(t, twin)
 		switch {
-		case err != nil || len(twarns) > 0:
-			o.fail(t, c, qi, "strict twin: %v %v\n%s", err, twarns, strict)
+		case err != nil || len(tres.Warnings) > 0:
+			o.fail(t, c, qi, "strict twin: %v %v\n%s", err, tres, strict)
 		case !match(got.rows, want.rows, true, 0):
 			o.fail(t, c, qi, "%s, strict minus skipped %s\nskipped %v\n%s", got, want, warns, strict)
 		case len(warns) == 0:
-			o.check(t, c, qi, got, limit, true)
+			o.check(t, c, qi, got, limit)
 		}
 	}
 	return degraded
@@ -729,7 +688,7 @@ func (o *oracle) replay(t *testing.T, c cell, db, twin *DB, pass int) bool {
 // each starting at its own query.
 func (o *oracle) replayConcurrent(t *testing.T, c cell, db *DB) {
 	seq := o.seqs[c.seq]
-	o.ref(t, c.seq, string(registrar.EagerPlain))
+	o.ref(t, c.seq, c.lv[dApproach])
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -742,7 +701,7 @@ func (o *oracle) replayConcurrent(t *testing.T, c cell, db *DB) {
 					o.fail(t, c, qi, "goroutine %d: %v", g, err)
 					continue
 				}
-				o.check(t, c, qi, got, 0, false)
+				o.check(t, c, qi, got, 0)
 			}
 		}(g)
 	}
@@ -966,12 +925,12 @@ func approaches(levels ...string) []cell {
 // Seeded sequences of queries — the fixed corpus of every query bag,
 // plus generated queries over every schema — answer under a sampled
 // lattice of configurations exactly as they do under the reference
-// (every rule on, serial, RAM only, collected; eager_plain's, and each
-// approach's own, which orders rows as eager_plain's only where ORDER
-// BY does): every loading approach, rule set, ingestion fan-out, sink,
-// cache tier and fault schedule, and 8 goroutines replaying a sequence
-// on one database. Floats compare by their bits (to 10 significant
-// digits only where joins run in another order). The archive is
+// (every rule on, serial, RAM only, collected; each approach's own,
+// which equals eager_plain's): every loading approach, rule set,
+// ingestion fan-out, sink, cache tier and fault schedule, and 8
+// goroutines replaying a sequence on one database. Floats compare by
+// their bits, rows in order (to 10 significant digits, rows in any
+// order, only where joins run in another order). The archive is
 // genSegRepo's multi-segment chunks with the band stations. The cells
 // are sampled so that every level of every dimension answers every
 // class of query at least once; the log lists them. The tests after it
@@ -986,22 +945,12 @@ func TestOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	cells := sampleCells(rng)
 	// Each cell runs a sequence of its own: everySequence, generated
-	// queries and, if it compares bitwise, its share of the rest of the
-	// corpus. Cells whose joins run in another order compare to 10
-	// digits and take no share: the corpus is the other cells'.
+	// queries and its share of the rest of the corpus.
 	corpus, shared := fixedCorpus(man), len(everySequence())
-	var bitwise []int
-	for s, c := range cells {
-		if !c.reordered() {
-			bitwise = append(bitwise, s)
-		}
-	}
 	for s := range cells {
 		seq := slices.Clone(corpus[:shared])
-		if k := slices.Index(bitwise, s); k >= 0 {
-			for i := shared + k; i < len(corpus); i += len(bitwise) {
-				seq = append(seq, corpus[i])
-			}
+		for i := shared + s; i < len(corpus); i += len(cells) {
+			seq = append(seq, corpus[i])
 		}
 		o.seqs = append(o.seqs, sequence(append(seq, genQueries(rng, generated)...)))
 	}

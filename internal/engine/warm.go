@@ -6,8 +6,8 @@ package engine
 //	D.seg      the disk cache tier's segment file (spilled chunks plus
 //	           a Close-time flush of the RAM-resident working set)
 //	meta.snap  the F/S metadata tables and the derived-metadata view H
-//	           in the segment codec, keyed by a fingerprint of the
-//	           archive's URI list
+//	           (its materialized windows, in key order) in the segment
+//	           codec, keyed by a fingerprint of the archive's URI list
 //	plans.txt  the plan cache's normalized-SQL keys, hot-first
 //
 // — and the next Open re-opens segments, rebuilds the metadata view
@@ -41,8 +41,11 @@ const (
 	plansFile       = "plans.txt"
 	fingerprintFile = "fingerprint"
 
-	metaSnapMagic   = "SOMM"
-	metaSnapVersion = 2
+	metaSnapMagic = "SOMM"
+	// metaSnapVersion 3: H in key order, its standard deviations the
+	// executor's Welford fold. A v2 snapshot (H in derivation order,
+	// two-pass deviations) is not restored; the start is cold.
+	metaSnapVersion = 3
 	plansHeader     = "sommelier-plans-v1"
 )
 
@@ -119,7 +122,11 @@ func (db *DB) saveMetaSnapshot(path, fingerprint string) error {
 	putUvarint(uint64(nSegs))
 	for _, tn := range snapTables {
 		t, _ := db.cat.Table(tn)
-		body, err := storage.EncodeRelation(nil, t.Data())
+		rel := t.Data()
+		if tn == seismic.TableH {
+			rel = db.dmd.Snapshot()
+		}
+		body, err := storage.EncodeRelation(nil, rel)
 		if err != nil {
 			return err
 		}
@@ -189,14 +196,15 @@ func loadMetaSnapshot(path, fingerprint string) (cat *table.Catalog, nSegs int) 
 			return nil, 0
 		}
 		rd = rd[bodyLen:]
-		// The rows become the long-lived metadata tables, appended batch
-		// by batch (schema and PK checks included — a snapshot that lies
+		// The rows become the long-lived metadata tables, appended in one
+		// merge (schema and PK checks included — a snapshot that lies
 		// fails the restore).
 		t, _ := cat.Table(tn)
-		for _, b := range rel.Batches() {
-			if err := t.Append(b); err != nil {
-				return nil, 0
-			}
+		if rel.Rows() == 0 {
+			continue
+		}
+		if err := t.Append(rel.Flatten()); err != nil {
+			return nil, 0
 		}
 	}
 	if s, _ := cat.Table(seismic.TableS); len(rd) != 0 || uint64(s.Data().Rows()) != segs {

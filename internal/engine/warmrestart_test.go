@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -192,8 +193,9 @@ func TestDerivedSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestWarmRestartDamagedSnapshot: a meta.snap that fails verification —
-// a flipped byte in the H body, a truncated tail, a valid v1 file —
-// means a cold start with RAM-only answers, and no row of the damaged
+// a flipped byte in the H body, a truncated tail, a valid v1 or v2 file
+// (v2's H is in derivation order, its deviations two-pass) — means a
+// cold start with RAM-only answers, and no row of the damaged
 // file reaches F, S or H.
 func TestWarmRestartDamagedSnapshot(t *testing.T) {
 	dir := genRepo(t, 2)
@@ -225,11 +227,13 @@ func TestWarmRestartDamagedSnapshot(t *testing.T) {
 			return b
 		},
 		"truncated-tail": func(b []byte) []byte { return b[:len(b)-7] },
-		"v1-header": func(b []byte) []byte {
-			b[len(metaSnapMagic)] = 1
+	}
+	for _, v := range []byte{1, 2} {
+		cases[fmt.Sprintf("v%d-header", v)] = func(b []byte) []byte {
+			b[len(metaSnapMagic)] = v
 			binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
 			return b
-		},
+		}
 	}
 	for name, damage := range cases {
 		t.Run(name, func(t *testing.T) {

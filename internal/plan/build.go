@@ -245,16 +245,21 @@ func Assemble(cat *table.Catalog, p *Plan, pushdown map[string]expr.Expr,
 	var qf Node
 	if ord == nil {
 		// FROM resolution order; attach every join predicate whose both
-		// sides are now in scope.
+		// sides are now in scope. Actual data streams on the probe
+		// (right) side, so rows leave the joins in its order, as in the
+		// ordered tree, whatever the FROM order.
 		inScope := make(map[string]bool, len(p.FromTables))
+		streams := false
 		used := make([]bool, len(p.BaseJoins))
 		for _, tn := range p.FromTables {
 			s, err := scan(tn)
 			if err != nil {
 				return nil, err
 			}
+			t, _ := cat.Table(tn)
+			ad := t.Class == table.ActualData
 			if root == nil {
-				root = s
+				root, streams = s, ad
 				inScope[tn] = true
 				continue
 			}
@@ -277,7 +282,11 @@ func Assemble(cat *table.Catalog, p *Plan, pushdown map[string]expr.Expr,
 					preds = append(preds, j)
 				}
 			}
-			root = NewJoin(root, s, preds)
+			if streams && !ad {
+				root = NewJoin(s, root, preds)
+			} else {
+				root, streams = NewJoin(root, s, preds), streams || ad
+			}
 		}
 	} else {
 		graph := p.Graph

@@ -241,9 +241,9 @@ func NewChunkRelation(batches []*Batch, zones [][]Zone) *Relation {
 // Zone returns the cached min/max bound of column col over batch i,
 // computing the relation's zone maps on first use. Bounds exist for
 // int64 and time columns; other kinds return Ok=false. The computation
-// is incremental: a relation cloned from a snapshot (CloneForAppend)
-// inherits the parent's cached bounds and only the appended tail
-// batches are ever scanned.
+// is incremental: a relation grown from a snapshot's Head inherits the
+// parent's cached bounds and only the appended tail batches are ever
+// scanned.
 func (r *Relation) Zone(i, col int) Zone {
 	zp := r.zones.Load()
 	if zp == nil || len(*zp) < len(r.batches) {
@@ -258,16 +258,20 @@ func (r *Relation) Zone(i, col int) Zone {
 	return zs[col]
 }
 
-// CloneForAppend returns a new relation over the same batches with room
-// for extra appends, inheriting the receiver's cached zone maps: the
-// copy-on-write growth path of metadata tables, where each append used
-// to recompute every batch bound from scratch. The inherited cache is
-// shared read-only; extending it builds a fresh slice.
-func (r *Relation) CloneForAppend(extra int) *Relation {
-	nd := &Relation{rows: r.rows, batches: make([]*Batch, len(r.batches), len(r.batches)+extra)}
-	copy(nd.batches, r.batches)
+// Head returns a new relation over the receiver's first k batches with
+// room for extra appends, inheriting their cached zone maps: the
+// copy-on-write growth path of metadata tables, whose merges keep every
+// batch before the first one they change. The inherited cache is shared
+// read-only; extending it builds a fresh slice.
+func (r *Relation) Head(k, extra int) *Relation {
+	nd := &Relation{batches: make([]*Batch, k, k+extra)}
+	copy(nd.batches, r.batches[:k])
+	for _, b := range nd.batches {
+		nd.rows += b.Len()
+	}
 	if zp := r.zones.Load(); zp != nil {
-		nd.zones.Store(zp)
+		z := (*zp)[:min(k, len(*zp))]
+		nd.zones.Store(&z)
 	}
 	return nd
 }

@@ -329,7 +329,7 @@ func TestPooledCoalescerMultiFlushPoolingOff(t *testing.T) {
 }
 
 // TestZoneInheritance asserts the incremental zone-map protocol: a
-// snapshot cloned for append inherits the parent's cached per-batch
+// snapshot grown from a parent's Head inherits the parent's cached per-batch
 // bounds, and only the appended tail batches are ever scanned.
 func TestZoneInheritance(t *testing.T) {
 	mk := func(lo int64) *Batch {
@@ -349,7 +349,7 @@ func TestZoneInheritance(t *testing.T) {
 		t.Fatalf("computed %d batch bounds on first use, want 3", got)
 	}
 
-	child := parent.CloneForAppend(1)
+	child := parent.Head(3, 1)
 	child.Append(mk(100))
 	base = ZoneComputations()
 	z = child.Zone(3, 0)

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 
 	"sommelier/internal/chunkstore"
@@ -63,7 +66,6 @@ type Table struct {
 
 	mu     sync.RWMutex
 	data   *storage.Relation
-	pkSeen map[string]bool
 	chunks *chunkstore.Store
 }
 
@@ -92,8 +94,6 @@ func New(name string, class Class, schema Schema, primaryKey []string, chunkKey 
 	}
 	if class == ActualData {
 		t.chunks = chunkstore.New(name)
-	} else if len(primaryKey) > 0 {
-		t.pkSeen = make(map[string]bool)
 	}
 	return t, nil
 }
@@ -107,15 +107,80 @@ func MustNew(name string, class Class, schema Schema, primaryKey []string, chunk
 	return t
 }
 
-// Append adds a batch to a metadata table, enforcing primary-key
-// uniqueness (the paper defines PKs under every loading variant).
-// The resident relation is replaced copy-on-write, so relations handed
-// out by Data() are immutable snapshots that concurrent scans can read
-// without synchronization while the table keeps growing (e.g. derived
-// metadata materialized by another query's Algorithm 1 run).
-func (t *Table) Append(b *storage.Batch) error {
+// Append is Merge(b, false): an equal key is a primary-key violation
+// (the paper defines PKs under every loading variant).
+func (t *Table) Append(b *storage.Batch) error { return t.Merge(b, false) }
+
+// Merge merges b, its rows in ascending primary-key order, into a
+// metadata table, which keeps its rows in key order as
+// storage.BatchSize batches, so zone maps bound key ranges. A row whose
+// key the table holds replaces it under replace and is a primary-key
+// violation otherwise; a refused merge changes nothing. The relation is
+// replaced copy-on-write, so snapshots from Data() stay immutable. The
+// new one shares, with their zone maps, the batches before the first
+// that b's keys reach; the rest, always with the last batch so kept
+// batches stay full, is rebuilt: rows past the last key cost about one
+// batch.
+func (t *Table) Merge(b *storage.Batch, replace bool) error {
+	if err := t.check(b); err != nil || b.Len() == 0 {
+		return err
+	}
+	b, pk := b.Materialize(), t.pkIdx()
+	for r := 1; r < b.Len(); r++ {
+		if compareKeys(pk, b, r-1, b, r) >= 0 {
+			return fmt.Errorf("table %s: batch row %d out of primary-key order", t.Name, r)
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := t.data.Batches()
+	k := max(0, min(len(old)-1, sort.Search(len(old), func(i int) bool {
+		return compareKeys(pk, old[i], old[i].Len()-1, b, 0) >= 0
+	})))
+	tail := storage.NewRelationWithCap(len(old) - k + 1)
+	for _, ob := range old[k:] {
+		tail.Append(ob)
+	}
+	n := tail.Rows()
+	tail.Append(b)
+	rows := tail.Flatten()
+	// Rows [0, n) are the table's, [n, Len) b's: merge the two runs.
+	order := make([]int32, 0, rows.Len())
+	for i, j := 0, n; i < n || j < rows.Len(); {
+		c := 1 // which row comes first: < 0 the table's i, > 0 b's j
+		if j == rows.Len() {
+			c = -1
+		} else if i < n {
+			c = compareKeys(pk, rows, i, rows, j)
+		}
+		if c == 0 && !replace {
+			return fmt.Errorf("table %s: primary key violation at row %d", t.Name, j-n)
+		}
+		if c <= 0 {
+			i++ // on an equal key, b's row replaces the table's
+		}
+		if c < 0 {
+			order = append(order, int32(i-1))
+		} else {
+			order = append(order, int32(j))
+			j++
+		}
+	}
+	merged := rows.Gather(order)
+	t.data = t.data.Head(k, (len(order)+storage.BatchSize-1)/storage.BatchSize)
+	for lo := 0; lo < len(order); lo += storage.BatchSize {
+		t.data.Append(merged.Slice(lo, min(lo+storage.BatchSize, len(order))))
+	}
+	return nil
+}
+
+// check validates a batch's shape against the schema.
+func (t *Table) check(b *storage.Batch) error {
 	if t.Class == ActualData {
 		return fmt.Errorf("table %s: actual-data chunks belong to its chunk store", t.Name)
+	}
+	if len(t.PrimaryKey) == 0 {
+		return fmt.Errorf("table %s: a metadata table needs a primary key", t.Name)
 	}
 	if b.Width() != t.Schema.Width() {
 		return fmt.Errorf("table %s: batch width %d, schema width %d", t.Name, b.Width(), t.Schema.Width())
@@ -125,32 +190,36 @@ func (t *Table) Append(b *storage.Batch) error {
 			return fmt.Errorf("table %s: column %d kind %v, want %v", t.Name, i, c.Kind(), t.Schema.Cols[i].Kind)
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pkSeen != nil {
-		pkIdx := make([]int, len(t.PrimaryKey))
-		for i, pk := range t.PrimaryKey {
-			pkIdx[i] = t.Schema.IndexOf(pk)
+	return nil
+}
+
+// pkIdx returns the schema positions of the primary-key columns.
+func (t *Table) pkIdx() []int {
+	idx := make([]int, len(t.PrimaryKey))
+	for i, pk := range t.PrimaryKey {
+		idx[i] = t.Schema.IndexOf(pk)
+	}
+	return idx
+}
+
+// compareKeys orders row i of a and row j of b by the key columns pk,
+// lexicographically. Keys are strings, floats, int64s or times.
+func compareKeys(pk []int, a *storage.Batch, i int, b *storage.Batch, j int) int {
+	for _, c := range pk {
+		var d int
+		switch x, y := a.Cols[c], b.Cols[c]; x.Kind() {
+		case storage.KindString:
+			d = strings.Compare(storage.StringAt(x, i), storage.StringAt(y, j))
+		case storage.KindFloat64:
+			d = cmp.Compare(storage.Float64s(x)[i], storage.Float64s(y)[j])
+		default: // int64 and time
+			d = cmp.Compare(storage.Int64s(x)[i], storage.Int64s(y)[j])
 		}
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			key := ""
-			for _, ci := range pkIdx {
-				key += fmt.Sprintf("%v|", storage.ValueAt(b.Cols[ci], r))
-			}
-			if t.pkSeen[key] {
-				return fmt.Errorf("table %s: primary key violation: %s", t.Name, key)
-			}
-			t.pkSeen[key] = true
+		if d != 0 {
+			return d
 		}
 	}
-	// Copy-on-write: the new snapshot shares the parent's batches and
-	// inherits its cached zone maps, so a later range scan computes
-	// bounds only for the appended tail.
-	nd := t.data.CloneForAppend(1)
-	nd.Append(b)
-	t.data = nd
-	return nil
+	return 0
 }
 
 // Data returns the resident relation of a metadata table: an immutable

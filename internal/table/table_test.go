@@ -2,6 +2,7 @@ package table
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -311,7 +312,7 @@ func TestClassPredicates(t *testing.T) {
 }
 
 func TestAppendCopyOnWrite(t *testing.T) {
-	f := MustNew("F", GivenMetadata, fileSchema(), nil, "")
+	f := MustNew("F", GivenMetadata, fileSchema(), []string{"file_id"}, "")
 	one := func(id float64) *storage.Batch {
 		return storage.NewBatch(
 			storage.NewInt64Column([]int64{int64(id)}),
@@ -332,5 +333,93 @@ func TestAppendCopyOnWrite(t *testing.T) {
 	}
 	if f.Data().Rows() != 2 {
 		t.Fatalf("table rows = %d", f.Data().Rows())
+	}
+}
+
+// windowTable is a keyed derived-metadata table shaped like H.
+func windowTable() *Table {
+	return MustNew("H", DerivedMetadata, MustSchema(
+		ColumnDef{"station", storage.KindString},
+		ColumnDef{"start", storage.KindTime},
+		ColumnDef{"max", storage.KindFloat64},
+	), []string{"station", "start"}, "")
+}
+
+func windowRows(stations []string, starts []int64, maxs []float64) *storage.Batch {
+	return storage.NewBatch(storage.NewStringColumn(stations), storage.NewTimeColumn(starts), storage.NewFloat64Column(maxs))
+}
+
+// keys renders a table's rows as "station@start=max", in stored order.
+func keys(t *Table) []string {
+	flat := t.Data().Flatten()
+	var out []string
+	for i := 0; i < flat.Len(); i++ {
+		out = append(out, fmt.Sprintf("%s@%d=%g", storage.StringAt(flat.Cols[0], i), storage.Int64s(flat.Cols[1])[i], storage.Float64s(flat.Cols[2])[i]))
+	}
+	return out
+}
+
+// TestMergeKeepsKeyOrder: whatever order key-sorted batches arrive in,
+// a keyed table holds their rows in key order; an equal key replaces a
+// row only under replace, and a refused merge leaves the table as it
+// was.
+func TestMergeKeepsKeyOrder(t *testing.T) {
+	h := windowTable()
+	for _, b := range []*storage.Batch{
+		windowRows([]string{"ISK", "ISK"}, []int64{5, 7}, []float64{1, 2}),
+		windowRows([]string{"FIAM", "ISK"}, []int64{9, 6}, []float64{3, 4}),
+	} {
+		if err := h.Merge(b, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "[FIAM@9=3 ISK@5=1 ISK@6=4 ISK@7=2]"
+	if got := fmt.Sprint(keys(h)); got != want {
+		t.Fatalf("rows %s, want %s", got, want)
+	}
+	if err := h.Merge(windowRows([]string{"ISK"}, []int64{6}, []float64{8}), false); err == nil || !strings.Contains(err.Error(), "primary key violation") {
+		t.Fatalf("equal key without replace: %v", err)
+	}
+	for _, b := range []*storage.Batch{
+		windowRows([]string{"AQU", "AQU"}, []int64{1, 1}, []float64{0, 0}),
+		windowRows([]string{"AQU", "AQU"}, []int64{2, 1}, []float64{0, 0}),
+	} {
+		if err := h.Merge(b, true); err == nil || !strings.Contains(err.Error(), "out of primary-key order") {
+			t.Fatalf("a batch out of key order: %v", err)
+		}
+	}
+	if got := fmt.Sprint(keys(h)); got != want {
+		t.Fatalf("refused merges changed the table: %s", got)
+	}
+	if err := h.Merge(windowRows([]string{"AQU", "ISK"}, []int64{1, 6}, []float64{5, 8}), true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(keys(h)), "[AQU@1=5 FIAM@9=3 ISK@5=1 ISK@6=8 ISK@7=2]"; got != want {
+		t.Fatalf("after replace: %s, want %s", got, want)
+	}
+	// Append on a keyed table is a merge that replaces nothing.
+	if err := h.Append(windowRows([]string{"AQU"}, []int64{1}, []float64{0})); err == nil {
+		t.Fatal("Append replaced a row")
+	}
+}
+
+// TestMergeStoresBatchSizeBatches: merged rows are stored as full
+// storage.BatchSize batches, so zone maps bound key ranges.
+func TestMergeStoresBatchSizeBatches(t *testing.T) {
+	h := windowTable()
+	n := storage.BatchSize + 10
+	stations, starts, maxs := make([]string, n), make([]int64, n), make([]float64, n)
+	for i := range stations {
+		stations[i], starts[i] = "FIAM", int64(i)
+	}
+	if err := h.Merge(windowRows(stations, starts, maxs), false); err != nil {
+		t.Fatal(err)
+	}
+	bs := h.Data().Batches()
+	if len(bs) != 2 || bs[0].Len() != storage.BatchSize || bs[1].Len() != 10 {
+		t.Fatalf("%d batches", len(bs))
+	}
+	if z := h.Data().Zone(1, 1); z.Min != int64(storage.BatchSize) || z.Max != int64(n-1) {
+		t.Fatalf("second batch zone %+v", z)
 	}
 }

@@ -38,7 +38,7 @@
 // every chunk a query scans is pinned for the duration of execution,
 // so another query's cache eviction defers until the last reader
 // releases it; and derived-metadata maintenance (Algorithm 1) is
-// serialized, deriving each window at most once. cmd/sommelierd serves
+// serialized, materializing each window at most once. cmd/sommelierd serves
 // this guarantee over HTTP with a bounded worker pool; see README.md
 // for the service API.
 package sommelier
