@@ -73,13 +73,20 @@ type Manager struct {
 	fetcher Fetcher
 	// materialized is PSm: the PK set already present in H.
 	materialized map[PK]bool
+	// pairs and span are the domains of unbounded PK attributes: F's
+	// distinct (station, channel) pairs, sorted, and S's [min, max) time
+	// span. Registration and the warm restore, the only writers of F
+	// and S, run before NewManager, which reads both once.
+	pairs [][2]string
+	span  [2]int64
 }
 
 // NewManager creates the manager for the catalog's H table; rows H
 // already holds (restored by a warm restart from a Snapshot) start out
-// in PSm.
+// in PSm. F and S must be complete: their domains are read here.
 func NewManager(cat *table.Catalog, fetcher Fetcher) *Manager {
 	m := &Manager{cat: cat, fetcher: fetcher, materialized: make(map[PK]bool)}
+	m.pairs, m.span = domains(cat)
 	hT, _ := cat.Table(seismic.TableH)
 	h := hT.Data().Flatten()
 	for i := 0; i < h.Len(); i++ {
@@ -211,17 +218,16 @@ func (m *Manager) enumeratePSq(q *plan.Query) ([]PK, error) {
 			}
 		}
 	}
-	pairs, span := m.domains()
 	// Clamp to the data's span: windows outside it hold no data, so
 	// there is nothing to derive (or cover) there.
 	w := int64(seismic.WindowDuration)
-	lo = max(lo, seismic.WindowStart(span[0]))
-	hi = min(hi, seismic.WindowStart(span[1]-1)+w)
+	lo = max(lo, seismic.WindowStart(m.span[0]))
+	hi = min(hi, seismic.WindowStart(m.span[1]-1)+w)
 	if hi <= lo {
 		return nil, nil
 	}
 	var psq []PK
-	for _, pr := range pairs {
+	for _, pr := range m.pairs {
 		if len(stations) > 0 && !slices.Contains(stations, pr[0]) {
 			continue
 		}
@@ -262,9 +268,9 @@ func (m *Manager) pkAliases(from string) map[string]string {
 
 // domains returns the distinct (station, channel) pairs of F, sorted,
 // and the overall [min, max) time span of S, read off its zone maps.
-func (m *Manager) domains() ([][2]string, [2]int64) {
-	fT, _ := m.cat.Table(seismic.TableF)
-	sT, _ := m.cat.Table(seismic.TableS)
+func domains(cat *table.Catalog) ([][2]string, [2]int64) {
+	fT, _ := cat.Table(seismic.TableF)
+	sT, _ := cat.Table(seismic.TableS)
 	var pairs [][2]string
 	seen := make(map[[2]string]bool)
 	sta, ch := fT.Schema.IndexOf("station"), fT.Schema.IndexOf("channel")

@@ -382,3 +382,46 @@ func TestDegradedDerivationStaysPartial(t *testing.T) {
 		t.Fatalf("whole windows derived again: %+v, %d calls", st, rf.calls)
 	}
 }
+
+// TestCoveredPrepareDoesNoWorkOverF: F's pairs and S's span are read
+// once, by NewManager, so a covered Prepare allocates as much over an F
+// of 502 stations as over one of 2 — it neither walks F's rows nor
+// collects its pairs.
+func TestCoveredPrepareDoesNoWorkOverF(t *testing.T) {
+	allocs := func(extra int) float64 {
+		cat := fixtureCatalog(t)
+		f, _ := cat.Table(seismic.TableF)
+		col := func(format string) *storage.StringColumn {
+			vals := make([]string, extra)
+			for i := range vals {
+				vals[i] = fmt.Sprintf(format, i)
+			}
+			return storage.NewStringColumn(vals)
+		}
+		ids, rate := make([]int64, extra), make([]int64, extra)
+		for i := range ids {
+			ids[i], rate[i] = int64(2+i), 10
+		}
+		if extra > 0 {
+			if err := f.Append(storage.NewBatch(storage.NewInt64Column(ids), col("repo/X%d.msl"), col("IV"),
+				col("X%d"), col("00"), col("HHZ"), col("D"), storage.NewInt64Column(rate), col("LE"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := NewManager(cat, &rampFetcher{})
+		q := t5Query(2, 4)
+		prepare(t, m, cat, q) // derives hours 2-3: every later call is covered
+		p, err := plan.Build(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if st, _, err := m.Prepare(context.Background(), p, q); err != nil || st.Covered != 2 || st.Computed != 0 {
+				t.Fatalf("stats %+v, err %v", st, err)
+			}
+		})
+	}
+	if small, large := allocs(0), allocs(500); large != small {
+		t.Fatalf("a covered Prepare allocates %v times over 502 stations, %v over 2", large, small)
+	}
+}

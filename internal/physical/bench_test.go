@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -322,6 +323,69 @@ func BenchmarkJoinGroupBy(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := Collect(agg, DrainOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// topkBenchRels builds 160 000 float rows as four chunk relations of
+// BatchSize-row batches with their zones seeded, as the chunk build
+// seeds them. A trace is seismic-like, as the synthetic archive's: AR(1)
+// noise, rounded to integer counts, with one decaying burst per chunk;
+// noise is the AR(1) noise alone, whose batch zones overlap.
+func topkBenchRels(burst bool) []*storage.Relation {
+	rng := rand.New(rand.NewSource(5))
+	const rows = 40_000
+	level := 0.0
+	var rels []*storage.Relation
+	for range 4 {
+		vals := make([]float64, rows)
+		at, amp := rng.Intn(rows/2), 8000+rng.Float64()*24000
+		for i := range vals {
+			level = level*0.97 + rng.NormFloat64()*40
+			v := level
+			if burst && i >= at {
+				dt := float64(i - at)
+				v += amp * math.Exp(-dt/10_000) * math.Sin(dt*0.1*2*math.Pi)
+			}
+			vals[i] = math.Round(v)
+		}
+		var bs []*storage.Batch
+		var zones [][]storage.Zone
+		for lo := 0; lo < rows; lo += storage.BatchSize {
+			c := storage.NewFloat64Column(vals[lo:min(lo+storage.BatchSize, rows)])
+			bs, zones = append(bs, storage.NewBatch(c)), append(zones, []storage.Zone{storage.ColumnZone(c)})
+		}
+		rels = append(rels, storage.NewChunkRelation(bs, zones))
+	}
+	return rels
+}
+
+// BenchmarkTopK is hot_scan's topk class in process: ORDER BY
+// D.sample_value DESC LIMIT 10 over 160 000 rows of four resident
+// chunks, through RelScan.
+func BenchmarkTopK(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		burst bool
+	}{{"trace", true}, {"noise", false}} {
+		rels := topkBenchRels(shape.burst)
+		names, kinds := []string{"D.sample_value"}, []storage.Kind{storage.KindFloat64}
+		b.Run(shape.name, func(b *testing.B) {
+			b.SetBytes(160_000 * 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := NewMultiRelScan(rels, names, kinds, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tk, err := NewTopK(s, []SortKey{{Col: 0, Desc: true}}, 10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Collect(tk, DrainOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -282,6 +282,16 @@ type constHinter interface {
 	lastConst(cols []int) bool
 }
 
+// rankBound implements rankBounder through the input that produces
+// the output column: an inner join emits a row's values unchanged.
+func (j *HashJoin) rankBound(col int, desc bool) *rankBound {
+	at, nl := j.out[col], len(j.left.Names())
+	if at >= nl {
+		return findRankBound(j.right, at-nl, desc)
+	}
+	return findRankBound(j.left, at, desc)
+}
+
 // probe probes batches pulled from the right input against the build
 // table; the exhausted probe side recycles the pooled table.
 func (j *HashJoin) probe() (*storage.Batch, error) {

@@ -56,7 +56,8 @@ type BatchHinter interface {
 // emitted batch instead of being gathered eagerly. Column-vs-constant
 // range conjuncts are additionally checked against the owning
 // relation's per-batch zone maps, so wholly-out-of-range batches are
-// skipped without touching a single value.
+// skipped without touching a single value; so is every batch that a
+// TopK above cannot take a row from (rankBound).
 type RelScan struct {
 	names   []string
 	kinds   []storage.Kind
@@ -71,6 +72,9 @@ type RelScan struct {
 	// optimizer's projection pruning); nil is the identity. Emitted
 	// batches share the selected column vectors — no copying.
 	srcCols []int
+	// rank is the bound of the TopK reading this scan's rows, nil
+	// for none.
+	rank *rankBound
 	// skipped counts zone-pruned batches.
 	skipped int
 	// sb holds the selections the scan emits (see selBufs).
@@ -215,6 +219,12 @@ func (s *RelScan) lastConst(cols []int) bool {
 	return true
 }
 
+// rankBound implements rankBounder: the scan takes the bound itself.
+func (s *RelScan) rankBound(col int, desc bool) *rankBound {
+	s.rank = &rankBound{col: col, desc: desc}
+	return s.rank
+}
+
 // Next implements Operator.
 func (s *RelScan) Next() (*storage.Batch, error) {
 	for s.pos < len(s.morsels) {
@@ -222,7 +232,7 @@ func (s *RelScan) Next() (*storage.Batch, error) {
 		s.pos++
 		// Zone pruning consults the source relation directly, so a
 		// skipped batch costs no projection work.
-		if s.pred != nil && s.pruneByZone(m) {
+		if s.pred != nil && s.pruneByZone(m) || s.rank != nil && s.rank.skips(m.zone(s.rank.col, s.srcCols)) {
 			s.skipped++
 			continue
 		}
@@ -345,6 +355,10 @@ func (f *Filter) Kinds() []storage.Kind { return f.in.Kinds() }
 // BatchHint implements BatchHinter.
 func (f *Filter) BatchHint() int { return batchHint(f.in) }
 
+// rankBound implements rankBounder: a filter drops rows, and changes
+// none.
+func (f *Filter) rankBound(col int, desc bool) *rankBound { return findRankBound(f.in, col, desc) }
+
 // Next implements Operator.
 func (f *Filter) Next() (*storage.Batch, error) {
 	for {
@@ -399,6 +413,15 @@ func (p *Project) Kinds() []storage.Kind { return p.kinds }
 
 // BatchHint implements BatchHinter.
 func (p *Project) BatchHint() int { return batchHint(p.in) }
+
+// rankBound implements rankBounder for an output column that is a bare
+// input column.
+func (p *Project) rankBound(col int, desc bool) *rankBound {
+	if c, ok := p.exprs[col].(*expr.ColRef); ok {
+		return findRankBound(p.in, c.Idx, desc)
+	}
+	return nil
+}
 
 // Next implements Operator.
 func (p *Project) Next() (*storage.Batch, error) {
@@ -481,9 +504,9 @@ type OpStats struct {
 // Profiled wraps an operator and records its OpStats; the executor
 // wraps every operator, so each query carries its own profile. It
 // forwards every optional interface its input has — BatchHinter,
-// constHinter — so a profiled plan executes exactly as an unprofiled
-// one. Only breakers read the clock: a read around every Next cost
-// about 6 % of hot_scan's in-process latency.
+// constHinter, rankBounder — so a profiled plan executes exactly as an
+// unprofiled one. Only breakers read the clock: a read around every
+// Next cost about 6 % of hot_scan's in-process latency.
 type Profiled struct {
 	in    Operator
 	clock time.Time
@@ -514,6 +537,9 @@ func (p *Profiled) lastConst(cols []int) bool {
 	ch, ok := p.in.(constHinter)
 	return ok && ch.lastConst(cols)
 }
+
+// rankBound implements rankBounder for the input.
+func (p *Profiled) rankBound(col int, desc bool) *rankBound { return findRankBound(p.in, col, desc) }
 
 // now reads the clock for a timed call, and nothing for another.
 func (p *Profiled) now(timed bool) time.Duration {

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -91,34 +92,25 @@ func stableOrder(b *storage.Batch, keys []SortKey) []int32 {
 }
 
 // colCmp returns a three-way comparison of two rows of c by row number,
-// reversed for a descending key.
+// in the order of cmp.Compare — a total order: a NaN sorts below every
+// number and equal to a NaN, −0 equal to +0 —, reversed for a
+// descending key.
 func colCmp(c storage.Column, desc bool) func(x, y int32) int {
-	var cmp func(x, y int32) int
+	var f func(x, y int32) int
 	switch c := c.(type) {
 	case *storage.Float64Column:
 		vals := storage.Float64s(c)
-		cmp = func(x, y int32) int { return cmpOrd(vals[x], vals[y]) }
+		f = func(x, y int32) int { return cmp.Compare(vals[x], vals[y]) }
 	case *storage.StringColumn:
-		cmp = func(x, y int32) int { return cmpOrd(c.Value(int(x)), c.Value(int(y))) }
+		f = func(x, y int32) int { return cmp.Compare(c.Value(int(x)), c.Value(int(y))) }
 	default:
 		vals := storage.Int64s(c)
-		cmp = func(x, y int32) int { return cmpOrd(vals[x], vals[y]) }
+		f = func(x, y int32) int { return cmp.Compare(vals[x], vals[y]) }
 	}
 	if desc {
-		return func(x, y int32) int { return cmp(y, x) }
+		return func(x, y int32) int { return f(y, x) }
 	}
-	return cmp
-}
-
-func cmpOrd[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+	return f
 }
 
 // Limit passes through at most N rows. Its early stop abandons

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"cmp"
 	"fmt"
 
 	"sommelier/internal/storage"
@@ -17,9 +18,12 @@ import (
 // D.sample_value DESC LIMIT 10 — skips the sorts: rows are compared on
 // the raw key slice and inserted into an ordered array of n entries
 // (numTop), so the threshold tightens row by row and only the few rows
-// that ever rank get copied. The result is row-for-row identical —
-// including the order of key ties — to Sort followed by Limit, at O(n)
-// memory instead of O(input).
+// that ever rank get copied. Once n rows rank, a tight loop runs over
+// the key slice against the n-th key alone, and that key goes down to
+// the scan producing the key column (rankBound), which skips every
+// batch whose zone map says none of its rows can rank. The result is
+// row-for-row identical — including the order of key ties — to Sort
+// followed by Limit, at O(n) memory instead of O(input).
 type TopK struct {
 	in    Operator
 	keys  []SortKey
@@ -69,6 +73,9 @@ func (t *TopK) Next() (*storage.Batch, error) {
 		return nil, nil
 	}
 	acc := newTopkAcc(t.keys, t.in.Kinds(), t.n)
+	if acc.ints != nil || acc.floats != nil {
+		acc.bound = findRankBound(t.in, t.keys[0].Col, t.keys[0].Desc)
+	}
 	if err := acc.feed(t.in, t.drain.Check); err != nil {
 		return nil, err
 	}
@@ -88,6 +95,9 @@ type topkAcc struct {
 	// filters against thresh and sorts at compaction.
 	ints   *numTop[int64]
 	floats *numTop[float64]
+	// bound is where the ordered-insertion path publishes its k-th key,
+	// nil when no scan below takes it.
+	bound *rankBound
 	// thresh is the current k-th best row — row threshRow of the last
 	// compacted batch — once at least k candidates have been seen. A
 	// later row can only displace it with strictly smaller keys (any
@@ -130,40 +140,91 @@ type numEnt[T int64 | float64] struct {
 	row int32
 }
 
+// before reports that key a ranks ahead of key b: the order of
+// cmp.Compare (a NaN below every number, −0 equal to +0), reversed for
+// a descending key. Sort orders by the same comparison.
 func (t *numTop[T]) before(a, b T) bool {
 	if t.desc {
-		return a > b
+		return cmp.Less(b, a)
 	}
-	return a < b
+	return cmp.Less(a, b)
 }
 
 // offer ranks the n rows of a key column (through sel, when set),
 // appending to idx the rows that enter the ranking; the caller copies
 // exactly those into the candidate buffer, which holds stored rows
 // already. A row tying with the k-th entry loses to it: the earlier
-// arrival wins.
+// arrival wins. Once the ranking is full, skip finds the next row that
+// ranks, so the other rows cost one comparison each.
 func (t *numTop[T]) offer(vals []T, sel []int32, n, stored int, idx []int32) []int32 {
-	for p := 0; p < n; p++ {
-		r := p
-		if sel != nil {
-			r = int(sel[p])
+	p := 0
+	for ; p < n && len(t.ents) < t.k; p++ {
+		t.ents = append(t.ents, numEnt[T]{})
+		idx = t.insert(vals, rowAt(sel, p), stored, idx)
+	}
+	for p < n { // the ranking is full
+		if p = t.skip(vals, sel, p, n, t.ents[t.k-1].v); p < n {
+			idx = t.insert(vals, rowAt(sel, p), stored, idx)
+			p++
 		}
-		v := vals[r]
-		full := len(t.ents) == t.k
-		if full && !t.before(v, t.ents[t.k-1].v) {
-			continue
-		}
-		if !full {
-			t.ents = append(t.ents, numEnt[T]{})
-		}
-		i := len(t.ents) - 1
-		for ; i > 0 && t.before(v, t.ents[i-1].v); i-- {
-			t.ents[i] = t.ents[i-1]
-		}
-		t.ents[i] = numEnt[T]{v, int32(stored + len(idx))}
-		idx = append(idx, int32(r))
 	}
 	return idx
+}
+
+// rowAt is the base row of position p under sel.
+func rowAt(sel []int32, p int) int {
+	if sel != nil {
+		return int(sel[p])
+	}
+	return p
+}
+
+// insert places row r's key into the ranking, whose last entry it
+// overwrites, behind every entry it does not rank ahead of, and appends
+// r to idx: the row is stored+len(idx) of the candidate buffer.
+func (t *numTop[T]) insert(vals []T, r, stored int, idx []int32) []int32 {
+	v, i := vals[r], len(t.ents)-1
+	for ; i > 0 && t.before(v, t.ents[i-1].v); i-- {
+		t.ents[i] = t.ents[i-1]
+	}
+	t.ents[i] = numEnt[T]{v, int32(stored + len(idx))}
+	return append(idx, int32(r))
+}
+
+// skip returns the first position from p on (through sel, when set)
+// whose key ranks ahead of thr, the k-th key, or n when none does. It is
+// before(v, thr) over the raw key slice, one loop per direction and
+// shape with thr in a register: against a thr that is no NaN, v ranks
+// ahead descending when v > thr, and ascending when !(v >= thr), which
+// holds for a NaN v.
+func (t *numTop[T]) skip(vals []T, sel []int32, p, n int, thr T) int {
+	switch {
+	case thr != thr:
+		for ; p < n && !t.before(vals[rowAt(sel, p)], thr); p++ {
+		}
+	case t.desc && sel == nil:
+		for ; p < n && !(vals[p] > thr); p++ {
+		}
+	case t.desc:
+		for ; p < n && !(vals[sel[p]] > thr); p++ {
+		}
+	case sel == nil:
+		for ; p < n && vals[p] >= thr; p++ {
+		}
+	default:
+		for ; p < n && vals[sel[p]] >= thr; p++ {
+		}
+	}
+	return p
+}
+
+// kth returns the k-th key, if the ranking is full.
+func (t *numTop[T]) kth() (T, bool) {
+	if len(t.ents) < t.k {
+		var zero T
+		return zero, false
+	}
+	return t.ents[t.k-1].v, true
 }
 
 // order returns the candidate-buffer rows of the ranking, best first,
@@ -216,8 +277,14 @@ func (a *topkAcc) add(b *storage.Batch) {
 	switch {
 	case a.ints != nil:
 		idx = a.ints.offer(storage.Int64s(base.Cols[a.keys[0].Col]), sel, n, a.buf.Rows(), idx)
+		if thr, full := a.ints.kth(); full {
+			a.bound.publish(thr)
+		}
 	case a.floats != nil:
 		idx = a.floats.offer(storage.Float64s(base.Cols[a.keys[0].Col]), sel, n, a.buf.Rows(), idx)
+		if thr, full := a.floats.kth(); full && thr == thr {
+			a.bound.publish(storage.FloatKey(thr))
+		}
 	default:
 		for i := 0; i < n; i++ {
 			r := i
@@ -303,10 +370,62 @@ func (a *topkAcc) cmpRows(ba *storage.Batch, ra int, bb *storage.Batch, rb int) 
 func cmpColsAt(a storage.Column, ai int, b storage.Column, bi int) int {
 	switch a.Kind() {
 	case storage.KindFloat64:
-		return cmpOrd(storage.Float64At(a, ai), storage.Float64At(b, bi))
+		return cmp.Compare(storage.Float64At(a, ai), storage.Float64At(b, bi))
 	case storage.KindString:
-		return cmpOrd(storage.StringAt(a, ai), storage.StringAt(b, bi))
+		return cmp.Compare(storage.StringAt(a, ai), storage.StringAt(b, bi))
 	default:
-		return cmpOrd(storage.Int64At(a, ai), storage.Int64At(b, bi))
+		return cmp.Compare(storage.Int64At(a, ai), storage.Int64At(b, bi))
 	}
+}
+
+// rankBound is the k-th key of a TopK's ranking, in zone keys (see
+// storage.Zone), published to the scan that produces the key column
+// once the ranking is full. A row whose key does not rank ahead of the
+// k-th can never enter the ranking, whose k-th key only improves, and a
+// row equal to it loses the tie to the earlier arrival, so the scan
+// skips a batch whose zone holds no other rows: descending when its Max
+// is at most the key, ascending when its Min is at least the key.
+type rankBound struct {
+	col  int // the scan's output column
+	desc bool
+	set  bool
+	key  int64
+}
+
+// publish records the k-th key; a nil bound, one no scan took, ignores
+// it.
+func (b *rankBound) publish(key int64) {
+	if b != nil {
+		b.key, b.set = key, true
+	}
+}
+
+// skips reports that no row of a batch with zone z can rank.
+func (b *rankBound) skips(z storage.Zone) bool {
+	switch {
+	case !b.set || !z.Ok:
+		return false
+	case b.desc:
+		return z.Max <= b.key
+	default:
+		return z.Min >= b.key
+	}
+}
+
+// rankBounder is implemented by operators through which a TopK's bound
+// on output column col reaches the scan producing that column: the
+// scan itself, and the operators that pass the column's rows through
+// with their values unchanged — Profiled, Filter, a Project of a bare
+// column and either side of an inner HashJoin. rankBound returns the
+// scan's bound, nil when there is none.
+type rankBounder interface {
+	rankBound(col int, desc bool) *rankBound
+}
+
+// findRankBound asks op for the bound of its output column col.
+func findRankBound(op Operator, col int, desc bool) *rankBound {
+	if rb, ok := op.(rankBounder); ok {
+		return rb.rankBound(col, desc)
+	}
+	return nil
 }

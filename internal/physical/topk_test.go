@@ -9,6 +9,7 @@ package physical
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"sommelier/internal/expr"
 	"sommelier/internal/storage"
@@ -106,4 +107,70 @@ func TestTopKRecyclesPooledInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRelation(t, got, want, "topk over selections")
+}
+
+// TestTopKBoundSkipsBatches: once the first batch fills the ranking,
+// the scan below a profiled Filter and Project skips every later batch
+// whose zone cannot beat the k-th key — descending and ascending, on a
+// float and on a time key — and the answer still equals Sort + Limit.
+func TestTopKBoundSkipsBatches(t *testing.T) {
+	// Batch 0 holds keys 20..31, batches 1..7 hold 8..19, which
+	// descending cannot use; negated for the ascending case.
+	for _, desc := range []bool{true, false} {
+		sign := 1
+		if !desc {
+			sign = -1
+		}
+		var data []byte
+		for bi := range 8 {
+			for i := range 12 {
+				v := 20 + i
+				if bi > 0 {
+					v = 8 + i
+				}
+				data = append(data, byte(int8(4*sign*v)), 0) // topkKey: v·sign
+			}
+		}
+		rels := topkRels(data, 12, 0, true)
+		for _, key := range []int{2, 3} {
+			build := func() (Operator, *RelScan) {
+				s, err := NewMultiRelScan(rels, topkNames, topkKinds, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := NewFilter(NewProfiled(s, time.Now()), expr.NewCmp(expr.GE, expr.Col("D.id"), expr.Int(0)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := NewProject(NewProfiled(f, time.Now()), []string{"k"}, []expr.Expr{expr.Col(topkNames[key])})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewProfiled(p, time.Now()), s
+			}
+			keys := []SortKey{{Col: 0, Desc: desc}}
+			in, scan := build()
+			tk, err := NewTopK(in, keys, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(tk, DrainOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scan.Skipped() != 7 {
+				t.Errorf("desc=%v key %d: scan skipped %d batches, want 7", desc, key, scan.Skipped())
+			}
+			ref, _ := build()
+			srt, err := NewSort(ref, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Collect(NewLimit(srt, 10), DrainOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRelation(t, got, want, "bounded topk")
+		}
+	}
 }

@@ -354,22 +354,40 @@ func ChunkToRelation(chunkID int64, f *mseed.File) *storage.Relation {
 func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *storage.Relation {
 	total := f.SampleCount()
 	arena := mem.TakeArena(total, total)
-	// The fill is a pass of its own: with none of the batch loop's state
-	// live yet, the row loop stays in registers.
 	nBatches := 0
-	for off, si := 0, 0; si < len(f.Segments); si++ {
-		seg := &f.Segments[si]
+	for _, seg := range f.Segments {
 		n := len(seg.Samples)
-		ts, vals := arena.Ints[off:off+n:off+n], arena.Floats[off:off+n:off+n]
-		start, period := seg.Header.StartTime, seg.Header.PeriodNS()
-		for i, v := range seg.Samples {
-			ts[i], vals[i] = start+int64(float64(i)*period), float64(v)
-		}
-		off += n
 		if seg.Skipped {
 			n = int(seg.Header.SampleCount)
 		}
 		nBatches += (n + storage.BatchSize - 1) / storage.BatchSize
+	}
+	// One zone row per batch, file_id, segment_id, sample_time,
+	// sample_value and window_ts, cut from one slice.
+	const width = 5
+	zoneRows := make([]storage.Zone, width*nBatches)
+	// The fill is a pass of its own: with none of the batch loop's state
+	// live yet, the row loop stays in registers. It bounds each batch's
+	// sample_value on the way, in the raw samples: an int32 converts to
+	// a float64 exactly, so the keys of the least and greatest sample
+	// bound the batch (and none is NaN).
+	for off, si, zr := 0, 0, zoneRows; si < len(f.Segments); si++ {
+		seg := &f.Segments[si]
+		n := len(seg.Samples)
+		ts, vals := arena.Ints[off:off+n:off+n], arena.Floats[off:off+n:off+n]
+		start, period := seg.Header.StartTime, seg.Header.PeriodNS()
+		for lo := 0; lo < n; lo += storage.BatchSize {
+			hi := min(lo+storage.BatchSize, n)
+			lowest, highest := seg.Samples[lo], seg.Samples[lo]
+			for i, v := range seg.Samples[lo:hi] {
+				i += lo
+				ts[i], vals[i] = start+int64(float64(i)*period), float64(v)
+				lowest, highest = min(lowest, v), max(highest, v)
+			}
+			zr[3] = storage.Zone{Min: storage.FloatKey(float64(lowest)), Max: storage.FloatKey(float64(highest)), Ok: true}
+			zr = zr[width:]
+		}
+		off += n
 	}
 	var (
 		runVals = make([]int64, 0, 4*nBatches) // per batch: file, segment, 2 windows
@@ -441,9 +459,10 @@ func ChunkToRelationInto(chunkID int64, f *mseed.File, mem *storage.ChunkMem) *s
 				storage.NewFloat64Column(vals[lo:hi]),
 				winTS,
 			))
-			zones = append(zones, []storage.Zone{
-				storage.ColumnZone(fileID), storage.ColumnZone(segID), tz, {}, storage.ColumnZone(winTS),
-			})
+			zr := zoneRows[:width:width]
+			zoneRows = zoneRows[width:]
+			zr[0], zr[1], zr[2], zr[4] = storage.ColumnZone(fileID), storage.ColumnZone(segID), tz, storage.ColumnZone(winTS)
+			zones = append(zones, zr)
 		}
 	}
 	return storage.NewChunkRelation(batches, zones)

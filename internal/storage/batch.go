@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 )
@@ -171,16 +172,20 @@ func (b *Batch) MemSize() int64 {
 type Relation struct {
 	batches []*Batch
 	rows    int
-	// zones caches per-batch min/max bounds of the int64/time columns
-	// (small materialized aggregates), computed lazily on first use and
-	// shared by every scan of the relation. Relations follow a build
-	// phase (appends) then a read phase (scans); the pointer swap makes
-	// concurrent first readers race only on identical recomputation.
+	// zones caches per-batch min/max bounds of the int64, time and
+	// float64 columns (small materialized aggregates), in zone keys
+	// (see Zone), computed lazily on first use and shared by every scan
+	// of the relation. Relations follow a build phase (appends) then a
+	// read phase (scans); the pointer swap makes concurrent first
+	// readers race only on identical recomputation.
 	zones atomic.Pointer[[][]Zone]
 }
 
-// Zone is the [Min, Max] bound of one int64/time column over one batch.
-// Ok marks columns the bound applies to; other kinds carry Ok=false.
+// Zone is the [Min, Max] bound of one int64, time or float64 column
+// over one batch, in zone keys: an int64 or time value is its own key, a
+// float64 is its FloatKey. Ok marks columns the bound applies to: a
+// float64 batch holding a NaN, and columns of other kinds, carry
+// Ok=false.
 type Zone struct {
 	Min, Max int64
 	Ok       bool
@@ -240,10 +245,10 @@ func NewChunkRelation(batches []*Batch, zones [][]Zone) *Relation {
 
 // Zone returns the cached min/max bound of column col over batch i,
 // computing the relation's zone maps on first use. Bounds exist for
-// int64 and time columns; other kinds return Ok=false. The computation
-// is incremental: a relation grown from a snapshot's Head inherits the
-// parent's cached bounds and only the appended tail batches are ever
-// scanned.
+// int64, time and NaN-free float64 columns; other kinds return
+// Ok=false. The computation is incremental: a relation grown from a
+// snapshot's Head inherits the parent's cached bounds and only the
+// appended tail batches are ever scanned.
 func (r *Relation) Zone(i, col int) Zone {
 	zp := r.zones.Load()
 	if zp == nil || len(*zp) < len(r.batches) {
@@ -284,34 +289,64 @@ var zoneComputed atomic.Int64
 // run process-wide. Intended for tests.
 func ZoneComputations() int64 { return zoneComputed.Load() }
 
-// ColumnZone computes the min/max bound of an int64/time column — over
-// its runs when it is run-shaped, over its rows otherwise; other kinds
-// (and empty columns) report Ok=false. It is the single bounds routine
-// behind both the relation's batch-level zone maps and the index
-// package's chunk-level zone maps.
+// ColumnZone computes the min/max bound of an int64, time or float64
+// column in zone keys — over its runs when it is run-shaped, over its
+// rows otherwise; other kinds, empty columns and float64 columns holding
+// a NaN report Ok=false. It is the single bounds routine behind both the
+// relation's batch-level zone maps and the index package's chunk-level
+// zone maps.
 func ColumnZone(c Column) Zone {
+	if v, _, ok := RunsOf(c); ok {
+		c = v
+	}
 	switch c.Kind() {
 	case KindInt64, KindTime:
+		return intZone(Int64s(c))
+	case KindFloat64:
+		return floatZone(Float64s(c))
 	default:
 		return Zone{}
 	}
-	vals, _, ok := Runs(c)
-	if !ok {
-		vals = Int64s(c)
-	}
+}
+
+// intZone is ColumnZone over int64 values.
+func intZone(vals []int64) Zone {
 	if len(vals) == 0 {
 		return Zone{}
 	}
 	z := Zone{Min: vals[0], Max: vals[0], Ok: true}
 	for _, v := range vals[1:] {
-		if v < z.Min {
-			z.Min = v
-		}
-		if v > z.Max {
-			z.Max = v
-		}
+		z.Min, z.Max = min(z.Min, v), max(z.Max, v)
 	}
 	return z
+}
+
+// floatZone is ColumnZone over float64 values: the least and greatest
+// FloatKey, Ok=false when vals is empty or holds a NaN.
+func floatZone(vals []float64) Zone {
+	if len(vals) == 0 {
+		return Zone{}
+	}
+	k := FloatKey(vals[0])
+	z := Zone{Min: k, Max: k, Ok: true}
+	for _, v := range vals {
+		if v != v {
+			return Zone{}
+		}
+		k := FloatKey(v)
+		z.Min, z.Max = min(z.Min, k), max(z.Max, k)
+	}
+	return z
+}
+
+// FloatKey maps a float64 to an int64 whose order is the order of the
+// floats: a < b implies FloatKey(a) < FloatKey(b) for any a, b that are
+// not NaN. −0 and +0, equal as floats, get adjacent keys (−1 and 0), so
+// a zone is a bound in float order too. Negative floats have their
+// magnitude bits flipped, so the larger magnitude gets the smaller key.
+func FloatKey(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	return b ^ (b >> 63 & math.MaxInt64)
 }
 
 // extendZones computes bounds for the batches beyond the cached prefix,

@@ -191,8 +191,9 @@ func chunkShaped(rng *rand.Rand, batches int) (shaped, plain *Relation) {
 		t0 = ts[n-1] + 1
 		file, filePlain := randRunPair(rng, KindInt64, n)
 		win, winPlain := randRunPair(rng, KindTime, n)
-		bs = append(bs, NewBatch(file, NewTimeColumn(ts), NewFloat64Column(vals), win))
-		zones = append(zones, []Zone{ColumnZone(file), {Min: ts[0], Max: ts[n-1], Ok: true}, {}, ColumnZone(win)})
+		val := NewFloat64Column(vals)
+		bs = append(bs, NewBatch(file, NewTimeColumn(ts), val, win))
+		zones = append(zones, []Zone{ColumnZone(file), {Min: ts[0], Max: ts[n-1], Ok: true}, ColumnZone(val), ColumnZone(win)})
 		plain.Append(NewBatch(filePlain, NewTimeColumn(ts), NewFloat64Column(vals), winPlain))
 	}
 	return NewChunkRelation(bs, zones), plain

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -208,5 +210,62 @@ func TestSegCodecCorruptInputs(t *testing.T) {
 		mut := append([]byte{}, body...)
 		mut[i] ^= 0x5A
 		_, _ = DecodeRelation(mut)
+	}
+}
+
+// TestSegCodecFloatZones: float64 zones — keys of the float bits — are
+// written with the block and seeded back by DecodeRelation, ±0 and ±Inf
+// included, and a batch holding a NaN decodes with Ok=false.
+func TestSegCodecFloatZones(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	batches := [][]float64{
+		{3.5, -2, 1e300, 7},
+		{negZero, 0, math.Inf(-1), -1e-300},
+		{1, math.NaN(), 2},
+		{math.Inf(1)},
+	}
+	rel := NewRelation()
+	for _, vals := range batches {
+		rel.Append(NewBatch(NewFloat64Column(vals)))
+	}
+	body, err := EncodeRelation(nil, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRelation(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ZoneComputations()
+	for bi, vals := range batches {
+		want := Zone{}
+		if bi != 2 {
+			want = Zone{Min: FloatKey(slices.MinFunc(vals, floatKeyCmp)), Max: FloatKey(slices.MaxFunc(vals, floatKeyCmp)), Ok: true}
+		}
+		if z := got.Zone(bi, 0); z != want {
+			t.Errorf("batch %d: decoded zone %+v, want %+v", bi, z, want)
+		}
+	}
+	if z := got.Zone(1, 0); z.Min != FloatKey(math.Inf(-1)) || z.Max != FloatKey(0) {
+		t.Errorf("±0 batch zone %+v", z)
+	}
+	if ZoneComputations() != before {
+		t.Fatal("decoded float zones were recomputed, not seeded")
+	}
+}
+
+func floatKeyCmp(a, b float64) int { return cmp.Compare(FloatKey(a), FloatKey(b)) }
+
+// TestFloatKeyOrder: FloatKey orders floats as < does, −0 just below +0.
+func TestFloatKeyOrder(t *testing.T) {
+	vals := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1)}
+	for i := 1; i < len(vals); i++ {
+		if FloatKey(vals[i-1]) >= FloatKey(vals[i]) {
+			t.Fatalf("FloatKey(%v) = %d, not below FloatKey(%v) = %d", vals[i-1], FloatKey(vals[i-1]), vals[i], FloatKey(vals[i]))
+		}
+	}
+	if FloatKey(math.Copysign(0, -1)) != -1 || FloatKey(0) != 0 {
+		t.Fatal("±0 keys moved")
 	}
 }
