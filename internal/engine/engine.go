@@ -598,8 +598,8 @@ var ErrStopStream = physical.ErrStopStream
 
 // QueryStream parses, prepares and executes one SQL statement with
 // streaming result delivery: batches reach sink as they are produced,
-// only pipeline breakers (sort, aggregation, join build) materialize,
-// and the query's memory footprint is independent of the result size.
+// only pipeline breakers (sort, aggregation, join build) and retaining
+// sinks hold rows: a consuming sink's memory is independent of result size.
 // The returned Result carries the schema, stats and plan provenance
 // with an empty relation. An EXPLAIN statement streams its plan rows
 // through the sink like any other result.

@@ -55,10 +55,17 @@ type DrainOpts struct {
 	// runaway-query watchdog and the exec.morsel fault point: the one
 	// place injected stalls land.
 	Morsel func() error
-	// Quota, when non-nil, is charged by Collect for every batch it
-	// retains. What a Drain's sink retains is the sink's to charge
-	// (CollectSink does).
+	// Quota, when non-nil, is charged by the drain for every batch it
+	// pushes to a sink that retains it (RetainingSink).
 	Quota *storage.Quota
+}
+
+// RetainingSink is a StreamSink that may keep what it is pushed until
+// the drain ends — a collected relation, a buffered response body —
+// and reports through Retains whether it does.
+type RetainingSink interface {
+	StreamSink
+	Retains() bool
 }
 
 // Breaker is implemented by pipeline breakers — hash-join build,
@@ -85,8 +92,11 @@ func Drain(op Operator, sink StreamSink, o DrainOpts) error {
 	if o.Morsel != nil {
 		err = o.Morsel()
 	}
+	if r, ok := sink.(RetainingSink); !ok || !r.Retains() {
+		o.Quota = nil // a sink that consumes its batches costs nothing
+	}
 	if err == nil {
-		err = pullAll(op, sink, o.Check)
+		err = pullAll(op, sink, o)
 	}
 	if err == ErrStopStream {
 		return nil
@@ -97,7 +107,7 @@ func Drain(op Operator, sink StreamSink, o DrainOpts) error {
 // Collect drains op into a relation pre-sized from the operator's
 // batch-count hint, charging o.Quota for every batch it retains.
 func Collect(op Operator, o DrainOpts) (*storage.Relation, error) {
-	sink := CollectSink{Rel: storage.NewRelationWithCap(batchHint(op)), Quota: o.Quota}
+	sink := CollectSink{Rel: storage.NewRelationWithCap(batchHint(op))}
 	if err := Drain(op, &sink, o); err != nil {
 		return nil, err
 	}
@@ -105,42 +115,27 @@ func Collect(op Operator, o DrainOpts) (*storage.Relation, error) {
 }
 
 // CollectSink accumulates a drain into Rel: the sink that makes the
-// result materialized. Every retained batch is charged to Quota (nil =
-// unmetered) and never refunded — the engine loses sight of a result
-// once it is handed to the caller.
+// result materialized. The drain charges every batch to its quota, never
+// refunded: the engine loses sight of a result once it is handed over.
 type CollectSink struct {
-	Rel   *storage.Relation
-	Quota *storage.Quota
+	Rel *storage.Relation
 }
 
 // Push implements StreamSink.
 func (c *CollectSink) Push(b *storage.Batch) error {
-	if c.Quota != nil {
-		if err := c.Quota.Charge(b.MemSize()); err != nil {
-			return err
-		}
-	}
 	c.Rel.Append(b)
 	return nil
 }
 
-// deliver hands the batches buffered in buf to the sink in order and
-// empties buf. On an error the batches after the failed push are
-// dropped.
-func deliver(sink StreamSink, buf *storage.Relation) error {
-	for _, b := range buf.TakeBatches() {
-		if err := sink.Push(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Retains implements RetainingSink.
+func (c *CollectSink) Retains() bool { return true }
 
 // pullAll pulls op to exhaustion into sink. The coalescer fills a
-// scratch relation; completed batches are taken out of it and
-// pushed as soon as they form, so at most one batch's worth of rows is
-// buffered at any time. A sink stop surfaces as ErrStopStream.
-func pullAll(op Operator, sink StreamSink, check func() error) error {
+// scratch relation; completed batches are taken out of it, charged to
+// o.Quota and pushed as soon as they form, so at most one batch's worth
+// of rows is buffered at any time. On an error the batches after the
+// failed push are dropped. A sink stop surfaces as ErrStopStream.
+func pullAll(op Operator, sink StreamSink, o DrainOpts) error {
 	coal := storage.NewCoalescer(op.Kinds())
 	scratch := storage.NewRelation()
 	for {
@@ -148,8 +143,8 @@ func pullAll(op Operator, sink StreamSink, check func() error) error {
 			b   *storage.Batch
 			err error
 		)
-		if check != nil {
-			err = check()
+		if o.Check != nil {
+			err = o.Check()
 		}
 		if err == nil {
 			b, err = op.Next()
@@ -164,8 +159,16 @@ func pullAll(op Operator, sink StreamSink, check func() error) error {
 				coal.Flush(scratch)
 				scratch.Append(b)
 			}
-			if len(scratch.Batches()) > 0 {
-				err = deliver(sink, scratch)
+			for _, out := range scratch.TakeBatches() {
+				if o.Quota != nil {
+					err = o.Quota.Charge(out.MemSize())
+				}
+				if err == nil {
+					err = sink.Push(out)
+				}
+				if err != nil {
+					break
+				}
 			}
 		}
 		if err != nil {

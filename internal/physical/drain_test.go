@@ -139,8 +139,10 @@ func TestDrainPushError(t *testing.T) {
 
 // TestDrainQuota collects under ceilings below the result size, each
 // failing with a typed error: a ceiling of one byte trips on the first
-// retained batch, three quarters of the result on a later one. A
-// consuming sink under the same ceiling succeeds and charges nothing.
+// retained batch, three quarters of the result on a later one. The
+// drain does the charging, so a retaining sink handed to Drain trips
+// the same ceiling; a consuming sink under it succeeds and charges
+// nothing.
 func TestDrainQuota(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	rel, names, kinds := diffRel(rng, 128, 512)
@@ -157,6 +159,11 @@ func TestDrainQuota(t *testing.T) {
 		if !errors.As(err, &qe) || got != nil {
 			t.Fatalf("limit %d: got %v, err = %v, want a *storage.QuotaError", limit, got, err)
 		}
+	}
+	var qe *storage.QuotaError
+	retained := &CollectSink{Rel: storage.NewRelation()}
+	if err := Drain(chain(), retained, DrainOpts{Quota: storage.NewQuota(ceiling)}); !errors.As(err, &qe) {
+		t.Fatalf("retaining sink over the ceiling: err = %v, want a *storage.QuotaError", err)
 	}
 	quota := storage.NewQuota(ceiling)
 	sink := &failAfterSink{fail: nil}

@@ -1,10 +1,10 @@
 // The render core: a result batch is typed column slices, so every wire
 // format is produced by walking those slices and appending into one
 // reused []byte — no boxed row slices, no reflection, no per-row
-// allocation. JSON (appendResponse), NDJSON (ndjsonFormat) and SOMW
-// (somwFormat) are framings over the functions in this file. The JSON
-// text is byte-for-byte what encoding/json with SetEscapeHTML(false)
-// writes for the same values; render_test.go holds that differential.
+// allocation. JSON, NDJSON and SOMW are the sink's framings (stream.go)
+// over the functions in this file. The JSON text is byte-for-byte what
+// encoding/json with SetEscapeHTML(false) writes for the same values;
+// render_test.go holds that differential.
 
 package server
 
@@ -45,8 +45,8 @@ type colView struct {
 	escEnd []int32
 }
 
-// maxPooledBuf keeps a renderer that grew for one large materialized
-// response from pinning that buffer in the pool.
+// maxPooledBuf keeps a renderer that grew for one large buffered JSON
+// body from pinning that buffer in the pool.
 const maxPooledBuf = 4 << 20
 
 var renderers = sync.Pool{New: func() any { return new(renderer) }}
@@ -71,34 +71,6 @@ type resultFooter struct {
 
 type columnsHeader struct {
 	Columns []string `json:"columns"`
-}
-
-// appendResponse renders the materialized JSON body — QueryResponse's
-// encoding — into r.buf, batch by batch from the result's relation.
-func (r *renderer) appendResponse(res *engine.Result, stats QueryStats) error {
-	var err error
-	if r.buf, err = appendJSON(r.buf, columnsHeader{Columns: res.Names}); err != nil {
-		return err
-	}
-	r.buf = append(r.buf[:len(r.buf)-1], `,"rows":[`...) // reopen the header object
-	rows := 0
-	for _, b := range res.Rel.Batches() {
-		if rows > 0 && b.Len() > 0 {
-			r.buf = append(r.buf, ',')
-		}
-		if err := r.appendRows(b); err != nil {
-			return err
-		}
-		rows += b.Len()
-	}
-	r.buf = append(r.buf, ']')
-	mark := len(r.buf)
-	if r.buf, err = appendJSON(r.buf, resultFooter{RowCount: rows, Stats: stats, Warnings: res.Warnings}); err != nil {
-		return err
-	}
-	r.buf[mark] = ',' // the footer object's '{' continues this one
-	r.buf = append(r.buf, '\n')
-	return nil
 }
 
 // appendWriter lets a json.Encoder append to a byte slice.

@@ -17,11 +17,11 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
 	"sommelier/internal/engine"
-	"sommelier/internal/exec"
 	"sommelier/internal/storage"
 )
 
@@ -221,7 +221,8 @@ var testStats = QueryStats{QueryType: 4, ElapsedUS: 1234, ChunksSelected: 2, Sam
 var testWarnings = []engine.Warning{{Table: "D", Chunk: 7, Reason: `fetch "a&b" <failed>`}}
 
 // streamBody runs batches through a streamSink of the format and
-// returns what reached the client.
+// returns what reached the client. A buffered body must reach it only
+// once the drain has ended, with its Content-Length.
 func streamBody(t testing.TB, format wireFormat, c renderCase, warnings []engine.Warning) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -232,8 +233,16 @@ func streamBody(t testing.TB, format wireFormat, c renderCase, warnings []engine
 		if err := sink.Push(b); err != nil {
 			t.Fatal(err)
 		}
+		if sink.buffered && (rec.Body.Len() != 0 || rec.Header().Get("Content-Type") != "") {
+			t.Fatalf("buffered body written before the drain ended: %q", rec.Body.Bytes())
+		}
 	}
-	sink.finish(testStats, warnings)
+	if err := sink.finish(testStats, warnings); err != nil {
+		t.Fatal(err)
+	}
+	if cl := rec.Header().Get("Content-Length"); sink.buffered && cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
+	}
 	return rec.Body.Bytes()
 }
 
@@ -251,25 +260,15 @@ func TestRenderMatchesEncodingJSON(t *testing.T) {
 				}
 				footer := resultFooter{RowCount: total, Stats: testStats, Warnings: warnings}
 
-				// Materialized JSON.
-				rel := storage.NewRelation()
-				for _, b := range c.batches() {
-					rel.Append(b)
-				}
-				res := &engine.Result{Result: &exec.Result{Names: c.names, Kinds: c.kinds, Rel: rel, Warnings: warnings}}
-				r := getRenderer()
-				defer putRenderer(r)
-				if err := r.appendResponse(res, testStats); err != nil {
-					t.Fatal(err)
-				}
+				// Plain JSON: one object, the rows of every batch in one array.
 				allRows := [][]any{}
 				for _, b := range flat {
 					allRows = append(allRows, oracleRows(b)...)
 				}
 				var want bytes.Buffer
 				oracleEncode(t, &want, QueryResponse{Columns: c.names, Rows: allRows, RowCount: total, Stats: testStats, Warnings: warnings})
-				if !bytes.Equal(r.buf, want.Bytes()) {
-					t.Errorf("JSON differs\n got %s\nwant %s", r.buf, want.Bytes())
+				if got := streamBody(t, jsonFormat{}, c, warnings); !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("JSON differs\n got %s\nwant %s", got, want.Bytes())
 				}
 
 				// NDJSON: header, one rows line per pushed batch, footer.
@@ -475,7 +474,7 @@ var exportSchema = struct {
 // of times at most, not once per cell.
 func TestPushAllocationCeiling(t *testing.T) {
 	b := exportBatch()
-	for _, format := range []wireFormat{ndjsonFormat{}, somwFormat{}} {
+	for _, format := range []wireFormat{jsonFormat{}, ndjsonFormat{}, somwFormat{}} {
 		sink := newStreamSink(&discardResponse{h: http.Header{}}, format)
 		sink.SetSchema(exportSchema.names, exportSchema.kinds)
 		if err := sink.Push(b); err != nil { // grow the buffer once
@@ -501,23 +500,10 @@ func BenchmarkRender(b *testing.B) {
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches*storage.BatchSize), "ns/row")
 	}
-	b.Run("json", func(b *testing.B) {
-		res := &engine.Result{Result: &exec.Result{Names: exportSchema.names, Kinds: exportSchema.kinds, Rel: storage.NewRelation()}}
-		s := &Server{}
-		w := &discardResponse{h: http.Header{}}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < batches; j++ { // writeResult released (emptied) the relation
-				res.Rel.Append(batch)
-			}
-			s.writeResult(w, res, testStats)
-		}
-		report(b)
-	})
 	for _, f := range []struct {
 		name   string
 		format wireFormat
-	}{{"ndjson", ndjsonFormat{}}, {"somw", somwFormat{}}} {
+	}{{"json", jsonFormat{}}, {"ndjson", ndjsonFormat{}}, {"somw", somwFormat{}}} {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -17,13 +17,13 @@
 // optimized plan (annotated with the executed query's profile) and the
 // applied-rule log as rows.
 //
-// Setting "stream": true in the request switches to incremental
-// delivery: result batches are encoded and flushed as the executor
-// produces them (newline-delimited JSON by default, or the binary
-// columnar format with "format": "columnar"), so the first row
-// reaches the client while the scan is still running and the server
-// never holds the full result. See stream.go and wire.go; every format
-// is rendered by the append-based core in render.go.
+// Every response is one sink's framing of the batches the executor
+// pushes (stream.go, rendered by render.go). Plain JSON is buffered and
+// written once the query has ended; "stream": true flushes each batch
+// as it is produced (newline-delimited JSON, or the binary columnar
+// format of wire.go with "format": "columnar"), so the first row
+// reaches the client while the scan runs and the server never holds
+// the full result.
 //
 // Admission (internal/admission) replaced the fixed worker pool: the
 // dispatch gate is an AIMD concurrency limiter adapting to observed
@@ -168,12 +168,12 @@ type QueryRequest struct {
 	// capped by the configured maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Stream requests incremental delivery: batches are flushed as they
-	// are produced instead of one materialized response body. Implied
-	// by Format "columnar".
+	// are produced instead of one buffered response body. Implied by
+	// Format "columnar".
 	Stream bool `json:"stream,omitempty"`
-	// Format selects the streaming wire format: "json" (the default,
-	// newline-delimited JSON) or "columnar" (the binary columnar format
-	// of wire.go, which implies Stream).
+	// Format selects the wire format: "json" (the default: the plain
+	// JSON body, or newline-delimited JSON with Stream) or "columnar"
+	// (the binary columnar format of wire.go, which implies Stream).
 	Format string `json:"format,omitempty"`
 	// Degraded overrides the database's degraded-mode default for this
 	// request: true accepts a partial result (with per-chunk warnings)
@@ -212,7 +212,7 @@ type QueryStats struct {
 }
 
 // QueryResponse is the POST /query success body as a client decodes it;
-// the server renders it from column batches (renderer.appendResponse).
+// the server renders it batch by batch as the drain pushes them.
 type QueryResponse struct {
 	Columns  []string   `json:"columns"`
 	Rows     [][]any    `json:"rows"`
@@ -269,6 +269,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "timeout_ms must be non-negative"})
 		return
 	}
+	switch req.Format {
+	case "", FormatNDJSON, FormatColumnar:
+	default:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown format %q", req.Format)})
+		return
+	}
 	timeout := s.cfg.DefaultTimeout
 	capped := false
 	if req.TimeoutMS > 0 {
@@ -292,12 +298,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if f, ok := p.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1<<53 {
 			req.Params[i] = int64(f)
 		}
-	}
-	switch req.Format {
-	case "", FormatNDJSON, FormatColumnar:
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown format %q", req.Format)})
-		return
 	}
 	// server.admit fault point: a synthetic shed or a stalled gate,
 	// before the request touches the queue.
@@ -340,41 +340,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	t0 := time.Now()
 	if req.Stream || req.Format == FormatColumnar {
 		s.streamed.Add(1)
-		dropped = s.streamQuery(ctx, w, req, timeout, capped) != nil
-		return
 	}
-	res, err := s.db.QueryArgsContext(ctx, req.SQL, req.Params...)
-	if err != nil {
-		dropped = true
-		s.failed.Add(1)
-		s.writeError(w, err)
-		return
-	}
-	s.completed.Add(1)
-	if len(res.Warnings) > 0 {
-		s.degraded.Add(1)
-	}
-	s.writeResult(w, res, toStats(res, time.Since(t0), timeout, capped))
-}
-
-// writeResult renders a materialized result as the QueryResponse JSON
-// body straight from its column batches and writes the body once with
-// its Content-Length.
-func (s *Server) writeResult(w http.ResponseWriter, res *engine.Result, stats QueryStats) {
-	r := getRenderer()
-	defer putRenderer(r)
-	err := r.appendResponse(res, stats)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(r.buf)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(r.buf) // a failed write is a client that left
+	dropped = s.runQuery(ctx, w, req, timeout, capped) != nil
 }
 
 // noteError maintains the overload counters for a failed query: a
@@ -446,7 +415,7 @@ func errorStatus(err error) int {
 	case errors.As(err, &qe):
 		// The query tripped the per-query memory ceiling
 		// (engine.Config.MaxQueryBytes): the result is too large to
-		// materialize, which a streaming request might still manage.
+		// buffer, which a streaming request might still manage.
 		return http.StatusRequestEntityTooLarge
 	}
 	msg := err.Error()
@@ -459,8 +428,8 @@ func errorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// toStats converts the engine's per-query statistics to the wire
-// shape; shared by the materialized response and the streaming footer.
+// toStats converts the engine's per-query statistics to the footer's
+// wire shape.
 func toStats(res *engine.Result, elapsed, timeout time.Duration, capped bool) QueryStats {
 	st := res.Stats
 	return QueryStats{

@@ -244,3 +244,63 @@ func TestDegradedColumnarFooter(t *testing.T) {
 		t.Fatalf("columnar result = stats %+v warnings %d, want degraded with warnings", res.Stats, len(res.Warnings))
 	}
 }
+
+// TestStatsCountersSettle: every request /stats counts as received is
+// settled exactly once as completed, failed or rejected, whatever its
+// outcome. A request refused before it is admitted for execution — a
+// bad body, no "sql", a negative timeout_ms, an unknown format — is
+// counted nowhere.
+func TestStatsCountersSettle(t *testing.T) {
+	s := New(faultyDB(t), Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const good = `SELECT station, COUNT(*) AS n FROM F GROUP BY station`
+	for _, c := range []struct {
+		req    QueryRequest
+		status int
+	}{
+		{QueryRequest{SQL: good}, http.StatusOK},
+		{QueryRequest{SQL: good, Stream: true}, http.StatusOK},
+		{QueryRequest{SQL: good, Format: FormatColumnar}, http.StatusOK},
+		{QueryRequest{SQL: chunkQuery, Degraded: boolPtr(true)}, http.StatusOK},
+		{QueryRequest{SQL: chunkQuery}, http.StatusInternalServerError},
+		{QueryRequest{SQL: chunkQuery, Stream: true}, http.StatusInternalServerError},
+		{QueryRequest{SQL: "SELECT FROM nowhere ("}, http.StatusBadRequest},
+		{QueryRequest{SQL: good, Format: "msgpack"}, http.StatusBadRequest},
+		{QueryRequest{SQL: good, Format: "msgpack", Stream: true}, http.StatusBadRequest},
+		{QueryRequest{}, http.StatusBadRequest},
+		{QueryRequest{SQL: good, TimeoutMS: -1}, http.StatusBadRequest},
+	} {
+		if resp, data := post(t, ts.URL, c.req); resp.StatusCode != c.status {
+			t.Fatalf("%+v: status %d, want %d: %s", c.req, resp.StatusCode, c.status, data)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad body: status %d, want 400", resp.StatusCode)
+	}
+
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Received != 7 || st.Completed != 4 || st.Failed != 3 || st.Rejected != 0 {
+		t.Fatalf("received %d, completed %d, failed %d, rejected %d; want 7 = 4 + 3 + 0",
+			st.Received, st.Completed, st.Failed, st.Rejected)
+	}
+	if st.Received != st.Completed+st.Failed+st.Rejected {
+		t.Fatalf("received %d != completed %d + failed %d + rejected %d",
+			st.Received, st.Completed, st.Failed, st.Rejected)
+	}
+}

@@ -1,25 +1,24 @@
-// Streaming request path: instead of materializing the whole result
-// and writing one JSON body, a streaming request's batches are encoded
-// and flushed to the client as the executor produces them. The flush
-// is the backpressure point — the worker goroutine running the query
-// blocks inside Push until the client-side TCP window drains, which
-// suspends the scan that physical.Drain pulls on the same goroutine,
-// so a slow reader throttles it instead of growing a buffer. A
-// client that disconnects mid-stream fails the next flush, which
-// cancels the query the same way.
+// The response path: every result reaches the client through one engine
+// sink in one of three framings. NDJSON and SOMW flush each batch as the
+// executor produces it: the flush is the backpressure point (the query's
+// goroutine blocks in Push until the client's TCP window drains, which
+// suspends the scan), and a client that disconnects fails the next
+// flush, which cancels the query. Plain JSON is buffered and written
+// with its status once the drain ends: a late failure keeps its 4xx/5xx.
 
 package server
 
 import (
 	"context"
 	"net/http"
+	"strconv"
 	"time"
 
 	"sommelier/internal/engine"
 	"sommelier/internal/storage"
 )
 
-// Wire formats of a streaming response.
+// Wire format names; "json" without "stream" is the plain JSON body.
 const (
 	// FormatNDJSON is the default: one JSON object per line — a
 	// {"columns": [...]} header, {"rows": [[...], ...]} per batch, and
@@ -30,8 +29,9 @@ const (
 	FormatColumnar = "columnar"
 )
 
-// wireFormat frames a result stream for one wire format. Every method
-// appends to a buffer the sink writes and flushes once per batch.
+// wireFormat frames a result for one wire format. Every method appends
+// to the sink's buffer, which a streaming sink writes and flushes once
+// per batch and a buffered one once per response.
 type wireFormat interface {
 	contentType() string
 	appendHeader(dst []byte, names []string, kinds []storage.Kind) ([]byte, error)
@@ -43,14 +43,17 @@ type wireFormat interface {
 	appendError(dst []byte, msg string) []byte
 }
 
-// streamQuery executes one streaming request on the handler
-// goroutine and settles the outcome counters, returning the query
-// error (nil on success) so the admission ticket can be released with
-// the right dropped/served classification.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req QueryRequest, timeout time.Duration, capped bool) error {
-	var format wireFormat = ndjsonFormat{}
-	if req.Format == FormatColumnar {
+// runQuery executes one request on the handler goroutine and settles
+// the outcome counters, returning the query error (nil on success) so
+// the admission ticket can be released with the right dropped/served
+// classification.
+func (s *Server) runQuery(ctx context.Context, w http.ResponseWriter, req QueryRequest, timeout time.Duration, capped bool) error {
+	var format wireFormat = jsonFormat{}
+	switch {
+	case req.Format == FormatColumnar:
 		format = somwFormat{}
+	case req.Stream:
+		format = ndjsonFormat{}
 	}
 	sink := newStreamSink(w, format)
 	defer putRenderer(sink.r)
@@ -58,9 +61,8 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req Que
 	res, err := s.db.QueryStream(ctx, req.SQL, sink, req.Params...)
 	if err != nil {
 		s.failed.Add(1)
-		if sink.begun {
-			// The 200 is already on the wire: note the error's counters
-			// and append the in-band error record.
+		if sink.committed {
+			// The 200 is on the wire: report the error in band.
 			s.noteError(err)
 			sink.fail(err)
 		} else {
@@ -72,15 +74,15 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, req Que
 	if len(res.Warnings) > 0 {
 		s.degraded.Add(1)
 	}
-	sink.finish(toStats(res, time.Since(t0), timeout, capped), res.Warnings)
+	if err := sink.finish(toStats(res, time.Since(t0), timeout, capped), res.Warnings); err != nil && !sink.committed {
+		s.writeError(w, err)
+	}
 	return nil
 }
 
-// streamSink is the engine sink of a streaming response in either
-// format. The header goes out with the first output, so a failure
-// before that keeps the plain JSON error path and a zero-row result
-// still carries its column list. Each pushed batch is one Write and one
-// Flush; the flush is the backpressure point.
+// streamSink is the engine sink of a response in any format. The status
+// goes out with the first write, so a failure before it keeps the plain
+// JSON error path, and a zero-row result still carries its column list.
 type streamSink struct {
 	hw     http.ResponseWriter
 	fl     http.Flusher
@@ -88,15 +90,17 @@ type streamSink struct {
 	r      *renderer
 	names  []string
 	kinds  []storage.Kind
-	// begun reports that response bytes are on the wire.
-	begun bool
-	rows  int
+	// buffered holds the whole body until finish (plain JSON). begun
+	// marks the header rendered; committed, the 200 on the wire.
+	buffered, begun, committed bool
+	rows                       int
 }
 
 // newStreamSink draws the sink's renderer from the pool; the caller
 // returns it with putRenderer once the response is finished.
 func newStreamSink(w http.ResponseWriter, format wireFormat) *streamSink {
 	s := &streamSink{hw: w, format: format, r: getRenderer()}
+	_, s.buffered = format.(jsonFormat)
 	s.fl, _ = w.(http.Flusher)
 	return s
 }
@@ -106,33 +110,46 @@ func (s *streamSink) SetSchema(names []string, kinds []storage.Kind) {
 	s.names, s.kinds = names, kinds
 }
 
-// begin commits the 200 status and buffers the format's header.
+// Retains implements physical.RetainingSink: the drain charges a
+// buffered body's batches to the query's memory ceiling.
+func (s *streamSink) Retains() bool { return s.buffered }
+
+// begin renders the format's header once.
 func (s *streamSink) begin() error {
 	if s.begun {
 		return nil
 	}
 	s.begun = true
-	s.hw.Header().Set("Content-Type", s.format.contentType())
-	s.hw.WriteHeader(http.StatusOK)
 	var err error
 	s.r.buf, err = s.format.appendHeader(s.r.buf, s.names, s.kinds)
 	return err
 }
 
-// Push implements engine.StreamSink: one record per batch, flushed.
+// Push implements engine.StreamSink: one record per batch, flushed
+// unless the body is buffered.
 func (s *streamSink) Push(b *storage.Batch) error {
 	flat := b.Materialize()
 	if err := s.begin(); err != nil {
 		return err
 	}
 	s.rows += flat.Len()
-	if err := s.format.appendBatch(s.r, flat); err != nil {
+	if err := s.format.appendBatch(s.r, flat); err != nil || s.buffered {
 		return err
 	}
 	return s.flush()
 }
 
+// flush writes the buffer, committing the 200 with the first write (a
+// buffered body is written once, with its Content-Length).
 func (s *streamSink) flush() error {
+	if !s.committed {
+		s.committed = true
+		s.hw.Header().Set("Content-Type", s.format.contentType())
+		if s.buffered {
+			s.hw.Header().Set("Content-Length", strconv.Itoa(len(s.r.buf)))
+		}
+		s.hw.WriteHeader(http.StatusOK)
+	}
 	_, err := s.hw.Write(s.r.buf)
 	s.r.buf = s.r.buf[:0]
 	if err != nil {
@@ -144,24 +161,63 @@ func (s *streamSink) flush() error {
 	return nil
 }
 
-// finish writes the terminal footer record.
-func (s *streamSink) finish(stats QueryStats, warnings []engine.Warning) {
+// finish renders the terminal footer and writes what is left of the
+// body. It returns a render failure; a failed write is a client that
+// left, with no one left to tell.
+func (s *streamSink) finish(stats QueryStats, warnings []engine.Warning) error {
 	if err := s.begin(); err != nil {
-		return
+		return err
 	}
 	var err error
-	s.r.buf, err = s.format.appendFooter(s.r.buf, resultFooter{RowCount: s.rows, Stats: stats, Warnings: warnings})
-	if err != nil {
-		return
+	if s.r.buf, err = s.format.appendFooter(s.r.buf, resultFooter{RowCount: s.rows, Stats: stats, Warnings: warnings}); err != nil {
+		return err
 	}
-	_ = s.flush() // the client is gone; there is no one left to tell
+	_ = s.flush()
+	return nil
 }
 
-// fail writes the terminal in-band error record.
+// fail writes the terminal in-band error record of a committed stream.
 func (s *streamSink) fail(err error) {
 	s.r.buf = s.format.appendError(s.r.buf, err.Error())
 	_ = s.flush()
 }
+
+// jsonFormat is the plain JSON body, QueryResponse's encoding: the
+// columns, the rows array, then the footer's fields in the same object.
+type jsonFormat struct{}
+
+func (jsonFormat) contentType() string { return "application/json" }
+
+func (jsonFormat) appendHeader(dst []byte, names []string, _ []storage.Kind) ([]byte, error) {
+	dst, err := appendJSON(dst, columnsHeader{Columns: names})
+	if err != nil {
+		return dst, err
+	}
+	return append(dst[:len(dst)-1], `,"rows":[`...), nil // reopen the header object
+}
+
+// appendBatch continues the rows array, which ends in '[' after the
+// header and in ']' after a row.
+func (jsonFormat) appendBatch(r *renderer, b *storage.Batch) error {
+	if b.Len() > 0 && r.buf[len(r.buf)-1] == ']' {
+		r.buf = append(r.buf, ',')
+	}
+	return r.appendRows(b)
+}
+
+func (jsonFormat) appendFooter(dst []byte, f resultFooter) ([]byte, error) {
+	dst = append(dst, ']')
+	mark := len(dst)
+	dst, err := appendJSON(dst, f)
+	if err != nil {
+		return dst, err
+	}
+	dst[mark] = ',' // the footer object's '{' continues the response object
+	return append(dst, '\n'), nil
+}
+
+// appendError is never reached: a buffered body fails uncommitted.
+func (jsonFormat) appendError(dst []byte, msg string) []byte { return dst }
 
 // ndjsonFormat is newline-delimited JSON; see FormatNDJSON for the line
 // shapes.

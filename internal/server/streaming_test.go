@@ -8,7 +8,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -254,6 +256,63 @@ func TestQuotaExceededIs413(t *testing.T) {
 	nd := decodeNDJSON(t, data)
 	if nd.RowCount == 0 {
 		t.Fatal("streaming under ceiling delivered no rows")
+	}
+}
+
+// TestJSONFailureAfterRowsKeepsStatus: the plain JSON body is buffered
+// until the drain ends, so a query that trips the memory ceiling after
+// the sink has rendered rows still answers 413 with the error envelope,
+// never a 200 or a partial rows array. The ceiling is one the first
+// pushed batch fits under and the whole result exceeds; the same
+// request streamed succeeds, since a consuming sink charges nothing.
+func TestJSONFailureAfterRowsKeepsStatus(t *testing.T) {
+	dir := t.TempDir()
+	cfg := seisgen.DefaultConfig(1)
+	cfg.SamplesPerFile = 600
+	if _, err := seisgen.Generate(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	db, err := engine.Open(dir, engine.Config{
+		Approach: registrar.Lazy, MaxParallel: 1, MaxQueryBytes: 16 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const sql = `SELECT D.sample_time, D.sample_value FROM dataview
+	               WHERE D.sample_time < '2010-01-02T00:00:00.000'`
+
+	// The premise: the JSON sink renders rows before the ceiling trips.
+	sink := newStreamSink(httptest.NewRecorder(), jsonFormat{})
+	_, err = db.QueryStream(context.Background(), sql, sink)
+	putRenderer(sink.r)
+	var qe *storage.QuotaError
+	if !errors.As(err, &qe) || sink.rows == 0 {
+		t.Fatalf("JSON sink rendered %d rows, err = %v; want rows, then a *storage.QuotaError", sink.rows, err)
+	}
+
+	s := New(db, Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, data := post(t, ts.URL, QueryRequest{SQL: sql})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", resp.StatusCode, data)
+	}
+	var eresp errorResponse
+	if err := json.Unmarshal(data, &eresp); err != nil || eresp.Error == "" {
+		t.Fatalf("error envelope %s: %v", data, err)
+	}
+	if bytes.Contains(data, []byte(`"rows"`)) {
+		t.Fatalf("413 body carries rows: %s", data)
+	}
+
+	resp, data = postRaw(t, ts.URL, QueryRequest{SQL: sql, Stream: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("streamed: status %d: %s", resp.StatusCode, data)
+	}
+	if nd := decodeNDJSON(t, data); nd.RowCount == 0 || nd.RowCount != len(nd.Rows) {
+		t.Fatalf("streamed: row_count %d, %d rows", nd.RowCount, len(nd.Rows))
 	}
 }
 
